@@ -30,27 +30,21 @@ const benchWindow = 8 * time.Second // virtual measurement window per point
 // BenchmarkHotPath measures the harness's own steady-state cost per
 // committed batch on a simulated run with commit retention at a small
 // batching interval (the regime where harness overhead could pollute the
-// paper's latency/throughput signal). The windows double so O(1) vs
-// O(history) behaviour is visible directly: with cursor subscriptions both
-// ns/batch and allocs/batch stay flat as the window grows; the legacy
-// full-history scan (sub-benchmark "legacy-scan") grows with it.
+// paper's latency/throughput signal). The windows double so O(1)
+// behaviour is visible directly: with cursor subscriptions both ns/batch
+// and allocs/batch stay flat as the window grows.
 func BenchmarkHotPath(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"cursor", false}, {"legacy-scan", true}} {
-		for _, window := range []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second} {
-			b.Run(fmt.Sprintf("%s/window=%s", mode.name, window), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					pt, err := harness.RunHotPathPoint(window, int64(i+1), mode.legacy)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(pt.NsPerBatch, "ns/batch")
-					b.ReportMetric(pt.AllocsPerBatch, "allocs/batch")
+	for _, window := range []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second} {
+		b.Run(fmt.Sprintf("cursor/window=%s", window), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pt, err := harness.RunHotPathPoint(window, int64(i+1))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				b.ReportMetric(pt.NsPerBatch, "ns/batch")
+				b.ReportMetric(pt.AllocsPerBatch, "allocs/batch")
+			}
+		})
 	}
 }
 

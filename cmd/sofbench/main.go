@@ -77,7 +77,7 @@ func main() {
 		f         = flag.Int("f", 2, "fault-tolerance parameter f")
 		window    = flag.Duration("window", 30*time.Second, "measured (virtual) window per point")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		jsonMode  = flag.Bool("json", false, "run the hot-path benchmark (doubling windows, cursor vs legacy-scan) and write JSON")
+		jsonMode  = flag.Bool("json", false, "run the hot-path benchmark (doubling windows) and write JSON")
 		out       = flag.String("out", "BENCH_hotpath.json", "output file for -json")
 		transport = flag.String("transport", "sim", "hot-path substrate for -json: sim, or tcp to add the TCP runtime series")
 		loadStr   = flag.String("load", "1,2,4,8", "comma-separated offered-load multipliers for the tcp-pipelined sweep (-json -transport tcp)")
@@ -378,16 +378,14 @@ func runHotPathJSON(path string, seed int64, withTCP bool, loads []float64, grou
 		Points      []harness.HotPathPoint `json:"points"`
 	}
 	rep := report{GeneratedBy: "sofbench -json"}
-	for _, legacy := range []bool{false, true} {
-		for _, w := range []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second} {
-			pt, err := harness.RunHotPathPoint(w, seed, legacy)
-			if err != nil {
-				return err
-			}
-			rep.Points = append(rep.Points, pt)
-			fmt.Printf("%-12s window=%-4s batches=%-5d ns/batch=%-12.0f allocs/batch=%-10.1f\n",
-				pt.Mode, w, pt.Batches, pt.NsPerBatch, pt.AllocsPerBatch)
+	for _, w := range []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second} {
+		pt, err := harness.RunHotPathPoint(w, seed)
+		if err != nil {
+			return err
 		}
+		rep.Points = append(rep.Points, pt)
+		fmt.Printf("%-12s window=%-4s batches=%-5d ns/batch=%-12.0f allocs/batch=%-10.1f\n",
+			pt.Mode, w, pt.Batches, pt.NsPerBatch, pt.AllocsPerBatch)
 	}
 	if withTCP {
 		// Plain frames first, then authenticated sessions, then durable

@@ -36,7 +36,6 @@
 package main
 
 import (
-	"crypto/tls"
 	"flag"
 	"fmt"
 	"log"
@@ -49,6 +48,7 @@ import (
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/session"
 	"github.com/sof-repro/sof/internal/shard"
@@ -251,18 +251,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var proto types.Protocol
-	switch strings.ToLower(*protoStr) {
-	case "sc":
-		proto = types.SC
-	case "scr":
-		proto = types.SCR
-	case "bft":
-		proto = types.BFT
-	case "ct":
-		proto = types.CT
-	default:
-		log.Fatalf("unknown protocol %q", *protoStr)
+	proto, err := types.ParseProtocol(*protoStr)
+	if err != nil {
+		log.Fatal(err)
 	}
 	topo, err := types.NewTopology(proto, *f)
 	if err != nil {
@@ -277,41 +268,23 @@ func main() {
 		peers[types.NodeID(i)] = strings.TrimSpace(a)
 	}
 
-	suite, err := crypto.ByName(crypto.SuiteName(*suiteStr))
+	// The same deterministic deal every node runs, so this client holds
+	// the cluster's link keys and DevTLS pair: the client config for our
+	// dials, the server config for the reply listener the nodes dial back
+	// into.
+	dealt, err := node.DealFromSecret(crypto.SuiteName(*suiteStr), *secret, topo, *auth, *useTLS)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ids := topo.AllProcesses()
-	for k := 0; k < 16; k++ {
-		ids = append(ids, types.ClientID(k))
-	}
-	// The Issue/IssueLinks sequence mirrors sofnode's exactly, so the
-	// deterministic dealer hands this client the same link keys.
-	dealer := crypto.NewDealer(suite, crypto.WithRand(crypto.NewDRBG(*secret)))
-	idents, _, err := dealer.Issue(ids)
-	if err != nil {
-		log.Fatal(err)
-	}
+	idents := dealt.Idents
 	var clOpts []tcpnet.ClientOption
 	var sessCfg *session.Config
 	if *auth {
-		links, err := dealer.IssueLinks()
-		if err != nil {
-			log.Fatal(err)
-		}
-		sessCfg = &session.Config{Keys: links, Resume: *resume}
+		sessCfg = &session.Config{Keys: dealt.Links, Resume: *resume}
 		clOpts = append(clOpts, tcpnet.WithSession(sessCfg))
 	}
-	var tlsSrv *tls.Config
 	if *useTLS {
-		// Same DevTLS pair the nodes derive: client config for our dials,
-		// server config for the reply listener the nodes dial back into.
-		srv, cli, err := tcpnet.DevTLS(*secret)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tlsSrv = srv
-		clOpts = append(clOpts, tcpnet.WithTLS(cli))
+		clOpts = append(clOpts, tcpnet.WithTLS(dealt.TLSClient))
 	}
 	me := types.ClientID(*client)
 
@@ -321,7 +294,7 @@ func main() {
 	if *listen != "" {
 		tracker = newReplyTracker(*f + 1)
 		logger := log.New(os.Stderr, fmt.Sprintf("sofclient[%d] ", *client), log.Ltime)
-		tr, err := tcpnet.Listen(me, *listen, nil, logger, tcpnet.Options{Session: sessCfg, TLSServer: tlsSrv})
+		tr, err := tcpnet.Listen(me, *listen, nil, logger, tcpnet.Options{Session: sessCfg, TLSServer: dealt.TLSServer})
 		if err != nil {
 			log.Fatalf("listening for commit replies: %v", err)
 		}

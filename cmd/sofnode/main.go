@@ -76,354 +76,178 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
-	"github.com/sof-repro/sof/internal/bft"
 	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
-	"github.com/sof-repro/sof/internal/ct"
-	"github.com/sof-repro/sof/internal/fsp"
-	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/runtime"
-	"github.com/sof-repro/sof/internal/session"
 	"github.com/sof-repro/sof/internal/shard"
-	"github.com/sof-repro/sof/internal/tcpnet"
 	"github.com/sof-repro/sof/internal/types"
-	"github.com/sof-repro/sof/internal/wal/protolog"
-	"github.com/sof-repro/sof/internal/wal/sessionlog"
 )
 
 func main() {
-	var (
-		id          = flag.Int("id", 0, "this node's process ID (0-based)")
-		f           = flag.Int("f", 2, "fault-tolerance parameter")
-		protoStr    = flag.String("protocol", "sc", "protocol: sc, scr, bft or ct")
-		suiteStr    = flag.String("suite", string(crypto.HMACSHA256), "signature suite")
-		secret      = flag.String("secret", "streets-of-byzantium", "shared dealer secret")
-		peersStr    = flag.String("peers", "", "comma-separated node addresses, index = node ID")
-		batch       = flag.Duration("batch", 100*time.Millisecond, "batching interval")
-		delta       = flag.Duration("delta", 5*time.Second, "pair differential delay estimate")
-		auth        = flag.Bool("auth", false, "authenticate frames: HMAC-sealed frame v2 with authenticated hellos (all nodes and clients must agree)")
-		resume      = flag.Bool("resume", false, "resume sessions across reconnects, replaying in-flight frames (implies -auth)")
-		dataDir     = flag.String("data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr), and — with -auth — session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
-		ckptIvl     = flag.Int("ckpt-interval", 0, "delivered sequence numbers between protocol checkpoints (0 = default 64, negative disables; requires -data-dir)")
-		inflight    = flag.Int("inflight", 1, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes")
-		idleArm     = flag.Duration("idle-arm", 0, "sc/scr batch-timer delay armed when the first request reaches an idle primary (0 = the batching interval)")
-		digAcks     = flag.Bool("digest-acks", false, "sc/scr digest-only ordering: acks carry subject digests only; missing subjects/payloads are fetched off the critical path")
-		clients     = flag.String("clients", "", "comma-separated client listen addresses (index = client number) to send commit-observation replies to")
-		groups      = flag.Int("groups", 1, "independent ordering groups hosted on this node (sc/scr only; all nodes and clients must agree): each group is a complete ordering cluster with its own coordinator pair — rotated so group g's pair sits on different physical nodes — and its own WAL directory under -data-dir/g<i>, multiplexed over this node's one listener and session")
-		metricsAddr = flag.String("metrics-addr", "", "serve the ops surface on this address: /metrics (Prometheus text exposition), /healthz (liveness), /readyz (ready once catch-up is done and a majority of order processes are connected)")
-		useTLS      = flag.Bool("tls", false, "wrap every connection — peer and client — in TLS 1.3; both endpoints derive a matched DevTLS certificate from -secret, so all nodes and clients must agree")
-		ingressOn   = flag.Bool("ingress", false, "client admission control (sc/scr only): per-client rate limit, lockout, pending bound, fair dequeue and overload brownout; refused requests get a signed Rejected with a retry hint")
-		ingRate     = flag.Int("ingress-rate", 0, "admitted requests per client per -ingress-period (0 = default 256, negative = unlimited)")
-		ingPeriod   = flag.Duration("ingress-period", 0, "rate-limiter period (0 = default 1s)")
-		ingLockout  = flag.Int("ingress-lockout", 0, "lock a client out once its rejections within the lockout window reach this count (0 = no lockout)")
-		ingPending  = flag.Int("ingress-pending", 0, "per-client bound on admitted-but-unordered requests in the pool (0 = unbounded)")
-		ingEvict    = flag.Duration("ingress-evict", 0, "drop a pooled request that has gone this long without an ordering decision (0 = default 30s, negative disables)")
-	)
-	flag.Parse()
-	if *resume {
-		*auth = true
+	cfg := parseFlags(os.Args[1:])
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() { <-sig; close(stop) }()
+	if err := run(cfg, stop); err != nil {
+		log.Fatalf("sofnode %d: %v", cfg.id, err)
 	}
-	if *ckptIvl != 0 && *dataDir == "" {
-		log.Fatal("-ckpt-interval requires -data-dir")
-	}
+}
 
-	proto, err := parseProtocol(*protoStr)
+// run assembles the node (internal/node), serves until stop closes or the
+// transport dies, and shuts down cleanly: counters logged, stores flushed
+// so the successor incarnation recovers everything. A fatal transport
+// loss is returned as an error so supervisors restart the process.
+func run(cfg config, stop <-chan struct{}) error {
+	if cfg.resume {
+		cfg.auth = true
+	}
+	if cfg.ckptInterval != 0 && cfg.dataDir == "" {
+		return errors.New("-ckpt-interval requires -data-dir")
+	}
+	proto, err := types.ParseProtocol(cfg.protocol)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *groups < 1 || *groups > shard.MaxGroups {
-		log.Fatalf("-groups %d outside [1, %d]", *groups, shard.MaxGroups)
+	if err := (node.Mode{
+		Protocol: proto, Live: true, TCP: true, Groups: cfg.groups,
+		AuthFrames: cfg.auth, TLS: cfg.tls, Ingress: cfg.ingress,
+		Durable: cfg.dataDir != "", DataDir: cfg.dataDir,
+	}).Check(); err != nil {
+		return err
 	}
-	if *groups > 1 && proto != types.SC && proto != types.SCR {
-		log.Fatalf("-groups needs sc or scr, not %v", proto)
-	}
-	var ingCfg ingress.Config
-	if *ingressOn {
-		if proto != types.SC && proto != types.SCR {
-			log.Fatalf("-ingress needs sc or scr, not %v", proto)
-		}
-		ingCfg = ingress.Config{
-			Enabled:          true,
-			Rate:             *ingRate,
-			RatePeriod:       *ingPeriod,
-			LockoutThreshold: *ingLockout,
-			MaxClientPending: *ingPending,
-			EvictAfter:       *ingEvict,
-		}
-		if err := ingCfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	topo, err := types.NewTopology(proto, *f)
+	topo, err := types.NewTopology(proto, cfg.f)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	addrs := strings.Split(*peersStr, ",")
+	addrs := strings.Split(cfg.peers, ",")
 	if len(addrs) != topo.N() {
-		log.Fatalf("need %d peer addresses for %v f=%d, got %d", topo.N(), proto, *f, len(addrs))
+		return fmt.Errorf("need %d peer addresses for %v f=%d, got %d", topo.N(), proto, cfg.f, len(addrs))
 	}
 	peers := make(map[types.NodeID]string, len(addrs))
 	for i, a := range addrs {
 		peers[types.NodeID(i)] = strings.TrimSpace(a)
 	}
-	self := types.NodeID(*id)
+	self := types.NodeID(cfg.id)
 	if !topo.IsProcess(self) {
-		log.Fatalf("id %d is not a process of this topology", *id)
+		return fmt.Errorf("id %d is not a process of this topology", cfg.id)
 	}
-
-	suite, err := crypto.ByName(crypto.SuiteName(*suiteStr))
+	// Known client endpoints for the commit-observation reply path.
+	replyTo := make(map[types.NodeID]bool)
+	if cfg.clients != "" {
+		for k, a := range strings.Split(cfg.clients, ",") {
+			peers[types.ClientID(k)] = strings.TrimSpace(a)
+			replyTo[types.ClientID(k)] = true
+		}
+	}
+	dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, topo, cfg.auth, cfg.tls)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	// Deterministic dealer: every node derives the same keys from the
-	// shared secret (processes first, then 16 client identities).
-	ids := topo.AllProcesses()
-	for k := 0; k < 16; k++ {
-		ids = append(ids, types.ClientID(k))
-	}
-	dealer := crypto.NewDealer(suite, crypto.WithRand(crypto.NewDRBG(*secret)))
-	idents, _, err := dealer.Issue(ids)
-	if err != nil {
-		log.Fatal(err)
-	}
-	logger := log.New(os.Stderr, fmt.Sprintf("sofnode[%d] ", *id), log.Ltime|log.Lmicroseconds)
-
+	logger := log.New(os.Stderr, fmt.Sprintf("sofnode[%d] ", cfg.id), log.Ltime|log.Lmicroseconds)
 	// One registry for the whole node: every layer registers its
 	// instruments here, -metrics-addr serves it, and the shutdown dump
-	// renders it. Ordering instruments carry node= always and group=
-	// only when sharded, so single-group series match the harness's.
+	// renders it.
 	reg := obs.NewRegistry()
-	coreLabels := func(g int) []obs.Label {
-		labels := []obs.Label{obs.L("node", fmt.Sprint(self))}
-		if *groups > 1 {
-			labels = append(labels, obs.L("group", fmt.Sprint(g)))
-		}
-		return labels
-	}
 
-	// Link keys draw from the same deterministic stream, after the same
-	// Issue call, on every node and client — so all endpoints derive
-	// identical session keys (sofclient performs the same sequence).
-	var topts tcpnet.Options
-	topts.Metrics = reg
-	if *useTLS {
-		// DevTLS: both configs derive from the shared secret, so every
-		// endpoint of the deployment presents and expects the same
-		// deterministic certificate. TLS runs beneath the session frames.
-		srv, cli, err := tcpnet.DevTLS(*secret)
-		if err != nil {
-			log.Fatal(err)
-		}
-		topts.TLSServer = srv
-		topts.TLSClient = cli
-	}
-	var journal *sessionlog.Store
-	if *auth {
-		links, err := dealer.IssueLinks()
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg := &session.Config{Keys: links, Resume: *resume}
-		if *dataDir != "" {
-			journal, err = sessionlog.Open(sessionlog.Options{
-				Dir:           filepath.Join(*dataDir, "session"),
-				SyncInterval:  *batch,
-				Logger:        logger,
-				Metrics:       reg,
-				MetricsLabels: []obs.Label{obs.L("node", fmt.Sprint(self))},
-			})
+	var tcp *runtime.TCPNode // set before Start; commits only happen after
+	// sendReplies answers each committed entry of a known client with a
+	// signed commit observation. In sharded deployments EVERY frame is
+	// group-prefixed, and sofclient demultiplexes replies by stripping the
+	// byte back off.
+	sendReplies := func(group int, ev core.CommitEvent) {
+		for i := range ev.Entries {
+			e := &ev.Entries[i]
+			if !replyTo[e.Req.Client] {
+				continue
+			}
+			rep := &message.Reply{
+				From: self, Client: e.Req.Client, ClientSeq: e.Req.ClientSeq,
+				Seq: ev.FirstSeq + types.Seq(i),
+			}
+			sig, err := message.SignSingle(dealt.Idents[self], rep.SignedBody())
 			if err != nil {
-				log.Fatal(err)
+				continue
 			}
-			cfg.Journal = journal
+			rep.Sig = sig
+			raw := rep.Marshal()
+			if cfg.groups > 1 {
+				raw = shard.PrefixGroup(group, raw)
+			}
+			tcp.Transport().Send(e.Req.Client, raw)
 		}
-		topts.Session = cfg
 	}
+	spec := cfg.spec(proto, topo, dealt)
+	spec.Registry, spec.Logger = reg, logger
+	spec.Hooks = func(group int) node.Hooks {
+		return node.Hooks{
+			OnCommit: func(ev core.CommitEvent) {
+				logger.Printf("COMMIT view=%d seqs=[%d..%d] entries=%d", ev.View, ev.FirstSeq, ev.LastSeq, len(ev.Entries))
+				sendReplies(group, ev)
+			},
+			OnFailSignal: func(ev core.FailSignalEvent) {
+				logger.Printf("FAILSIGNAL pair=%d emitter=%v reason=%s", ev.Pair, ev.Emitter, ev.Reason)
+			},
+			OnInstalled: func(ev core.InstallEvent) {
+				logger.Printf("INSTALLED coordinator rank=%d start_o=%d", ev.Rank, ev.StartSeq)
+			},
+		}
+	}
+	n, err := node.Build(spec)
+	if err != nil {
+		return err
+	}
+	defer n.Close()
 
-	// Known client endpoints for the commit-observation reply path.
-	replyTo := make(map[types.NodeID]string)
-	if *clients != "" {
-		for k, a := range strings.Split(*clients, ",") {
-			replyTo[types.ClientID(k)] = strings.TrimSpace(a)
-		}
-		for cid, a := range replyTo {
-			peers[cid] = a
-		}
-	}
-
-	var node *runtime.TCPNode
-	// Commit-observation replies carry the group address in sharded
-	// deployments: EVERY frame of such a deployment is group-prefixed, and
-	// sofclient demultiplexes replies by stripping the byte back off.
-	sendReplyFor := func(group int) func(core.CommitEvent) {
-		return func(ev core.CommitEvent) {
-			n := node // set before Start; commits only happen after
-			if n == nil || len(replyTo) == 0 {
-				return
-			}
-			for i := range ev.Entries {
-				e := &ev.Entries[i]
-				if _, known := replyTo[e.Req.Client]; !known {
-					continue
-				}
-				rep := &message.Reply{
-					From: self, Client: e.Req.Client, ClientSeq: e.Req.ClientSeq,
-					Seq: ev.FirstSeq + types.Seq(i),
-				}
-				sig, err := message.SignSingle(idents[self], rep.SignedBody())
-				if err != nil {
-					continue
-				}
-				rep.Sig = sig
-				raw := rep.Marshal()
-				if *groups > 1 {
-					raw = shard.PrefixGroup(group, raw)
-				}
-				n.Transport().Send(e.Req.Client, raw)
-			}
-		}
-	}
-	// One order process per ordering group, each over the group's rotated
-	// topology (so group g's coordinator pair occupies different physical
-	// nodes) and — with -data-dir — its own checkpoint store: group WALs
-	// must never share a segment directory. Single-group deployments keep
-	// the pre-sharding <data-dir>/proto layout, so existing nodes restart
-	// against their old directories.
-	var ckptStores []*protolog.Store
-	procs := make([]runtime.Process, *groups)
-	for g := 0; g < *groups; g++ {
-		// Protocol checkpoint store: with -data-dir an sc/scr order process
-		// snapshots its protocol state and a restarted node catches up on the
-		// commits it missed from its peers (works with or without -auth; the
-		// session journal is a separate, transport-level layer).
-		var ckpts *protolog.Store
-		if *dataDir != "" && *ckptIvl >= 0 && (proto == types.SC || proto == types.SCR) {
-			dir := filepath.Join(*dataDir, "proto")
-			if *groups > 1 {
-				dir = filepath.Join(*dataDir, fmt.Sprintf("g%d", g), "proto")
-			}
-			ckpts, err = protolog.Open(protolog.Options{
-				Dir:           dir,
-				SyncInterval:  *batch,
-				Logger:        logger,
-				Metrics:       reg,
-				MetricsLabels: coreLabels(g),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			ckptStores = append(ckptStores, ckpts)
-		}
-		procs[g], err = buildProcess(self, topo.Rotated(g), idents, proto, *batch, *delta, logger,
-			sendReplyFor(g), ckpts, *ckptIvl, *inflight, *idleArm, *digAcks, ingCfg,
-			reg, coreLabels(g))
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *groups == 1 {
-		node, err = runtime.NewTCPNode(self, peers[self], idents[self], procs[0], peers, logger, topts)
+	if cfg.groups == 1 {
+		tcp, err = runtime.NewTCPNode(self, peers[self], dealt.Idents[self], n.Procs[0], peers, logger, n.TCPOptions())
 	} else {
-		node, err = runtime.NewShardedTCPNode(self, peers[self], idents[self], procs, peers, logger, topts)
+		tcp, err = runtime.NewShardedTCPNode(self, peers[self], dealt.Idents[self], n.Procs, peers, logger, n.TCPOptions())
 	}
 	if err != nil {
-		log.Fatalf("sofnode %d: %v", *id, err)
+		return err
 	}
-	node.Start()
+	tcp.Start()
+	defer tcp.Stop()
 	logger.Printf("up: %v f=%d n=%d groups=%d listening on %s (auth=%v resume=%v durable=%v tls=%v ingress=%v)",
-		proto, *f, topo.N(), *groups, node.Addr(), *auth, *resume, *dataDir != "", *useTLS, *ingressOn)
+		proto, cfg.f, topo.N(), cfg.groups, tcp.Addr(), cfg.auth, cfg.resume, cfg.dataDir != "", cfg.tls, cfg.ingress.Enabled)
 
-	// Ops surface: /metrics, /healthz and /readyz on -metrics-addr.
-	// Readiness mirrors the harness's formula — every hosted group has
-	// left restart catch-up (the sof_catching_up gauge each order
-	// process keeps) and the transport holds live connections to a
-	// majority of the other order processes — so it goes not-ready for
-	// exactly the restart catch-up window a rolling upgrade must wait
-	// out. Gauge reads and transport state only; never the event loop.
-	if *metricsAddr != "" {
-		ready := func() error {
-			if proto == types.SC || proto == types.SCR {
-				for g := 0; g < *groups; g++ {
-					gauge := reg.Gauge("sof_catching_up",
-						"1 while the process is catching up on missed commits after a restart.",
-						coreLabels(g)...)
-					if gauge.Value() != 0 {
-						return fmt.Errorf("group %d catching up", g)
-					}
-				}
-			}
-			all := topo.AllProcesses()
-			isProc := make(map[types.NodeID]bool, len(all))
-			for _, p := range all {
-				isProc[p] = true
-			}
-			connected := 0
-			for _, peer := range node.Transport().ConnectedPeers() {
-				if isProc[peer] {
-					connected++
-				}
-			}
-			if 2*(connected+1) <= len(all) {
-				return fmt.Errorf("connected to %d of %d other order processes", connected, len(all)-1)
-			}
-			return nil
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
+	// Ops surface: /metrics, /healthz and /readyz (node.Ready — not ready
+	// for exactly the restart catch-up window a rolling upgrade must wait
+	// out, or while cut off from a majority).
+	if cfg.metricsAddr != "" {
+		ln, err := net.Listen("tcp", cfg.metricsAddr)
 		if err != nil {
-			log.Fatalf("sofnode %d: metrics listener: %v", *id, err)
+			return fmt.Errorf("metrics listener: %w", err)
 		}
-		go func() {
-			if err := http.Serve(ln, obs.NewMux(reg, ready)); err != nil {
-				logger.Printf("metrics server stopped: %v", err)
-			}
-		}()
+		defer ln.Close()
+		ready := func() error { return n.Ready(tcp.Transport()) }
+		go func() { _ = http.Serve(ln, obs.NewMux(reg, ready)) }()
 		logger.Printf("ops surface on http://%s/metrics (/healthz, /readyz)", ln.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	fatal := false
 	select {
-	case <-sig:
-	case err := <-node.Fatal():
-		// The transport is unrecoverable (listener died); report which
-		// endpoint failed and exit non-zero so supervisors restart us.
-		logger.Printf("fatal transport loss on %s: %v", node.Addr(), err)
-		fatal = true
+	case <-stop:
+	case err = <-tcp.Fatal():
+		// The transport is unrecoverable (listener died): report which
+		// endpoint failed.
+		err = fmt.Errorf("fatal transport loss on %s: %w", tcp.Addr(), err)
 	}
 	logFinalCounters(logger, reg)
-	node.Stop()
-	if journal != nil {
-		// Clean shutdown: flush the journal so the successor incarnation
-		// recovers everything (a crash would lose at most one batching
-		// interval).
-		if err := journal.Close(); err != nil {
-			logger.Printf("closing session journal: %v", err)
-		}
-	}
-	for _, ckpts := range ckptStores {
-		if err := ckpts.Close(); err != nil {
-			logger.Printf("closing checkpoint store: %v", err)
-		}
-	}
-	if fatal {
-		os.Exit(1)
-	}
+	return err
 }
 
 // logFinalCounters dumps the node's registry on shutdown as one sorted,
@@ -456,81 +280,4 @@ func logFinalCounters(logger *log.Logger, reg *obs.Registry) {
 		}
 	}
 	logger.Printf("final counters:%s", b.String())
-}
-
-func parseProtocol(s string) (types.Protocol, error) {
-	switch strings.ToLower(s) {
-	case "sc":
-		return types.SC, nil
-	case "scr":
-		return types.SCR, nil
-	case "bft":
-		return types.BFT, nil
-	case "ct":
-		return types.CT, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q", s)
-	}
-}
-
-func buildProcess(self types.NodeID, topo types.Topology,
-	idents map[types.NodeID]*crypto.Identity, proto types.Protocol,
-	batch, delta time.Duration, logger *log.Logger,
-	sendReply func(core.CommitEvent), ckpts *protolog.Store, ckptIvl int,
-	inflight int, idleArm time.Duration, digestAcks bool, ingCfg ingress.Config,
-	metrics *obs.Registry, metricsLabels []obs.Label) (runtime.Process, error) {
-
-	onCommit := func(ev core.CommitEvent) {
-		logger.Printf("COMMIT view=%d seqs=[%d..%d] entries=%d", ev.View, ev.FirstSeq, ev.LastSeq, len(ev.Entries))
-		sendReply(ev)
-	}
-	switch proto {
-	case types.SC, types.SCR:
-		cfg := core.Config{
-			Topo:             topo,
-			BatchInterval:    batch,
-			MaxBatchBytes:    1024,
-			Delta:            delta,
-			Mirror:           true,
-			DumbOptimization: proto == types.SC,
-			RecoveryInterval: delta,
-
-			MaxInflightBatches: inflight,
-			BatchIdleArm:       idleArm,
-			DigestOnlyAcks:     digestAcks,
-			Ingress:            ingCfg,
-			Metrics:            metrics,
-			MetricsLabels:      metricsLabels,
-			OnCommit:           onCommit,
-			OnFailSignal: func(ev core.FailSignalEvent) {
-				logger.Printf("FAILSIGNAL pair=%d emitter=%v reason=%s", ev.Pair, ev.Emitter, ev.Reason)
-			},
-			OnInstalled: func(ev core.InstallEvent) {
-				logger.Printf("INSTALLED coordinator rank=%d start_o=%d", ev.Rank, ev.StartSeq)
-			},
-		}
-		if ckpts != nil {
-			cfg.Checkpointer = ckpts
-			cfg.CheckpointInterval = ckptIvl
-		}
-		if counterpart, paired := topo.PairOf(self); paired {
-			pre, err := fsp.PresignFor(idents[counterpart], types.Rank(topo.PairIndex(self)), 0, counterpart)
-			if err != nil {
-				return nil, err
-			}
-			cfg.PresignedFailSig = pre
-		}
-		return core.New(self, cfg)
-	case types.CT:
-		return ct.New(self, ct.Config{
-			Topo: topo, BatchInterval: batch, MaxBatchBytes: 1024, OnCommit: onCommit,
-		})
-	case types.BFT:
-		return bft.New(self, bft.Config{
-			Topo: topo, BatchInterval: batch, MaxBatchBytes: 1024,
-			ViewChangeTimeout: 10 * time.Second, OnCommit: onCommit,
-		})
-	default:
-		return nil, fmt.Errorf("protocol %v not supported", proto)
-	}
 }

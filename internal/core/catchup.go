@@ -188,7 +188,7 @@ func (p *Process) announceWatermark(env runtime.Env, wm types.Seq) {
 // error (or a lost multicast) self-heals on the next tick instead of
 // wedging the process in the catching-up state forever.
 func (p *Process) beginCatchUp(env runtime.Env) {
-	if !p.catchingUp {
+	if !p.catchingUp.Load() {
 		return
 	}
 	if p.catchupTimer != nil {
@@ -212,10 +212,10 @@ func (p *Process) beginCatchUp(env runtime.Env) {
 // held back: a restored primary arms its batch timer only now, so it
 // cannot propose into a sequence range it has not yet recovered.
 func (p *Process) finishCatchUp(env runtime.Env) {
-	if !p.catchingUp {
+	if !p.catchingUp.Load() {
 		return
 	}
-	p.catchingUp = false
+	p.catchingUp.Store(false)
 	p.catchupFrom = nil
 	p.catchupMaxUpTo = 0
 	p.m.catchingUp.Set(0)
@@ -411,7 +411,7 @@ func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.Catch
 	if cred := credibleUpTo(m); upTo > cred {
 		upTo = cred
 	}
-	if p.catchingUp {
+	if p.catchingUp.Load() {
 		if p.catchupFrom == nil {
 			p.catchupFrom = make(map[types.NodeID]bool)
 		}
@@ -436,7 +436,7 @@ func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.Catch
 		}
 		req.Sig = sig
 		p.send(env, from, req)
-	case p.catchingUp && p.deliveredUpTo >= p.catchupMaxUpTo &&
+	case p.catchingUp.Load() && p.deliveredUpTo >= p.catchupMaxUpTo &&
 		len(p.catchupFrom) >= p.catchupFinishAnswers() && !p.needPairAnswer():
 		// Enough distinct peers answered and none of them knew more than
 		// we now hold. Requiring f+1 answers keeps a single behind peer's
@@ -669,8 +669,9 @@ func (p *Process) verifyCommittedEvidence(env runtime.Env, proof *message.Commit
 // --- observability (tests and operators) ---
 
 // CatchingUp reports whether the process is still recovering committed
-// history after a checkpoint restore.
-func (p *Process) CatchingUp() bool { return p.catchingUp }
+// history after a checkpoint restore. Safe from any goroutine: it is the
+// readiness signal, and must not depend on a metrics registry being wired.
+func (p *Process) CatchingUp() bool { return p.catchingUp.Load() }
 
 // CommittedLogLen returns how many committed subjects are retained (the
 // cluster-watermark prune bounds it on long uptimes).

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -261,7 +262,7 @@ type Process struct {
 	announcedWM    types.Seq                  // last durable watermark announced
 	peerCkpt       map[types.NodeID]types.Seq // peers' announced watermarks
 	prunedBelow    types.Seq                  // cluster watermark history was pruned below
-	catchingUp     bool                       // restored; awaiting CatchUp completion
+	catchingUp     atomic.Bool                // restored; awaiting CatchUp completion (written on the event loop, read by readiness probes)
 	catchupFrom    map[types.NodeID]bool      // peers that answered this catch-up
 	catchupMaxUpTo types.Seq                  // highest responder watermark seen
 	catchupServed  map[types.NodeID]servedMark
@@ -369,7 +370,7 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 		// before the first save) the catch-up round runs: peers that are
 		// ahead answer with the missed history, peers that are not answer
 		// with an empty CatchUp that completes the round immediately.
-		p.catchingUp = true
+		p.catchingUp.Store(true)
 	}
 	if cfg.Ingress.Enabled {
 		p.ingress = ingress.NewController(cfg.Ingress)
@@ -384,7 +385,7 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 	// Unconditional: a restarted incarnation re-attaches to its
 	// predecessor's series, so a stale 1 from a mid-catch-up kill must be
 	// overwritten as much as a fresh catch-up must be announced.
-	if p.catchingUp {
+	if p.catchingUp.Load() {
 		p.m.catchingUp.Set(1)
 	} else {
 		p.m.catchingUp.Set(0)
@@ -490,7 +491,7 @@ func (p *Process) Init(env runtime.Env) {
 	// an acting pipelined primary.
 	p.pool.SetBatchTarget(p.cfg.MaxBatchBytes, EntryOverhead+p.digestSize,
 		func() { p.onPoolTarget(env) })
-	if p.catchingUp {
+	if p.catchingUp.Load() {
 		// Catch up on committed history before resuming ordering: a
 		// restored primary must not propose into a sequence range it has
 		// not recovered yet (finishCatchUp arms the batch timer).
@@ -573,7 +574,7 @@ func (p *Process) pipelined() bool { return p.cfg.MaxInflightBatches > 1 }
 // mayPropose gates every batch close: acting primary, transmitting, pair
 // collaborating, regime stable, history recovered.
 func (p *Process) mayPropose() bool {
-	if !p.isPrimaryNow() || p.muted() || p.installing || p.catchingUp {
+	if !p.isPrimaryNow() || p.muted() || p.installing || p.catchingUp.Load() {
 		return false
 	}
 	return p.pair == nil || p.pair.Active()

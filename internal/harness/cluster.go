@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"crypto/tls"
 	"fmt"
 	"log"
 	"path/filepath"
@@ -9,24 +8,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/sof-repro/sof/internal/bft"
 	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
-	"github.com/sof-repro/sof/internal/ct"
 	"github.com/sof-repro/sof/internal/des"
-	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/netsim"
+	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/runtime"
-	"github.com/sof-repro/sof/internal/session"
-	"github.com/sof-repro/sof/internal/shard"
 	"github.com/sof-repro/sof/internal/tcpnet"
 	"github.com/sof-repro/sof/internal/types"
 	"github.com/sof-repro/sof/internal/wal/commitlog"
-	"github.com/sof-repro/sof/internal/wal/protolog"
-	"github.com/sof-repro/sof/internal/wal/sessionlog"
 )
 
 // LoadSpec describes the open-loop client workload: each client submits a
@@ -144,7 +137,7 @@ type Options struct {
 	// bit-for-bit). Each group is a complete SC/SCR deployment — its own
 	// coordinator pair (rotated so group g's pair occupies different
 	// physical nodes than group g+1's), its own recorder, commit stream,
-	// WAL checkpoint directories (<DataDir>/g<idx>/) and request pool —
+	// WAL checkpoint directories (<DataDir>/node-<id>/g<idx>/) and request pool —
 	// multiplexed over ONE tcpnet transport and session layer per
 	// physical node, so N groups do not mean N× sockets or session
 	// state. Requests are ordered within their group only; there is no
@@ -226,100 +219,60 @@ type Cluster struct {
 	groupTopos []types.Topology
 	recorders  []*Recorder
 
-	idents map[types.NodeID]*crypto.Identity
-	// procMu guards the process maps below: RestartNode replaces an order
-	// process's incarnation while measurement goroutines (replica drains)
-	// look processes up.
+	// base is the deployment-wide part of every node's assembly spec
+	// (the dealt identities among it); NodeSpec completes it per node.
+	base node.Spec
+	// nodes holds each node's current assembly (internal/node): its order
+	// processes and durable stores. procMu guards it and SC: RestartNode
+	// replaces a node's incarnation while measurement goroutines (replica
+	// drains, readiness probes) look processes up.
 	procMu       sync.RWMutex
-	SC           map[types.NodeID]*core.Process // group 0 (== scGroups[0])
-	CT           map[types.NodeID]*ct.Process
-	BFT          map[types.NodeID]*bft.Process
-	scGroups     []map[types.NodeID]*core.Process
-	clients      map[types.NodeID]*clientProc // group 0 (== clientGroups[id][0])
+	nodes        map[types.NodeID]*node.Node
+	SC           map[types.NodeID]*core.Process // group-0 SC/SCR processes
+	clients      map[types.NodeID]*clientProc   // group 0 (== clientGroups[id][0])
 	clientGroups map[types.NodeID][]*clientProc
 
-	// Durable state (Options.Durable): one commit stream per group plus
-	// one session journal per node (the session layer is shared by all
-	// of a node's groups, exactly like the transport beneath it). links
-	// is the dealer link-key material, kept for rebuilding session
-	// configs on RestartNode.
-	links         *crypto.LinkKeys
-	commitStores  []*commitlog.Store
-	storeMu       sync.Mutex
-	sessionStores map[types.NodeID]*sessionlog.Store
-	// protoStores is keyed per (node, group): two groups hosted on one
-	// node must never share a WAL segment directory.
-	protoStores map[protoKey]*protolog.Store
-	stopped     bool
+	// commitStores are the durable commit streams (Options.Durable with
+	// KeepCommits), one per group; they belong to the measurement side and
+	// outlive individual nodes.
+	commitStores []*commitlog.Store
+	storeMu      sync.Mutex
+	stopped      bool
 
 	// advTaps holds the per-node adversary taps, created once in New and
 	// re-attached on every RestartNode incarnation.
 	advTaps map[types.NodeID]adversaryTap
 
-	// tlsServer/tlsClient are the cluster's deterministic DevTLS pair
-	// (Options.TLS), derived once and shared by every node's transport.
-	tlsServer *tls.Config
-	tlsClient *tls.Config
-
 	// registries holds one obs registry per node (lazily created, nil
 	// when Options.DisableMetrics). A registry outlives its node's
 	// incarnations: RestartNode's new process re-attaches to the same
-	// series, so counters keep their pre-restart totals and gauge
-	// watchers (awaitCaughtUp, readiness probes) span the restart.
+	// series, so counters keep their pre-restart totals.
 	regMu      sync.Mutex
 	registries map[types.NodeID]*obs.Registry
-}
-
-// protoKey addresses one order process's checkpoint store: the same
-// physical node hosts one independent protolog per ordering group.
-type protoKey struct {
-	id    types.NodeID
-	group int
 }
 
 // New builds (but does not start) a cluster.
 func New(opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
-	if opts.AuthFrames && (!opts.Live || opts.Transport != types.TransportTCP) {
-		return nil, fmt.Errorf("harness: AuthFrames/SessionResume require the live TCP transport")
-	}
-	if opts.TCPShaping && (!opts.Live || opts.Transport != types.TransportTCP) {
-		return nil, fmt.Errorf("harness: TCPShaping requires the live TCP transport")
-	}
-	if opts.TLS && (!opts.Live || opts.Transport != types.TransportTCP) {
-		return nil, fmt.Errorf("harness: TLS requires the live TCP transport")
-	}
-	if opts.Ingress.Enabled && opts.Protocol != types.SC && opts.Protocol != types.SCR {
-		return nil, fmt.Errorf("harness: Ingress requires the SC/SCR protocols")
-	}
-	if opts.Durable {
-		if !opts.Live {
-			return nil, fmt.Errorf("harness: Durable requires a live cluster (the simulator has no disk)")
-		}
-		if opts.DataDir == "" {
-			return nil, fmt.Errorf("harness: Durable requires DataDir")
-		}
+	tcp := opts.Live && opts.Transport == types.TransportTCP
+	if err := (node.Mode{
+		Protocol:    opts.Protocol,
+		Live:        opts.Live,
+		TCP:         tcp,
+		Groups:      opts.Groups,
+		AuthFrames:  opts.AuthFrames,
+		Shaping:     opts.TCPShaping,
+		TLS:         opts.TLS,
+		Ingress:     opts.Ingress,
+		Durable:     opts.Durable,
+		DataDir:     opts.DataDir,
+		Adversaries: len(opts.Adversaries) > 0,
+	}).Check(); err != nil {
+		return nil, err
 	}
 	topo, err := types.NewTopology(opts.Protocol, opts.F)
 	if err != nil {
 		return nil, err
-	}
-	if len(opts.Adversaries) > 0 && opts.Protocol != types.SC && opts.Protocol != types.SCR {
-		return nil, fmt.Errorf("harness: Adversaries require the SC/SCR protocols")
-	}
-	if opts.Groups < 1 {
-		return nil, fmt.Errorf("harness: Groups must be >= 1, got %d", opts.Groups)
-	}
-	if opts.Groups > 1 {
-		if opts.Groups > shard.MaxGroups {
-			return nil, fmt.Errorf("harness: Groups %d exceeds the %d-group cap", opts.Groups, shard.MaxGroups)
-		}
-		if !opts.Live || opts.Transport != types.TransportTCP {
-			return nil, fmt.Errorf("harness: Groups > 1 requires the live TCP transport")
-		}
-		if opts.Protocol != types.SC && opts.Protocol != types.SCR {
-			return nil, fmt.Errorf("harness: Groups > 1 requires the SC/SCR protocols")
-		}
 	}
 	suite := opts.SuiteImpl
 	if suite == nil {
@@ -333,29 +286,24 @@ func New(opts Options) (*Cluster, error) {
 		opts.CommitRetention = min
 	}
 	c := &Cluster{
-		Opts:          opts,
-		Topo:          topo,
-		groups:        opts.Groups,
-		CT:            make(map[types.NodeID]*ct.Process),
-		BFT:           make(map[types.NodeID]*bft.Process),
-		clients:       make(map[types.NodeID]*clientProc),
-		clientGroups:  make(map[types.NodeID][]*clientProc),
-		sessionStores: make(map[types.NodeID]*sessionlog.Store),
-		protoStores:   make(map[protoKey]*protolog.Store),
-		registries:    make(map[types.NodeID]*obs.Registry),
+		Opts:         opts,
+		Topo:         topo,
+		groups:       opts.Groups,
+		nodes:        make(map[types.NodeID]*node.Node),
+		SC:           make(map[types.NodeID]*core.Process),
+		clients:      make(map[types.NodeID]*clientProc),
+		clientGroups: make(map[types.NodeID][]*clientProc),
+		registries:   make(map[types.NodeID]*obs.Registry),
 	}
-	// One rotated topology, recorder and SC process map per group. Group 0
-	// is today's cluster verbatim: Topo unrotated, Events its recorder.
+	// One rotated topology and recorder per group. Group 0 is the
+	// single-group cluster verbatim: Topo unrotated, Events its recorder.
 	c.groupTopos = make([]types.Topology, c.groups)
 	c.recorders = make([]*Recorder, c.groups)
-	c.scGroups = make([]map[types.NodeID]*core.Process, c.groups)
 	for g := 0; g < c.groups; g++ {
 		c.groupTopos[g] = topo.Rotated(g)
 		c.recorders[g] = NewRecorder(opts.KeepCommits, opts.CommitRetention)
-		c.scGroups[g] = make(map[types.NodeID]*core.Process)
 	}
 	c.Events = c.recorders[0]
-	c.SC = c.scGroups[0]
 	// Identities for every order process and client, from the trusted
 	// dealer; the shared cache keeps RSA/DSA setup fast across runs.
 	ids := topo.AllProcesses()
@@ -367,7 +315,6 @@ func New(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.idents = idents
 
 	c.advTaps = make(map[types.NodeID]adversaryTap, len(opts.Adversaries))
 	for id, kind := range opts.Adversaries {
@@ -378,9 +325,33 @@ func New(opts Options) (*Cluster, error) {
 		c.advTaps[id] = tap
 	}
 
+	c.base = node.Spec{
+		Protocol:           opts.Protocol,
+		Topo:               topo,
+		Groups:             c.groups,
+		Idents:             idents,
+		BatchInterval:      opts.BatchInterval,
+		MaxBatchBytes:      opts.MaxBatchBytes,
+		Delta:              opts.Delta,
+		ViewChangeTimeout:  opts.ViewChangeTimeout,
+		Mirror:             opts.Mirror,
+		DumbOptimization:   opts.DumbOptimization,
+		PadBacklogBytes:    opts.PadBacklogBytes,
+		RecoveryInterval:   opts.RecoveryInterval,
+		CheckpointInterval: opts.CheckpointInterval,
+		MaxInflightBatches: opts.MaxInflightBatches,
+		BatchIdleArm:       opts.BatchIdleArm,
+		DigestOnlyAcks:     opts.DigestOnlyAcks,
+		Ingress:            opts.Ingress,
+		Resume:             opts.SessionResume,
+		RingLen:            opts.SessionRingLen,
+		Logger:             opts.Logger,
+		Hooks:              c.hooks,
+	}
+
 	c.Fabric = netsim.New(opts.Net, topo, opts.Seed)
 	switch {
-	case opts.Live && opts.Transport == types.TransportTCP:
+	case tcp:
 		// Real loopback sockets; the fabric's simulated delays do not
 		// apply unless TCPShaping imposes them on the socket path.
 		c.tcp = runtime.NewTCPCluster()
@@ -388,34 +359,19 @@ func New(opts Options) (*Cluster, error) {
 			c.tcp.SetLogger(opts.Logger)
 		}
 		if opts.AuthFrames {
-			links, err := dealer.IssueLinks()
-			if err != nil {
+			if c.base.Links, err = dealer.IssueLinks(); err != nil {
 				return nil, err
-			}
-			c.links = links
-			if opts.Durable {
-				// One session journal per node: each process owns (and
-				// recovers) its own incarnation lineage.
-				for _, id := range ids {
-					st, err := sessionlog.Open(c.sessionlogOptions(id))
-					if err != nil {
-						c.closeStores(true)
-						return nil, err
-					}
-					c.sessionStores[id] = st
-				}
 			}
 		}
 		if opts.TLS {
-			srv, cli, err := tcpnet.DevTLS(fmt.Sprintf("harness/%d", opts.Seed))
+			c.base.TLSServer, c.base.TLSClient, err = tcpnet.DevTLS(fmt.Sprintf("harness/%d", opts.Seed))
 			if err != nil {
 				return nil, err
 			}
-			c.tlsServer, c.tlsClient = srv, cli
 		}
-		if c.links != nil || opts.TCPShaping || opts.TLS || !opts.DisableMetrics {
-			c.tcp.SetNodeOptions(c.tcpOptionsFor)
-		}
+		// Each node's transport options come from its current assembly:
+		// its own session journal, shaping vantage point and registry.
+		c.tcp.SetNodeOptions(func(id types.NodeID) tcpnet.Options { return c.node(id).TCPOptions() })
 		c.sub = c.tcp
 	case opts.Live:
 		c.live = runtime.NewLiveCluster(c.Fabric)
@@ -463,28 +419,14 @@ func New(opts Options) (*Cluster, error) {
 			}
 		}
 	}
-	// Order processes: in a sharded cluster each physical node hosts one
-	// order process per group, multiplexed over one TCP endpoint.
+	// Order processes: each physical node hosts one per group, multiplexed
+	// over one TCP endpoint when sharded.
 	for _, id := range topo.AllProcesses() {
-		if c.groups == 1 {
-			proc, err := c.buildProcess(id, 0)
-			if err != nil {
-				return fail(err)
-			}
-			if err := c.addNode(id, proc); err != nil {
-				return fail(err)
-			}
-			continue
+		n, err := c.buildNode(id)
+		if err != nil {
+			return fail(err)
 		}
-		procs := make([]runtime.Process, c.groups)
-		for g := 0; g < c.groups; g++ {
-			p, err := c.buildProcess(id, g)
-			if err != nil {
-				return fail(err)
-			}
-			procs[g] = p
-		}
-		if err := c.tcp.AddShardedNode(id, c.idents[id], procs); err != nil {
+		if err := c.addNode(id, n.Procs); err != nil {
 			return fail(err)
 		}
 	}
@@ -496,9 +438,6 @@ func New(opts Options) (*Cluster, error) {
 	// share one atomic sequence counter, so ReqIDs stay globally unique.
 	committedSeqs := make(map[types.NodeID]uint64)
 	for _, store := range c.commitStores {
-		if store == nil {
-			continue
-		}
 		for id, max := range store.MaxClientSeqs() {
 			if max > committedSeqs[id] {
 				committedSeqs[id] = max
@@ -527,17 +466,13 @@ func New(opts Options) (*Cluster, error) {
 		}
 		c.clientGroups[id] = procs
 		c.clients[id] = procs[0]
-		if c.groups == 1 {
-			if err := c.addNode(id, procs[0]); err != nil {
-				return fail(err)
-			}
-			continue
+		// A client endpoint is assembled like any node — its own session
+		// journal, transport options and registry — but hosts the
+		// harness's client processes instead of order processes.
+		if _, err := c.buildNode(id); err != nil {
+			return fail(err)
 		}
-		rps := make([]runtime.Process, c.groups)
-		for g := range procs {
-			rps[g] = procs[g]
-		}
-		if err := c.tcp.AddShardedNode(id, c.idents[id], rps); err != nil {
+		if err := c.addNode(id, c.clientProcs(id)); err != nil {
 			return fail(err)
 		}
 	}
@@ -554,93 +489,78 @@ func (c *Cluster) commitDir(group int) string {
 	return filepath.Join(c.Opts.DataDir, fmt.Sprintf("g%d", group), "commits")
 }
 
-// sessionlogOptions builds the per-node session-journal options: one
-// directory per node under DataDir, group-committed on the batching
-// interval so the fsync cadence matches the protocol's own batching.
-func (c *Cluster) sessionlogOptions(id types.NodeID) sessionlog.Options {
-	return sessionlog.Options{
-		Dir:           filepath.Join(c.Opts.DataDir, fmt.Sprintf("node-%d", int32(id)), "session"),
-		SyncInterval:  c.Opts.BatchInterval,
-		RingLen:       c.Opts.SessionRingLen,
-		Logger:        c.Opts.Logger,
-		Metrics:       c.RegistryOf(id),
-		MetricsLabels: []obs.Label{obs.L("node", fmt.Sprint(id))},
+// hooks reports group g's events to the group's own recorder.
+func (c *Cluster) hooks(g int) node.Hooks {
+	rec := c.recorders[g]
+	return node.Hooks{
+		OnBatched:           rec.OnBatched,
+		OnCommit:            rec.OnCommit,
+		OnFailSignal:        rec.OnFailSignal,
+		OnInstalled:         rec.OnInstalled,
+		OnStartTuplesIssued: rec.OnStartTuplesIssued,
+		OnPairRecovered:     rec.OnPairRecovered,
 	}
 }
 
-// protologOptions builds the per-(node, group) protocol-checkpoint store
-// options. A single-group cluster keeps the pre-sharding layout
-// (<DataDir>/node-N/proto, beside the node's session journal); sharded
-// clusters give every group its own directory tree
-// (<DataDir>/gG/node-N/proto) so two groups hosted on one node can never
-// share a WAL segment directory.
-func (c *Cluster) protologOptions(id types.NodeID, group int) protolog.Options {
-	dir := filepath.Join(c.Opts.DataDir, fmt.Sprintf("node-%d", int32(id)), "proto")
-	if c.groups > 1 {
-		dir = filepath.Join(c.Opts.DataDir, fmt.Sprintf("g%d", group),
-			fmt.Sprintf("node-%d", int32(id)), "proto")
+// NodeSpec is node id's assembly spec — what internal/node builds the
+// node from, on New and on every RestartNode. Durable state lives in the
+// node's own directory, <DataDir>/node-<id>, laid out as sofnode lays
+// out its -data-dir.
+func (c *Cluster) NodeSpec(id types.NodeID) node.Spec {
+	s := c.base
+	s.Self = id
+	s.Registry = c.RegistryOf(id)
+	if c.Opts.Durable {
+		s.DataDir = filepath.Join(c.Opts.DataDir, fmt.Sprintf("node-%d", int32(id)))
 	}
-	return protolog.Options{
-		Dir:           dir,
-		SyncInterval:  c.Opts.BatchInterval,
-		Logger:        c.Opts.Logger,
-		Metrics:       c.RegistryOf(id),
-		MetricsLabels: c.coreMetricsLabels(id, group),
+	if c.Opts.TCPShaping {
+		s.Shape = func(to types.NodeID, size int) (time.Duration, bool) {
+			return c.Fabric.Delay(id, to, size)
+		}
 	}
+	// Adversary taps attach to the node's group-0 process only (the
+	// documented contract on Options.Adversaries).
+	if tap, ok := c.advTaps[id]; ok {
+		s.Tap = tap
+	}
+	return s
 }
 
-// protoStore returns (opening if needed) the protocol-checkpoint store
-// for an order process, or nil when protocol checkpoints are off
-// (not Durable, negative CheckpointInterval, or a killed node whose store
-// was crashed and not yet reopened by RestartNode — reopening happens
-// here, through buildProcess).
-func (c *Cluster) protoStore(id types.NodeID, group int) (*protolog.Store, error) {
-	if !c.Opts.Durable || c.Opts.CheckpointInterval < 0 {
-		return nil, nil
-	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	key := protoKey{id: id, group: group}
-	if st := c.protoStores[key]; st != nil {
-		return st, nil
-	}
-	st, err := protolog.Open(c.protologOptions(id, group))
+// buildNode assembles node id's next incarnation — opening (on
+// RestartNode, reopening) its durable stores — and makes it current.
+func (c *Cluster) buildNode(id types.NodeID) (*node.Node, error) {
+	n, err := node.Build(c.NodeSpec(id))
 	if err != nil {
 		return nil, err
 	}
-	c.protoStores[key] = st
-	return st, nil
+	c.setNode(id, n)
+	return n, nil
 }
 
-// tcpOptionsFor is the per-node transport-options factory: each node gets
-// its own session config (sharing the dealer link keys, owning its own
-// journal) and, with TCPShaping, a Shape hook that consults the fabric
-// from its own vantage point.
-func (c *Cluster) tcpOptionsFor(id types.NodeID) tcpnet.Options {
-	var o tcpnet.Options
-	if c.links != nil {
-		cfg := &session.Config{
-			Keys:    c.links,
-			Resume:  c.Opts.SessionResume,
-			RingLen: c.Opts.SessionRingLen,
-		}
-		c.storeMu.Lock()
-		if st := c.sessionStores[id]; st != nil {
-			cfg.Journal = st
-		}
-		c.storeMu.Unlock()
-		o.Session = cfg
+func (c *Cluster) setNode(id types.NodeID, n *node.Node) {
+	c.procMu.Lock()
+	defer c.procMu.Unlock()
+	c.nodes[id] = n
+	if p := n.Core(0); p != nil {
+		c.SC[id] = p
 	}
-	if c.Opts.TCPShaping {
-		from := id
-		o.Shape = func(to types.NodeID, size int) (time.Duration, bool) {
-			return c.Fabric.Delay(from, to, size)
-		}
+}
+
+// node returns id's current assembly (nil for unknown IDs), safe against
+// a concurrent RestartNode.
+func (c *Cluster) node(id types.NodeID) *node.Node {
+	c.procMu.RLock()
+	defer c.procMu.RUnlock()
+	return c.nodes[id]
+}
+
+// clientProcs returns client id's per-group endpoints as processes.
+func (c *Cluster) clientProcs(id types.NodeID) []runtime.Process {
+	procs := make([]runtime.Process, len(c.clientGroups[id]))
+	for g, cp := range c.clientGroups[id] {
+		procs[g] = cp
 	}
-	o.TLSServer = c.tlsServer
-	o.TLSClient = c.tlsClient
-	o.Metrics = c.RegistryOf(id)
-	return o
+	return procs
 }
 
 // RegistryOf returns node id's metrics registry, creating it on first
@@ -660,97 +580,12 @@ func (c *Cluster) RegistryOf(id types.NodeID) *obs.Registry {
 	return r
 }
 
-// coreMetricsLabels is the label set of node id's group-g order-process
-// instruments: node always, group only when the cluster is sharded (a
-// single-group cluster's series stay identical to sofnode's).
-func (c *Cluster) coreMetricsLabels(id types.NodeID, group int) []obs.Label {
-	labels := []obs.Label{obs.L("node", fmt.Sprint(id))}
-	if c.groups > 1 {
-		labels = append(labels, obs.L("group", fmt.Sprint(group)))
-	}
-	return labels
-}
-
-// CatchingUpGauge re-attaches to node id's sof_catching_up gauge for one
-// group (nil with metrics disabled): 1 while the process is replaying
-// missed commits after a restart, 0 once caught up. Reading it is one
-// atomic load — no event-loop injection — which is what lets scenario
-// assertions and readiness probes poll it tightly.
-func (c *Cluster) CatchingUpGauge(id types.NodeID, group int) *obs.Gauge {
-	r := c.RegistryOf(id)
-	if r == nil {
-		return nil
-	}
-	return r.Gauge("sof_catching_up",
-		"1 while the process is catching up on missed commits after a restart.",
-		c.coreMetricsLabels(id, group)...)
-}
-
-// FailoversOf reads node id's sof_failovers_total counter for one group:
-// coordinator installations completed after a fail-signal, summed across
-// the node's incarnations. Returns 0 with metrics disabled.
-func (c *Cluster) FailoversOf(id types.NodeID, group int) uint64 {
-	r := c.RegistryOf(id)
-	if r == nil {
-		return 0
-	}
-	return r.Counter("sof_failovers_total",
-		"Coordinator installations completed after a fail-signal.",
-		c.coreMetricsLabels(id, group)...).Value()
-}
-
-// IngressAdmittedOf reads node id's sof_ingress_admitted_total counter
-// for one group. Returns 0 with metrics disabled.
-func (c *Cluster) IngressAdmittedOf(id types.NodeID, group int) uint64 {
-	r := c.RegistryOf(id)
-	if r == nil {
-		return 0
-	}
-	return r.Counter("sof_ingress_admitted_total",
-		"Client requests admitted past the ingress controller.",
-		c.coreMetricsLabels(id, group)...).Value()
-}
-
-// IngressShedOf reads node id's sof_ingress_shed_total counters for one
-// group, summed across the shed reasons (rate, overload, inflight).
-// Returns 0 with metrics disabled.
-func (c *Cluster) IngressShedOf(id types.NodeID, group int) uint64 {
-	r := c.RegistryOf(id)
-	if r == nil {
-		return 0
-	}
-	var total uint64
-	for _, reason := range []string{"rate", "overload", "inflight"} {
-		labels := append(c.coreMetricsLabels(id, group), obs.L("reason", reason))
-		total += r.Counter("sof_ingress_shed_total",
-			"Client requests shed at admission, by reason.", labels...).Value()
-	}
-	return total
-}
-
-// IngressLockedOutOf reads node id's sof_ingress_locked_out_total
-// counter for one group. Returns 0 with metrics disabled.
-func (c *Cluster) IngressLockedOutOf(id types.NodeID, group int) uint64 {
-	r := c.RegistryOf(id)
-	if r == nil {
-		return 0
-	}
-	return r.Counter("sof_ingress_locked_out_total",
-		"Client requests refused while their client was locked out.",
-		c.coreMetricsLabels(id, group)...).Value()
-}
-
-// IngressBrownoutGauge re-attaches to node id's sof_ingress_brownout
-// gauge for one group (nil with metrics disabled): 1 while the
-// admission controller is shedding over-share clients.
-func (c *Cluster) IngressBrownoutGauge(id types.NodeID, group int) *obs.Gauge {
-	r := c.RegistryOf(id)
-	if r == nil {
-		return nil
-	}
-	return r.Gauge("sof_ingress_brownout",
-		"1 while the admission controller is shedding over-share clients.",
-		c.coreMetricsLabels(id, group)...)
+// Metric reads one of node id's group-g instruments from the node's
+// registry by name, summing the series that carry the node's labels
+// (sof_ingress_shed_total sums its reasons). Counters survive the node's
+// incarnations. 0 with metrics disabled.
+func (c *Cluster) Metric(id types.NodeID, group int, name string) float64 {
+	return c.RegistryOf(id).Value(name, node.Labels(id, group, c.groups)...)
 }
 
 // RejectedCount reports how many ingress Rejected replies client k's
@@ -763,44 +598,26 @@ func (c *Cluster) RejectedCount(k int) uint64 {
 	return total
 }
 
-// ReadinessOf builds node id's readiness probe: ready when every hosted
-// group has left restart catch-up AND (on the TCP substrate) the node's
-// transport holds live connections to a majority of the other order
+// ReadinessOf builds node id's readiness probe (node.Ready): ready when
+// every hosted group has left restart catch-up AND (on the TCP substrate)
+// the node's transport holds live connections to a majority of the order
 // processes. The returned func is what obs.ReadyHandler serves as
-// /readyz; it reads registry gauges and transport state only, never the
-// event loop.
+// /readyz.
 func (c *Cluster) ReadinessOf(id types.NodeID) obs.ReadyFunc {
 	return func() error {
-		for g := 0; g < c.groups; g++ {
-			if c.SCProcessGroup(id, g) == nil {
-				continue
-			}
-			if gauge := c.CatchingUpGauge(id, g); gauge != nil && gauge.Value() != 0 {
-				return fmt.Errorf("group %d catching up", g)
-			}
+		n := c.node(id)
+		if n == nil {
+			return fmt.Errorf("no node %v", id)
 		}
+		var tr *tcpnet.Transport
 		if c.tcp != nil {
-			n, ok := c.tcp.Node(id)
+			tn, ok := c.tcp.Node(id)
 			if !ok {
 				return fmt.Errorf("node %v is down", id)
 			}
-			procs := c.Topo.AllProcesses()
-			isProc := make(map[types.NodeID]bool, len(procs))
-			for _, p := range procs {
-				isProc[p] = true
-			}
-			connected := 0
-			for _, peer := range n.Transport().ConnectedPeers() {
-				if isProc[peer] {
-					connected++
-				}
-			}
-			// The node itself counts toward the quorum it needs sessions to.
-			if 2*(connected+1) <= len(procs) {
-				return fmt.Errorf("connected to %d of %d order processes", connected, len(procs)-1)
-			}
+			tr = tn.Transport()
 		}
-		return nil
+		return n.Ready(tr)
 	}
 }
 
@@ -812,24 +629,13 @@ func (c *Cluster) closeStores(crash bool) {
 		return
 	}
 	c.stopped = true
-	for _, st := range c.sessionStores {
-		if st == nil {
-			continue
-		}
+	c.procMu.RLock()
+	defer c.procMu.RUnlock()
+	for _, n := range c.nodes {
 		if crash {
-			st.Crash()
-		} else if err := st.Close(); err != nil && c.Opts.Logger != nil {
-			c.Opts.Logger.Printf("harness: closing session store: %v", err)
-		}
-	}
-	for _, st := range c.protoStores {
-		if st == nil {
-			continue
-		}
-		if crash {
-			st.Crash()
-		} else if err := st.Close(); err != nil && c.Opts.Logger != nil {
-			c.Opts.Logger.Printf("harness: closing checkpoint store: %v", err)
+			n.Crash()
+		} else {
+			n.Close()
 		}
 	}
 	for _, store := range c.commitStores {
@@ -844,103 +650,6 @@ func (c *Cluster) closeStores(crash bool) {
 	}
 }
 
-func (c *Cluster) buildProcess(id types.NodeID, group int) (runtime.Process, error) {
-	switch c.Opts.Protocol {
-	case types.SC, types.SCR:
-		// Each group runs against its own rotated topology (so its
-		// coordinator pair sits on different physical nodes than its
-		// neighbours') and reports to its own recorder.
-		topo := c.groupTopos[group]
-		rec := c.recorders[group]
-		cfg := core.Config{
-			Topo:                topo,
-			BatchInterval:       c.Opts.BatchInterval,
-			MaxBatchBytes:       c.Opts.MaxBatchBytes,
-			Delta:               c.Opts.Delta,
-			Mirror:              c.Opts.Mirror,
-			DumbOptimization:    c.Opts.DumbOptimization && c.Opts.Protocol == types.SC,
-			PadBacklogBytes:     c.Opts.PadBacklogBytes,
-			RecoveryInterval:    c.Opts.RecoveryInterval,
-			CheckpointInterval:  c.Opts.CheckpointInterval,
-			MaxInflightBatches:  c.Opts.MaxInflightBatches,
-			BatchIdleArm:        c.Opts.BatchIdleArm,
-			DigestOnlyAcks:      c.Opts.DigestOnlyAcks,
-			Ingress:             c.Opts.Ingress,
-			OnBatched:           rec.OnBatched,
-			OnCommit:            rec.OnCommit,
-			OnFailSignal:        rec.OnFailSignal,
-			OnInstalled:         rec.OnInstalled,
-			OnStartTuplesIssued: rec.OnStartTuplesIssued,
-			OnPairRecovered:     rec.OnPairRecovered,
-			Metrics:             c.RegistryOf(id),
-			MetricsLabels:       c.coreMetricsLabels(id, group),
-		}
-		// Adversary taps attach to the node's group-0 process only (the
-		// documented contract on Options.Adversaries).
-		if tap, ok := c.advTaps[id]; ok && group == 0 {
-			cfg.Tap = tap
-		}
-		// Durable protocol checkpoints: the process snapshots its view,
-		// watermark and committed-order digest to its own WAL store, and a
-		// restarted process (RestartNode reaches here too) restores the
-		// snapshot and catches up from its peers.
-		if st, err := c.protoStore(id, group); err != nil {
-			return nil, err
-		} else if st != nil {
-			cfg.Checkpointer = st
-		}
-		if counterpart, paired := topo.PairOf(id); paired {
-			pre, err := fsp.PresignFor(c.idents[counterpart],
-				types.Rank(topo.PairIndex(id)), 0, counterpart)
-			if err != nil {
-				return nil, err
-			}
-			cfg.PresignedFailSig = pre
-		}
-		proc, err := core.New(id, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.procMu.Lock()
-		c.scGroups[group][id] = proc
-		c.procMu.Unlock()
-		return proc, nil
-	case types.CT:
-		proc, err := ct.New(id, ct.Config{
-			Topo:          c.Topo,
-			BatchInterval: c.Opts.BatchInterval,
-			MaxBatchBytes: c.Opts.MaxBatchBytes,
-			OnBatched:     c.Events.OnBatched,
-			OnCommit:      c.Events.OnCommit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.procMu.Lock()
-		c.CT[id] = proc
-		c.procMu.Unlock()
-		return proc, nil
-	case types.BFT:
-		proc, err := bft.New(id, bft.Config{
-			Topo:              c.Topo,
-			BatchInterval:     c.Opts.BatchInterval,
-			MaxBatchBytes:     c.Opts.MaxBatchBytes,
-			ViewChangeTimeout: c.Opts.ViewChangeTimeout,
-			OnBatched:         c.Events.OnBatched,
-			OnCommit:          c.Events.OnCommit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.procMu.Lock()
-		c.BFT[id] = proc
-		c.procMu.Unlock()
-		return proc, nil
-	default:
-		return nil, fmt.Errorf("harness: protocol %v not wired yet", c.Opts.Protocol)
-	}
-}
-
 // substrate is the surface the harness needs from any of the three
 // runtimes (virtual-time simulator, in-process live, TCP).
 type substrate interface {
@@ -950,8 +659,14 @@ type substrate interface {
 	Crash(types.NodeID)
 }
 
-func (c *Cluster) addNode(id types.NodeID, proc runtime.Process) error {
-	return c.sub.AddNode(id, c.idents[id], proc)
+// addNode registers a node's processes with the substrate: one process
+// on a plain endpoint, or one per group multiplexed over a sharded TCP
+// endpoint.
+func (c *Cluster) addNode(id types.NodeID, procs []runtime.Process) error {
+	if c.groups == 1 {
+		return c.sub.AddNode(id, c.base.Idents[id], procs[0])
+	}
+	return c.tcp.AddShardedNode(id, c.base.Idents[id], procs)
 }
 
 // Start launches the cluster.
@@ -977,26 +692,14 @@ func (c *Cluster) SyncDurable() error {
 	c.storeMu.Lock()
 	defer c.storeMu.Unlock()
 	for _, store := range c.commitStores {
-		if store == nil {
-			continue
-		}
 		if err := store.Sync(); err != nil {
 			return err
 		}
 	}
-	for _, st := range c.sessionStores {
-		if st == nil {
-			continue
-		}
-		if err := st.Sync(); err != nil {
-			return err
-		}
-	}
-	for _, st := range c.protoStores {
-		if st == nil {
-			continue
-		}
-		if err := st.Sync(); err != nil {
+	c.procMu.RLock()
+	defer c.procMu.RUnlock()
+	for _, n := range c.nodes {
+		if err := n.Sync(); err != nil {
 			return err
 		}
 	}
@@ -1004,11 +707,11 @@ func (c *Cluster) SyncDurable() error {
 }
 
 // KillNode crashes one TCP node: its listener, connections and event loop
-// die immediately and its durable session journal is dropped without a
-// flush — exactly what a process death does. The shared commit stream is
-// not crashed (in a real deployment it belongs to the measurement side,
-// and in-process it outlives individual nodes). Restart the node with
-// RestartNode.
+// die immediately and its durable stores — the session journal and every
+// hosted group's checkpoint store — are dropped without a flush, exactly
+// what a process death does. The shared commit stream is not crashed (in
+// a real deployment it belongs to the measurement side, and in-process it
+// outlives individual nodes). Restart the node with RestartNode.
 func (c *Cluster) KillNode(id types.NodeID) error {
 	if c.tcp == nil {
 		return fmt.Errorf("harness: KillNode requires the live TCP transport")
@@ -1016,35 +719,22 @@ func (c *Cluster) KillNode(id types.NodeID) error {
 	if err := c.tcp.Kill(id); err != nil {
 		return err
 	}
-	c.storeMu.Lock()
-	if st := c.sessionStores[id]; st != nil {
-		st.Crash()
-		c.sessionStores[id] = nil
-	}
-	// Every group hosted on the node dies with it: crash each group's
-	// checkpoint store.
-	for key, st := range c.protoStores {
-		if key.id == id && st != nil {
-			st.Crash()
-			c.protoStores[key] = nil
-		}
-	}
-	c.storeMu.Unlock()
+	c.node(id).Crash()
 	return nil
 }
 
 // RestartNode brings a killed node back as a new incarnation on the same
-// address. With Durable it reopens the node's session journal first, so
-// the incarnation recovers its predecessor's session epoch, sequence
-// numbers and unacknowledged frame window, and replays that window after
-// the authenticated handshake. SC/SCR order processes additionally reopen
-// their protocol-checkpoint store (buildProcess): the new incarnation
-// restores its view, pair epochs, committed watermark and committed-order
-// digest, announces the watermark, and catches up on the commits it
-// missed via its peers' CatchUp answers — before resuming ordering duties
-// — so recovery no longer depends on peers' bounded retransmission rings
-// still holding everything it missed. Client processes are reused,
-// preserving their request-ID namespace.
+// address, assembled afresh from its spec. With Durable that reopens the
+// node's session journal, so the incarnation recovers its predecessor's
+// session epoch, sequence numbers and unacknowledged frame window, and
+// replays that window after the authenticated handshake. SC/SCR order
+// processes additionally reopen their protocol-checkpoint store: the new
+// incarnation restores its view, pair epochs, committed watermark and
+// committed-order digest, announces the watermark, and catches up on the
+// commits it missed via its peers' CatchUp answers — before resuming
+// ordering duties — so recovery no longer depends on peers' bounded
+// retransmission rings still holding everything it missed. Client
+// processes are reused, preserving their request-ID namespace.
 func (c *Cluster) RestartNode(id types.NodeID) error {
 	if c.tcp == nil {
 		return fmt.Errorf("harness: RestartNode requires the live TCP transport")
@@ -1054,60 +744,24 @@ func (c *Cluster) RestartNode(id types.NodeID) error {
 		// store holds the active segment) or was never added.
 		return fmt.Errorf("harness: node %v was not killed", id)
 	}
-	var reopened *sessionlog.Store
-	if c.Opts.Durable && c.links != nil {
-		st, err := sessionlog.Open(c.sessionlogOptions(id))
-		if err != nil {
-			return err
-		}
-		reopened = st
-		c.storeMu.Lock()
-		c.sessionStores[id] = st
-		c.storeMu.Unlock()
-	}
-	failRestart := func(err error) error {
-		if reopened != nil {
-			c.storeMu.Lock()
-			c.sessionStores[id] = nil
-			c.storeMu.Unlock()
-			_ = reopened.Close()
-		}
+	dead := c.node(id)
+	n, err := c.buildNode(id)
+	if err != nil {
 		return err
 	}
-	if c.groups > 1 {
-		// Sharded: rebuild (or for clients, reuse) one process per group
-		// and restart the multiplexed endpoint with all of them.
-		procs := make([]runtime.Process, c.groups)
-		if cps, ok := c.clientGroups[id]; ok {
-			for g := range cps {
-				procs[g] = cps[g]
-			}
-		} else {
-			for g := 0; g < c.groups; g++ {
-				p, err := c.buildProcess(id, g)
-				if err != nil {
-					return failRestart(err)
-				}
-				procs[g] = p
-			}
-		}
-		if err := c.tcp.RestartSharded(id, c.idents[id], procs); err != nil {
-			return failRestart(err)
-		}
-		return nil
+	procs := n.Procs
+	if _, isClient := c.clientGroups[id]; isClient {
+		procs = c.clientProcs(id)
 	}
-	var proc runtime.Process
-	if cp, ok := c.clients[id]; ok {
-		proc = cp
+	if c.groups == 1 {
+		err = c.tcp.Restart(id, c.base.Idents[id], procs[0])
 	} else {
-		p, err := c.buildProcess(id, 0)
-		if err != nil {
-			return failRestart(err)
-		}
-		proc = p
+		err = c.tcp.RestartSharded(id, c.base.Idents[id], procs)
 	}
-	if err := c.tcp.Restart(id, c.idents[id], proc); err != nil {
-		return failRestart(err)
+	if err != nil {
+		n.Close()
+		c.setNode(id, dead)
+		return err
 	}
 	return nil
 }
@@ -1153,12 +807,10 @@ func (c *Cluster) SCProcess(id types.NodeID) *core.Process {
 
 // SCProcessGroup returns node id's SC/SCR process for one ordering group.
 func (c *Cluster) SCProcessGroup(id types.NodeID, group int) *core.Process {
-	c.procMu.RLock()
-	defer c.procMu.RUnlock()
-	if group < 0 || group >= len(c.scGroups) {
-		return nil
+	if n := c.node(id); n != nil {
+		return n.Core(group)
 	}
-	return c.scGroups[group][id]
+	return nil
 }
 
 // GroupCount returns the number of ordering groups (1 unless sharded).
@@ -1303,29 +955,12 @@ func (c *Cluster) RecoveryStateOfGroup(id types.NodeID, group int) (RecoveryStat
 	}
 }
 
-// OrderPool returns the request pool of the current incarnation of an
-// order process (nil for clients/unknown IDs), safe against a concurrent
-// RestartNode.
-func (c *Cluster) OrderPool(id types.NodeID) *core.RequestPool {
-	c.procMu.RLock()
-	defer c.procMu.RUnlock()
-	if p, ok := c.SC[id]; ok {
-		return p.Pool()
-	}
-	if p, ok := c.CT[id]; ok {
-		return p.Pool()
-	}
-	if p, ok := c.BFT[id]; ok {
-		return p.Pool()
-	}
-	return nil
-}
-
-// OrderPoolGroup returns the request pool of node id's order process in
-// one ordering group (SC/SCR only — the only sharded protocols).
-func (c *Cluster) OrderPoolGroup(id types.NodeID, group int) *core.RequestPool {
-	if p := c.SCProcessGroup(id, group); p != nil {
-		return p.Pool()
+// OrderPool returns the request pool of the current incarnation of node
+// id's order process in one ordering group (nil for clients/unknown IDs),
+// safe against a concurrent RestartNode.
+func (c *Cluster) OrderPool(id types.NodeID, group int) *core.RequestPool {
+	if n := c.node(id); n != nil {
+		return n.Pool(group)
 	}
 	return nil
 }

@@ -4,7 +4,10 @@
 // Options.Transport) and exposes the measurements the paper reports:
 // order latency (batched -> first commit), throughput (requests committed
 // per second at an order process), and fail-over latency (fail-signal
-// issued -> Start tuples issued).
+// issued -> Start tuples issued). Each node is assembled by internal/node
+// from the spec Cluster.NodeSpec derives from Options — the same path
+// cmd/sofnode takes — so the harness adds only what a cluster needs: the
+// substrate, the dealer, clients, recorders and fault injection.
 //
 // The Recorder is the measurement sink: protocols report batch, commit,
 // fail-signal and installation events through hooks, and consumers follow

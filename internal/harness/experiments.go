@@ -138,7 +138,7 @@ func RunLatencyThroughputPoint(proto types.Protocol, suite crypto.SuiteName, f i
 // (RunTCPHotPathPoint) run on the wall clock over the TCP runtime
 // instead, so their NsPerBatch is end-to-end wire time, not overhead.
 type HotPathPoint struct {
-	Mode           string        `json:"mode"` // "cursor", "legacy-scan", a TCPModes entry, or "tcp-pipelined"
+	Mode           string        `json:"mode"` // "cursor", a TCPModes entry, or "tcp-pipelined"
 	Window         time.Duration `json:"window_ns"`
 	Batches        int           `json:"batches"`
 	CommitEvents   int           `json:"commit_events"`
@@ -156,12 +156,10 @@ type HotPathPoint struct {
 
 // RunHotPathPoint measures harness overhead per committed batch over a
 // simulated window at a small batching interval, with commit events
-// retained. legacyScan selects the pre-cursor access pattern (copy the
-// full commit history and scan it linearly on every poll — what the public
-// API did before cursor subscriptions) so the O(history) -> O(1) change is
-// quantifiable from one binary; the cursor mode is what AwaitCommit and
-// drainReplicas do now.
-func RunHotPathPoint(window time.Duration, seed int64, legacyScan bool) (HotPathPoint, error) {
+// retained, polled through a commit cursor the way AwaitCommit and
+// drainReplicas do. It runs with the bounded ring so eviction — the path
+// production retention users hit — is part of what's measured.
+func RunHotPathPoint(window time.Duration, seed int64) (HotPathPoint, error) {
 	const interval = 40 * time.Millisecond
 	opts := Options{
 		Protocol:         types.SC,
@@ -176,13 +174,7 @@ func RunHotPathPoint(window time.Duration, seed int64, legacyScan bool) (HotPath
 		Seed:             seed,
 		Load:             LoadFor(interval, 1024),
 		KeepCommits:      true,
-	}
-	if !legacyScan {
-		// Cursor mode runs with the bounded ring so eviction — the path
-		// production retention users hit — is part of what's measured.
-		// Legacy mode emulates the pre-cursor code, which retained the
-		// full unbounded history and scanned all of it per poll.
-		opts.CommitRetention = 4096
+		CommitRetention:  4096,
 	}
 	c, err := New(opts)
 	if err != nil {
@@ -199,10 +191,8 @@ func RunHotPathPoint(window time.Duration, seed int64, legacyScan bool) (HotPath
 	probe := message.ReqID{Client: types.ClientID(0), ClientSeq: 1}
 	batches0 := c.Events.BatchCount()
 	cursor := c.Events.CommitCursor()
-	// commitEvents counts commit events observed inside the window, with
-	// identical meaning in both modes: warm-up events predate cursor (and
-	// eventsBase) and are excluded.
-	eventsBase := len(c.Events.Commits())
+	// commitEvents counts commit events observed inside the window;
+	// warm-up events predate cursor and are excluded.
 	commitEvents := 0
 
 	stdruntime.GC()
@@ -211,25 +201,10 @@ func RunHotPathPoint(window time.Duration, seed int64, legacyScan bool) (HotPath
 	t0 := time.Now()
 	for elapsed := time.Duration(0); elapsed < window; elapsed += 100 * time.Millisecond {
 		c.RunFor(100 * time.Millisecond)
-		if legacyScan {
-			// Pre-cursor pattern: full copy + linear scan per poll.
-			all := c.Events.Commits()
-			commitEvents = len(all) - eventsBase
-			found := false
-			for _, ev := range all {
-				for _, e := range ev.Entries {
-					if e.Req == probe {
-						found = true
-					}
-				}
-			}
-			_ = found
-		} else {
-			events, next, _ := c.Events.CommitsSince(cursor)
-			cursor = next
-			commitEvents += len(events)
-			_ = c.Events.Committed(probe)
-		}
+		events, next, _ := c.Events.CommitsSince(cursor)
+		cursor = next
+		commitEvents += len(events)
+		_ = c.Events.Committed(probe)
 		_ = c.Events.LatencySummary() // summary poll, memoized between commits
 	}
 	elapsedWall := time.Since(t0)
@@ -239,16 +214,12 @@ func RunHotPathPoint(window time.Duration, seed int64, legacyScan bool) (HotPath
 	if batches == 0 {
 		return HotPathPoint{}, fmt.Errorf("harness: no batches committed in hot-path window %v", window)
 	}
-	mode := "cursor"
-	if legacyScan {
-		mode = "legacy-scan"
-	}
 	probeNode, err := c.Topo.ReplicaID(c.Topo.NumReplicas())
 	if err != nil {
 		return HotPathPoint{}, err
 	}
 	return HotPathPoint{
-		Mode:           mode,
+		Mode:           "cursor",
 		Window:         window,
 		Batches:        batches,
 		CommitEvents:   commitEvents,
@@ -553,7 +524,7 @@ func measureTCPPoint(opts Options, window time.Duration, mode string) (HotPathPo
 		return HotPathPoint{}, err
 	}
 	return HotPathPoint{
-		Mode:           mode,
+		Mode:           "cursor",
 		Window:         window,
 		Batches:        batches,
 		CommitEvents:   commitEvents,

@@ -15,7 +15,7 @@ import (
 func sumShed(c *Cluster) uint64 {
 	var total uint64
 	for _, id := range c.Topo.AllProcesses() {
-		total += c.IngressShedOf(id, 0)
+		total += uint64(c.Metric(id, 0, "sof_ingress_shed_total"))
 	}
 	return total
 }
@@ -173,11 +173,8 @@ func TestIngressBrownoutRisesAndClears(t *testing.T) {
 		c.RunFor(time.Millisecond)
 	}
 	coord := c.Topo.AllProcesses()[0]
-	gauge := c.IngressBrownoutGauge(coord, 0)
-	if gauge == nil {
-		t.Fatal("no brownout gauge (metrics disabled?)")
-	}
-	if gauge.Value() == 0 {
+	brownout := func() float64 { return c.Metric(coord, 0, "sof_ingress_brownout") }
+	if brownout() == 0 {
 		t.Fatalf("brownout gauge still 0 with ~100 batches of backlog")
 	}
 	// In brownout an over-share client is shed; a polite client with no
@@ -191,7 +188,7 @@ func TestIngressBrownoutRisesAndClears(t *testing.T) {
 	}
 	// Drain: stop submitting and let batches flow until pressure drops.
 	c.RunFor(200 * time.Second)
-	if gauge.Value() != 0 {
+	if brownout() != 0 {
 		t.Error("brownout gauge never cleared after the backlog drained")
 	}
 }
@@ -226,7 +223,7 @@ func TestIngressLockoutBlocksRepeatOffender(t *testing.T) {
 	c.RunFor(100 * time.Millisecond)
 	var locked uint64
 	for _, id := range c.Topo.AllProcesses() {
-		locked += c.IngressLockedOutOf(id, 0)
+		locked += uint64(c.Metric(id, 0, "sof_ingress_locked_out_total"))
 	}
 	if locked == 0 {
 		t.Error("no lockout refusals after 8 rejections against a threshold of 3")

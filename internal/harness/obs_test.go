@@ -28,22 +28,6 @@ func scrapeOps(t *testing.T, base, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// counterValue reads one counter sample from a registry snapshot (0 if
-// the family or series is absent).
-func counterValue(r *obs.Registry, name string) float64 {
-	for _, f := range r.Collect() {
-		if f.Name != name {
-			continue
-		}
-		var total float64
-		for _, s := range f.Samples {
-			total += s.Value
-		}
-		return total
-	}
-	return 0
-}
-
 func awaitReady(check obs.ReadyFunc, deadline time.Duration) error {
 	end := time.Now().Add(deadline)
 	var err error
@@ -78,8 +62,7 @@ func submitAndCommit(t *testing.T, c *Cluster, n, offset int) {
 // -metrics-addr does, and checks the live surface end to end: /metrics
 // parses under the validating exposition parser and carries the core,
 // transport and WAL families; /healthz is always 200; /readyz is 503
-// while a node is down and during restart catch-up (the sof_catching_up
-// gauge window) and 200 once the restarted node caught up on the
+// while a node is down and during restart catch-up and 200 once the restarted node caught up on the
 // commits it missed.
 func TestOpsSurfaceScrapeAndReadyzFlip(t *testing.T) {
 	if testing.Short() {
@@ -163,15 +146,14 @@ func TestOpsSurfaceScrapeAndReadyzFlip(t *testing.T) {
 
 	// Commit past the victim so its successor has history to catch up
 	// on, then restart it. The readiness probe must report the catch-up
-	// window (the sof_catching_up gauge is 1 from the incarnation's
-	// construction until its catch-up round completes) and flip back to
-	// 200 once the gauge drops.
+	// window (from the incarnation's construction until its catch-up
+	// round completes) and flip back to 200 once it is over.
 	submitAndCommit(t, c, 30, 30)
-	catchups := counterValue(c.RegistryOf(victim), "sof_catchups_total")
+	catchups := c.Metric(victim, 0, "sof_catchups_total")
 	if err := c.RestartNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if gauge := c.CatchingUpGauge(victim, 0); gauge.Value() != 0 {
+	if c.SCProcess(victim).CatchingUp() {
 		if err := c.ReadinessOf(victim)(); err == nil ||
 			!strings.Contains(err.Error(), "catching up") {
 			t.Errorf("readiness during catch-up = %v, want catching-up error", err)
@@ -180,7 +162,7 @@ func TestOpsSurfaceScrapeAndReadyzFlip(t *testing.T) {
 	if !awaitCaughtUp(c, victim, 20*time.Second) {
 		t.Fatal("restarted node never finished catch-up")
 	}
-	if got := counterValue(c.RegistryOf(victim), "sof_catchups_total"); got <= catchups {
+	if got := c.Metric(victim, 0, "sof_catchups_total"); got <= catchups {
 		t.Errorf("sof_catchups_total = %v after restart, want > %v", got, catchups)
 	}
 	if err := awaitReady(c.ReadinessOf(victim), 15*time.Second); err != nil {
@@ -194,5 +176,37 @@ func TestOpsSurfaceScrapeAndReadyzFlip(t *testing.T) {
 		return body
 	}())); err != nil {
 		t.Fatalf("post-restart /metrics malformed: %v", err)
+	}
+}
+
+// TestReadinessWithMetricsDisabled: readiness must not depend on a
+// registry being wired. A durable process is born catching up and stays
+// so until its catch-up round completes after Start; with
+// DisableMetrics the probe used to find no gauge, skip the check and
+// report such a node ready.
+func TestReadinessWithMetricsDisabled(t *testing.T) {
+	c, err := New(Options{
+		Protocol:       types.SC,
+		F:              1,
+		BatchInterval:  5 * time.Millisecond,
+		Live:           true,
+		Durable:        true,
+		DataDir:        t.TempDir(),
+		DisableMetrics: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for _, id := range c.Topo.AllProcesses() {
+		if err := c.ReadinessOf(id)(); err == nil || !strings.Contains(err.Error(), "catching up") {
+			t.Errorf("node %v before its catch-up round: readiness = %v, want a catching-up error", id, err)
+		}
+	}
+	c.Start()
+	for _, id := range c.Topo.AllProcesses() {
+		if err := awaitReady(c.ReadinessOf(id), 15*time.Second); err != nil {
+			t.Errorf("node %v never became ready: %v", id, err)
+		}
 	}
 }

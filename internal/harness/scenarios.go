@@ -443,7 +443,7 @@ func registryFailovers(c *Cluster, exclude map[types.NodeID]bool) (uint64, bool)
 		// Every process that completes the install increments its own
 		// counter; the cluster-wide completion count is the max, not the
 		// sum, across them.
-		if v := c.FailoversOf(id, 0); v > max {
+		if v := uint64(c.Metric(id, 0, "sof_failovers_total")); v > max {
 			max = v
 		}
 	}
@@ -715,28 +715,16 @@ func (g *campaign) shardedPartition(dur time.Duration) ScenarioPoint {
 	return g.report(pt)
 }
 
-// awaitCaughtUp watches a restarted node's sof_catching_up registry
-// gauge until it drops to 0: one atomic load per poll, off the event
-// loop entirely, so the probe can run tight without perturbing the node
-// it watches. The gauge survives the restart (the registry outlives
-// incarnations) and the new incarnation rewrites it in core.New, before
-// RestartNode returns. Falls back to the event-loop snapshot probe when
-// metrics are disabled.
+// awaitCaughtUp watches a restarted node's group-0 process until it
+// leaves restart catch-up: one atomic load per poll, off the event loop
+// entirely, so the probe can run tight without perturbing the node it
+// watches. RestartNode makes the new incarnation current before it
+// returns, and core.New raises the flag before that.
 func awaitCaughtUp(c *Cluster, id types.NodeID, deadline time.Duration) bool {
-	end := time.Now().Add(deadline)
-	gauge := c.CatchingUpGauge(id, 0)
-	for time.Now().Before(end) {
-		if gauge != nil {
-			if gauge.Value() == 0 {
-				return true
-			}
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		if st, ok := c.RecoveryStateOf(id); ok && !st.CatchingUp {
+	for end := time.Now().Add(deadline); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		if p := c.SCProcess(id); p != nil && !p.CatchingUp() {
 			return true
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
 	return false
 }
@@ -988,7 +976,7 @@ func (g *campaign) overloadBrownout(dur time.Duration) ScenarioPoint {
 	procs := c.Topo.AllProcesses()
 	brownoutSeen := func() bool {
 		for _, id := range procs {
-			if gauge := c.IngressBrownoutGauge(id, 0); gauge != nil && gauge.Value() != 0 {
+			if c.Metric(id, 0, "sof_ingress_brownout") != 0 {
 				return true
 			}
 		}
@@ -1033,8 +1021,8 @@ func (g *campaign) overloadBrownout(dur time.Duration) ScenarioPoint {
 		}
 	}
 	for _, id := range procs {
-		pt.IngressShed += c.IngressShedOf(id, 0)
-		pt.IngressAdmitted += c.IngressAdmittedOf(id, 0)
+		pt.IngressShed += uint64(c.Metric(id, 0, "sof_ingress_shed_total"))
+		pt.IngressAdmitted += uint64(c.Metric(id, 0, "sof_ingress_admitted_total"))
 	}
 	pt.RejectedReplies = c.RejectedCount(0)
 
@@ -1059,7 +1047,7 @@ func (g *campaign) overloadBrownout(dur time.Duration) ScenarioPoint {
 		time.Sleep(200 * time.Millisecond)
 	}
 	for _, id := range procs {
-		if gauge := c.IngressBrownoutGauge(id, 0); gauge != nil && gauge.Value() != 0 {
+		if c.Metric(id, 0, "sof_ingress_brownout") != 0 {
 			pt.Violations = append(pt.Violations, fmt.Sprintf("%v still in brownout after the backlog drained", id))
 		}
 	}

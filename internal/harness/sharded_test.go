@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -168,25 +170,24 @@ func TestShardedProtologDirsDisjoint(t *testing.T) {
 	}
 	defer c.Stop()
 
-	node := types.NodeID(0)
-	opt0 := c.protologOptions(node, 0)
-	opt1 := c.protologOptions(node, 1)
-	if opt0.Dir == opt1.Dir {
-		t.Fatalf("groups share a protolog dir: %s", opt0.Dir)
+	// New built every group's process, so both stores are already open:
+	// each group of node 0 must own its own directory under the node's
+	// data dir (sofnode's <data-dir>/g<i>/proto), and the single-group
+	// path must not exist beside them.
+	dir := c.NodeSpec(0).DataDir
+	for g := 0; g < 2; g++ {
+		if !isDir(filepath.Join(dir, fmt.Sprintf("g%d", g), "proto")) {
+			t.Errorf("group %d has no protolog dir of its own under %s", g, dir)
+		}
 	}
-	// Both stores are already open (New built every group's process);
-	// they must be distinct store instances over distinct directories.
-	st0, err := c.protoStore(node, 0)
-	if err != nil || st0 == nil {
-		t.Fatalf("group 0 store: %v", err)
+	if isDir(filepath.Join(dir, "proto")) {
+		t.Errorf("sharded node also opened the single-group protolog dir %s/proto", dir)
 	}
-	st1, err := c.protoStore(node, 1)
-	if err != nil || st1 == nil {
-		t.Fatalf("group 1 store: %v", err)
-	}
-	if st0 == st1 {
-		t.Fatal("both groups resolved to one protolog store")
-	}
+}
+
+func isDir(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.IsDir()
 }
 
 // TestUnshardedProtologLayoutUnchanged pins the pre-sharding on-disk
@@ -203,9 +204,11 @@ func TestUnshardedProtologLayoutUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	want := fmt.Sprintf("%s/node-0/proto", dir)
-	if got := c.protologOptions(0, 0).Dir; got != want {
-		t.Errorf("single-group protolog dir = %q, want %q", got, want)
+	if want := filepath.Join(dir, "node-0", "proto"); !isDir(want) {
+		t.Errorf("single-group protolog dir %q was not opened", want)
+	}
+	if isDir(filepath.Join(dir, "node-0", "g0")) {
+		t.Error("single-group cluster grew a g0/ directory")
 	}
 	if got := c.commitDir(0); got != fmt.Sprintf("%s/commits", dir) {
 		t.Errorf("single-group commit dir = %q", got)
@@ -223,7 +226,7 @@ func TestConcurrentProtologOpensPerGroup(t *testing.T) {
 	}
 	results := make(chan res, 2)
 	for g := 0; g < 2; g++ {
-		dir := fmt.Sprintf("%s/g%d/node-0/proto", base, g)
+		dir := fmt.Sprintf("%s/node-0/g%d/proto", base, g)
 		go func() {
 			st, err := protolog.Open(protolog.Options{Dir: dir})
 			results <- res{st, err}

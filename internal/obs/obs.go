@@ -24,6 +24,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -453,22 +454,63 @@ func (r *Registry) Collect() []Family {
 		cf := Family{Name: f.name, Help: f.help, Kind: f.kind}
 		for _, s := range ser {
 			sm := Sample{Labels: s.labels}
-			switch {
-			case s.hist != nil:
+			if s.hist != nil {
 				snap := s.hist.Snapshot()
 				sm.Histogram = &snap
-			case s.ctrFn != nil:
-				sm.Value = float64(s.ctrFn())
-			case s.gaugeFn != nil:
-				sm.Value = s.gaugeFn()
-			case s.counter != nil:
-				sm.Value = float64(s.counter.Value())
-			case s.gauge != nil:
-				sm.Value = s.gauge.Value()
+			} else {
+				sm.Value = s.scalar()
 			}
 			cf.Samples = append(cf.Samples, sm)
 		}
 		out = append(out, cf)
 	}
 	return out
+}
+
+// scalar evaluates a counter or gauge series (0 for a histogram).
+func (s *series) scalar() float64 {
+	switch {
+	case s.ctrFn != nil:
+		return float64(s.ctrFn())
+	case s.gaugeFn != nil:
+		return s.gaugeFn()
+	case s.counter != nil:
+		return float64(s.counter.Value())
+	case s.gauge != nil:
+		return s.gauge.Value()
+	}
+	return 0
+}
+
+// Value is the read-only lookup: the sum of family name's counter or
+// gauge series whose label set includes every given label, so a partial
+// label set aggregates (sof_ingress_shed_total by node sums its reasons).
+// It registers nothing — a probe or a test reads an instrument without
+// restating its kind and help text — and returns 0 for a nil registry, an
+// unknown family or a histogram.
+func (r *Registry) Value(name string, labels ...Label) float64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	var match []series
+	if f := r.families[name]; f != nil {
+	next:
+		for _, s := range f.series {
+			for _, want := range labels {
+				if !slices.Contains(s.labels, want) {
+					continue next
+				}
+			}
+			match = append(match, *s)
+		}
+	}
+	r.mu.Unlock()
+	// Like Collect: bindings copied under the mutex, functions evaluated
+	// unlocked (they may take their component's own locks).
+	var total float64
+	for i := range match {
+		total += match[i].scalar()
+	}
+	return total
 }

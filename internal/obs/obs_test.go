@@ -235,3 +235,34 @@ func TestQuantileEmptyAndInf(t *testing.T) {
 		t.Errorf("count = %d", s.Count)
 	}
 }
+
+// TestRegistryValue: the read-only lookup matches on a label subset,
+// sums what matches, evaluates func-backed series, and registers nothing.
+func TestRegistryValue(t *testing.T) {
+	r := buildRegistry()
+	before := len(r.Collect())
+	for _, tc := range []struct {
+		name   string
+		labels []Label
+		want   float64
+	}{
+		{"sof_commits_total", []Label{L("node", "0"), L("group", "1")}, 42},
+		{"sof_commits_total", []Label{L("node", "0")}, 49}, // partial set sums
+		{"sof_commits_total", []Label{L("node", "9")}, 0},
+		{"sof_commit_watermark", nil, 1024},
+		{"sof_peer_queue_depth", []Label{L("peer", "2")}, 3},
+		{"sof_peer_dropped_total", nil, 5},
+		{"sof_wal_fsync_seconds", nil, 0}, // histograms have no scalar
+		{"sof_never_registered", nil, 0},
+	} {
+		if got := r.Value(tc.name, tc.labels...); got != tc.want {
+			t.Errorf("Value(%s, %v) = %v, want %v", tc.name, tc.labels, got, tc.want)
+		}
+	}
+	if after := len(r.Collect()); after != before {
+		t.Errorf("Value registered families: %d -> %d", before, after)
+	}
+	if got := (*Registry)(nil).Value("x"); got != 0 {
+		t.Errorf("nil registry Value = %v, want 0", got)
+	}
+}

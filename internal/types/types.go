@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // NodeID identifies one order process (replica or shadow) or one client in
 // the flat address space used by every transport. Order processes occupy
@@ -86,6 +89,17 @@ const (
 	// CT is the crash-tolerant strawman derived from SC.
 	CT
 )
+
+// ParseProtocol maps a protocol's command-line name (sc, scr, bft, ct;
+// case-insensitive) to the Protocol.
+func ParseProtocol(s string) (Protocol, error) {
+	for _, p := range []Protocol{SC, SCR, BFT, CT} {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("types: unknown protocol %q", s)
+}
 
 // String returns the paper's name for the protocol.
 func (p Protocol) String() string {

@@ -293,3 +293,14 @@ func TestTopologyRotation(t *testing.T) {
 		}
 	}
 }
+
+func TestParseProtocol(t *testing.T) {
+	for name, want := range map[string]Protocol{"sc": SC, "SCR": SCR, "Bft": BFT, "ct": CT} {
+		if got, err := ParseProtocol(name); err != nil || got != want {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseProtocol("paxos"); err == nil {
+		t.Error("unknown protocol accepted")
+	}
+}

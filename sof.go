@@ -28,12 +28,12 @@ import (
 	"sync"
 	"time"
 
-	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/harness"
 	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/netsim"
+	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/replica"
 	"github.com/sof-repro/sof/internal/shard"
@@ -258,8 +258,9 @@ type Config struct {
 	// same key always reaches the same group across processes and
 	// restarts. Each group is a complete SC/SCR deployment — its own
 	// coordinator pair (rotated onto different physical nodes per
-	// group), recorder, commit stream, WAL checkpoint directories
-	// (<DataDir>/g<idx>/) and replica partition — multiplexed over one
+	// group), recorder, commit stream (<DataDir>/g<idx>/), WAL checkpoint
+	// directory (<DataDir>/node-<id>/g<idx>/) and replica partition —
+	// multiplexed over one
 	// TCP transport and session per node. Requests are totally ordered
 	// within their group only; there is no cross-group order, and
 	// multi-key submissions spanning two groups are rejected with a
@@ -357,20 +358,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Simulated && cfg.Transport != InProcess {
 		return nil, fmt.Errorf("sof: Transport %v requires a live cluster (Simulated: false)", cfg.Transport)
 	}
-	if (cfg.AuthFrames || cfg.SessionResume) && cfg.Transport != TCP {
-		return nil, fmt.Errorf("sof: AuthFrames/SessionResume require Transport: TCP")
-	}
-	if cfg.NetShaping && cfg.Transport != TCP {
-		return nil, fmt.Errorf("sof: NetShaping requires Transport: TCP")
-	}
-	if cfg.Durable {
-		if cfg.Simulated {
-			return nil, fmt.Errorf("sof: Durable requires a live cluster (Simulated: false)")
-		}
-		if cfg.DataDir == "" {
-			return nil, fmt.Errorf("sof: Durable requires DataDir")
-		}
-	} else if cfg.DataDir != "" {
+	// Mode-combination rules shared with every other entry point
+	// (transport, groups, ingress, durable, adversaries) are checked once,
+	// by harness.New; only the relations between sof.Config's own fields
+	// are stated here.
+	if cfg.DataDir != "" && !cfg.Durable {
 		return nil, fmt.Errorf("sof: DataDir is set but Durable is not")
 	}
 	if cfg.CheckpointInterval != 0 && !cfg.Durable {
@@ -388,37 +380,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if (cfg.MaxInflightBatches > 1 || cfg.BatchIdleArm != 0 || cfg.DigestOnlyAcks) &&
 		cfg.Protocol != SC && cfg.Protocol != SCR {
 		return nil, fmt.Errorf("sof: MaxInflightBatches/BatchIdleArm/DigestOnlyAcks require Protocol SC or SCR")
-	}
-	if len(cfg.Adversaries) > 0 && cfg.Protocol != SC && cfg.Protocol != SCR {
-		return nil, fmt.Errorf("sof: Adversaries require Protocol SC or SCR")
-	}
-	if cfg.Ingress.Enabled {
-		if cfg.Protocol != SC && cfg.Protocol != SCR {
-			return nil, fmt.Errorf("sof: Ingress requires Protocol SC or SCR")
-		}
-		if err := cfg.Ingress.Validate(); err != nil {
-			return nil, fmt.Errorf("sof: %w", err)
-		}
-	}
-	if cfg.ClientTLS && cfg.Transport != TCP {
-		return nil, fmt.Errorf("sof: ClientTLS requires Transport: TCP")
-	}
-	if cfg.Groups < 0 {
-		return nil, fmt.Errorf("sof: Groups must not be negative, got %d", cfg.Groups)
-	}
-	if cfg.Groups > MaxGroups {
-		return nil, fmt.Errorf("sof: Groups %d exceeds MaxGroups (%d)", cfg.Groups, MaxGroups)
-	}
-	if cfg.Groups > 1 {
-		if cfg.Simulated {
-			return nil, fmt.Errorf("sof: Groups > 1 requires a live cluster (Simulated: false)")
-		}
-		if cfg.Transport != TCP {
-			return nil, fmt.Errorf("sof: Groups > 1 requires Transport: TCP")
-		}
-		if cfg.Protocol != SC && cfg.Protocol != SCR {
-			return nil, fmt.Errorf("sof: Groups > 1 requires Protocol SC or SCR")
-		}
 	}
 	mirror := cfg.Protocol == SC || cfg.Protocol == SCR
 	if cfg.Mirror != nil {
@@ -455,31 +416,24 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		CommitRetention:    cfg.CommitRetention,
 		DisableMetrics:     cfg.DisableMetrics,
 	}
-	groups := cfg.Groups
-	if groups == 0 {
-		groups = 1
+	h, err := harness.New(opts)
+	if err != nil {
+		return nil, fmt.Errorf("sof: %w", err)
 	}
+	groups := h.GroupCount()
 	router, err := shard.New(groups)
 	if err != nil {
+		h.Stop()
 		return nil, fmt.Errorf("sof: %w", err)
 	}
 	c := &Cluster{
 		cfg:           cfg,
+		h:             h,
 		router:        router,
 		replicas:      make(map[repKey]*replica.Replica),
 		commitCursors: make([]uint64, groups),
 		routes:        make(map[ReqID]int),
 	}
-	if cfg.StateMachine != nil {
-		// Chain the replica layer onto the commit hook; the recorder still
-		// observes every event.
-		opts.KeepCommits = true
-	}
-	h, err := harness.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	c.h = h
 	if cfg.StateMachine != nil {
 		// One state-machine instance per order process per group (each
 		// group is its own replica partition, keyed by the same routing
@@ -496,11 +450,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 					// too.
 					rep.SetResultRetention(cfg.CommitRetention)
 				}
-				labels := []obs.Label{obs.L("node", fmt.Sprint(id))}
-				if groups > 1 {
-					labels = append(labels, obs.L("group", fmt.Sprint(g)))
-				}
-				rep.RegisterMetrics(h.RegistryOf(id), labels...)
+				rep.RegisterMetrics(h.RegistryOf(id), node.Labels(id, g, groups)...)
 				c.replicas[repKey{node: id, group: g}] = rep
 			}
 		}
@@ -698,7 +648,7 @@ func (c *Cluster) drainReplicas() {
 			if !ok {
 				continue
 			}
-			pool := c.poolOf(ev.Node, g)
+			pool := c.h.OrderPool(ev.Node, g)
 			if pool == nil {
 				continue
 			}
@@ -713,19 +663,10 @@ func (c *Cluster) drainReplicas() {
 		if rep.PendingCount() == 0 {
 			continue
 		}
-		if pool := c.poolOf(key.node, key.group); pool != nil {
+		if pool := c.h.OrderPool(key.node, key.group); pool != nil {
 			rep.Retry(pool)
 		}
 	}
-}
-
-func (c *Cluster) poolOf(id NodeID, group int) *core.RequestPool {
-	// Through the locked accessors: RestartNode swaps order-process
-	// incarnations (and their pools) while drains run.
-	if c.Groups() == 1 {
-		return c.h.OrderPool(id)
-	}
-	return c.h.OrderPoolGroup(id, group)
 }
 
 // DroppedCommits reports how many commit events were evicted by
