@@ -787,8 +787,7 @@ func (p *Process) acceptEndorsedBatch(env runtime.Env, from types.NodeID, b *mes
 		return // IN1: ignore order messages until the new coordinator is installed
 	}
 	if b.View != p.view || b.Coord != p.rank {
-		p.maybeCatchupBatch(env, b)
-		return
+		return // a foreign-view batch is ignored
 	}
 	primary, shadow, paired := p.candidate(p.rank)
 	wantShadow := types.Nil
@@ -811,7 +810,8 @@ func (p *Process) acceptEndorsedBatch(env runtime.Env, from types.NodeID, b *mes
 	case b.FirstSeq > p.nextExpected:
 		p.future[b.FirstSeq] = b
 	default:
-		p.maybeCatchupBatch(env, b)
+		// A late batch is ignored: its sequence range is already tracked,
+		// committed or delivered.
 	}
 }
 
@@ -1051,17 +1051,6 @@ func (p *Process) deliver(env runtime.Env, t *Tracker) {
 		})
 	}
 	p.saveCheckpointIfDue(env)
-}
-
-// maybeCatchupBatch accepts a late batch below the committed watermark
-// established by a committed Start: its sequence range was already
-// committed wholesale, so a valid pair endorsement suffices (assumption
-// 3(a)(ii)/3(b)(ii) exclude pair equivocation by two simultaneous faults).
-func (p *Process) maybeCatchupBatch(env runtime.Env, b *message.OrderBatch) {
-	if b.LastSeq() > p.deliveredUpTo || b.FirstSeq <= p.deliveredUpTo {
-		return
-	}
-	// Already delivered range; nothing to do.
 }
 
 // --- mirroring ---

@@ -1,8 +1,4 @@
-// Package scr_test exercises the Signal-on-Crash and Recovery extension
-// (Section 4.4), which lives in internal/core behind the types.SCR
-// topology: n = 3f+2, view-based coordinator rotation with Unwilling
-// messages, and optimistic pair recovery after false timing suspicions.
-package scr_test
+package harness
 
 import (
 	"fmt"
@@ -10,14 +6,18 @@ import (
 	"time"
 
 	"github.com/sof-repro/sof/internal/fsp"
-	"github.com/sof-repro/sof/internal/harness"
 	"github.com/sof-repro/sof/internal/netsim"
 	"github.com/sof-repro/sof/internal/types"
 )
 
-func scrCluster(t *testing.T, mutate func(*harness.Options)) *harness.Cluster {
+// The SCR tests exercise the Signal-on-Crash and Recovery extension
+// (Section 4.4) end to end. It lives in internal/core behind the types.SCR
+// topology: n = 3f+2, view-based coordinator rotation with Unwilling
+// messages, and optimistic pair recovery after false timing suspicions.
+
+func scrCluster(t *testing.T, mutate func(*Options)) *Cluster {
 	t.Helper()
-	opts := harness.Options{
+	opts := Options{
 		Protocol:         types.SCR,
 		F:                2,
 		BatchInterval:    10 * time.Millisecond,
@@ -32,15 +32,15 @@ func scrCluster(t *testing.T, mutate func(*harness.Options)) *harness.Cluster {
 	if mutate != nil {
 		mutate(&opts)
 	}
-	c, err := harness.New(opts)
+	c, err := New(opts)
 	if err != nil {
-		t.Fatalf("harness.New: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	c.Start()
 	return c
 }
 
-func submit(t *testing.T, c *harness.Cluster, n, size int) {
+func submit(t *testing.T, c *Cluster, n, size int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := c.Submit(0, make([]byte, size)); err != nil {
@@ -50,7 +50,7 @@ func submit(t *testing.T, c *harness.Cluster, n, size int) {
 	}
 }
 
-func assertAgreement(t *testing.T, c *harness.Cluster, minFull, minLen int) {
+func assertAgreement(t *testing.T, c *Cluster, minFull, minLen int) {
 	t.Helper()
 	seqs := make(map[types.NodeID][]string)
 	for _, ev := range c.Events.Commits() {
@@ -257,7 +257,7 @@ func TestSCRUnwillingSkipsDownCandidate(t *testing.T) {
 }
 
 func TestSCRRejectsDumbOptimization(t *testing.T) {
-	_, err := harness.New(harness.Options{
+	_, err := New(Options{
 		Protocol:         types.SCR,
 		F:                2,
 		DumbOptimization: true, // harness must strip it for SCR

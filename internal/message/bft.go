@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -21,77 +20,32 @@ type PrePrepare struct {
 	enc
 }
 
-var _ Message = (*PrePrepare)(nil)
-
 // Type implements Message.
 func (m *PrePrepare) Type() Type { return TPrePrepare }
+
+// Marshal implements Message.
+func (m *PrePrepare) Marshal() []byte { return m.enc.marshal(m) }
+
+// SignedBody returns the bytes covered by Sig.
+func (m *PrePrepare) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *PrePrepare) layout(c *coder) {
+	u64(c, &m.View)
+	u64(c, &m.FirstSeq)
+	i32(c, &m.Primary)
+	list(c, &m.Entries, maxEntries, minOrderEntry, orderEntry)
+	c.endBody()
+	blob(c, &m.Sig)
+}
 
 // LastSeq returns the sequence number of the final entry.
 func (m *PrePrepare) LastSeq() types.Seq {
 	return m.FirstSeq + types.Seq(len(m.Entries)) - 1
 }
 
-func (m *PrePrepare) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TPrePrepare))
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.FirstSeq))
-	w.I32(int32(m.Primary))
-	w.U32(uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		w.I32(int32(e.Req.Client))
-		w.U64(e.Req.ClientSeq)
-		w.Bytes32(e.ReqDigest)
-	}
-}
-
-// SignedBody returns the bytes covered by Sig.
-func (m *PrePrepare) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(32 + 40*len(m.Entries))
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
-
 // BodyDigest identifies the batch in prepare/commit messages.
 func (m *PrePrepare) BodyDigest(v interface{ Digest([]byte) []byte }) []byte {
 	return v.Digest(m.SignedBody())
-}
-
-// Marshal implements Message.
-func (m *PrePrepare) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64 + 40*len(m.Entries) + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodePrePrepare(r *codec.Reader) (*PrePrepare, error) {
-	m := &PrePrepare{
-		View:     types.View(r.U64()),
-		FirstSeq: types.Seq(r.U64()),
-		Primary:  types.NodeID(r.I32()),
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<20 {
-		return nil, errors.New("implausible entry count")
-	}
-	m.Entries = make([]OrderEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		m.Entries = append(m.Entries, OrderEntry{
-			Req:       ReqID{Client: types.NodeID(r.I32()), ClientSeq: r.U64()},
-			ReqDigest: r.Bytes32(),
-		})
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
 }
 
 // VerifySig checks the primary's signature.
@@ -110,55 +64,23 @@ type Prepare struct {
 	enc
 }
 
-var _ Message = (*Prepare)(nil)
-
 // Type implements Message.
 func (m *Prepare) Type() Type { return TPrepare }
 
-// prepareBody builds the canonical body shared by Prepare and Commit,
-// distinguished by the type tag.
-func phaseBody(t Type, from types.NodeID, view types.View, firstSeq types.Seq, digest []byte) []byte {
-	w := codec.NewWriter(32 + len(digest))
-	w.U8(uint8(t))
-	w.I32(int32(from))
-	w.U64(uint64(view))
-	w.U64(uint64(firstSeq))
-	w.Bytes32(digest)
-	return w.Bytes()
-}
+// Marshal implements Message.
+func (m *Prepare) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *Prepare) SignedBody() []byte {
-	if m.body == nil {
-		m.body = phaseBody(TPrepare, m.From, m.View, m.FirstSeq, m.BatchDigest)
-	}
-	return m.body
-}
+func (m *Prepare) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *Prepare) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(48 + len(m.BatchDigest) + len(m.Sig))
-		w.U8(uint8(TPrepare))
-		w.I32(int32(m.From))
-		w.U64(uint64(m.View))
-		w.U64(uint64(m.FirstSeq))
-		w.Bytes32(m.BatchDigest)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodePrepare(r *codec.Reader) (*Prepare, error) {
-	m := &Prepare{
-		From:     types.NodeID(r.I32()),
-		View:     types.View(r.U64()),
-		FirstSeq: types.Seq(r.U64()),
-	}
-	m.BatchDigest = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+// layout is shared with Commit; the two differ only in the type tag.
+func (m *Prepare) layout(c *coder) {
+	i32(c, &m.From)
+	u64(c, &m.View)
+	u64(c, &m.FirstSeq)
+	blob(c, &m.BatchDigest)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -176,44 +98,16 @@ type Commit struct {
 	enc
 }
 
-var _ Message = (*Commit)(nil)
-
 // Type implements Message.
 func (m *Commit) Type() Type { return TCommit }
 
-// SignedBody returns the bytes covered by Sig.
-func (m *Commit) SignedBody() []byte {
-	if m.body == nil {
-		m.body = phaseBody(TCommit, m.From, m.View, m.FirstSeq, m.BatchDigest)
-	}
-	return m.body
-}
-
 // Marshal implements Message.
-func (m *Commit) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(48 + len(m.BatchDigest) + len(m.Sig))
-		w.U8(uint8(TCommit))
-		w.I32(int32(m.From))
-		w.U64(uint64(m.View))
-		w.U64(uint64(m.FirstSeq))
-		w.Bytes32(m.BatchDigest)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
+func (m *Commit) Marshal() []byte { return m.enc.marshal(m) }
 
-func decodeCommit(r *codec.Reader) (*Commit, error) {
-	m := &Commit{
-		From:     types.NodeID(r.I32()),
-		View:     types.View(r.U64()),
-		FirstSeq: types.Seq(r.U64()),
-	}
-	m.BatchDigest = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
-}
+// SignedBody returns the bytes covered by Sig.
+func (m *Commit) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *Commit) layout(c *coder) { (*Prepare)(m).layout(c) }
 
 // VerifySig checks the sender's signature.
 func (m *Commit) VerifySig(v Verifier) error {
@@ -229,41 +123,13 @@ type PreparedCert struct {
 	Sigs       []crypto.Signature
 }
 
-func (c *PreparedCert) encode(w *codec.Writer) {
-	w.Bytes32(c.PrePrepare.Marshal())
-	w.U32(uint32(len(c.Preparers)))
-	for i, p := range c.Preparers {
-		w.I32(int32(p))
-		w.Bytes32(c.Sigs[i])
+// preparedCert lays out one element of a view change's certificate list.
+func preparedCert(c *coder, p **PreparedCert) {
+	if c.decoding() {
+		*p = new(PreparedCert)
 	}
-}
-
-func decodePreparedCert(r *codec.Reader) (*PreparedCert, error) {
-	raw := r.Bytes32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	inner, err := Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("prepared cert pre-prepare: %w", err)
-	}
-	pp, ok := inner.(*PrePrepare)
-	if !ok {
-		return nil, fmt.Errorf("prepared cert pre-prepare has type %v", inner.Type())
-	}
-	c := &PreparedCert{PrePrepare: pp}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible prepared cert size")
-	}
-	for i := uint32(0); i < n; i++ {
-		c.Preparers = append(c.Preparers, types.NodeID(r.I32()))
-		c.Sigs = append(c.Sigs, r.Bytes32())
-	}
-	return c, r.Err()
+	nested(c, &(*p).PrePrepare)
+	signatories(c, &(*p).Preparers, &(*p).Sigs)
 }
 
 // Verify checks the pre-prepare signature and at least need distinct
@@ -277,12 +143,13 @@ func (c *PreparedCert) Verify(v Verifier, need int) error {
 	}
 	digest := c.PrePrepare.BodyDigest(v)
 	distinct := make(map[types.NodeID]bool)
+	prepare := Prepare{View: c.PrePrepare.View, FirstSeq: c.PrePrepare.FirstSeq, BatchDigest: digest}
 	for i, from := range c.Preparers {
 		if from == c.PrePrepare.Primary {
 			continue
 		}
-		body := phaseBody(TPrepare, from, c.PrePrepare.View, c.PrePrepare.FirstSeq, digest)
-		if err := VerifySingle(v, from, body, c.Sigs[i]); err != nil {
+		prepare.From = from
+		if err := verifyDetached(v, from, &prepare, c.Sigs[i]); err != nil {
 			return fmt.Errorf("message: prepared cert prepare from %v: %w", from, err)
 		}
 		distinct[from] = true
@@ -304,65 +171,23 @@ type BFTViewChange struct {
 	enc
 }
 
-var _ Message = (*BFTViewChange)(nil)
-
 // Type implements Message.
 func (m *BFTViewChange) Type() Type { return TBFTViewChange }
 
-func (m *BFTViewChange) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TBFTViewChange))
-	w.I32(int32(m.From))
-	w.U64(uint64(m.NewView))
-	w.U64(uint64(m.LastStable))
-	w.U32(uint32(len(m.Prepared)))
-	for _, c := range m.Prepared {
-		c.encode(w)
-	}
-}
+// Marshal implements Message.
+func (m *BFTViewChange) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *BFTViewChange) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(256)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *BFTViewChange) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *BFTViewChange) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(256 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeBFTViewChange(r *codec.Reader) (*BFTViewChange, error) {
-	m := &BFTViewChange{
-		From:       types.NodeID(r.I32()),
-		NewView:    types.View(r.U64()),
-		LastStable: types.Seq(r.U64()),
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible view-change size")
-	}
-	for i := uint32(0); i < n; i++ {
-		c, err := decodePreparedCert(r)
-		if err != nil {
-			return nil, err
-		}
-		m.Prepared = append(m.Prepared, c)
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *BFTViewChange) layout(c *coder) {
+	i32(c, &m.From)
+	u64(c, &m.NewView)
+	u64(c, &m.LastStable)
+	// A certificate is at least a nested pre-prepare and a signatory count.
+	list(c, &m.Prepared, maxItems, minNested+4, preparedCert)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature (certificates are verified
@@ -382,85 +207,22 @@ type BFTNewView struct {
 	enc
 }
 
-var _ Message = (*BFTNewView)(nil)
-
 // Type implements Message.
 func (m *BFTNewView) Type() Type { return TBFTNewView }
 
-func (m *BFTNewView) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TBFTNewView))
-	w.U64(uint64(m.View))
-	w.I32(int32(m.Primary))
-	w.U32(uint32(len(m.ViewChanges)))
-	for _, vc := range m.ViewChanges {
-		w.Bytes32(vc)
-	}
-	w.U32(uint32(len(m.PrePrepares)))
-	for _, pp := range m.PrePrepares {
-		w.Bytes32(pp.Marshal())
-	}
-}
+// Marshal implements Message.
+func (m *BFTNewView) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *BFTNewView) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(512)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *BFTNewView) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *BFTNewView) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(512 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeBFTNewView(r *codec.Reader) (*BFTNewView, error) {
-	m := &BFTNewView{
-		View:    types.View(r.U64()),
-		Primary: types.NodeID(r.I32()),
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible new-view size")
-	}
-	for i := uint32(0); i < n; i++ {
-		m.ViewChanges = append(m.ViewChanges, cloneBytes(r.Bytes32()))
-	}
-	k := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if k > 1<<16 {
-		return nil, errors.New("implausible new-view pre-prepare count")
-	}
-	for i := uint32(0); i < k; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("new-view pre-prepare %d: %w", i, err)
-		}
-		pp, ok := inner.(*PrePrepare)
-		if !ok {
-			return nil, fmt.Errorf("new-view pre-prepare %d has type %v", i, inner.Type())
-		}
-		m.PrePrepares = append(m.PrePrepares, pp)
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *BFTNewView) layout(c *coder) {
+	u64(c, &m.View)
+	i32(c, &m.Primary)
+	list(c, &m.ViewChanges, maxItems, minBlob, blob[[]byte])
+	list(c, &m.PrePrepares, maxItems, minNested, nested[*PrePrepare])
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the new primary's signature.

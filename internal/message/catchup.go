@@ -1,10 +1,6 @@
 package message
 
 import (
-	"errors"
-	"fmt"
-
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -25,47 +21,21 @@ type CatchUpReq struct {
 	enc
 }
 
-var _ Message = (*CatchUpReq)(nil)
-
 // Type implements Message.
 func (m *CatchUpReq) Type() Type { return TCatchUpReq }
 
-func (m *CatchUpReq) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TCatchUpReq))
-	w.I32(int32(m.From))
-	w.U64(uint64(m.Watermark))
-	w.Bool(m.Announce)
-}
+// Marshal implements Message.
+func (m *CatchUpReq) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *CatchUpReq) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(24)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *CatchUpReq) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *CatchUpReq) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(32 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeCatchUpReq(r *codec.Reader) (*CatchUpReq, error) {
-	m := &CatchUpReq{
-		From:      types.NodeID(r.I32()),
-		Watermark: types.Seq(r.U64()),
-		Announce:  r.Bool(),
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *CatchUpReq) layout(c *coder) {
+	i32(c, &m.From)
+	u64(c, &m.Watermark)
+	flag(c, &m.Announce)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -102,140 +72,26 @@ type CatchUp struct {
 	enc
 }
 
-var _ Message = (*CatchUp)(nil)
-
 // Type implements Message.
 func (m *CatchUp) Type() Type { return TCatchUp }
 
-func (m *CatchUp) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TCatchUp))
-	w.I32(int32(m.From))
-	w.U64(uint64(m.Base))
-	w.U64(uint64(m.UpTo))
-	w.U64(uint64(m.PairNextPropose))
-	if m.MaxCommitted != nil {
-		w.Bool(true)
-		m.MaxCommitted.encode(w)
-	} else {
-		w.Bool(false)
-	}
-	w.U32(uint32(len(m.Starts)))
-	for _, s := range m.Starts {
-		w.Bytes32(s.Marshal())
-	}
-	w.U32(uint32(len(m.Batches)))
-	for _, b := range m.Batches {
-		w.Bytes32(b.Marshal())
-	}
-	w.U32(uint32(len(m.Requests)))
-	for _, r := range m.Requests {
-		w.Bytes32(r.Marshal())
-	}
-}
+// Marshal implements Message.
+func (m *CatchUp) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *CatchUp) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(256)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *CatchUp) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *CatchUp) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(256 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeCatchUp(r *codec.Reader) (*CatchUp, error) {
-	m := &CatchUp{
-		From:            types.NodeID(r.I32()),
-		Base:            types.Seq(r.U64()),
-		UpTo:            types.Seq(r.U64()),
-		PairNextPropose: types.Seq(r.U64()),
-	}
-	if r.Bool() {
-		p, err := decodeCommitProof(r)
-		if err != nil {
-			return nil, err
-		}
-		m.MaxCommitted = p
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible start count")
-	}
-	for i := uint32(0); i < n; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("catchup start %d: %w", i, err)
-		}
-		s, ok := inner.(*Start)
-		if !ok {
-			return nil, fmt.Errorf("catchup start %d has type %v", i, inner.Type())
-		}
-		m.Starts = append(m.Starts, s)
-	}
-	n = r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible batch count")
-	}
-	for i := uint32(0); i < n; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("catchup batch %d: %w", i, err)
-		}
-		b, ok := inner.(*OrderBatch)
-		if !ok {
-			return nil, fmt.Errorf("catchup batch %d has type %v", i, inner.Type())
-		}
-		m.Batches = append(m.Batches, b)
-	}
-	n = r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<20 {
-		return nil, errors.New("implausible request count")
-	}
-	for i := uint32(0); i < n; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("catchup request %d: %w", i, err)
-		}
-		req, ok := inner.(*Request)
-		if !ok {
-			return nil, fmt.Errorf("catchup request %d has type %v", i, inner.Type())
-		}
-		m.Requests = append(m.Requests, req)
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *CatchUp) layout(c *coder) {
+	i32(c, &m.From)
+	u64(c, &m.Base)
+	u64(c, &m.UpTo)
+	u64(c, &m.PairNextPropose)
+	optionalProof(c, &m.MaxCommitted)
+	list(c, &m.Starts, maxItems, minNested, nested[*Start])
+	list(c, &m.Batches, maxItems, minNested, nested[*OrderBatch])
+	list(c, &m.Requests, maxEntries, minNested, nested[*Request])
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the responder's signature over the full payload.

@@ -3,18 +3,32 @@
 // signature helpers.
 //
 // Encoding convention: each message has a signable *body* (its type tag and
-// fields) followed by its signature(s). Double-signed messages follow the
-// paper's Section 3 definition — "the second process considers the
-// signature of the first as a part of the contents it signs for" — so
+// fields) followed by its *tail* — its signature(s) and whatever else the
+// signature does not cover. Double-signed messages follow the paper's
+// Section 3 definition — "the second process considers the signature of
+// the first as a part of the contents it signs for" — so
 // Sig1 = Sign(D(body)) and Sig2 = Sign(D(body || Sig1)).
+//
+// That convention is stated once per kind. The kind table (kinds, in
+// message.go) maps each Type tag to its name and constructor; a message
+// type contributes its struct, one layout method that lists the body
+// fields, calls endBody and lists the tail, and its verify rule. A coder
+// walks the layout in either direction, and one driver (enc's methods and
+// Decode) owns memoization, so Marshal, SignedBody and Decode are not
+// per-type code and cannot disagree. Adding a message type is one Type
+// constant, one table row, one struct with its layout, and one sample in
+// the tests.
 //
 // Decoded messages alias the buffer they were decoded from; buffers must
 // not be reused. Messages are treated as immutable after construction.
 //
 // Because messages are immutable, every message memoizes its canonical
 // encodings: Marshal and SignedBody compute their bytes once and cache them
-// on the struct, and Decode primes the wire cache with the exact received
-// bytes, so relaying or re-sending a decoded message never re-encodes it.
+// on the struct. Because the body is a prefix of the wire encoding by
+// construction, and every layout decodes canonically (re-encoding the
+// decoded fields yields the input, which FuzzDecode pins for every kind),
+// Decode primes both caches with the received bytes: relaying a decoded
+// message never re-encodes it, and verifying one never rebuilds its body.
 // The runtime confines any one Message value to a single goroutine at a
 // time (a node's event loop, or the single-threaded simulator), so the
 // caches need no synchronisation.

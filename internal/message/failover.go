@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -25,57 +24,30 @@ type FailSignal struct {
 	enc
 }
 
-var _ Message = (*FailSignal)(nil)
-
 // Type implements Message.
 func (m *FailSignal) Type() Type { return TFailSignal }
+
+// Marshal implements Message.
+func (m *FailSignal) Marshal() []byte { return m.enc.marshal(m) }
+
+// SignedBody returns the bytes covered by Sig1.
+func (m *FailSignal) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *FailSignal) layout(c *coder) {
+	u32(c, &m.Pair)
+	u64(c, &m.Epoch)
+	i32(c, &m.First)
+	c.endBody()
+	i32(c, &m.Second)
+	blob(c, &m.Sig1)
+	blob(c, &m.Sig2)
+}
 
 // FailSignalBody returns the canonical pre-signed body for pair/epoch with
 // first signatory first. It is what the trusted dealer (or the pair itself,
 // on SCR recovery) pre-signs and exchanges.
 func FailSignalBody(pair types.Rank, epoch uint64, first types.NodeID) []byte {
-	w := codec.NewWriter(24)
-	w.U8(uint8(TFailSignal))
-	w.U32(uint32(pair))
-	w.U64(epoch)
-	w.I32(int32(first))
-	return w.Bytes()
-}
-
-// SignedBody returns the bytes covered by Sig1.
-func (m *FailSignal) SignedBody() []byte {
-	if m.body == nil {
-		m.body = FailSignalBody(m.Pair, m.Epoch, m.First)
-	}
-	return m.body
-}
-
-// Marshal implements Message.
-func (m *FailSignal) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(48 + len(m.Sig1) + len(m.Sig2))
-		w.U8(uint8(TFailSignal))
-		w.U32(uint32(m.Pair))
-		w.U64(m.Epoch)
-		w.I32(int32(m.First))
-		w.I32(int32(m.Second))
-		w.Bytes32(m.Sig1)
-		w.Bytes32(m.Sig2)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeFailSignal(r *codec.Reader) (*FailSignal, error) {
-	m := &FailSignal{
-		Pair:  types.Rank(r.U32()),
-		Epoch: r.U64(),
-		First: types.NodeID(r.I32()),
-	}
-	m.Second = types.NodeID(r.I32())
-	m.Sig1 = r.Bytes32()
-	m.Sig2 = r.Bytes32()
-	return m, r.Err()
+	return (&FailSignal{Pair: pair, Epoch: epoch, First: first}).SignedBody()
 }
 
 // Verify checks both signatures: Sig1 by First over the body, Sig2 by
@@ -108,109 +80,27 @@ type BackLog struct {
 	enc
 }
 
-var _ Message = (*BackLog)(nil)
-
 // Type implements Message.
 func (m *BackLog) Type() Type { return TBackLog }
 
-func (m *BackLog) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TBackLog))
-	w.I32(int32(m.From))
-	w.U32(uint32(m.NewCoord))
-	w.U64(uint64(m.View))
-	if m.FailSig != nil {
-		w.Bool(true)
-		w.Bytes32(m.FailSig.Marshal())
-	} else {
-		w.Bool(false)
-	}
-	if m.MaxCommitted != nil {
-		w.Bool(true)
-		m.MaxCommitted.encode(w)
-	} else {
-		w.Bool(false)
-	}
-	w.U32(uint32(len(m.Uncommitted)))
-	for _, b := range m.Uncommitted {
-		w.Bytes32(b.Marshal())
-	}
-	w.Bytes32(m.Padding)
-}
+// Marshal implements Message.
+func (m *BackLog) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *BackLog) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(256)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *BackLog) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *BackLog) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(256 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
+func (m *BackLog) layout(c *coder) {
+	i32(c, &m.From)
+	u32(c, &m.NewCoord)
+	u64(c, &m.View)
+	if c.present(m.FailSig != nil) {
+		nested(c, &m.FailSig)
 	}
-	return m.wire
-}
-
-func decodeBackLog(r *codec.Reader) (*BackLog, error) {
-	m := &BackLog{
-		From:     types.NodeID(r.I32()),
-		NewCoord: types.Rank(r.U32()),
-		View:     types.View(r.U64()),
-	}
-	if r.Bool() {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("backlog fail-signal: %w", err)
-		}
-		fs, ok := inner.(*FailSignal)
-		if !ok {
-			return nil, fmt.Errorf("backlog fail-signal has type %v", inner.Type())
-		}
-		m.FailSig = fs
-	}
-	if r.Bool() {
-		p, err := decodeCommitProof(r)
-		if err != nil {
-			return nil, err
-		}
-		m.MaxCommitted = p
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible uncommitted count")
-	}
-	for i := uint32(0); i < n; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("backlog order %d: %w", i, err)
-		}
-		b, ok := inner.(*OrderBatch)
-		if !ok {
-			return nil, fmt.Errorf("backlog order %d has type %v", i, inner.Type())
-		}
-		m.Uncommitted = append(m.Uncommitted, b)
-	}
-	m.Padding = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+	optionalProof(c, &m.MaxCommitted)
+	list(c, &m.Uncommitted, maxItems, minNested, nested[*OrderBatch])
+	blob(c, &m.Padding)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -234,33 +124,26 @@ type Start struct {
 	enc
 }
 
-var _ Message = (*Start)(nil)
-
 // Type implements Message.
 func (m *Start) Type() Type { return TStart }
 
-func (m *Start) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TStart))
-	w.U32(uint32(m.Coord))
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.StartSeq))
-	w.U64(uint64(m.MaxCommittedSeq))
-	w.I32(int32(m.Primary))
-	w.I32(int32(m.Shadow))
-	w.U32(uint32(len(m.NewBackLog)))
-	for _, b := range m.NewBackLog {
-		w.Bytes32(b.Marshal())
-	}
-}
+// Marshal implements Message.
+func (m *Start) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig1 (Sig2 covers body||Sig1).
-func (m *Start) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(256)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
+func (m *Start) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *Start) layout(c *coder) {
+	u32(c, &m.Coord)
+	u64(c, &m.View)
+	u64(c, &m.StartSeq)
+	u64(c, &m.MaxCommittedSeq)
+	i32(c, &m.Primary)
+	i32(c, &m.Shadow)
+	list(c, &m.NewBackLog, maxItems, minNested, nested[*OrderBatch])
+	c.endBody()
+	blob(c, &m.Sig1)
+	blob(c, &m.Sig2)
 }
 
 // Endorsed returns a copy of the Start carrying the shadow's second
@@ -268,61 +151,13 @@ func (m *Start) SignedBody() []byte {
 func (m *Start) Endorsed(sig2 crypto.Signature) *Start {
 	out := *m
 	out.Sig2 = sig2
-	out.enc = enc{body: m.SignedBody()}
+	out.enc = m.enc.endorsed(m)
 	return &out
 }
 
 // BodyDigest identifies the Start in acks and counter-signatures.
 func (m *Start) BodyDigest(v interface{ Digest([]byte) []byte }) []byte {
 	return v.Digest(m.SignedBody())
-}
-
-// Marshal implements Message.
-func (m *Start) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(256 + len(m.Sig1) + len(m.Sig2))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig1)
-		w.Bytes32(m.Sig2)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeStart(r *codec.Reader) (*Start, error) {
-	m := &Start{
-		Coord:           types.Rank(r.U32()),
-		View:            types.View(r.U64()),
-		StartSeq:        types.Seq(r.U64()),
-		MaxCommittedSeq: types.Seq(r.U64()),
-		Primary:         types.NodeID(r.I32()),
-		Shadow:          types.NodeID(r.I32()),
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible NewBackLog size")
-	}
-	for i := uint32(0); i < n; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("start order %d: %w", i, err)
-		}
-		b, ok := inner.(*OrderBatch)
-		if !ok {
-			return nil, fmt.Errorf("start order %d has type %v", i, inner.Type())
-		}
-		m.NewBackLog = append(m.NewBackLog, b)
-	}
-	m.Sig1 = r.Bytes32()
-	m.Sig2 = r.Bytes32()
-	return m, r.Err()
 }
 
 // VerifySigs checks the Start's (possibly pair-endorsed) signatures.
@@ -342,60 +177,23 @@ type StartSig struct {
 	enc
 }
 
-var _ Message = (*StartSig)(nil)
-
 // Type implements Message.
 func (m *StartSig) Type() Type { return TStartSig }
 
-// appendStartSigBody writes the canonical counter-signed bytes into w.
-func appendStartSigBody(w *codec.Writer, from types.NodeID, coord types.Rank, view types.View, startDigest []byte) {
-	w.U8(uint8(TStartSig))
-	w.I32(int32(from))
-	w.U32(uint32(coord))
-	w.U64(uint64(view))
-	w.Bytes32(startDigest)
-}
-
-// StartSigBody returns the canonical counter-signed bytes, reconstructible
-// by verifiers of StartTuples.
-func StartSigBody(from types.NodeID, coord types.Rank, view types.View, startDigest []byte) []byte {
-	w := codec.NewWriter(32 + len(startDigest))
-	appendStartSigBody(w, from, coord, view, startDigest)
-	return w.Bytes()
-}
-
-// SignedBody returns the bytes covered by Sig.
-func (m *StartSig) SignedBody() []byte {
-	if m.body == nil {
-		m.body = StartSigBody(m.From, m.Coord, m.View, m.StartDigest)
-	}
-	return m.body
-}
-
 // Marshal implements Message.
-func (m *StartSig) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(48 + len(m.StartDigest) + len(m.Sig))
-		w.U8(uint8(TStartSig))
-		w.I32(int32(m.From))
-		w.U32(uint32(m.Coord))
-		w.U64(uint64(m.View))
-		w.Bytes32(m.StartDigest)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
+func (m *StartSig) Marshal() []byte { return m.enc.marshal(m) }
 
-func decodeStartSig(r *codec.Reader) (*StartSig, error) {
-	m := &StartSig{
-		From:  types.NodeID(r.I32()),
-		Coord: types.Rank(r.U32()),
-		View:  types.View(r.U64()),
-	}
-	m.StartDigest = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+// SignedBody returns the counter-signed bytes; verifiers of StartTuples
+// rebuild them from the tuple's fields.
+func (m *StartSig) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *StartSig) layout(c *coder) {
+	i32(c, &m.From)
+	u32(c, &m.Coord)
+	u64(c, &m.View)
+	blob(c, &m.StartDigest)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the counter-signature.
@@ -417,65 +215,23 @@ type StartTuples struct {
 	enc
 }
 
-var _ Message = (*StartTuples)(nil)
-
 // Type implements Message.
 func (m *StartTuples) Type() Type { return TStartTuples }
 
-func (m *StartTuples) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TStartTuples))
-	w.I32(int32(m.From))
-	w.U32(uint32(m.Coord))
-	w.U64(uint64(m.View))
-	w.Bytes32(m.StartDigest)
-	w.U32(uint32(len(m.Froms)))
-	for i, f := range m.Froms {
-		w.I32(int32(f))
-		w.Bytes32(m.Sigs[i])
-	}
-}
+// Marshal implements Message.
+func (m *StartTuples) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *StartTuples) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(128)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *StartTuples) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *StartTuples) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(128 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeStartTuples(r *codec.Reader) (*StartTuples, error) {
-	m := &StartTuples{
-		From:  types.NodeID(r.I32()),
-		Coord: types.Rank(r.U32()),
-		View:  types.View(r.U64()),
-	}
-	m.StartDigest = r.Bytes32()
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible tuple count")
-	}
-	for i := uint32(0); i < n; i++ {
-		m.Froms = append(m.Froms, types.NodeID(r.I32()))
-		m.Sigs = append(m.Sigs, r.Bytes32())
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *StartTuples) layout(c *coder) {
+	i32(c, &m.From)
+	u32(c, &m.Coord)
+	u64(c, &m.View)
+	blob(c, &m.StartDigest)
+	signatories(c, &m.Froms, &m.Sigs)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // Verify checks the outer signature and every embedded tuple signature.
@@ -486,12 +242,10 @@ func (m *StartTuples) Verify(v Verifier) error {
 	if err := VerifySingle(v, m.From, m.SignedBody(), m.Sig); err != nil {
 		return fmt.Errorf("message: start tuples from %v: %w", m.From, err)
 	}
+	tuple := StartSig{Coord: m.Coord, View: m.View, StartDigest: m.StartDigest}
 	for i, f := range m.Froms {
-		w := codec.GetWriter()
-		appendStartSigBody(w, f, m.Coord, m.View, m.StartDigest)
-		err := v.Verify(f, v.Digest(w.Bytes()), m.Sigs[i])
-		w.Release()
-		if err != nil {
+		tuple.From = f
+		if err := verifyDetached(v, f, &tuple, m.Sigs[i]); err != nil {
 			return fmt.Errorf("message: start tuple of %v: %w", f, err)
 		}
 	}
@@ -508,63 +262,17 @@ type PairStart struct {
 	enc
 }
 
-var _ Message = (*PairStart)(nil)
-
 // Type implements Message.
 func (m *PairStart) Type() Type { return TPairStart }
 
 // Marshal implements Message.
-func (m *PairStart) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(512)
-		w.U8(uint8(TPairStart))
-		w.Bytes32(m.Start.Marshal())
-		w.U32(uint32(len(m.BackLogs)))
-		for _, b := range m.BackLogs {
-			w.Bytes32(b.Marshal())
-		}
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
+func (m *PairStart) Marshal() []byte { return m.enc.marshal(m) }
 
-func decodePairStart(r *codec.Reader) (*PairStart, error) {
-	raw := r.Bytes32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	inner, err := Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("pair-start start: %w", err)
-	}
-	st, ok := inner.(*Start)
-	if !ok {
-		return nil, fmt.Errorf("pair-start start has type %v", inner.Type())
-	}
-	m := &PairStart{Start: st}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible backlog count")
-	}
-	for i := uint32(0); i < n; i++ {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, fmt.Errorf("pair-start backlog %d: %w", i, err)
-		}
-		b, ok := inner.(*BackLog)
-		if !ok {
-			return nil, fmt.Errorf("pair-start backlog %d has type %v", i, inner.Type())
-		}
-		m.BackLogs = append(m.BackLogs, b)
-	}
-	return m, r.Err()
+// layout has no signable body: the pair link authenticates the envelope,
+// and the Start and BackLogs inside carry their own signatures.
+func (m *PairStart) layout(c *coder) {
+	nested(c, &m.Start)
+	list(c, &m.BackLogs, maxItems, minNested, nested[*BackLog])
 }
 
 // MirrorDir distinguishes mirrored receptions from mirrored transmissions.
@@ -589,31 +297,16 @@ type Mirror struct {
 	enc
 }
 
-var _ Message = (*Mirror)(nil)
-
 // Type implements Message.
 func (m *Mirror) Type() Type { return TMirror }
 
 // Marshal implements Message.
-func (m *Mirror) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(16 + len(m.Inner))
-		w.U8(uint8(TMirror))
-		w.U8(uint8(m.Dir))
-		w.I32(int32(m.Peer))
-		w.Bytes32(m.Inner)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
+func (m *Mirror) Marshal() []byte { return m.enc.marshal(m) }
 
-func decodeMirror(r *codec.Reader) (*Mirror, error) {
-	m := &Mirror{
-		Dir:  MirrorDir(r.U8()),
-		Peer: types.NodeID(r.I32()),
-	}
-	m.Inner = r.Bytes32()
-	return m, r.Err()
+func (m *Mirror) layout(c *coder) {
+	u8(c, &m.Dir)
+	i32(c, &m.Peer)
+	blob(c, &m.Inner)
 }
 
 // InnerMessage decodes the mirrored message.

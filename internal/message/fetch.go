@@ -1,9 +1,6 @@
 package message
 
 import (
-	"errors"
-
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -28,73 +25,21 @@ type FetchReq struct {
 	enc
 }
 
-var _ Message = (*FetchReq)(nil)
-
 // Type implements Message.
 func (m *FetchReq) Type() Type { return TFetchReq }
 
-func (m *FetchReq) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TFetchReq))
-	w.I32(int32(m.From))
-	w.U32(uint32(len(m.Seqs)))
-	for _, s := range m.Seqs {
-		w.U64(uint64(s))
-	}
-	w.U32(uint32(len(m.Reqs)))
-	for _, id := range m.Reqs {
-		w.I32(int32(id.Client))
-		w.U64(id.ClientSeq)
-	}
-}
+// Marshal implements Message.
+func (m *FetchReq) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *FetchReq) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(32)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *FetchReq) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *FetchReq) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeFetchReq(r *codec.Reader) (*FetchReq, error) {
-	m := &FetchReq{From: types.NodeID(r.I32())}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > maxFetchItems {
-		return nil, errors.New("implausible fetch seq count")
-	}
-	for i := uint32(0); i < n; i++ {
-		m.Seqs = append(m.Seqs, types.Seq(r.U64()))
-	}
-	n = r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > maxFetchItems {
-		return nil, errors.New("implausible fetch req count")
-	}
-	for i := uint32(0); i < n; i++ {
-		m.Reqs = append(m.Reqs, ReqID{
-			Client:    types.NodeID(r.I32()),
-			ClientSeq: r.U64(),
-		})
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *FetchReq) layout(c *coder) {
+	i32(c, &m.From)
+	list(c, &m.Seqs, maxFetchItems, 8, u64[types.Seq]) // 8-byte sequence numbers
+	list(c, &m.Reqs, maxFetchItems, 12, reqID)         // 4-byte client, 8-byte sequence
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the requester's signature.

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -38,21 +39,41 @@ const (
 	TRejected
 )
 
-var typeNames = map[Type]string{
-	TRequest: "Request", TOrderBatch: "OrderBatch", TAck: "Ack",
-	TFailSignal: "FailSignal", TBackLog: "BackLog", TStart: "Start",
-	TStartSig: "StartSig", TStartTuples: "StartTuples", TPairStart: "PairStart",
-	TMirror: "Mirror", TPrePrepare: "PrePrepare", TPrepare: "Prepare",
-	TCommit: "Commit", TBFTViewChange: "BFTViewChange", TBFTNewView: "BFTNewView",
-	TUnwilling: "Unwilling", TReply: "Reply", TPairBeat: "PairBeat",
-	TCatchUpReq: "CatchUpReq", TCatchUp: "CatchUp", TFetchReq: "FetchReq",
-	TRejected: "Rejected",
+// kinds is the one table of wire kinds, indexed by tag: the name Type.String
+// prints and the constructor Decode fills through the kind's layout. Tests
+// and the fuzzer walk it too, so a kind exists exactly when it has a row.
+var kinds = [...]struct {
+	name string
+	new  func() codable
+}{
+	TRequest:       {"Request", func() codable { return new(Request) }},
+	TOrderBatch:    {"OrderBatch", func() codable { return new(OrderBatch) }},
+	TAck:           {"Ack", func() codable { return new(Ack) }},
+	TFailSignal:    {"FailSignal", func() codable { return new(FailSignal) }},
+	TBackLog:       {"BackLog", func() codable { return new(BackLog) }},
+	TStart:         {"Start", func() codable { return new(Start) }},
+	TStartSig:      {"StartSig", func() codable { return new(StartSig) }},
+	TStartTuples:   {"StartTuples", func() codable { return new(StartTuples) }},
+	TPairStart:     {"PairStart", func() codable { return new(PairStart) }},
+	TMirror:        {"Mirror", func() codable { return new(Mirror) }},
+	TPrePrepare:    {"PrePrepare", func() codable { return new(PrePrepare) }},
+	TPrepare:       {"Prepare", func() codable { return new(Prepare) }},
+	TCommit:        {"Commit", func() codable { return new(Commit) }},
+	TBFTViewChange: {"BFTViewChange", func() codable { return new(BFTViewChange) }},
+	TBFTNewView:    {"BFTNewView", func() codable { return new(BFTNewView) }},
+	TUnwilling:     {"Unwilling", func() codable { return new(Unwilling) }},
+	TReply:         {"Reply", func() codable { return new(Reply) }},
+	TPairBeat:      {"PairBeat", func() codable { return new(PairBeat) }},
+	TCatchUpReq:    {"CatchUpReq", func() codable { return new(CatchUpReq) }},
+	TCatchUp:       {"CatchUp", func() codable { return new(CatchUp) }},
+	TFetchReq:      {"FetchReq", func() codable { return new(FetchReq) }},
+	TRejected:      {"Rejected", func() codable { return new(Rejected) }},
 }
 
 // String returns the message type name.
 func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
+	if int(t) < len(kinds) && kinds[t].new != nil {
+		return kinds[t].name
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
@@ -66,22 +87,121 @@ type Message interface {
 	Marshal() []byte
 }
 
+// codable is what a message type gives the driver below: its tag, its
+// layout and, through the embedded enc, its encoding caches.
+type codable interface {
+	Message
+	// layout states the wire layout after the tag once, for both
+	// directions: the signable body's fields, c.endBody(), then the tail
+	// (signatures and anything else the signature does not cover).
+	layout(c *coder)
+	encoding() *enc
+}
+
 // enc is embedded in every message struct to memoize its two canonical
 // encodings. A message is encoded at most once however many times it is
-// sent, sized, digested or relayed. Code that copies a message in order to
-// amend it (the shadow adding Sig2) must reset the copy's caches — see
-// OrderBatch.Endorsed and Start.Endorsed.
+// sent, sized, digested or relayed, and a decoded message is never encoded
+// at all: the signable body is a prefix of the wire encoding by
+// construction, so Decode primes both caches from the received bytes. Only
+// the driver in this file assigns the caches.
 type enc struct {
 	wire []byte // full wire encoding, signatures included
 	body []byte // signable body bytes
 }
 
-// setWire primes the wire cache; Decode stores the exact received bytes so
-// re-marshalling a decoded message is zero-copy.
-func (e *enc) setWire(b []byte) { e.wire = b }
+func (e *enc) encoding() *enc { return e }
 
-// wireCacher is satisfied by every message via the embedded enc.
-type wireCacher interface{ setWire([]byte) }
+// marshal returns m's memoized wire encoding. It and signedBody inline, so
+// a memoized call costs one nil check.
+func (e *enc) marshal(m codable) []byte {
+	if e.wire == nil {
+		e.fill(m, true)
+	}
+	return e.wire
+}
+
+// signedBody returns m's memoized signable body.
+func (e *enc) signedBody(m codable) []byte {
+	if e.body == nil {
+		e.fill(m, false)
+	}
+	return e.body
+}
+
+// fill encodes m and caches the whole encoding, or only its signable body
+// when the tail is not final yet (a message is signed before it is sent).
+func (e *enc) fill(m codable, wire bool) {
+	c := encode(m)
+	if wire {
+		e.prime(bytes.Clone(c.w.Bytes()), c.mark)
+	} else {
+		e.body = bytes.Clone(c.w.Bytes()[:c.mark])
+	}
+	c.release()
+}
+
+// prime caches a complete wire encoding and, unless the body is cached
+// already, the body as its prefix up to mark (0 for an unsigned kind).
+func (e *enc) prime(wire []byte, mark int) {
+	e.wire = wire
+	if e.body == nil && mark > 0 {
+		e.body = wire[:mark:mark]
+	}
+}
+
+// endorsed returns the caches for a copy of the message that differs only
+// in its tail (the shadow adding Sig2): the body is shared, the wire is not.
+func (e *enc) endorsed(m codable) enc { return enc{body: e.signedBody(m)} }
+
+// encode runs m's layout into a pooled buffer, which is why every retained
+// encoding is an exact-size copy of it: two encodings never share a backing
+// array. The caller releases the coder.
+func encode(m codable) *coder {
+	c := coderPool.Get().(*coder)
+	c.w = codec.GetWriter()
+	c.w.U8(uint8(m.Type()))
+	m.layout(c)
+	return c
+}
+
+// verifyDetached checks sig by signer over the signable body of m, a
+// message rebuilt from the fields a proof carries; nothing is cached on m,
+// so one m can be re-pointed at each signatory of the proof in turn.
+func verifyDetached(v Verifier, signer types.NodeID, m codable, sig crypto.Signature) error {
+	c := encode(m)
+	err := v.Verify(signer, v.Digest(c.w.Bytes()[:c.mark]), sig)
+	c.release()
+	return err
+}
+
+// ErrUnknownType is returned by Decode for an unrecognised type tag.
+var ErrUnknownType = errors.New("message: unknown message type")
+
+// Decode parses a wire message. The returned message aliases b.
+func Decode(b []byte) (Message, error) {
+	if len(b) == 0 {
+		return nil, errors.New("message: empty buffer")
+	}
+	t := Type(b[0])
+	if int(t) >= len(kinds) || kinds[t].new == nil {
+		return nil, fmt.Errorf("%w: tag %d", ErrUnknownType, b[0])
+	}
+	m := kinds[t].new()
+	c := coderPool.Get().(*coder)
+	c.r, c.size = *codec.NewReader(b), len(b)
+	c.r.U8()
+	m.layout(c)
+	mark, err := c.mark, c.finish()
+	c.release()
+	if err != nil {
+		return nil, fmt.Errorf("message: decoding %v: %w", t, err)
+	}
+	// finish guarantees b is exactly the message's wire encoding and every
+	// layout decodes canonically (re-encoding the fields yields b), so b
+	// is both caches: relays never re-encode, verifies never re-build.
+	m.encoding().prime(b, mark)
+	return m, nil
+}
 
 // Signer produces signatures for one process; *crypto.Identity satisfies
 // it, as do the runtime environments (which additionally charge modelled
@@ -103,80 +223,6 @@ type SignerVerifier interface {
 	Verifier
 }
 
-// ErrUnknownType is returned by Decode for an unrecognised type tag.
-var ErrUnknownType = errors.New("message: unknown message type")
-
-// Decode parses a wire message. The returned message aliases b.
-func Decode(b []byte) (Message, error) {
-	if len(b) == 0 {
-		return nil, errors.New("message: empty buffer")
-	}
-	r := codec.NewReader(b)
-	t := Type(r.U8())
-	var (
-		m   Message
-		err error
-	)
-	switch t {
-	case TRequest:
-		m, err = decodeRequest(r)
-	case TOrderBatch:
-		m, err = decodeOrderBatch(r)
-	case TAck:
-		m, err = decodeAck(r)
-	case TFailSignal:
-		m, err = decodeFailSignal(r)
-	case TBackLog:
-		m, err = decodeBackLog(r)
-	case TStart:
-		m, err = decodeStart(r)
-	case TStartSig:
-		m, err = decodeStartSig(r)
-	case TStartTuples:
-		m, err = decodeStartTuples(r)
-	case TPairStart:
-		m, err = decodePairStart(r)
-	case TMirror:
-		m, err = decodeMirror(r)
-	case TPrePrepare:
-		m, err = decodePrePrepare(r)
-	case TPrepare:
-		m, err = decodePrepare(r)
-	case TCommit:
-		m, err = decodeCommit(r)
-	case TBFTViewChange:
-		m, err = decodeBFTViewChange(r)
-	case TBFTNewView:
-		m, err = decodeBFTNewView(r)
-	case TUnwilling:
-		m, err = decodeUnwilling(r)
-	case TReply:
-		m, err = decodeReply(r)
-	case TPairBeat:
-		m, err = decodePairBeat(r)
-	case TCatchUpReq:
-		m, err = decodeCatchUpReq(r)
-	case TCatchUp:
-		m, err = decodeCatchUp(r)
-	case TFetchReq:
-		m, err = decodeFetchReq(r)
-	case TRejected:
-		m, err = decodeRejected(r)
-	default:
-		return nil, fmt.Errorf("%w: tag %d", ErrUnknownType, uint8(t))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("message: decoding %v: %w", t, err)
-	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("message: decoding %v: %w", t, err)
-	}
-	// Finish guarantees b is exactly the message's wire encoding; prime the
-	// cache so relays and re-sends of this message never re-encode.
-	m.(wireCacher).setWire(b)
-	return m, nil
-}
-
 // SignSingle signs body as s and returns the signature.
 func SignSingle(s Signer, body []byte) (crypto.Signature, error) {
 	return s.Sign(s.Digest(body))
@@ -187,17 +233,8 @@ func VerifySingle(v Verifier, signer types.NodeID, body []byte, sig crypto.Signa
 	return v.Verify(signer, v.Digest(body), sig)
 }
 
-// CounterSignBody returns the bytes the second signatory of a double-signed
-// message signs over: body || sig1.
-func CounterSignBody(body []byte, sig1 crypto.Signature) []byte {
-	out := make([]byte, 0, len(body)+len(sig1))
-	out = append(out, body...)
-	out = append(out, sig1...)
-	return out
-}
-
-// counterSignDigest computes Digest(body || sig1) through a pooled buffer,
-// avoiding the per-call concatenation allocation on the verify hot path.
+// counterSignDigest computes Digest(body || sig1), what the second
+// signatory of a double-signed message signs, through a pooled buffer.
 func counterSignDigest(d interface{ Digest([]byte) []byte }, body []byte, sig1 crypto.Signature) []byte {
 	w := codec.GetWriter()
 	w.Raw(body)
@@ -230,14 +267,4 @@ func VerifyDouble(v Verifier, first, second types.NodeID, body []byte, sig1, sig
 		return fmt.Errorf("message: second signature: %w", err)
 	}
 	return nil
-}
-
-// cloneBytes copies b so retained messages do not alias transport buffers.
-func cloneBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

@@ -85,82 +85,24 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
+// TestRoundTripAllTypes round-trips the sample of every kind in the table:
+// Decode must accept it, prime both caches from the received bytes, and
+// yield fields that re-encode to exactly those bytes.
 func TestRoundTripAllTypes(t *testing.T) {
-	idents, _ := testIdentities(t, 8)
-	req := testRequest(t, idents, 7, "hello")
-	batch := testBatch(t, idents, 1, 3)
-	digest := batch.BodyDigest(idents[1])
-
-	ack := &Ack{From: 2, Kind: SubjectBatch, View: 1, FirstSeq: 1, SubjectDigest: digest, Subject: batch.Marshal()}
-	ack.Sig = sign(t, idents[2], ack.SignedBody())
-
-	fsBody := FailSignalBody(1, 0, 0)
-	fs := &FailSignal{Pair: 1, Epoch: 0, First: 0, Second: 5}
-	fs.Sig1 = sign(t, idents[0], fsBody)
-	fs.Sig2 = signSecond(t, idents[5], fsBody, fs.Sig1)
-
-	proof := &CommitProof{Batch: batch, Ackers: []types.NodeID{2}, Sigs: []crypto.Signature{ack.Sig}}
-
-	bl := &BackLog{From: 3, NewCoord: 2, View: 2, FailSig: fs, MaxCommitted: proof,
-		Uncommitted: []*OrderBatch{testBatch(t, idents, 4, 2)}, Padding: make([]byte, 100)}
-	bl.Sig = sign(t, idents[3], bl.SignedBody())
-
-	start := &Start{Coord: 2, View: 2, StartSeq: 9, MaxCommittedSeq: 3,
-		NewBackLog: []*OrderBatch{testBatch(t, idents, 4, 2)}, Primary: 1, Shadow: 6}
-	start.Sig1 = sign(t, idents[1], start.SignedBody())
-	start.Sig2 = signSecond(t, idents[6], start.SignedBody(), start.Sig1)
-	startDigest := start.BodyDigest(idents[1])
-
-	ssig := &StartSig{From: 4, Coord: 2, View: 2, StartDigest: startDigest}
-	ssig.Sig = sign(t, idents[4], ssig.SignedBody())
-
-	tuples := &StartTuples{From: 1, Coord: 2, View: 2, StartDigest: startDigest,
-		Froms: []types.NodeID{4}, Sigs: []crypto.Signature{ssig.Sig}}
-	tuples.Sig = sign(t, idents[1], tuples.SignedBody())
-
-	pairStart := &PairStart{Start: &Start{Coord: 2, View: 2, StartSeq: 9, Primary: 1, Shadow: 6,
-		Sig1: start.Sig1, Sig2: crypto.Signature{}}, BackLogs: []*BackLog{bl}}
-
-	mirror := &Mirror{Dir: MirrorRecv, Peer: 3, Inner: batch.Marshal()}
-
-	pp := &PrePrepare{View: 1, FirstSeq: 1, Primary: 0,
-		Entries: []OrderEntry{{Req: req.ID(), ReqDigest: req.Digest(idents[0])}}}
-	pp.Sig = sign(t, idents[0], pp.SignedBody())
-	ppDigest := pp.BodyDigest(idents[0])
-
-	prep := &Prepare{From: 2, View: 1, FirstSeq: 1, BatchDigest: ppDigest}
-	prep.Sig = sign(t, idents[2], prep.SignedBody())
-
-	com := &Commit{From: 2, View: 1, FirstSeq: 1, BatchDigest: ppDigest}
-	com.Sig = sign(t, idents[2], com.SignedBody())
-
-	cert := &PreparedCert{PrePrepare: pp, Preparers: []types.NodeID{2}, Sigs: []crypto.Signature{prep.Sig}}
-	vc := &BFTViewChange{From: 2, NewView: 2, LastStable: 0, Prepared: []*PreparedCert{cert}}
-	vc.Sig = sign(t, idents[2], vc.SignedBody())
-
-	nv := &BFTNewView{View: 2, Primary: 1, ViewChanges: [][]byte{vc.Marshal()}, PrePrepares: []*PrePrepare{pp}}
-	nv.Sig = sign(t, idents[1], nv.SignedBody())
-
-	unw := &Unwilling{From: 1, View: 3, FailSig: fs}
-	unw.Sig = sign(t, idents[1], unw.SignedBody())
-
-	beat := &PairBeat{From: 0, Epoch: 1, BeatSeq: 42, FailSigSig: fs.Sig1}
-	beat.Sig = sign(t, idents[0], beat.SignedBody())
-
-	reply := &Reply{From: 2, Client: types.ClientID(0), ClientSeq: 7, Seq: 3, Result: []byte("ok")}
-	reply.Sig = sign(t, idents[2], reply.SignedBody())
-
-	msgs := []Message{req, batch, ack, fs, bl, start, ssig, tuples, pairStart,
-		mirror, pp, prep, com, vc, nv, unw, beat, reply}
-	for _, m := range msgs {
-		m := m
-		t.Run(m.Type().String(), func(t *testing.T) {
+	for typ, m := range samples() {
+		t.Run(typ.String(), func(t *testing.T) {
+			in := m.Marshal()
 			got := roundTrip(t, m)
+			if signed, ok := got.(interface{ SignedBody() []byte }); ok {
+				if body := signed.SignedBody(); len(body) == 0 || &body[0] != &in[0] {
+					t.Error("Decode did not prime the signed body from the received bytes")
+				}
+			}
 			// Spot-check structural equality for value-heavy types.
 			switch want := m.(type) {
 			case *OrderBatch:
 				g := got.(*OrderBatch)
-				if g.FirstSeq != want.FirstSeq || len(g.Entries) != len(want.Entries) ||
+				if g.FirstSeq != want.FirstSeq || !reflect.DeepEqual(g.Entries, want.Entries) ||
 					g.Primary != want.Primary || g.Shadow != want.Shadow {
 					t.Errorf("OrderBatch fields changed: %+v vs %+v", g, want)
 				}
@@ -176,6 +118,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 					t.Errorf("BFTNewView fields changed")
 				}
 			}
+			checkCanonical(t, got, in)
 		})
 	}
 }
@@ -363,7 +306,7 @@ func TestStartTuplesVerify(t *testing.T) {
 	start.Sig2 = signSecond(t, idents[6], start.SignedBody(), start.Sig1)
 	digest := start.BodyDigest(idents[0])
 
-	s4 := sign(t, idents[4], StartSigBody(4, 2, 2, digest))
+	s4 := sign(t, idents[4], (&StartSig{From: 4, Coord: 2, View: 2, StartDigest: digest}).SignedBody())
 	tuples := &StartTuples{From: 1, Coord: 2, View: 2, StartDigest: digest,
 		Froms: []types.NodeID{4}, Sigs: []crypto.Signature{s4}}
 	tuples.Sig = sign(t, idents[1], tuples.SignedBody())

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -29,57 +28,31 @@ type Request struct {
 	enc
 }
 
-var _ Message = (*Request)(nil)
-
 // Type implements Message.
 func (m *Request) Type() Type { return TRequest }
 
-// ID returns the request identifier.
-func (m *Request) ID() ReqID { return ReqID{Client: m.Client, ClientSeq: m.ClientSeq} }
-
-func (m *Request) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TRequest))
-	w.I32(int32(m.Client))
-	w.U64(m.ClientSeq)
-	w.Bytes32(m.Payload)
-}
+// Marshal implements Message.
+func (m *Request) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the canonical bytes the client signs; the request
 // digest D(m) is the suite digest of these bytes.
-func (m *Request) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(16 + len(m.Payload))
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
+func (m *Request) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *Request) layout(c *coder) {
+	i32(c, &m.Client)
+	u64(c, &m.ClientSeq)
+	blob(c, &m.Payload)
+	c.endBody()
+	blob(c, &m.Sig)
 }
+
+// ID returns the request identifier.
+func (m *Request) ID() ReqID { return ReqID{Client: m.Client, ClientSeq: m.ClientSeq} }
 
 // Digest computes D(m), the digest carried in order messages ("the order
 // for m does not contain m itself").
 func (m *Request) Digest(v interface{ Digest([]byte) []byte }) []byte {
 	return v.Digest(m.SignedBody())
-}
-
-// Marshal implements Message.
-func (m *Request) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(24 + len(m.Payload) + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeRequest(r *codec.Reader) (*Request, error) {
-	m := &Request{
-		Client:    types.NodeID(r.I32()),
-		ClientSeq: r.U64(),
-		Payload:   r.Bytes32(),
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
 }
 
 // OrderEntry is one order decision inside a batch: the entry at index i of
@@ -107,10 +80,40 @@ type OrderBatch struct {
 	enc
 }
 
-var _ Message = (*OrderBatch)(nil)
-
 // Type implements Message.
 func (m *OrderBatch) Type() Type { return TOrderBatch }
+
+// Marshal implements Message.
+func (m *OrderBatch) Marshal() []byte { return m.enc.marshal(m) }
+
+// SignedBody returns the bytes the primary signs (Sig1); the shadow signs
+// those bytes followed by Sig1.
+func (m *OrderBatch) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *OrderBatch) layout(c *coder) {
+	u32(c, &m.Coord)
+	u64(c, &m.View)
+	u64(c, &m.FirstSeq)
+	i32(c, &m.Primary)
+	i32(c, &m.Shadow)
+	list(c, &m.Entries, maxEntries, minOrderEntry, orderEntry)
+	c.endBody()
+	blob(c, &m.Sig1)
+	blob(c, &m.Sig2)
+}
+
+// minOrderEntry is a client, a sequence number and an empty digest.
+const minOrderEntry = 12 + minBlob
+
+func orderEntry(c *coder, e *OrderEntry) {
+	reqID(c, &e.Req)
+	blob(c, &e.ReqDigest)
+}
+
+func reqID(c *coder, id *ReqID) {
+	i32(c, &id.Client)
+	u64(c, &id.ClientSeq)
+}
 
 // LastSeq returns the sequence number of the final entry.
 func (m *OrderBatch) LastSeq() types.Seq {
@@ -130,80 +133,15 @@ func (m *OrderBatch) EntryAt(s types.Seq) (OrderEntry, bool) {
 	return m.Entries[s-m.FirstSeq], true
 }
 
-func (m *OrderBatch) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TOrderBatch))
-	w.U32(uint32(m.Coord))
-	w.U64(uint64(m.View))
-	w.U64(uint64(m.FirstSeq))
-	w.I32(int32(m.Primary))
-	w.I32(int32(m.Shadow))
-	w.U32(uint32(len(m.Entries)))
-	for _, e := range m.Entries {
-		w.I32(int32(e.Req.Client))
-		w.U64(e.Req.ClientSeq)
-		w.Bytes32(e.ReqDigest)
-	}
-}
-
-// SignedBody returns the bytes the primary signs (Sig1); the shadow signs
-// CounterSignBody(SignedBody, Sig1).
-func (m *OrderBatch) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(40 + 40*len(m.Entries))
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
-
-// Marshal implements Message.
-func (m *OrderBatch) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64 + 40*len(m.Entries) + len(m.Sig1) + len(m.Sig2))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig1)
-		w.Bytes32(m.Sig2)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
 // Endorsed returns a copy of the batch carrying the shadow's second
-// signature. The copy gets fresh encoding caches (its wire bytes differ
-// from the 1-signed original) but shares the signable body, which Sig2
-// does not change.
+// signature. The copy gets a fresh wire cache (its wire bytes differ from
+// the 1-signed original) but shares the signable body, which Sig2 does not
+// change.
 func (m *OrderBatch) Endorsed(sig2 crypto.Signature) *OrderBatch {
 	out := *m
 	out.Sig2 = sig2
-	out.enc = enc{body: m.SignedBody()}
+	out.enc = m.enc.endorsed(m)
 	return &out
-}
-
-func decodeOrderBatch(r *codec.Reader) (*OrderBatch, error) {
-	m := &OrderBatch{
-		Coord:    types.Rank(r.U32()),
-		View:     types.View(r.U64()),
-		FirstSeq: types.Seq(r.U64()),
-		Primary:  types.NodeID(r.I32()),
-		Shadow:   types.NodeID(r.I32()),
-	}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<20 {
-		return nil, errors.New("implausible entry count")
-	}
-	m.Entries = make([]OrderEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		m.Entries = append(m.Entries, OrderEntry{
-			Req:       ReqID{Client: types.NodeID(r.I32()), ClientSeq: r.U64()},
-			ReqDigest: r.Bytes32(),
-		})
-	}
-	m.Sig1 = r.Bytes32()
-	m.Sig2 = r.Bytes32()
-	return m, r.Err()
 }
 
 // BodyDigest returns the digest identifying this batch in acks and proofs
@@ -245,76 +183,31 @@ type Ack struct {
 	enc
 }
 
-var _ Message = (*Ack)(nil)
-
 // Type implements Message.
 func (m *Ack) Type() Type { return TAck }
 
-// appendAckBody writes the canonical signed ack body into w.
-func appendAckBody(w *codec.Writer, from types.NodeID, kind SubjectKind, view types.View, firstSeq types.Seq, subjectDigest []byte) {
-	w.U8(uint8(TAck))
-	w.I32(int32(from))
-	w.U8(uint8(kind))
-	w.U64(uint64(view))
-	w.U64(uint64(firstSeq))
-	w.Bytes32(subjectDigest)
+// Marshal implements Message.
+func (m *Ack) Marshal() []byte { return m.enc.marshal(m) }
+
+// SignedBody returns the bytes covered by Sig.
+func (m *Ack) SignedBody() []byte { return m.enc.signedBody(m) }
+
+func (m *Ack) layout(c *coder) {
+	i32(c, &m.From)
+	u8(c, &m.Kind)
+	u64(c, &m.View)
+	u64(c, &m.FirstSeq)
+	blob(c, &m.SubjectDigest)
+	c.endBody()
+	blob(c, &m.Subject)
+	blob(c, &m.Sig)
 }
 
 // AckBody returns the canonical signed body of an ack with the given
 // fields; it is reconstructible by proof verifiers that hold the subject
 // digest but not the subject.
 func AckBody(from types.NodeID, kind SubjectKind, view types.View, firstSeq types.Seq, subjectDigest []byte) []byte {
-	w := codec.NewWriter(32 + len(subjectDigest))
-	appendAckBody(w, from, kind, view, firstSeq, subjectDigest)
-	return w.Bytes()
-}
-
-// verifyAckSig reconstructs an ack body through a pooled buffer and checks
-// sig over it (the proof-verification hot path builds one body per acker).
-func verifyAckSig(v Verifier, from types.NodeID, kind SubjectKind, view types.View, firstSeq types.Seq, subjectDigest []byte, sig crypto.Signature) error {
-	w := codec.GetWriter()
-	appendAckBody(w, from, kind, view, firstSeq, subjectDigest)
-	err := v.Verify(from, v.Digest(w.Bytes()), sig)
-	w.Release()
-	return err
-}
-
-// SignedBody returns the bytes covered by Sig.
-func (m *Ack) SignedBody() []byte {
-	if m.body == nil {
-		m.body = AckBody(m.From, m.Kind, m.View, m.FirstSeq, m.SubjectDigest)
-	}
-	return m.body
-}
-
-// Marshal implements Message.
-func (m *Ack) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(48 + len(m.SubjectDigest) + len(m.Subject) + len(m.Sig))
-		w.U8(uint8(TAck))
-		w.I32(int32(m.From))
-		w.U8(uint8(m.Kind))
-		w.U64(uint64(m.View))
-		w.U64(uint64(m.FirstSeq))
-		w.Bytes32(m.SubjectDigest)
-		w.Bytes32(m.Subject)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeAck(r *codec.Reader) (*Ack, error) {
-	m := &Ack{
-		From:     types.NodeID(r.I32()),
-		Kind:     SubjectKind(r.U8()),
-		View:     types.View(r.U64()),
-		FirstSeq: types.Seq(r.U64()),
-	}
-	m.SubjectDigest = r.Bytes32()
-	m.Subject = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+	return (&Ack{From: from, Kind: kind, View: view, FirstSeq: firstSeq, SubjectDigest: subjectDigest}).SignedBody()
 }
 
 // VerifySig checks the ack signature.
@@ -333,41 +226,20 @@ type CommitProof struct {
 	Sigs   []crypto.Signature
 }
 
-func (p *CommitProof) encode(w *codec.Writer) {
-	w.Bytes32(p.Batch.Marshal())
-	w.U32(uint32(len(p.Ackers)))
-	for i, a := range p.Ackers {
-		w.I32(int32(a))
-		w.Bytes32(p.Sigs[i])
-	}
+func (p *CommitProof) layout(c *coder) {
+	nested(c, &p.Batch)
+	signatories(c, &p.Ackers, &p.Sigs)
 }
 
-func decodeCommitProof(r *codec.Reader) (*CommitProof, error) {
-	raw := r.Bytes32()
-	if r.Err() != nil {
-		return nil, r.Err()
+// optionalProof lays out a presence byte and, when set, the proof.
+func optionalProof(c *coder, p **CommitProof) {
+	if !c.present(*p != nil) {
+		return
 	}
-	inner, err := Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("proof batch: %w", err)
+	if c.decoding() {
+		*p = new(CommitProof)
 	}
-	batch, ok := inner.(*OrderBatch)
-	if !ok {
-		return nil, fmt.Errorf("proof batch has type %v", inner.Type())
-	}
-	p := &CommitProof{Batch: batch}
-	n := r.U32()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > 1<<16 {
-		return nil, errors.New("implausible proof size")
-	}
-	for i := uint32(0); i < n; i++ {
-		p.Ackers = append(p.Ackers, types.NodeID(r.I32()))
-		p.Sigs = append(p.Sigs, r.Bytes32())
-	}
-	return p, r.Err()
+	(*p).layout(c)
 }
 
 // Verify checks that the proof carries a validly signed batch and at least
@@ -387,8 +259,10 @@ func (p *CommitProof) Verify(v Verifier, quorum int) error {
 	if p.Batch.Shadow != types.Nil {
 		distinct[p.Batch.Shadow] = true
 	}
+	ack := Ack{Kind: SubjectBatch, View: p.Batch.View, FirstSeq: p.Batch.FirstSeq, SubjectDigest: digest}
 	for i, from := range p.Ackers {
-		if err := verifyAckSig(v, from, SubjectBatch, p.Batch.View, p.Batch.FirstSeq, digest, p.Sigs[i]); err != nil {
+		ack.From = from
+		if err := verifyDetached(v, from, &ack, p.Sigs[i]); err != nil {
 			return fmt.Errorf("message: proof ack from %v: %w", from, err)
 		}
 		distinct[from] = true

@@ -1,9 +1,9 @@
 package message
 
 import (
+	"errors"
 	"time"
 
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -26,55 +26,31 @@ type Rejected struct {
 	enc
 }
 
-var _ Message = (*Rejected)(nil)
-
 // Type implements Message.
 func (m *Rejected) Type() Type { return TRejected }
 
-func (m *Rejected) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TRejected))
-	w.I32(int32(m.From))
-	w.I32(int32(m.Client))
-	w.U64(m.ClientSeq)
-	w.U8(m.Code)
-	retry := m.RetryAfter
-	if retry < 0 {
-		retry = 0
-	}
-	w.U64(uint64(retry))
-}
+// Marshal implements Message.
+func (m *Rejected) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *Rejected) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(32)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *Rejected) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *Rejected) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64)
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
+func (m *Rejected) layout(c *coder) {
+	i32(c, &m.From)
+	i32(c, &m.Client)
+	u64(c, &m.ClientSeq)
+	u8(c, &m.Code)
+	// A negative hint is sent as zero, and a wire value no Duration can
+	// hold is refused rather than wrapped into a negative back-off.
+	retry := uint64(max(m.RetryAfter, 0))
+	u64(c, &retry)
+	if c.decoding() {
+		if m.RetryAfter = time.Duration(retry); m.RetryAfter < 0 {
+			c.fail(errors.New("retry-after overflows a duration"))
+		}
 	}
-	return m.wire
-}
-
-func decodeRejected(r *codec.Reader) (*Rejected, error) {
-	m := &Rejected{
-		From:      types.NodeID(r.I32()),
-		Client:    types.NodeID(r.I32()),
-		ClientSeq: r.U64(),
-		Code:      r.U8(),
-	}
-	m.RetryAfter = time.Duration(r.U64())
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the rejecting node's signature.

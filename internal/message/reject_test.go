@@ -45,31 +45,3 @@ func TestRejectedRoundTripAndVerify(t *testing.T) {
 		t.Fatalf("negative RetryAfter round-tripped as %v, want 0", dec.(*Rejected).RetryAfter)
 	}
 }
-
-// FuzzRejectedDecode hammers the reject frame decoder: arbitrary bytes
-// must either fail cleanly or decode to a message whose re-marshal
-// reproduces the input exactly (the memoized-encoding invariant every
-// wire type keeps).
-func FuzzRejectedDecode(f *testing.F) {
-	seed := &Rejected{From: 1, Client: types.ClientID(4), ClientSeq: 9,
-		Code: 3, RetryAfter: time.Second, Sig: make([]byte, 32)}
-	f.Add(seed.Marshal())
-	f.Add([]byte{byte(TRejected)})
-	f.Add([]byte{byte(TRejected), 0, 0, 0, 1})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) == 0 || b[0] != byte(TRejected) {
-			return
-		}
-		m, err := Decode(b)
-		if err != nil {
-			return
-		}
-		rej, ok := m.(*Rejected)
-		if !ok {
-			t.Fatalf("TRejected decoded to %T", m)
-		}
-		if got := rej.Marshal(); string(got) != string(b) {
-			t.Fatalf("re-marshal differs from input:\n in  %x\n out %x", b, got)
-		}
-	})
-}

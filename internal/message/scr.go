@@ -1,7 +1,6 @@
 package message
 
 import (
-	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -18,64 +17,23 @@ type Unwilling struct {
 	enc
 }
 
-var _ Message = (*Unwilling)(nil)
-
 // Type implements Message.
 func (m *Unwilling) Type() Type { return TUnwilling }
 
-func (m *Unwilling) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TUnwilling))
-	w.I32(int32(m.From))
-	w.U64(uint64(m.View))
-	if m.FailSig != nil {
-		w.Bool(true)
-		w.Bytes32(m.FailSig.Marshal())
-	} else {
-		w.Bool(false)
-	}
-}
+// Marshal implements Message.
+func (m *Unwilling) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *Unwilling) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(64)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *Unwilling) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *Unwilling) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
+func (m *Unwilling) layout(c *coder) {
+	i32(c, &m.From)
+	u64(c, &m.View)
+	if c.present(m.FailSig != nil) {
+		nested(c, &m.FailSig)
 	}
-	return m.wire
-}
-
-func decodeUnwilling(r *codec.Reader) (*Unwilling, error) {
-	m := &Unwilling{
-		From: types.NodeID(r.I32()),
-		View: types.View(r.U64()),
-	}
-	if r.Bool() {
-		raw := r.Bytes32()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		inner, err := Decode(raw)
-		if err != nil {
-			return nil, err
-		}
-		if fs, ok := inner.(*FailSignal); ok {
-			m.FailSig = fs
-		}
-	}
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -98,49 +56,22 @@ type PairBeat struct {
 	enc
 }
 
-var _ Message = (*PairBeat)(nil)
-
 // Type implements Message.
 func (m *PairBeat) Type() Type { return TPairBeat }
 
-func (m *PairBeat) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TPairBeat))
-	w.I32(int32(m.From))
-	w.U64(m.Epoch)
-	w.U64(m.BeatSeq)
-	w.Bytes32(m.FailSigSig)
-}
+// Marshal implements Message.
+func (m *PairBeat) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *PairBeat) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(64)
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *PairBeat) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *PairBeat) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64 + len(m.Sig))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodePairBeat(r *codec.Reader) (*PairBeat, error) {
-	m := &PairBeat{
-		From:    types.NodeID(r.I32()),
-		Epoch:   r.U64(),
-		BeatSeq: r.U64(),
-	}
-	m.FailSigSig = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *PairBeat) layout(c *coder) {
+	i32(c, &m.From)
+	u64(c, &m.Epoch)
+	u64(c, &m.BeatSeq)
+	blob(c, &m.FailSigSig)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -161,51 +92,23 @@ type Reply struct {
 	enc
 }
 
-var _ Message = (*Reply)(nil)
-
 // Type implements Message.
 func (m *Reply) Type() Type { return TReply }
 
-func (m *Reply) encodeBody(w *codec.Writer) {
-	w.U8(uint8(TReply))
-	w.I32(int32(m.From))
-	w.I32(int32(m.Client))
-	w.U64(m.ClientSeq)
-	w.U64(uint64(m.Seq))
-	w.Bytes32(m.Result)
-}
+// Marshal implements Message.
+func (m *Reply) Marshal() []byte { return m.enc.marshal(m) }
 
 // SignedBody returns the bytes covered by Sig.
-func (m *Reply) SignedBody() []byte {
-	if m.body == nil {
-		w := codec.NewWriter(48 + len(m.Result))
-		m.encodeBody(w)
-		m.body = w.Bytes()
-	}
-	return m.body
-}
+func (m *Reply) SignedBody() []byte { return m.enc.signedBody(m) }
 
-// Marshal implements Message.
-func (m *Reply) Marshal() []byte {
-	if m.wire == nil {
-		w := codec.NewWriter(64 + len(m.Result))
-		m.encodeBody(w)
-		w.Bytes32(m.Sig)
-		m.wire = w.Bytes()
-	}
-	return m.wire
-}
-
-func decodeReply(r *codec.Reader) (*Reply, error) {
-	m := &Reply{
-		From:      types.NodeID(r.I32()),
-		Client:    types.NodeID(r.I32()),
-		ClientSeq: r.U64(),
-		Seq:       types.Seq(r.U64()),
-	}
-	m.Result = r.Bytes32()
-	m.Sig = r.Bytes32()
-	return m, r.Err()
+func (m *Reply) layout(c *coder) {
+	i32(c, &m.From)
+	i32(c, &m.Client)
+	u64(c, &m.ClientSeq)
+	u64(c, &m.Seq)
+	blob(c, &m.Result)
+	c.endBody()
+	blob(c, &m.Sig)
 }
 
 // VerifySig checks the replica's signature.
