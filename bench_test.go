@@ -10,6 +10,8 @@ package sof_test
 import (
 	cryptorand "crypto/rand"
 	"fmt"
+	"os"
+	"os/exec"
 	"testing"
 	"time"
 
@@ -27,24 +29,21 @@ var benchIntervals = []time.Duration{40 * time.Millisecond, 100 * time.Milliseco
 
 const benchWindow = 8 * time.Second // virtual measurement window per point
 
-// BenchmarkHotPath measures the harness's own steady-state cost per
-// committed batch on a simulated run with commit retention at a small
-// batching interval (the regime where harness overhead could pollute the
-// paper's latency/throughput signal). The windows double so O(1)
-// behaviour is visible directly: with cursor subscriptions both ns/batch
-// and allocs/batch stay flat as the window grows.
-func BenchmarkHotPath(b *testing.B) {
-	for _, window := range []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second} {
-		b.Run(fmt.Sprintf("cursor/window=%s", window), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pt, err := harness.RunHotPathPoint(window, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pt.NsPerBatch, "ns/batch")
-				b.ReportMetric(pt.AllocsPerBatch, "allocs/batch")
-			}
-		})
+// TestBenchModuleVets type-checks bench/ against this tree. bench/ is the
+// repository's benchmark and its own module, so `go build ./...` and
+// `go test ./...` here never compile it; without this test a change to a
+// name it imports (ARCHITECTURE "What bench/ holds still") would surface
+// only as a failed benchmark run.
+func TestBenchModuleVets(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	cmd := exec.Command(goBin, "vet", "./...")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOPROXY=off", "GOFLAGS=-mod=mod", "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
 	}
 }
 

@@ -8,43 +8,11 @@
 //	sofbench -fig 5 [-f 2] [-window 30s]   # throughput vs batching interval
 //	sofbench -fig 6 [-f 2]                 # fail-over latency vs BackLog size
 //	sofbench -fig all
-//	sofbench -json [-out BENCH_hotpath.json]  # hot-path overhead benchmark, JSON
-//	sofbench -json -transport tcp             # adds the TCP runtime series
-//	sofbench -json -transport tcp -load 1,2,4,8  # offered-load multipliers for the pipelined sweep
-//	sofbench -json -transport tcp -groups 1,2,4  # group counts for the tcp-sharded sweep
-//	sofbench -smoke                           # pipelined + sharded throughput smoke checks (CI)
 //	sofbench -scenarios [-seed N] [-out BENCH_scenarios.json]  # chaos/soak scenario campaign
 //	sofbench -scenarios -smoke                # short seeded campaign subset (CI)
 //
-// With -transport tcp the JSON additionally carries "tcp" mode points —
-// end-to-end wall-clock measurements of the TCP runtime (real loopback
-// sockets, framing, per-peer queues) — plus "tcp-auth" points measuring
-// the same cluster over frame-v2 authenticated resumable sessions
-// (HMAC-sealed frames, hello/ack handshake, retransmission ring),
-// "tcp-durable" points adding the write-ahead-logged durable node state
-// (session journals + commit stream, group-committed on the batching
-// interval), a "tcp-pipelined" load sweep (proposal window of eight,
-// digest-only acks, client load scaled by each -load multiplier) showing
-// committed throughput past the interval-paced proposer's ceiling, and a
-// "tcp-ingress" point (the saturating pipelined cluster with the full
-// client admission pipeline on but tuned to shed nothing, so its delta
-// against "tcp-pipelined" is the admission layer's hot-path cost), and a
-// "tcp-sharded" group sweep (the same interval-paced f=1 cluster at each
-// -groups count, one saturating client per group) whose aggregate
-// committed/s documents the partitioned-ingress scaling, alongside the
-// simulated overhead series.
-//
-// -smoke runs four short guards and exits non-zero if any fails: one
-// pipelined point must clear the interval-bound ceiling with margin
-// (pipelining silently regressing to timer pacing shows as throughput AT
-// the ceiling), a 4-group sharded point must aggregate at least 2.5x
-// the 1-group baseline at the same per-group load (sharding silently
-// collapsing into one serialized pipeline shows as a ~1x ratio), a
-// metrics-instrumented pipelined point must hold at least 90% of the
-// metrics-off baseline (an instrument creeping onto the hot path shows
-// as a throughput drop), and an admission-controlled pipelined point
-// must likewise hold 90% of the ingress-off baseline (the admission
-// pipeline creeping onto the request hot path shows the same way).
+// Performance claims are not made from this command: the repository's
+// benchmark is the bench/ module (sh bench/run.sh).
 //
 // -scenarios runs the scripted chaos/soak campaign instead: real-TCP
 // clusters under WAN link profiles, partitions, restart storms and
@@ -54,7 +22,8 @@
 // derives from -seed, so a failing campaign replays exactly; the seed is
 // printed on start and on any invariant violation. Combined with -smoke it
 // runs the short CI subset (one WAN profile, one adversary, one restart
-// storm).
+// storm, one sharded pair partition, one overload brownout); without
+// -scenarios, -smoke is rejected.
 package main
 
 import (
@@ -62,8 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -77,67 +44,19 @@ func main() {
 		f         = flag.Int("f", 2, "fault-tolerance parameter f")
 		window    = flag.Duration("window", 30*time.Second, "measured (virtual) window per point")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		jsonMode  = flag.Bool("json", false, "run the hot-path benchmark (doubling windows) and write JSON")
-		out       = flag.String("out", "BENCH_hotpath.json", "output file for -json")
-		transport = flag.String("transport", "sim", "hot-path substrate for -json: sim, or tcp to add the TCP runtime series")
-		loadStr   = flag.String("load", "1,2,4,8", "comma-separated offered-load multipliers for the tcp-pipelined sweep (-json -transport tcp)")
-		groupsStr = flag.String("groups", "1,2,4", "comma-separated ordering-group counts for the tcp-sharded sweep (-json -transport tcp)")
-		smoke     = flag.Bool("smoke", false, "run short tcp-pipelined and tcp-sharded points and fail unless both clear their scaling floors (CI guard)")
-		scenarios = flag.Bool("scenarios", false, "run the seeded chaos/soak scenario campaign and write BENCH_scenarios.json (with -smoke: the short CI subset)")
+		scenarios = flag.Bool("scenarios", false, "run the seeded chaos/soak scenario campaign and write -out")
+		smoke     = flag.Bool("smoke", false, "with -scenarios: run the short CI subset of the campaign")
+		out       = flag.String("out", "BENCH_scenarios.json", "output file for -scenarios")
 	)
 	flag.Parse()
 
+	if *smoke && !*scenarios {
+		fmt.Fprintln(os.Stderr, "-smoke selects the short scenario campaign and needs -scenarios")
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *scenarios {
-		path := *out
-		if path == "BENCH_hotpath.json" { // default untouched: scenarios get their own file
-			path = "BENCH_scenarios.json"
-		}
-		if err := runScenarios(path, *seed, *smoke); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *smoke {
-		if err := runPipelinedSmoke(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := runShardedSmoke(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := runMetricsOverheadSmoke(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := runIngressOverheadSmoke(*seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	withTCP := false
-	switch *transport {
-	case "sim":
-	case "tcp":
-		withTCP = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown transport %q (want sim or tcp)\n", *transport)
-		os.Exit(2)
-	}
-	loads, err := parseLoads(*loadStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	groupCounts, err := parseGroups(*groupsStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if *jsonMode {
-		if err := runHotPathJSON(*out, *seed, withTCP, loads, groupCounts); err != nil {
+		if err := runScenarios(*out, *seed, *smoke); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -195,161 +114,6 @@ func runFig45(f int, window time.Duration, seed int64, latency bool) {
 	fmt.Println()
 }
 
-// runHotPathJSON measures the harness's per-committed-batch overhead at
-// doubling simulated windows, in both commit-stream access modes (cursor
-// subscriptions vs the pre-PR full-history scan), and writes the series as
-// JSON so the perf trajectory is tracked across PRs. withTCP adds the TCP
-// runtime series: wall-clock end-to-end points over real loopback sockets
-// (shorter doubling windows, since these cost real time).
-// parseLoads parses the -load multiplier list.
-func parseLoads(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad -load multiplier %q (want positive numbers, comma-separated)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-load lists no multipliers")
-	}
-	return out, nil
-}
-
-// parseGroups parses the -groups ordering-group-count list.
-func parseGroups(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad -groups count %q (want positive integers, comma-separated)", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-groups lists no counts")
-	}
-	return out, nil
-}
-
-// intervalCeiling is the committed-requests/s bound of the strictly
-// interval-paced proposer at the TCP benchmark's configuration: one 1 KB
-// batch of 128-byte requests per 10 ms interval. Each entry costs
-// payload + overhead + digest wire bytes, so a batch carries ~5 entries.
-func intervalCeiling() float64 {
-	const reqBytes, interval = 128, 0.010
-	perBatch := 1024 / (reqBytes + harness.EntryOverheadWire)
-	return float64(perBatch) / interval
-}
-
-// runShardedSmoke is the sharding CI guard: at the same per-group load, a
-// 4-group cluster's aggregate committed/s must reach at least 2.5x the
-// 1-group baseline. The guarded failure mode — the partitioned ingress
-// silently funnelling every group through one serialized ordering pipeline
-// (mis-routed frames, shared WAL, one recorder) — shows as a ratio near
-// 1x; genuine sharding on pacing-bound groups sits near 4x, so 2.5x
-// leaves noise margin without admitting a collapse.
-func runShardedSmoke(seed int64) error {
-	base, err := harness.RunTCPShardedPoint(2*time.Second, seed, 1)
-	if err != nil {
-		return err
-	}
-	sharded, err := harness.RunTCPShardedPoint(2*time.Second, seed, 4)
-	if err != nil {
-		return err
-	}
-	ratio := sharded.Throughput / base.Throughput
-	fmt.Printf("tcp-sharded smoke: 1-group=%.1f/s 4-group=%.1f/s scaling=%.2fx (floor 2.50x)\n",
-		base.Throughput, sharded.Throughput, ratio)
-	if ratio < 2.5 {
-		return fmt.Errorf("sharded scaling %.2fx below smoke floor 2.50x — groups are not ordering independently",
-			ratio)
-	}
-	return nil
-}
-
-// runPipelinedSmoke is the CI guard: one short pipelined point must beat
-// the interval-paced ceiling by 1.5x. The full sweep targets 3x; the
-// smoke margin is lower because CI machines are noisy and the guarded
-// failure mode — pipelining silently degrading to timer pacing — shows as
-// throughput AT the ceiling, not slightly above it.
-func runPipelinedSmoke(seed int64) error {
-	pt, err := harness.RunTCPPipelinedPoint(4*time.Second, seed, 8)
-	if err != nil {
-		return err
-	}
-	floor := 1.5 * intervalCeiling()
-	fmt.Printf("tcp-pipelined smoke: committed/s=%.1f (ceiling %.1f, floor %.1f)\n",
-		pt.Throughput, intervalCeiling(), floor)
-	if pt.Throughput < floor {
-		return fmt.Errorf("pipelined throughput %.1f/s below smoke floor %.1f/s — pipelining regressed to interval pacing",
-			pt.Throughput, floor)
-	}
-	return nil
-}
-
-// runMetricsOverheadSmoke is the observability cost guard: the default
-// pipelined point runs with every per-node registry wired (commit
-// watermark, batch fill, per-peer counters, WAL fsync histogram — the
-// lot), and must stay within 10% of the identical point with metrics
-// disabled. The instrumented hot path is direct atomics with no map
-// lookups or allocation, so a miss here means an instrument crept onto
-// the critical path, not noise — the floor leaves CI jitter room.
-func runMetricsOverheadSmoke(seed int64) error {
-	off, err := harness.RunTCPPipelinedPointNoMetrics(3*time.Second, seed, 8)
-	if err != nil {
-		return err
-	}
-	on, err := harness.RunTCPPipelinedPoint(3*time.Second, seed, 8)
-	if err != nil {
-		return err
-	}
-	ratio := on.Throughput / off.Throughput
-	fmt.Printf("metrics-overhead smoke: metrics-off=%.1f/s metrics-on=%.1f/s ratio=%.2f (floor 0.90)\n",
-		off.Throughput, on.Throughput, ratio)
-	if ratio < 0.9 {
-		return fmt.Errorf("instrumented throughput %.1f/s is %.0f%% of the metrics-off baseline %.1f/s — an instrument is on the hot path",
-			on.Throughput, ratio*100, off.Throughput)
-	}
-	return nil
-}
-
-// runIngressOverheadSmoke is the admission cost guard: the pipelined
-// point with the full ingress pipeline on — limiter lookup, per-client
-// pool accounting, brownout sampling and DRR fair dequeue on every
-// request, configured so nothing is actually shed — must hold at least
-// 90% of the ingress-off baseline. A miss means the admission layer put
-// allocation or contention onto the request hot path (the pipeline is
-// designed as map upserts and integer compares per request), not that
-// policy fired: at these settings no decision ever refuses.
-func runIngressOverheadSmoke(seed int64) error {
-	off, err := harness.RunTCPPipelinedPoint(3*time.Second, seed, 8)
-	if err != nil {
-		return err
-	}
-	on, err := harness.RunTCPIngressPoint(3*time.Second, seed, 8)
-	if err != nil {
-		return err
-	}
-	ratio := on.Throughput / off.Throughput
-	fmt.Printf("ingress-overhead smoke: ingress-off=%.1f/s ingress-on=%.1f/s ratio=%.2f (floor 0.90)\n",
-		off.Throughput, on.Throughput, ratio)
-	if ratio < 0.9 {
-		return fmt.Errorf("admission-controlled throughput %.1f/s is %.0f%% of the ingress-off baseline %.1f/s — the admission layer is on the hot path",
-			on.Throughput, ratio*100, off.Throughput)
-	}
-	return nil
-}
-
 // runScenarios runs the chaos/soak campaign and persists the report even
 // when invariants fail, so the violating series is inspectable alongside
 // the printed replay seed.
@@ -370,102 +134,6 @@ func runScenarios(path string, seed int64, smoke bool) error {
 	}
 	fmt.Printf("wrote %s\n", path)
 	return runErr
-}
-
-func runHotPathJSON(path string, seed int64, withTCP bool, loads []float64, groupCounts []int) error {
-	type report struct {
-		GeneratedBy string                 `json:"generated_by"`
-		Points      []harness.HotPathPoint `json:"points"`
-	}
-	rep := report{GeneratedBy: "sofbench -json"}
-	for _, w := range []time.Duration{15 * time.Second, 30 * time.Second, 60 * time.Second} {
-		pt, err := harness.RunHotPathPoint(w, seed)
-		if err != nil {
-			return err
-		}
-		rep.Points = append(rep.Points, pt)
-		fmt.Printf("%-12s window=%-4s batches=%-5d ns/batch=%-12.0f allocs/batch=%-10.1f\n",
-			pt.Mode, w, pt.Batches, pt.NsPerBatch, pt.AllocsPerBatch)
-	}
-	if withTCP {
-		// Plain frames first, then authenticated sessions, then durable
-		// write-ahead-logged sessions — so the seal/open overhead shows as
-		// the "tcp"->"tcp-auth" delta and the group-committed fsync
-		// overhead as the "tcp-auth"->"tcp-durable" delta.
-		for _, mode := range harness.TCPModes {
-			for _, w := range []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second} {
-				pt, err := harness.RunTCPHotPathPoint(w, seed, mode)
-				if err != nil {
-					return err
-				}
-				rep.Points = append(rep.Points, pt)
-				fmt.Printf("%-14s window=%-4s batches=%-5d ns/batch=%-12.0f allocs/batch=%-10.1f\n",
-					pt.Mode, w, pt.Batches, pt.NsPerBatch, pt.AllocsPerBatch)
-			}
-		}
-		// The pipelined load sweep: same cluster with the proposal window
-		// opened and digest-only acks, at each offered-load multiplier. The
-		// interval-paced series above cannot exceed ~entries-per-batch /
-		// interval committed/s however hard the client pushes; these points
-		// document where the adaptive close + window refill takes the same
-		// wire.
-		for _, mult := range loads {
-			pt, err := harness.RunTCPPipelinedPoint(4*time.Second, seed, mult)
-			if err != nil {
-				return err
-			}
-			rep.Points = append(rep.Points, pt)
-			fmt.Printf("%-14s load=%-4.1fx batches=%-5d committed/s=%-9.1f allocs/batch=%-10.1f\n",
-				pt.Mode, mult, pt.Batches, pt.Throughput, pt.AllocsPerBatch)
-		}
-		// The ingress point: the saturating pipelined configuration with
-		// the full client admission pipeline on but no request shed, so
-		// its delta against the load-8 "tcp-pipelined" point is the
-		// admission layer's hot-path cost in the artifact.
-		{
-			pt, err := harness.RunTCPIngressPoint(4*time.Second, seed, 8)
-			if err != nil {
-				return err
-			}
-			rep.Points = append(rep.Points, pt)
-			fmt.Printf("%-14s load=%-4.1fx batches=%-5d committed/s=%-9.1f allocs/batch=%-10.1f\n",
-				pt.Mode, pt.OfferedLoad, pt.Batches, pt.Throughput, pt.AllocsPerBatch)
-		}
-		// The sharded group sweep: the interval-paced f=1 cluster at each
-		// group count, one saturating client per group, so the aggregate
-		// committed/s against the 1-group point IS the scaling factor of
-		// the partitioned ingress.
-		for _, g := range groupCounts {
-			pt, err := harness.RunTCPShardedPoint(4*time.Second, seed, g)
-			if err != nil {
-				return err
-			}
-			rep.Points = append(rep.Points, pt)
-			fmt.Printf("%-14s groups=%-3d batches=%-5d committed/s=%-9.1f allocs/batch=%-10.1f\n",
-				pt.Mode, g, pt.Batches, pt.Throughput, pt.AllocsPerBatch)
-		}
-		// A TCP run without the sharded series would silently regress the
-		// scaling evidence out of the artifact; refuse to write the file.
-		found := false
-		for _, pt := range rep.Points {
-			if pt.Mode == "tcp-sharded" {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("tcp-sharded series missing from report; refusing to write %s", path)
-		}
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func runFig6(f int, seed int64) {

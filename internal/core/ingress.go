@@ -205,40 +205,48 @@ func (p *Process) noteAdmitted(env runtime.Env, id message.ReqID) {
 	p.armEvictTimer(env)
 }
 
+// evictRetry is the least delay between eviction sweeps. It only binds
+// when the head stamp has already expired — a tick that could not drop it
+// (acting primary, deferred proposals) polls for that to clear at this
+// pace instead of spinning.
+const evictRetry = 100 * time.Millisecond
+
 func (p *Process) armEvictTimer(env runtime.Env) {
 	if p.evictTimer != nil || p.agesHead >= len(p.ingressAges) {
 		return
 	}
 	d := p.ingress.EvictAfter() - env.Now().Sub(p.ingressAges[p.agesHead].at)
-	if d < time.Millisecond {
-		d = time.Millisecond
+	if d < evictRetry {
+		d = evictRetry
 	}
 	p.evictTimer = env.SetTimer(d, func() { p.evictTick(env) })
 }
 
-// evictTick drops pool entries whose eviction TTL expired without an
-// ordering decision. The acting primary skips the sweep outright — its
-// backlog is not a leak, every entry it admitted is on its way into a
-// batch — as does a shadow with deferred proposals (their entries are
-// resolved but not yet marked ordered; evicting one would silently drop
-// the endorsement). Both cases re-arm and sweep later.
+// evictTick consumes the stamps whose eviction TTL expired, dropping the
+// pool entries among them that never got an ordering decision. The acting
+// primary drops nothing — its backlog is not a leak, every entry it
+// admitted is on its way into a batch — and neither does a shadow with
+// deferred proposals (their entries are resolved but not yet marked
+// ordered; evicting one would silently drop the endorsement). Both still
+// consume the stamps of requests already ordered, so the log stays bounded
+// by EvictAfter of admissions on every role, and stop at the first expired
+// stamp they may not drop; the re-arm then waits on that live head.
 func (p *Process) evictTick(env runtime.Env) {
 	p.evictTimer = nil
-	if p.isPrimaryNow() || len(p.deferredProposals) > 0 {
-		p.armEvictTimer(env)
-		return
-	}
+	mayDrop := !p.isPrimaryNow() && len(p.deferredProposals) == 0
 	now := env.Now()
 	dropped := false
 	for p.agesHead < len(p.ingressAges) && now.Sub(p.ingressAges[p.agesHead].at) >= p.ingress.EvictAfter() {
 		s := p.ingressAges[p.agesHead]
-		p.agesHead++
-		if p.pool.IsOrdered(s.id) || p.pool.Awaited(s.id) {
-			continue
+		if !p.pool.IsOrdered(s.id) && !p.pool.Awaited(s.id) {
+			if !mayDrop {
+				break
+			}
+			p.pool.Drop(s.id)
+			p.m.ingressEvicted.Inc()
+			dropped = true
 		}
-		p.pool.Drop(s.id)
-		p.m.ingressEvicted.Inc()
-		dropped = true
+		p.agesHead++
 	}
 	// Release the consumed prefix once it dominates the log (the pool's
 	// own compaction idiom).

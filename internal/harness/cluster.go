@@ -147,9 +147,7 @@ type Options struct {
 
 	// DisableMetrics turns off the per-node obs registries. Metrics are on
 	// by default: every layer's instruments are either func-backed (read
-	// only at scrape time) or single atomics on the event path, so the
-	// cost is within benchmark noise — the sofbench smoke guard pins that.
-	// The guard itself uses this switch for its metrics-off baseline.
+	// only at scrape time) or single atomics on the event path.
 	DisableMetrics bool
 
 	NumClients  int
@@ -450,19 +448,13 @@ func New(opts Options) (*Cluster, error) {
 		seq.Store(committedSeqs[id])
 		procs := make([]*clientProc, c.groups)
 		for g := 0; g < c.groups; g++ {
-			cp := &clientProc{
+			procs[g] = &clientProc{
 				id:      id,
 				targets: topo.AllProcesses(),
 				seed:    opts.Seed + int64(k),
 				seq:     seq,
+				load:    opts.Load,
 			}
-			// Open-loop load: client k drives only its designated group
-			// (k mod Groups), so -groups sweeps scale offered load with
-			// the client count rather than multiplying it per group.
-			if c.groups == 1 || k%c.groups == g {
-				cp.load = opts.Load
-			}
-			procs[g] = cp
 		}
 		c.clientGroups[id] = procs
 		c.clients[id] = procs[0]

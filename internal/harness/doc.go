@@ -13,6 +13,5 @@
 // fail-signal and installation events through hooks, and consumers follow
 // the commit stream with cursors (CommitsSince) so steady-state reads are
 // O(new events). The experiments file packages the paper's Section 5
-// experiments — and the hot-path overhead benchmarks tracked in
-// BENCH_hotpath.json — as reusable functions.
+// experiments as reusable functions.
 package harness

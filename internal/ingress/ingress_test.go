@@ -165,6 +165,30 @@ func TestControllerInflightCap(t *testing.T) {
 	}
 }
 
+// TestControllerAdmitAllocFree pins the admission layer's hot-path cost as
+// a count: admitting a known client allocates nothing, with the limiter
+// off and with the default per-client quota (paced under it, across
+// period rollovers).
+func TestControllerAdmitAllocFree(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"unlimited":    {Enabled: true, Rate: -1},
+		"default-rate": {Enabled: true},
+	} {
+		c := NewController(cfg)
+		pr := Pressure{BatchBytes: 1024, PoolBytes: 512, PoolPending: 4, ClientPending: 4, ActiveClients: 1}
+		now := t0
+		allocs := testing.AllocsPerRun(1000, func() {
+			now = now.Add(10 * time.Millisecond)
+			if d := c.Admit(0, now, pr); !d.Admit {
+				t.Fatalf("%s: rejected: %v", name, d.Code)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Admit allocates %v times per request, want 0", name, allocs)
+		}
+	}
+}
+
 // TestControllerBrownoutHysteresis pins the overload state machine:
 // brownout engages above the high watermark, sticks between the
 // watermarks, sheds only clients over their fair pool share, and clears

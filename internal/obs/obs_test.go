@@ -137,6 +137,25 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
+// TestInstrumentUpdatesAllocFree pins the instrumentation's hot-path cost
+// as a count: updating registry-created instruments allocates nothing.
+func TestInstrumentUpdatesAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("c_total", "c", L("node", "0"))
+	g := r.Gauge("g", "g", L("node", "0"))
+	h := r.Histogram("h_seconds", "h", []float64{0.001, 0.01, 0.1}, L("node", "0"))
+	v := 0.0
+	allocs := testing.AllocsPerRun(1000, func() {
+		v += 0.0007
+		c.Inc()
+		g.Set(v)
+		h.Observe(v)
+	})
+	if allocs != 0 {
+		t.Errorf("Counter.Inc + Gauge.Set + Histogram.Observe allocate %v times per update, want 0", allocs)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "x")

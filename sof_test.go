@@ -1011,7 +1011,10 @@ func TestPublicAPIPrimaryRestartRefusedWithoutJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := cluster.Harness()
-	deadline := time.Now().Add(30 * time.Second)
+	// The refusal surfaces when the shadow's order expectation runs out,
+	// Delta (30 s) after the request reached it, so the deadline must sit
+	// clear of Delta rather than on it.
+	deadline := time.Now().Add(45 * time.Second)
 	for {
 		refused := false
 		for _, ev := range h.Events.FailSignals() {
