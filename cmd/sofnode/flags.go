@@ -26,7 +26,7 @@ func parseFlags(args []string) config {
 	fs.IntVar(&c.id, "id", 0, "this node's process ID (0-based)")
 	fs.IntVar(&c.f, "f", 2, "fault-tolerance parameter")
 	fs.StringVar(&c.protocol, "protocol", "sc", "protocol: sc, scr, bft or ct")
-	fs.StringVar(&c.suite, "suite", string(crypto.HMACSHA256), "signature suite")
+	fs.StringVar(&c.suite, "suite", string(crypto.HMACSHA256), "signature suite (the default is dealer-trust symmetric MACs: no non-repudiation between nodes sharing -secret; the RSA/DSA suites give it)")
 	fs.StringVar(&c.secret, "secret", "streets-of-byzantium", "shared dealer secret")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated node addresses, index = node ID")
 	fs.DurationVar(&c.batch, "batch", 100*time.Millisecond, "batching interval")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/types"
@@ -64,7 +65,7 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 	// per-request time-domain expectations now; value checks may need to
 	// wait for the requests themselves to arrive.
 	for _, e := range b.Entries {
-		p.pair.Met(orderKey(e.Req))
+		p.pair.Met(fsp.OrderKey(e.Req))
 	}
 	// Reserve the sequence range so a duplicate/overlapping proposal is
 	// detected even while validation is deferred.
@@ -164,7 +165,7 @@ func (p *Process) primaryObserveEndorsed(env runtime.Env, b *message.OrderBatch,
 	if !mine {
 		return
 	}
-	p.pair.Met(endorseKey(b.FirstSeq))
+	p.pair.Met(fsp.EndorseKey(b.FirstSeq))
 	// Value-domain check: the endorsed body must be byte-identical to the
 	// proposal (the shadow may only add Sig2).
 	if !bytes.Equal(proposal.SignedBody(), b.SignedBody()) || !bytes.Equal(proposal.Sig1, b.Sig1) {

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/runtime"
@@ -177,7 +178,7 @@ func (p *Process) onPeerRejected(env runtime.Env, from types.NodeID, m *message.
 		return // an order references it after all; the note is stale
 	}
 	if p.pair.Active() {
-		p.pair.Met(orderKey(id))
+		p.pair.Met(fsp.OrderKey(id))
 	}
 	p.pool.Drop(id)
 	p.refreshIngress()

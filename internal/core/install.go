@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/sof-repro/sof/internal/crypto"
+	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/types"
@@ -230,7 +231,7 @@ func (p *Process) computeStart(env runtime.Env) {
 		// shadow for verification and endorsement.
 		pairMsg := &message.PairStart{Start: start, BackLogs: p.sortedBackLogs()}
 		p.send(env, shadowID, pairMsg)
-		p.pair.Expect(env, "start-endorse", 0, "endorsement of Start")
+		p.pair.Expect(env, fsp.StartKey(), 0)
 	} else {
 		// The unpaired (f+1)th candidate multicasts its Start directly.
 		p.multicastAll(env, start)
@@ -459,7 +460,7 @@ func (p *Process) onStart(env runtime.Env, from types.NodeID, st *message.Start)
 		// expectation, and pc relays it to everyone (as in the normal
 		// part's 2-to-n phase).
 		if p.pair != nil {
-			p.pair.Met("start-endorse")
+			p.pair.Met(fsp.StartKey())
 		}
 		p.multicastAll(env, st)
 	}
@@ -706,8 +707,7 @@ func (p *Process) armShadowExpectations(env runtime.Env) {
 	}
 	for id := range p.pool.reqs {
 		if !p.pool.IsOrdered(id) {
-			p.pair.Expect(env, orderKey(id), p.cfg.BatchInterval,
-				fmt.Sprintf("order decision for %v", id))
+			p.pair.Expect(env, fsp.OrderKey(id), p.cfg.BatchInterval)
 		}
 	}
 }

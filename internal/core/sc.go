@@ -688,8 +688,7 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 		// Figure 2: pi forwards its signed decision only to its shadow.
 		p.proposals[batch.FirstSeq] = batch
 		p.send(env, shadow, batch)
-		p.pair.Expect(env, endorseKey(batch.FirstSeq), 0,
-			fmt.Sprintf("endorsement of batch %d", batch.FirstSeq))
+		p.pair.Expect(env, fsp.EndorseKey(batch.FirstSeq), 0)
 	} else {
 		// The (f+1)th, unpaired coordinator multicasts directly; its
 		// decisions are readily accepted.
@@ -737,12 +736,6 @@ func (p *Process) NextProposeSeq() types.Seq { return p.nextSeq }
 // (tests pin the no-idle-spin behaviour: an idle primary holds no timer).
 func (p *Process) BatchTimerArmed() bool { return p.batchTimer != nil }
 
-func endorseKey(s types.Seq) string { return fmt.Sprintf("endorse-%d", s) }
-func orderKey(id message.ReqID) string {
-	return fmt.Sprintf("order-%v-%d", id.Client, id.ClientSeq)
-}
-func ackKey(v types.View, s types.Seq) string { return fmt.Sprintf("ack-%d-%d", v, s) }
-
 // --- requests ---
 
 func (p *Process) onRequest(env runtime.Env, req *message.Request) {
@@ -764,8 +757,7 @@ func (p *Process) onRequest(env runtime.Env, req *message.Request) {
 	// Shadow of the acting coordinator: monitor that the primary decides
 	// an order for every request (time-domain check, Section 3.1).
 	if p.isShadowNow() && p.pair != nil && p.pair.Active() && !p.pool.IsOrdered(req.ID()) {
-		p.pair.Expect(env, orderKey(req.ID()), p.cfg.BatchInterval,
-			fmt.Sprintf("order decision for %v", req.ID()))
+		p.pair.Expect(env, fsp.OrderKey(req.ID()), p.cfg.BatchInterval)
 	}
 }
 
@@ -829,7 +821,7 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 	for _, e := range b.Entries {
 		p.pool.MarkOrdered(e.Req)
 		if p.pair != nil {
-			p.pair.Met(orderKey(e.Req))
+			p.pair.Met(fsp.OrderKey(e.Req))
 		}
 	}
 	// Non-proposers drain their pool mirror here, so this is their
@@ -902,8 +894,7 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 	// Mutual checking between non-coordinator pair members: expect the
 	// counterpart's matching ack within Delta.
 	if p.pair != nil && p.pair.Active() && !p.isPrimaryNow() && !p.isShadowNow() {
-		p.pair.Expect(env, ackKey(t.View, t.FirstSeq), 0,
-			fmt.Sprintf("counterpart ack for seq %d", t.FirstSeq))
+		p.pair.Expect(env, fsp.AckKey(t.View, t.FirstSeq), 0)
 	}
 }
 
@@ -975,7 +966,7 @@ func (p *Process) crossCheckCounterpartAck(env runtime.Env, a *message.Ack, t *T
 	if p.pair == nil || !p.pair.Active() || a.From != p.pair.Counterpart() {
 		return
 	}
-	p.pair.Met(ackKey(a.View, a.FirstSeq))
+	p.pair.Met(fsp.AckKey(a.View, a.FirstSeq))
 	if t == nil {
 		// We track this (view, seq) under a different digest: the
 		// counterpart endorsed a conflicting order.

@@ -192,20 +192,24 @@ func TestCrashedPrimaryTimeDomainFailOver(t *testing.T) {
 	// Crash p1; a pending request then goes unordered and the shadow's
 	// per-request expectation fires after BatchInterval + Delta.
 	p1, _ := c.Topo.ReplicaID(1)
+	s1, _ := c.Topo.ShadowID(1)
 	c.Crash(p1)
-	if _, err := c.Submit(0, make([]byte, 64)); err != nil {
+	unordered, err := c.Submit(0, make([]byte, 64))
+	if err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(time.Second)
 
 	var reason string
 	for _, ev := range c.Events.FailSignals() {
-		if ev.Emitter {
+		if ev.Emitter && ev.Node == s1 {
 			reason = ev.Reason
 		}
 	}
-	if reason == "" {
-		t.Fatal("no fail-signal after primary crash")
+	// The reason is rendered from the typed expectation key only now, at
+	// failure time; it must still tell an operator what was missed.
+	if want := fmt.Sprintf("time-domain: order decision for %v", unordered); reason != want {
+		t.Fatalf("shadow's fail-signal reason after primary crash = %q, want %q", reason, want)
 	}
 	// Fail-over completes and the new regime orders the pending request.
 	c.RunFor(2 * time.Second)

@@ -18,10 +18,12 @@ const (
 	MD5RSA1536 SuiteName = "MD5-RSA1536"
 	// SHA1DSA1024 is SHA1 digests with 1024-bit DSA signatures.
 	SHA1DSA1024 SuiteName = "SHA1-DSA1024"
-	// HMACSHA256 is a symmetric MAC suite for fast tests. It does not
-	// provide non-repudiation and must not be used where a third party
-	// verifies another pair's signatures adversarially; tests that need
-	// true signatures use the RSA suites.
+	// HMACSHA256 is the symmetric MAC suite, the default of sofnode,
+	// sof.Config and the harness. It does not provide non-repudiation
+	// between dealt processes (see hmacSuite) and must not be used where
+	// a third party verifies another pair's signatures adversarially;
+	// deployments and tests that need true signatures use the RSA or DSA
+	// suites.
 	HMACSHA256 SuiteName = "HMAC-SHA256"
 	// NoneSuite performs no digesting or signing (the CT baseline).
 	NoneSuite SuiteName = "NONE"

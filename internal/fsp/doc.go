@@ -13,5 +13,8 @@
 // This package provides the mechanism (fail-signal state machine,
 // expectation timers, mirroring); the value-domain checks themselves are
 // protocol knowledge and live with the protocols, which call Fail when a
-// check fires.
+// check fires. Time-domain expectations are identified by a typed Key —
+// the four counterpart outputs the protocols await are enumerated here so
+// that registering and discharging one costs no allocation and a missed
+// one can still be named in the fail-signal's reason.
 package fsp

@@ -78,11 +78,66 @@ type Pair struct {
 	// epoch, if any.
 	emitted *message.FailSignal
 
-	expectations map[string]expectation
+	expectations map[Key]expectation
 }
 
 type expectation struct {
 	timer runtime.Timer
+}
+
+// Key identifies one time-domain expectation: which counterpart output is
+// awaited. It is a comparable value built without allocating — a paired
+// process builds and looks one up per request and per batch entry, almost
+// always with no expectation live — and is put into words only by String,
+// when an expectation fails.
+type Key struct {
+	kind keyKind
+	a, b uint64
+}
+
+type keyKind uint8
+
+const (
+	keyOrder   keyKind = iota + 1 // a = client, b = client sequence
+	keyEndorse                    // a = the proposal's first sequence number
+	keyAck                        // a = view, b = the subject's first sequence number
+	keyStart
+)
+
+// OrderKey awaits the primary's order decision for request id (the
+// shadow's check on every request it has seen).
+func OrderKey(id message.ReqID) Key {
+	return Key{kind: keyOrder, a: uint64(id.Client), b: id.ClientSeq}
+}
+
+// EndorseKey awaits the shadow's endorsement of the proposal starting at
+// first.
+func EndorseKey(first types.Seq) Key { return Key{kind: keyEndorse, a: uint64(first)} }
+
+// AckKey awaits the counterpart's ack for the subject at (view, first);
+// non-coordinator pair members check each other with it.
+func AckKey(view types.View, first types.Seq) Key {
+	return Key{kind: keyAck, a: uint64(view), b: uint64(first)}
+}
+
+// StartKey awaits the shadow's endorsement of the Start this member
+// proposed.
+func StartKey() Key { return Key{kind: keyStart} }
+
+// String names the awaited output, as a fail-signal's reason reports it.
+func (k Key) String() string {
+	switch k.kind {
+	case keyOrder:
+		return fmt.Sprintf("order decision for %v", message.ReqID{Client: types.NodeID(k.a), ClientSeq: k.b})
+	case keyEndorse:
+		return fmt.Sprintf("endorsement of batch %d", k.a)
+	case keyAck:
+		return fmt.Sprintf("counterpart ack for seq %d", k.b)
+	case keyStart:
+		return "endorsement of Start"
+	default:
+		return fmt.Sprintf("Key(%d, %d, %d)", k.kind, k.a, k.b)
+	}
 }
 
 // New returns a pair member in the Up state.
@@ -91,7 +146,7 @@ func New(cfg Config) *Pair {
 		cfg:          cfg,
 		status:       Up,
 		presigned:    cfg.PresignedFailSig,
-		expectations: make(map[string]expectation),
+		expectations: make(map[Key]expectation),
 	}
 }
 
@@ -127,27 +182,25 @@ func (p *Pair) Mirror(env runtime.Env, dir message.MirrorDir, peer types.NodeID,
 // Expect registers a time-domain expectation: unless Met(key) is called
 // within extra+Delta, the member declares a time-domain failure of its
 // counterpart and fail-signals. Re-registering a live key is a no-op.
-func (p *Pair) Expect(env runtime.Env, key string, extra time.Duration, desc string) {
+func (p *Pair) Expect(env runtime.Env, key Key, extra time.Duration) {
 	if !p.Active() {
 		return
 	}
 	if _, live := p.expectations[key]; live {
 		return
 	}
-	k := key
-	d := desc
 	timer := env.SetTimer(extra+p.cfg.Delta, func() {
-		if _, live := p.expectations[k]; !live || !p.Active() {
+		if _, live := p.expectations[key]; !live || !p.Active() {
 			return
 		}
-		delete(p.expectations, k)
-		p.Fail(env, fmt.Sprintf("time-domain: %s", d))
+		delete(p.expectations, key)
+		p.Fail(env, fmt.Sprintf("time-domain: %v", key))
 	})
 	p.expectations[key] = expectation{timer: timer}
 }
 
 // Met discharges a time-domain expectation.
-func (p *Pair) Met(key string) {
+func (p *Pair) Met(key Key) {
 	if e, ok := p.expectations[key]; ok {
 		e.timer.Stop()
 		delete(p.expectations, key)

@@ -154,7 +154,7 @@ func TestFailEmitsVerifiableFailSignal(t *testing.T) {
 
 func TestExpectationTimeout(t *testing.T) {
 	fx := newFixture(t, 10*time.Millisecond)
-	fx.pairS.Expect(fx.envS, "order-for-req-1", 5*time.Millisecond, "p1 must order req 1")
+	fx.pairS.Expect(fx.envS, OrderKey(message.ReqID{Client: types.ClientID(0), ClientSeq: 1}), 5*time.Millisecond)
 	fx.envS.advance(14 * time.Millisecond) // < 5+10
 	if !fx.pairS.Active() {
 		t.Fatal("expectation fired early")
@@ -168,18 +168,41 @@ func TestExpectationTimeout(t *testing.T) {
 	}
 }
 
+// TestExpectationReasonNamesWhatWasMissed holds the fail-signal reason to
+// the words an operator reads: keys are typed values on the hot path and
+// are only rendered here, when an expectation fails.
+func TestExpectationReasonNamesWhatWasMissed(t *testing.T) {
+	for _, c := range []struct {
+		key  Key
+		want string
+	}{
+		{OrderKey(message.ReqID{Client: types.ClientID(0), ClientSeq: 12}), "time-domain: order decision for client0#12"},
+		{EndorseKey(7), "time-domain: endorsement of batch 7"},
+		{AckKey(3, 9), "time-domain: counterpart ack for seq 9"},
+		{StartKey(), "time-domain: endorsement of Start"},
+	} {
+		fx := newFixture(t, 10*time.Millisecond)
+		fx.pairS.Expect(fx.envS, c.key, 0)
+		fx.envS.advance(11 * time.Millisecond)
+		if len(fx.downs) != 1 || fx.downs[0] != c.want {
+			t.Errorf("downs = %q, want [%q]", fx.downs, c.want)
+		}
+	}
+}
+
 func TestExpectationMet(t *testing.T) {
 	fx := newFixture(t, 10*time.Millisecond)
-	fx.pairS.Expect(fx.envS, "k", 0, "desc")
-	fx.pairS.Met("k")
+	k := EndorseKey(1)
+	fx.pairS.Expect(fx.envS, k, 0)
+	fx.pairS.Met(k)
 	fx.envS.advance(time.Hour)
 	if !fx.pairS.Active() {
 		t.Error("met expectation still fired")
 	}
 	// Met on an unknown key is harmless.
-	fx.pairS.Met("unknown")
+	fx.pairS.Met(EndorseKey(2))
 	// Re-registering after Met arms a fresh expectation.
-	fx.pairS.Expect(fx.envS, "k", 0, "desc")
+	fx.pairS.Expect(fx.envS, k, 0)
 	fx.envS.advance(time.Hour)
 	if fx.pairS.Active() {
 		t.Error("re-registered expectation did not fire")
@@ -188,8 +211,8 @@ func TestExpectationMet(t *testing.T) {
 
 func TestDuplicateExpectationKeepsFirstDeadline(t *testing.T) {
 	fx := newFixture(t, 10*time.Millisecond)
-	fx.pairS.Expect(fx.envS, "k", 0, "first")
-	fx.pairS.Expect(fx.envS, "k", time.Hour, "second") // ignored
+	fx.pairS.Expect(fx.envS, StartKey(), 0)
+	fx.pairS.Expect(fx.envS, StartKey(), time.Hour) // ignored
 	fx.envS.advance(11 * time.Millisecond)
 	if fx.pairS.Active() {
 		t.Error("first deadline did not fire")
@@ -333,5 +356,22 @@ func TestStatusString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
 		}
+	}
+}
+
+// TestKeysAllocFree pins the fault-free cost of pair monitoring: a paired
+// process builds a key and calls Met per request and per batch entry,
+// nearly always with nothing registered, and none of that may reach the
+// heap (formatted string keys were a sixth of all allocations per commit).
+func TestKeysAllocFree(t *testing.T) {
+	fx := newFixture(t, 10*time.Millisecond)
+	id := message.ReqID{Client: types.ClientID(1), ClientSeq: 42}
+	if got := testing.AllocsPerRun(200, func() {
+		fx.pairS.Met(OrderKey(id))
+		fx.pairS.Met(EndorseKey(7))
+		fx.pairS.Met(AckKey(3, 9))
+		fx.pairS.Met(StartKey())
+	}); got != 0 {
+		t.Errorf("building the four keys and Met on each, none registered = %v allocs, want 0", got)
 	}
 }

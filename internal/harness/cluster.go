@@ -163,7 +163,7 @@ type Options struct {
 }
 
 // withDefaults fills unset fields with study defaults (f=2, 1 KB batches,
-// 100 ms batching interval, HMAC suite for plumbing tests).
+// 100 ms batching interval, the dealer-trust HMAC-SHA256 suite).
 func (o Options) withDefaults() Options {
 	if o.F == 0 {
 		o.F = 2

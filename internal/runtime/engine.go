@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -36,11 +37,16 @@ type engine struct {
 	env   Env
 	logf  func(format string, args ...any)
 
+	// Producers append to queue under mu; the loop takes the whole slice
+	// in one swap and hands its drained one back as the next queue, so the
+	// two backing arrays are reused instead of sliding off and re-growing.
+	// closed and down are atomics because the loop consults them before
+	// every event of a drained batch, outside mu.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []liveEvent
-	closed bool
-	down   bool
+	closed atomic.Bool
+	down   atomic.Bool
 }
 
 // attach wires the engine to its owner; env is the embedding node.
@@ -53,7 +59,7 @@ func (e *engine) attach(id types.NodeID, ident *crypto.Identity, proc Process, e
 func (e *engine) enqueue(ev liveEvent) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
+	if e.closed.Load() {
 		return
 	}
 	e.queue = append(e.queue, ev)
@@ -93,57 +99,57 @@ func (e *engine) loopback(m message.Message) {
 func (e *engine) closeLoop() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.closed = true
+	e.closed.Store(true) // under mu: a waiting loop must not miss the broadcast
 	e.cond.Broadcast()
 }
 
-func (e *engine) setDown() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.down = true
-}
+func (e *engine) setDown() { e.down.Store(true) }
 
-func (e *engine) isDown() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.down
-}
+func (e *engine) isDown() bool { return e.down.Load() }
 
-// loop drains the event queue, decoding wire payloads and dispatching to
-// the process until closeLoop.
+// loop drains the event queue in FIFO order, decoding wire payloads and
+// dispatching to the process until closeLoop.
 func (e *engine) loop() {
+	var batch []liveEvent
 	for {
 		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
+		for len(e.queue) == 0 && !e.closed.Load() {
 			e.cond.Wait()
 		}
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
-		ev := e.queue[0]
-		e.queue = e.queue[1:]
-		down := e.down
+		batch, e.queue = e.queue, batch[:0]
 		e.mu.Unlock()
 
-		if down {
-			continue
+		for i := range batch {
+			ev := batch[i]
+			batch[i] = liveEvent{} // a consumed frame must not stay pinned by the array
+			if e.closed.Load() {
+				return
+			}
+			if !e.down.Load() {
+				e.dispatch(ev)
+			}
 		}
-		if ev.fn != nil {
-			ev.fn()
-			continue
+		if e.closed.Load() {
+			return
 		}
-		if ev.msg != nil {
-			e.proc.Receive(e.env, ev.from, ev.msg)
-			continue
-		}
-		m, err := message.Decode(ev.raw)
-		if err != nil {
-			e.Logf("dropping undecodable message from %v: %v", ev.from, err)
-			continue
-		}
-		e.proc.Receive(e.env, ev.from, m)
 	}
+}
+
+func (e *engine) dispatch(ev liveEvent) {
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	if ev.msg != nil {
+		e.proc.Receive(e.env, ev.from, ev.msg)
+		return
+	}
+	m, err := message.Decode(ev.raw)
+	if err != nil {
+		e.Logf("dropping undecodable message from %v: %v", ev.from, err)
+		return
+	}
+	e.proc.Receive(e.env, ev.from, m)
 }
 
 // fanOut is the encode-once fan-out: m is marshalled exactly once (and

@@ -467,6 +467,9 @@ type Receiver struct {
 	journal    Journal
 	mac        hash.Hash // keyed K(from->self): data frames and hello
 	ackMAC     hash.Hash // keyed K(self->from): signs acks
+	// sum is where Open and VerifyHello compute the expected MAC, under
+	// mu: a local array would escape through hash.Hash on every frame.
+	sum [MACLen]byte
 
 	// epoch is the sender incarnation whose lastDelivered watermark is
 	// held. Epochs only move forward (a hello with a lower epoch is
@@ -541,8 +544,7 @@ func (r *Receiver) VerifyHello(p []byte) error {
 	}
 	r.mac.Reset()
 	r.mac.Write(p[:HelloLen-MACLen])
-	var sum [MACLen]byte
-	if !hmac.Equal(r.mac.Sum(sum[:0]), p[HelloLen-MACLen:]) {
+	if !hmac.Equal(r.mac.Sum(r.sum[:0]), p[HelloLen-MACLen:]) {
 		r.rejected++
 		return ErrBadMAC
 	}
@@ -597,8 +599,7 @@ func (r *Receiver) Open(p []byte) ([]byte, error) {
 	}
 	r.mac.Reset()
 	r.mac.Write(p[:len(p)-MACLen])
-	var sum [MACLen]byte
-	if !hmac.Equal(r.mac.Sum(sum[:0]), p[len(p)-MACLen:]) {
+	if !hmac.Equal(r.mac.Sum(r.sum[:0]), p[len(p)-MACLen:]) {
 		r.rejected++
 		return nil, ErrBadMAC
 	}

@@ -379,3 +379,27 @@ func TestLostCountedOnce(t *testing.T) {
 		t.Errorf("no-resume total Lost = %d, want 5", st.Lost)
 	}
 }
+
+// TestSealOpenAllocFree pins the per-frame heap cost of the session layer:
+// Open nothing (the expected MAC is summed into receiver-owned scratch),
+// Seal its one header+MAC buffer, which the retransmission ring retains.
+func TestSealOpenAllocFree(t *testing.T) {
+	tx, rx := pair(t, true, 0)
+	body := make([]byte, 128)
+	const runs = 200
+	wires := make([][]byte, 0, runs+1)
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls f once to warm up
+		wires = append(wires, tx.Seal(body).Append(nil))
+	}
+	next := 0
+	var err error
+	if got := testing.AllocsPerRun(runs, func() { _, err = rx.Open(wires[next]); next++ }); got != 0 || err != nil {
+		t.Errorf("Receiver.Open = %v allocs (err %v), want 0", got, err)
+	}
+	if st := rx.Stats(); st.Delivered != runs+1 || st.Rejected != 0 {
+		t.Fatalf("measured frames were not delivered: %+v", st)
+	}
+	if got := testing.AllocsPerRun(runs, func() { tx.Seal(body) }); got > 1 {
+		t.Errorf("Sender.Seal = %v allocs, want <= 1 (header and MAC in one buffer)", got)
+	}
+}

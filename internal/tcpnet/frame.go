@@ -45,11 +45,10 @@ func AppendFrame(dst, payload []byte) []byte {
 // message.Decode, which aliases it, so frame buffers must not be pooled or
 // reused.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("%w: got %d", ErrFrameTooLarge, n)
 	}
@@ -58,6 +57,31 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// readFrameLen consumes the length prefix. A header array handed to an
+// io.Reader escapes — one heap object per frame — so through a
+// bufio.Reader (every read loop) the prefix is decoded in the reader's own
+// buffer instead. Errors are io.ReadFull's either way.
+func readFrameLen(r io.Reader) (uint32, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		var hdr [frameHeaderLen]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint32(hdr[:]), nil
+	}
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // the stream ended inside the prefix
+		}
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	_, _ = br.Discard(frameHeaderLen) // cannot fail: Peek buffered the bytes
+	return n, nil
 }
 
 // readerPool recycles inbound bufio readers across connections.

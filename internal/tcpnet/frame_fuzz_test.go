@@ -61,3 +61,37 @@ func TestReadFrameShortPayload(t *testing.T) {
 		t.Fatal("truncated frame read succeeded")
 	}
 }
+
+// TestReadFrameTornPrefix holds the buffered reader's in-place prefix
+// decode to the plain io.Reader path: the same errors for an empty and a
+// torn prefix (read loops tell a clean close from a broken stream by
+// io.EOF).
+func TestReadFrameTornPrefix(t *testing.T) {
+	wire := AppendFrame(nil, []byte("hello"))
+	for cut, want := range map[int]error{0: io.EOF, 2: io.ErrUnexpectedEOF} {
+		if _, err := ReadFrame(bytes.NewReader(wire[:cut])); err != want {
+			t.Errorf("plain reader, %d prefix bytes: %v, want %v", cut, err, want)
+		}
+		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire[:cut]))); err != want {
+			t.Errorf("buffered reader, %d prefix bytes: %v, want %v", cut, err, want)
+		}
+	}
+}
+
+// TestReadFrameHeaderAllocFree pins a read loop's heap cost per frame at
+// the payload alone: the length prefix is decoded in the bufio.Reader's
+// buffer, not in an array that escapes through io.Reader.
+func TestReadFrameHeaderAllocFree(t *testing.T) {
+	wire := AppendFrame(nil, []byte("hello"))
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	if got := testing.AllocsPerRun(200, func() {
+		src.Reset(wire)
+		br.Reset(src)
+		if _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("ReadFrame through a bufio.Reader = %v allocs, want <= 1 (the payload)", got)
+	}
+}

@@ -61,6 +61,8 @@ type peer struct {
 	// off). It is owned by the run goroutine; only Stats reads it from
 	// outside.
 	tx *session.Sender
+	// wbufs is the run goroutine's writev argument (see writeFrames).
+	wbufs net.Buffers
 
 	ch   chan []byte
 	stop chan struct{}
@@ -411,8 +413,8 @@ func (p *peer) run() {
 		}
 		err := p.shapeWait(size)
 		if err == nil {
-			bufs := net.Buffers(vecs)
-			_, err = bufs.WriteTo(conn)
+			p.wbufs = vecs
+			_, err = p.wbufs.WriteTo(conn)
 		}
 		if err != nil {
 			p.reconnects.Add(1)
@@ -472,8 +474,10 @@ func (p *peer) writeFrames(conn net.Conn, frames []session.Frame, hdrs []byte, v
 			*vecs = v[:0]
 			return err
 		}
-		bufs := net.Buffers(v)
-		_, err := bufs.WriteTo(conn)
+		// WriteTo has a pointer receiver and consumes the value it is
+		// called on; a local would be heap-allocated on every writev.
+		p.wbufs = v
+		_, err := p.wbufs.WriteTo(conn)
 		*vecs = v[:0]
 		if err != nil {
 			return err

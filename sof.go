@@ -123,7 +123,7 @@ type NodeID = types.NodeID
 type LatencySummary = stats.Summary
 
 // Config configures a cluster. The zero value plus a Protocol is usable:
-// f = 2, HMAC test suite, 100 ms batching interval, 1 KB batches.
+// f = 2, HMAC-SHA256 suite, 100 ms batching interval, 1 KB batches.
 type Config struct {
 	// Protocol selects SC, SCR, BFT or CT.
 	Protocol Protocol
@@ -131,7 +131,11 @@ type Config struct {
 	// configuration).
 	F int
 	// Suite selects the signature suite (default HMAC-SHA256 for speed;
-	// use MD5RSA1024 etc. for the paper's configurations).
+	// use MD5RSA1024 etc. for the paper's configurations). The default is
+	// dealer-trust symmetric keying: every process the dealer initialised
+	// holds every MAC secret, so it authenticates messages against
+	// outsiders but cannot pin a forged signature on a Byzantine order
+	// process — choose an RSA or DSA suite where that attribution matters.
 	Suite Suite
 	// BatchInterval is the paper's batching-interval (default 100 ms).
 	BatchInterval time.Duration
