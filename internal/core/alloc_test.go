@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sof-repro/sof/internal/crypto"
+	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/obs"
+	"github.com/sof-repro/sof/internal/types"
 )
 
 // TestCounterpartAckCheckAllocFree pins pair monitoring on the fault-free
@@ -23,12 +27,150 @@ func TestCounterpartAckCheckAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := &fakeEnv{Identity: fx.idents[fx.s1]}
-	tr := NewBatchTracker(fx.batch, fx.batch.BodyDigest(env))
+	tr := NewBatchTracker(fx.batch, fx.batch.BodyDigest(env), fx.topo.N())
 	ack := &message.Ack{From: fx.p1, Kind: message.SubjectBatch, View: tr.View, FirstSeq: tr.FirstSeq, SubjectDigest: tr.Digest}
 	if !tr.Matches(ack) || shadow.pair == nil || ack.From != shadow.pair.Counterpart() {
 		t.Fatal("fixture does not exercise the counterpart's matching ack")
 	}
 	if got := testing.AllocsPerRun(200, func() { shadow.crossCheckCounterpartAck(env, ack, tr) }); got != 0 {
 		t.Errorf("crossCheckCounterpartAck = %v allocs, want 0", got)
+	}
+}
+
+// TestTrackerAllocationFloors pins what tracking one subject costs: the
+// tracker and its one credit slice, sized to the topology, however many
+// acks are credited — and that the map-free tracker still treats
+// duplicates and the pair's own acks as no-ops and counts through
+// mayCount as before.
+func TestTrackerAllocationFloors(t *testing.T) {
+	fx := newEvidenceFixture(t)
+	digest := fx.batch.BodyDigest(fx.env)
+	n := fx.topo.N()
+	sig := crypto.Signature("an ack signature")
+	all := fx.topo.AllProcesses()
+	var tr *Tracker
+	if got := testing.AllocsPerRun(200, func() {
+		tr = NewBatchTracker(fx.batch, digest, n)
+		for _, id := range all {
+			tr.Credit(id, sig)
+			tr.Credit(id, sig)
+		}
+	}); got > 2 {
+		t.Errorf("a new tracker and %d credits = %v allocs, want <= 2", n, got)
+	}
+	if got := tr.Count(nil); got != n {
+		t.Errorf("Count(nil) = %d after crediting all %d processes twice, want %d", got, n, n)
+	}
+	if got := len(tr.Proof().Ackers); got != n-2 {
+		t.Errorf("proof holds %d ackers, want %d: the pair is credited by its order, not by its acks", got, n-2)
+	}
+	notP2 := func(id types.NodeID) bool { return id != fx.p2 }
+	notS1 := func(id types.NodeID) bool { return id != fx.s1 }
+	if a, b := tr.Count(notP2), tr.Count(notS1); a != n-1 || b != n-1 {
+		t.Errorf("Count excluding an acker = %d, excluding a pair member = %d, want %d for both", a, b, n-1)
+	}
+	unpaired := *fx.batch
+	unpaired.Shadow = types.Nil
+	if got := NewBatchTracker(&unpaired, digest, n).Count(nil); got != 1 {
+		t.Errorf("a fresh unpaired batch counts %d contributors, want 1", got)
+	}
+}
+
+// TestProofBuiltOnDemandAfterLateAcks takes a batch through quorum on a
+// real process, lets a late ack trickle in, and only then asks for the
+// proof, as a CatchUp answer does: it must be the evidence that made the
+// quorum — late acks do not grow it — and must pass the same checks a
+// requester applies, at the message layer and through the process.
+func TestProofBuiltOnDemandAfterLateAcks(t *testing.T) {
+	fx := newEvidenceFixture(t)
+	p, env := fx.process, fx.env
+	p.Init(env)
+	if p.lastCommitted.Proof() != nil {
+		t.Fatal("a process that committed nothing offers a proof")
+	}
+	ackFrom := func(from types.NodeID) *message.Ack {
+		a := &message.Ack{From: from, Kind: message.SubjectBatch, View: fx.batch.View,
+			FirstSeq: fx.batch.FirstSeq, SubjectDigest: fx.batch.BodyDigest(env)}
+		sig, err := message.SignSingle(fx.idents[from], a.SignedBody())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Sig = sig
+		return a
+	}
+	p.view, p.rank, p.installed = fx.batch.View, fx.batch.Coord, true
+	p.acceptEndorsedBatch(env, fx.p1, fx.batch)
+	tr := p.trackers[fx.batch.FirstSeq]
+	if tr == nil || tr.Committed {
+		t.Fatalf("tracker after the endorsed batch: %+v", tr)
+	}
+	p.onAck(env, fx.p3, ackFrom(fx.p3)) // its own ack: pair + p3 = quorum 3
+	if !tr.Committed || p.lastCommitted != tr {
+		t.Fatal("the batch did not commit at quorum")
+	}
+	p.onAck(env, fx.p2, ackFrom(fx.p2)) // late
+	if got := tr.Count(nil); got != 4 {
+		t.Fatalf("late ack not credited: %d contributors", got)
+	}
+
+	proof := p.buildCatchUp(env, fx.p2, 0).MaxCommitted
+	if proof == nil || proof.Batch != fx.batch {
+		t.Fatalf("CatchUp carries proof %+v", proof)
+	}
+	if len(proof.Ackers) != 1 || proof.Ackers[0] != fx.p3 {
+		t.Errorf("proof ackers = %v, want [%v]: what stood at commit", proof.Ackers, fx.p3)
+	}
+	if err := proof.Verify(env, fx.topo.Quorum()); err != nil {
+		t.Errorf("CommitProof.Verify: %v", err)
+	}
+	if err := p.verifyCommittedEvidence(env, proof, []*message.OrderBatch{fx.batch}, nil); err != nil {
+		t.Errorf("verifyCommittedEvidence: %v", err)
+	}
+	if again := p.lastCommitted.Proof(); again == proof {
+		t.Error("Proof handed out the same object twice: it is kept, not built on demand")
+	}
+}
+
+// TestPairMetMarginAllocFree covers the margin instrument on the path that
+// feeds it: discharging a live expectation on a registry-wired process
+// observes sof_pair_check_margin_seconds and allocates nothing; a key
+// nobody awaited observes nothing.
+func TestPairMetMarginAllocFree(t *testing.T) {
+	fx := newEvidenceFixture(t)
+	reg := obs.NewRegistry()
+	shadow, err := New(fx.s1, Config{
+		Topo:          fx.topo,
+		BatchInterval: 10 * time.Millisecond,
+		MaxBatchBytes: 1024,
+		Delta:         time.Second,
+		Metrics:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &fakeEnv{Identity: fx.idents[fx.s1]}
+	seq := types.Seq(0)
+	round := func() {
+		seq++
+		shadow.pair.Expect(env, fsp.EndorseKey(seq), 0)
+		shadow.pairMet(env, fsp.EndorseKey(seq))
+		shadow.pairMet(env, fsp.EndorseKey(seq)) // no longer awaited
+	}
+	round()
+	const runs = 200
+	if got := testing.AllocsPerRun(runs, round); got != 0 {
+		t.Errorf("Expect + pairMet = %v allocs, want 0", got)
+	}
+	snap := shadow.m.pairMargin.Snapshot()
+	if want := uint64(runs + 2); snap.Count != want {
+		t.Errorf("margin observed %d times, want %d (once per awaited output)", snap.Count, want)
+	}
+	// fakeEnv's clock stands still, so every margin is the whole Delta.
+	if got := snap.Sum / float64(snap.Count); got != 1 {
+		t.Errorf("mean margin = %vs, want Delta = 1s", got)
+	}
+	// Re-registering a series returns the one already there.
+	if reg.Histogram("sof_pair_check_margin_seconds", "", nil) != shadow.m.pairMargin {
+		t.Error("the margin histogram is not registered as sof_pair_check_margin_seconds")
 	}
 }

@@ -300,7 +300,7 @@ func (p *Process) buildCatchUp(env runtime.Env, from types.NodeID, base types.Se
 		From:         p.id,
 		Base:         base,
 		UpTo:         p.deliveredUpTo,
-		MaxCommitted: p.lastProof,
+		MaxCommitted: p.lastCommitted.Proof(),
 	}
 	// When the requester is our active pair counterpart under the current
 	// coordinating regime, tell it the exact proposal sequence we expect
@@ -573,7 +573,7 @@ func (p *Process) installCommittedStart(env runtime.Env, st *message.Start) {
 	digest := st.BodyDigest(env)
 	t, ok := p.trackers[st.StartSeq]
 	if !ok || !bytes.Equal(t.Digest, digest) {
-		t = NewStartTracker(st, digest)
+		t = NewStartTracker(st, digest, p.topo.N())
 		p.trackers[st.StartSeq] = t
 	}
 	if !t.Committed {

@@ -30,6 +30,7 @@ func (e *fakeEnv) Send(types.NodeID, message.Message)           {}
 func (e *fakeEnv) Multicast([]types.NodeID, message.Message)    {}
 func (e *fakeEnv) SetTimer(time.Duration, func()) runtime.Timer { return noTimer{} }
 func (e *fakeEnv) Charge(time.Duration)                         {}
+func (e *fakeEnv) ScratchDigest(b []byte) []byte                { return e.Digest(b) }
 func (e *fakeEnv) Logf(string, ...any)                          {}
 
 type noTimer struct{}

@@ -65,7 +65,7 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 	// per-request time-domain expectations now; value checks may need to
 	// wait for the requests themselves to arrive.
 	for _, e := range b.Entries {
-		p.pair.Met(fsp.OrderKey(e.Req))
+		p.pairMet(env, fsp.OrderKey(e.Req))
 	}
 	// Reserve the sequence range so a duplicate/overlapping proposal is
 	// detected even while validation is deferred.
@@ -135,7 +135,7 @@ func (p *Process) validateAndEndorse(env runtime.Env, b *message.OrderBatch) {
 		if !ok {
 			return // lost a race with a regime change; drop
 		}
-		if !bytes.Equal(e.ReqDigest, env.Digest(req.SignedBody())) {
+		if !bytes.Equal(e.ReqDigest, env.ScratchDigest(req.SignedBody())) {
 			p.pair.Fail(env, fmt.Sprintf("value-domain: wrong digest for %v in proposal %d", e.Req, b.FirstSeq))
 			p.pair.MarkPermanentlyDown()
 			return
@@ -165,7 +165,7 @@ func (p *Process) primaryObserveEndorsed(env runtime.Env, b *message.OrderBatch,
 	if !mine {
 		return
 	}
-	p.pair.Met(fsp.EndorseKey(b.FirstSeq))
+	p.pairMet(env, fsp.EndorseKey(b.FirstSeq))
 	// Value-domain check: the endorsed body must be byte-identical to the
 	// proposal (the shadow may only add Sig2).
 	if !bytes.Equal(proposal.SignedBody(), b.SignedBody()) || !bytes.Equal(proposal.Sig1, b.Sig1) {

@@ -126,7 +126,7 @@ func (p *Process) beginInstall(env runtime.Env, fs *message.FailSignal) {
 		NewCoord:     p.rank,
 		View:         p.view,
 		FailSig:      fs,
-		MaxCommitted: p.lastProof,
+		MaxCommitted: p.lastCommitted.Proof(),
 		Uncommitted:  p.ackedUncommitted(),
 		Padding:      make([]byte, p.cfg.PadBacklogBytes),
 	}
@@ -460,7 +460,7 @@ func (p *Process) onStart(env runtime.Env, from types.NodeID, st *message.Start)
 		// expectation, and pc relays it to everyone (as in the normal
 		// part's 2-to-n phase).
 		if p.pair != nil {
-			p.pair.Met(fsp.StartKey())
+			p.pairMet(env, fsp.StartKey())
 		}
 		p.multicastAll(env, st)
 	}
@@ -615,7 +615,7 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 
 	// The Start itself is an order message with sequence number start_o;
 	// commit it through the normal part.
-	t := NewStartTracker(st, p.startDigest)
+	t := NewStartTracker(st, p.startDigest, p.topo.N())
 	p.trackers[st.StartSeq] = t
 	p.nextExpected = st.StartSeq + 1
 	p.sendAck(env, t)
@@ -687,7 +687,7 @@ func (p *Process) installCommittedBatch(env runtime.Env, b *message.OrderBatch) 
 	digest := b.BodyDigest(env)
 	t, ok := p.trackers[b.FirstSeq]
 	if !ok || !bytes.Equal(t.Digest, digest) {
-		t = NewBatchTracker(b, digest)
+		t = NewBatchTracker(b, digest, p.topo.N())
 		p.trackers[b.FirstSeq] = t
 	}
 	for _, e := range b.Entries {

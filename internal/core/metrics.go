@@ -1,7 +1,9 @@
 package core
 
 import (
+	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/obs"
+	"github.com/sof-repro/sof/internal/runtime"
 )
 
 // coreMetrics holds the process's registry instruments as direct
@@ -22,6 +24,10 @@ type coreMetrics struct {
 	catchingUp    *obs.Gauge   // 1 while restart catch-up is in progress
 	catchupTarget *obs.Gauge   // highest responder watermark seen this catch-up
 	catchups      *obs.Counter // completed restart catch-up rounds
+	// pairMargin is how far ahead of its deadline each awaited counterpart
+	// output arrived: the slack the intra-pair time-domain checks have
+	// against Delta.
+	pairMargin *obs.Histogram
 
 	// Client-ingress instruments (ingress.go): admission outcomes per
 	// reason, the brownout state, and per-client queue depth at admission.
@@ -70,6 +76,9 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 			"Highest peer watermark seen during the current catch-up round.", labels...),
 		catchups: r.Counter("sof_catchups_total",
 			"Restart catch-up rounds completed.", labels...),
+		pairMargin: r.Histogram("sof_pair_check_margin_seconds",
+			"Time left to its deadline when an awaited counterpart output arrived.",
+			[]float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 30}, labels...),
 		ingressAdmitted: r.Counter("sof_ingress_admitted_total",
 			"Client requests admitted past the ingress controller.", labels...),
 		ingressShedRate: r.Counter("sof_ingress_shed_total",
@@ -87,6 +96,14 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 		ingressQueueDepth: r.Histogram("sof_ingress_client_queue_depth",
 			"Admitted client's pending-queue depth at admission.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, labels...),
+	}
+}
+
+// pairMet discharges a pair expectation on the counterpart's output and,
+// when the output was in fact awaited, records its margin.
+func (p *Process) pairMet(env runtime.Env, key fsp.Key) {
+	if deadline, awaited := p.pair.Met(key); awaited {
+		p.m.pairMargin.ObserveDuration(deadline.Sub(env.Now()))
 	}
 }
 

@@ -203,7 +203,9 @@ type Process struct {
 	trackers      map[types.Seq]*Tracker
 	deliveredUpTo types.Seq
 	committedLog  map[types.Seq]*Tracker // committed trackers by FirstSeq
-	lastProof     *message.CommitProof
+	// lastCommitted is the batch tracker that reached quorum last; its
+	// proof of commitment is what BackLogs and CatchUp answers carry.
+	lastCommitted *Tracker
 
 	// Coordinator-primary state.
 	nextSeq    types.Seq
@@ -642,11 +644,14 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 		batch.Shadow = shadow
 	}
 	wireBytes := 0
-	for _, r := range reqs {
-		batch.Entries = append(batch.Entries, message.OrderEntry{
-			Req:       r.ID(),
-			ReqDigest: env.Digest(r.SignedBody()),
-		})
+	// The entries' digests are kept as long as the batch is, so the batch
+	// owns them — in one block, each summed in scratch and copied across.
+	batch.Entries = make([]message.OrderEntry, len(reqs))
+	digests := make([]byte, 0, len(reqs)*p.digestSize)
+	for i, r := range reqs {
+		at := len(digests)
+		digests = append(digests, env.ScratchDigest(r.SignedBody())...)
+		batch.Entries[i] = message.OrderEntry{Req: r.ID(), ReqDigest: digests[at:len(digests):len(digests)]}
 		wireBytes += len(r.Payload) + EntryOverhead + p.digestSize
 	}
 	sig1, err := message.SignSingle(env, batch.SignedBody())
@@ -815,13 +820,13 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 		return false
 	}
 	digest := b.BodyDigest(env)
-	t := NewBatchTracker(b, digest)
+	t := NewBatchTracker(b, digest, p.topo.N())
 	p.trackers[b.FirstSeq] = t
 	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {
 		p.pool.MarkOrdered(e.Req)
 		if p.pair != nil {
-			p.pair.Met(fsp.OrderKey(e.Req))
+			p.pairMet(env, fsp.OrderKey(e.Req))
 		}
 	}
 	// Non-proposers drain their pool mirror here, so this is their
@@ -966,7 +971,7 @@ func (p *Process) crossCheckCounterpartAck(env runtime.Env, a *message.Ack, t *T
 	if p.pair == nil || !p.pair.Active() || a.From != p.pair.Counterpart() {
 		return
 	}
-	p.pair.Met(fsp.AckKey(a.View, a.FirstSeq))
+	p.pairMet(env, fsp.AckKey(a.View, a.FirstSeq))
 	if t == nil {
 		// We track this (view, seq) under a different digest: the
 		// counterpart endorsed a conflicting order.
@@ -992,11 +997,10 @@ func (p *Process) checkQuorum(env runtime.Env, t *Tracker) {
 		return
 	}
 	t.Committed = true
+	t.proven = len(t.credits)
 	p.committedLog[t.FirstSeq] = t
 	if t.Batch != nil {
-		if proof := t.Proof(); proof != nil {
-			p.lastProof = proof
-		}
+		p.lastCommitted = t
 	}
 	p.advanceDelivery(env)
 }

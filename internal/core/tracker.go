@@ -23,50 +23,62 @@ type Tracker struct {
 	Batch    *message.OrderBatch
 	StartMsg *message.Start
 
-	contributors map[types.NodeID]crypto.Signature // acker -> ack signature
-	implicit     map[types.NodeID]bool             // pair members credited via the order itself
+	// credits lists the distinct supporters in the order they were
+	// credited: first the coordinator pair, credited by the order itself
+	// and holding no signature (the first implicit entries), then each
+	// acker with its ack signature. One slice sized to the topology — a
+	// duplicate check is a scan of at most n entries.
+	credits  []credit
+	implicit int
+	// proven is how many credits stood when the subject committed: the
+	// evidence that made the quorum, which is what Proof hands out however
+	// many late acks follow it.
+	proven int
 
 	AckSent   bool
 	Committed bool
 }
 
-// NewBatchTracker starts tracking an order batch, crediting the
-// coordinator pair (their transmission of the order is their
-// contribution).
-func NewBatchTracker(b *message.OrderBatch, digest []byte) *Tracker {
+type credit struct {
+	from types.NodeID
+	sig  crypto.Signature
+}
+
+// NewBatchTracker starts tracking an order batch in a deployment of n
+// order processes, crediting the coordinator pair (their transmission of
+// the order is their contribution).
+func NewBatchTracker(b *message.OrderBatch, digest []byte, n int) *Tracker {
 	t := &Tracker{
-		Kind:         message.SubjectBatch,
-		View:         b.View,
-		FirstSeq:     b.FirstSeq,
-		Digest:       digest,
-		Batch:        b,
-		contributors: make(map[types.NodeID]crypto.Signature),
-		implicit:     make(map[types.NodeID]bool),
+		Kind:     message.SubjectBatch,
+		View:     b.View,
+		FirstSeq: b.FirstSeq,
+		Digest:   digest,
+		Batch:    b,
 	}
-	t.implicit[b.Primary] = true
-	if b.Shadow != types.Nil {
-		t.implicit[b.Shadow] = true
-	}
+	t.creditPair(b.Primary, b.Shadow, n)
 	return t
 }
 
 // NewStartTracker starts tracking a Start message committed through the
 // normal part (IN5).
-func NewStartTracker(s *message.Start, digest []byte) *Tracker {
+func NewStartTracker(s *message.Start, digest []byte, n int) *Tracker {
 	t := &Tracker{
-		Kind:         message.SubjectStart,
-		View:         s.View,
-		FirstSeq:     s.StartSeq,
-		Digest:       digest,
-		StartMsg:     s,
-		contributors: make(map[types.NodeID]crypto.Signature),
-		implicit:     make(map[types.NodeID]bool),
+		Kind:     message.SubjectStart,
+		View:     s.View,
+		FirstSeq: s.StartSeq,
+		Digest:   digest,
+		StartMsg: s,
 	}
-	t.implicit[s.Primary] = true
-	if s.Shadow != types.Nil {
-		t.implicit[s.Shadow] = true
-	}
+	t.creditPair(s.Primary, s.Shadow, n)
 	return t
+}
+
+func (t *Tracker) creditPair(primary, shadow types.NodeID, n int) {
+	t.credits = append(make([]credit, 0, n), credit{from: primary})
+	if shadow != types.Nil {
+		t.credits = append(t.credits, credit{from: shadow})
+	}
+	t.implicit = len(t.credits)
 }
 
 // Matches reports whether an ack refers to this subject.
@@ -75,16 +87,15 @@ func (t *Tracker) Matches(a *message.Ack) bool {
 		bytes.Equal(a.SubjectDigest, t.Digest)
 }
 
-// Credit records an acker's signed contribution. Duplicate credits are
-// no-ops.
+// Credit records an acker's signed contribution. Duplicate credits, and
+// acks from the pair the order already credited, are no-ops.
 func (t *Tracker) Credit(from types.NodeID, sig crypto.Signature) {
-	if t.implicit[from] {
-		return
+	for i := range t.credits {
+		if t.credits[i].from == from {
+			return
+		}
 	}
-	if _, dup := t.contributors[from]; dup {
-		return
-	}
-	t.contributors[from] = sig
+	t.credits = append(t.credits, credit{from: from, sig: sig})
 }
 
 // Count returns the number of distinct contributors, counting ackers whose
@@ -92,30 +103,37 @@ func (t *Tracker) Credit(from types.NodeID, sig crypto.Signature) {
 // transmit, so their stale contributions are excluded; pass nil to count
 // everyone).
 func (t *Tracker) Count(mayCount func(types.NodeID) bool) int {
-	n := 0
-	for id := range t.implicit {
-		if mayCount == nil || mayCount(id) {
-			n++
-		}
+	if mayCount == nil {
+		return len(t.credits)
 	}
-	for id := range t.contributors {
-		if mayCount == nil || mayCount(id) {
+	n := 0
+	for i := range t.credits {
+		if mayCount(t.credits[i].from) {
 			n++
 		}
 	}
 	return n
 }
 
-// Proof assembles the retained (n-f) distinct ack/order evidence (N3).
-// Only meaningful for batch subjects.
+// Proof assembles the retained (n-f) distinct ack/order evidence (N3):
+// the ackers credited when the subject committed (every acker so far, if
+// it has not). Only meaningful for batch subjects. It is built when asked
+// for — by a BackLog or a CatchUp answer — not at every commit.
 func (t *Tracker) Proof() *message.CommitProof {
-	if t.Batch == nil {
+	if t == nil || t.Batch == nil {
 		return nil
 	}
-	p := &message.CommitProof{Batch: t.Batch}
-	for id, sig := range t.contributors {
-		p.Ackers = append(p.Ackers, id)
-		p.Sigs = append(p.Sigs, sig)
+	acks := t.credits[t.implicit:]
+	if t.proven > 0 {
+		acks = t.credits[t.implicit:t.proven]
+	}
+	p := &message.CommitProof{
+		Batch:  t.Batch,
+		Ackers: make([]types.NodeID, len(acks)),
+		Sigs:   make([]crypto.Signature, len(acks)),
+	}
+	for i, c := range acks {
+		p.Ackers[i], p.Sigs[i] = c.from, c.sig
 	}
 	return p
 }

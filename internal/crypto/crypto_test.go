@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"bytes"
 	cryptorand "crypto/rand"
 	"errors"
 	"strings"
@@ -295,6 +296,32 @@ func TestStudySuitesOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("StudySuites()[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestAppendDigestAllocFree holds every suite's two digest forms to one
+// implementation: Digest is AppendDigest onto nil — same bytes, and what
+// was already in dst stays — and appending into a buffer with room, the
+// form transient digests use, allocates nothing.
+func TestAppendDigestAllocFree(t *testing.T) {
+	data := []byte("a message body to digest")
+	for _, suite := range allSuites(t) {
+		name := suite.Name()
+		want := suite.Digest(data)
+		if len(want) != suite.DigestSize() {
+			t.Errorf("%s: Digest is %d bytes, DigestSize %d", name, len(want), suite.DigestSize())
+		}
+		got := suite.AppendDigest([]byte("kept"), data)
+		if string(got[:4]) != "kept" || !bytes.Equal(got[4:], want) {
+			t.Errorf("%s: AppendDigest(\"kept\", data) = %x, want \"kept\" then %x", name, got, want)
+		}
+		scratch := make([]byte, 0, 64)
+		if allocs := testing.AllocsPerRun(100, func() { scratch = suite.AppendDigest(scratch[:0], data) }); allocs != 0 {
+			t.Errorf("%s: AppendDigest into scratch = %v allocs, want 0", name, allocs)
+		}
+		if !bytes.Equal(scratch, want) {
+			t.Errorf("%s: scratch digest %x, want %x", name, scratch, want)
 		}
 	}
 }

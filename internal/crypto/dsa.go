@@ -40,9 +40,11 @@ func NewDSASuite() Suite { return &dsaSuite{} }
 
 func (s *dsaSuite) Name() SuiteName { return SHA1DSA1024 }
 
-func (s *dsaSuite) Digest(data []byte) []byte {
+func (s *dsaSuite) Digest(data []byte) []byte { return s.AppendDigest(nil, data) }
+
+func (s *dsaSuite) AppendDigest(dst, data []byte) []byte {
 	d := sha1.Sum(data)
-	return d[:]
+	return append(dst, d[:]...)
 }
 
 func (s *dsaSuite) DigestSize() int { return sha1.Size }

@@ -34,9 +34,11 @@ func NewHMACSuite() Suite { return &hmacSuite{} }
 
 func (s *hmacSuite) Name() SuiteName { return HMACSHA256 }
 
-func (s *hmacSuite) Digest(data []byte) []byte {
+func (s *hmacSuite) Digest(data []byte) []byte { return s.AppendDigest(nil, data) }
+
+func (s *hmacSuite) AppendDigest(dst, data []byte) []byte {
 	d := sha256.Sum256(data)
-	return d[:]
+	return append(dst, d[:]...)
 }
 
 func (s *hmacSuite) DigestSize() int { return sha256.Size }

@@ -85,6 +85,11 @@ func (id *Identity) Suite() Suite { return id.ring.Suite() }
 // Digest computes the suite digest of data.
 func (id *Identity) Digest(data []byte) []byte { return id.ring.Suite().Digest(data) }
 
+// AppendDigest appends the suite digest of data to dst.
+func (id *Identity) AppendDigest(dst, data []byte) []byte {
+	return id.ring.Suite().AppendDigest(dst, data)
+}
+
 // Sign signs a digest as this process.
 func (id *Identity) Sign(digest []byte) (Signature, error) {
 	return id.ring.Suite().Sign(id.rng, id.priv, digest)

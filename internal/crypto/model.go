@@ -54,16 +54,18 @@ func NewModelSuiteWithCosts(emulated SuiteName, costs CostModel) (Suite, error) 
 
 func (s *modelSuite) Name() SuiteName { return ModelPrefix + s.emulated }
 
-// Digest uses SHA-256 truncated to the emulated digest size: collision
-// resistance is preserved at the 2006 suite's output length and the
-// protocols see realistic digest sizes on the wire.
-func (s *modelSuite) Digest(data []byte) []byte {
+func (s *modelSuite) Digest(data []byte) []byte { return s.AppendDigest(nil, data) }
+
+// AppendDigest uses SHA-256 truncated to the emulated digest size:
+// collision resistance is preserved at the 2006 suite's output length and
+// the protocols see realistic digest sizes on the wire.
+func (s *modelSuite) AppendDigest(dst, data []byte) []byte {
 	d := sha256.Sum256(data)
 	n := s.digSize
 	if n <= 0 || n > len(d) {
 		n = len(d)
 	}
-	return d[:n]
+	return append(dst, d[:n]...)
 }
 
 func (s *modelSuite) DigestSize() int { return s.digSize }

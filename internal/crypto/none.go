@@ -19,9 +19,11 @@ func NewNoneSuite() Suite { return &noneSuite{} }
 
 func (s *noneSuite) Name() SuiteName { return NoneSuite }
 
-func (s *noneSuite) Digest(data []byte) []byte {
+func (s *noneSuite) Digest(data []byte) []byte { return s.AppendDigest(nil, data) }
+
+func (s *noneSuite) AppendDigest(dst, data []byte) []byte {
 	d := sha256.Sum256(data)
-	return d[:]
+	return append(dst, d[:]...)
 }
 
 func (s *noneSuite) DigestSize() int { return sha256.Size }

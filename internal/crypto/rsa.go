@@ -37,9 +37,11 @@ func NewRSASuite(bits int) (Suite, error) {
 
 func (s *rsaSuite) Name() SuiteName { return s.name }
 
-func (s *rsaSuite) Digest(data []byte) []byte {
+func (s *rsaSuite) Digest(data []byte) []byte { return s.AppendDigest(nil, data) }
+
+func (s *rsaSuite) AppendDigest(dst, data []byte) []byte {
 	d := md5.Sum(data)
-	return d[:]
+	return append(dst, d[:]...)
 }
 
 func (s *rsaSuite) DigestSize() int { return md5.Size }

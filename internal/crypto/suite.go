@@ -72,8 +72,13 @@ func (c CostModel) DigestCost(n int) time.Duration {
 type Suite interface {
 	// Name returns the suite identifier.
 	Name() SuiteName
-	// Digest returns the message digest of data (the D(m) of the paper).
+	// Digest returns the message digest of data (the D(m) of the paper)
+	// in a slice of its own: AppendDigest(nil, data).
 	Digest(data []byte) []byte
+	// AppendDigest appends the digest of data to dst and returns the
+	// extended slice, allocating only when dst lacks the room — the form
+	// for a digest summed into scratch and dropped.
+	AppendDigest(dst, data []byte) []byte
 	// DigestSize returns the digest length in bytes.
 	DigestSize() int
 	// GenerateKey creates a fresh key pair using entropy from rng.

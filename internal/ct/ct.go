@@ -175,7 +175,7 @@ func (p *Process) track(env runtime.Env, b *message.OrderBatch) {
 		return
 	}
 	digest := b.BodyDigest(env)
-	t := core.NewBatchTracker(b, digest)
+	t := core.NewBatchTracker(b, digest, p.topo.N())
 	p.trackers[b.FirstSeq] = t
 	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {

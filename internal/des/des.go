@@ -11,25 +11,29 @@ type Event struct {
 	at       time.Time
 	seq      uint64 // tie-break: FIFO among equal timestamps
 	fn       func()
-	index    int // heap index; -1 when not queued
+	index    int // heap index while queued; unqueued otherwise
 	canceled bool
 	pooled   bool // recycled after it runs; never handed to callers
 }
 
+// unqueued is the heap index of an event that was popped or removed.
+const unqueued = -1
+
 // eventPool recycles Events scheduled through Post. A simulation run
 // schedules one event per message delivery; recycling them keeps the
 // steady-state hot path allocation-free. Only Post events are pooled: an
-// Event returned by At/After may be retained by the caller (for Cancel)
+// Event returned by At/After may be retained by the caller (for Stop)
 // arbitrarily long after it runs.
 var eventPool = sync.Pool{New: func() any { return new(Event) }}
 
 // At returns the event's scheduled time.
 func (e *Event) At() time.Time { return e.at }
 
-// Cancel prevents the event from running. It reports whether the event had
-// not yet run (and was therefore actually canceled).
-func (e *Event) Cancel() bool {
-	if e == nil || e.canceled || e.index == -2 {
+// Stop prevents the event from running. It reports whether the event had
+// not yet run (and was therefore actually stopped). An *Event is thereby
+// the simulator's timer handle as it stands.
+func (e *Event) Stop() bool {
+	if e == nil || e.canceled || e.index == unqueued {
 		return false
 	}
 	e.canceled = true
@@ -60,17 +64,70 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -2 // popped
+	e.index = unqueued
 	*h = old[:n-1]
 	return e
+}
+
+// Queue is a min-heap of events ordered by time, then by insertion — the
+// one order timers fire in on every substrate. The Scheduler runs a
+// simulation off one; the live engine keeps its deadlines in another, so
+// equal deadlines fire in the order they were set on either. It is not
+// safe for concurrent use.
+type Queue struct {
+	heap eventHeap
+	seq  uint64
+}
+
+// Len returns the number of queued events.
+func (q *Queue) Len() int { return len(q.heap) }
+
+// Push queues e, which must not be queued already, to fire fn at t,
+// behind everything queued for t so far. It returns the insertion's
+// sequence number, unique within the queue: together with e it names this
+// insertion even after e is recycled for a later one (see Remove).
+func (q *Queue) Push(e *Event, t time.Time, fn func()) uint64 {
+	q.seq++
+	e.at, e.seq, e.fn, e.canceled = t, q.seq, fn, false
+	heap.Push(&q.heap, e)
+	return e.seq
+}
+
+// Head returns the earliest event without removing it, or nil.
+func (q *Queue) Head() *Event {
+	if len(q.heap) == 0 {
+		return nil
+	}
+	return q.heap[0]
+}
+
+// Pop removes the earliest event and returns it with its callback; the
+// event no longer holds the callback, so it can be kept or recycled
+// without pinning what the callback captured.
+func (q *Queue) Pop() (*Event, func()) {
+	e := heap.Pop(&q.heap).(*Event)
+	fn := e.fn
+	e.fn = nil
+	return e, fn
+}
+
+// Remove takes e out of the queue if it is still queued as insertion seq;
+// it reports false when that insertion already fired or was removed,
+// whatever e has been reused for since.
+func (q *Queue) Remove(e *Event, seq uint64) bool {
+	if e.index == unqueued || e.seq != seq {
+		return false
+	}
+	heap.Remove(&q.heap, e.index)
+	e.fn = nil
+	return true
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; the simulation harness drives it from one goroutine.
 type Scheduler struct {
 	now    time.Time
-	queue  eventHeap
-	seq    uint64
+	queue  Queue
 	nSteps uint64
 }
 
@@ -88,7 +145,7 @@ func (s *Scheduler) Now() time.Time { return s.now }
 
 // Len returns the number of queued events (including canceled ones not yet
 // discarded).
-func (s *Scheduler) Len() int { return len(s.queue) }
+func (s *Scheduler) Len() int { return s.queue.Len() }
 
 // Steps returns the number of events executed so far.
 func (s *Scheduler) Steps() uint64 { return s.nSteps }
@@ -99,9 +156,8 @@ func (s *Scheduler) At(t time.Time, fn func()) *Event {
 	if t.Before(s.now) {
 		t = s.now
 	}
-	s.seq++
-	e := &Event{at: t, seq: s.seq, fn: fn, index: -1}
-	heap.Push(&s.queue, e)
+	e := new(Event)
+	s.queue.Push(e, t, fn)
 	return e
 }
 
@@ -115,15 +171,14 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 
 // Post schedules fn at time t like At, but the event is pooled and recycled
 // after it runs. Use it for fire-and-forget scheduling (message deliveries);
-// callers that may need Cancel must use At, which hands out the Event.
+// callers that may need Stop must use At, which hands out the Event.
 func (s *Scheduler) Post(t time.Time, fn func()) {
 	if t.Before(s.now) {
 		t = s.now
 	}
-	s.seq++
 	e := eventPool.Get().(*Event)
-	*e = Event{at: t, seq: s.seq, fn: fn, index: -1, pooled: true}
-	heap.Push(&s.queue, e)
+	e.pooled = true
+	s.queue.Push(e, t, fn)
 }
 
 // recycle returns a pooled popped event to the pool.
@@ -137,15 +192,14 @@ func recycle(e *Event) {
 // Step runs the next event, advancing the clock to its timestamp. It
 // reports whether an event ran (false means the queue is empty).
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
+	for s.queue.Len() > 0 {
+		e, fn := s.queue.Pop()
 		if e.canceled {
 			recycle(e)
 			continue
 		}
 		s.now = e.at
 		s.nSteps++
-		fn := e.fn
 		recycle(e) // before fn: reentrant scheduling during fn can reuse it
 		fn()
 		return true
@@ -192,12 +246,11 @@ func (s *Scheduler) Drain(limit int) int {
 }
 
 func (s *Scheduler) peek() *Event {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
+	for e := s.queue.Head(); e != nil; e = s.queue.Head() {
 		if !e.canceled {
 			return e
 		}
-		heap.Pop(&s.queue)
+		s.queue.Pop()
 		recycle(e)
 	}
 	return nil

@@ -43,26 +43,26 @@ func TestCancel(t *testing.T) {
 	s := New(Epoch)
 	ran := false
 	e := s.After(time.Millisecond, func() { ran = true })
-	if !e.Cancel() {
-		t.Error("Cancel() = false for pending event")
+	if !e.Stop() {
+		t.Error("Stop() = false for pending event")
 	}
-	if e.Cancel() {
-		t.Error("second Cancel() = true")
+	if e.Stop() {
+		t.Error("second Stop() = true")
 	}
 	s.Drain(0)
 	if ran {
 		t.Error("canceled event ran")
 	}
 
-	// Cancel after the event has run reports false.
+	// Stop after the event has run reports false.
 	var e2 *Event
 	e2 = s.After(time.Millisecond, func() {})
 	s.Drain(0)
-	if e2.Cancel() {
-		t.Error("Cancel() after run = true")
+	if e2.Stop() {
+		t.Error("Stop() after run = true")
 	}
-	if (*Event)(nil).Cancel() {
-		t.Error("nil Cancel() = true")
+	if (*Event)(nil).Stop() {
+		t.Error("nil Stop() = true")
 	}
 }
 
@@ -164,5 +164,74 @@ func TestStepsCounter(t *testing.T) {
 	}
 	if s.Len() != 0 {
 		t.Errorf("Len() = %d, want 0", s.Len())
+	}
+}
+
+// TestQueueRemoveNamesOneInsertion pins what lets the live engine recycle
+// entries: an (event, sequence number) pair names one insertion for good.
+// Once that insertion was removed or popped, Remove under its number
+// reports false whatever the event has been reused for since.
+func TestQueueRemoveNamesOneInsertion(t *testing.T) {
+	var q Queue
+	at := Epoch.Add(time.Second)
+	e := new(Event)
+	first := q.Push(e, at, func() {})
+	if !q.Remove(e, first) || q.Len() != 0 {
+		t.Fatalf("Remove of a queued insertion failed (len %d)", q.Len())
+	}
+	if q.Remove(e, first) {
+		t.Error("a second Remove of the same insertion reported true")
+	}
+	ran := false
+	second := q.Push(e, at, func() { ran = true }) // the entry, recycled
+	if q.Remove(e, first) {
+		t.Fatal("the stale insertion's Remove took out the entry's next one")
+	}
+	if head := q.Head(); head != e || !head.At().Equal(at) {
+		t.Fatalf("Head() = %v", head)
+	}
+	popped, fn := q.Pop()
+	if popped != e || fn == nil {
+		t.Fatalf("Pop() = %v, fn nil=%v", popped, fn == nil)
+	}
+	fn()
+	if !ran {
+		t.Error("Pop returned the wrong callback")
+	}
+	if q.Remove(e, second) {
+		t.Error("Remove after Pop reported true")
+	}
+	if q.Head() != nil {
+		t.Error("Head() of an empty queue is not nil")
+	}
+}
+
+// TestQueueOrdersByTimeThenInsertion is the tie-break both substrates
+// share, stated on the queue itself — with removals in between, as timers
+// stopped on the live engine make them.
+func TestQueueOrdersByTimeThenInsertion(t *testing.T) {
+	var q Queue
+	var got []int
+	add := func(i int, d time.Duration) (*Event, uint64) {
+		e := new(Event)
+		return e, q.Push(e, Epoch.Add(d), func() { got = append(got, i) })
+	}
+	add(3, 2*time.Millisecond)
+	add(0, time.Millisecond)
+	gone, seq := add(9, time.Millisecond)
+	add(1, time.Millisecond)
+	add(2, time.Millisecond)
+	q.Remove(gone, seq)
+	for q.Len() > 0 {
+		_, fn := q.Pop()
+		fn()
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("fired %v, want 0 1 2 3", got)
+		}
+	}
+	if len(got) != 4 {
+		t.Fatalf("fired %v, want 0 1 2 3", got)
 	}
 }

@@ -10,10 +10,11 @@
 // emits verifiably endorsed, correct outputs or crashes after signalling
 // (properties SC1-SC3).
 //
-// This package provides the mechanism (fail-signal state machine,
-// expectation timers, mirroring); the value-domain checks themselves are
-// protocol knowledge and live with the protocols, which call Fail when a
-// check fires. Time-domain expectations are identified by a typed Key —
+// This package provides the mechanism (fail-signal state machine, the
+// deadline list of expectations under the pair's one timer, mirroring);
+// the value-domain checks themselves are protocol knowledge and live with
+// the protocols, which call Fail when a check fires. Time-domain
+// expectations are identified by a typed Key —
 // the four counterpart outputs the protocols await are enumerated here so
 // that registering and discharging one costs no allocation and a missed
 // one can still be named in the fail-signal's reason.

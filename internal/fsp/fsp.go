@@ -78,11 +78,23 @@ type Pair struct {
 	// epoch, if any.
 	emitted *message.FailSignal
 
-	expectations map[Key]expectation
+	// expectations holds each awaited output's deadline; due lists the
+	// same (key, deadline) pairs in deadline order — equal deadlines in
+	// Expect order — from head on, and timer, the pair's one timer, is
+	// armed for armedFor, no later than the earliest live deadline. An
+	// expectation costs no timer and no closure of its own, and Met only
+	// forgets the key: its due entry has gone stale (the key is absent or
+	// carries another deadline) and is skipped when it reaches the head.
+	expectations map[Key]time.Time
+	due          []expiry
+	head         int
+	timer        runtime.Timer
+	armedFor     time.Time
 }
 
-type expectation struct {
-	timer runtime.Timer
+type expiry struct {
+	key Key
+	at  time.Time
 }
 
 // Key identifies one time-domain expectation: which counterpart output is
@@ -146,7 +158,7 @@ func New(cfg Config) *Pair {
 		cfg:          cfg,
 		status:       Up,
 		presigned:    cfg.PresignedFailSig,
-		expectations: make(map[Key]expectation),
+		expectations: make(map[Key]time.Time),
 	}
 }
 
@@ -189,22 +201,84 @@ func (p *Pair) Expect(env runtime.Env, key Key, extra time.Duration) {
 	if _, live := p.expectations[key]; live {
 		return
 	}
-	timer := env.SetTimer(extra+p.cfg.Delta, func() {
-		if _, live := p.expectations[key]; !live || !p.Active() {
+	d := extra + p.cfg.Delta
+	at := env.Now().Add(d)
+	p.expectations[key] = at
+	// A member's expectations nearly all share one offset (a shadow awaits
+	// order decisions, a primary endorsements, the others acks), so
+	// deadlines arrive in order and the insertion ends where it starts.
+	i := len(p.due)
+	p.due = append(p.due, expiry{})
+	for ; i > p.head && p.due[i-1].at.After(at); i-- {
+		p.due[i] = p.due[i-1]
+	}
+	p.due[i] = expiry{key: key, at: at}
+	if p.timer != nil {
+		if !at.Before(p.armedFor) {
 			return
 		}
-		delete(p.expectations, key)
-		p.Fail(env, fmt.Sprintf("time-domain: %v", key))
-	})
-	p.expectations[key] = expectation{timer: timer}
+		p.timer.Stop()
+	}
+	p.arm(env, at, d)
 }
 
-// Met discharges a time-domain expectation.
-func (p *Pair) Met(key Key) {
-	if e, ok := p.expectations[key]; ok {
-		e.timer.Stop()
+// arm points the pair's timer at deadline at, d from now.
+func (p *Pair) arm(env runtime.Env, at time.Time, d time.Duration) {
+	p.armedFor = at
+	p.timer = env.SetTimer(d, func() { p.expire(env) })
+}
+
+// Met discharges a time-domain expectation. It reports the deadline the
+// output had to meet and whether it was awaited at all, so the caller can
+// tell by what margin the counterpart was timely.
+func (p *Pair) Met(key Key) (deadline time.Time, awaited bool) {
+	deadline, awaited = p.expectations[key]
+	if awaited {
 		delete(p.expectations, key)
+		p.skipStale()
 	}
+	return deadline, awaited
+}
+
+// skipStale moves head past entries whose expectation was met, so that
+// outputs met in the order they were awaited leave nothing behind, and
+// reclaims the consumed front of due.
+func (p *Pair) skipStale() {
+	for p.head < len(p.due) {
+		e := p.due[p.head]
+		if at, live := p.expectations[e.key]; live && at.Equal(e.at) {
+			break
+		}
+		p.head++
+	}
+	switch {
+	case p.head == len(p.due):
+		p.due, p.head = p.due[:0], 0
+	case p.head >= 64 && 2*p.head >= len(p.due):
+		p.due, p.head = p.due[:copy(p.due, p.due[p.head:])], 0
+	}
+}
+
+// expire is the pair timer's callback: the earliest live expectation has
+// either run out — a time-domain failure — or the timer was armed for one
+// met since, and moves on to the earliest still awaited.
+func (p *Pair) expire(env runtime.Env) {
+	p.timer = nil
+	if !p.Active() {
+		return
+	}
+	p.skipStale()
+	if p.head == len(p.due) {
+		return
+	}
+	next := p.due[p.head]
+	if now := env.Now(); next.at.After(now) {
+		p.arm(env, next.at, next.at.Sub(now))
+		return
+	}
+	p.head++
+	delete(p.expectations, next.key)
+	p.Fail(env, fmt.Sprintf("time-domain: %v", next.key))
 }
 
 // Fail records a detected counterpart failure: the member double-signs the
@@ -266,9 +340,11 @@ func (p *Pair) transitionDown(env runtime.Env, fs *message.FailSignal, reason st
 		return
 	}
 	p.status = Down
-	for k, e := range p.expectations {
-		e.timer.Stop()
-		delete(p.expectations, k)
+	clear(p.expectations)
+	p.due, p.head = p.due[:0], 0
+	if p.timer != nil {
+		p.timer.Stop()
+		p.timer = nil
 	}
 	if p.cfg.OnDown != nil {
 		p.cfg.OnDown(env, fs, reason)

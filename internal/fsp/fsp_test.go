@@ -59,6 +59,7 @@ func (e *fakeEnv) SetTimer(d time.Duration, fn func()) runtime.Timer {
 }
 func (e *fakeEnv) Charge(time.Duration)                    {}
 func (e *fakeEnv) Digest(b []byte) []byte                  { return e.ident.Digest(b) }
+func (e *fakeEnv) ScratchDigest(b []byte) []byte           { return e.ident.Digest(b) }
 func (e *fakeEnv) Sign(d []byte) (crypto.Signature, error) { return e.ident.Sign(d) }
 func (e *fakeEnv) Verify(s types.NodeID, d []byte, sig crypto.Signature) error {
 	return e.ident.Verify(s, d, sig)
@@ -216,6 +217,141 @@ func TestDuplicateExpectationKeepsFirstDeadline(t *testing.T) {
 	fx.envS.advance(11 * time.Millisecond)
 	if fx.pairS.Active() {
 		t.Error("first deadline did not fire")
+	}
+}
+
+// pendingTimers counts the env timers that are neither stopped nor fired.
+func (e *fakeEnv) pendingTimers() int {
+	n := 0
+	for _, t := range e.timers {
+		if !t.stopped && !t.fired {
+			n++
+		}
+	}
+	return n
+}
+
+// TestExpectationsShareOneTimer pins the pair's deadline list: however
+// many outputs are awaited, one env timer is pending, armed for the
+// earliest; meeting outputs sets and stops no timer; and when the timer
+// finds its expectation met it moves to the earliest one still live.
+func TestExpectationsShareOneTimer(t *testing.T) {
+	fx := newFixture(t, 10*time.Millisecond)
+	env := fx.envS
+	for seq := types.Seq(1); seq <= 5; seq++ {
+		fx.pairS.Expect(env, EndorseKey(seq), 0)
+		env.advance(time.Millisecond)
+	}
+	if got := env.pendingTimers(); got != 1 || len(env.timers) != 1 {
+		t.Fatalf("%d timers pending of %d set for 5 expectations, want 1 of 1", got, len(env.timers))
+	}
+	for seq := types.Seq(1); seq <= 4; seq++ {
+		if deadline, awaited := fx.pairS.Met(EndorseKey(seq)); !awaited || !deadline.Equal(time.Time{}.Add(time.Duration(seq-1)*time.Millisecond+10*time.Millisecond)) {
+			t.Fatalf("Met(%d) = %v, %v", seq, deadline, awaited)
+		}
+	}
+	if len(env.timers) != 1 {
+		t.Fatalf("Met set or replaced a timer: %d timers", len(env.timers))
+	}
+	// now = 5ms. The timer fires at 10ms for the met batch 1 and re-arms
+	// for batch 5, due at 14ms.
+	env.advance(5 * time.Millisecond)
+	if !fx.pairS.Active() || env.pendingTimers() != 1 {
+		t.Fatalf("at batch 1's deadline: active=%v, %d timers pending; want the pair up and re-armed", fx.pairS.Active(), env.pendingTimers())
+	}
+	env.advance(3 * time.Millisecond) // 13ms
+	if !fx.pairS.Active() {
+		t.Fatal("batch 5's expectation fired early")
+	}
+	env.advance(time.Millisecond) // 14ms
+	if fx.pairS.Active() || len(fx.downs) != 1 || fx.downs[0] != "time-domain: endorsement of batch 5" {
+		t.Fatalf("at batch 5's deadline: active=%v downs=%q", fx.pairS.Active(), fx.downs)
+	}
+	if env.pendingTimers() != 0 {
+		t.Error("a down pair left its timer pending")
+	}
+}
+
+// TestEarlierDeadlineRearms covers the one case where an Expect moves the
+// timer: a later-registered expectation with a shorter offset is due
+// before the one the timer is armed for.
+func TestEarlierDeadlineRearms(t *testing.T) {
+	fx := newFixture(t, 10*time.Millisecond)
+	id := message.ReqID{Client: types.ClientID(0), ClientSeq: 1}
+	fx.pairS.Expect(fx.envS, OrderKey(id), 20*time.Millisecond) // due at 30ms
+	fx.pairS.Expect(fx.envS, EndorseKey(3), 0)                  // due at 10ms
+	if got := fx.envS.pendingTimers(); got != 1 {
+		t.Fatalf("%d timers pending, want 1", got)
+	}
+	fx.envS.advance(10 * time.Millisecond)
+	if fx.pairS.Active() || len(fx.downs) != 1 || fx.downs[0] != "time-domain: endorsement of batch 3" {
+		t.Fatalf("active=%v downs=%q, want the 10ms expectation to fail first", fx.pairS.Active(), fx.downs)
+	}
+}
+
+// TestEqualDeadlinesFailInExpectOrder: of expectations that run out
+// together, the one registered first is the one the fail-signal names (as
+// when each had a timer of its own and timers fired in SetTimer order).
+func TestEqualDeadlinesFailInExpectOrder(t *testing.T) {
+	fx := newFixture(t, 10*time.Millisecond)
+	for seq := uint64(7); seq <= 9; seq++ {
+		fx.pairS.Expect(fx.envS, OrderKey(message.ReqID{Client: types.ClientID(2), ClientSeq: seq}), 0)
+	}
+	fx.envS.advance(10 * time.Millisecond)
+	if len(fx.downs) != 1 || fx.downs[0] != "time-domain: order decision for client2#7" {
+		t.Errorf("downs = %q", fx.downs)
+	}
+}
+
+// TestReExpectedKeyKeepsItsNewDeadline: a key met and awaited again has a
+// stale entry under its old deadline; that entry must neither fail the
+// pair nor discharge the new expectation.
+func TestReExpectedKeyKeepsItsNewDeadline(t *testing.T) {
+	fx := newFixture(t, 10*time.Millisecond)
+	k := AckKey(1, 4)
+	fx.pairS.Expect(fx.envS, EndorseKey(1), 0) // holds the head, so k's first entry stays queued
+	fx.pairS.Expect(fx.envS, k, 0)             // due at 10ms
+	fx.pairS.Met(k)
+	fx.envS.advance(5 * time.Millisecond)
+	fx.pairS.Expect(fx.envS, k, 0) // due at 15ms
+	fx.pairS.Met(EndorseKey(1))
+	fx.envS.advance(5 * time.Millisecond) // 10ms: only stale entries are due
+	if !fx.pairS.Active() {
+		t.Fatal("the met expectation's stale deadline failed the pair")
+	}
+	fx.envS.advance(5 * time.Millisecond) // 15ms
+	if fx.pairS.Active() {
+		t.Fatal("the re-registered expectation did not fire at its own deadline")
+	}
+}
+
+// TestExpectMetAllocFree is the expectation floor: awaiting an output and
+// seeing it met, over and over as a shadow does per request, costs no
+// heap object — no timer, no closure, and the deadline list reuses its
+// front.
+func TestExpectMetAllocFree(t *testing.T) {
+	fx := newFixture(t, time.Second)
+	seq := uint64(0)
+	// Sixteen in flight, met in order, as under a closed loop.
+	for ; seq < 16; seq++ {
+		fx.pairS.Expect(fx.envS, OrderKey(message.ReqID{ClientSeq: seq}), time.Millisecond)
+	}
+	round := func() {
+		fx.envS.now = fx.envS.now.Add(time.Microsecond)
+		fx.pairS.Expect(fx.envS, OrderKey(message.ReqID{ClientSeq: seq}), time.Millisecond)
+		if _, awaited := fx.pairS.Met(OrderKey(message.ReqID{ClientSeq: seq - 16})); !awaited {
+			t.Fatal("the oldest expectation was not live")
+		}
+		seq++
+	}
+	for i := 0; i < 1000; i++ {
+		round() // let the map and the list reach their working size
+	}
+	if got := testing.AllocsPerRun(1000, round); got != 0 {
+		t.Errorf("Expect + Met = %v allocs, want 0", got)
+	}
+	if n := len(fx.envS.timers); n != 1 {
+		t.Errorf("%d timers set for %d expectations, want 1", n, seq)
 	}
 }
 

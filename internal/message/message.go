@@ -169,7 +169,7 @@ func encode(m codable) *coder {
 // so one m can be re-pointed at each signatory of the proof in turn.
 func verifyDetached(v Verifier, signer types.NodeID, m codable, sig crypto.Signature) error {
 	c := encode(m)
-	err := v.Verify(signer, v.Digest(c.w.Bytes()[:c.mark]), sig)
+	err := v.Verify(signer, transientDigest(v, c.w.Bytes()[:c.mark]), sig)
 	c.release()
 	return err
 }
@@ -223,23 +223,41 @@ type SignerVerifier interface {
 	Verifier
 }
 
+// digester is the half Signer and Verifier share.
+type digester interface {
+	Digest(data []byte) []byte
+}
+
+// transientDigest digests data for a result that is signed or verified on
+// the spot and then dropped. A signer whose calls one goroutine serialises
+// (the runtime Envs) owns scratch for exactly that and offers it as
+// ScratchDigest; anything else — a bare crypto.Identity is safe for
+// concurrent use, so it has no scratch to offer — digests into a fresh
+// slice. Each result is consumed before the next is asked for.
+func transientDigest(d digester, data []byte) []byte {
+	if s, ok := d.(interface{ ScratchDigest([]byte) []byte }); ok {
+		return s.ScratchDigest(data)
+	}
+	return d.Digest(data)
+}
+
 // SignSingle signs body as s and returns the signature.
 func SignSingle(s Signer, body []byte) (crypto.Signature, error) {
-	return s.Sign(s.Digest(body))
+	return s.Sign(transientDigest(s, body))
 }
 
 // VerifySingle checks a single signature over body.
 func VerifySingle(v Verifier, signer types.NodeID, body []byte, sig crypto.Signature) error {
-	return v.Verify(signer, v.Digest(body), sig)
+	return v.Verify(signer, transientDigest(v, body), sig)
 }
 
 // counterSignDigest computes Digest(body || sig1), what the second
 // signatory of a double-signed message signs, through a pooled buffer.
-func counterSignDigest(d interface{ Digest([]byte) []byte }, body []byte, sig1 crypto.Signature) []byte {
+func counterSignDigest(d digester, body []byte, sig1 crypto.Signature) []byte {
 	w := codec.GetWriter()
 	w.Raw(body)
 	w.Raw(sig1)
-	digest := d.Digest(w.Bytes())
+	digest := transientDigest(d, w.Bytes())
 	w.Release()
 	return digest
 }
@@ -254,7 +272,7 @@ func SignSecond(s Signer, body []byte, sig1 crypto.Signature) (crypto.Signature,
 // as single-signed with an empty sig2 (the unpaired coordinator C(f+1) and
 // the CT baseline emit such messages).
 func VerifyDouble(v Verifier, first, second types.NodeID, body []byte, sig1, sig2 crypto.Signature) error {
-	if err := v.Verify(first, v.Digest(body), sig1); err != nil {
+	if err := v.Verify(first, transientDigest(v, body), sig1); err != nil {
 		return fmt.Errorf("message: first signature: %w", err)
 	}
 	if second == types.Nil {

@@ -144,15 +144,19 @@ func TestInstrumentUpdatesAllocFree(t *testing.T) {
 	c := r.Counter("c_total", "c", L("node", "0"))
 	g := r.Gauge("g", "g", L("node", "0"))
 	h := r.Histogram("h_seconds", "h", []float64{0.001, 0.01, 0.1}, L("node", "0"))
+	// The pair-check margin is fed as a duration, and can be negative (an
+	// output that beat the timer's callback but not its deadline).
+	margin := r.Histogram("sof_pair_check_margin_seconds", "m", []float64{0.001, 0.01, 0.1, 1}, L("node", "0"))
 	v := 0.0
 	allocs := testing.AllocsPerRun(1000, func() {
 		v += 0.0007
 		c.Inc()
 		g.Set(v)
 		h.Observe(v)
+		margin.ObserveDuration(time.Duration(v*float64(time.Second)) - 100*time.Millisecond)
 	})
 	if allocs != 0 {
-		t.Errorf("Counter.Inc + Gauge.Set + Histogram.Observe allocate %v times per update, want 0", allocs)
+		t.Errorf("Counter.Inc + Gauge.Set + Histogram.Observe + ObserveDuration allocate %v times per update, want 0", allocs)
 	}
 }
 

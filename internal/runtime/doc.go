@@ -18,8 +18,11 @@
 //
 // The two real-time substrates are a single code path: the shared
 // delivery engine (engine.go) owns the event queue, its draining
-// goroutine, the encode-once fan-out, the decoded self-loopback, timers
-// and the crypto-backed Env surface. LiveCluster nodes and TCP endpoints
+// goroutine, the encode-once fan-out, the decoded self-loopback, the
+// deadline queue behind SetTimer (timers.go: one heap and one armed
+// runtime timer per process, dropped with the loop so Stop cancels every
+// pending timer) and the crypto-backed Env surface, digest scratch
+// included. LiveCluster nodes and TCP endpoints
 // embed it and supply only their delivery medium — fabric-delayed
 // in-process handoff vs. tcpnet peer queues — so transport features like
 // the authenticated session layer plug in beneath the engine without the

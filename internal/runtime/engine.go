@@ -23,8 +23,9 @@ type liveEvent struct {
 // engine is the delivery core shared by every real-time substrate
 // (in-process LiveCluster nodes and TCP endpoints): a condition-variable
 // event queue drained by one goroutine that serialises Init, Receive and
-// timer callbacks, the encode-once fan-out, the decoded self-loopback,
-// and the identity-backed Env surface (time, timers, crypto, logging).
+// timer callbacks, the deadline queue those timers wait in, the
+// encode-once fan-out, the decoded self-loopback, and the identity-backed
+// Env surface (time, timers, crypto, logging).
 // Substrates embed it and add only what actually differs — how a raw
 // encoding crosses to another node (fabric delays vs. peer send queues).
 //
@@ -47,6 +48,9 @@ type engine struct {
 	queue  []liveEvent
 	closed atomic.Bool
 	down   atomic.Bool
+
+	timers  timerQueue
+	scratch []byte // ScratchDigest's result; the loop goroutine's
 }
 
 // attach wires the engine to its owner; env is the embedding node.
@@ -54,6 +58,8 @@ func (e *engine) attach(id types.NodeID, ident *crypto.Identity, proc Process, e
 	logf func(format string, args ...any)) {
 	e.id, e.ident, e.proc, e.env, e.logf = id, ident, proc, env, logf
 	e.cond = sync.NewCond(&e.mu)
+	run := e.runTimers // one method value for the engine's life, not one per wake-up
+	e.timers.onWake = func() { e.enqueue(liveEvent{fn: run}) }
 }
 
 func (e *engine) enqueue(ev liveEvent) {
@@ -95,8 +101,10 @@ func (e *engine) loopback(m message.Message) {
 	e.enqueue(liveEvent{from: e.id, msg: m})
 }
 
-// closeLoop stops the event loop; events still queued are dropped.
+// closeLoop stops the event loop; events still queued are dropped and
+// every pending timer is cancelled.
 func (e *engine) closeLoop() {
+	e.timers.close()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.closed.Store(true) // under mu: a waiting loop must not miss the broadcast
@@ -177,21 +185,29 @@ func (e *engine) Now() time.Time { return time.Now() }
 func (e *engine) Charge(time.Duration) {}
 
 // SetTimer implements Env.
-func (e *engine) SetTimer(d time.Duration, fn func()) Timer {
-	lt := &liveTimer{}
-	lt.timer = time.AfterFunc(d, func() {
-		e.enqueue(liveEvent{fn: func() {
-			if lt.expired() {
-				return
-			}
-			fn()
-		}})
-	})
-	return lt
+func (e *engine) SetTimer(d time.Duration, fn func()) Timer { return e.timers.set(d, fn) }
+
+// runTimers is the expiry run a wake-up queues: it fires every due timer,
+// earliest deadline first, consulting closed and down before each as the
+// loop does before each event.
+func (e *engine) runTimers() {
+	for !e.closed.Load() && !e.down.Load() {
+		fn := e.timers.due()
+		if fn == nil {
+			return
+		}
+		fn()
+	}
 }
 
 // Digest implements Env.
 func (e *engine) Digest(data []byte) []byte { return e.ident.Digest(data) }
+
+// ScratchDigest implements Env.
+func (e *engine) ScratchDigest(data []byte) []byte {
+	e.scratch = e.ident.AppendDigest(e.scratch[:0], data)
+	return e.scratch
+}
 
 // Sign implements Env.
 func (e *engine) Sign(digest []byte) (crypto.Signature, error) { return e.ident.Sign(digest) }
@@ -203,33 +219,3 @@ func (e *engine) Verify(signer types.NodeID, digest []byte, sig crypto.Signature
 
 // Logf implements Env.
 func (e *engine) Logf(format string, args ...any) { e.logf(format, args...) }
-
-// liveTimer implements Timer over time.Timer, with a stopped flag that
-// also wins the race where the callback is already queued in the loop.
-type liveTimer struct {
-	mu      sync.Mutex
-	stopped bool
-	timer   *time.Timer
-}
-
-// Stop implements Timer.
-func (t *liveTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return false
-	}
-	t.stopped = true
-	t.timer.Stop()
-	return true
-}
-
-func (t *liveTimer) expired() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stopped {
-		return true
-	}
-	t.stopped = true
-	return false
-}

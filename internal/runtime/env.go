@@ -27,7 +27,13 @@ type Env interface {
 	// Charge adds modelled CPU time to the current event (no-op live).
 	Charge(d time.Duration)
 	// Digest computes the suite digest of data (charged in simulation).
+	// The result is the caller's to keep.
 	Digest(data []byte) []byte
+	// ScratchDigest is Digest into storage the environment owns, charged
+	// alike: the result is valid only until the next ScratchDigest on this
+	// Env. It is for a digest that is signed, verified or compared and
+	// then dropped; the process's event loop is what serialises its use.
+	ScratchDigest(data []byte) []byte
 	// Sign signs a digest as this process (charged in simulation).
 	Sign(digest []byte) (crypto.Signature, error)
 	// Verify checks a signature by signer (charged in simulation).
@@ -40,7 +46,10 @@ type Env interface {
 // code can pass it directly to message verification helpers.
 var _ message.SignerVerifier = (Env)(nil)
 
-// Timer is a cancellable timer handle.
+// Timer is a cancellable timer handle. A handle names one SetTimer call
+// for good: Stop on it after that timer fired or was stopped reports
+// false and touches no later timer, however the substrate recycles what
+// is behind the handle.
 type Timer interface {
 	// Stop cancels the timer; it reports whether the callback was
 	// prevented from running.

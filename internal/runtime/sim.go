@@ -122,6 +122,7 @@ type simNode struct {
 	inEvent   bool
 	start     time.Time
 	charged   time.Duration
+	scratch   []byte // ScratchDigest's result
 }
 
 var _ Env = (*simNode)(nil)
@@ -201,30 +202,28 @@ func (n *simNode) transmit(to types.NodeID, m message.Message, size int, record 
 	})
 }
 
-// simTimer wraps a scheduler event.
-type simTimer struct {
-	ev *des.Event
-}
-
-// Stop implements Timer.
-func (t *simTimer) Stop() bool { return t.ev.Cancel() }
-
-// SetTimer implements Env.
+// SetTimer implements Env; the scheduler's event is the handle.
 func (n *simNode) SetTimer(d time.Duration, fn func()) Timer {
 	at := n.Now().Add(d)
-	ev := n.c.sched.At(at, func() {
+	return n.c.sched.At(at, func() {
 		if n.down {
 			return
 		}
 		n.runEvent(0, fn)
 	})
-	return &simTimer{ev: ev}
 }
 
 // Digest implements Env, charging the modelled digest cost.
 func (n *simNode) Digest(data []byte) []byte {
 	n.Charge(n.ident.Suite().Costs().DigestCost(len(data)))
 	return n.ident.Digest(data)
+}
+
+// ScratchDigest implements Env, charging what Digest charges.
+func (n *simNode) ScratchDigest(data []byte) []byte {
+	n.Charge(n.ident.Suite().Costs().DigestCost(len(data)))
+	n.scratch = n.ident.AppendDigest(n.scratch[:0], data)
+	return n.scratch
 }
 
 // Sign implements Env, charging the modelled signing cost.

@@ -119,7 +119,8 @@ type Journal interface {
 	RecoverSender(self, peer types.NodeID) (SenderState, bool)
 	// SealedFrame records a newly sealed frame for self->peer (epoch and
 	// sequence travel in f.Hdr). The frame segments must be treated as
-	// immutable.
+	// immutable, and Hdr and MAC copied if kept: they are the sender's
+	// (see Frame).
 	SealedFrame(self, peer types.NodeID, f Frame)
 	// Acked records the peer's delivery watermark for self->peer learned
 	// from a verified hello-ack; frames at or below it can be forgotten.
@@ -188,6 +189,7 @@ func (c *Config) NewSender(self, peer types.NodeID) *Sender {
 		// be replayed, so it exists only when replay does.
 		s.ring = make([]Frame, c.ringLen())
 	}
+	s.Reserve(c.ringLen())
 	if c.Journal != nil {
 		if st, ok := c.Journal.RecoverSender(self, peer); ok {
 			s.epoch = st.Epoch
@@ -254,7 +256,11 @@ func (c *Config) NewReceiver(self, from types.NodeID) *Receiver {
 
 // Frame is one sealed data frame, held as three gather segments so the
 // transport can writev header, caller-owned immutable body and MAC
-// without copying the body.
+// without copying the body. Hdr and MAC of a frame Seal returned belong
+// to the sender's slab slot for its sequence number: they hold until the
+// slot is sealed into again (see Sender.Reserve), which the
+// retransmission ring never outlasts. Whoever keeps a frame longer
+// copies it (Append); recovered frames own their bytes.
 type Frame struct {
 	Seq  uint64
 	Hdr  []byte // HeaderLen bytes
@@ -290,6 +296,12 @@ type Sender struct {
 	ring       []Frame   // nil when resume is off
 	ringFloor  uint64    // highest sequence NOT present in the ring (recovery)
 	lossFloor  uint64    // highest sequence already accounted as unrecoverable
+	// slab is the header+MAC storage of the frames sealed last: slots
+	// Overhead-sized slots, indexed by sequence number as the ring is and
+	// at least as many. Sealing is this goroutine's alone, so a slot is
+	// rewritten only when its frame is slots seals old.
+	slab  []byte
+	slots uint64
 
 	retransmitted atomic.Uint64
 	lost          atomic.Uint64
@@ -323,13 +335,25 @@ func (s *Sender) Stats() SenderStats {
 // traffic to trigger the connection.
 func (s *Sender) NeedsReplay() bool { return s.recovered }
 
+// Reserve makes the Hdr and MAC of a sealed frame hold for at least
+// frames-1 further seals, whatever the ring length: a transport that
+// seals a batch before writing it reserves its largest batch, so a ring
+// configured shorter than that cannot rewrite a slot still in the batch.
+func (s *Sender) Reserve(frames int) {
+	if uint64(frames) > s.slots {
+		s.slab, s.slots = make([]byte, frames*Overhead), uint64(frames)
+	}
+}
+
 // Seal assigns body the next sequence number, MACs it, stores the sealed
 // frame in the retransmission ring and returns it. body must be
-// immutable (the cached wire encoding is).
+// immutable (the cached wire encoding is). The frame's Hdr and MAC live
+// in the sender's slab (see Frame).
 func (s *Sender) Seal(body []byte) Frame {
 	seq := atomic.AddUint64(&s.nextSeq, 1)
-	buf := make([]byte, Overhead) // one allocation for header + MAC
-	hdr := buf[:HeaderLen]
+	slot := int(seq%s.slots) * Overhead
+	buf := s.slab[slot : slot+Overhead : slot+Overhead]
+	hdr := buf[:HeaderLen:HeaderLen]
 	hdr[0] = Version
 	hdr[1] = kindData
 	binary.BigEndian.PutUint64(hdr[2:], s.epoch)

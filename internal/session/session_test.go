@@ -380,9 +380,10 @@ func TestLostCountedOnce(t *testing.T) {
 	}
 }
 
-// TestSealOpenAllocFree pins the per-frame heap cost of the session layer:
-// Open nothing (the expected MAC is summed into receiver-owned scratch),
-// Seal its one header+MAC buffer, which the retransmission ring retains.
+// TestSealOpenAllocFree pins the per-frame heap cost of the session layer
+// at nothing: Open sums the expected MAC into receiver-owned scratch, Seal
+// writes header and MAC into the sender's slab — with a retransmission
+// ring to retain the frame and without one.
 func TestSealOpenAllocFree(t *testing.T) {
 	tx, rx := pair(t, true, 0)
 	body := make([]byte, 128)
@@ -399,7 +400,63 @@ func TestSealOpenAllocFree(t *testing.T) {
 	if st := rx.Stats(); st.Delivered != runs+1 || st.Rejected != 0 {
 		t.Fatalf("measured frames were not delivered: %+v", st)
 	}
-	if got := testing.AllocsPerRun(runs, func() { tx.Seal(body) }); got > 1 {
-		t.Errorf("Sender.Seal = %v allocs, want <= 1 (header and MAC in one buffer)", got)
+	for _, resume := range []bool{true, false} {
+		tx, _ := pair(t, resume, 0)
+		if got := testing.AllocsPerRun(runs, func() { tx.Seal(body) }); got != 0 {
+			t.Errorf("Sender.Seal (resume %v) = %v allocs, want 0", resume, got)
+		}
+	}
+}
+
+// TestSealedOverheadHoldsUntilSlotReuse pins the slab's contract from both
+// ends: a frame's Hdr and MAC are byte-stable while the ring still holds
+// the frame — through ringLen-1 further seals and through HandleAck's
+// replay of it — and the very next seal is what rewrites them.
+func TestSealedOverheadHoldsUntilSlotReuse(t *testing.T) {
+	const ringLen = 8
+	tx, rx := pair(t, true, ringLen)
+	first := tx.Seal([]byte("first"))
+	want := first.Append(nil)
+	for i := 1; i < ringLen; i++ {
+		tx.Seal([]byte{byte(i)})
+		if !bytes.Equal(first.Append(nil), want) {
+			t.Fatalf("frame 1 changed after %d further seals (ring of %d)", i, ringLen)
+		}
+	}
+	replay, lost, err := tx.HandleAck(rx.Ack())
+	if err != nil || lost != 0 || len(replay) != ringLen || replay[0].Seq != 1 {
+		t.Fatalf("HandleAck: %d frames, lost %d, err %v; want the whole ring from seq 1", len(replay), lost, err)
+	}
+	if !bytes.Equal(replay[0].Append(nil), want) {
+		t.Error("replayed frame 1 differs from the frame as sealed")
+	}
+	for i, f := range replay {
+		if _, err := rx.Open(f.Append(nil)); err != nil {
+			t.Fatalf("replayed frame %d does not open: %v", i+1, err)
+		}
+	}
+	tx.Seal([]byte("evicts frame 1"))
+	if bytes.Equal(first.Append(nil), want) {
+		t.Error("frame 1's overhead survived its slot's reuse: the slab is not what Seal writes into")
+	}
+}
+
+// TestReserveOutlastsShortRing is the transport's case: it seals a whole
+// writev batch before writing it, so with a ring configured shorter than
+// the batch the slab must follow the reservation, not the ring — no frame
+// of the batch may be rewritten by a later one.
+func TestReserveOutlastsShortRing(t *testing.T) {
+	const ringLen, batch = 4, 64
+	tx, rx := pair(t, true, ringLen)
+	tx.Reserve(batch)
+	frames := make([]Frame, batch)
+	for i := range frames {
+		frames[i] = tx.Seal([]byte{byte(i)})
+	}
+	for i, f := range frames {
+		body, err := rx.Open(f.Append(nil))
+		if err != nil || len(body) != 1 || body[0] != byte(i) {
+			t.Fatalf("frame %d of the batch: body %v, err %v (aliased by a later seal?)", i+1, body, err)
+		}
 	}
 }

@@ -91,6 +91,8 @@ func newPeer(self, id types.NodeID, addr string, opts Options, logger *log.Logge
 	}
 	if opts.Session != nil {
 		p.tx = opts.Session.NewSender(self, id)
+		// run seals up to MaxBatch frames before it writes them.
+		p.tx.Reserve(opts.MaxBatch)
 	}
 	return p
 }
