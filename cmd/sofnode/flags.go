@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"time"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -38,7 +39,7 @@ func parseFlags(args []string) config {
 	fs.IntVar(&c.inflight, "inflight", 1, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes")
 	fs.DurationVar(&c.idleArm, "idle-arm", 0, "sc/scr batch-timer delay armed when the first request reaches an idle primary (0 = the batching interval)")
 	fs.BoolVar(&c.digestAcks, "digest-acks", false, "sc/scr digest-only ordering: acks carry subject digests only; missing subjects/payloads are fetched off the critical path")
-	fs.StringVar(&c.clients, "clients", "", "comma-separated client listen addresses (index = client number) to send commit-observation replies to")
+	fs.StringVar(&c.clients, "clients", "", "comma-separated client listen addresses (index = client number) whose committed requests this node answers with a signed Reply")
 	fs.IntVar(&c.groups, "groups", 1, "independent ordering groups hosted on this node (sc/scr only; all nodes and clients must agree): each group is a complete ordering cluster with its own coordinator pair — rotated so group g's pair sits on different physical nodes — and its own WAL directory under -data-dir/g<i>, multiplexed over this node's one listener and session")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve the ops surface on this address: /metrics (Prometheus text exposition), /healthz (liveness), /readyz (ready once catch-up is done and a majority of order processes are connected)")
 	fs.BoolVar(&c.tls, "tls", false, "wrap every connection — peer and client — in TLS 1.3; both endpoints derive a matched DevTLS certificate from -secret, so all nodes and clients must agree")
@@ -52,12 +53,28 @@ func parseFlags(args []string) config {
 	return c
 }
 
+// clientAddrs are the -clients listen addresses by client identity: where
+// this node's transport reaches each client, and the reply-to set.
+func (c config) clientAddrs() map[types.NodeID]string {
+	addrs := make(map[types.NodeID]string)
+	if c.clients != "" {
+		for k, a := range strings.Split(c.clients, ",") {
+			addrs[types.ClientID(k)] = strings.TrimSpace(a)
+		}
+	}
+	return addrs
+}
+
 // spec maps the command line to this node's assembly spec; run adds the
 // registry, logger and event hooks. The knobs sofnode has no flag for are
 // fixed here: 1 KB batches, pair mirroring on, the dumb optimisation on
 // (node applies it under SC only), SCR pair probes every -delta, BFT's
 // default view-change timeout, the default session ring.
 func (c config) spec(proto types.Protocol, topo types.Topology, dealt *node.Dealt) node.Spec {
+	replyTo := make(map[types.NodeID]bool)
+	for id := range c.clientAddrs() {
+		replyTo[id] = true
+	}
 	return node.Spec{
 		Self:               types.NodeID(c.id),
 		Protocol:           proto,
@@ -80,5 +97,6 @@ func (c config) spec(proto types.Protocol, topo types.Topology, dealt *node.Deal
 		Resume:             c.resume,
 		TLSServer:          dealt.TLSServer,
 		TLSClient:          dealt.TLSClient,
+		ReplyTo:            replyTo,
 	}
 }

@@ -36,9 +36,10 @@
 // crash loses at most one batching interval of records.
 //
 // With -clients (comma-separated client listen addresses, index = client
-// number) the node sends a signed commit-observation Reply to the
-// request's client whenever it commits an entry; `sofclient -bench
-// -listen` consumes these to measure commit-side latency end to end.
+// number) every hosted order process answers each committed entry of
+// those clients with a signed Reply (internal/node wires the emission,
+// through the process's own environment); `sofclient -listen` accepts a
+// request once f+1 distinct nodes have vouched for it.
 //
 // With -ingress (sc/scr only) the node runs client admission control in
 // front of its request pool: a per-client rate limiter with an optional
@@ -88,30 +89,65 @@ import (
 
 	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
-	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
-	"github.com/sof-repro/sof/internal/runtime"
-	"github.com/sof-repro/sof/internal/shard"
 	"github.com/sof-repro/sof/internal/types"
 )
 
 func main() {
 	cfg := parseFlags(os.Args[1:])
+	lns, err := listen(cfg)
+	if err != nil {
+		log.Fatalf("sofnode %d: %v", cfg.id, err)
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	stop := make(chan struct{})
 	go func() { <-sig; close(stop) }()
-	if err := run(cfg, stop); err != nil {
+	if err := run(cfg, lns, stop); err != nil {
 		log.Fatalf("sofnode %d: %v", cfg.id, err)
 	}
 }
 
-// run assembles the node (internal/node), serves until stop closes or the
-// transport dies, and shuts down cleanly: counters logged, stores flushed
-// so the successor incarnation recovers everything. A fatal transport
-// loss is returned as an error so supervisors restart the process.
-func run(cfg config, stop <-chan struct{}) error {
+// listeners are the node's bound endpoints. run is handed them bound —
+// main binds what the flags name, the in-process test binds port 0 and
+// reads the addresses back — so nothing ever releases a port hoping to
+// get it back.
+type listeners struct {
+	peer net.Listener // the transport's: this node's entry of -peers
+	ops  net.Listener // the ops mux's: -metrics-addr (nil without it)
+}
+
+// listen binds the endpoints the flags name.
+func listen(cfg config) (lns listeners, err error) {
+	addrs := strings.Split(cfg.peers, ",")
+	if cfg.id < 0 || cfg.id >= len(addrs) {
+		return lns, fmt.Errorf("id %d has no address among the %d -peers", cfg.id, len(addrs))
+	}
+	if lns.peer, err = net.Listen("tcp", strings.TrimSpace(addrs[cfg.id])); err != nil {
+		return lns, err
+	}
+	if cfg.metricsAddr != "" {
+		if lns.ops, err = net.Listen("tcp", cfg.metricsAddr); err != nil {
+			lns.peer.Close()
+			return lns, fmt.Errorf("metrics listener: %w", err)
+		}
+	}
+	return lns, nil
+}
+
+// run assembles the node (internal/node), serves on lns until stop closes
+// or the transport dies, and shuts down cleanly: counters logged, stores
+// flushed so the successor incarnation recovers everything. A fatal
+// transport loss is returned as an error so supervisors restart the
+// process.
+func run(cfg config, lns listeners, stop <-chan struct{}) error {
+	// The transport closes its listener itself; this covers the returns
+	// that come before one exists.
+	defer lns.peer.Close()
+	if lns.ops != nil {
+		defer lns.ops.Close()
+	}
 	if cfg.resume {
 		cfg.auth = true
 	}
@@ -133,25 +169,16 @@ func run(cfg config, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	addrs := strings.Split(cfg.peers, ",")
-	if len(addrs) != topo.N() {
-		return fmt.Errorf("need %d peer addresses for %v f=%d, got %d", topo.N(), proto, cfg.f, len(addrs))
-	}
-	peers := make(map[types.NodeID]string, len(addrs))
-	for i, a := range addrs {
-		peers[types.NodeID(i)] = strings.TrimSpace(a)
+	peers, err := node.PeerAddrs(cfg.peers, topo)
+	if err != nil {
+		return err
 	}
 	self := types.NodeID(cfg.id)
 	if !topo.IsProcess(self) {
 		return fmt.Errorf("id %d is not a process of this topology", cfg.id)
 	}
-	// Known client endpoints for the commit-observation reply path.
-	replyTo := make(map[types.NodeID]bool)
-	if cfg.clients != "" {
-		for k, a := range strings.Split(cfg.clients, ",") {
-			peers[types.ClientID(k)] = strings.TrimSpace(a)
-			replyTo[types.ClientID(k)] = true
-		}
+	for id, a := range cfg.clientAddrs() {
+		peers[id] = a
 	}
 	dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, topo, cfg.auth, cfg.tls)
 	if err != nil {
@@ -163,40 +190,12 @@ func run(cfg config, stop <-chan struct{}) error {
 	// renders it.
 	reg := obs.NewRegistry()
 
-	var tcp *runtime.TCPNode // set before Start; commits only happen after
-	// sendReplies answers each committed entry of a known client with a
-	// signed commit observation. In sharded deployments EVERY frame is
-	// group-prefixed, and sofclient demultiplexes replies by stripping the
-	// byte back off.
-	sendReplies := func(group int, ev core.CommitEvent) {
-		for i := range ev.Entries {
-			e := &ev.Entries[i]
-			if !replyTo[e.Req.Client] {
-				continue
-			}
-			rep := &message.Reply{
-				From: self, Client: e.Req.Client, ClientSeq: e.Req.ClientSeq,
-				Seq: ev.FirstSeq + types.Seq(i),
-			}
-			sig, err := message.SignSingle(dealt.Idents[self], rep.SignedBody())
-			if err != nil {
-				continue
-			}
-			rep.Sig = sig
-			raw := rep.Marshal()
-			if cfg.groups > 1 {
-				raw = shard.PrefixGroup(group, raw)
-			}
-			tcp.Transport().Send(e.Req.Client, raw)
-		}
-	}
 	spec := cfg.spec(proto, topo, dealt)
 	spec.Registry, spec.Logger = reg, logger
-	spec.Hooks = func(group int) node.Hooks {
+	spec.Hooks = func(int) node.Hooks {
 		return node.Hooks{
 			OnCommit: func(ev core.CommitEvent) {
 				logger.Printf("COMMIT view=%d seqs=[%d..%d] entries=%d", ev.View, ev.FirstSeq, ev.LastSeq, len(ev.Entries))
-				sendReplies(group, ev)
 			},
 			OnFailSignal: func(ev core.FailSignalEvent) {
 				logger.Printf("FAILSIGNAL pair=%d emitter=%v reason=%s", ev.Pair, ev.Emitter, ev.Reason)
@@ -212,11 +211,7 @@ func run(cfg config, stop <-chan struct{}) error {
 	}
 	defer n.Close()
 
-	if cfg.groups == 1 {
-		tcp, err = runtime.NewTCPNode(self, peers[self], dealt.Idents[self], n.Procs[0], peers, logger, n.TCPOptions())
-	} else {
-		tcp, err = runtime.NewShardedTCPNode(self, peers[self], dealt.Idents[self], n.Procs, peers, logger, n.TCPOptions())
-	}
+	tcp, err := n.Listen("", lns.peer, n.Procs, peers)
 	if err != nil {
 		return err
 	}
@@ -228,15 +223,10 @@ func run(cfg config, stop <-chan struct{}) error {
 	// Ops surface: /metrics, /healthz and /readyz (node.Ready — not ready
 	// for exactly the restart catch-up window a rolling upgrade must wait
 	// out, or while cut off from a majority).
-	if cfg.metricsAddr != "" {
-		ln, err := net.Listen("tcp", cfg.metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		defer ln.Close()
+	if lns.ops != nil {
 		ready := func() error { return n.Ready(tcp.Transport()) }
-		go func() { _ = http.Serve(ln, obs.NewMux(reg, ready)) }()
-		logger.Printf("ops surface on http://%s/metrics (/healthz, /readyz)", ln.Addr())
+		go func() { _ = http.Serve(lns.ops, obs.NewMux(reg, ready)) }()
+		logger.Printf("ops surface on http://%s/metrics (/healthz, /readyz)", lns.ops.Addr())
 	}
 
 	select {

@@ -3,44 +3,42 @@ package main
 import (
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/sof-repro/sof/internal/client"
 	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/harness"
 	"github.com/sof-repro/sof/internal/ingress"
-	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/node"
-	"github.com/sof-repro/sof/internal/session"
-	"github.com/sof-repro/sof/internal/tcpnet"
+	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/types"
 )
 
-// freeAddrs reserves n loopback addresses by binding and releasing them.
-func freeAddrs(t *testing.T, n int) []string {
+// bind returns a listener on a loopback port of the kernel's choosing; it
+// stays bound until whoever it is handed to closes it.
+func bind(t *testing.T) net.Listener {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return addrs
+	return ln
 }
 
 // TestClusterInProcess drives the binary's own wiring end to end: four
 // run() invocations form a 4-node SC f=1 cluster on loopback with -auth
-// -resume -metrics-addr, a tcpnet.Client submits one request, f+1 nodes
-// answer with verifiable signed replies, and every node's /readyz is 200.
+// -resume and an ops listener each, the system's one client (hosted on a
+// TCP node, as sofclient hosts it) submits one request and accepts it once
+// f+1 nodes have answered with verifiable signed replies, and every node's
+// /readyz is 200. Every endpoint is bound before anything starts, so no
+// address is ever guessed.
 func TestClusterInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration test")
@@ -55,39 +53,23 @@ func TestClusterInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	me := types.ClientID(0)
-	sess := &session.Config{Keys: dealt.Links, Resume: true}
-
-	// The reply listener the nodes dial back into (their -clients flag).
-	type reply struct {
-		from types.NodeID
-		req  message.ReqID
+	replies := bind(t) // the client's listener, the nodes' -clients
+	lns := make([]listeners, topo.N())
+	peerAddrs := make([]string, topo.N())
+	for i := range lns {
+		lns[i] = listeners{peer: bind(t), ops: bind(t)}
+		peerAddrs[i] = lns[i].peer.Addr().String()
 	}
-	replies := make(chan reply, 64)
-	listener, err := tcpnet.Listen(me, "127.0.0.1:0", nil, log.New(io.Discard, "", 0), tcpnet.Options{Session: sess})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer listener.Close()
-	listener.Start(func(from types.NodeID, frame []byte) {
-		m, err := message.Decode(frame)
-		if err != nil {
-			return
-		}
-		if rep, ok := m.(*message.Reply); ok && rep.From == from && rep.VerifySig(dealt.Idents[me]) == nil {
-			replies <- reply{from, message.ReqID{Client: rep.Client, ClientSeq: rep.ClientSeq}}
-		}
-	})
 
-	peerAddrs, opsAddrs := freeAddrs(t, topo.N()), freeAddrs(t, topo.N())
 	stop := make(chan struct{})
 	done := make(chan error, topo.N())
-	for i := 0; i < topo.N(); i++ {
+	for i := range lns {
 		cfg := parseFlags([]string{
 			"-id", fmt.Sprint(i), "-f", fmt.Sprint(f), "-protocol", "sc", "-secret", secret,
-			"-peers", strings.Join(peerAddrs, ","), "-clients", listener.Addr(),
-			"-batch", "5ms", "-auth", "-resume", "-metrics-addr", opsAddrs[i],
+			"-peers", strings.Join(peerAddrs, ","), "-clients", replies.Addr().String(),
+			"-batch", "5ms", "-auth", "-resume",
 		})
-		go func() { done <- run(cfg, stop) }()
+		go func() { done <- run(cfg, lns[i], stop) }()
 	}
 	stopped := false
 	stopAll := func() {
@@ -96,7 +78,7 @@ func TestClusterInProcess(t *testing.T) {
 		}
 		stopped = true
 		close(stop)
-		for i := 0; i < topo.N(); i++ {
+		for range lns {
 			if err := <-done; err != nil {
 				t.Errorf("run returned %v", err)
 			}
@@ -104,11 +86,11 @@ func TestClusterInProcess(t *testing.T) {
 	}
 	defer stopAll()
 
-	awaitOK := func(addr, path string) {
+	awaitOK := func(ln net.Listener, path string) {
 		t.Helper()
 		var last string
 		for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
-			resp, err := http.Get("http://" + addr + path)
+			resp, err := http.Get("http://" + ln.Addr().String() + path)
 			if err != nil {
 				last = err.Error()
 				continue
@@ -120,39 +102,52 @@ func TestClusterInProcess(t *testing.T) {
 			}
 			last = fmt.Sprintf("%d %s", resp.StatusCode, body)
 		}
-		t.Fatalf("%s%s never turned 200: %s", addr, path, last)
+		t.Fatalf("%s%s never turned 200: %s", ln.Addr(), path, last)
 	}
-	// The ops listener comes up after the node's transport: once /healthz
+	// The ops mux is served once the node's transport is up: when /healthz
 	// answers, the node accepts client connections. (An idle cluster dials
 	// nobody, so readiness — connected to a majority — follows the first
 	// request, not boot.)
-	for _, addr := range opsAddrs {
-		awaitOK(addr, "/healthz")
+	for _, l := range lns {
+		awaitOK(l.ops, "/healthz")
 	}
 
-	peers := make(map[types.NodeID]string, len(peerAddrs))
-	for i, a := range peerAddrs {
-		peers[types.NodeID(i)] = a
+	endpoint, err := node.Build(node.Spec{
+		Self: me, Protocol: types.SC, Topo: topo, Groups: 1, Idents: dealt.Idents,
+		Links: dealt.Links, Resume: true,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cl := tcpnet.NewClient(me, dealt.Idents[me], peers, tcpnet.WithSession(sess))
-	defer cl.Close()
-	id, reached, err := cl.Submit([]byte("one request"))
-	if err != nil || reached != topo.N() {
-		t.Fatalf("submit reached %d/%d processes: %v", reached, topo.N(), err)
+	defer endpoint.Close()
+	peers, err := node.PeerAddrs(strings.Join(peerAddrs, ","), topo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := make(map[types.NodeID]bool)
-	for timeout := time.After(15 * time.Second); len(seen) < f+1; {
-		select {
-		case r := <-replies:
-			if r.req == id {
-				seen[r.from] = true
-			}
-		case <-timeout:
-			t.Fatalf("signed replies from %d nodes, want %d", len(seen), f+1)
-		}
+	seq := new(atomic.Uint64)
+	seq.Store(uint64(time.Now().UnixNano()))
+	cl := client.New(client.Config{
+		ID: me, Targets: topo.AllProcesses(), Seq: seq, Need: f + 1,
+		Load: &client.Load{Interval: 5 * time.Millisecond, Count: 1,
+			Payload: func(int) []byte { return []byte("one request") }},
+	})
+	tcp, err := endpoint.Listen("", replies, []runtime.Process{cl}, peers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, addr := range opsAddrs {
-		awaitOK(addr, "/readyz")
+	tcp.Start()
+	defer tcp.Stop()
+	select {
+	case <-cl.Done():
+	case <-time.After(15 * time.Second):
+		t.Fatalf("the request never reached %d signed replies", f+1)
+	}
+	for _, l := range lns {
+		awaitOK(l.ops, "/readyz")
+	}
+	tcp.Stop() // the loop has exited: the summary is ours to read
+	if sum := cl.Summary(); sum.Submitted != 1 || sum.Accepted != 1 || sum.BadSig != 0 {
+		t.Errorf("client summary %+v, want one request submitted and accepted", sum)
 	}
 	stopAll()
 }

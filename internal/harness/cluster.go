@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/sof-repro/sof/internal/client"
 	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/des"
@@ -28,6 +29,18 @@ type LoadSpec struct {
 	RequestBytes int
 	Interval     time.Duration
 	Count        int
+}
+
+// generator is the client-side form of the workload (nil for none).
+func (l *LoadSpec) generator() *client.Load {
+	if l == nil {
+		return nil
+	}
+	return &client.Load{
+		Interval: l.Interval,
+		Count:    l.Count,
+		Payload:  func(int) []byte { return make([]byte, l.RequestBytes) },
+	}
 }
 
 // Options configures a cluster.
@@ -145,11 +158,6 @@ type Options struct {
 	// Protocol SC or SCR, and is capped at shard.MaxGroups.
 	Groups int
 
-	// DisableMetrics turns off the per-node obs registries. Metrics are on
-	// by default: every layer's instruments are either func-backed (read
-	// only at scrape time) or single atomics on the event path.
-	DisableMetrics bool
-
 	NumClients  int
 	Load        *LoadSpec
 	KeepCommits bool
@@ -224,11 +232,10 @@ type Cluster struct {
 	// processes and durable stores. procMu guards it and SC: RestartNode
 	// replaces a node's incarnation while measurement goroutines (replica
 	// drains, readiness probes) look processes up.
-	procMu       sync.RWMutex
-	nodes        map[types.NodeID]*node.Node
-	SC           map[types.NodeID]*core.Process // group-0 SC/SCR processes
-	clients      map[types.NodeID]*clientProc   // group 0 (== clientGroups[id][0])
-	clientGroups map[types.NodeID][]*clientProc
+	procMu  sync.RWMutex
+	nodes   map[types.NodeID]*node.Node
+	SC      map[types.NodeID]*core.Process    // group-0 SC/SCR processes
+	clients map[types.NodeID][]*client.Client // one per ordering group
 
 	// commitStores are the durable commit streams (Options.Durable with
 	// KeepCommits), one per group; they belong to the measurement side and
@@ -241,10 +248,10 @@ type Cluster struct {
 	// re-attached on every RestartNode incarnation.
 	advTaps map[types.NodeID]adversaryTap
 
-	// registries holds one obs registry per node (lazily created, nil
-	// when Options.DisableMetrics). A registry outlives its node's
-	// incarnations: RestartNode's new process re-attaches to the same
-	// series, so counters keep their pre-restart totals.
+	// registries holds one obs registry per node (lazily created). A
+	// registry outlives its node's incarnations: RestartNode's new process
+	// re-attaches to the same series, so counters keep their pre-restart
+	// totals.
 	regMu      sync.Mutex
 	registries map[types.NodeID]*obs.Registry
 }
@@ -284,14 +291,13 @@ func New(opts Options) (*Cluster, error) {
 		opts.CommitRetention = min
 	}
 	c := &Cluster{
-		Opts:         opts,
-		Topo:         topo,
-		groups:       opts.Groups,
-		nodes:        make(map[types.NodeID]*node.Node),
-		SC:           make(map[types.NodeID]*core.Process),
-		clients:      make(map[types.NodeID]*clientProc),
-		clientGroups: make(map[types.NodeID][]*clientProc),
-		registries:   make(map[types.NodeID]*obs.Registry),
+		Opts:       opts,
+		Topo:       topo,
+		groups:     opts.Groups,
+		nodes:      make(map[types.NodeID]*node.Node),
+		SC:         make(map[types.NodeID]*core.Process),
+		clients:    make(map[types.NodeID][]*client.Client),
+		registries: make(map[types.NodeID]*obs.Registry),
 	}
 	// One rotated topology and recorder per group. Group 0 is the
 	// single-group cluster verbatim: Topo unrotated, Events its recorder.
@@ -446,25 +452,25 @@ func New(opts Options) (*Cluster, error) {
 		id := types.ClientID(k)
 		seq := new(atomic.Uint64)
 		seq.Store(committedSeqs[id])
-		procs := make([]*clientProc, c.groups)
+		// Fire-and-forget (Need 0), and no reply-to set reaches the nodes,
+		// so no node signs or sends a Reply: what the harness calls a commit
+		// is the recorder's event, and a submission costs its request, its
+		// signature and the injected closure.
 		for g := 0; g < c.groups; g++ {
-			procs[g] = &clientProc{
-				id:      id,
-				targets: topo.AllProcesses(),
-				seed:    opts.Seed + int64(k),
-				seq:     seq,
-				load:    opts.Load,
-			}
+			c.clients[id] = append(c.clients[id], client.New(client.Config{
+				ID:      id,
+				Targets: topo.AllProcesses(),
+				Seq:     seq,
+				Load:    opts.Load.generator(),
+			}))
 		}
-		c.clientGroups[id] = procs
-		c.clients[id] = procs[0]
 		// A client endpoint is assembled like any node — its own session
-		// journal, transport options and registry — but hosts the
-		// harness's client processes instead of order processes.
+		// journal, transport options and registry — but hosts the client
+		// processes instead of order processes.
 		if _, err := c.buildNode(id); err != nil {
 			return fail(err)
 		}
-		if err := c.addNode(id, c.clientProcs(id)); err != nil {
+		if err := c.addNode(id, c.clientEndpoints(id)); err != nil {
 			return fail(err)
 		}
 	}
@@ -546,22 +552,18 @@ func (c *Cluster) node(id types.NodeID) *node.Node {
 	return c.nodes[id]
 }
 
-// clientProcs returns client id's per-group endpoints as processes.
-func (c *Cluster) clientProcs(id types.NodeID) []runtime.Process {
-	procs := make([]runtime.Process, len(c.clientGroups[id]))
-	for g, cp := range c.clientGroups[id] {
-		procs[g] = cp
+// clientEndpoints returns client id's per-group endpoints as processes.
+func (c *Cluster) clientEndpoints(id types.NodeID) []runtime.Process {
+	procs := make([]runtime.Process, len(c.clients[id]))
+	for g, cl := range c.clients[id] {
+		procs[g] = cl
 	}
 	return procs
 }
 
 // RegistryOf returns node id's metrics registry, creating it on first
-// use (nil when Options.DisableMetrics). The registry is stable across
-// the node's incarnations.
+// use. The registry is stable across the node's incarnations.
 func (c *Cluster) RegistryOf(id types.NodeID) *obs.Registry {
-	if c.Opts.DisableMetrics {
-		return nil
-	}
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	r := c.registries[id]
@@ -575,7 +577,7 @@ func (c *Cluster) RegistryOf(id types.NodeID) *obs.Registry {
 // Metric reads one of node id's group-g instruments from the node's
 // registry by name, summing the series that carry the node's labels
 // (sof_ingress_shed_total sums its reasons). Counters survive the node's
-// incarnations. 0 with metrics disabled.
+// incarnations.
 func (c *Cluster) Metric(id types.NodeID, group int, name string) float64 {
 	return c.RegistryOf(id).Value(name, node.Labels(id, group, c.groups)...)
 }
@@ -584,8 +586,8 @@ func (c *Cluster) Metric(id types.NodeID, group int, name string) float64 {
 // endpoints (all groups) have received.
 func (c *Cluster) RejectedCount(k int) uint64 {
 	var total uint64
-	for _, cp := range c.clientGroups[types.ClientID(k)] {
-		total += cp.rejected.Load()
+	for _, cl := range c.clients[types.ClientID(k)] {
+		total += cl.Rejected()
 	}
 	return total
 }
@@ -742,8 +744,8 @@ func (c *Cluster) RestartNode(id types.NodeID) error {
 		return err
 	}
 	procs := n.Procs
-	if _, isClient := c.clientGroups[id]; isClient {
-		procs = c.clientProcs(id)
+	if _, isClient := c.clients[id]; isClient {
+		procs = c.clientEndpoints(id)
 	}
 	if c.groups == 1 {
 		err = c.tcp.Restart(id, c.base.Idents[id], procs[0])
@@ -968,16 +970,16 @@ func (c *Cluster) Submit(k int, payload []byte) (message.ReqID, error) {
 // counter, so IDs stay unique across groups.
 func (c *Cluster) SubmitToGroup(k, group int, payload []byte) (message.ReqID, error) {
 	id := types.ClientID(k)
-	cps, ok := c.clientGroups[id]
+	cls, ok := c.clients[id]
 	if !ok {
 		return message.ReqID{}, fmt.Errorf("harness: no client %d", k)
 	}
-	if group < 0 || group >= len(cps) {
+	if group < 0 || group >= len(cls) {
 		return message.ReqID{}, fmt.Errorf("harness: client %d has no group %d endpoint", k, group)
 	}
-	cp := cps[group]
-	rid := cp.nextID()
-	err := c.injectGroup(id, group, func(env runtime.Env) { cp.submit(env, rid.ClientSeq, payload) })
+	cl := cls[group]
+	rid := cl.NextID()
+	err := c.injectGroup(id, group, func(env runtime.Env) { cl.Submit(env, rid.ClientSeq, payload) })
 	return rid, err
 }
 
@@ -1015,72 +1017,4 @@ func (c *Cluster) InjectValueFaultAt(rank types.Rank, view types.View) error {
 		bogus.Sig1 = sig
 		env.Send(shadow, bogus)
 	})
-}
-
-// clientProc is a client endpoint: it signs requests and multicasts them
-// to every order process; with a LoadSpec it generates an open-loop
-// workload on a timer. In a sharded cluster one client owns one
-// clientProc per ordering group; all of them draw request IDs from the
-// shared seq counter, so a ReqID never repeats across groups.
-type clientProc struct {
-	id      types.NodeID
-	targets []types.NodeID
-	load    *LoadSpec
-	seed    int64
-
-	seq  *atomic.Uint64
-	sent int
-
-	// rejected counts ingress Rejected replies this endpoint received
-	// (read concurrently by Cluster.RejectedCount).
-	rejected atomic.Uint64
-}
-
-var _ runtime.Process = (*clientProc)(nil)
-
-func (c *clientProc) nextID() message.ReqID {
-	return message.ReqID{Client: c.id, ClientSeq: c.seq.Add(1)}
-}
-
-// Init implements runtime.Process.
-func (c *clientProc) Init(env runtime.Env) {
-	if c.load != nil && c.load.Interval > 0 {
-		c.scheduleNext(env)
-	}
-}
-
-func (c *clientProc) scheduleNext(env runtime.Env) {
-	env.SetTimer(c.load.Interval, func() { c.tick(env) })
-}
-
-func (c *clientProc) tick(env runtime.Env) {
-	if c.load.Count > 0 && c.sent >= c.load.Count {
-		return
-	}
-	payload := make([]byte, c.load.RequestBytes)
-	id := c.nextID()
-	c.submit(env, id.ClientSeq, payload)
-	c.sent++
-	c.scheduleNext(env)
-}
-
-func (c *clientProc) submit(env runtime.Env, seq uint64, payload []byte) {
-	req := &message.Request{Client: c.id, ClientSeq: seq, Payload: payload}
-	sig, err := message.SignSingle(env, req.SignedBody())
-	if err != nil {
-		env.Logf("client: signing request: %v", err)
-		return
-	}
-	req.Sig = sig
-	env.Multicast(c.targets, req)
-}
-
-// Receive implements runtime.Process. Replies are consumed by the
-// replica layer's client library; the harness client only counts the
-// ingress backpressure signal (a production client would back off —
-// sofclient does).
-func (c *clientProc) Receive(_ runtime.Env, _ types.NodeID, m message.Message) {
-	if _, ok := m.(*message.Rejected); ok {
-		c.rejected.Add(1)
-	}
 }

@@ -178,35 +178,3 @@ func TestOpsSurfaceScrapeAndReadyzFlip(t *testing.T) {
 		t.Fatalf("post-restart /metrics malformed: %v", err)
 	}
 }
-
-// TestReadinessWithMetricsDisabled: readiness must not depend on a
-// registry being wired. A durable process is born catching up and stays
-// so until its catch-up round completes after Start; with
-// DisableMetrics the probe used to find no gauge, skip the check and
-// report such a node ready.
-func TestReadinessWithMetricsDisabled(t *testing.T) {
-	c, err := New(Options{
-		Protocol:       types.SC,
-		F:              1,
-		BatchInterval:  5 * time.Millisecond,
-		Live:           true,
-		Durable:        true,
-		DataDir:        t.TempDir(),
-		DisableMetrics: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	for _, id := range c.Topo.AllProcesses() {
-		if err := c.ReadinessOf(id)(); err == nil || !strings.Contains(err.Error(), "catching up") {
-			t.Errorf("node %v before its catch-up round: readiness = %v, want a catching-up error", id, err)
-		}
-	}
-	c.Start()
-	for _, id := range c.Topo.AllProcesses() {
-		if err := awaitReady(c.ReadinessOf(id), 15*time.Second); err != nil {
-			t.Errorf("node %v never became ready: %v", id, err)
-		}
-	}
-}

@@ -401,10 +401,7 @@ func finishScenario(c *Cluster, pt *ScenarioPoint, tracked []message.ReqID,
 	// survive restarts, so what the assertion sees is what an operator's
 	// scrape would see. The recorder-derived numbers above stay in the
 	// report for diagnosis.
-	failedOver := pt.FailOvers > 0
-	if got, ok := registryFailovers(c, exclude); ok {
-		failedOver = got > 0
-	}
+	failedOver := registryFailovers(c, exclude) > 0
 	if expectFailOver && !failedOver {
 		pt.Violations = append(pt.Violations, "fail-over never completed")
 	}
@@ -428,13 +425,8 @@ func finishScenario(c *Cluster, pt *ScenarioPoint, tracked []message.ReqID,
 }
 
 // registryFailovers sums completed fail-overs over the non-excluded
-// order processes' sof_failovers_total counters (group 0). ok is false
-// when metrics are disabled and the caller must fall back to recorder
-// events.
-func registryFailovers(c *Cluster, exclude map[types.NodeID]bool) (uint64, bool) {
-	if c.Opts.DisableMetrics {
-		return 0, false
-	}
+// order processes' sof_failovers_total counters (group 0).
+func registryFailovers(c *Cluster, exclude map[types.NodeID]bool) uint64 {
 	var max uint64
 	for _, id := range c.Topo.AllProcesses() {
 		if exclude[id] {
@@ -447,7 +439,7 @@ func registryFailovers(c *Cluster, exclude map[types.NodeID]bool) (uint64, bool)
 			max = v
 		}
 	}
-	return max, true
+	return max
 }
 
 func (g *campaign) report(pt ScenarioPoint) ScenarioPoint {

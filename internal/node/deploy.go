@@ -3,6 +3,7 @@ package node
 import (
 	"crypto/tls"
 	"fmt"
+	"strings"
 
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/ingress"
@@ -55,6 +56,20 @@ func (m Mode) Check() error {
 		return fmt.Errorf("node: Groups %d outside [1, %d]", m.Groups, shard.MaxGroups)
 	}
 	return nil
+}
+
+// PeerAddrs maps a comma-separated address list — sofnode's and
+// sofclient's -peers, index = node ID — onto topo's order processes.
+func PeerAddrs(list string, topo types.Topology) (map[types.NodeID]string, error) {
+	addrs := strings.Split(list, ",")
+	if len(addrs) != topo.N() {
+		return nil, fmt.Errorf("node: need %d peer addresses, got %d", topo.N(), len(addrs))
+	}
+	peers := make(map[types.NodeID]string, len(addrs))
+	for i, a := range addrs {
+		peers[types.NodeID(i)] = strings.TrimSpace(a)
+	}
+	return peers, nil
 }
 
 // SecretClients is how many client identities a secret-provisioned

@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"fmt"
 	"log"
+	"net"
 	"path/filepath"
 	"sync"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"github.com/sof-repro/sof/internal/ct"
 	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/ingress"
+	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/session"
@@ -84,6 +86,10 @@ type Spec struct {
 	Logger   *log.Logger
 	// Hooks returns group g's callbacks (nil = none).
 	Hooks func(group int) Hooks
+	// ReplyTo names the clients whose committed requests this node answers
+	// with a signed Reply (sofnode's -clients). Empty means no node signs
+	// or sends anything for a commit beyond the protocol's own messages.
+	ReplyTo map[types.NodeID]bool
 	// Tap, when non-nil, intercepts the group-0 SC/SCR process's outbound
 	// traffic (adversarial twins).
 	Tap core.Tap
@@ -188,9 +194,18 @@ func (s Spec) hooks(group int) Hooks {
 
 func (n *Node) buildProcess(group int) error {
 	s := n.spec
+	h := s.hooks(group)
+	var rep *replier
+	if len(s.ReplyTo) > 0 {
+		rep = &replier{to: s.ReplyTo, next: h.OnCommit}
+		h.OnCommit = rep.onCommit
+	}
+	var p runtime.Process
+	var err error
 	switch s.Protocol {
 	case types.SC, types.SCR:
 		cfg := s.CoreConfig(group)
+		cfg.OnCommit = h.OnCommit
 		// Durable protocol checkpoints: the process snapshots its view,
 		// watermark and committed-order digest to its own store, and a
 		// restarted node restores the snapshot and catches up from its
@@ -221,27 +236,17 @@ func (n *Node) buildProcess(group int) error {
 			}
 			cfg.PresignedFailSig = pre
 		}
-		p, err := core.New(s.Self, cfg)
-		if err != nil {
-			return err
-		}
-		n.Procs = append(n.Procs, p)
+		p, err = core.New(s.Self, cfg)
 	case types.CT:
-		h := s.hooks(group)
-		p, err := ct.New(s.Self, ct.Config{
+		p, err = ct.New(s.Self, ct.Config{
 			Topo:          s.Topo,
 			BatchInterval: s.BatchInterval,
 			MaxBatchBytes: s.MaxBatchBytes,
 			OnBatched:     h.OnBatched,
 			OnCommit:      h.OnCommit,
 		})
-		if err != nil {
-			return err
-		}
-		n.Procs = append(n.Procs, p)
 	case types.BFT:
-		h := s.hooks(group)
-		p, err := bft.New(s.Self, bft.Config{
+		p, err = bft.New(s.Self, bft.Config{
 			Topo:              s.Topo,
 			BatchInterval:     s.BatchInterval,
 			MaxBatchBytes:     s.MaxBatchBytes,
@@ -249,33 +254,88 @@ func (n *Node) buildProcess(group int) error {
 			OnBatched:         h.OnBatched,
 			OnCommit:          h.OnCommit,
 		})
-		if err != nil {
-			return err
-		}
-		n.Procs = append(n.Procs, p)
 	default:
-		return fmt.Errorf("node: protocol %v not wired", s.Protocol)
+		err = fmt.Errorf("node: protocol %v not wired", s.Protocol)
 	}
+	if err != nil {
+		return err
+	}
+	if rep != nil {
+		rep.Process = p
+		p = rep
+	}
+	n.Procs = append(n.Procs, p)
 	return nil
+}
+
+// replier is an order process that also answers its clients: for every
+// committed entry of a client in its reply-to set it signs a Reply and
+// sends it through the process's own Env, so the reply costs what any
+// other message of the process costs on every substrate and carries the
+// substrate's addressing (the sharded group prefix among it).
+type replier struct {
+	runtime.Process
+	env  runtime.Env // the process's own, for its whole life
+	to   map[types.NodeID]bool
+	next func(core.CommitEvent)
+}
+
+// Init implements runtime.Process: commits are raised on the event loop
+// Init opens, never ahead of it.
+func (r *replier) Init(env runtime.Env) {
+	r.env = env
+	r.Process.Init(env)
+}
+
+func (r *replier) onCommit(ev core.CommitEvent) {
+	if r.next != nil {
+		r.next(ev)
+	}
+	for i := range ev.Entries {
+		req := ev.Entries[i].Req
+		if !r.to[req.Client] {
+			continue
+		}
+		rep := &message.Reply{
+			From: ev.Node, Client: req.Client, ClientSeq: req.ClientSeq,
+			Seq: ev.FirstSeq + types.Seq(i),
+		}
+		sig, err := message.SignSingle(r.env, rep.SignedBody())
+		if err != nil {
+			r.env.Logf("node: signing reply: %v", err)
+			continue
+		}
+		rep.Sig = sig
+		r.env.Send(req.Client, rep)
+	}
+}
+
+// order returns group g's order process (beneath its replier, if any), or
+// nil out of range.
+func (n *Node) order(group int) runtime.Process {
+	if group < 0 || group >= len(n.Procs) {
+		return nil
+	}
+	if r, ok := n.Procs[group].(*replier); ok {
+		return r.Process
+	}
+	return n.Procs[group]
 }
 
 // Core returns group g's SC/SCR process (nil under CT/BFT, for a client
 // endpoint, or out of range).
 func (n *Node) Core(group int) *core.Process {
-	if group < 0 || group >= len(n.Procs) {
-		return nil
-	}
-	p, _ := n.Procs[group].(*core.Process)
+	p, _ := n.order(group).(*core.Process)
 	return p
 }
 
 // Pool returns the request pool of group g's order process (nil when the
 // node hosts none).
 func (n *Node) Pool(group int) *core.RequestPool {
-	if group < 0 || group >= len(n.Procs) {
-		return nil
+	if p, ok := n.order(group).(interface{ Pool() *core.RequestPool }); ok {
+		return p.Pool()
 	}
-	return n.Procs[group].(interface{ Pool() *core.RequestPool }).Pool()
+	return nil
 }
 
 // TCPOptions is the node's transport configuration: its session config
@@ -297,6 +357,20 @@ func (n *Node) TCPOptions() tcpnet.Options {
 		o.Session = cfg
 	}
 	return o
+}
+
+// Listen binds the node's TCP endpoint on addr — or adopts ln, when the
+// caller had to know the address first — hosting procs: the node's own
+// order processes, or a client endpoint's reactors. One group speaks the
+// plain wire format, more the group-prefixed one.
+func (n *Node) Listen(addr string, ln net.Listener, procs []runtime.Process,
+	peers map[types.NodeID]string) (*runtime.TCPNode, error) {
+	s, opts := n.spec, n.TCPOptions()
+	opts.Listener = ln
+	if s.Groups == 1 {
+		return runtime.NewTCPNode(s.Self, addr, s.Idents[s.Self], procs[0], peers, s.Logger, opts)
+	}
+	return runtime.NewShardedTCPNode(s.Self, addr, s.Idents[s.Self], procs, peers, s.Logger, opts)
 }
 
 // Ready is the readiness check: nil when no hosted group is still

@@ -38,10 +38,15 @@ func isDir(path string) bool {
 }
 
 // TestBuildPerProtocol: every protocol yields one process and one pool
-// per group; only SC/SCR expose a core process.
+// per group; only SC/SCR expose a core process — with or without a
+// reply-to set, whose replier stands in front of the order process.
 func TestBuildPerProtocol(t *testing.T) {
-	for _, proto := range []types.Protocol{types.SC, types.SCR, types.BFT, types.CT} {
-		n, err := Build(testSpec(t, proto, 0, 1))
+	for i, proto := range []types.Protocol{types.SC, types.SCR, types.BFT, types.CT, types.SC, types.BFT} {
+		spec := testSpec(t, proto, 0, 1)
+		if i >= 4 {
+			spec.ReplyTo = map[types.NodeID]bool{types.ClientID(0): true}
+		}
+		n, err := Build(spec)
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}

@@ -5,8 +5,9 @@
 //
 // It is a pure byte transport — it knows nothing about protocol message
 // types or the runtime layer. internal/runtime builds its TCP substrate
-// (TCPNode, TCPCluster) on top of it, and cmd/sofnode / cmd/sofclient use
-// it directly.
+// (TCPNode, TCPCluster) on top of it; cmd/sofnode and cmd/sofclient reach
+// it only through a TCPNode. A client endpoint is a Transport like any
+// other: there is one dial path and one handshake.
 //
 // Wire format v1 (Options.Session == nil): on connect, the dialer sends a
 // 4-byte big-endian NodeID hello; thereafter each message is a 4-byte

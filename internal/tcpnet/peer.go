@@ -25,6 +25,12 @@ var errLinkCut = errors.New("tcpnet: link is cut (shaped)")
 type PeerStats struct {
 	// Queued counts frames accepted into the peer's bounded send queue.
 	Queued uint64
+	// Sent counts queued frames that have been written to a live
+	// connection at least once (with sessions: written, or replayed by
+	// the handshake that followed their sealing). Queued - Sent frames
+	// are still waiting for the link; a plain-frame batch abandoned on a
+	// write error is never counted.
+	Sent uint64
 	// Dropped counts frames discarded because the peer's bounded send
 	// queue was full (backpressure from a slow or unreachable peer).
 	Dropped uint64
@@ -75,6 +81,7 @@ type peer struct {
 	closed bool
 
 	queued     atomic.Uint64
+	sent       atomic.Uint64
 	dropped    atomic.Uint64
 	reconnects atomic.Uint64
 }
@@ -159,6 +166,7 @@ func (p *peer) dropCurrentConn() {
 func (p *peer) stats() PeerStats {
 	ps := PeerStats{
 		Queued:     p.queued.Load(),
+		Sent:       p.sent.Load(),
 		Dropped:    p.dropped.Load(),
 		Reconnects: p.reconnects.Load(),
 	}
@@ -229,8 +237,7 @@ func (p *peer) dial() (net.Conn, []session.Frame, error) {
 
 // handshake runs the dial-side session handshake on c: send the
 // authenticated hello, await the authenticated ack (bounded by timeout),
-// and compute the resume replay. Shared by peer senders and the
-// synchronous Client.
+// and compute the resume replay.
 func handshake(c net.Conn, tx *session.Sender, timeout time.Duration) ([]session.Frame, error) {
 	_ = c.SetDeadline(time.Now().Add(timeout))
 	defer c.SetDeadline(time.Time{})
@@ -266,6 +273,9 @@ func (p *peer) run() {
 	frames := make([]session.Frame, 0, p.opts.MaxBatch)
 	hdrs := make([]byte, frameHeaderLen*p.opts.MaxBatch)
 	vecs := make([][]byte, 0, 4*p.opts.MaxBatch)
+	// unsent counts frames taken off the queue and not yet written to a
+	// live connection; it moves into p.sent when they are.
+	unsent := 0
 
 	// sleep waits out the current backoff step; false means stop.
 	sleep := func() bool {
@@ -293,6 +303,7 @@ func (p *peer) run() {
 			select {
 			case raw := <-p.ch:
 				p.tx.Seal(raw)
+				unsent++
 			default:
 				return
 			}
@@ -340,6 +351,8 @@ func (p *peer) run() {
 		if conn = connect(); conn == nil {
 			return
 		}
+		p.sent.Add(uint64(unsent)) // what connect drained and replayed
+		unsent = 0
 	}
 
 	for {
@@ -358,6 +371,7 @@ func (p *peer) run() {
 				break coalesce
 			}
 		}
+		unsent += len(pending)
 		if p.tx != nil {
 			// Seal — and, with a journal, persist — before any connection
 			// is required: a frame is replayable (and crash-safe) from the
@@ -391,6 +405,9 @@ func (p *peer) run() {
 					return
 				}
 			}
+			// Everything sealed so far has now been written or replayed.
+			p.sent.Add(uint64(unsent))
+			unsent = 0
 			for i := range frames {
 				frames[i] = session.Frame{} // the ring keeps its own references
 			}
@@ -425,7 +442,10 @@ func (p *peer) run() {
 			}
 			p.dropCurrentConn()
 			conn = nil
+		} else {
+			p.sent.Add(uint64(unsent))
 		}
+		unsent = 0
 		for i := range pending {
 			pending[i] = nil // release payload references while idle
 		}

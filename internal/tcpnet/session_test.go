@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,6 +41,46 @@ func TestSessionDelivery(t *testing.T) {
 	}
 	if st := b.SessionStats()[0]; st.Delivered != n || st.Rejected != 0 || st.Gaps != 0 {
 		t.Errorf("receiver session stats %+v", st)
+	}
+	awaitSent(t, a, 1, n)
+}
+
+// TestClientHandshakeTimeout checks the dial-side session handshake — the
+// only one there is; a client endpoint dials through it like any peer —
+// gives up, with an error naming the peer and its address, against a
+// listener that accepts but never answers the hello.
+func TestClientHandshakeTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close() // read nothing, ack nothing
+		}
+	}()
+
+	addr := ln.Addr().String()
+	opts := Options{Session: sessionConfig(true), HandshakeTimeout: 200 * time.Millisecond}.withDefaults()
+	p := newPeer(types.ClientID(0), 0, addr, opts, quietLogger())
+	start := time.Now()
+	conn, _, err := p.dial()
+	if err == nil {
+		conn.Close()
+		t.Fatal("handshake against a silent acceptor succeeded")
+	}
+	for _, want := range []string{"session handshake with peer n0", addr, "awaiting hello-ack"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("handshake error %q does not mention %q", err, want)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("handshake timeout took %v, want ~200ms", elapsed)
 	}
 }
 

@@ -53,8 +53,7 @@ type Options struct {
 	Metrics *obs.Registry
 	// TLSServer, when non-nil, wraps every accepted inbound connection in
 	// a TLS server handshake before the hello is read. TLSClient wraps
-	// every outbound dial (peer senders here, and the synchronous Client
-	// via WithTLS). Every endpoint of a deployment must agree — a TLS
+	// every outbound dial. Every endpoint of a deployment must agree — a TLS
 	// listener rejects plaintext dials and vice versa. TLS composes with
 	// Session: the HMAC session layer keeps authenticating endpoints and
 	// frames, TLS adds confidentiality underneath. DevTLS derives a
@@ -70,6 +69,12 @@ type Options struct {
 	// link heals, without sessions the batch is dropped as a real
 	// blackholed link would drop it. Dial probes pass size 0.
 	Shape func(to types.NodeID, size int) (time.Duration, bool)
+	// Listener, when non-nil, is the already-bound listener the transport
+	// serves on (and closes); Listen's addr is then ignored. A caller that
+	// must know its address before it builds the transport binds first and
+	// hands the listener over, instead of releasing the port and hoping to
+	// get it back.
+	Listener net.Listener
 }
 
 func (o Options) withDefaults() Options {
@@ -122,14 +127,18 @@ type Transport struct {
 	fatal chan error
 }
 
-// Listen binds a transport for process id on addr. peers maps every other
-// process (and known client) ID to its address; it may be nil and supplied
-// later with SetPeers, as long as that happens before the first Send.
+// Listen binds a transport for process id on addr (or adopts
+// opts.Listener). peers maps every other process (and known client) ID to
+// its address; it may be nil and supplied later with SetPeers, as long as
+// that happens before the first Send.
 func Listen(id types.NodeID, addr string, peers map[types.NodeID]string,
 	logger *log.Logger, opts Options) (*Transport, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
+	ln := opts.Listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
+		}
 	}
 	if logger == nil {
 		logger = log.Default()

@@ -5,6 +5,8 @@ import (
 	"io"
 	"log"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,6 +36,72 @@ func listenT(t *testing.T, id types.NodeID, opts Options) (*Transport, chan sink
 		}
 	})
 	return tr, ch
+}
+
+// awaitSent waits for tr's sender to peer to report every queued frame
+// written; the counter moves just after the write the receiver observes.
+func awaitSent(t *testing.T, tr *Transport, peer types.NodeID, want uint64) {
+	t.Helper()
+	var st PeerStats
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st = tr.Stats()[peer]; st.Sent == want && st.Queued == want {
+			return
+		}
+	}
+	t.Fatalf("peer %v stats %+v, want %d queued and sent", peer, st, want)
+}
+
+// TestClientDialFailure checks what an endpoint — a client is a transport
+// like any other — sees of an unreachable node: the frame is queued, never
+// reported sent, and the dial failure is logged naming the peer and its
+// address.
+func TestClientDialFailure(t *testing.T) {
+	// Bind-then-close yields an address nobody is listening on.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	var logs syncBuffer
+	tr, err := Listen(types.ClientID(0), "127.0.0.1:0", map[types.NodeID]string{0: addr},
+		log.New(&logs, "", 0), Options{RedialMin: time.Millisecond, RedialMax: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.Start(func(types.NodeID, []byte) {})
+	if !tr.Send(0, []byte("nobody home")) {
+		t.Fatal("Send refused a frame for a known peer")
+	}
+	want := "dial peer n0 (" + addr + ")"
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logs.String(), want); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("dial failure not logged with peer and address %q:\n%s", want, logs.String())
+		}
+	}
+	if st := tr.Stats()[0]; st.Queued != 1 || st.Sent != 0 {
+		t.Errorf("stats through a closed port: %+v, want 1 queued, 0 sent", st)
+	}
+}
+
+// syncBuffer is a log sink the test reads while sender goroutines write.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // TestTransportDelivery checks framed delivery, sender identification, and
@@ -92,6 +160,7 @@ func TestTransportCoalescesFrames(t *testing.T) {
 			t.Fatalf("frame %d not delivered (got %d)", i, i)
 		}
 	}
+	awaitSent(t, a, 1, n)
 }
 
 // TestSlowPeerBackpressure checks the backpressure contract: a peer that

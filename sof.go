@@ -286,9 +286,6 @@ type Config struct {
 	// tcpnet.DevTLS). Requires Transport: TCP. Production deployments
 	// would supply real certificates through the tcpnet options instead.
 	ClientTLS bool
-	// DisableMetrics turns off the per-node metrics registries (on by
-	// default; the instrumentation cost is within benchmark noise).
-	DisableMetrics bool
 	// Seed seeds simulated network jitter.
 	Seed int64
 	// StateMachine, when non-nil, is instantiated per replica and applied
@@ -418,7 +415,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		TLS:                cfg.ClientTLS,
 		KeepCommits:        true,
 		CommitRetention:    cfg.CommitRetention,
-		DisableMetrics:     cfg.DisableMetrics,
 	}
 	h, err := harness.New(opts)
 	if err != nil {
@@ -765,14 +761,14 @@ type MetricFamily = obs.Family
 // Metrics collects one node's live metrics: every layer's instruments
 // (ordering watermark, view and fail-over counters, batch fill, session
 // and peer-queue state, WAL fsync latency, replica progress), families
-// sorted by name. Empty with Config.DisableMetrics.
+// sorted by name.
 func (c *Cluster) Metrics(node NodeID) []MetricFamily {
 	return c.h.RegistryOf(node).Collect()
 }
 
 // MetricsRegistry exposes node's live registry — obs.WriteText renders
 // Prometheus text exposition, obs.NewMux serves /metrics, /healthz and
-// /readyz over it. Nil with Config.DisableMetrics.
+// /readyz over it.
 func (c *Cluster) MetricsRegistry(node NodeID) *obs.Registry {
 	return c.h.RegistryOf(node)
 }
@@ -787,8 +783,7 @@ func (c *Cluster) Readiness(node NodeID) func() error {
 
 // OpsHandler serves node's live ops surface — /metrics (Prometheus text
 // exposition), /healthz (liveness) and /readyz (Readiness) — ready to
-// mount on any HTTP server. With Config.DisableMetrics /metrics is an
-// empty exposition.
+// mount on any HTTP server.
 func (c *Cluster) OpsHandler(node NodeID) http.Handler {
 	return obs.NewMux(c.h.RegistryOf(node), c.h.ReadinessOf(node))
 }

@@ -136,8 +136,7 @@ func TestPublicAPILiveMode(t *testing.T) {
 
 // TestPublicAPIMetricsAndOpsHandler covers the programmatic ops surface:
 // Metrics collects every layer's families, Readiness reports ready on a
-// settled cluster, OpsHandler serves /metrics, /healthz and /readyz, and
-// DisableMetrics degrades all three gracefully instead of panicking.
+// settled cluster, OpsHandler serves /metrics, /healthz and /readyz.
 func TestPublicAPIMetricsAndOpsHandler(t *testing.T) {
 	cluster, err := sof.NewCluster(sof.Config{
 		Protocol:      sof.SC,
@@ -196,30 +195,6 @@ func TestPublicAPIMetricsAndOpsHandler(t *testing.T) {
 	}
 	if code, body := get("/readyz"); code != 200 {
 		t.Errorf("/readyz: status %d body %q", code, body)
-	}
-
-	dark, err := sof.NewCluster(sof.Config{
-		Protocol:       sof.SC,
-		BatchInterval:  5 * time.Millisecond,
-		DisableMetrics: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dark.Start()
-	defer dark.Stop()
-	if fams := dark.Metrics(node); len(fams) != 0 {
-		t.Errorf("DisableMetrics cluster collected %d families, want 0", len(fams))
-	}
-	darkSrv := httptest.NewServer(dark.OpsHandler(node))
-	defer darkSrv.Close()
-	if resp, err := darkSrv.Client().Get(darkSrv.URL + "/metrics"); err != nil {
-		t.Errorf("dark /metrics: %v", err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("dark /metrics: status %d", resp.StatusCode)
-		}
 	}
 }
 
