@@ -174,3 +174,45 @@ func TestPairMetMarginAllocFree(t *testing.T) {
 		t.Error("the margin histogram is not registered as sof_pair_check_margin_seconds")
 	}
 }
+
+// TestPoolOpsAllocFree pins the request pool's heap cost on the request
+// path, in both dequeue disciplines: admitting a request, marking it
+// ordered out of band, reviving it and looking it up cost nothing beyond
+// the amortised growth of the slab and its index, and a batch costs its
+// result slice alone (grown entry by entry it cost four for these eight).
+func TestPoolOpsAllocFree(t *testing.T) {
+	const (
+		runs     = 200
+		perBatch = 8
+	)
+	for _, fair := range []bool{false, true} {
+		p := NewRequestPool()
+		p.SetBatchTarget(1<<20, EntryOverhead+32, func() {})
+		if fair {
+			p.SetFair(1 << 20)
+		}
+		reqs := make([]*message.Request, (runs+1)*perBatch)
+		for i := range reqs {
+			reqs[i] = &message.Request{Client: types.ClientID(i % 2), ClientSeq: uint64(i), Payload: make([]byte, 128)}
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			for _, r := range reqs[next : next+perBatch] {
+				p.Add(r)
+			}
+			id := reqs[next].ID()
+			p.MarkOrdered(id)
+			p.UnmarkOrdered(id)
+			if _, ok := p.Get(id); !ok || p.IsOrdered(id) {
+				t.Fatal("revived request lost")
+			}
+			if n := len(p.NextBatch(1<<20, 32)); n != perBatch {
+				t.Fatalf("batch of %d, want %d", n, perBatch)
+			}
+			next += perBatch
+		})
+		if got > 1 {
+			t.Errorf("fair=%v: %d adds, a mark/unmark and one batch = %v allocs, want <= 1 (the batch)", fair, perBatch, got)
+		}
+	}
+}

@@ -705,9 +705,7 @@ func (p *Process) armShadowExpectations(env runtime.Env) {
 	if p.pair == nil || !p.pair.Active() {
 		return
 	}
-	for id := range p.pool.reqs {
-		if !p.pool.IsOrdered(id) {
-			p.pair.Expect(env, fsp.OrderKey(id), p.cfg.BatchInterval)
-		}
+	for _, r := range p.pool.Pending() {
+		p.pair.Expect(env, fsp.OrderKey(r.ID()), p.cfg.BatchInterval)
 	}
 }

@@ -14,62 +14,100 @@ import (
 // replay-drain goroutine, so the pool carries its own lock; waiter
 // callbacks fire outside it (they re-enter the pool).
 //
+// Everything the pool knows about one request — its body, whether it has
+// been assigned a sequence number, whether it holds a live place in the
+// arrival queue — is one slab entry found by one index lookup; the arrival
+// queues hold slab positions, so a dequeue looks nothing up.
+//
 // The pool has two dequeue disciplines. The default is the single FIFO
 // arrival queue the paper implies: strict arrival order, one queue for
 // all clients. SetFair switches it to per-client queues drained by
 // deficit round robin — each backlogged client earns a byte quantum per
 // scheduling round, so one flooding client can no longer push every
 // other client's requests arbitrarily far back. Both disciplines keep
-// identical counters (pending, pending bytes, batch-target trigger) and
+// identical counters (pending, pending bytes, batch-full trigger) and
 // identical MarkOrdered/UnmarkOrdered semantics.
 type RequestPool struct {
-	mu      sync.RWMutex
-	reqs    map[message.ReqID]*message.Request
-	ordered map[message.ReqID]bool
+	mu    sync.RWMutex
+	index map[poolKey]uint32 // request → position in slab
+	slab  []poolEntry
+	free  []uint32 // released slab positions, reused before the slab grows
+	known int      // entries holding a body (Len)
 	// unordered is the FIFO arrival queue, consumed from head. Popping
 	// advances head instead of re-slicing (a re-slice keeps the whole
-	// backing array — and every popped request ID in it — reachable);
-	// compact() periodically copies the live tail to the front so the
-	// consumed prefix is actually released.
-	unordered []message.ReqID
+	// backing array reachable); compact() periodically copies the live
+	// tail to the front so the consumed prefix is actually released.
+	unordered []uint32
 	head      int
-	inQueue   map[message.ReqID]bool
 	pending   int // queued entries still awaiting ordering (O(1) PendingCount)
 	waiters   map[message.ReqID][]func(*message.Request)
 
 	// pendingBytes is the estimated batch-wire cost of the pending
 	// entries (payload plus per-entry overhead), maintained across
-	// Add/MarkOrdered/UnmarkOrdered/NextBatch like pending. targetBytes
-	// and onTarget implement the adaptive batch close: when an Add moves
-	// pendingBytes from below targetBytes to at or above it, onTarget
-	// fires (outside the lock, like waiters) so the owning primary can
-	// close a batch immediately instead of waiting for its timer. The
-	// trigger is edge-based: once above the target no further Adds fire
-	// it until NextBatch drains pendingBytes back below.
+	// Add/MarkOrdered/UnmarkOrdered/NextBatch like pending. targetBytes,
+	// lastCost and onTarget implement the adaptive batch close: the
+	// pending entries fill a batch once another entry like the last one
+	// admitted would no longer fit beside them (BatchFull — NextBatch's
+	// own pop rule, so the batch it then pops strands nothing), and when
+	// an Add makes that true onTarget fires (outside the lock, like
+	// waiters) so the owning primary can close the batch on the arrival
+	// that fills it instead of waiting for its timer. The trigger is
+	// edge-based: once full no further Adds fire it until NextBatch drains
+	// the pool below a batch again.
 	pendingBytes int
 	targetBytes  int
 	entryExtra   int // per-entry overhead beyond the payload
+	lastCost     int // wire cost of the last entry Add admitted
 	onTarget     func()
 
 	// Fair-dequeue state (SetFair). queues replaces unordered/head as
 	// the arrival structure; ring is the round-robin rotation of
-	// backlogged clients; perClient counts each client's live pending
-	// entries (the ingress layer's per-client occupancy and the DRR
-	// scheduler's active set — entries deleted at zero, so its length is
-	// the number of backlogged clients).
-	fair      bool
-	quantum   int
-	queues    map[types.NodeID]*clientQueue
-	ring      []types.NodeID
-	perClient map[types.NodeID]int
+	// backlogged clients; active counts the clients with live pending
+	// entries (each clientQueue keeps its own count — the ingress layer's
+	// per-client occupancy).
+	fair    bool
+	quantum int
+	queues  map[types.NodeID]*clientQueue
+	ring    []types.NodeID
+	active  int
+}
+
+// poolKey is a ReqID as the index hashes it: two words without padding, so
+// the map uses the runtime's fixed-size memory hash (ReqID's padded layout
+// forces the slower generated one).
+type poolKey [2]uint64
+
+func keyOf(id message.ReqID) poolKey {
+	return poolKey{uint64(uint32(id.Client)), id.ClientSeq}
+}
+
+// poolEntry is what the pool knows about one request. An entry exists
+// while it has a body, is marked ordered (possibly ahead of its body's
+// arrival) or is still named by an unconsumed arrival-queue slot; it is
+// released when none of the three holds.
+type poolEntry struct {
+	req *message.Request // nil while the body is unknown or was dropped
+	id  message.ReqID
+	// slots counts the unconsumed arrival-queue slots naming this entry.
+	// Usually one; a request dropped and re-added before the dequeue
+	// reached its first slot holds two, and is served at the first.
+	slots   uint32
+	ordered bool // assigned a sequence number, as far as this process knows
+	// queued: the entry holds a live place in the arrival queue. Cleared
+	// when the dequeue consumes one of its slots or the body is dropped;
+	// an ordered entry keeps it (and its slot) until the dequeue gets
+	// there, so an UnmarkOrdered before that regains the original place.
+	queued bool
+	walked bool // Pending's scratch mark
 }
 
 // clientQueue is one client's FIFO arrival queue in fair mode, with the
 // same head-index + periodic-compaction consumption as the global queue,
 // plus its deficit-round-robin account.
 type clientQueue struct {
-	ids     []message.ReqID
+	ids     []uint32
 	head    int
+	pending int // live pending entries (ClientPending)
 	deficit int // unspent service bytes from earlier scheduling rounds
 	inRing  bool
 }
@@ -81,11 +119,63 @@ const poolCompactMin = 64
 // NewRequestPool returns an empty pool.
 func NewRequestPool() *RequestPool {
 	return &RequestPool{
-		reqs:    make(map[message.ReqID]*message.Request),
-		ordered: make(map[message.ReqID]bool),
-		inQueue: make(map[message.ReqID]bool),
+		index:   make(map[poolKey]uint32),
 		waiters: make(map[message.ReqID][]func(*message.Request)),
 	}
+}
+
+// lookup finds id's entry and its slab position (nil if there is none).
+// The pointer is good until the slab next grows (entry).
+func (p *RequestPool) lookup(id message.ReqID) (uint32, *poolEntry) {
+	if i, ok := p.index[keyOf(id)]; ok {
+		return i, &p.slab[i]
+	}
+	return 0, nil
+}
+
+// entry returns id's entry and its slab position, creating it if absent.
+func (p *RequestPool) entry(id message.ReqID) (uint32, *poolEntry) {
+	key := keyOf(id)
+	i, ok := p.index[key]
+	if !ok {
+		if n := len(p.free); n > 0 {
+			i, p.free = p.free[n-1], p.free[:n-1]
+		} else {
+			i = uint32(len(p.slab))
+			p.slab = append(p.slab, poolEntry{})
+		}
+		p.slab[i].id = id
+		p.index[key] = i
+	}
+	return i, &p.slab[i]
+}
+
+// release retires the entry at slab position i once nothing refers to it:
+// no body, not ordered, no arrival-queue slot left to consume.
+func (p *RequestPool) release(i uint32, e *poolEntry) {
+	if e.req != nil || e.ordered || e.slots > 0 {
+		return
+	}
+	delete(p.index, keyOf(e.id))
+	*e = poolEntry{}
+	p.free = append(p.free, i)
+}
+
+// consumeSlot accounts for the dequeue moving past one of the entry's
+// arrival-queue slots: whatever place it held is spent.
+func (p *RequestPool) consumeSlot(i uint32, e *poolEntry) {
+	e.slots--
+	e.queued = false
+	p.release(i, e)
+}
+
+// pop takes the live entry at the head of an arrival queue into a batch:
+// out of the pending counters, ordered, its slot spent.
+func (p *RequestPool) pop(i uint32, e *poolEntry) *message.Request {
+	p.pendingDelta(e, -1)
+	e.ordered = true
+	p.consumeSlot(i, e)
+	return e.req
 }
 
 // compact releases the consumed queue prefix once it dominates the
@@ -100,27 +190,45 @@ func (p *RequestPool) compact() {
 	p.head = 0
 }
 
-// enqueue appends a not-yet-ordered id to the arrival queue (the
+// enqueue appends a not-yet-ordered entry to the arrival queue (the
 // client's own queue in fair mode, the global FIFO otherwise).
-func (p *RequestPool) enqueue(id message.ReqID) {
+func (p *RequestPool) enqueue(i uint32, e *poolEntry) {
 	if p.fair {
-		q := p.queues[id.Client]
+		q := p.queues[e.id.Client]
 		if q == nil {
 			q = &clientQueue{}
-			p.queues[id.Client] = q
+			p.queues[e.id.Client] = q
 		}
-		q.ids = append(q.ids, id)
+		q.ids = append(q.ids, i)
 		if !q.inRing {
 			q.inRing = true
-			p.ring = append(p.ring, id.Client)
+			p.ring = append(p.ring, e.id.Client)
 		}
-		p.clientDelta(id.Client, 1)
 	} else {
-		p.unordered = append(p.unordered, id)
+		p.unordered = append(p.unordered, i)
 	}
-	p.inQueue[id] = true
-	p.pending++
-	p.pendingBytes += p.cost(id)
+	e.slots++
+	e.queued = true
+	p.pendingDelta(e, 1)
+}
+
+// pendingDelta moves the entry into (d = 1) or out of (d = -1) the pending
+// counters: pending, pendingBytes and, in fair mode, its client's
+// occupancy and with it the backlogged-client count. It must be applied
+// symmetrically wherever a pending entry enters or leaves, so the
+// counters never drift.
+func (p *RequestPool) pendingDelta(e *poolEntry, d int) {
+	p.pending += d
+	p.pendingBytes += d * p.cost(e)
+	if p.fair {
+		q := p.queues[e.id.Client]
+		if q.pending == 0 {
+			p.active++
+		}
+		if q.pending += d; q.pending == 0 {
+			p.active--
+		}
+	}
 }
 
 // SetFair switches the pool to per-client queues with deficit-round-
@@ -138,7 +246,6 @@ func (p *RequestPool) SetFair(quantum int) {
 	p.quantum = quantum
 	if p.queues == nil {
 		p.queues = make(map[types.NodeID]*clientQueue)
-		p.perClient = make(map[types.NodeID]int)
 	}
 }
 
@@ -147,7 +254,10 @@ func (p *RequestPool) SetFair(quantum int) {
 func (p *RequestPool) ClientPending(client types.NodeID) int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.perClient[client]
+	if q := p.queues[client]; q != nil {
+		return q.pending
+	}
+	return 0
 }
 
 // ActiveClients returns how many clients currently have pending entries
@@ -155,34 +265,17 @@ func (p *RequestPool) ClientPending(client types.NodeID) int {
 func (p *RequestPool) ActiveClients() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.perClient)
+	return p.active
 }
 
-// clientDelta maintains the per-client pending counter symmetrically
-// with pending; entries are deleted at zero so len(perClient) is the
-// backlogged-client count.
-func (p *RequestPool) clientDelta(client types.NodeID, d int) {
-	if !p.fair {
-		return
-	}
-	n := p.perClient[client] + d
-	if n <= 0 {
-		delete(p.perClient, client)
-		return
-	}
-	p.perClient[client] = n
-}
-
-// cost is the estimated batch-wire cost of one pending entry. It must be
-// applied symmetrically wherever pending entries enter or leave the
-// queue, so pendingBytes never drifts.
-func (p *RequestPool) cost(id message.ReqID) int {
-	return len(p.reqs[id].Payload) + p.entryExtra
+// cost is the estimated batch-wire cost of one pending entry.
+func (p *RequestPool) cost(e *poolEntry) int {
+	return len(e.req.Payload) + p.entryExtra
 }
 
 // SetBatchTarget installs the adaptive-close trigger: fn fires (outside
-// the pool lock) whenever an Add pushes the pending wire bytes across
-// targetBytes from below. extra is the per-entry overhead beyond the
+// the pool lock) whenever an Add makes the pending entries fill a batch of
+// targetBytes (see BatchFull). extra is the per-entry overhead beyond the
 // payload (EntryOverhead plus the digest size). Install it before traffic
 // flows — the owning process does so in Init, with the pool still empty —
 // because already-pending entries are not re-costed.
@@ -202,27 +295,45 @@ func (p *RequestPool) PendingBytes() int {
 	return p.pendingBytes
 }
 
+// BatchFull reports whether the pending entries fill a batch of the
+// SetBatchTarget size by NextBatch's own measure: another entry like the
+// last one admitted would no longer fit beside them, so the batch
+// NextBatch pops now is as full as it will get. False without a target.
+func (p *RequestPool) BatchFull() bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.batchFull()
+}
+
+func (p *RequestPool) batchFull() bool {
+	return p.targetBytes > 0 && p.pending > 0 && p.pendingBytes+p.lastCost > p.targetBytes
+}
+
 // Add stores a request; duplicates are ignored. It reports whether the
 // request was new, and fires any WhenAvailable callbacks plus the
-// batch-target trigger (both outside the lock; they re-enter the pool).
+// batch-full trigger (both outside the lock; they re-enter the pool).
 func (p *RequestPool) Add(req *message.Request) bool {
 	id := req.ID()
 	p.mu.Lock()
-	if _, dup := p.reqs[id]; dup {
+	i, e := p.entry(id)
+	if e.req != nil {
 		p.mu.Unlock()
 		return false
 	}
-	p.reqs[id] = req
+	e.req = req
+	p.known++
 	fire := false
-	if !p.ordered[id] && !p.inQueue[id] {
-		before := p.pendingBytes
-		p.enqueue(id)
-		fire = p.onTarget != nil && p.targetBytes > 0 &&
-			before < p.targetBytes && p.pendingBytes >= p.targetBytes
+	if !e.ordered && !e.queued {
+		wasFull := p.batchFull()
+		p.enqueue(i, e)
+		p.lastCost = p.cost(e)
+		fire = p.onTarget != nil && !wasFull && p.batchFull()
 	}
-	ws := p.waiters[id]
-	if len(ws) > 0 {
-		delete(p.waiters, id)
+	var ws []func(*message.Request)
+	if len(p.waiters) > 0 {
+		if ws = p.waiters[id]; len(ws) > 0 {
+			delete(p.waiters, id)
+		}
 	}
 	onTarget := p.onTarget
 	p.mu.Unlock()
@@ -239,8 +350,10 @@ func (p *RequestPool) Add(req *message.Request) bool {
 func (p *RequestPool) Get(id message.ReqID) (*message.Request, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	r, ok := p.reqs[id]
-	return r, ok
+	if _, e := p.lookup(id); e != nil && e.req != nil {
+		return e.req, true
+	}
+	return nil, false
 }
 
 // WhenAvailable calls fn immediately if the request is known, otherwise
@@ -248,12 +361,15 @@ func (p *RequestPool) Get(id message.ReqID) (*message.Request, bool) {
 // validation of an order whose request is still in flight.
 func (p *RequestPool) WhenAvailable(id message.ReqID, fn func(*message.Request)) {
 	p.mu.Lock()
-	r, ok := p.reqs[id]
-	if !ok {
+	var r *message.Request
+	if _, e := p.lookup(id); e != nil {
+		r = e.req
+	}
+	if r == nil {
 		p.waiters[id] = append(p.waiters[id], fn)
 	}
 	p.mu.Unlock()
-	if ok {
+	if r != nil {
 		fn(r)
 	}
 }
@@ -264,46 +380,44 @@ func (p *RequestPool) WhenAvailable(id message.ReqID, fn func(*message.Request))
 func (p *RequestPool) Awaited(id message.ReqID) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.waiters[id]) > 0
+	return len(p.waiters) > 0 && len(p.waiters[id]) > 0
 }
 
 // Drop discards an unordered request outright, reversing its pending
-// accounting; its stale queue entry is skipped when the dequeue reaches
-// it. Ordered requests are never dropped — their bodies are still owed
-// to the replica layer. The ingress layer uses Drop for requests the
-// proposer refused at admission (shed parity) and for entries whose
-// eviction TTL expired without an ordering decision.
+// accounting; its stale queue slot is skipped when the dequeue reaches
+// it, and the entry goes with it. Ordered requests are never dropped —
+// their bodies are still owed to the replica layer. The ingress layer
+// uses Drop for requests the proposer refused at admission (shed parity)
+// and for entries whose eviction TTL expired without an ordering
+// decision.
 func (p *RequestPool) Drop(id message.ReqID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ordered[id] {
+	i, e := p.lookup(id)
+	if e == nil || e.ordered || e.req == nil {
 		return
 	}
-	if _, known := p.reqs[id]; !known {
-		return
+	if e.queued {
+		e.queued = false
+		p.pendingDelta(e, -1)
 	}
-	if p.inQueue[id] {
-		delete(p.inQueue, id)
-		p.pending--
-		p.pendingBytes -= p.cost(id)
-		p.clientDelta(id.Client, -1)
-	}
-	delete(p.reqs, id)
+	e.req = nil
+	p.known--
+	p.release(i, e)
 }
 
 // MarkOrdered records that a request has been assigned a sequence number.
 func (p *RequestPool) MarkOrdered(id message.ReqID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.ordered[id] {
+	_, e := p.entry(id)
+	if e.ordered {
 		return
 	}
-	p.ordered[id] = true
-	if p.inQueue[id] {
-		// The queue entry is now stale; NextBatch skips it when reached.
-		p.pending--
-		p.pendingBytes -= p.cost(id)
-		p.clientDelta(id.Client, -1)
+	e.ordered = true
+	if e.queued {
+		// The queue slot is now stale; NextBatch skips it when reached.
+		p.pendingDelta(e, -1)
 	}
 }
 
@@ -312,7 +426,8 @@ func (p *RequestPool) MarkOrdered(id message.ReqID) {
 func (p *RequestPool) IsOrdered(id message.ReqID) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.ordered[id]
+	_, e := p.lookup(id)
+	return e != nil && e.ordered
 }
 
 // UnmarkOrdered returns a request to the unordered queue; a new coordinator
@@ -320,21 +435,52 @@ func (p *RequestPool) IsOrdered(id message.ReqID) bool {
 func (p *RequestPool) UnmarkOrdered(id message.ReqID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.ordered[id] {
+	i, e := p.lookup(id)
+	if e == nil || !e.ordered {
 		return
 	}
-	delete(p.ordered, id)
-	if _, known := p.reqs[id]; !known {
-		return
+	e.ordered = false
+	switch {
+	case e.req == nil:
+		p.release(i, e)
+	case e.queued:
+		// Its stale queue slot is live again.
+		p.pendingDelta(e, 1)
+	default:
+		p.enqueue(i, e)
 	}
-	if p.inQueue[id] {
-		// Its stale queue entry is live again.
-		p.pending++
-		p.pendingBytes += p.cost(id)
-		p.clientDelta(id.Client, 1)
-		return
+}
+
+// Pending returns the requests awaiting ordering, each once, in arrival
+// order (in fair mode: client by client in service order, each client's in
+// arrival order). It walks the arrival queues, not the pool's history.
+func (p *RequestPool) Pending() []*message.Request {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*message.Request, 0, p.pending)
+	// An entry named by two slots is reported at the first.
+	p.eachSlot(func(e *poolEntry) {
+		if e.queued && !e.ordered && !e.walked {
+			e.walked = true
+			out = append(out, e.req)
+		}
+	})
+	p.eachSlot(func(e *poolEntry) { e.walked = false })
+	return out
+}
+
+// eachSlot visits the entry behind every unconsumed arrival-queue slot, in
+// dequeue order.
+func (p *RequestPool) eachSlot(fn func(*poolEntry)) {
+	for _, i := range p.unordered[p.head:] {
+		fn(&p.slab[i])
 	}
-	p.enqueue(id)
+	for _, cid := range p.ring {
+		q := p.queues[cid]
+		for _, i := range q.ids[q.head:] {
+			fn(&p.slab[i])
+		}
+	}
 }
 
 // EntryOverhead approximates the wire bytes an order entry adds to a batch
@@ -350,31 +496,29 @@ const EntryOverhead = 24
 func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// One allocation for the result: no batch holds more entries than are
+	// pending, or than fit maxBytes at zero payload (plus the one that may
+	// overshoot).
+	entryMin := EntryOverhead + digestSize
+	out := make([]*message.Request, 0, min(p.pending, maxBytes/entryMin+1))
 	if p.fair {
-		return p.nextBatchFair(maxBytes, digestSize)
+		return p.nextBatchFair(out, maxBytes, entryMin)
 	}
-	var (
-		out   []*message.Request
-		total int
-	)
+	total := 0
 	for p.head < len(p.unordered) {
-		id := p.unordered[p.head]
-		if p.ordered[id] || !p.inQueue[id] {
+		i := p.unordered[p.head]
+		e := &p.slab[i]
+		if e.ordered || !e.queued {
 			p.head++
-			delete(p.inQueue, id)
+			p.consumeSlot(i, e)
 			continue
 		}
-		req := p.reqs[id]
-		cost := len(req.Payload) + EntryOverhead + digestSize
+		cost := len(e.req.Payload) + entryMin
 		if len(out) > 0 && total+cost > maxBytes {
 			break
 		}
 		p.head++
-		delete(p.inQueue, id)
-		p.ordered[id] = true
-		p.pending--
-		p.pendingBytes -= p.cost(id)
-		out = append(out, req)
+		out = append(out, p.pop(i, e))
 		total += cost
 		if total >= maxBytes {
 			break
@@ -391,11 +535,8 @@ func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
 // queues empty retire from the ring with their deficit forfeited.
 // Within one client requests still pop in arrival order, so per-client
 // FIFO semantics (and ClientSeq monotonicity) are preserved.
-func (p *RequestPool) nextBatchFair(maxBytes, digestSize int) []*message.Request {
-	var (
-		out   []*message.Request
-		total int
-	)
+func (p *RequestPool) nextBatchFair(out []*message.Request, maxBytes, entryMin int) []*message.Request {
+	total := 0
 	for len(p.ring) > 0 {
 		cid := p.ring[0]
 		q := p.queues[cid]
@@ -410,9 +551,9 @@ func (p *RequestPool) nextBatchFair(maxBytes, digestSize int) []*message.Request
 			if q.head >= len(q.ids) {
 				break
 			}
-			id := q.ids[q.head]
-			req := p.reqs[id]
-			cost := len(req.Payload) + EntryOverhead + digestSize
+			i := q.ids[q.head]
+			e := &p.slab[i]
+			cost := len(e.req.Payload) + entryMin
 			if len(out) > 0 {
 				if total+cost > maxBytes {
 					q.compact()
@@ -423,12 +564,7 @@ func (p *RequestPool) nextBatchFair(maxBytes, digestSize int) []*message.Request
 				}
 			}
 			q.head++
-			delete(p.inQueue, id)
-			p.ordered[id] = true
-			p.pending--
-			p.pendingBytes -= p.cost(id)
-			p.clientDelta(id.Client, -1)
-			out = append(out, req)
+			out = append(out, p.pop(i, e))
 			total += cost
 			if q.deficit -= cost; q.deficit < 0 {
 				q.deficit = 0 // an oversized first request is served on credit
@@ -451,16 +587,17 @@ func (p *RequestPool) nextBatchFair(maxBytes, digestSize int) []*message.Request
 	return out
 }
 
-// dropStaleHead advances past queue entries ordered out of band (their
-// pending accounting was already reversed by MarkOrdered).
+// dropStaleHead advances past queue slots whose entries were ordered out
+// of band or dropped (their pending accounting was already reversed).
 func (q *clientQueue) dropStaleHead(p *RequestPool) {
 	for q.head < len(q.ids) {
-		id := q.ids[q.head]
-		if !p.ordered[id] && p.inQueue[id] {
+		i := q.ids[q.head]
+		e := &p.slab[i]
+		if !e.ordered && e.queued {
 			return
 		}
 		q.head++
-		delete(p.inQueue, id)
+		p.consumeSlot(i, e)
 	}
 }
 
@@ -498,7 +635,7 @@ func (p *RequestPool) PendingCount() int {
 func (p *RequestPool) Len() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.reqs)
+	return p.known
 }
 
 // queueFootprint reports the arrival queue's backing length (regression

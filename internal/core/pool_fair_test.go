@@ -20,14 +20,10 @@ func fairReq(client int, seq uint64, size int) *message.Request {
 // truth after every mutation.
 func fairBrute(p *RequestPool) (pending, bytes int, perClient map[types.NodeID]int) {
 	perClient = make(map[types.NodeID]int)
-	for cid, q := range p.queues {
-		for _, id := range q.ids[q.head:] {
-			if p.inQueue[id] && !p.ordered[id] {
-				pending++
-				bytes += len(p.reqs[id].Payload) + p.entryExtra
-				perClient[cid]++
-			}
-		}
+	for _, r := range p.Pending() {
+		pending++
+		bytes += len(r.Payload) + p.entryExtra
+		perClient[r.Client]++
 	}
 	return pending, bytes, perClient
 }
@@ -49,9 +45,9 @@ func checkFair(t *testing.T, p *RequestPool, step string) {
 			t.Fatalf("%s: ClientPending(%v) = %d, brute force = %d", step, cid, got, want)
 		}
 	}
-	for cid := range p.perClient {
-		if perClient[cid] == 0 {
-			t.Fatalf("%s: perClient retains %v with no live entries", step, cid)
+	for cid, q := range p.queues {
+		if q.pending != perClient[cid] {
+			t.Fatalf("%s: queue of %v counts %d pending, brute force = %d", step, cid, q.pending, perClient[cid])
 		}
 	}
 }
@@ -254,9 +250,10 @@ func TestPoolFairQueueCompaction(t *testing.T) {
 }
 
 // TestPoolFairConcurrentReaders runs the ingress layer's read paths
-// (ClientPending, ActiveClients, PendingBytes, PendingCount) against a
-// mutating event loop under the race detector, pinning the lock
-// discipline the admission controller relies on.
+// (ClientPending, ActiveClients, PendingBytes, PendingCount) and the
+// replica layer's (Get, IsOrdered) against a mutating event loop under the
+// race detector, pinning the lock discipline the admission controller and
+// the replay-drain goroutine rely on.
 func TestPoolFairConcurrentReaders(t *testing.T) {
 	p := NewRequestPool()
 	p.SetBatchTarget(1<<20, EntryOverhead+8, func() {})
@@ -276,6 +273,10 @@ func TestPoolFairConcurrentReaders(t *testing.T) {
 					_ = p.ActiveClients()
 					_ = p.PendingBytes()
 					_ = p.PendingCount()
+					// The replica layer's read, against a growing slab.
+					probe := message.ReqID{Client: types.ClientID(1), ClientSeq: 1}
+					_, _ = p.Get(probe)
+					_ = p.IsOrdered(probe)
 				}
 			}
 		}()

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -12,17 +14,11 @@ func poolReq(seq uint64) *message.Request {
 	return &message.Request{Client: types.ClientID(0), ClientSeq: seq, Payload: []byte("x")}
 }
 
-// pendingBrute recomputes PendingCount the way the pre-counter code did,
-// so the O(1) counter can be checked against ground truth after every
+// pendingBrute recomputes PendingCount by walking the arrival queue, so
+// the O(1) counter can be checked against ground truth after every
 // mutation.
 func pendingBrute(p *RequestPool) int {
-	n := 0
-	for _, id := range p.unordered[p.head:] {
-		if p.inQueue[id] && !p.ordered[id] {
-			n++
-		}
-	}
-	return n
+	return len(p.Pending())
 }
 
 func checkPending(t *testing.T, p *RequestPool, step string) {
@@ -115,10 +111,8 @@ func TestPoolQueueCompaction(t *testing.T) {
 // accounting can be checked against ground truth after every mutation.
 func bytesBrute(p *RequestPool) int {
 	n := 0
-	for _, id := range p.unordered[p.head:] {
-		if p.inQueue[id] && !p.ordered[id] {
-			n += len(p.reqs[id].Payload) + p.entryExtra
-		}
+	for _, r := range p.Pending() {
+		n += len(r.Payload) + p.entryExtra
 	}
 	return n
 }
@@ -254,5 +248,68 @@ func TestEntryBudgetCoversWireCost(t *testing.T) {
 	if perEntry > EntryOverhead+digestSize {
 		t.Fatalf("one entry costs %d wire bytes, budget charges only %d",
 			perEntry, EntryOverhead+digestSize)
+	}
+}
+
+// tickingEnv is fakeEnv with a clock that advances at every reading, so
+// the deadlines of expectations tell the order they were armed in.
+type tickingEnv struct {
+	fakeEnv
+	now time.Time
+}
+
+func (e *tickingEnv) Now() time.Time {
+	e.now = e.now.Add(time.Nanosecond)
+	return e.now
+}
+
+// TestArmShadowExpectationsArmsPendingInArrivalOrder pins what a process
+// monitors the instant it becomes shadow: with n requests ordered and k
+// still pending it arms exactly k order-decision expectations, in the
+// requests' arrival order — from the pool's walk over its pending entries,
+// not from every request it ever pooled in map order.
+func TestArmShadowExpectationsArmsPendingInArrivalOrder(t *testing.T) {
+	fx := newEvidenceFixture(t)
+	shadow, err := New(fx.s1, Config{
+		Topo:          fx.topo,
+		BatchInterval: 10 * time.Millisecond,
+		MaxBatchBytes: 1024,
+		Delta:         time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, k = 40, 8
+	var ordered, pending []message.ReqID
+	for i := 0; i < n+k; i++ {
+		r := &message.Request{Client: types.ClientID(i % 2), ClientSeq: uint64(i), Payload: []byte("x")}
+		shadow.pool.Add(r)
+		if i%6 == 3 {
+			pending = append(pending, r.ID())
+		} else {
+			shadow.pool.MarkOrdered(r.ID())
+			ordered = append(ordered, r.ID())
+		}
+	}
+	if len(pending) != k || len(ordered) != n {
+		t.Fatalf("fixture has %d pending, %d ordered", len(pending), len(ordered))
+	}
+	env := &tickingEnv{fakeEnv: fakeEnv{Identity: fx.idents[fx.s1]}}
+	shadow.armShadowExpectations(env)
+	for _, id := range ordered {
+		if _, awaited := shadow.pair.Met(fsp.OrderKey(id)); awaited {
+			t.Errorf("an order decision is awaited for %v, which is already ordered", id)
+		}
+	}
+	var last time.Time
+	for _, id := range pending {
+		deadline, awaited := shadow.pair.Met(fsp.OrderKey(id))
+		if !awaited {
+			t.Fatalf("no order decision awaited for pending %v", id)
+		}
+		if !deadline.After(last) {
+			t.Errorf("%v was armed before a request that arrived ahead of it", id)
+		}
+		last = deadline
 	}
 }

@@ -56,8 +56,9 @@ type Config struct {
 	// the primary keeps outstanding. Values <= 1 preserve the paper's
 	// strictly interval-paced proposer (one batch per batch tick,
 	// regardless of commit progress). Values >= 2 enable the pipelined
-	// proposal path: the request pool's size trigger closes a full batch
-	// the moment pending bytes reach MaxBatchBytes, commits free window
+	// proposal path: the request pool's size trigger closes a batch on
+	// the arrival that fills it (another entry like it would no longer
+	// fit MaxBatchBytes — RequestPool.BatchFull), commits free window
 	// slots that are refilled immediately, and the batch timer degrades
 	// to a latency backstop that flushes partial batches.
 	MaxInflightBatches int
@@ -487,10 +488,10 @@ func (p *Process) multicastAll(env runtime.Env, m message.Message) {
 func (p *Process) Init(env runtime.Env) {
 	p.digestSize = len(env.Digest(nil))
 	// Adaptive batch close: the pool signals (on this event loop — every
-	// Add happens here) the instant pending bytes reach one full batch,
-	// so full batches close on size, not on the timer. The signal fires
-	// on every process but onPoolTarget discards it everywhere except at
-	// an acting pipelined primary.
+	// Add happens here) on the arrival that fills a batch, so full batches
+	// close on size, not on the timer. The signal fires on every process
+	// but onPoolTarget discards it everywhere except at an acting
+	// pipelined primary.
 	p.pool.SetBatchTarget(p.cfg.MaxBatchBytes, EntryOverhead+p.digestSize,
 		func() { p.onPoolTarget(env) })
 	if p.catchingUp.Load() {
@@ -602,17 +603,17 @@ func (p *Process) batchTick(env runtime.Env) {
 	}
 }
 
-// onPoolTarget fires (from RequestPool.Add, on this event loop) when
-// pending bytes reach one full batch: the adaptive close. In pipelined
-// mode it proposes immediately, filling as many free window slots as the
-// pool can cover; commit-time releases call it again to refill. Without
-// pipelining it is ignored — the paper's proposer stays interval-paced.
+// onPoolTarget fires (from RequestPool.Add, on this event loop) on the
+// arrival that fills a batch (RequestPool.BatchFull): the adaptive close.
+// In pipelined mode it proposes immediately, filling as many free window
+// slots as the pool can cover with full batches; commit-time releases call
+// it again to refill. Without pipelining it is ignored — the paper's
+// proposer stays interval-paced.
 func (p *Process) onPoolTarget(env runtime.Env) {
 	if !p.pipelined() || !p.mayPropose() {
 		return
 	}
-	for len(p.inflight) < p.cfg.MaxInflightBatches &&
-		p.pool.PendingBytes() >= p.cfg.MaxBatchBytes {
+	for len(p.inflight) < p.cfg.MaxInflightBatches && p.pool.BatchFull() {
 		if !p.closeBatch(env, true) {
 			break
 		}

@@ -42,7 +42,10 @@
 //     together, up to Options.MaxBatch frames per call.
 //   - Dead connections are redialled with capped exponential backoff plus
 //     jitter, so a restarted peer is rejoined without a reconnect storm.
-//   - Inbound connections read through pooled bufio readers; frame
-//     payloads are freshly allocated because decoded messages alias the
-//     buffer they were decoded from (see internal/message).
+//   - Inbound connections are read straight into fixed 32 KB chunks and
+//     each frame is handed out as a slice of its chunk — no copy and no
+//     allocation per frame. Decoded messages alias the buffer they were
+//     decoded from (see internal/message), so a chunk is never rewritten
+//     once a byte of it is handed out, and it lives as long as the
+//     longest-lived message decoded from it (see chunkReader).
 package tcpnet

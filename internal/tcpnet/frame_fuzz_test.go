@@ -53,45 +53,29 @@ func TestReadFrameRejectsBadLengths(t *testing.T) {
 	}
 }
 
-// TestReadFrameShortPayload checks truncated streams fail cleanly.
+// TestReadFrameShortPayload checks truncated streams fail cleanly: a
+// stream that ends anywhere inside a body — including right after the
+// prefix — is torn, never a clean io.EOF.
 func TestReadFrameShortPayload(t *testing.T) {
 	wire := AppendFrame(nil, []byte("hello"))
-	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire[:len(wire)-2])))
-	if err == nil {
-		t.Fatal("truncated frame read succeeded")
+	for _, cut := range []int{len(wire) - 2, frameHeaderLen} {
+		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire[:cut]))); err != io.ErrUnexpectedEOF {
+			t.Errorf("frame cut to %d bytes: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
 }
 
-// TestReadFrameTornPrefix holds the buffered reader's in-place prefix
-// decode to the plain io.Reader path: the same errors for an empty and a
-// torn prefix (read loops tell a clean close from a broken stream by
-// io.EOF).
+// TestReadFrameTornPrefix holds the chunk reader to ReadFrame on a stream
+// that ends early: the same errors for an empty and a torn prefix (read
+// loops tell a clean close from a broken stream by io.EOF).
 func TestReadFrameTornPrefix(t *testing.T) {
 	wire := AppendFrame(nil, []byte("hello"))
 	for cut, want := range map[int]error{0: io.EOF, 2: io.ErrUnexpectedEOF} {
 		if _, err := ReadFrame(bytes.NewReader(wire[:cut])); err != want {
-			t.Errorf("plain reader, %d prefix bytes: %v, want %v", cut, err, want)
+			t.Errorf("ReadFrame, %d prefix bytes: %v, want %v", cut, err, want)
 		}
-		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire[:cut]))); err != want {
-			t.Errorf("buffered reader, %d prefix bytes: %v, want %v", cut, err, want)
+		if _, err := newChunkReader(bytes.NewReader(wire[:cut])).next(); err != want {
+			t.Errorf("chunk reader, %d prefix bytes: %v, want %v", cut, err, want)
 		}
-	}
-}
-
-// TestReadFrameHeaderAllocFree pins a read loop's heap cost per frame at
-// the payload alone: the length prefix is decoded in the bufio.Reader's
-// buffer, not in an array that escapes through io.Reader.
-func TestReadFrameHeaderAllocFree(t *testing.T) {
-	wire := AppendFrame(nil, []byte("hello"))
-	src := bytes.NewReader(nil)
-	br := bufio.NewReader(src)
-	if got := testing.AllocsPerRun(200, func() {
-		src.Reset(wire)
-		br.Reset(src)
-		if _, err := ReadFrame(br); err != nil {
-			t.Fatal(err)
-		}
-	}); got > 1 {
-		t.Errorf("ReadFrame through a bufio.Reader = %v allocs, want <= 1 (the payload)", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/obs"
@@ -99,10 +100,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Handler consumes one inbound frame. The payload is freshly allocated and
-// owned by the handler (message.Decode may alias it). Handlers are invoked
-// concurrently from per-connection reader goroutines and must be
-// thread-safe.
+// Handler consumes one inbound frame. The payload is never written again
+// and is owned by the handler (message.Decode may alias it); it is a slice
+// of a receive chunk shared with the connection's neighbouring frames, so
+// whatever keeps it keeps the chunk. Handlers are invoked concurrently from
+// per-connection reader goroutines and must be thread-safe.
 type Handler func(from types.NodeID, frame []byte)
 
 // Transport is one process's TCP endpoint: a listener demultiplexing
@@ -121,8 +123,11 @@ type Transport struct {
 	inbound       map[net.Conn]struct{}
 	unknownLogged map[types.NodeID]struct{}
 	handler       Handler
-	closed        bool
-	wg            sync.WaitGroup
+	// closed is an atomic because read loops consult it per frame without
+	// mu; it is stored under mu so sender() and the accept loop, which
+	// check it there, never register anything on a closed transport.
+	closed atomic.Bool
+	wg     sync.WaitGroup
 
 	fatal chan error
 }
@@ -194,7 +199,7 @@ func (t *Transport) Start(h Handler) {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		t.acceptLoop()
+		t.acceptLoop(h)
 	}()
 	if t.opts.Session != nil && t.opts.Session.Journal != nil {
 		for _, id := range t.opts.Session.Journal.PendingReplay(t.id) {
@@ -215,11 +220,11 @@ func (t *Transport) Fatal() <-chan error { return t.fatal }
 // connection, and waits for all transport goroutines to exit.
 func (t *Transport) Close() {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return
 	}
-	t.closed = true
+	t.closed.Store(true)
 	for _, p := range t.senders {
 		p.close()
 	}
@@ -251,9 +256,9 @@ func (t *Transport) Send(to types.NodeID, raw []byte) bool {
 	}
 	if to == t.id {
 		t.mu.Lock()
-		h, closed := t.handler, t.closed
+		h := t.handler
 		t.mu.Unlock()
-		if closed || h == nil {
+		if t.closed.Load() || h == nil {
 			return false
 		}
 		h(t.id, raw)
@@ -418,7 +423,7 @@ func (t *Transport) receiver(from types.NodeID) *session.Receiver {
 func (t *Transport) sender(to types.NodeID) *peer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return nil
 	}
 	if p, ok := t.senders[to]; ok {
@@ -444,14 +449,13 @@ func (t *Transport) sender(to types.NodeID) *peer {
 	return p
 }
 
-func (t *Transport) acceptLoop() {
+// acceptLoop serves the listener, handing each connection's read loop the
+// handler Start was given (loaded once here, not per frame under mu).
+func (t *Transport) acceptLoop(h Handler) {
 	for {
 		conn, err := t.ln.Accept()
 		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if !closed {
+			if !t.closed.Load() {
 				select {
 				case t.fatal <- fmt.Errorf("tcpnet %v: accept on %s: %w", t.id, t.Addr(), err):
 				default:
@@ -460,7 +464,7 @@ func (t *Transport) acceptLoop() {
 			return
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			_ = conn.Close()
 			return
@@ -475,29 +479,29 @@ func (t *Transport) acceptLoop() {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			t.readLoop(conn)
+			t.readLoop(conn, h)
 		}()
 	}
 }
 
 // readLoop consumes one inbound connection: hello (bare v1, or the
-// authenticated v2 hello/ack exchange), then frames.
-func (t *Transport) readLoop(conn net.Conn) {
+// authenticated v2 hello/ack exchange), then frames, each handed to h as
+// a slice of the connection's current receive chunk (see chunkReader).
+func (t *Transport) readLoop(conn net.Conn, h Handler) {
 	defer func() {
 		t.mu.Lock()
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 		_ = conn.Close()
 	}()
-	br := getReader(conn)
-	defer putReader(br)
 	// A connection that never identifies itself must not pin a goroutine
-	// and a pooled reader forever (port scans, TCP health probes).
+	// and a receive chunk forever (port scans, TCP health probes).
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	var from types.NodeID
 	var rx *session.Receiver
+	cr := newChunkReader(conn)
 	if t.opts.Session != nil {
-		hello, err := ReadFrame(br)
+		hello, err := cr.next()
 		if err != nil {
 			return
 		}
@@ -534,22 +538,21 @@ func (t *Transport) readLoop(conn net.Conn) {
 		}
 		from = hfrom
 	} else {
+		// The bare hello is not a frame: it is read off the conn itself,
+		// ahead of the chunk reader's first read.
 		var hello [4]byte
-		if _, err := io.ReadFull(br, hello[:]); err != nil {
+		if _, err := io.ReadFull(conn, hello[:]); err != nil {
 			return
 		}
 		from = types.NodeID(int32(binary.BigEndian.Uint32(hello[:])))
 	}
 	_ = conn.SetReadDeadline(time.Time{}) // frames may be arbitrarily far apart
 	for {
-		raw, err := ReadFrame(br)
+		raw, err := cr.next()
 		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
 			// A clean shutdown closes inbound conns under us; that is not
 			// an operator-visible link failure.
-			if !closed && err != io.EOF && !errors.Is(err, net.ErrClosed) {
+			if !t.closed.Load() && err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				t.logger.Printf("tcpnet %v: read from %v (%s): %v", t.id, from, conn.RemoteAddr(), err)
 			}
 			return
@@ -568,10 +571,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			}
 			raw = body
 		}
-		t.mu.Lock()
-		h, closed := t.handler, t.closed
-		t.mu.Unlock()
-		if closed {
+		if t.closed.Load() {
 			return
 		}
 		if h != nil {

@@ -148,10 +148,11 @@ type Config struct {
 	// default) preserve the paper's strictly interval-paced proposer: one
 	// batch per BatchInterval, which bounds throughput at roughly
 	// entries-per-batch / BatchInterval regardless of offered load. Values
-	// >= 2 enable the pipelined proposal path: a full batch closes the
-	// moment pending request bytes reach BatchBytes (the interval timer
-	// degrades to a latency backstop for partial batches), and commits
-	// free window slots that are refilled immediately.
+	// >= 2 enable the pipelined proposal path: a batch closes on the
+	// arrival that fills it — when another request like it would no longer
+	// fit BatchBytes (the interval timer degrades to a latency backstop for
+	// partial batches), and commits free window slots that are refilled
+	// immediately.
 	MaxInflightBatches int
 	// BatchIdleArm (SC/SCR only) is the backstop delay armed when the
 	// first request reaches an idle primary (0 = BatchInterval). The batch
