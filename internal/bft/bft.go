@@ -148,12 +148,10 @@ func (p *Process) batchTick(env runtime.Env) {
 			ReqDigest: env.Digest(r.SignedBody()),
 		})
 	}
-	sig, err := message.SignSingle(env, pp.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, pp, &pp.Sig); err != nil {
 		env.Logf("bft: signing pre-prepare: %v", err)
 		return
 	}
-	pp.Sig = sig
 	p.nextSeq = pp.LastSeq() + 1
 	if p.cfg.OnBatched != nil {
 		p.cfg.OnBatched(core.BatchEvent{
@@ -254,12 +252,10 @@ func (p *Process) acceptPrePrepare(env runtime.Env, pp *message.PrePrepare) bool
 	// its prepare.
 	if p.id != pp.Primary {
 		prep := &message.Prepare{From: p.id, View: pp.View, FirstSeq: pp.FirstSeq, BatchDigest: inst.digest}
-		sig, err := message.SignSingle(env, prep.SignedBody())
-		if err != nil {
+		if err := message.Sign(env, prep, &prep.Sig); err != nil {
 			env.Logf("bft: signing prepare: %v", err)
 			return false
 		}
-		prep.Sig = sig
 		inst.prepares[p.id] = prep.Sig
 		env.Multicast(p.all, prep)
 	}
@@ -312,12 +308,10 @@ func (p *Process) checkPrepared(env runtime.Env, inst *instance) {
 	}
 	inst.prepared = true
 	com := &message.Commit{From: p.id, View: inst.pp.View, FirstSeq: inst.pp.FirstSeq, BatchDigest: inst.digest}
-	sig, err := message.SignSingle(env, com.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, com, &com.Sig); err != nil {
 		env.Logf("bft: signing commit: %v", err)
 		return
 	}
-	com.Sig = sig
 	inst.cSent = true
 	inst.commits[p.id] = true
 	env.Multicast(p.all, com)

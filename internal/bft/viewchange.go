@@ -41,12 +41,10 @@ func (p *Process) startViewChange(env runtime.Env, v types.View) {
 	sort.Slice(vc.Prepared, func(i, j int) bool {
 		return vc.Prepared[i].PrePrepare.FirstSeq < vc.Prepared[j].PrePrepare.FirstSeq
 	})
-	sig, err := message.SignSingle(env, vc.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, vc, &vc.Sig); err != nil {
 		env.Logf("bft: signing view-change: %v", err)
 		return
 	}
-	vc.Sig = sig
 	if p.cfg.OnViewChange != nil {
 		p.cfg.OnViewChange(v, p.id, env.Now())
 	}
@@ -123,20 +121,16 @@ func (p *Process) sendNewView(env runtime.Env, v types.View, set map[types.NodeI
 	for _, s := range seqs {
 		old := best[s].PrePrepare
 		repp := &message.PrePrepare{View: v, FirstSeq: old.FirstSeq, Entries: old.Entries, Primary: p.id}
-		sig, err := message.SignSingle(env, repp.SignedBody())
-		if err != nil {
+		if err := message.Sign(env, repp, &repp.Sig); err != nil {
 			env.Logf("bft: signing re-issued pre-prepare: %v", err)
 			return
 		}
-		repp.Sig = sig
 		nv.PrePrepares = append(nv.PrePrepares, repp)
 	}
-	sig, err := message.SignSingle(env, nv.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, nv, &nv.Sig); err != nil {
 		env.Logf("bft: signing new-view: %v", err)
 		return
 	}
-	nv.Sig = sig
 	env.Multicast(p.all, nv)
 }
 

@@ -196,12 +196,10 @@ func (c *Client) Submit(env runtime.Env, seq uint64, payload []byte) {
 
 func (c *Client) submit(env runtime.Env, seq uint64, payload []byte, attempt int) {
 	req := &message.Request{Client: c.cfg.ID, ClientSeq: seq, Payload: payload}
-	sig, err := message.SignSingle(env, req.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, req, &req.Sig); err != nil {
 		env.Logf("client: signing request: %v", err)
 		return
 	}
-	req.Sig = sig
 	c.sum.Submitted++
 	if c.reqs != nil {
 		c.reqs[seq] = &request{payload: payload, attempt: attempt, at: env.Now()}

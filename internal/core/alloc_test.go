@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func TestCounterpartAckCheckAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := &fakeEnv{Identity: fx.idents[fx.s1]}
-	tr := NewBatchTracker(fx.batch, fx.batch.BodyDigest(env), fx.topo.N())
+	tr := NewBatchTracker(fx.batch, fx.batch.BodyDigest(env))
 	ack := &message.Ack{From: fx.p1, Kind: message.SubjectBatch, View: tr.View, FirstSeq: tr.FirstSeq, SubjectDigest: tr.Digest}
 	if !tr.Matches(ack) || shadow.pair == nil || ack.From != shadow.pair.Counterpart() {
 		t.Fatal("fixture does not exercise the counterpart's matching ack")
@@ -37,26 +38,54 @@ func TestCounterpartAckCheckAllocFree(t *testing.T) {
 	}
 }
 
-// TestTrackerAllocationFloors pins what tracking one subject costs: the
-// tracker and its one credit slice, sized to the topology, however many
-// acks are credited — and that the map-free tracker still treats
-// duplicates and the pair's own acks as no-ops and counts through
-// mayCount as before.
+// TestTrackerAllocationFloors pins what tracking one subject costs: one
+// block — the tracker, its credits and the digest it keeps, which it copies
+// out of the caller's (scratch) bytes — however many acks are credited in a
+// deployment that fits the inline credits, one more once a larger one
+// spills; and that the map-free tracker still treats duplicates and the
+// pair's own acks as no-ops and counts through mayCount as before.
 func TestTrackerAllocationFloors(t *testing.T) {
 	fx := newEvidenceFixture(t)
 	digest := fx.batch.BodyDigest(fx.env)
 	n := fx.topo.N()
 	sig := crypto.Signature("an ack signature")
 	all := fx.topo.AllProcesses()
+	if n > inlineCreditCap {
+		t.Fatalf("the fixture's %d processes do not fit the %d inline credits", n, inlineCreditCap)
+	}
 	var tr *Tracker
 	if got := testing.AllocsPerRun(200, func() {
-		tr = NewBatchTracker(fx.batch, digest, n)
+		tr = NewBatchTracker(fx.batch, digest)
 		for _, id := range all {
 			tr.Credit(id, sig)
 			tr.Credit(id, sig)
 		}
+	}); got > 1 {
+		t.Errorf("a new tracker and %d credits = %v allocs, want <= 1", n, got)
+	}
+	scratch := bytes.Clone(digest)
+	kept := NewBatchTracker(fx.batch, scratch)
+	clear(scratch)
+	if !bytes.Equal(kept.Digest, digest) {
+		t.Error("the tracker's digest aliases the caller's bytes")
+	}
+	// A larger deployment (f = 2: the pair and five ackers): the credits
+	// spill to a slice of their own once and keep every supporter.
+	const ackers = 5
+	var big *Tracker
+	if got := testing.AllocsPerRun(200, func() {
+		big = NewBatchTracker(fx.batch, digest)
+		for id := types.NodeID(100); id < 100+ackers; id++ {
+			big.Credit(id, sig)
+		}
 	}); got > 2 {
-		t.Errorf("a new tracker and %d credits = %v allocs, want <= 2", n, got)
+		t.Errorf("a tracker spilling its inline credits = %v allocs, want <= 2", got)
+	}
+	if got := big.Count(nil); got != 2+ackers {
+		t.Errorf("a spilled tracker counts %d supporters, want %d", got, 2+ackers)
+	}
+	if p := big.Proof(); len(p.Ackers) != ackers || p.Ackers[0] != 100 || p.Ackers[ackers-1] != 100+ackers-1 {
+		t.Errorf("a spilled tracker's proof lost its ackers: %v", p.Ackers)
 	}
 	if got := tr.Count(nil); got != n {
 		t.Errorf("Count(nil) = %d after crediting all %d processes twice, want %d", got, n, n)
@@ -71,7 +100,7 @@ func TestTrackerAllocationFloors(t *testing.T) {
 	}
 	unpaired := *fx.batch
 	unpaired.Shadow = types.Nil
-	if got := NewBatchTracker(&unpaired, digest, n).Count(nil); got != 1 {
+	if got := NewBatchTracker(&unpaired, digest).Count(nil); got != 1 {
 		t.Errorf("a fresh unpaired batch counts %d contributors, want 1", got)
 	}
 }

@@ -173,12 +173,10 @@ func (p *Process) saveCheckpointIfDue(env runtime.Env) {
 // wanted); receivers fold it into their cluster-watermark minimum.
 func (p *Process) announceWatermark(env runtime.Env, wm types.Seq) {
 	m := &message.CatchUpReq{From: p.id, Watermark: wm, Announce: true}
-	sig, err := message.SignSingle(env, m.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, m, &m.Sig); err != nil {
 		env.Logf("core: signing watermark announcement: %v", err)
 		return
 	}
-	m.Sig = sig
 	p.multicastAll(env, m)
 }
 
@@ -199,12 +197,10 @@ func (p *Process) beginCatchUp(env runtime.Env) {
 		p.beginCatchUp(env)
 	})
 	m := &message.CatchUpReq{From: p.id, Watermark: p.deliveredUpTo}
-	sig, err := message.SignSingle(env, m.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, m, &m.Sig); err != nil {
 		env.Logf("core: signing CatchUpReq: %v", err)
 		return
 	}
-	m.Sig = sig
 	p.multicastAll(env, m)
 }
 
@@ -361,12 +357,10 @@ func (p *Process) buildCatchUp(env runtime.Env, from types.NodeID, base types.Se
 			next++
 		}
 	}
-	sig, err := message.SignSingle(env, cu.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, cu, &cu.Sig); err != nil {
 		env.Logf("core: signing CatchUp: %v", err)
 		return cu
 	}
-	cu.Sig = sig
 	return cu
 }
 
@@ -430,11 +424,9 @@ func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.Catch
 		// the catch-up retry timer re-multicasts at its own cadence
 		// instead.
 		req := &message.CatchUpReq{From: p.id, Watermark: p.deliveredUpTo}
-		sig, err := message.SignSingle(env, req.SignedBody())
-		if err != nil {
+		if err := message.Sign(env, req, &req.Sig); err != nil {
 			return
 		}
-		req.Sig = sig
 		p.send(env, from, req)
 	case p.catchingUp.Load() && p.deliveredUpTo >= p.catchupMaxUpTo &&
 		len(p.catchupFrom) >= p.catchupFinishAnswers() && !p.needPairAnswer():
@@ -570,10 +562,10 @@ func (p *Process) adoptCatchUp(env runtime.Env, m *message.CatchUp) {
 // regime change this process slept through, so the view and rank advance
 // with it.
 func (p *Process) installCommittedStart(env runtime.Env, st *message.Start) {
-	digest := st.BodyDigest(env)
+	digest := env.ScratchDigest(st.SignedBody())
 	t, ok := p.trackers[st.StartSeq]
 	if !ok || !bytes.Equal(t.Digest, digest) {
-		t = NewStartTracker(st, digest, p.topo.N())
+		t = NewStartTracker(st, digest)
 		p.trackers[st.StartSeq] = t
 	}
 	if !t.Committed {

@@ -25,13 +25,14 @@ type fakeEnv struct {
 	*crypto.Identity
 }
 
-func (e *fakeEnv) Now() time.Time                               { return time.Time{} }
-func (e *fakeEnv) Send(types.NodeID, message.Message)           {}
-func (e *fakeEnv) Multicast([]types.NodeID, message.Message)    {}
-func (e *fakeEnv) SetTimer(time.Duration, func()) runtime.Timer { return noTimer{} }
-func (e *fakeEnv) Charge(time.Duration)                         {}
-func (e *fakeEnv) ScratchDigest(b []byte) []byte                { return e.Digest(b) }
-func (e *fakeEnv) Logf(string, ...any)                          {}
+func (e *fakeEnv) Now() time.Time                                 { return time.Time{} }
+func (e *fakeEnv) Send(types.NodeID, message.Message)             {}
+func (e *fakeEnv) Multicast([]types.NodeID, message.Message)      {}
+func (e *fakeEnv) SetTimer(time.Duration, func()) runtime.Timer   { return noTimer{} }
+func (e *fakeEnv) Charge(time.Duration)                           {}
+func (e *fakeEnv) ScratchDigest(b []byte) []byte                  { return e.Digest(b) }
+func (e *fakeEnv) ScratchSign(d []byte) (crypto.Signature, error) { return e.Sign(d) }
+func (e *fakeEnv) Logf(string, ...any)                            {}
 
 type noTimer struct{}
 

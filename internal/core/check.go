@@ -141,12 +141,11 @@ func (p *Process) validateAndEndorse(env runtime.Env, b *message.OrderBatch) {
 			return
 		}
 	}
-	sig2, err := message.SignSecond(env, b.SignedBody(), b.Sig1)
+	endorsed, err := b.Endorse(env)
 	if err != nil {
 		env.Logf("core: endorsing batch %d: %v", b.FirstSeq, err)
 		return
 	}
-	endorsed := b.Endorsed(sig2)
 	for _, e := range b.Entries {
 		p.pool.MarkOrdered(e.Req)
 	}

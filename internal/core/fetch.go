@@ -142,12 +142,10 @@ func (p *Process) fetchDeferredPayloads(env runtime.Env) {
 
 func (p *Process) sendFetch(env runtime.Env, target types.NodeID, seqs []types.Seq, reqs []message.ReqID) {
 	m := &message.FetchReq{From: p.id, Seqs: seqs, Reqs: reqs}
-	sig, err := message.SignSingle(env, m.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, m, &m.Sig); err != nil {
 		env.Logf("core: signing FetchReq: %v", err)
 		return
 	}
-	m.Sig = sig
 	p.send(env, target, m)
 }
 

@@ -125,12 +125,10 @@ func (p *Process) sendReject(env runtime.Env, req *message.Request, d ingress.De
 		Code:       uint8(d.Code),
 		RetryAfter: d.RetryAfter,
 	}
-	sig, err := message.SignSingle(env, rej.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, rej, &rej.Sig); err != nil {
 		env.Logf("core: signing reject: %v", err)
 		return
 	}
-	rej.Sig = sig
 	p.send(env, req.Client, rej)
 }
 
@@ -152,12 +150,10 @@ func (p *Process) notifyPairShed(env runtime.Env, req *message.Request, d ingres
 		Code:       uint8(d.Code),
 		RetryAfter: d.RetryAfter,
 	}
-	sig, err := message.SignSingle(env, rej.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, rej, &rej.Sig); err != nil {
 		env.Logf("core: signing pair shed note: %v", err)
 		return
 	}
-	rej.Sig = sig
 	p.send(env, p.pair.Counterpart(), rej)
 }
 

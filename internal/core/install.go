@@ -130,12 +130,10 @@ func (p *Process) beginInstall(env runtime.Env, fs *message.FailSignal) {
 		Uncommitted:  p.ackedUncommitted(),
 		Padding:      make([]byte, p.cfg.PadBacklogBytes),
 	}
-	sig, err := message.SignSingle(env, bl.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, bl, &bl.Sig); err != nil {
 		env.Logf("core: signing backlog: %v", err)
 		return
 	}
-	bl.Sig = sig
 	p.multicastAll(env, bl)
 	// SCR: if we are the proposed candidate pair and not up, say so.
 	p.scrMaybeUnwilling(env)
@@ -218,12 +216,10 @@ func (p *Process) computeStart(env runtime.Env) {
 		env.Logf("core: computing Start: %v", err)
 		return
 	}
-	sig1, err := message.SignSingle(env, start.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, start, &start.Sig1); err != nil {
 		env.Logf("core: signing Start: %v", err)
 		return
 	}
-	start.Sig1 = sig1
 	p.myStart = start
 	_, shadowID, paired := p.candidate(p.rank)
 	if paired {
@@ -408,12 +404,12 @@ func (p *Process) onPairStart(env runtime.Env, from types.NodeID, ps *message.Pa
 		p.pair.MarkPermanentlyDown()
 		return
 	}
-	sig2, err := message.SignSecond(env, ps.Start.SignedBody(), ps.Start.Sig1)
+	endorsed, err := ps.Start.Endorse(env)
 	if err != nil {
 		env.Logf("core: endorsing Start: %v", err)
 		return
 	}
-	p.multicastAll(env, ps.Start.Endorsed(sig2))
+	p.multicastAll(env, endorsed)
 }
 
 // onStart handles the endorsed Start (the start of IN3/IN5 at every
@@ -467,12 +463,10 @@ func (p *Process) onStart(env runtime.Env, from types.NodeID, st *message.Start)
 	if p.fEff() > 1 && !isMember {
 		// IN3: counter-sign and send the tuple to pc and p'c.
 		ss := &message.StartSig{From: p.id, Coord: p.rank, View: p.view, StartDigest: p.startDigest}
-		sig, err := message.SignSingle(env, ss.SignedBody())
-		if err != nil {
+		if err := message.Sign(env, ss, &ss.Sig); err != nil {
 			env.Logf("core: signing StartSig: %v", err)
 			return
 		}
-		ss.Sig = sig
 		p.send(env, pc, ss)
 		if paired {
 			p.send(env, ps, ss)
@@ -537,12 +531,10 @@ func (p *Process) tryIssueTuples(env runtime.Env) {
 		tp.Froms = append(tp.Froms, id)
 		tp.Sigs = append(tp.Sigs, p.startSigs[id])
 	}
-	sig, err := message.SignSingle(env, tp.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, tp, &tp.Sig); err != nil {
 		env.Logf("core: signing StartTuples: %v", err)
 		return
 	}
-	tp.Sig = sig
 	p.tuplesSent = true
 	p.multicastAll(env, tp)
 	pc, _, _ := p.candidate(p.rank)
@@ -615,7 +607,7 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 
 	// The Start itself is an order message with sequence number start_o;
 	// commit it through the normal part.
-	t := NewStartTracker(st, p.startDigest, p.topo.N())
+	t := NewStartTracker(st, p.startDigest)
 	p.trackers[st.StartSeq] = t
 	p.nextExpected = st.StartSeq + 1
 	p.sendAck(env, t)
@@ -684,10 +676,10 @@ func (p *Process) installCommittedBatch(env runtime.Env, b *message.OrderBatch) 
 	if b.LastSeq() <= p.deliveredUpTo {
 		return
 	}
-	digest := b.BodyDigest(env)
+	digest := env.ScratchDigest(b.SignedBody())
 	t, ok := p.trackers[b.FirstSeq]
 	if !ok || !bytes.Equal(t.Digest, digest) {
-		t = NewBatchTracker(b, digest, p.topo.N())
+		t = NewBatchTracker(b, digest)
 		p.trackers[b.FirstSeq] = t
 	}
 	for _, e := range b.Entries {

@@ -655,12 +655,10 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 		batch.Entries[i] = message.OrderEntry{Req: r.ID(), ReqDigest: digests[at:len(digests):len(digests)]}
 		wireBytes += len(r.Payload) + EntryOverhead + p.digestSize
 	}
-	sig1, err := message.SignSingle(env, batch.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, batch, &batch.Sig1); err != nil {
 		env.Logf("core: signing batch: %v", err)
 		return false
 	}
-	batch.Sig1 = sig1
 	p.nextSeq = batch.LastSeq() + 1
 	p.proposedSince = true
 	p.inflight[batch.FirstSeq] = batch.LastSeq()
@@ -820,8 +818,8 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 		env.Logf("core: rejecting batch %d: %v", b.FirstSeq, err)
 		return false
 	}
-	digest := b.BodyDigest(env)
-	t := NewBatchTracker(b, digest, p.topo.N())
+	// Summed in scratch, kept by the tracker in its own block.
+	t := NewBatchTracker(b, env.ScratchDigest(b.SignedBody()))
 	p.trackers[b.FirstSeq] = t
 	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {
@@ -833,7 +831,7 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 	// Non-proposers drain their pool mirror here, so this is their
 	// brownout exit point (the proposer's is closeBatch/releaseInflight).
 	p.refreshIngress()
-	p.primaryObserveEndorsed(env, b, digest)
+	p.primaryObserveEndorsed(env, b, t.Digest)
 	p.sendAck(env, t)
 	p.replayPendingAcks(env, t)
 	p.checkQuorum(env, t)
@@ -890,12 +888,10 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 		From: p.id, Kind: t.Kind, View: t.View, FirstSeq: t.FirstSeq,
 		SubjectDigest: t.Digest, Subject: subject,
 	}
-	sig, err := message.SignSingle(env, ack.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, ack, &ack.Sig); err != nil {
 		env.Logf("core: signing ack: %v", err)
 		return
 	}
-	ack.Sig = sig
 	p.multicastAll(env, ack)
 	// Mutual checking between non-coordinator pair members: expect the
 	// counterpart's matching ack within Delta.

@@ -67,12 +67,10 @@ func (p *Process) scrMaybeUnwilling(env runtime.Env) {
 	if u.FailSig == nil {
 		u.FailSig = p.failSignalled[p.rank]
 	}
-	sig, err := message.SignSingle(env, u.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, u, &u.Sig); err != nil {
 		env.Logf("core: signing Unwilling: %v", err)
 		return
 	}
-	u.Sig = sig
 	p.multicastAll(env, u)
 }
 
@@ -154,12 +152,10 @@ func (p *Process) sendBeat(env runtime.Env, epoch uint64) {
 	}
 	beat := &message.PairBeat{From: p.id, Epoch: epoch, BeatSeq: p.beatSeq, FailSigSig: presig}
 	p.beatSeq++
-	sig, err := message.SignSingle(env, beat.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, beat, &beat.Sig); err != nil {
 		env.Logf("core: signing PairBeat: %v", err)
 		return
 	}
-	beat.Sig = sig
 	p.send(env, p.pair.Counterpart(), beat)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/message"
@@ -17,7 +18,8 @@ type Tracker struct {
 	Kind     message.SubjectKind
 	View     types.View
 	FirstSeq types.Seq
-	Digest   []byte
+	// Digest is the subject's body digest, kept in the tracker's own bytes.
+	Digest []byte
 
 	// Batch is set for SubjectBatch, StartMsg for SubjectStart.
 	Batch    *message.OrderBatch
@@ -26,8 +28,8 @@ type Tracker struct {
 	// credits lists the distinct supporters in the order they were
 	// credited: first the coordinator pair, credited by the order itself
 	// and holding no signature (the first implicit entries), then each
-	// acker with its ack signature. One slice sized to the topology — a
-	// duplicate check is a scan of at most n entries.
+	// acker with its ack signature. A duplicate check is a scan of at most
+	// n entries.
 	credits  []credit
 	implicit int
 	// proven is how many credits stood when the subject committed: the
@@ -37,44 +39,54 @@ type Tracker struct {
 
 	AckSent   bool
 	Committed bool
+
+	// The tracker is one heap block: credits starts in inlineCredits and
+	// Digest lives in digestBytes; either spills to a slice of its own only
+	// for a deployment, or a digest, larger than the arrays.
+	inlineCredits [inlineCreditCap]credit
+	digestBytes   [sha256.Size]byte
 }
+
+// inlineCreditCap is how many credits a tracker holds in place: every
+// process of an f = 1 deployment (n = 4). A larger one spills once, to a
+// slice append sizes, when its fifth supporter is credited.
+const inlineCreditCap = 4
 
 type credit struct {
 	from types.NodeID
 	sig  crypto.Signature
 }
 
-// NewBatchTracker starts tracking an order batch in a deployment of n
-// order processes, crediting the coordinator pair (their transmission of
-// the order is their contribution).
-func NewBatchTracker(b *message.OrderBatch, digest []byte, n int) *Tracker {
+// NewBatchTracker starts tracking an order batch, crediting the
+// coordinator pair (their transmission of the order is their
+// contribution). digest is copied: the caller's may be scratch.
+func NewBatchTracker(b *message.OrderBatch, digest []byte) *Tracker {
 	t := &Tracker{
 		Kind:     message.SubjectBatch,
 		View:     b.View,
 		FirstSeq: b.FirstSeq,
-		Digest:   digest,
 		Batch:    b,
 	}
-	t.creditPair(b.Primary, b.Shadow, n)
+	t.init(digest, b.Primary, b.Shadow)
 	return t
 }
 
 // NewStartTracker starts tracking a Start message committed through the
 // normal part (IN5).
-func NewStartTracker(s *message.Start, digest []byte, n int) *Tracker {
+func NewStartTracker(s *message.Start, digest []byte) *Tracker {
 	t := &Tracker{
 		Kind:     message.SubjectStart,
 		View:     s.View,
 		FirstSeq: s.StartSeq,
-		Digest:   digest,
 		StartMsg: s,
 	}
-	t.creditPair(s.Primary, s.Shadow, n)
+	t.init(digest, s.Primary, s.Shadow)
 	return t
 }
 
-func (t *Tracker) creditPair(primary, shadow types.NodeID, n int) {
-	t.credits = append(make([]credit, 0, n), credit{from: primary})
+func (t *Tracker) init(digest []byte, primary, shadow types.NodeID) {
+	t.Digest = append(t.digestBytes[:0], digest...)
+	t.credits = append(t.inlineCredits[:0], credit{from: primary})
 	if shadow != types.Nil {
 		t.credits = append(t.credits, credit{from: shadow})
 	}

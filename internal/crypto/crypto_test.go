@@ -325,3 +325,54 @@ func TestAppendDigestAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendSignMatchesSign holds every suite's two signing forms together:
+// what AppendSign appends verifies like Sign's result (and is it, byte for
+// byte, for the suites that sign deterministically), what was already in
+// dst stays, a wrong key leaves dst as it was — and the HMAC suite, the one
+// on the TCP path, signs into scratch with room without touching the heap.
+func TestAppendSignMatchesSign(t *testing.T) {
+	for _, suite := range allSuites(t) {
+		name := suite.Name()
+		priv, pub, err := suite.GenerateKey(cryptorand.Reader)
+		if err != nil {
+			t.Fatalf("%s: GenerateKey: %v", name, err)
+		}
+		digest := suite.Digest([]byte("a message body to sign"))
+		want, err := suite.Sign(cryptorand.Reader, priv, digest)
+		if err != nil {
+			t.Fatalf("%s: Sign: %v", name, err)
+		}
+		got, err := suite.AppendSign([]byte("kept"), cryptorand.Reader, priv, digest)
+		if err != nil || string(got[:4]) != "kept" {
+			t.Fatalf("%s: AppendSign(\"kept\", ...) = %x, %v", name, got, err)
+		}
+		if err := suite.Verify(pub, digest, got[4:]); err != nil {
+			t.Errorf("%s: Verify(appended signature): %v", name, err)
+		}
+		if name != SHA1DSA1024 && !bytes.Equal(got[4:], want) {
+			t.Errorf("%s: AppendSign appended %x, Sign returned %x", name, got[4:], want)
+		}
+		if name == NoneSuite {
+			continue // signs nothing, with any key
+		}
+		if got, err := suite.AppendSign([]byte("kept"), cryptorand.Reader, "not a key", digest); !errors.Is(err, ErrWrongKeyType) || string(got) != "kept" {
+			t.Errorf("%s: AppendSign with a foreign key = %q, %v", name, got, err)
+		}
+	}
+	if raceEnabled {
+		return // the keyed-state pool drops items at random under the race detector
+	}
+	idents, _, err := NewDealer(NewHMACSuite()).Issue([]types.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := idents[0].Digest([]byte("subject"))
+	scratch := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(200, func() { scratch, _ = idents[0].AppendSign(scratch[:0], digest) }); allocs != 0 {
+		t.Errorf("Identity.AppendSign into scratch = %v allocs, want 0", allocs)
+	}
+	if err := idents[0].Verify(0, digest, scratch); err != nil {
+		t.Errorf("Verify(scratch signature): %v", err)
+	}
+}

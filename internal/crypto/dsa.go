@@ -73,6 +73,12 @@ func (s *dsaSuite) Sign(rng io.Reader, priv PrivateKey, digest []byte) (Signatur
 	return w.Bytes(), nil
 }
 
+// AppendSign copies Sign's result, as the RSA suite's does.
+func (s *dsaSuite) AppendSign(dst []byte, rng io.Reader, priv PrivateKey, digest []byte) ([]byte, error) {
+	sig, err := s.Sign(rng, priv, digest)
+	return append(dst, sig...), err
+}
+
 func (s *dsaSuite) Verify(pub PublicKey, digest []byte, sig Signature) error {
 	key, ok := pub.(*dsa.PublicKey)
 	if !ok {

@@ -85,15 +85,19 @@ func (s *hmacSuite) GenerateKey(rng io.Reader) (PrivateKey, PublicKey, error) {
 	return k, k, nil
 }
 
-func (s *hmacSuite) Sign(_ io.Reader, priv PrivateKey, digest []byte) (Signature, error) {
+func (s *hmacSuite) Sign(rng io.Reader, priv PrivateKey, digest []byte) (Signature, error) {
+	return s.AppendSign(nil, rng, priv, digest)
+}
+
+func (s *hmacSuite) AppendSign(dst []byte, _ io.Reader, priv PrivateKey, digest []byte) ([]byte, error) {
 	k, ok := priv.(*hmacKey)
 	if !ok {
-		return nil, fmt.Errorf("%w: want hmac key, got %T", ErrWrongKeyType, priv)
+		return dst, fmt.Errorf("%w: want hmac key, got %T", ErrWrongKeyType, priv)
 	}
 	st := k.mac(digest)
-	sig := st.h.Sum(nil)
+	dst = st.h.Sum(dst)
 	k.states.Put(st)
-	return sig, nil
+	return dst, nil
 }
 
 func (s *hmacSuite) Verify(pub PublicKey, digest []byte, sig Signature) error {

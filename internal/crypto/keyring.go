@@ -95,6 +95,11 @@ func (id *Identity) Sign(digest []byte) (Signature, error) {
 	return id.ring.Suite().Sign(id.rng, id.priv, digest)
 }
 
+// AppendSign appends this process's signature over digest to dst.
+func (id *Identity) AppendSign(dst, digest []byte) ([]byte, error) {
+	return id.ring.Suite().AppendSign(dst, id.rng, id.priv, digest)
+}
+
 // Verify checks another process's signature via the shared keyring.
 func (id *Identity) Verify(signer types.NodeID, digest []byte, sig Signature) error {
 	return id.ring.Verify(signer, digest, sig)

@@ -80,15 +80,20 @@ func (s *modelSuite) GenerateKey(rng io.Reader) (PrivateKey, PublicKey, error) {
 	return k, k, nil
 }
 
-func (s *modelSuite) Sign(_ io.Reader, priv PrivateKey, digest []byte) (Signature, error) {
+func (s *modelSuite) Sign(rng io.Reader, priv PrivateKey, digest []byte) (Signature, error) {
+	return s.AppendSign(nil, rng, priv, digest)
+}
+
+func (s *modelSuite) AppendSign(dst []byte, _ io.Reader, priv PrivateKey, digest []byte) ([]byte, error) {
 	k, ok := priv.(modelKey)
 	if !ok {
-		return nil, fmt.Errorf("%w: want model key, got %T", ErrWrongKeyType, priv)
+		return dst, fmt.Errorf("%w: want model key, got %T", ErrWrongKeyType, priv)
 	}
-	sig := make(Signature, s.sigSize)
-	n := copy(sig, k[:])
-	copy(sig[n:], digest)
-	return sig, nil
+	at := len(dst)
+	dst = append(dst, make([]byte, s.sigSize)...) // zero-extends in place; the make is not materialised
+	n := copy(dst[at:], k[:])
+	copy(dst[at+n:], digest)
+	return dst, nil
 }
 
 func (s *modelSuite) Verify(pub PublicKey, digest []byte, sig Signature) error {

@@ -38,6 +38,10 @@ func (s *noneSuite) Sign(_ io.Reader, _ PrivateKey, _ []byte) (Signature, error)
 	return Signature{}, nil
 }
 
+func (s *noneSuite) AppendSign(dst []byte, _ io.Reader, _ PrivateKey, _ []byte) ([]byte, error) {
+	return dst, nil
+}
+
 func (s *noneSuite) Verify(_ PublicKey, _ []byte, _ Signature) error { return nil }
 
 func (s *noneSuite) SignatureSize() int { return 0 }

@@ -66,6 +66,13 @@ func (s *rsaSuite) Sign(rng io.Reader, priv PrivateKey, digest []byte) (Signatur
 	return sig, nil
 }
 
+// AppendSign copies Sign's result: the standard library offers no append
+// form, and an RSA signature dwarfs the copy.
+func (s *rsaSuite) AppendSign(dst []byte, rng io.Reader, priv PrivateKey, digest []byte) ([]byte, error) {
+	sig, err := s.Sign(rng, priv, digest)
+	return append(dst, sig...), err
+}
+
 func (s *rsaSuite) Verify(pub PublicKey, digest []byte, sig Signature) error {
 	key, ok := pub.(*rsa.PublicKey)
 	if !ok {

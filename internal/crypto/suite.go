@@ -83,8 +83,14 @@ type Suite interface {
 	DigestSize() int
 	// GenerateKey creates a fresh key pair using entropy from rng.
 	GenerateKey(rng io.Reader) (PrivateKey, PublicKey, error)
-	// Sign signs a digest.
+	// Sign signs a digest, returning the signature in a slice of its own:
+	// AppendSign onto nil.
 	Sign(rng io.Reader, priv PrivateKey, digest []byte) (Signature, error)
+	// AppendSign appends the signature over digest to dst and returns the
+	// extended slice — the form for a signature written into scratch and
+	// copied into the message it belongs to. On error dst is returned
+	// unextended.
+	AppendSign(dst []byte, rng io.Reader, priv PrivateKey, digest []byte) ([]byte, error)
 	// Verify checks sig over digest against pub. A mismatch returns
 	// ErrBadSignature (possibly wrapped).
 	Verify(pub PublicKey, digest []byte, sig Signature) error

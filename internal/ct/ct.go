@@ -115,12 +115,10 @@ func (p *Process) batchTick(env runtime.Env) {
 			ReqDigest: env.Digest(r.SignedBody()),
 		})
 	}
-	sig, err := message.SignSingle(env, batch.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, batch, &batch.Sig1); err != nil {
 		env.Logf("ct: signing batch: %v", err)
 		return
 	}
-	batch.Sig1 = sig
 	p.nextSeq = batch.LastSeq() + 1
 	if p.cfg.OnBatched != nil {
 		p.cfg.OnBatched(core.BatchEvent{
@@ -174,8 +172,7 @@ func (p *Process) track(env runtime.Env, b *message.OrderBatch) {
 		env.Logf("ct: rejecting batch %d: %v", b.FirstSeq, err)
 		return
 	}
-	digest := b.BodyDigest(env)
-	t := core.NewBatchTracker(b, digest, p.topo.N())
+	t := core.NewBatchTracker(b, env.ScratchDigest(b.SignedBody()))
 	p.trackers[b.FirstSeq] = t
 	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {
@@ -185,14 +182,12 @@ func (p *Process) track(env runtime.Env, b *message.OrderBatch) {
 	// suite, but the message flow is identical to SC's).
 	ack := &message.Ack{
 		From: p.id, Kind: message.SubjectBatch, View: b.View, FirstSeq: b.FirstSeq,
-		SubjectDigest: digest, Subject: b.Marshal(),
+		SubjectDigest: t.Digest, Subject: b.Marshal(),
 	}
-	sig, err := message.SignSingle(env, ack.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, ack, &ack.Sig); err != nil {
 		env.Logf("ct: signing ack: %v", err)
 		return
 	}
-	ack.Sig = sig
 	t.AckSent = true
 	env.Multicast(p.all, ack)
 	for _, a := range p.pendingAcks[b.FirstSeq] {

@@ -295,12 +295,10 @@ func (p *Pair) Fail(env runtime.Env, reason string) *message.FailSignal {
 		Second: p.cfg.Self,
 		Sig1:   p.presigned,
 	}
-	sig2, err := message.SignSecond(env, fs.SignedBody(), fs.Sig1)
-	if err != nil {
+	if err := message.Countersign(env, fs, fs.Sig1, &fs.Sig2); err != nil {
 		env.Logf("fsp: signing fail-signal: %v", err)
 		return nil
 	}
-	fs.Sig2 = sig2
 	p.emitted = fs
 	p.transitionDown(env, fs, reason)
 	if p.cfg.Broadcast != nil {

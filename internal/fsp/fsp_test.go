@@ -57,10 +57,11 @@ func (e *fakeEnv) SetTimer(d time.Duration, fn func()) runtime.Timer {
 	e.timers = append(e.timers, t)
 	return t
 }
-func (e *fakeEnv) Charge(time.Duration)                    {}
-func (e *fakeEnv) Digest(b []byte) []byte                  { return e.ident.Digest(b) }
-func (e *fakeEnv) ScratchDigest(b []byte) []byte           { return e.ident.Digest(b) }
-func (e *fakeEnv) Sign(d []byte) (crypto.Signature, error) { return e.ident.Sign(d) }
+func (e *fakeEnv) Charge(time.Duration)                           {}
+func (e *fakeEnv) Digest(b []byte) []byte                         { return e.ident.Digest(b) }
+func (e *fakeEnv) ScratchDigest(b []byte) []byte                  { return e.ident.Digest(b) }
+func (e *fakeEnv) Sign(d []byte) (crypto.Signature, error)        { return e.ident.Sign(d) }
+func (e *fakeEnv) ScratchSign(d []byte) (crypto.Signature, error) { return e.ident.Sign(d) }
 func (e *fakeEnv) Verify(s types.NodeID, d []byte, sig crypto.Signature) error {
 	return e.ident.Verify(s, d, sig)
 }

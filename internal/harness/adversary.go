@@ -203,11 +203,9 @@ func (t *equivocatingPrimaryTap) forgeTwin(env runtime.Env, b *message.OrderBatc
 		Primary:  b.Primary,
 		Shadow:   b.Shadow,
 	}
-	sig, err := message.SignSingle(env, twin.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, twin, &twin.Sig1); err != nil {
 		return nil
 	}
-	twin.Sig1 = sig
 	return twin
 }
 
@@ -306,11 +304,9 @@ func (t *catchUpLiarTap) Outbound(env runtime.Env, to types.NodeID, m message.Me
 	// else: the naked-claim variant — a validly signed empty answer with a
 	// huge UpTo, the exact shape that would wedge a requester that trusted
 	// bare watermark claims.
-	sig, err := message.SignSingle(env, fake.SignedBody())
-	if err != nil {
+	if err := message.Sign(env, fake, &fake.Sig); err != nil {
 		return pass(m)
 	}
-	fake.Sig = sig
 	t.matched.Add(1)
 	return pass(fake)
 }

@@ -1010,11 +1010,9 @@ func (c *Cluster) InjectValueFaultAt(rank types.Rank, view types.View) error {
 				ReqDigest: env.Digest([]byte("bogus")),
 			}},
 		}
-		sig, err := message.SignSingle(env, bogus.SignedBody())
-		if err != nil {
+		if err := message.Sign(env, bogus, &bogus.Sig1); err != nil {
 			return
 		}
-		bogus.Sig1 = sig
 		env.Send(shadow, bogus)
 	})
 }

@@ -35,7 +35,7 @@ func (m *PrePrepare) layout(c *coder) {
 	i32(c, &m.Primary)
 	list(c, &m.Entries, maxEntries, minOrderEntry, orderEntry)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // LastSeq returns the sequence number of the final entry.
@@ -80,7 +80,7 @@ func (m *Prepare) layout(c *coder) {
 	u64(c, &m.FirstSeq)
 	blob(c, &m.BatchDigest)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -187,7 +187,7 @@ func (m *BFTViewChange) layout(c *coder) {
 	// A certificate is at least a nested pre-prepare and a signatory count.
 	list(c, &m.Prepared, maxItems, minNested+4, preparedCert)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature (certificates are verified
@@ -222,7 +222,7 @@ func (m *BFTNewView) layout(c *coder) {
 	list(c, &m.ViewChanges, maxItems, minBlob, blob[[]byte])
 	list(c, &m.PrePrepares, maxItems, minNested, nested[*PrePrepare])
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the new primary's signature.

@@ -35,7 +35,7 @@ func (m *CatchUpReq) layout(c *coder) {
 	u64(c, &m.Watermark)
 	flag(c, &m.Announce)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -91,7 +91,7 @@ func (m *CatchUp) layout(c *coder) {
 	list(c, &m.Batches, maxItems, minNested, nested[*OrderBatch])
 	list(c, &m.Requests, maxEntries, minNested, nested[*Request])
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the responder's signature over the full payload.

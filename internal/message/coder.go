@@ -1,6 +1,7 @@
 package message
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -20,8 +21,19 @@ type coder struct {
 	w    *codec.Writer // non-nil while encoding
 	r    codec.Reader  // the input while decoding
 	size int           // decoding: length of the input, tag included
+	dec  *Decoder      // decoding: whose slabs nested messages are carved from
 	mark int           // where the signable body ends; 0 until endBody
-	err  error         // first decode failure r does not know about
+	err  error         // first failure r does not know about
+
+	// Set while a message is being built (build): who signs, which
+	// signature field of the layout that fills, and — for the second
+	// signatory of a double-signed kind — the first signature, which the
+	// second covers. sigAt/sigLen say where the signature landed in w.
+	signer        Signer
+	slot          *crypto.Signature
+	first         crypto.Signature
+	counter       bool
+	sigAt, sigLen int
 }
 
 var coderPool = sync.Pool{New: func() any { return new(coder) }}
@@ -114,6 +126,35 @@ func blob[T ~[]byte](c *coder, p *T) {
 	}
 }
 
+// sig lays out one signature field of the tail. In a build the field named
+// as the slot does not exist yet: it is produced here, over the body the
+// layout has just finished stating, and written straight into the encoding.
+func sig(c *coder, p *crypto.Signature) {
+	if p != c.slot {
+		blob(c, p)
+		return
+	}
+	if c.mark == 0 {
+		c.fail(errors.New("signature field precedes the end of the signable body"))
+		return
+	}
+	body := c.w.Bytes()[:c.mark]
+	var digest []byte
+	if c.counter {
+		digest = counterSignDigest(c.signer, body, c.first)
+	} else {
+		digest = transientDigest(c.signer, body)
+	}
+	s, err := transientSign(c.signer, digest)
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	c.w.Bytes32(s)
+	c.sigAt, c.sigLen = c.w.Len()-len(s), len(s)
+	c.slot = nil // filled
+}
+
 // present lays out the presence byte of an optional field.
 func (c *coder) present(have bool) bool {
 	flag(c, &have)
@@ -186,7 +227,7 @@ func nested[T Message](c *coder, p *T) {
 	if c.failed() {
 		return
 	}
-	inner, err := Decode(raw)
+	inner, err := decode(c.dec, raw)
 	if err != nil {
 		c.fail(fmt.Errorf("nested %T: %w", *p, err))
 		return

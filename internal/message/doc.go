@@ -32,4 +32,13 @@
 // The runtime confines any one Message value to a single goroutine at a
 // time (a node's event loop, or the single-threaded simulator), so the
 // caches need no synchronisation.
+//
+// A message costs one heap object in each direction. Built, it is signed
+// through Sign (Countersign, Endorse): laid out once, signed in the signer's
+// scratch, and copied once into the buffer that is its wire encoding, its
+// body and its signature field — the shape a decoded message has.
+// SignSingle and SignSecond compute the same signatures for a caller that
+// assigns the field by hand. Received, it is decoded by the engine's
+// Decoder, which carves Requests and Acks out of typed slabs; Decode is the
+// same walk with every struct on the heap.
 package message

@@ -39,8 +39,8 @@ func (m *FailSignal) layout(c *coder) {
 	i32(c, &m.First)
 	c.endBody()
 	i32(c, &m.Second)
-	blob(c, &m.Sig1)
-	blob(c, &m.Sig2)
+	sig(c, &m.Sig1)
+	sig(c, &m.Sig2)
 }
 
 // FailSignalBody returns the canonical pre-signed body for pair/epoch with
@@ -100,7 +100,7 @@ func (m *BackLog) layout(c *coder) {
 	list(c, &m.Uncommitted, maxItems, minNested, nested[*OrderBatch])
 	blob(c, &m.Padding)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -142,17 +142,19 @@ func (m *Start) layout(c *coder) {
 	i32(c, &m.Shadow)
 	list(c, &m.NewBackLog, maxItems, minNested, nested[*OrderBatch])
 	c.endBody()
-	blob(c, &m.Sig1)
-	blob(c, &m.Sig2)
+	sig(c, &m.Sig1)
+	sig(c, &m.Sig2)
 }
 
-// Endorsed returns a copy of the Start carrying the shadow's second
-// signature, with a fresh wire cache (the body is unchanged by Sig2).
-func (m *Start) Endorsed(sig2 crypto.Signature) *Start {
+// Endorse returns a copy of the 1-signed Start carrying s's second
+// signature over body||Sig1, built as OrderBatch.Endorse builds its copy.
+func (m *Start) Endorse(s Signer) (*Start, error) {
 	out := *m
-	out.Sig2 = sig2
-	out.enc = m.enc.endorsed(m)
-	return &out
+	out.enc = enc{}
+	if err := Countersign(s, &out, out.Sig1, &out.Sig2); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // BodyDigest identifies the Start in acks and counter-signatures.
@@ -193,7 +195,7 @@ func (m *StartSig) layout(c *coder) {
 	u64(c, &m.View)
 	blob(c, &m.StartDigest)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the counter-signature.
@@ -231,7 +233,7 @@ func (m *StartTuples) layout(c *coder) {
 	blob(c, &m.StartDigest)
 	signatories(c, &m.Froms, &m.Sigs)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // Verify checks the outer signature and every embedded tuple signature.

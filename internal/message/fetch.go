@@ -39,7 +39,7 @@ func (m *FetchReq) layout(c *coder) {
 	list(c, &m.Seqs, maxFetchItems, 8, u64[types.Seq]) // 8-byte sequence numbers
 	list(c, &m.Reqs, maxFetchItems, 12, reqID)         // 4-byte client, 8-byte sequence
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the requester's signature.

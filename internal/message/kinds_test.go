@@ -85,15 +85,18 @@ func checkCanonical(t *testing.T, m Message, in []byte) {
 }
 
 // FuzzDecode is the one fuzz target of every decoder: arbitrary bytes must
-// fail cleanly or decode canonically.
+// fail cleanly or decode canonically — and alike through Decode and through
+// a Decoder, one that lives across inputs, so its slabs turn over and its
+// failed decodes fall between successful ones.
 func FuzzDecode(f *testing.F) {
 	for typ, m := range samples() {
 		f.Add(m.Marshal())
 		f.Add([]byte{byte(typ)})
 	}
+	d := new(Decoder)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		in := bytes.Clone(b)
-		m, err := Decode(in)
+		m, err := checkSameDecode(t, d, in)
 		if err != nil {
 			return
 		}

@@ -37,7 +37,9 @@ func TestDecodePrimesWireCache(t *testing.T) {
 }
 
 // TestEndorsedGetsFreshWire checks that the shadow's endorsement copy does
-// not inherit the 1-signed wire encoding.
+// not inherit the 1-signed wire encoding: it is built in a buffer of its
+// own, which is its wire, its body and its Sig2, and carries exactly the
+// signature SignSecond computes.
 func TestEndorsedGetsFreshWire(t *testing.T) {
 	idents, _ := testIdentities(t, 8)
 	b := &OrderBatch{Coord: 1, View: 1, FirstSeq: 1, Primary: 0, Shadow: 5}
@@ -47,11 +49,17 @@ func TestEndorsedGetsFreshWire(t *testing.T) {
 	oneSigned := b.Marshal() // primes the wire cache pre-endorsement
 
 	sig2 := signSecond(t, idents[5], b.SignedBody(), b.Sig1)
-	endorsed := b.Endorsed(sig2)
+	endorsed, err := b.Endorse(idents[5])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bytes.Equal(endorsed.Marshal(), oneSigned) {
 		t.Fatal("endorsed batch reused the 1-signed wire encoding")
 	}
-	// The endorsed copy round-trips with Sig2 present, and shares the body.
+	if len(b.Sig2) != 0 || !bytes.Equal(b.Marshal(), oneSigned) {
+		t.Error("endorsing changed the 1-signed original")
+	}
+	// The endorsed copy round-trips with Sig2 present, over the same body.
 	decoded, err := Decode(endorsed.Marshal())
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +67,11 @@ func TestEndorsedGetsFreshWire(t *testing.T) {
 	if got := decoded.(*OrderBatch); !bytes.Equal(got.Sig2, sig2) {
 		t.Error("endorsed wire encoding lost Sig2")
 	}
-	if &b.SignedBody()[0] != &endorsed.SignedBody()[0] {
-		t.Error("endorsement should share the signable body (Sig2 does not change it)")
+	if !bytes.Equal(b.SignedBody(), endorsed.SignedBody()) {
+		t.Error("endorsement changed the signable body (Sig2 does not cover itself)")
+	}
+	if &endorsed.SignedBody()[0] != &endorsed.Marshal()[0] {
+		t.Error("the endorsed copy's body should be the prefix of its own wire encoding")
 	}
 	if err := endorsed.VerifySigs(idents[3]); err != nil {
 		t.Errorf("VerifySigs(endorsed): %v", err)
@@ -70,8 +81,10 @@ func TestEndorsedGetsFreshWire(t *testing.T) {
 	st := &Start{Coord: 2, View: 2, StartSeq: 5, Primary: 1, Shadow: 6}
 	st.Sig1 = sign(t, idents[1], st.SignedBody())
 	oneSignedStart := st.Marshal()
-	stSig2 := signSecond(t, idents[6], st.SignedBody(), st.Sig1)
-	endorsedStart := st.Endorsed(stSig2)
+	endorsedStart, err := st.Endorse(idents[6])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if bytes.Equal(endorsedStart.Marshal(), oneSignedStart) {
 		t.Fatal("endorsed Start reused the 1-signed wire encoding")
 	}

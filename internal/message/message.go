@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"github.com/sof-repro/sof/internal/codec"
 	"github.com/sof-repro/sof/internal/crypto"
@@ -40,8 +41,9 @@ const (
 )
 
 // kinds is the one table of wire kinds, indexed by tag: the name Type.String
-// prints and the constructor Decode fills through the kind's layout. Tests
-// and the fuzzer walk it too, so a kind exists exactly when it has a row.
+// prints and the constructor Decode fills through the kind's layout (a
+// Decoder carves Requests and Acks from its slabs instead). Tests and the
+// fuzzer walk it too, so a kind exists exactly when it has a row.
 var kinds = [...]struct {
 	name string
 	new  func() codable
@@ -102,7 +104,9 @@ type codable interface {
 // encodings. A message is encoded at most once however many times it is
 // sent, sized, digested or relayed, and a decoded message is never encoded
 // at all: the signable body is a prefix of the wire encoding by
-// construction, so Decode primes both caches from the received bytes. Only
+// construction, so Decode primes both caches from the received bytes, and
+// Sign leaves a message it built in the same shape — one buffer that is
+// the wire, whose prefix is the body and which holds the signature. Only
 // the driver in this file assigns the caches.
 type enc struct {
 	wire []byte // full wire encoding, signatures included
@@ -129,7 +133,9 @@ func (e *enc) signedBody(m codable) []byte {
 }
 
 // fill encodes m and caches the whole encoding, or only its signable body
-// when the tail is not final yet (a message is signed before it is sent).
+// when the tail is not final yet: the path of a message whose signature is
+// assigned by hand (SignSingle on SignedBody, then Marshal) or rebuilt from
+// a proof's fields. Protocol code signs through Sign, which lays out once.
 func (e *enc) fill(m codable, wire bool) {
 	c := encode(m)
 	if wire {
@@ -149,19 +155,68 @@ func (e *enc) prime(wire []byte, mark int) {
 	}
 }
 
-// endorsed returns the caches for a copy of the message that differs only
-// in its tail (the shadow adding Sig2): the body is shared, the wire is not.
-func (e *enc) endorsed(m codable) enc { return enc{body: e.signedBody(m)} }
-
 // encode runs m's layout into a pooled buffer, which is why every retained
 // encoding is an exact-size copy of it: two encodings never share a backing
 // array. The caller releases the coder.
 func encode(m codable) *coder {
 	c := coderPool.Get().(*coder)
 	c.w = codec.GetWriter()
+	c.run(m)
+	return c
+}
+
+// run states m, tag first, into c's buffer.
+func (c *coder) run(m codable) {
 	c.w.U8(uint8(m.Type()))
 	m.layout(c)
-	return c
+}
+
+// Signed is a wire message with a signable body — every kind but the
+// pair-link envelopes (PairStart, Mirror), which carry signed messages and
+// are authenticated by the link.
+type Signed interface {
+	codable
+	SignedBody() []byte
+}
+
+// Sign signs m as s into slot, which must be the signature field of m that
+// s is to fill (&req.Sig, &batch.Sig1), and leaves m ready to send. The
+// message is laid out once: the body is digested where it stands in the
+// pooled buffer, the signature is produced in the signer's scratch and
+// written after it, the tail follows, and one exact-size copy becomes the
+// wire encoding, the signable body (its prefix) and *slot (a sub-slice) —
+// one heap object, the shape a decoded message has. Every other field must
+// be final: m is immutable from here on, as a sent message is.
+func Sign(s Signer, m Signed, slot *crypto.Signature) error {
+	return build(s, m, slot, nil, false)
+}
+
+// Countersign is Sign for the second signatory of a double-signed kind: s
+// signs body||first — "the signature of the first as part of the contents" —
+// into slot (&m.Sig2), first being the signature m already carries.
+func Countersign(s Signer, m Signed, first crypto.Signature, slot *crypto.Signature) error {
+	return build(s, m, slot, first, true)
+}
+
+func build(s Signer, m Signed, slot *crypto.Signature, first crypto.Signature, counter bool) error {
+	c := coderPool.Get().(*coder)
+	c.w = codec.GetWriter()
+	c.signer, c.slot, c.first, c.counter = s, slot, first, counter
+	c.run(m)
+	err := c.err
+	if err == nil && c.slot != nil {
+		err = errors.New("the slot is not a signature field of its layout")
+	}
+	if err != nil {
+		c.release()
+		return fmt.Errorf("message: signing %v: %w", m.Type(), err)
+	}
+	wire := bytes.Clone(c.w.Bytes())
+	end := c.sigAt + c.sigLen
+	*slot = wire[c.sigAt:end:end]
+	*m.encoding() = enc{wire: wire, body: wire[:c.mark:c.mark]}
+	c.release()
+	return nil
 }
 
 // verifyDetached checks sig by signer over the signable body of m, a
@@ -177,8 +232,88 @@ func verifyDetached(v Verifier, signer types.NodeID, m codable, sig crypto.Signa
 // ErrUnknownType is returned by Decode for an unrecognised type tag.
 var ErrUnknownType = errors.New("message: unknown message type")
 
-// Decode parses a wire message. The returned message aliases b.
-func Decode(b []byte) (Message, error) {
+// Decode parses a wire message. The returned message aliases b. It is a
+// Decoder without slabs: every message is a heap object of its own.
+func Decode(b []byte) (Message, error) { return decode(nil, b) }
+
+// slabBytes is what a Decoder allocates at a time: as many structs of one
+// kind as fit 8 KB (73 Requests, 56 Acks). 8 KB is a size class of the
+// allocator, so a slab of pooled Requests retains what they occupy and not
+// a rounded-up tail (64 of them would sit in the same 8 KB), and a decoded
+// message costs about 1/64 of an allocation.
+const slabBytes = 8 << 10
+
+// slabLen is the length of a slab of Ts.
+func slabLen[T any]() int {
+	var zero T
+	return slabBytes / int(unsafe.Sizeof(zero))
+}
+
+// Decoder is Decode for one goroutine's stream of messages — the engine's
+// event loop, which is what serialises its use. It carves the structs of
+// the two kinds a commit decodes most, Request and Ack, out of typed slabs
+// instead of allocating one each. The rule that makes handing out a slab
+// element safe is the receive chunk's, on structs: an element is never
+// rewritten once handed out; a slab holds one kind, so its elements share a
+// fate (a Request is pooled, an Ack is dropped once credited) and one
+// long-lived neighbour does not pin a slab of short-lived ones; and the
+// collector frees a slab when the last message carved from it dies. Every
+// other kind — OrderBatch above all, whose dropped duplicates must stay
+// collectable one by one — is its own heap object, as with Decode. The zero
+// value is ready; slabs are built on first use. A nil *Decoder is Decode.
+type Decoder struct {
+	requests []Request // the current slab's elements not handed out yet
+	acks     []Ack
+}
+
+// Decode parses a wire message, nested messages included, through d's
+// slabs. The returned message aliases b. A failed decode hands nothing out:
+// the elements it had carved — its own, or the nested Requests of a CatchUp
+// whose tail was garbage — are blanked and carved again by later messages.
+func (d *Decoder) Decode(b []byte) (Message, error) {
+	if d == nil {
+		return decode(nil, b)
+	}
+	before := *d
+	m, err := decode(d, b)
+	if err != nil {
+		// Whatever the failed decode carved lies in what was unhanded when
+		// it began; if it exhausted that and moved on, the slabs it built
+		// are garbage with it.
+		clear(before.requests)
+		clear(before.acks)
+		*d = before
+	}
+	return m, err
+}
+
+// alloc returns the struct a message of kind t is decoded into.
+func (d *Decoder) alloc(t Type) codable {
+	if d != nil {
+		switch t {
+		case TRequest:
+			return carve(&d.requests)
+		case TAck:
+			return carve(&d.acks)
+		}
+	}
+	return kinds[t].new()
+}
+
+// carve hands out the next element of *slab, starting a new slab when the
+// current one is spent.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, slabLen[T]())
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
+}
+
+// decode is the one decoding walk: Decode's with d nil, a Decoder's (and,
+// through nested, that of every message inside one it decodes) otherwise.
+func decode(d *Decoder, b []byte) (Message, error) {
 	if len(b) == 0 {
 		return nil, errors.New("message: empty buffer")
 	}
@@ -186,9 +321,9 @@ func Decode(b []byte) (Message, error) {
 	if int(t) >= len(kinds) || kinds[t].new == nil {
 		return nil, fmt.Errorf("%w: tag %d", ErrUnknownType, b[0])
 	}
-	m := kinds[t].new()
+	m := d.alloc(t)
 	c := coderPool.Get().(*coder)
-	c.r, c.size = *codec.NewReader(b), len(b)
+	c.r, c.size, c.dec = *codec.NewReader(b), len(b), d
 	c.r.U8()
 	m.layout(c)
 	mark, err := c.mark, c.finish()
@@ -241,7 +376,21 @@ func transientDigest(d digester, data []byte) []byte {
 	return d.Digest(data)
 }
 
-// SignSingle signs body as s and returns the signature.
+// transientSign signs digest for a signature that is copied into the
+// message it belongs to on the next line: into the signer's scratch when it
+// has some (ScratchSign, the runtime Envs), into a fresh slice otherwise.
+func transientSign(s Signer, digest []byte) (crypto.Signature, error) {
+	if sc, ok := s.(interface {
+		ScratchSign([]byte) (crypto.Signature, error)
+	}); ok {
+		return sc.ScratchSign(digest)
+	}
+	return s.Sign(digest)
+}
+
+// SignSingle signs body as s and returns the signature, the caller's to
+// keep. It is what Sign computes, for a caller that assigns the signature
+// field by hand.
 func SignSingle(s Signer, body []byte) (crypto.Signature, error) {
 	return s.Sign(transientDigest(s, body))
 }
@@ -262,7 +411,8 @@ func counterSignDigest(d digester, body []byte, sig1 crypto.Signature) []byte {
 	return digest
 }
 
-// SignSecond produces the endorsing second signature over body||sig1.
+// SignSecond produces the endorsing second signature over body||sig1, the
+// caller's to keep: what Countersign computes.
 func SignSecond(s Signer, body []byte, sig1 crypto.Signature) (crypto.Signature, error) {
 	return s.Sign(counterSignDigest(s, body, sig1))
 }

@@ -43,7 +43,7 @@ func (m *Request) layout(c *coder) {
 	u64(c, &m.ClientSeq)
 	blob(c, &m.Payload)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // ID returns the request identifier.
@@ -98,8 +98,8 @@ func (m *OrderBatch) layout(c *coder) {
 	i32(c, &m.Shadow)
 	list(c, &m.Entries, maxEntries, minOrderEntry, orderEntry)
 	c.endBody()
-	blob(c, &m.Sig1)
-	blob(c, &m.Sig2)
+	sig(c, &m.Sig1)
+	sig(c, &m.Sig2)
 }
 
 // minOrderEntry is a client, a sequence number and an empty digest.
@@ -133,15 +133,17 @@ func (m *OrderBatch) EntryAt(s types.Seq) (OrderEntry, bool) {
 	return m.Entries[s-m.FirstSeq], true
 }
 
-// Endorsed returns a copy of the batch carrying the shadow's second
-// signature. The copy gets a fresh wire cache (its wire bytes differ from
-// the 1-signed original) but shares the signable body, which Sig2 does not
-// change.
-func (m *OrderBatch) Endorsed(sig2 crypto.Signature) *OrderBatch {
+// Endorse returns a copy of the 1-signed batch carrying s's second
+// signature over body||Sig1, built as Countersign builds it: the copy and
+// its one buffer, sharing the entries with the original and none of its
+// encoding (the wire bytes differ from the 1-signed ones).
+func (m *OrderBatch) Endorse(s Signer) (*OrderBatch, error) {
 	out := *m
-	out.Sig2 = sig2
-	out.enc = m.enc.endorsed(m)
-	return &out
+	out.enc = enc{}
+	if err := Countersign(s, &out, out.Sig1, &out.Sig2); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // BodyDigest returns the digest identifying this batch in acks and proofs
@@ -200,7 +202,7 @@ func (m *Ack) layout(c *coder) {
 	blob(c, &m.SubjectDigest)
 	c.endBody()
 	blob(c, &m.Subject)
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // AckBody returns the canonical signed body of an ack with the given

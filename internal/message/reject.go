@@ -50,7 +50,7 @@ func (m *Rejected) layout(c *coder) {
 		}
 	}
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the rejecting node's signature.

@@ -33,7 +33,7 @@ func (m *Unwilling) layout(c *coder) {
 		nested(c, &m.FailSig)
 	}
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -71,7 +71,7 @@ func (m *PairBeat) layout(c *coder) {
 	u64(c, &m.BeatSeq)
 	blob(c, &m.FailSigSig)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the sender's signature.
@@ -108,7 +108,7 @@ func (m *Reply) layout(c *coder) {
 	u64(c, &m.Seq)
 	blob(c, &m.Result)
 	c.endBody()
-	blob(c, &m.Sig)
+	sig(c, &m.Sig)
 }
 
 // VerifySig checks the replica's signature.

@@ -300,12 +300,10 @@ func (r *replier) onCommit(ev core.CommitEvent) {
 			From: ev.Node, Client: req.Client, ClientSeq: req.ClientSeq,
 			Seq: ev.FirstSeq + types.Seq(i),
 		}
-		sig, err := message.SignSingle(r.env, rep.SignedBody())
-		if err != nil {
+		if err := message.Sign(r.env, rep, &rep.Sig); err != nil {
 			r.env.Logf("node: signing reply: %v", err)
 			continue
 		}
-		rep.Sig = sig
 		r.env.Send(req.Client, rep)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/types"
 )
 
@@ -49,9 +50,23 @@ type engine struct {
 	closed atomic.Bool
 	down   atomic.Bool
 
-	timers  timerQueue
-	scratch []byte // ScratchDigest's result; the loop goroutine's
+	timers timerQueue
+	// The loop goroutine's alone: ScratchDigest's and ScratchSign's results,
+	// and the slabs decoded Requests and Acks are carved from.
+	scratch    []byte
+	sigScratch []byte
+	dec        message.Decoder
+
+	// Frames that failed to decode: counted for /metrics (nil without a
+	// registry) and, per sender, for the log's sake — a peer sending
+	// garbage must not write the log at wire rate.
+	undecodable     *obs.Counter
+	undecodableFrom map[types.NodeID]uint64
 }
+
+// undecodableLogEvery is how often a sender's undecodable frames are
+// logged after its first.
+const undecodableLogEvery = 1024
 
 // attach wires the engine to its owner; env is the embedding node.
 func (e *engine) attach(id types.NodeID, ident *crypto.Identity, proc Process, env Env,
@@ -152,12 +167,23 @@ func (e *engine) dispatch(ev liveEvent) {
 		e.proc.Receive(e.env, ev.from, ev.msg)
 		return
 	}
-	m, err := message.Decode(ev.raw)
+	m, err := e.dec.Decode(ev.raw)
 	if err != nil {
-		e.Logf("dropping undecodable message from %v: %v", ev.from, err)
+		e.dropUndecodable(ev.from, err)
 		return
 	}
 	e.proc.Receive(e.env, ev.from, m)
+}
+
+func (e *engine) dropUndecodable(from types.NodeID, err error) {
+	e.undecodable.Inc()
+	if e.undecodableFrom == nil {
+		e.undecodableFrom = make(map[types.NodeID]uint64)
+	}
+	e.undecodableFrom[from]++
+	if n := e.undecodableFrom[from]; n == 1 || n%undecodableLogEvery == 0 {
+		e.Logf("dropping undecodable message from %v (%d so far): %v", from, n, err)
+	}
 }
 
 // fanOut is the encode-once fan-out: m is marshalled exactly once (and
@@ -211,6 +237,13 @@ func (e *engine) ScratchDigest(data []byte) []byte {
 
 // Sign implements Env.
 func (e *engine) Sign(digest []byte) (crypto.Signature, error) { return e.ident.Sign(digest) }
+
+// ScratchSign implements Env.
+func (e *engine) ScratchSign(digest []byte) (crypto.Signature, error) {
+	var err error
+	e.sigScratch, err = e.ident.AppendSign(e.sigScratch[:0], digest)
+	return e.sigScratch, err
+}
 
 // Verify implements Env.
 func (e *engine) Verify(signer types.NodeID, digest []byte, sig crypto.Signature) error {

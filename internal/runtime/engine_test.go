@@ -1,9 +1,18 @@
 package runtime
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
+
+	"github.com/sof-repro/sof/internal/crypto"
+	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/obs"
+	"github.com/sof-repro/sof/internal/types"
 )
 
 // startEngine attaches a bare engine (fn events only, so no process or
@@ -79,6 +88,87 @@ func TestEngineDropsQueuedEventsOnCloseAndDown(t *testing.T) {
 		wg.Wait()
 		if got := ran.Load(); got != 0 {
 			t.Errorf("%s: %d events queued before it still ran", name, got)
+		}
+	}
+}
+
+// holder keeps every message it receives.
+type holder struct{ got []message.Message }
+
+func (h *holder) Init(Env) {}
+
+func (h *holder) Receive(_ Env, _ types.NodeID, m message.Message) { h.got = append(h.got, m) }
+
+// TestUndecodableFramesCountedAndLoggedSparsely floods an engine with
+// frames that do not decode: each is counted, a sender's first and every
+// 1024th are logged — not one line per frame — and the failed decodes
+// consume no slab element, so the Requests decoded before, between and
+// after them are distinct structs that keep their own fields.
+func TestUndecodableFramesCountedAndLoggedSparsely(t *testing.T) {
+	var logMu sync.Mutex
+	var logged []string
+	reg := obs.NewRegistry()
+	h := &holder{}
+	e := &engine{}
+	e.attach(0, nil, h, nil, func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	})
+	e.undecodable = reg.Counter("sof_frames_undecodable_total", "test")
+
+	wire := func(seq uint64) []byte {
+		return (&message.Request{Client: types.ClientID(0), ClientSeq: seq, Payload: []byte{byte(seq)},
+			Sig: crypto.Signature("a signature")}).Marshal()
+	}
+	// A frame that fails late: a whole Request with a byte after it, so the
+	// failed decode has filled every field of the element it was given.
+	garbage := func(seq uint64) []byte { return append(wire(seq), 0) }
+	const flood = 2*undecodableLogEvery + 5
+	e.enqueue(liveEvent{from: 1, raw: wire(1)})
+	for i := 0; i < flood; i++ {
+		e.enqueue(liveEvent{from: 1, raw: garbage(100)})
+		if i == flood/2 {
+			e.enqueue(liveEvent{from: 1, raw: wire(2)})
+		}
+	}
+	e.enqueue(liveEvent{from: 2, raw: []byte{0xff}})
+	e.enqueue(liveEvent{from: 2, raw: nil}) // an empty frame is undecodable too
+	e.enqueue(liveEvent{from: 1, raw: wire(3)})
+	done := make(chan struct{})
+	e.enqueue(liveEvent{fn: func() { close(done) }})
+	wg := &sync.WaitGroup{}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.loop()
+	}()
+	<-done
+	e.closeLoop()
+	wg.Wait()
+
+	if got := e.undecodable.Value(); got != flood+2 {
+		t.Errorf("sof_frames_undecodable_total = %d, want %d", got, flood+2)
+	}
+	// Sender 1: its 1st, 1024th and 2048th; sender 2: its 1st.
+	if len(logged) != 4 {
+		t.Errorf("%d undecodable frames wrote %d log lines, want 4:\n%s", flood+2, len(logged), strings.Join(logged, "\n"))
+	}
+	if len(h.got) != 3 {
+		t.Fatalf("process received %d messages, want the 3 valid requests", len(h.got))
+	}
+	for i, m := range h.got {
+		r := m.(*message.Request)
+		if want := uint64(i + 1); r.ClientSeq != want || !bytes.Equal(r.Payload, []byte{byte(want)}) ||
+			!bytes.Equal(r.Marshal(), wire(want)) {
+			t.Errorf("request %d was overwritten by an undecodable neighbour: %+v", want, r)
+		}
+		if i > 0 {
+			// Slab neighbours: the thousand failures in between carved nothing.
+			prev := h.got[i-1].(*message.Request)
+			if gap := uintptr(unsafe.Pointer(r)) - uintptr(unsafe.Pointer(prev)); gap != unsafe.Sizeof(*r) {
+				t.Errorf("requests %d and %d lie %d bytes apart, want adjacent slab elements (%d)", i, i+1, gap, unsafe.Sizeof(*r))
+			}
 		}
 	}
 }

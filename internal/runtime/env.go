@@ -34,8 +34,15 @@ type Env interface {
 	// Env. It is for a digest that is signed, verified or compared and
 	// then dropped; the process's event loop is what serialises its use.
 	ScratchDigest(data []byte) []byte
-	// Sign signs a digest as this process (charged in simulation).
+	// Sign signs a digest as this process (charged in simulation). The
+	// result is the caller's to keep.
 	Sign(digest []byte) (crypto.Signature, error)
+	// ScratchSign is Sign into storage the environment owns, charged alike:
+	// the result is valid only until the next ScratchSign on this Env. It is
+	// for a signature that is copied into the message it belongs to
+	// (message.Sign) and then dropped; it has its own storage, so signing a
+	// ScratchDigest result is fine.
+	ScratchSign(digest []byte) (crypto.Signature, error)
 	// Verify checks a signature by signer (charged in simulation).
 	Verify(signer types.NodeID, digest []byte, sig crypto.Signature) error
 	// Logf emits a debug log line tagged with the process and time.

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -469,5 +470,67 @@ func TestLiveArtificialDelay(t *testing.T) {
 	waitFor(t, func() bool { return len(rec.records()) == 1 }, "delayed delivery")
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Errorf("delivery took %v, want >= ~30ms", elapsed)
+	}
+}
+
+// TestBuiltMessagesChargeWhatHandSignedOnesDid holds the simulator's cost
+// of signing still: message.Sign, Countersign and Endorse — one layout, a
+// scratch digest and a scratch signature — charge a node exactly what
+// SignSingle and SignSecond over SignedBody charged it, so the figures do
+// not move. Through a live engine the same calls cost one heap object.
+func TestBuiltMessagesChargeWhatHandSignedOnesDid(t *testing.T) {
+	suite, err := crypto.NewModelSuite(crypto.MD5RSA1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, sched := newSim(t, netsim.Params{}, suite, nil)
+	batch := func() *message.OrderBatch {
+		return &message.OrderBatch{Coord: 1, View: 1, FirstSeq: 1, Primary: 0, Shadow: 1,
+			Entries: []message.OrderEntry{{Req: message.ReqID{Client: types.ClientID(0), ClientSeq: 1}, ReqDigest: make([]byte, 16)}}}
+	}
+	ran := false
+	err = c.Inject(0, func(env Env) {
+		n := env.(*simNode)
+		cost := func(fn func()) time.Duration {
+			before := n.charged
+			fn()
+			return n.charged - before
+		}
+		byHand, built := batch(), batch()
+		hand1 := cost(func() { byHand.Sig1, err = message.SignSingle(env, byHand.SignedBody()) })
+		built1 := cost(func() { err = message.Sign(env, built, &built.Sig1) })
+		if hand1 != built1 || hand1 <= 0 || err != nil {
+			t.Errorf("Sign charged %v, SignSingle over SignedBody %v (err %v)", built1, hand1, err)
+		}
+		if !bytes.Equal(byHand.Sig1, built.Sig1) {
+			t.Error("Sign and SignSingle disagree under the model suite")
+		}
+		hand2 := cost(func() { byHand.Sig2, err = message.SignSecond(env, byHand.SignedBody(), byHand.Sig1) })
+		built2 := cost(func() { _, err = built.Endorse(env) })
+		if hand2 != built2 || hand2 <= hand1 || err != nil {
+			t.Errorf("Endorse charged %v, SignSecond %v (err %v); want equal, and above a first signature's %v", built2, hand2, err, hand1)
+		}
+		ran = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.Drain(0)
+	if !ran {
+		t.Fatal("the injected event did not run")
+	}
+
+	if raceEnabled {
+		return // sync.Pool sheds under the race detector
+	}
+	e := &engine{}
+	e.attach(0, identities(t, crypto.NewHMACSuite(), 1)[0], nil, nil, t.Logf)
+	msgs := make([]*message.OrderBatch, 201)
+	for i := range msgs {
+		msgs[i] = batch()
+	}
+	next := 0
+	if got := testing.AllocsPerRun(200, func() { err = message.Sign(e, msgs[next], &msgs[next].Sig1); next++ }); got != 1 || err != nil {
+		t.Errorf("message.Sign through a live Env = %v allocs (err %v), want 1 (the message's buffer)", got, err)
 	}
 }

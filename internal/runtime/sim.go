@@ -118,11 +118,12 @@ type simNode struct {
 	proc  Process
 	down  bool
 
-	busyUntil time.Time
-	inEvent   bool
-	start     time.Time
-	charged   time.Duration
-	scratch   []byte // ScratchDigest's result
+	busyUntil  time.Time
+	inEvent    bool
+	start      time.Time
+	charged    time.Duration
+	scratch    []byte // ScratchDigest's result
+	sigScratch []byte // ScratchSign's result
 }
 
 var _ Env = (*simNode)(nil)
@@ -230,6 +231,14 @@ func (n *simNode) ScratchDigest(data []byte) []byte {
 func (n *simNode) Sign(digest []byte) (crypto.Signature, error) {
 	n.Charge(n.ident.Suite().Costs().Sign)
 	return n.ident.Sign(digest)
+}
+
+// ScratchSign implements Env, charging what Sign charges.
+func (n *simNode) ScratchSign(digest []byte) (crypto.Signature, error) {
+	n.Charge(n.ident.Suite().Costs().Sign)
+	var err error
+	n.sigScratch, err = n.ident.AppendSign(n.sigScratch[:0], digest)
+	return n.sigScratch, err
 }
 
 // Verify implements Env, charging the modelled verification cost.

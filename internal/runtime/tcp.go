@@ -142,9 +142,13 @@ func newTCPEndpoint(id types.NodeID, addr string, ident *crypto.Identity, procs 
 	}
 	n := &TCPNode{tr: tr, sharded: sharded, cores: make([]*tcpCore, len(procs)),
 		routed: make([]*obs.Counter, len(procs))}
+	var undecodable *obs.Counter
 	if m := opts.Metrics; m != nil {
 		n.unroutable = m.Counter("sof_frames_unroutable_total",
 			"Inbound frames dropped for lacking a hosted group (or a group prefix).",
+			obs.L("node", fmt.Sprint(id)))
+		undecodable = m.Counter("sof_frames_undecodable_total",
+			"Inbound frames dropped because they did not decode as a message.",
 			obs.L("node", fmt.Sprint(id)))
 	}
 	for g, proc := range procs {
@@ -167,6 +171,7 @@ func newTCPEndpoint(id types.NodeID, addr string, ident *crypto.Identity, procs 
 			}
 		}
 		core.attach(id, ident, proc, core, logf)
+		core.undecodable = undecodable
 		n.cores[g] = core
 	}
 	return n, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -116,9 +117,12 @@ type Transport struct {
 	logger *log.Logger
 	opts   Options
 
-	mu            sync.Mutex
-	peers         map[types.NodeID]string
-	senders       map[types.NodeID]*peer
+	mu    sync.Mutex
+	peers map[types.NodeID]string
+	// senders is copy-on-write: Send finds an established peer in the
+	// published map without mu; a peer is created under mu, as ever, and
+	// published in a copy.
+	senders       atomic.Pointer[map[types.NodeID]*peer]
 	recvs         map[types.NodeID]*session.Receiver
 	inbound       map[net.Conn]struct{}
 	unknownLogged map[types.NodeID]struct{}
@@ -154,12 +158,12 @@ func Listen(id types.NodeID, addr string, peers map[types.NodeID]string,
 		logger:        logger,
 		opts:          opts.withDefaults(),
 		peers:         make(map[types.NodeID]string),
-		senders:       make(map[types.NodeID]*peer),
 		recvs:         make(map[types.NodeID]*session.Receiver),
 		inbound:       make(map[net.Conn]struct{}),
 		unknownLogged: make(map[types.NodeID]struct{}),
 		fatal:         make(chan error, 1),
 	}
+	t.senders.Store(&map[types.NodeID]*peer{})
 	t.SetPeers(peers)
 	if m := t.opts.Metrics; m != nil {
 		m.GaugeFunc("sof_transport_connected_peers",
@@ -225,7 +229,7 @@ func (t *Transport) Close() {
 		return
 	}
 	t.closed.Store(true)
-	for _, p := range t.senders {
+	for _, p := range *t.senders.Load() {
 		p.close()
 	}
 	for c := range t.inbound {
@@ -277,8 +281,9 @@ func (t *Transport) Send(to types.NodeID, raw []byte) bool {
 func (t *Transport) Stats() map[types.NodeID]PeerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[types.NodeID]PeerStats, len(t.senders))
-	for id, p := range t.senders {
+	senders := *t.senders.Load()
+	out := make(map[types.NodeID]PeerStats, len(senders))
+	for id, p := range senders {
 		out[id] = p.stats()
 	}
 	return out
@@ -303,8 +308,9 @@ func (t *Transport) SessionStats() map[types.NodeID]session.ReceiverStats {
 func (t *Transport) ConnectedPeers() []types.NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]types.NodeID, 0, len(t.senders))
-	for id, p := range t.senders {
+	senders := *t.senders.Load()
+	out := make([]types.NodeID, 0, len(senders))
+	for id, p := range senders {
 		if p.connectedNow() {
 			out = append(out, id)
 		}
@@ -383,10 +389,7 @@ func (t *Transport) BounceConns() {
 	for c := range t.inbound {
 		conns = append(conns, c)
 	}
-	senders := make([]*peer, 0, len(t.senders))
-	for _, p := range t.senders {
-		senders = append(senders, p)
-	}
+	senders := *t.senders.Load() // never written again once published
 	t.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
@@ -421,12 +424,16 @@ func (t *Transport) receiver(from types.NodeID) *session.Receiver {
 // sender returns (creating and starting if needed) the peer sender for to,
 // or nil if the peer has no known address or the transport is closed.
 func (t *Transport) sender(to types.NodeID) *peer {
+	if p := (*t.senders.Load())[to]; p != nil && !t.closed.Load() {
+		return p
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed.Load() {
 		return nil
 	}
-	if p, ok := t.senders[to]; ok {
+	senders := *t.senders.Load()
+	if p, ok := senders[to]; ok {
 		return p
 	}
 	addr, known := t.peers[to]
@@ -439,7 +446,9 @@ func (t *Transport) sender(to types.NodeID) *peer {
 		return nil
 	}
 	p := newPeer(t.id, to, addr, t.opts, t.logger)
-	t.senders[to] = p
+	published := maps.Clone(senders)
+	published[to] = p
+	t.senders.Store(&published)
 	t.registerPeerMetrics(p)
 	t.wg.Add(1)
 	go func() {

@@ -358,3 +358,59 @@ func TestFatalSurfacesListenerLoss(t *testing.T) {
 		t.Fatal("listener loss did not surface on Fatal()")
 	}
 }
+
+// TestConcurrentSendsShareOneSenderPerPeer races first Sends to the same
+// peers from several goroutines (run under -race): the lock-free lookup
+// must never see a half-published map, each peer gets exactly one sender —
+// created under mu, as before — an unknown peer is still logged once, and
+// after Close the published peers refuse like unpublished ones.
+func TestConcurrentSendsShareOneSenderPerPeer(t *testing.T) {
+	const peers, senders, each = 4, 8, 200
+	var logs syncBuffer
+	tr, err := Listen(0, "127.0.0.1:0", nil, log.New(&logs, "", 0), Options{QueueLen: senders * each})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	tr.Start(func(types.NodeID, []byte) {})
+	addrs := map[types.NodeID]string{}
+	for p := 1; p <= peers; p++ {
+		rx, _ := listenT(t, types.NodeID(p), Options{})
+		addrs[types.NodeID(p)] = rx.Addr()
+	}
+	tr.SetPeers(addrs)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				for p := 1; p <= peers; p++ {
+					if !tr.Send(types.NodeID(p), []byte("frame")) {
+						t.Errorf("Send to known peer %d refused", p)
+						return
+					}
+				}
+				if tr.Send(99, []byte("frame")) {
+					t.Error("Send to an unknown peer accepted")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stats := tr.Stats()
+	if len(stats) != peers {
+		t.Fatalf("%d senders for %d peers: %v", len(stats), peers, stats)
+	}
+	for p := 1; p <= peers; p++ {
+		awaitSent(t, tr, types.NodeID(p), senders*each)
+	}
+	if got := strings.Count(logs.String(), "no address for peer"); got != 1 {
+		t.Errorf("the unknown peer was logged %d times, want once", got)
+	}
+	tr.Close()
+	if tr.Send(1, []byte("frame")) {
+		t.Error("Send to an established peer succeeded on a closed transport")
+	}
+}
