@@ -16,7 +16,7 @@ type config struct {
 	id, f, groups, inflight, ckptInterval   int
 	protocol, suite, secret, peers, clients string
 	dataDir, metricsAddr                    string
-	batch, delta, idleArm                   time.Duration
+	batch, delta                            time.Duration
 	auth, resume, digestAcks, tls           bool
 	ingress                                 ingress.Config
 }
@@ -37,7 +37,6 @@ func parseFlags(args []string) config {
 	fs.StringVar(&c.dataDir, "data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr), and — with -auth — session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
 	fs.IntVar(&c.ckptInterval, "ckpt-interval", 0, "delivered sequence numbers between protocol checkpoints (0 = default 64, negative disables; requires -data-dir)")
 	fs.IntVar(&c.inflight, "inflight", 1, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes")
-	fs.DurationVar(&c.idleArm, "idle-arm", 0, "sc/scr batch-timer delay armed when the first request reaches an idle primary (0 = the batching interval)")
 	fs.BoolVar(&c.digestAcks, "digest-acks", false, "sc/scr digest-only ordering: acks carry subject digests only; missing subjects/payloads are fetched off the critical path")
 	fs.StringVar(&c.clients, "clients", "", "comma-separated client listen addresses (index = client number) whose committed requests this node answers with a signed Reply")
 	fs.IntVar(&c.groups, "groups", 1, "independent ordering groups hosted on this node (sc/scr only; all nodes and clients must agree): each group is a complete ordering cluster with its own coordinator pair — rotated so group g's pair sits on different physical nodes — and its own WAL directory under -data-dir/g<i>, multiplexed over this node's one listener and session")
@@ -89,7 +88,6 @@ func (c config) spec(proto types.Protocol, topo types.Topology, dealt *node.Deal
 		RecoveryInterval:   c.delta,
 		CheckpointInterval: c.ckptInterval,
 		MaxInflightBatches: c.inflight,
-		BatchIdleArm:       c.idleArm,
 		DigestOnlyAcks:     c.digestAcks,
 		Ingress:            c.ingress,
 		DataDir:            c.dataDir,

@@ -163,7 +163,7 @@ func TestSpecParityWithHarness(t *testing.T) {
 		c, err := harness.New(harness.Options{
 			Protocol: proto, F: 1,
 			BatchInterval: 5 * time.Millisecond, Delta: 2 * time.Second,
-			MaxInflightBatches: 8, BatchIdleArm: time.Millisecond, DigestOnlyAcks: true,
+			MaxInflightBatches: 8, DigestOnlyAcks: true,
 			CheckpointInterval: 16,
 			Ingress:            ingress.Config{Enabled: true, Rate: -1, MaxClientPending: 32},
 			Mirror:             true, DumbOptimization: true, // the shipped entry points' choice
@@ -184,7 +184,7 @@ func TestSpecParityWithHarness(t *testing.T) {
 		for _, id := range c.Topo.AllProcesses() {
 			cfg := parseFlags([]string{
 				"-id", fmt.Sprint(int32(id)), "-f", "1", "-protocol", strings.ToLower(proto.String()),
-				"-batch", "5ms", "-delta", "2s", "-inflight", "8", "-idle-arm", "1ms", "-digest-acks",
+				"-batch", "5ms", "-delta", "2s", "-inflight", "8", "-digest-acks",
 				"-ckpt-interval", "16", "-ingress", "-ingress-rate", "-1", "-ingress-pending", "32",
 				"-auth", "-resume", "-data-dir", dir, "-groups", "2",
 			})

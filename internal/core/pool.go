@@ -1,18 +1,16 @@
 package core
 
 import (
-	"sync"
-
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/types"
 )
 
 // RequestPool holds client requests awaiting ordering and execution.
 // Clients multicast requests to every order process, so each process
-// accumulates its own copy. Mutations happen only on the owning process's
-// event loop, but the replica layer resolves payloads (Get) from the
-// replay-drain goroutine, so the pool carries its own lock; waiter
-// callbacks fire outside it (they re-enter the pool).
+// accumulates its own copy. The pool is owned by its process's event loop
+// — the protocol and the replica executing its commits both run there —
+// and is not safe for concurrent use. Waiter and batch-full callbacks
+// re-enter the pool, so they fire once its own state is settled.
 //
 // Everything the pool knows about one request — its body, whether it has
 // been assigned a sequence number, whether it holds a live place in the
@@ -28,7 +26,6 @@ import (
 // identical counters (pending, pending bytes, batch-full trigger) and
 // identical MarkOrdered/UnmarkOrdered semantics.
 type RequestPool struct {
-	mu    sync.RWMutex
 	index map[poolKey]uint32 // request → position in slab
 	slab  []poolEntry
 	free  []uint32 // released slab positions, reused before the slab grows
@@ -49,11 +46,11 @@ type RequestPool struct {
 	// pending entries fill a batch once another entry like the last one
 	// admitted would no longer fit beside them (BatchFull — NextBatch's
 	// own pop rule, so the batch it then pops strands nothing), and when
-	// an Add makes that true onTarget fires (outside the lock, like
-	// waiters) so the owning primary can close the batch on the arrival
-	// that fills it instead of waiting for its timer. The trigger is
-	// edge-based: once full no further Adds fire it until NextBatch drains
-	// the pool below a batch again.
+	// an Add makes that true onTarget fires (after the waiters) so the
+	// owning primary can close the batch on the arrival that fills it
+	// instead of waiting for its timer. The trigger is edge-based: once
+	// full no further Adds fire it until NextBatch drains the pool below a
+	// batch again.
 	pendingBytes int
 	targetBytes  int
 	entryExtra   int // per-entry overhead beyond the payload
@@ -237,8 +234,6 @@ func (p *RequestPool) pendingDelta(e *poolEntry, d int) {
 // SetBatchTarget it must be installed before traffic flows — the owning
 // process does so in Init, with the pool still empty.
 func (p *RequestPool) SetFair(quantum int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if quantum < 1 {
 		quantum = 1
 	}
@@ -252,8 +247,6 @@ func (p *RequestPool) SetFair(quantum int) {
 // ClientPending returns client's live pending entries (0 unless fair
 // mode is on — the single-FIFO pool does not keep per-client counts).
 func (p *RequestPool) ClientPending(client types.NodeID) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if q := p.queues[client]; q != nil {
 		return q.pending
 	}
@@ -263,8 +256,6 @@ func (p *RequestPool) ClientPending(client types.NodeID) int {
 // ActiveClients returns how many clients currently have pending entries
 // (0 unless fair mode is on).
 func (p *RequestPool) ActiveClients() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.active
 }
 
@@ -273,15 +264,13 @@ func (p *RequestPool) cost(e *poolEntry) int {
 	return len(e.req.Payload) + p.entryExtra
 }
 
-// SetBatchTarget installs the adaptive-close trigger: fn fires (outside
-// the pool lock) whenever an Add makes the pending entries fill a batch of
-// targetBytes (see BatchFull). extra is the per-entry overhead beyond the
-// payload (EntryOverhead plus the digest size). Install it before traffic
+// SetBatchTarget installs the adaptive-close trigger: fn fires whenever
+// an Add makes the pending entries fill a batch of targetBytes (see
+// BatchFull). extra is the per-entry overhead beyond the payload
+// (EntryOverhead plus the digest size). Install it before traffic
 // flows — the owning process does so in Init, with the pool still empty —
 // because already-pending entries are not re-costed.
 func (p *RequestPool) SetBatchTarget(targetBytes, extra int, fn func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.targetBytes = targetBytes
 	p.entryExtra = extra
 	p.onTarget = fn
@@ -290,8 +279,6 @@ func (p *RequestPool) SetBatchTarget(targetBytes, extra int, fn func()) {
 // PendingBytes returns the estimated batch-wire cost of the pending
 // entries.
 func (p *RequestPool) PendingBytes() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.pendingBytes
 }
 
@@ -300,56 +287,42 @@ func (p *RequestPool) PendingBytes() int {
 // last one admitted would no longer fit beside them, so the batch
 // NextBatch pops now is as full as it will get. False without a target.
 func (p *RequestPool) BatchFull() bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.batchFull()
-}
-
-func (p *RequestPool) batchFull() bool {
 	return p.targetBytes > 0 && p.pending > 0 && p.pendingBytes+p.lastCost > p.targetBytes
 }
 
 // Add stores a request; duplicates are ignored. It reports whether the
 // request was new, and fires any WhenAvailable callbacks plus the
-// batch-full trigger (both outside the lock; they re-enter the pool).
+// batch-full trigger (both once the entry is in place; they re-enter the
+// pool).
 func (p *RequestPool) Add(req *message.Request) bool {
 	id := req.ID()
-	p.mu.Lock()
 	i, e := p.entry(id)
 	if e.req != nil {
-		p.mu.Unlock()
 		return false
 	}
 	e.req = req
 	p.known++
 	fire := false
 	if !e.ordered && !e.queued {
-		wasFull := p.batchFull()
+		wasFull := p.BatchFull()
 		p.enqueue(i, e)
 		p.lastCost = p.cost(e)
-		fire = p.onTarget != nil && !wasFull && p.batchFull()
+		fire = p.onTarget != nil && !wasFull && p.BatchFull()
 	}
-	var ws []func(*message.Request)
-	if len(p.waiters) > 0 {
-		if ws = p.waiters[id]; len(ws) > 0 {
-			delete(p.waiters, id)
+	if ws := p.waiters[id]; len(ws) > 0 {
+		delete(p.waiters, id)
+		for _, fn := range ws {
+			fn(req)
 		}
 	}
-	onTarget := p.onTarget
-	p.mu.Unlock()
-	for _, fn := range ws {
-		fn(req)
-	}
 	if fire {
-		onTarget()
+		p.onTarget()
 	}
 	return true
 }
 
 // Get returns a stored request.
 func (p *RequestPool) Get(id message.ReqID) (*message.Request, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if _, e := p.lookup(id); e != nil && e.req != nil {
 		return e.req, true
 	}
@@ -360,27 +333,18 @@ func (p *RequestPool) Get(id message.ReqID) (*message.Request, bool) {
 // when it arrives. The shadow coordinator uses this to defer value-domain
 // validation of an order whose request is still in flight.
 func (p *RequestPool) WhenAvailable(id message.ReqID, fn func(*message.Request)) {
-	p.mu.Lock()
-	var r *message.Request
-	if _, e := p.lookup(id); e != nil {
-		r = e.req
+	if _, e := p.lookup(id); e != nil && e.req != nil {
+		fn(e.req)
+		return
 	}
-	if r == nil {
-		p.waiters[id] = append(p.waiters[id], fn)
-	}
-	p.mu.Unlock()
-	if r != nil {
-		fn(r)
-	}
+	p.waiters[id] = append(p.waiters[id], fn)
 }
 
 // Awaited reports whether a WhenAvailable waiter is registered for the
 // request — the protocol itself is blocked on this body (a deferred
 // shadow endorsement), so admission must not refuse it.
 func (p *RequestPool) Awaited(id message.ReqID) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.waiters) > 0 && len(p.waiters[id]) > 0
+	return len(p.waiters[id]) > 0
 }
 
 // Drop discards an unordered request outright, reversing its pending
@@ -391,8 +355,6 @@ func (p *RequestPool) Awaited(id message.ReqID) bool {
 // and for entries whose eviction TTL expired without an ordering
 // decision.
 func (p *RequestPool) Drop(id message.ReqID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	i, e := p.lookup(id)
 	if e == nil || e.ordered || e.req == nil {
 		return
@@ -408,8 +370,6 @@ func (p *RequestPool) Drop(id message.ReqID) {
 
 // MarkOrdered records that a request has been assigned a sequence number.
 func (p *RequestPool) MarkOrdered(id message.ReqID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	_, e := p.entry(id)
 	if e.ordered {
 		return
@@ -424,8 +384,6 @@ func (p *RequestPool) MarkOrdered(id message.ReqID) {
 // IsOrdered reports whether the request has been assigned a sequence
 // number (as far as this process knows).
 func (p *RequestPool) IsOrdered(id message.ReqID) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	_, e := p.lookup(id)
 	return e != nil && e.ordered
 }
@@ -433,8 +391,6 @@ func (p *RequestPool) IsOrdered(id message.ReqID) bool {
 // UnmarkOrdered returns a request to the unordered queue; a new coordinator
 // uses this for orders dropped during fail-over.
 func (p *RequestPool) UnmarkOrdered(id message.ReqID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	i, e := p.lookup(id)
 	if e == nil || !e.ordered {
 		return
@@ -455,8 +411,6 @@ func (p *RequestPool) UnmarkOrdered(id message.ReqID) {
 // order (in fair mode: client by client in service order, each client's in
 // arrival order). It walks the arrival queues, not the pool's history.
 func (p *RequestPool) Pending() []*message.Request {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]*message.Request, 0, p.pending)
 	// An entry named by two slots is reported at the first.
 	p.eachSlot(func(e *poolEntry) {
@@ -494,8 +448,6 @@ const EntryOverhead = 24
 // default discipline pops in strict arrival order; in fair mode (SetFair)
 // backlogged clients are served deficit-round-robin instead.
 func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	// One allocation for the result: no batch holds more entries than are
 	// pending, or than fit maxBytes at zero payload (plus the one that may
 	// overshoot).
@@ -528,13 +480,13 @@ func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
 	return out
 }
 
-// nextBatchFair is NextBatch's deficit-round-robin discipline (p.mu
-// held). The ring holds every backlogged client; the front client earns
-// one quantum of deficit per visit, serves queue-head requests while its
-// deficit covers their cost, then rotates to the back. Clients whose
-// queues empty retire from the ring with their deficit forfeited.
-// Within one client requests still pop in arrival order, so per-client
-// FIFO semantics (and ClientSeq monotonicity) are preserved.
+// nextBatchFair is NextBatch's deficit-round-robin discipline. The ring
+// holds every backlogged client; the front client earns one quantum of
+// deficit per visit, serves queue-head requests while its deficit covers
+// their cost, then rotates to the back. Clients whose queues empty retire
+// from the ring with their deficit forfeited. Within one client requests
+// still pop in arrival order, so per-client FIFO semantics (and ClientSeq
+// monotonicity) are preserved.
 func (p *RequestPool) nextBatchFair(out []*message.Request, maxBytes, entryMin int) []*message.Request {
 	total := 0
 	for len(p.ring) > 0 {
@@ -626,15 +578,11 @@ func (q *clientQueue) compact() {
 // the counter is maintained across Add/MarkOrdered/UnmarkOrdered/NextBatch
 // instead of scanning the queue.
 func (p *RequestPool) PendingCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.pending
 }
 
 // Len returns the number of stored requests.
 func (p *RequestPool) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.known
 }
 
@@ -642,8 +590,6 @@ func (p *RequestPool) Len() int {
 // tests pin the compaction behaviour with it). In fair mode it sums the
 // per-client queues.
 func (p *RequestPool) queueFootprint() (length, head int) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	if !p.fair {
 		return len(p.unordered), p.head
 	}

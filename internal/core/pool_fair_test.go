@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/sof-repro/sof/internal/message"
@@ -247,47 +246,4 @@ func TestPoolFairQueueCompaction(t *testing.T) {
 	if length, head := p.queueFootprint(); length-head != 0 || length > 0 {
 		t.Fatalf("queue retains %d entries (%d live) after full drain", length, length-head)
 	}
-}
-
-// TestPoolFairConcurrentReaders runs the ingress layer's read paths
-// (ClientPending, ActiveClients, PendingBytes, PendingCount) and the
-// replica layer's (Get, IsOrdered) against a mutating event loop under the
-// race detector, pinning the lock discipline the admission controller and
-// the replay-drain goroutine rely on.
-func TestPoolFairConcurrentReaders(t *testing.T) {
-	p := NewRequestPool()
-	p.SetBatchTarget(1<<20, EntryOverhead+8, func() {})
-	p.SetFair(256)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-					_ = p.ClientPending(types.ClientID(1))
-					_ = p.ActiveClients()
-					_ = p.PendingBytes()
-					_ = p.PendingCount()
-					// The replica layer's read, against a growing slab.
-					probe := message.ReqID{Client: types.ClientID(1), ClientSeq: 1}
-					_, _ = p.Get(probe)
-					_ = p.IsOrdered(probe)
-				}
-			}
-		}()
-	}
-	rng := rand.New(rand.NewSource(42))
-	for i := uint64(1); i <= 3000; i++ {
-		p.Add(fairReq(int(i%4), i, rng.Intn(64)))
-		if i%8 == 0 {
-			p.NextBatch(512, 8)
-		}
-	}
-	close(done)
-	wg.Wait()
 }

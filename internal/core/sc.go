@@ -62,11 +62,6 @@ type Config struct {
 	// slots that are refilled immediately, and the batch timer degrades
 	// to a latency backstop that flushes partial batches.
 	MaxInflightBatches int
-	// BatchIdleArm is the delay used when the batch timer is armed on
-	// demand — by the first request reaching an idle pool — instead of
-	// free-running (0 = BatchInterval). The timer is not re-armed while
-	// the pool is empty, so idle primaries do not wake every interval.
-	BatchIdleArm time.Duration
 	// Ingress, when Enabled, installs the client admission pipeline in
 	// front of the request pool: per-client rate limiting with failure
 	// lockout, a per-client pending cap, and overload brownout that sheds
@@ -304,9 +299,6 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 	}
 	if cfg.MaxInflightBatches < 0 {
 		return nil, errors.New("core: MaxInflightBatches must not be negative")
-	}
-	if cfg.BatchIdleArm < 0 {
-		return nil, errors.New("core: BatchIdleArm must not be negative")
 	}
 	if err := cfg.Ingress.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -550,23 +542,10 @@ func (p *Process) Receive(env runtime.Env, from types.NodeID, m message.Message)
 // --- batching (coordinator primary) ---
 
 func (p *Process) armBatchTimer(env runtime.Env) {
-	p.armBatchTimerAfter(env, p.cfg.BatchInterval)
-}
-
-func (p *Process) armBatchTimerAfter(env runtime.Env, d time.Duration) {
 	if p.batchTimer != nil {
 		p.batchTimer.Stop()
 	}
-	p.batchTimer = env.SetTimer(d, func() { p.batchTick(env) })
-}
-
-// idleArmDelay is the backstop delay when the timer is armed by the
-// first request reaching an idle pool.
-func (p *Process) idleArmDelay() time.Duration {
-	if p.cfg.BatchIdleArm > 0 {
-		return p.cfg.BatchIdleArm
-	}
-	return p.cfg.BatchInterval
+	p.batchTimer = env.SetTimer(p.cfg.BatchInterval, func() { p.batchTick(env) })
 }
 
 // pipelined reports whether the pipelined proposal path (size-triggered
@@ -756,7 +735,7 @@ func (p *Process) onRequest(env runtime.Env, req *message.Request) {
 	// batch during Add, in which case pending bytes are low again but a
 	// timer for the remainder is still the right move.
 	if p.batchTimer == nil && p.mayPropose() && p.pool.PendingCount() > 0 {
-		p.armBatchTimerAfter(env, p.idleArmDelay())
+		p.armBatchTimer(env)
 	}
 	// Shadow of the acting coordinator: monitor that the primary decides
 	// an order for every request (time-domain check, Section 3.1).

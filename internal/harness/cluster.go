@@ -17,6 +17,7 @@ import (
 	"github.com/sof-repro/sof/internal/netsim"
 	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
+	"github.com/sof-repro/sof/internal/replica"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/tcpnet"
 	"github.com/sof-repro/sof/internal/types"
@@ -58,13 +59,11 @@ type Options struct {
 	Delta             time.Duration
 	ViewChangeTimeout time.Duration // BFT only
 
-	// MaxInflightBatches, BatchIdleArm and DigestOnlyAcks are the SC/SCR
-	// pipelined-proposer knobs (see core.Config): a proposal window wider
-	// than one enables size-triggered batch closes and window refills on
-	// commit; BatchIdleArm tunes the on-demand latency backstop; and
+	// MaxInflightBatches and DigestOnlyAcks are the SC/SCR pipelined-
+	// proposer knobs (see core.Config): a proposal window wider than one
+	// enables size-triggered batch closes and window refills on commit;
 	// DigestOnlyAcks strips subjects from acks in favour of fetch-on-miss.
 	MaxInflightBatches int
-	BatchIdleArm       time.Duration
 	DigestOnlyAcks     bool
 
 	// Ingress enables client admission control on every SC/SCR order
@@ -162,12 +161,16 @@ type Options struct {
 	Load        *LoadSpec
 	KeepCommits bool
 	// CommitRetention bounds how many commit events the recorder retains
-	// for replay when KeepCommits is set (0 = unlimited). The O(1)
-	// committed-request index is kept regardless of eviction. Values
-	// smaller than a few commit waves (one event per process per batch)
-	// are raised so replica replay cannot silently starve between drains.
+	// when KeepCommits is set (0 = unlimited), and how many results each
+	// replica keeps. The O(1) committed-request index is kept regardless
+	// of eviction. Values smaller than a few commit waves (one event per
+	// process per batch) are raised to that floor.
 	CommitRetention int
-	Logger          *log.Logger
+	// StateMachine, when non-nil, is instantiated once per order process
+	// per group: each replica executes its process's commits on that
+	// process's event loop, and outlives the process's incarnations.
+	StateMachine func() replica.StateMachine
+	Logger       *log.Logger
 }
 
 // withDefaults fills unset fields with study defaults (f=2, 1 KB batches,
@@ -230,12 +233,16 @@ type Cluster struct {
 	base node.Spec
 	// nodes holds each node's current assembly (internal/node): its order
 	// processes and durable stores. procMu guards it and SC: RestartNode
-	// replaces a node's incarnation while measurement goroutines (replica
-	// drains, readiness probes) look processes up.
+	// replaces a node's incarnation while measurement goroutines (readiness
+	// probes, state snapshots) look processes up.
 	procMu  sync.RWMutex
 	nodes   map[types.NodeID]*node.Node
 	SC      map[types.NodeID]*core.Process    // group-0 SC/SCR processes
 	clients map[types.NodeID][]*client.Client // one per ordering group
+	// replicas holds each order process's replicas, one per group (none
+	// without Options.StateMachine). Like registries they outlive the
+	// node's incarnations: every incarnation executes into the same ones.
+	replicas map[types.NodeID][]*replica.Replica
 
 	// commitStores are the durable commit streams (Options.Durable with
 	// KeepCommits), one per group; they belong to the measurement side and
@@ -297,6 +304,7 @@ func New(opts Options) (*Cluster, error) {
 		nodes:      make(map[types.NodeID]*node.Node),
 		SC:         make(map[types.NodeID]*core.Process),
 		clients:    make(map[types.NodeID][]*client.Client),
+		replicas:   make(map[types.NodeID][]*replica.Replica),
 		registries: make(map[types.NodeID]*obs.Registry),
 	}
 	// One rotated topology and recorder per group. Group 0 is the
@@ -344,7 +352,6 @@ func New(opts Options) (*Cluster, error) {
 		RecoveryInterval:   opts.RecoveryInterval,
 		CheckpointInterval: opts.CheckpointInterval,
 		MaxInflightBatches: opts.MaxInflightBatches,
-		BatchIdleArm:       opts.BatchIdleArm,
 		DigestOnlyAcks:     opts.DigestOnlyAcks,
 		Ingress:            opts.Ingress,
 		Resume:             opts.SessionResume,
@@ -424,8 +431,17 @@ func New(opts Options) (*Cluster, error) {
 		}
 	}
 	// Order processes: each physical node hosts one per group, multiplexed
-	// over one TCP endpoint when sharded.
+	// over one TCP endpoint when sharded, and each executes its commits into
+	// its own replica.
 	for _, id := range topo.AllProcesses() {
+		if opts.StateMachine != nil {
+			for g := 0; g < c.groups; g++ {
+				rep := replica.New(id, opts.StateMachine())
+				rep.SetResultRetention(opts.CommitRetention)
+				rep.RegisterMetrics(c.RegistryOf(id), node.Labels(id, g, c.groups)...)
+				c.replicas[id] = append(c.replicas[id], rep)
+			}
+		}
 		n, err := c.buildNode(id)
 		if err != nil {
 			return fail(err)
@@ -508,6 +524,7 @@ func (c *Cluster) NodeSpec(id types.NodeID) node.Spec {
 	s := c.base
 	s.Self = id
 	s.Registry = c.RegistryOf(id)
+	s.Replicas = c.replicas[id]
 	if c.Opts.Durable {
 		s.DataDir = filepath.Join(c.Opts.DataDir, fmt.Sprintf("node-%d", int32(id)))
 	}
@@ -647,20 +664,22 @@ func (c *Cluster) closeStores(crash bool) {
 // substrate is the surface the harness needs from any of the three
 // runtimes (virtual-time simulator, in-process live, TCP).
 type substrate interface {
-	AddNode(types.NodeID, *crypto.Identity, runtime.Process) error
 	Start()
 	Inject(types.NodeID, func(runtime.Env)) error
 	Crash(types.NodeID)
 }
 
-// addNode registers a node's processes with the substrate: one process
-// on a plain endpoint, or one per group multiplexed over a sharded TCP
-// endpoint.
+// addNode registers a node's processes with the substrate. Only a TCP
+// endpoint hosts more than one (one per group, multiplexed).
 func (c *Cluster) addNode(id types.NodeID, procs []runtime.Process) error {
-	if c.groups == 1 {
-		return c.sub.AddNode(id, c.base.Idents[id], procs[0])
+	ident := c.base.Idents[id]
+	switch {
+	case c.tcp != nil:
+		return c.tcp.AddNode(id, ident, procs...)
+	case c.live != nil:
+		return c.live.AddNode(id, ident, procs[0])
 	}
-	return c.tcp.AddShardedNode(id, c.base.Idents[id], procs)
+	return c.sim.AddNode(id, ident, procs[0])
 }
 
 // Start launches the cluster.
@@ -728,7 +747,8 @@ func (c *Cluster) KillNode(id types.NodeID) error {
 // commits it missed via its peers' CatchUp answers — before resuming
 // ordering duties — so recovery no longer depends on peers' bounded
 // retransmission rings still holding everything it missed. Client
-// processes are reused, preserving their request-ID namespace.
+// processes are reused, preserving their request-ID namespace, and so
+// are replicas: the new incarnation executes where the dead one stopped.
 func (c *Cluster) RestartNode(id types.NodeID) error {
 	if c.tcp == nil {
 		return fmt.Errorf("harness: RestartNode requires the live TCP transport")
@@ -747,12 +767,7 @@ func (c *Cluster) RestartNode(id types.NodeID) error {
 	if _, isClient := c.clients[id]; isClient {
 		procs = c.clientEndpoints(id)
 	}
-	if c.groups == 1 {
-		err = c.tcp.Restart(id, c.base.Idents[id], procs[0])
-	} else {
-		err = c.tcp.RestartSharded(id, c.base.Idents[id], procs)
-	}
-	if err != nil {
+	if err := c.tcp.Restart(id, c.base.Idents[id], procs...); err != nil {
 		n.Close()
 		c.setNode(id, dead)
 		return err
@@ -950,11 +965,22 @@ func (c *Cluster) RecoveryStateOfGroup(id types.NodeID, group int) (RecoveryStat
 }
 
 // OrderPool returns the request pool of the current incarnation of node
-// id's order process in one ordering group (nil for clients/unknown IDs),
-// safe against a concurrent RestartNode.
+// id's order process in one ordering group (nil for clients/unknown IDs).
+// The pool belongs to the process's event loop: off the simulator, read
+// it only from inside that loop (Inject).
 func (c *Cluster) OrderPool(id types.NodeID, group int) *core.RequestPool {
 	if n := c.node(id); n != nil {
 		return n.Pool(group)
+	}
+	return nil
+}
+
+// Replica returns node id's replica in one ordering group (nil without
+// Options.StateMachine, for clients, or out of range). Its accessors are
+// safe against the loop executing into it.
+func (c *Cluster) Replica(id types.NodeID, group int) *replica.Replica {
+	if reps := c.replicas[id]; group >= 0 && group < len(reps) {
+		return reps[group]
 	}
 	return nil
 }

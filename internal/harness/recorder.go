@@ -74,7 +74,6 @@ type Recorder struct {
 	mu sync.Mutex
 
 	batchedAt   map[batchKey]time.Time
-	batchSizes  map[batchKey]int
 	firstCommit map[batchKey]time.Time
 	// Proposer-pipeline gauges (see core.BatchEvent).
 	maxInflight   int
@@ -127,8 +126,8 @@ var closedCommit = func() chan struct{} { ch := make(chan struct{}); close(ch); 
 // CommitStore is the durable backing of the commit stream (implemented by
 // wal/commitlog.Store): every event is appended at its stream position,
 // and cursors that have fallen below the in-memory retention ring read
-// from it instead of losing events. TruncateBefore follows the replica
-// drain watermark when retention is bounded.
+// from it instead of losing events. TruncateBefore follows the prune
+// watermark (PruneCommittedBelow) when retention is bounded.
 type CommitStore interface {
 	Append(pos uint64, ev core.CommitEvent)
 	ReadSince(cursor uint64, max int) ([]core.CommitEvent, uint64, error)
@@ -137,13 +136,12 @@ type CommitStore interface {
 }
 
 // NewRecorder returns an empty recorder. keepCommits retains commit events
-// for replay (the replica layer and tests use it); retain bounds how many
+// for cursor readers (bench/ and tests); retain bounds how many
 // are kept (0 = unlimited), so long benchmark runs stop growing without
 // limit.
 func NewRecorder(keepCommits bool, retain int) *Recorder {
 	return &Recorder{
 		batchedAt:      make(map[batchKey]time.Time),
-		batchSizes:     make(map[batchKey]int),
 		firstCommit:    make(map[batchKey]time.Time),
 		commitsPerNode: make(map[types.NodeID]int),
 		keepCommits:    keepCommits,
@@ -215,7 +213,6 @@ func (r *Recorder) OnBatched(ev core.BatchEvent) {
 	k := batchKey{ev.View, ev.FirstSeq}
 	if _, dup := r.batchedAt[k]; !dup {
 		r.batchedAt[k] = ev.At
-		r.batchSizes[k] = len(ev.Entries)
 	}
 	if ev.Inflight > r.maxInflight {
 		r.maxInflight = ev.Inflight
@@ -298,8 +295,8 @@ func (r *Recorder) OnCommit(ev core.CommitEvent) {
 // Committed reports whether the request has been committed at some process.
 // It is O(1) and remains correct after commit events are evicted from the
 // retention ring, until the index entry itself is truncated by
-// PruneCommittedBelow (which only happens once every replay consumer has
-// drained past the request's commit).
+// PruneCommittedBelow (which only happens once the caller's cursor has
+// passed the request's commit).
 func (r *Recorder) Committed(id message.ReqID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -317,10 +314,11 @@ func (r *Recorder) CommittedIndexSize() int {
 
 // PruneCommittedBelow truncates committed-index entries whose first commit
 // lies below both cursor and the oldest event still retained in the ring,
-// returning how many entries were removed. Callers pass the lowest drain
-// cursor of their replay consumers, so an entry is only dropped once it
-// can neither be replayed (evicted from the ring) nor is still awaited
-// (every consumer has drained past it). With an unbounded ring (retention
+// returning how many entries were removed. Callers pass the lowest cursor
+// of their readers (the public API, whose replicas execute on commit,
+// passes the end of the stream), so an entry is only dropped once it can
+// neither be replayed (evicted from the ring) nor is still awaited (every
+// reader has passed it). With an unbounded ring (retention
 // 0) the oldest retained position is 0 and the call is a no-op, so the
 // full index — and exact Committed answers for all history — are kept
 // unless the operator opted into bounded retention.
@@ -351,7 +349,7 @@ func (r *Recorder) PruneCommittedBelow(cursor uint64) int {
 	if r.store != nil && r.commits.limit > 0 {
 		// Bounded retention is the operator's opt-in to forgetting: the
 		// durable stream follows the same watermark, so disk usage tracks
-		// the drain cursor instead of growing with history. Unbounded
+		// the readers' cursor instead of growing with history. Unbounded
 		// retention keeps the full stream on disk.
 		r.store.TruncateBefore(w)
 	}
@@ -400,7 +398,7 @@ func (r *Recorder) CancelNotify(id message.ReqID, ch <-chan struct{}) {
 // With a durable commit store attached, cursors below the in-memory
 // retention ring are served from disk, so eviction from the ring no
 // longer loses them; only events pruned from the store itself (below the
-// drain watermark) count as dropped.
+// prune watermark) count as dropped.
 func (r *Recorder) CommitsSince(cursor uint64) (events []core.CommitEvent, next uint64, dropped uint64) {
 	r.mu.Lock()
 	if r.store == nil || cursor >= r.commits.oldest() {

@@ -17,6 +17,7 @@ import (
 	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/obs"
+	"github.com/sof-repro/sof/internal/replica"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/session"
 	"github.com/sof-repro/sof/internal/tcpnet"
@@ -60,7 +61,6 @@ type Spec struct {
 	RecoveryInterval   time.Duration // SCR
 	CheckpointInterval int
 	MaxInflightBatches int
-	BatchIdleArm       time.Duration
 	DigestOnlyAcks     bool
 	Ingress            ingress.Config
 
@@ -86,6 +86,9 @@ type Spec struct {
 	Logger   *log.Logger
 	// Hooks returns group g's callbacks (nil = none).
 	Hooks func(group int) Hooks
+	// Replicas[g], when present and non-nil, executes group g's commits on
+	// that group's order process's event loop, before Hooks hears of them.
+	Replicas []*replica.Replica
 	// ReplyTo names the clients whose committed requests this node answers
 	// with a signed Reply (sofnode's -clients). Empty means no node signs
 	// or sends anything for a commit beyond the protocol's own messages.
@@ -167,7 +170,6 @@ func (s Spec) CoreConfig(group int) core.Config {
 		RecoveryInterval:    s.RecoveryInterval,
 		CheckpointInterval:  s.CheckpointInterval,
 		MaxInflightBatches:  s.MaxInflightBatches,
-		BatchIdleArm:        s.BatchIdleArm,
 		DigestOnlyAcks:      s.DigestOnlyAcks,
 		Ingress:             s.Ingress,
 		OnBatched:           h.OnBatched,
@@ -195,10 +197,14 @@ func (s Spec) hooks(group int) Hooks {
 func (n *Node) buildProcess(group int) error {
 	s := n.spec
 	h := s.hooks(group)
-	var rep *replier
-	if len(s.ReplyTo) > 0 {
-		rep = &replier{to: s.ReplyTo, next: h.OnCommit}
-		h.OnCommit = rep.onCommit
+	var rep *replica.Replica
+	if group < len(s.Replicas) {
+		rep = s.Replicas[group]
+	}
+	var ex *executor
+	if rep != nil || len(s.ReplyTo) > 0 {
+		ex = &executor{rep: rep, to: s.ReplyTo, next: h.OnCommit}
+		h.OnCommit = ex.onCommit
 	}
 	var p runtime.Process
 	var err error
@@ -260,62 +266,84 @@ func (n *Node) buildProcess(group int) error {
 	if err != nil {
 		return err
 	}
-	if rep != nil {
-		rep.Process = p
-		p = rep
+	if ex != nil {
+		ex.Process, ex.pool = p, p.(pooled).Pool()
+		p = ex
 	}
 	n.Procs = append(n.Procs, p)
 	return nil
 }
 
-// replier is an order process that also answers its clients: for every
-// committed entry of a client in its reply-to set it signs a Reply and
-// sends it through the process's own Env, so the reply costs what any
-// other message of the process costs on every substrate and carries the
-// substrate's addressing (the sharded group prefix among it).
-type replier struct {
+// pooled is what every order process is: the holder of a request pool.
+type pooled interface{ Pool() *core.RequestPool }
+
+// executor is an order process that acts on what it commits, on its own
+// event loop: it applies each commit to its replica (resolving payloads
+// from the process's own pool, which only this loop touches), answers the
+// clients in its reply-to set with a signed Reply sent through the
+// process's own Env — so a reply costs what any other message of the
+// process costs on every substrate and carries the substrate's addressing,
+// the sharded group prefix among it — and only then hands the commit on
+// to the hooks, so whoever hears of a commit finds it executed there.
+type executor struct {
 	runtime.Process
-	env  runtime.Env // the process's own, for its whole life
+	pool *core.RequestPool
+	rep  *replica.Replica // nil: replies only
+	env  runtime.Env      // the process's own, for its whole life
 	to   map[types.NodeID]bool
 	next func(core.CommitEvent)
 }
 
 // Init implements runtime.Process: commits are raised on the event loop
 // Init opens, never ahead of it.
-func (r *replier) Init(env runtime.Env) {
-	r.env = env
-	r.Process.Init(env)
+func (x *executor) Init(env runtime.Env) {
+	x.env = env
+	x.Process.Init(env)
 }
 
-func (r *replier) onCommit(ev core.CommitEvent) {
-	if r.next != nil {
-		r.next(ev)
+// Receive implements runtime.Process. A payload can arrive after its
+// commit — by mirror, fetch, catch-up or the client's own copy — so while
+// the replica holds commits it could not apply, every delivery retries
+// them.
+func (x *executor) Receive(env runtime.Env, from types.NodeID, m message.Message) {
+	x.Process.Receive(env, from, m)
+	if x.rep != nil && x.rep.PendingCount() > 0 {
+		x.rep.Retry(x.pool)
+	}
+}
+
+func (x *executor) onCommit(ev core.CommitEvent) {
+	if x.rep != nil {
+		x.rep.HandleCommit(x.pool, ev)
 	}
 	for i := range ev.Entries {
 		req := ev.Entries[i].Req
-		if !r.to[req.Client] {
+		if !x.to[req.Client] {
 			continue
 		}
 		rep := &message.Reply{
 			From: ev.Node, Client: req.Client, ClientSeq: req.ClientSeq,
 			Seq: ev.FirstSeq + types.Seq(i),
 		}
-		if err := message.Sign(r.env, rep, &rep.Sig); err != nil {
-			r.env.Logf("node: signing reply: %v", err)
+		if err := message.Sign(x.env, rep, &rep.Sig); err != nil {
+			x.env.Logf("node: signing reply: %v", err)
 			continue
 		}
-		r.env.Send(req.Client, rep)
+		x.env.Send(req.Client, rep)
+	}
+	if x.next != nil {
+		x.next(ev)
 	}
 }
 
-// order returns group g's order process (beneath its replier, if any), or
-// nil out of range.
+// order returns group g's order process (beneath its executor, if any),
+// or nil out of range.
 func (n *Node) order(group int) runtime.Process {
 	if group < 0 || group >= len(n.Procs) {
 		return nil
 	}
-	if r, ok := n.Procs[group].(*replier); ok {
-		return r.Process
+	if x, ok := n.Procs[group].(*executor); ok {
+		return x.Process
 	}
 	return n.Procs[group]
 }
@@ -330,7 +358,7 @@ func (n *Node) Core(group int) *core.Process {
 // Pool returns the request pool of group g's order process (nil when the
 // node hosts none).
 func (n *Node) Pool(group int) *core.RequestPool {
-	if p, ok := n.order(group).(interface{ Pool() *core.RequestPool }); ok {
+	if p, ok := n.order(group).(pooled); ok {
 		return p.Pool()
 	}
 	return nil
@@ -365,10 +393,7 @@ func (n *Node) Listen(addr string, ln net.Listener, procs []runtime.Process,
 	peers map[types.NodeID]string) (*runtime.TCPNode, error) {
 	s, opts := n.spec, n.TCPOptions()
 	opts.Listener = ln
-	if s.Groups == 1 {
-		return runtime.NewTCPNode(s.Self, addr, s.Idents[s.Self], procs[0], peers, s.Logger, opts)
-	}
-	return runtime.NewShardedTCPNode(s.Self, addr, s.Idents[s.Self], procs, peers, s.Logger, opts)
+	return runtime.NewTCPNode(s.Self, addr, s.Idents[s.Self], procs, peers, s.Logger, opts)
 }
 
 // Ready is the readiness check: nil when no hosted group is still

@@ -39,7 +39,7 @@ func isDir(path string) bool {
 
 // TestBuildPerProtocol: every protocol yields one process and one pool
 // per group; only SC/SCR expose a core process — with or without a
-// reply-to set, whose replier stands in front of the order process.
+// reply-to set, whose executor stands in front of the order process.
 func TestBuildPerProtocol(t *testing.T) {
 	for i, proto := range []types.Protocol{types.SC, types.SCR, types.BFT, types.CT, types.SC, types.BFT} {
 		spec := testSpec(t, proto, 0, 1)
@@ -176,7 +176,7 @@ func TestCoreConfigCoversEveryField(t *testing.T) {
 	spec := testSpec(t, types.SC, 0, 2)
 	spec.Mirror, spec.DumbOptimization, spec.DigestOnlyAcks = true, true, true
 	spec.PadBacklogBytes, spec.CheckpointInterval, spec.MaxInflightBatches = 1, 2, 3
-	spec.RecoveryInterval, spec.BatchIdleArm = time.Second, time.Millisecond
+	spec.RecoveryInterval = time.Second
 	spec.Ingress = ingress.Config{Enabled: true}
 	spec.Registry = obs.NewRegistry()
 	spec.Tap = noTap{}

@@ -21,8 +21,9 @@ type StateMachine interface {
 }
 
 // Replica applies committed batches, in order, to a state machine. It is
-// driven by the order process's OnCommit hook (which runs in the process's
-// event loop) but is also safe for concurrent inspection from tests.
+// driven by the order process's OnCommit hook, which runs in the process's
+// event loop — the only place it touches the process's pool — and its
+// accessors are safe for concurrent inspection.
 type Replica struct {
 	node types.NodeID
 	sm   StateMachine
@@ -41,7 +42,7 @@ type Replica struct {
 	resultLog  []message.ReqID
 	resultHead int
 
-	retries atomic.Uint64 // Retry() drains (outside mu: drains are concurrent)
+	retries atomic.Uint64 // Retry calls (read by metric scrapes without mu)
 }
 
 // New returns a replica wrapping sm for the given order process node.
@@ -87,8 +88,8 @@ func (r *Replica) HandleCommit(pool *core.RequestPool, ev core.CommitEvent) {
 // Payloads race the commit stream: a request can commit (through peers'
 // acks) before the client's own copy reaches this node's pool, and if no
 // later commit follows, the buffered event would wedge until one does.
-// Drains call Retry so the tail of the stream applies as soon as its
-// payloads arrive.
+// The order process's loop calls Retry after each delivery while events
+// are pending, so the tail of the stream applies as its payloads arrive.
 func (r *Replica) Retry(pool *core.RequestPool) {
 	r.retries.Add(1)
 	r.mu.Lock()
@@ -113,7 +114,7 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		"Execution results retained for client Result lookups.",
 		func() float64 { return float64(r.ResultCount()) }, labels...)
 	reg.CounterFunc("sof_replica_retries_total",
-		"Retry drains re-attempting application after late payload arrival.",
+		"Retries re-attempting application after late payload arrival.",
 		func() uint64 { return r.retries.Load() }, labels...)
 }
 
@@ -148,8 +149,8 @@ func (r *Replica) advanceLocked(pool *core.RequestPool) {
 // (the caller retries on a later commit — clients multicast requests to
 // all nodes, so the payload eventually arrives with a later event).
 func (r *Replica) applyLocked(pool *core.RequestPool, ev core.CommitEvent) bool {
-	// One pool pass: collect the payload sources while checking presence,
-	// so the apply path takes N pool-lock acquisitions, not 2N.
+	// One pool pass: collect the payloads while checking presence, so a
+	// batch applies whole or not at all.
 	reqs := make([]*message.Request, len(ev.Entries))
 	for i, e := range ev.Entries {
 		req, ok := pool.Get(e.Req)

@@ -36,14 +36,14 @@ func TestShardedTCPGroupIsolation(t *testing.T) {
 	idents := identities(t, crypto.NewHMACSuite(), 2)
 	c := NewTCPCluster()
 	var g0A, g1A, g0B, g1B int32
-	if err := c.AddShardedNode(0, idents[0], []Process{
+	if err := c.AddNode(0, idents[0],
 		&groupSink{got: &g0A}, &groupSink{got: &g1A},
-	}); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddShardedNode(1, idents[1], []Process{
+	if err := c.AddNode(1, idents[1],
 		&groupSink{got: &g0B}, &groupSink{got: &g1B},
-	}); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
@@ -94,9 +94,9 @@ func TestShardedTCPGroupIsolation(t *testing.T) {
 func TestShardedTCPSharesOneTransport(t *testing.T) {
 	idents := identities(t, crypto.NewHMACSuite(), 1)
 	c := NewTCPCluster()
-	if err := c.AddShardedNode(0, idents[0], []Process{
+	if err := c.AddNode(0, idents[0],
 		&groupSink{got: new(int32)}, &groupSink{got: new(int32)}, &groupSink{got: new(int32)},
-	}); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
@@ -130,14 +130,14 @@ func TestShardedTCPRestart(t *testing.T) {
 	idents := identities(t, crypto.NewHMACSuite(), 2)
 	c := NewTCPCluster()
 	var before, after int32
-	if err := c.AddShardedNode(0, idents[0], []Process{
+	if err := c.AddNode(0, idents[0],
 		&groupSink{got: new(int32)}, &groupSink{got: &before},
-	}); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddShardedNode(1, idents[1], []Process{
+	if err := c.AddNode(1, idents[1],
 		&groupSink{got: new(int32)}, &groupSink{got: new(int32)},
-	}); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	c.Start()
@@ -146,9 +146,9 @@ func TestShardedTCPRestart(t *testing.T) {
 	if err := c.Kill(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RestartSharded(0, idents[0], []Process{
+	if err := c.Restart(0, idents[0],
 		&groupSink{got: new(int32)}, &groupSink{got: &after},
-	}); err != nil {
+	); err != nil {
 		t.Fatal(err)
 	}
 	// The peer's redial loop finds the successor; keep sending until one

@@ -22,15 +22,14 @@ import (
 // reactor code that runs on the simulator and the in-process live
 // runtime runs here over real sockets.
 //
-// A plain node (NewTCPNode) hosts exactly one process and its wire
-// format is a raw message encoding per frame. A sharded node
-// (NewShardedTCPNode) hosts one process per ordering group over the
-// SAME transport and sessions — N groups cost one listener, one set of
-// peer connections and one session journal per physical node, not N× —
-// and every frame carries a one-byte group address ahead of the message
-// encoding, demultiplexed to the group's own event loop on receipt.
-// Group cores never share protocol state; the transport beneath them is
-// the only shared layer.
+// A node hosting one process is plain: its wire format is a raw message
+// encoding per frame. A node hosting more is sharded: one process per
+// ordering group over the SAME transport and sessions — N groups cost one
+// listener, one set of peer connections and one session journal per
+// physical node, not N× — and every frame carries a one-byte group
+// address ahead of the message encoding, demultiplexed to the group's own
+// event loop on receipt. Group cores never share protocol state; the
+// transport beneath them is the only shared layer.
 //
 // The outbound path is encode-once: Send and Multicast hand the
 // transport the message's cached wire encoding (message.Message.Marshal
@@ -110,29 +109,20 @@ func (c *tcpCore) Multicast(tos []types.NodeID, m message.Message) {
 	})
 }
 
-// NewTCPNode binds a TCP endpoint for proc on addr. peers maps every other
-// process (and known client) ID to its address; it may be nil if supplied
-// later via Transport().SetPeers before the node starts sending. Call
-// Start to begin serving and Stop to shut down.
-func NewTCPNode(id types.NodeID, addr string, ident *crypto.Identity, proc Process,
-	peers map[types.NodeID]string, logger *log.Logger, opts tcpnet.Options) (*TCPNode, error) {
-	return newTCPEndpoint(id, addr, ident, []Process{proc}, false, peers, logger, opts)
-}
-
-// NewShardedTCPNode binds one TCP endpoint hosting procs[g] for every
-// group g (nil entries host nothing and drop that group's inbound
-// frames). All nodes and clients of a sharded deployment must be built
-// sharded: the group-prefix wire format is cluster-wide.
-func NewShardedTCPNode(id types.NodeID, addr string, ident *crypto.Identity, procs []Process,
+// NewTCPNode binds a TCP endpoint on addr hosting procs[g] for every group
+// g (nil entries host nothing and drop that group's inbound frames); more
+// than one entry makes the node sharded, and all nodes and clients of a
+// sharded deployment must be: the group-prefix wire format is
+// cluster-wide. peers maps every other process (and known client) ID to
+// its address; it may be nil if supplied later via Transport().SetPeers
+// before the node starts sending. Call Start to begin serving and Stop to
+// shut down.
+func NewTCPNode(id types.NodeID, addr string, ident *crypto.Identity, procs []Process,
 	peers map[types.NodeID]string, logger *log.Logger, opts tcpnet.Options) (*TCPNode, error) {
 	if len(procs) == 0 {
-		return nil, fmt.Errorf("runtime: sharded node %v needs at least one group process", id)
+		return nil, fmt.Errorf("runtime: node %v hosts no process", id)
 	}
-	return newTCPEndpoint(id, addr, ident, procs, true, peers, logger, opts)
-}
-
-func newTCPEndpoint(id types.NodeID, addr string, ident *crypto.Identity, procs []Process,
-	sharded bool, peers map[types.NodeID]string, logger *log.Logger, opts tcpnet.Options) (*TCPNode, error) {
+	sharded := len(procs) > 1
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
@@ -302,10 +292,13 @@ func (c *TCPCluster) nodeOpts(id types.NodeID) tcpnet.Options {
 	return c.opts
 }
 
-// AddNode registers a process before Start: it binds a loopback listener
+// AddNode registers a node hosting procs — one per ordering group,
+// multiplexed over one listener and one session config when there are
+// several (see NewTCPNode) — before Start: it binds a loopback listener
 // immediately (so Start can distribute the full address map) but serves
-// nothing until Start.
-func (c *TCPCluster) AddNode(id types.NodeID, ident *crypto.Identity, proc Process) error {
+// nothing until Start. A cluster must be uniformly sharded or uniformly
+// plain — the wire formats differ.
+func (c *TCPCluster) AddNode(id types.NodeID, ident *crypto.Identity, procs ...Process) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.started {
@@ -314,29 +307,7 @@ func (c *TCPCluster) AddNode(id types.NodeID, ident *crypto.Identity, proc Proce
 	if _, dup := c.nodes[id]; dup {
 		return fmt.Errorf("runtime: duplicate node %v", id)
 	}
-	n, err := NewTCPNode(id, "127.0.0.1:0", ident, proc, nil, c.logger, c.nodeOpts(id))
-	if err != nil {
-		return err
-	}
-	c.nodes[id] = n
-	c.order = append(c.order, id)
-	return nil
-}
-
-// AddShardedNode registers a physical node hosting one process per
-// ordering group, all multiplexed over one listener and one session
-// config (see NewShardedTCPNode). A cluster must be uniformly sharded or
-// uniformly plain — the wire formats differ.
-func (c *TCPCluster) AddShardedNode(id types.NodeID, ident *crypto.Identity, procs []Process) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return fmt.Errorf("runtime: AddShardedNode(%v) after Start", id)
-	}
-	if _, dup := c.nodes[id]; dup {
-		return fmt.Errorf("runtime: duplicate node %v", id)
-	}
-	n, err := NewShardedTCPNode(id, "127.0.0.1:0", ident, procs, nil, c.logger, c.nodeOpts(id))
+	n, err := NewTCPNode(id, "127.0.0.1:0", ident, procs, nil, c.logger, c.nodeOpts(id))
 	if err != nil {
 		return err
 	}
@@ -376,26 +347,16 @@ func (c *TCPCluster) WasKilled(id types.NodeID) bool {
 
 // Restart brings a killed node back as a new incarnation: a fresh TCPNode
 // for the same ID on the same address (so peers' redial loops find it),
-// running proc. With a durable session journal in the node's transport
+// hosting procs. With a durable session journal in the node's transport
 // options, the new incarnation recovers its predecessor's session state
-// and replays the unacknowledged window; protocol state is whatever proc
-// carries — an order process built from a restored protocol checkpoint
+// and replays the unacknowledged window; protocol state is whatever procs
+// carry — an order process built from a restored protocol checkpoint
 // rejoins at its committed watermark and triggers its catch-up round from
 // Init, which Start guarantees runs before any inbound frame (see
 // engine.startLoop), so the rebind itself is what kicks off catch-up
 // before ordering resumes. Client processes are typically reused across
 // the restart.
-func (c *TCPCluster) Restart(id types.NodeID, ident *crypto.Identity, proc Process) error {
-	return c.restart(id, ident, []Process{proc}, false)
-}
-
-// RestartSharded is Restart for sharded nodes: the new incarnation hosts
-// procs[g] per group over the reclaimed address.
-func (c *TCPCluster) RestartSharded(id types.NodeID, ident *crypto.Identity, procs []Process) error {
-	return c.restart(id, ident, procs, true)
-}
-
-func (c *TCPCluster) restart(id types.NodeID, ident *crypto.Identity, procs []Process, sharded bool) error {
+func (c *TCPCluster) Restart(id types.NodeID, ident *crypto.Identity, procs ...Process) error {
 	c.mu.Lock()
 	addr, ok := c.killed[id]
 	if !ok {
@@ -411,7 +372,7 @@ func (c *TCPCluster) restart(id types.NodeID, ident *crypto.Identity, procs []Pr
 	addrs[id] = addr
 	c.mu.Unlock()
 
-	n, err := newTCPEndpoint(id, addr, ident, procs, sharded, addrs, logger, opts)
+	n, err := NewTCPNode(id, addr, ident, procs, addrs, logger, opts)
 	if err != nil {
 		return fmt.Errorf("runtime: restarting %v: %w", id, err)
 	}

@@ -8,10 +8,10 @@
 // record LSNs and stream positions stay aligned: the event at stream
 // position p lives at LSN p+1. The position is nevertheless embedded in
 // each record and verified on read, so a mismatch is detected rather than
-// silently misattributed. Pruning follows the replica-drain watermark:
-// once every replay consumer has drained past a position (and the
-// operator opted into bounded retention), the segments wholly below it
-// are unlinked.
+// silently misattributed. Pruning follows the recorder's prune watermark:
+// once a position is below both the reader's cursor and the retention
+// ring (and the operator opted into bounded retention), the segments
+// wholly below it are unlinked.
 package commitlog
 
 import (
@@ -178,7 +178,7 @@ func (s *Store) ReadSince(cursor uint64, max int) ([]core.CommitEvent, uint64, e
 }
 
 // TruncateBefore unlinks segments wholly below stream position pos; call
-// it with the replica-drain watermark when retention is bounded.
+// it with the recorder's prune watermark when retention is bounded.
 func (s *Store) TruncateBefore(pos uint64) { s.log.TruncateBefore(wal.LSN(pos + 1)) }
 
 // Sync forces a group commit.

@@ -31,8 +31,8 @@
 // session layer's sealed-but-unacknowledged frames, epochs and delivery
 // watermarks, pruned at the acknowledgement watermark), commitlog (the
 // measurement recorder's commit stream, served back to cursors that have
-// fallen below the in-memory retention ring, pruned at the replica-drain
-// watermark) and protolog (an order process's protocol checkpoints —
+// fallen below the in-memory retention ring, pruned at the recorder's
+// prune watermark) and protolog (an order process's protocol checkpoints —
 // view, pair epochs, committed watermark, committed-order digest — where
 // the last intact record is the recovery point and superseded segments
 // are pruned on rotation).

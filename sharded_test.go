@@ -157,6 +157,48 @@ func TestPublicAPIShardedKVRouting(t *testing.T) {
 	}
 }
 
+// TestPublicAPIShardedAwaitCommitWithoutRoutes: a sharded AwaitCommit
+// keeps no record of where requests were routed — it waits on every
+// group's recorder at once — so a request that never passed through
+// Submit (sent straight into its group through the harness) is awaited
+// like any other, in every group, and an ID nobody submitted times out.
+func TestPublicAPIShardedAwaitCommitWithoutRoutes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP integration test")
+	}
+	cluster, err := sof.NewCluster(sof.Config{
+		Protocol:      sof.SC,
+		F:             1,
+		Groups:        2,
+		Transport:     sof.TCP,
+		BatchInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Start()
+	defer cluster.Stop()
+	var last sof.ReqID
+	for g := 0; g < cluster.Groups(); g++ {
+		payload := []byte("k0")
+		for i := 1; cluster.GroupOf(payload) != g; i++ {
+			payload = []byte(fmt.Sprintf("k%d", i))
+		}
+		id, err := cluster.Harness().SubmitToGroup(0, g, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cluster.AwaitCommit(id, 20*time.Second); err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+		last = id
+	}
+	bogus := sof.ReqID{Client: last.Client, ClientSeq: last.ClientSeq + 1<<40}
+	if err := cluster.AwaitCommit(bogus, 50*time.Millisecond); err == nil {
+		t.Error("AwaitCommit accepted a request nobody submitted")
+	}
+}
+
 // TestPublicAPISharded2GroupKillRestartZeroLoss is the 2-group variant of
 // the durable kill/restart acceptance test: requests journalled by the
 // killed client incarnation — routed across BOTH groups — are replayed by

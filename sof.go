@@ -25,7 +25,7 @@ package sof
 import (
 	"fmt"
 	"net/http"
-	"sync"
+	"reflect"
 	"time"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -33,7 +33,6 @@ import (
 	"github.com/sof-repro/sof/internal/ingress"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/netsim"
-	"github.com/sof-repro/sof/internal/node"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/replica"
 	"github.com/sof-repro/sof/internal/shard"
@@ -154,11 +153,6 @@ type Config struct {
 	// partial batches), and commits free window slots that are refilled
 	// immediately.
 	MaxInflightBatches int
-	// BatchIdleArm (SC/SCR only) is the backstop delay armed when the
-	// first request reaches an idle primary (0 = BatchInterval). The batch
-	// timer no longer free-runs on an empty pool, so idle clusters do not
-	// tick.
-	BatchIdleArm time.Duration
 	// DigestOnlyAcks (SC/SCR only) keeps the ordering critical path
 	// digest-only: acks carry just the subject digest instead of embedding
 	// the full endorsed batch, and a process that misses a subject or a
@@ -233,18 +227,17 @@ type Config struct {
 	// experiments run on the real socket substrate.
 	NetShaping bool
 	// CommitRetention bounds how many commit events the measurement
-	// recorder retains for replica replay (0 = unlimited). Long-running
-	// clusters should set it (a few thousand is ample: replicas drain the
-	// stream every RunFor/AwaitCommit, so retention only needs to cover
-	// the commits between two drains). Values too small to hold a few
-	// commit waves (one event per process per batch) are raised to that
-	// floor. Whether events are retained or evicted, AwaitCommit stays
-	// O(1): it uses the recorder's committed-request index and, in live
-	// mode, blocks on a commit notification instead of polling. Bounded
-	// retention also bounds the committed-request index itself: once a
-	// request's commit has been drained (replayed by the replica layer,
-	// or trivially when no StateMachine is configured) and its event has
-	// left the retention ring, the index entry is truncated, so
+	// recorder retains (0 = unlimited), and how many execution results
+	// each replica keeps for Result. Long-running clusters should set it
+	// (a few thousand is ample: replicas execute each commit as it
+	// happens, so the ring serves only the recorder's own readers). Values
+	// too small to hold a few commit waves (one event per process per
+	// batch) are raised to that floor. Whether events are retained or
+	// evicted, AwaitCommit stays O(1): it uses the recorder's
+	// committed-request index and, in live mode, blocks on a commit
+	// notification instead of polling. Bounded retention also bounds the
+	// committed-request index itself: once a request's event has left the
+	// retention ring, RunFor and AwaitCommit truncate its index entry, so
 	// AwaitCommit on requests committed that long ago (at least
 	// CommitRetention commit events earlier) times out rather than
 	// answering from history.
@@ -289,8 +282,10 @@ type Config struct {
 	ClientTLS bool
 	// Seed seeds simulated network jitter.
 	Seed int64
-	// StateMachine, when non-nil, is instantiated per replica and applied
-	// to the committed sequence (use NewKVStore, NewCounter, ...).
+	// StateMachine, when non-nil, is instantiated once per order process
+	// (per group when sharded) and applied to that process's committed
+	// sequence on its own event loop as it commits (use NewKVStore,
+	// NewCounter, ...).
 	StateMachine func() StateMachine
 }
 
@@ -323,36 +318,12 @@ const MaxGroups = shard.MaxGroups
 // order. Returned (wrapped) by SubmitMulti; unwrap with errors.As.
 type CrossGroupError = shard.CrossGroupError
 
-// repKey addresses one replica instance: the state machine of one order
-// process in one ordering group (group is always 0 unless sharded).
-type repKey struct {
-	node  NodeID
-	group int
-}
-
 // Cluster is a running order-protocol deployment with optional replicated
 // state machines on top.
 type Cluster struct {
-	cfg      Config
-	h        *harness.Cluster
-	router   shard.Map
-	replicas map[repKey]*replica.Replica
-
-	// drainMu serialises replica replay; commitCursors[g] is the position
-	// in group g's commit stream up to which replicas have been fed, so
-	// each drain costs O(new commits), not O(history). droppedCommits
-	// counts commit events evicted by CommitRetention before replicas saw
-	// them (see DroppedCommits).
-	drainMu        sync.Mutex
-	commitCursors  []uint64
-	droppedCommits uint64
-
-	// routeMu guards routes, the group each in-flight submitted request
-	// was routed to; entries are dropped once the commit is observed
-	// (AwaitCommit) or its event is drained, so the map tracks in-flight
-	// requests, not history.
-	routeMu sync.Mutex
-	routes  map[ReqID]int
+	cfg    Config
+	h      *harness.Cluster
+	router shard.Map
 }
 
 // NewCluster builds a cluster (call Start to run it).
@@ -376,12 +347,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.MaxInflightBatches < 0 {
 		return nil, fmt.Errorf("sof: MaxInflightBatches must not be negative")
 	}
-	if cfg.BatchIdleArm < 0 {
-		return nil, fmt.Errorf("sof: BatchIdleArm must not be negative")
-	}
-	if (cfg.MaxInflightBatches > 1 || cfg.BatchIdleArm != 0 || cfg.DigestOnlyAcks) &&
-		cfg.Protocol != SC && cfg.Protocol != SCR {
-		return nil, fmt.Errorf("sof: MaxInflightBatches/BatchIdleArm/DigestOnlyAcks require Protocol SC or SCR")
+	if (cfg.MaxInflightBatches > 1 || cfg.DigestOnlyAcks) && cfg.Protocol != SC && cfg.Protocol != SCR {
+		return nil, fmt.Errorf("sof: MaxInflightBatches/DigestOnlyAcks require Protocol SC or SCR")
 	}
 	mirror := cfg.Protocol == SC || cfg.Protocol == SCR
 	if cfg.Mirror != nil {
@@ -395,7 +362,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		MaxBatchBytes:      cfg.BatchBytes,
 		Delta:              cfg.Delta,
 		MaxInflightBatches: cfg.MaxInflightBatches,
-		BatchIdleArm:       cfg.BatchIdleArm,
 		DigestOnlyAcks:     cfg.DigestOnlyAcks,
 		Mirror:             mirror,
 		DumbOptimization:   cfg.Protocol == SC,
@@ -416,47 +382,18 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		TLS:                cfg.ClientTLS,
 		KeepCommits:        true,
 		CommitRetention:    cfg.CommitRetention,
+		StateMachine:       cfg.StateMachine,
 	}
 	h, err := harness.New(opts)
 	if err != nil {
 		return nil, fmt.Errorf("sof: %w", err)
 	}
-	groups := h.GroupCount()
-	router, err := shard.New(groups)
+	router, err := shard.New(h.GroupCount())
 	if err != nil {
 		h.Stop()
 		return nil, fmt.Errorf("sof: %w", err)
 	}
-	c := &Cluster{
-		cfg:           cfg,
-		h:             h,
-		router:        router,
-		replicas:      make(map[repKey]*replica.Replica),
-		commitCursors: make([]uint64, groups),
-		routes:        make(map[ReqID]int),
-	}
-	if cfg.StateMachine != nil {
-		// One state-machine instance per order process per group (each
-		// group is its own replica partition, keyed by the same routing
-		// map that partitions requests); commits reach the replicas
-		// through drainReplicas, which replays each group recorder's
-		// retained commit events in order.
-		for g := 0; g < groups; g++ {
-			for _, id := range h.Topo.AllProcesses() {
-				rep := replica.New(id, cfg.StateMachine())
-				if cfg.CommitRetention > 0 {
-					// Bounded commit retention is the operator's opt-in to
-					// forgetting; bound the replica-side result maps by the
-					// same window so long-running clusters stop growing there
-					// too.
-					rep.SetResultRetention(cfg.CommitRetention)
-				}
-				rep.RegisterMetrics(h.RegistryOf(id), node.Labels(id, g, groups)...)
-				c.replicas[repKey{node: id, group: g}] = rep
-			}
-		}
-	}
-	return c, nil
+	return &Cluster{cfg: cfg, h: h, router: router}, nil
 }
 
 // Groups returns the number of ordering groups (1 unless sharded).
@@ -478,21 +415,14 @@ func (c *Cluster) Stop() { c.h.Stop() }
 // simulated.
 func (c *Cluster) RunFor(d time.Duration) {
 	c.h.RunFor(d)
-	c.drainReplicas()
+	c.pruneCommitted()
 }
 
 // Submit sends one request from the built-in client to every order
 // process of the group its key routes to (group 0 always, unless the
 // cluster is sharded).
 func (c *Cluster) Submit(payload []byte) (ReqID, error) {
-	group := c.GroupOf(payload)
-	id, err := c.h.SubmitToGroup(0, group, payload)
-	if err == nil && c.Groups() > 1 {
-		c.routeMu.Lock()
-		c.routes[id] = group
-		c.routeMu.Unlock()
-	}
-	return id, err
+	return c.h.SubmitToGroup(0, c.GroupOf(payload), payload)
 }
 
 // SubmitMulti submits a set of payloads that form one logical multi-key
@@ -519,94 +449,45 @@ func (c *Cluster) SubmitMulti(payloads ...[]byte) ([]ReqID, error) {
 		if err != nil {
 			return ids, err
 		}
-		if c.Groups() > 1 {
-			c.routeMu.Lock()
-			c.routes[id] = group
-			c.routeMu.Unlock()
-		}
 		ids = append(ids, id)
 	}
 	return ids, nil
 }
 
-// groupOf returns the group a submitted request was routed to. ok is
-// false when the route is unknown — the request was never submitted
-// through this cluster value, or its commit has already been drained and
-// the route entry dropped (in which case the committed index answers).
-func (c *Cluster) groupOf(id ReqID) (int, bool) {
-	if c.Groups() == 1 {
-		return 0, true
-	}
-	c.routeMu.Lock()
-	defer c.routeMu.Unlock()
-	g, ok := c.routes[id]
-	return g, ok
-}
-
-func (c *Cluster) forgetRoute(id ReqID) {
-	if c.Groups() == 1 {
-		return
-	}
-	c.routeMu.Lock()
-	delete(c.routes, id)
-	c.routeMu.Unlock()
-}
-
 // AwaitCommit waits (wall or virtual time) until the request is committed
-// at some process. In live mode it blocks on the recorder's commit
-// notification; in simulated mode it advances virtual time, checking the
-// O(1) committed-request index between steps. Neither path scans commit
-// history.
+// at some process. In live mode it blocks on every group's commit
+// notification at once (a request commits in one group, and its ID does
+// not say which) — one channel unless sharded; in simulated mode it
+// advances virtual time, checking the O(1) committed-request index between
+// steps. Neither path scans commit history.
 func (c *Cluster) AwaitCommit(id ReqID, timeout time.Duration) error {
-	if !c.cfg.Simulated {
-		group, known := c.groupOf(id)
-		if !known {
-			// The route is gone: either the commit was already drained
-			// (forgetRoute) — then the committed index answers now — or the
-			// ID is foreign. Either way there is no single recorder to block
-			// on, so poll the per-group committed indexes (O(groups) each).
-			deadline := time.Now().Add(timeout)
-			for {
-				if c.committed(id) {
-					c.drainReplicas()
-					return nil
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
-				}
-				time.Sleep(2 * time.Millisecond)
+	if c.cfg.Simulated {
+		const step = 5 * time.Millisecond
+		for waited := time.Duration(0); !c.committed(id); waited += step {
+			if waited > timeout {
+				return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
 			}
+			c.h.RunFor(step)
 		}
-		rec := c.h.RecorderOf(group)
-		ch := rec.CommitNotify(id)
-		select {
-		case <-ch:
-			c.forgetRoute(id)
-			c.drainReplicas()
-			return nil
-		case <-time.After(timeout):
-			rec.CancelNotify(id, ch) // don't leak the waiter
-			if c.committed(id) {     // won the race at the deadline
-				c.forgetRoute(id)
-				c.drainReplicas()
-				return nil
-			}
-			return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
-		}
-	}
-	const step = 5 * time.Millisecond
-	for waited := time.Duration(0); waited <= timeout; waited += step {
-		if c.committed(id) {
-			c.drainReplicas()
-			return nil
-		}
-		c.h.RunFor(step)
-	}
-	if c.committed(id) {
-		c.drainReplicas()
+		c.pruneCommitted()
 		return nil
 	}
-	return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
+	cases := make([]reflect.SelectCase, 0, c.Groups()+1)
+	for g := 0; g < c.Groups(); g++ {
+		rec := c.h.RecorderOf(g)
+		ch := rec.CommitNotify(id)
+		defer rec.CancelNotify(id, ch) // don't leak the waiters
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer.C)})
+	// On the timer, the commit may still have won the race at the deadline.
+	if chosen, _, _ := reflect.Select(cases); chosen == len(cases)-1 && !c.committed(id) {
+		return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
+	}
+	c.pruneCommitted()
+	return nil
 }
 
 func (c *Cluster) committed(id ReqID) bool {
@@ -618,67 +499,15 @@ func (c *Cluster) committed(id ReqID) bool {
 	return false
 }
 
-// drainReplicas feeds commit events the replicas have not seen yet into the
-// replica layer, advancing each group's cursor so each event is replayed
-// exactly once and each drain costs O(new commits).
-func (c *Cluster) drainReplicas() {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
-	for g := range c.commitCursors {
+// pruneCommitted truncates each group's committed-request index below its
+// retention ring (a no-op unless CommitRetention is bounded): replicas
+// execute on commit, so nothing below the end of the stream is still owed
+// to anyone.
+func (c *Cluster) pruneCommitted() {
+	for g := 0; g < c.Groups(); g++ {
 		rec := c.h.RecorderOf(g)
-		if len(c.replicas) == 0 {
-			// No replay consumer: everything is trivially drained, so keep
-			// the cursor at end-of-stream and let bounded retention truncate
-			// the committed index the same way it would with replicas.
-			c.commitCursors[g] = rec.CommitCursor()
-			rec.PruneCommittedBelow(c.commitCursors[g])
-			continue
-		}
-		events, next, dropped := rec.CommitsSince(c.commitCursors[g])
-		c.commitCursors[g] = next
-		c.droppedCommits += dropped
-		// Replicas have now replayed everything below the cursor, so index
-		// entries below it that have also left the retention ring can go; with
-		// CommitRetention unset this is a no-op and the index stays complete.
-		rec.PruneCommittedBelow(c.commitCursors[g])
-		for _, ev := range events {
-			for i := range ev.Entries {
-				c.forgetRoute(ev.Entries[i].Req)
-			}
-			rep, ok := c.replicas[repKey{node: ev.Node, group: g}]
-			if !ok {
-				continue
-			}
-			pool := c.h.OrderPool(ev.Node, g)
-			if pool == nil {
-				continue
-			}
-			rep.HandleCommit(pool, ev)
-		}
+		rec.PruneCommittedBelow(rec.CommitCursor())
 	}
-	// A commit event can outrun its request payloads (a request commits
-	// through peers' acks before the client's own copy reaches the node);
-	// with no later commit to re-trigger application the stream tail would
-	// wedge in pending, so retry replicas that still hold buffered events.
-	for key, rep := range c.replicas {
-		if rep.PendingCount() == 0 {
-			continue
-		}
-		if pool := c.h.OrderPool(key.node, key.group); pool != nil {
-			rep.Retry(pool)
-		}
-	}
-}
-
-// DroppedCommits reports how many commit events were evicted by
-// CommitRetention before the replica layer replayed them. Non-zero means
-// retention is too small for the gap between drains (RunFor, AwaitCommit,
-// Result, Results all drain) and some Result lookups may miss; raise
-// CommitRetention or drain more often.
-func (c *Cluster) DroppedCommits() uint64 {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
-	return c.droppedCommits
 }
 
 // Result returns a request's execution result at one replica (requires a
@@ -686,9 +515,8 @@ func (c *Cluster) DroppedCommits() uint64 {
 // consulted in turn — a request has exactly one home group, so at most
 // one holds the result.
 func (c *Cluster) Result(node NodeID, id ReqID) ([]byte, bool) {
-	c.drainReplicas()
 	for g := 0; g < c.Groups(); g++ {
-		if rep, ok := c.replicas[repKey{node: node, group: g}]; ok {
+		if rep := c.h.Replica(node, g); rep != nil {
 			if res, ok := rep.Result(id); ok {
 				return res, true
 			}
@@ -704,10 +532,9 @@ func (c *Cluster) Result(node NodeID, id ReqID) ([]byte, bool) {
 // — for tests and operational introspection. ok is false without a
 // StateMachine.
 func (c *Cluster) ReplicaState(node NodeID) (applied uint64, pending, results int, ok bool) {
-	c.drainReplicas()
 	for g := 0; g < c.Groups(); g++ {
-		rep, found := c.replicas[repKey{node: node, group: g}]
-		if !found {
+		rep := c.h.Replica(node, g)
+		if rep == nil {
 			continue
 		}
 		seq, _ := rep.Applied()
@@ -742,11 +569,10 @@ func (c *Cluster) OrderStateGroup(node NodeID, group int) (OrderState, bool) {
 // results are what a real client would require). A request lives in
 // exactly one group, so each node contributes at most one result.
 func (c *Cluster) Results(id ReqID) map[NodeID][]byte {
-	c.drainReplicas()
 	out := make(map[NodeID][]byte)
-	for key, rep := range c.replicas {
-		if res, ok := rep.Result(id); ok {
-			out[key.node] = res
+	for _, node := range c.Processes() {
+		if res, ok := c.Result(node, id); ok {
+			out[node] = res
 		}
 	}
 	return out

@@ -115,6 +115,48 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	}
 }
 
+// TestPublicAPIReplicasExecuteOnCommit: each replica executes on its order
+// process's event loop as the process commits, so with no API call in
+// between — Harness().RunFor only advances virtual time — every node's
+// applied watermark, as its own metric reports it, already equals its
+// delivered watermark.
+func TestPublicAPIReplicasExecuteOnCommit(t *testing.T) {
+	cluster, err := sof.NewCluster(sof.Config{
+		Protocol:      sof.SC,
+		Simulated:     true,
+		BatchInterval: 10 * time.Millisecond,
+		StateMachine:  sof.NewCounter,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Start()
+	defer cluster.Stop()
+	h := cluster.Harness()
+	for i := 0; i < 20; i++ {
+		if _, err := cluster.Submit([]byte(fmt.Sprintf("r%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		h.RunFor(3 * time.Millisecond)
+	}
+	h.RunFor(time.Second)
+	for _, node := range cluster.Processes() {
+		st, ok := cluster.OrderState(node)
+		if !ok || st.DeliveredUpTo == 0 {
+			t.Fatalf("node %v delivered nothing (%+v, ok=%v)", node, st, ok)
+		}
+		applied := -1.0
+		for _, fam := range cluster.Metrics(node) {
+			if fam.Name == "sof_replica_applied_seq" && len(fam.Samples) > 0 {
+				applied = fam.Samples[0].Value
+			}
+		}
+		if applied != float64(st.DeliveredUpTo) {
+			t.Errorf("node %v: sof_replica_applied_seq = %v, delivered watermark %d", node, applied, st.DeliveredUpTo)
+		}
+	}
+}
+
 func TestPublicAPILiveMode(t *testing.T) {
 	cluster, err := sof.NewCluster(sof.Config{
 		Protocol:      sof.SC,
@@ -228,8 +270,8 @@ func TestPublicAPITCPTransport(t *testing.T) {
 
 // TestPublicAPIRetentionBoundsCommittedIndex is the public-API regression
 // test for the committed-index watermark: with bounded CommitRetention —
-// and no StateMachine, so the replica drain is trivial — the index must
-// hold steady-state size instead of growing with every distinct request.
+// — RunFor and AwaitCommit prune below the ring — the index must hold
+// steady-state size instead of growing with every distinct request.
 func TestPublicAPIRetentionBoundsCommittedIndex(t *testing.T) {
 	cluster, err := sof.NewCluster(sof.Config{
 		Protocol:        sof.SC,
