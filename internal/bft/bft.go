@@ -141,13 +141,9 @@ func (p *Process) batchTick(env runtime.Env) {
 	if len(reqs) == 0 {
 		return
 	}
-	pp := &message.PrePrepare{View: p.view, FirstSeq: p.nextSeq, Primary: p.id}
-	for _, r := range reqs {
-		pp.Entries = append(pp.Entries, message.OrderEntry{
-			Req:       r.ID(),
-			ReqDigest: env.Digest(r.SignedBody()),
-		})
-	}
+	pp := &message.PrePrepare{View: p.view, FirstSeq: p.nextSeq, Primary: p.id,
+		Entries: make([]message.OrderEntry, len(reqs))}
+	core.OrderEntries(env, pp.Entries, reqs)
 	if err := message.Sign(env, pp, &pp.Sig); err != nil {
 		env.Logf("bft: signing pre-prepare: %v", err)
 		return

@@ -117,7 +117,13 @@ type Client struct {
 	sum  Summary
 	done chan struct{}
 
-	// Tracking state, nil when cfg.Need is 0.
+	// slab is what the Requests the client signs are carved from. They
+	// share a fate: each is multicast and dropped, or pooled by every
+	// order process where the substrate hands over the struct itself.
+	slab message.Slab[message.Request]
+
+	// Tracking state, nil when cfg.Need is 0. A request leaves reqs when
+	// it is accepted.
 	reqs map[uint64]*request
 	rng  *rand.Rand
 }
@@ -195,7 +201,8 @@ func (c *Client) Submit(env runtime.Env, seq uint64, payload []byte) {
 }
 
 func (c *Client) submit(env runtime.Env, seq uint64, payload []byte, attempt int) {
-	req := &message.Request{Client: c.cfg.ID, ClientSeq: seq, Payload: payload}
+	req := c.slab.New()
+	*req = message.Request{Client: c.cfg.ID, ClientSeq: seq, Payload: payload}
 	if err := message.Sign(env, req, &req.Sig); err != nil {
 		env.Logf("client: signing request: %v", err)
 		return
@@ -250,6 +257,9 @@ func (c *Client) onReply(env runtime.Env, m *message.Reply) {
 	}
 	if len(r.signers) == c.cfg.Need && r.outcome == pending {
 		c.sum.Quorum = append(c.sum.Quorum, env.Now().Sub(r.at))
+		// Accepted is final: a later reply or rejection finds no entry and
+		// is ignored, as a replayed signer's is.
+		delete(c.reqs, m.ClientSeq)
 		c.settle(r, accepted)
 	}
 }

@@ -16,8 +16,10 @@
 // atomic ClientSeq counter, which the host seeds: request IDs are drawn
 // off-loop (NextID), submissions run on the group's event loop (Submit).
 // With Config.Need zero the client is fire-and-forget — it tracks nothing
-// and its Submit allocates the request, its signature and nothing else.
-// With Need = f+1 every submission ends in exactly one outcome: accepted,
-// shed (refused at admission with the retry budget spent), superseded by
-// its own retry, or still pending when the host stops waiting.
+// and its Submit allocates the request's signed buffer and a share of the
+// slab the request struct is carved from, nothing else. With Need = f+1
+// every submission ends in exactly one outcome: accepted, shed (refused at
+// admission with the retry budget spent), superseded by its own retry, or
+// still pending when the host stops waiting. An accepted request is
+// forgotten at once, so a long run that is accepted holds no history.
 package client

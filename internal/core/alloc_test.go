@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/fsp"
@@ -28,7 +30,7 @@ func TestCounterpartAckCheckAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := &fakeEnv{Identity: fx.idents[fx.s1]}
-	tr := NewBatchTracker(fx.batch, fx.batch.BodyDigest(env))
+	tr := NewBatchTracker(new(message.Slab[Tracker]), fx.batch, fx.batch.BodyDigest(env))
 	ack := &message.Ack{From: fx.p1, Kind: message.SubjectBatch, View: tr.View, FirstSeq: tr.FirstSeq, SubjectDigest: tr.Digest}
 	if !tr.Matches(ack) || shadow.pair == nil || ack.From != shadow.pair.Counterpart() {
 		t.Fatal("fixture does not exercise the counterpart's matching ack")
@@ -38,12 +40,13 @@ func TestCounterpartAckCheckAllocFree(t *testing.T) {
 	}
 }
 
-// TestTrackerAllocationFloors pins what tracking one subject costs: one
-// block — the tracker, its credits and the digest it keeps, which it copies
-// out of the caller's (scratch) bytes — however many acks are credited in a
-// deployment that fits the inline credits, one more once a larger one
-// spills; and that the map-free tracker still treats duplicates and the
-// pair's own acks as no-ops and counts through mayCount as before.
+// TestTrackerAllocationFloors pins what tracking one subject costs: a share
+// of one slab — the tracker, its credits and the digest it keeps, which it
+// copies out of the caller's (scratch) bytes, are one slab element —
+// however many acks are credited in a deployment that fits the inline
+// credits, one object more once a larger one spills; and that the map-free
+// tracker still treats duplicates and the pair's own acks as no-ops and
+// counts through mayCount as before.
 func TestTrackerAllocationFloors(t *testing.T) {
 	fx := newEvidenceFixture(t)
 	digest := fx.batch.BodyDigest(fx.env)
@@ -53,18 +56,21 @@ func TestTrackerAllocationFloors(t *testing.T) {
 	if n > inlineCreditCap {
 		t.Fatalf("the fixture's %d processes do not fit the %d inline credits", n, inlineCreditCap)
 	}
+	slab := new(message.Slab[Tracker])
 	var tr *Tracker
-	if got := testing.AllocsPerRun(200, func() {
-		tr = NewBatchTracker(fx.batch, digest)
-		for _, id := range all {
-			tr.Credit(id, sig)
-			tr.Credit(id, sig)
+	if got := testing.AllocsPerRun(50, func() {
+		for range trackersPerSlab {
+			tr = NewBatchTracker(slab, fx.batch, digest)
+			for _, id := range all {
+				tr.Credit(id, sig)
+				tr.Credit(id, sig)
+			}
 		}
 	}); got > 1 {
-		t.Errorf("a new tracker and %d credits = %v allocs, want <= 1", n, got)
+		t.Errorf("%d new trackers and %d credits each = %v allocs, want <= 1 (a slab)", trackersPerSlab, n, got)
 	}
 	scratch := bytes.Clone(digest)
-	kept := NewBatchTracker(fx.batch, scratch)
+	kept := NewBatchTracker(slab, fx.batch, scratch)
 	clear(scratch)
 	if !bytes.Equal(kept.Digest, digest) {
 		t.Error("the tracker's digest aliases the caller's bytes")
@@ -74,12 +80,12 @@ func TestTrackerAllocationFloors(t *testing.T) {
 	const ackers = 5
 	var big *Tracker
 	if got := testing.AllocsPerRun(200, func() {
-		big = NewBatchTracker(fx.batch, digest)
+		big = NewBatchTracker(slab, fx.batch, digest)
 		for id := types.NodeID(100); id < 100+ackers; id++ {
 			big.Credit(id, sig)
 		}
-	}); got > 2 {
-		t.Errorf("a tracker spilling its inline credits = %v allocs, want <= 2", got)
+	}); got > 1 {
+		t.Errorf("a tracker spilling its inline credits = %v allocs, want <= 1 (the spill and a slab share)", got)
 	}
 	if got := big.Count(nil); got != 2+ackers {
 		t.Errorf("a spilled tracker counts %d supporters, want %d", got, 2+ackers)
@@ -100,7 +106,7 @@ func TestTrackerAllocationFloors(t *testing.T) {
 	}
 	unpaired := *fx.batch
 	unpaired.Shadow = types.Nil
-	if got := NewBatchTracker(&unpaired, digest).Count(nil); got != 1 {
+	if got := NewBatchTracker(slab, &unpaired, digest).Count(nil); got != 1 {
 		t.Errorf("a fresh unpaired batch counts %d contributors, want 1", got)
 	}
 }
@@ -206,9 +212,10 @@ func TestPairMetMarginAllocFree(t *testing.T) {
 
 // TestPoolOpsAllocFree pins the request pool's heap cost on the request
 // path, in both dequeue disciplines: admitting a request, marking it
-// ordered out of band, reviving it and looking it up cost nothing beyond
-// the amortised growth of the slab and its index, and a batch costs its
-// result slice alone (grown entry by entry it cost four for these eight).
+// ordered out of band, reviving it, looking it up and popping a batch cost
+// nothing beyond the amortised growth of the slab and its index — the
+// batch is a slice the pool reuses (a fresh one per batch cost one object,
+// and grown entry by entry four for these eight).
 func TestPoolOpsAllocFree(t *testing.T) {
 	const (
 		runs     = 200
@@ -240,8 +247,151 @@ func TestPoolOpsAllocFree(t *testing.T) {
 			}
 			next += perBatch
 		})
-		if got > 1 {
-			t.Errorf("fair=%v: %d adds, a mark/unmark and one batch = %v allocs, want <= 1 (the batch)", fair, perBatch, got)
+		if got != 0 {
+			t.Errorf("fair=%v: %d adds, a mark/unmark and one batch = %v allocs, want 0", fair, perBatch, got)
 		}
 	}
+}
+
+// raceEnabled is set by race_test.go: under the race detector sync.Pool
+// drops a share of what is put back, so pooled paths allocate at random.
+var raceEnabled bool
+
+// trackersPerSlab is the length of a message.Slab of Trackers: as many as
+// fit its 8 KB.
+const trackersPerSlab = 8 << 10 / int(unsafe.Sizeof(Tracker{}))
+
+// scratchEnv is fakeEnv with the digest and signature scratch a runtime
+// Env owns, so what a measurement counts is the protocol's own objects.
+type scratchEnv struct {
+	fakeEnv
+	digest, sig []byte
+}
+
+func (e *scratchEnv) ScratchDigest(b []byte) []byte {
+	e.digest = e.AppendDigest(e.digest[:0], b)
+	return e.digest
+}
+
+func (e *scratchEnv) ScratchSign(d []byte) (crypto.Signature, error) {
+	var err error
+	e.sig, err = e.AppendSign(e.sig[:0], d)
+	return e.sig, err
+}
+
+// TestCloseBatchAllocationFloors pins what proposing a batch costs the
+// heap: its block (the struct with its entries inline), the block its
+// entries' digests share and its signed buffer — three objects, with
+// NextBatch's slice the pool's own. And what acking one costs: the ack's
+// signed buffer and a share of the process's ack slab.
+func TestCloseBatchAllocationFloors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors do not hold under the race detector")
+	}
+	const (
+		runs     = 100
+		perBatch = 5
+	)
+	fx := newEvidenceFixture(t)
+	// The unpaired candidate C(f+1) proposes by multicast: no proposal to
+	// keep for a shadow and no pair expectation to arm.
+	p, err := New(fx.p2, Config{Topo: fx.topo, BatchInterval: time.Second, MaxBatchBytes: 1024, Delta: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &scratchEnv{fakeEnv: fakeEnv{Identity: fx.idents[fx.p2]}}
+	p.Init(env)
+	p.rank = 2
+	for i := range (runs + 1) * perBatch {
+		r := &message.Request{Client: types.ClientID(i % 2), ClientSeq: uint64(i), Payload: make([]byte, 128)}
+		r.SignedBody()
+		p.pool.Add(r)
+	}
+	got := testing.AllocsPerRun(runs, func() {
+		first := p.nextSeq
+		if !p.closeBatch(env, true) || p.nextSeq != first+perBatch {
+			t.Fatalf("closeBatch proposed seqs %d..%d, want a batch of %d", first, p.nextSeq-1, perBatch)
+		}
+		delete(p.inflight, first) // committed, as releaseInflight would
+	})
+	if got > 3 {
+		t.Errorf("closeBatch = %v allocs, want <= 3 (block, digests, signed buffer)", got)
+	}
+
+	acker := fx.process
+	aenv := &scratchEnv{fakeEnv: *fx.env}
+	acker.Init(aenv)
+	trackers := make([]*Tracker, runs+1)
+	for i := range trackers {
+		trackers[i] = NewBatchTracker(new(message.Slab[Tracker]), fx.batch, fx.batch.BodyDigest(aenv))
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() { acker.sendAck(aenv, trackers[next]); next++ }); got > 1 {
+		t.Errorf("sendAck = %v allocs, want <= 1 (the signed buffer and a slab share)", got)
+	}
+}
+
+// captureEnv hands every message multicast through it to out.
+type captureEnv struct {
+	scratchEnv
+	out chan<- message.Message
+}
+
+func (e *captureEnv) Multicast(_ []types.NodeID, m message.Message) { e.out <- m }
+
+// TestProcessSlabsSurviveTurnover pins the slab rule on a process's own
+// slabs: trackers and acks held while the process carves three more slabs
+// of each are re-read by another goroutine all the while, and never change
+// — a slab that rewrote a handed-out element races here (run under -race).
+func TestProcessSlabsSurviveTurnover(t *testing.T) {
+	fx := newEvidenceFixture(t)
+	p := fx.process
+	held := make(chan message.Message, 1<<12)
+	env := &captureEnv{scratchEnv: scratchEnv{fakeEnv: *fx.env}, out: held}
+	p.Init(env)
+	acksPerSlab := 8 << 10 / int(unsafe.Sizeof(message.Ack{}))
+	n := 3*acksPerSlab + acksPerSlab/2 // trackers are the larger struct: more turnovers still
+	batches := make([]*message.OrderBatch, n)
+	for i := range batches {
+		b := *fx.batch
+		b.FirstSeq = types.Seq(i + 1)
+		batches[i] = &b
+	}
+	trackers := make(chan *Tracker, n)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var ts []*Tracker
+		var acks []*message.Ack
+		intact := func() bool {
+			for i, tr := range ts {
+				if tr.FirstSeq != types.Seq(i+1) || tr.Batch != batches[i] || tr.Count(nil) != 3 || !tr.AckSent {
+					return false
+				}
+			}
+			for i, a := range acks {
+				if a.FirstSeq != types.Seq(i+1) || a.From != fx.p3 || !bytes.Equal(a.SubjectDigest, ts[i].Digest) {
+					return false
+				}
+			}
+			return true
+		}
+		for tr := range trackers {
+			ts = append(ts, tr)
+			acks = append(acks, (<-held).(*message.Ack))
+			if !intact() {
+				t.Errorf("a tracker or ack changed after %d more were carved", len(ts))
+				return
+			}
+		}
+	}()
+	for _, b := range batches {
+		tr := NewBatchTracker(&p.trackerSlab, b, env.ScratchDigest(b.SignedBody()))
+		tr.Credit(fx.p3, crypto.Signature("an ack signature"))
+		p.sendAck(env, tr)
+		trackers <- tr
+	}
+	close(trackers)
+	wg.Wait()
 }

@@ -565,7 +565,7 @@ func (p *Process) installCommittedStart(env runtime.Env, st *message.Start) {
 	digest := env.ScratchDigest(st.SignedBody())
 	t, ok := p.trackers[st.StartSeq]
 	if !ok || !bytes.Equal(t.Digest, digest) {
-		t = NewStartTracker(st, digest)
+		t = NewStartTracker(&p.trackerSlab, st, digest)
 		p.trackers[st.StartSeq] = t
 	}
 	if !t.Committed {

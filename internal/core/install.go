@@ -607,7 +607,7 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 
 	// The Start itself is an order message with sequence number start_o;
 	// commit it through the normal part.
-	t := NewStartTracker(st, p.startDigest)
+	t := NewStartTracker(&p.trackerSlab, st, p.startDigest)
 	p.trackers[st.StartSeq] = t
 	p.nextExpected = st.StartSeq + 1
 	p.sendAck(env, t)
@@ -679,7 +679,7 @@ func (p *Process) installCommittedBatch(env runtime.Env, b *message.OrderBatch) 
 	digest := env.ScratchDigest(b.SignedBody())
 	t, ok := p.trackers[b.FirstSeq]
 	if !ok || !bytes.Equal(t.Digest, digest) {
-		t = NewBatchTracker(b, digest)
+		t = NewBatchTracker(&p.trackerSlab, b, digest)
 		p.trackers[b.FirstSeq] = t
 	}
 	for _, e := range b.Entries {

@@ -38,6 +38,7 @@ type RequestPool struct {
 	head      int
 	pending   int // queued entries still awaiting ordering (O(1) PendingCount)
 	waiters   map[message.ReqID][]func(*message.Request)
+	batch     []*message.Request // NextBatch's result, reused by the next call
 
 	// pendingBytes is the estimated batch-wire cost of the pending
 	// entries (payload plus per-entry overhead), maintained across
@@ -447,15 +448,17 @@ const EntryOverhead = 24
 // is available, so an oversized single request still gets ordered. The
 // default discipline pops in strict arrival order; in fair mode (SetFair)
 // backlogged clients are served deficit-round-robin instead.
+//
+// The result is a slice the pool owns and reuses: it is valid until the
+// next NextBatch, and callers consume it before they return.
 func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
-	// One allocation for the result: no batch holds more entries than are
-	// pending, or than fit maxBytes at zero payload (plus the one that may
-	// overshoot).
+	clear(p.batch) // the last batch's requests are not pinned by the slice
 	entryMin := EntryOverhead + digestSize
-	out := make([]*message.Request, 0, min(p.pending, maxBytes/entryMin+1))
 	if p.fair {
-		return p.nextBatchFair(out, maxBytes, entryMin)
+		p.batch = p.nextBatchFair(p.batch[:0], maxBytes, entryMin)
+		return p.batch
 	}
+	out := p.batch[:0]
 	total := 0
 	for p.head < len(p.unordered) {
 		i := p.unordered[p.head]
@@ -477,6 +480,7 @@ func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
 		}
 	}
 	p.compact()
+	p.batch = out
 	return out
 }
 

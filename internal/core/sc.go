@@ -202,6 +202,11 @@ type Process struct {
 	// lastCommitted is the batch tracker that reached quorum last; its
 	// proof of commitment is what BackLogs and CatchUp answers carry.
 	lastCommitted *Tracker
+	// The slabs this process's trackers and the acks it builds are carved
+	// from (message.Slab): trackers are kept and pruned in sequence order,
+	// an ack is dropped once multicast and self-credited.
+	trackerSlab message.Slab[Tracker]
+	ackSlab     message.Slab[message.Ack]
 
 	// Coordinator-primary state.
 	nextSeq    types.Seq
@@ -606,33 +611,26 @@ func (p *Process) onPoolTarget(env runtime.Env) {
 // closeBatch forms one batch from the pool and proposes it (to the shadow
 // when paired, to everyone otherwise). sizeTriggered records which
 // trigger closed it. Returns whether a batch went out. Callers gate on
-// mayPropose (or batchTick's equivalent checks).
+// mayPropose (or batchTick's equivalent checks). A batch costs three heap
+// objects: its block (NewOrderBatch), its digests' block and its signed
+// buffer — NextBatch's slice is the pool's, consumed here.
 func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 	reqs := p.pool.NextBatch(p.cfg.MaxBatchBytes, p.digestSize)
 	if len(reqs) == 0 {
 		return false
 	}
-	batch := &message.OrderBatch{
-		Coord:    p.rank,
-		View:     p.view,
-		FirstSeq: p.nextSeq,
-	}
+	batch := message.NewOrderBatch(len(reqs))
+	batch.Coord, batch.View, batch.FirstSeq = p.rank, p.view, p.nextSeq
 	primary, shadow, paired := p.candidate(p.rank)
 	batch.Primary = primary
 	batch.Shadow = types.Nil
 	if paired {
 		batch.Shadow = shadow
 	}
-	wireBytes := 0
-	// The entries' digests are kept as long as the batch is, so the batch
-	// owns them — in one block, each summed in scratch and copied across.
-	batch.Entries = make([]message.OrderEntry, len(reqs))
-	digests := make([]byte, 0, len(reqs)*p.digestSize)
-	for i, r := range reqs {
-		at := len(digests)
-		digests = append(digests, env.ScratchDigest(r.SignedBody())...)
-		batch.Entries[i] = message.OrderEntry{Req: r.ID(), ReqDigest: digests[at:len(digests):len(digests)]}
-		wireBytes += len(r.Payload) + EntryOverhead + p.digestSize
+	OrderEntries(env, batch.Entries, reqs)
+	wireBytes := len(reqs) * (EntryOverhead + p.digestSize)
+	for _, r := range reqs {
+		wireBytes += len(r.Payload)
 	}
 	if err := message.Sign(env, batch, &batch.Sig1); err != nil {
 		env.Logf("core: signing batch: %v", err)
@@ -678,6 +676,23 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 		p.multicastAll(env, batch)
 	}
 	return true
+}
+
+// OrderEntries fills entries — one per request, in order — with each
+// request's ID and digest D(m): how every proposer (SC, CT, BFT) builds a
+// batch. The digests are kept as long as the batch is, so the batch owns
+// them, in one block: each is summed in scratch and copied across.
+func OrderEntries(env runtime.Env, entries []message.OrderEntry, reqs []*message.Request) {
+	var digests []byte
+	for i, r := range reqs {
+		d := env.ScratchDigest(r.SignedBody())
+		if digests == nil {
+			digests = make([]byte, 0, len(reqs)*len(d))
+		}
+		at := len(digests)
+		digests = append(digests, d...)
+		entries[i] = message.OrderEntry{Req: r.ID(), ReqDigest: digests[at:len(digests):len(digests)]}
+	}
 }
 
 // releaseInflight drops proposal-window entries the delivery watermark
@@ -798,7 +813,7 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 		return false
 	}
 	// Summed in scratch, kept by the tracker in its own block.
-	t := NewBatchTracker(b, env.ScratchDigest(b.SignedBody()))
+	t := NewBatchTracker(&p.trackerSlab, b, env.ScratchDigest(b.SignedBody()))
 	p.trackers[b.FirstSeq] = t
 	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {
@@ -863,7 +878,8 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 			subject = t.StartMsg.Marshal()
 		}
 	}
-	ack := &message.Ack{
+	ack := p.ackSlab.New()
+	*ack = message.Ack{
 		From: p.id, Kind: t.Kind, View: t.View, FirstSeq: t.FirstSeq,
 		SubjectDigest: t.Digest, Subject: subject,
 	}

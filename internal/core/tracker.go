@@ -40,7 +40,7 @@ type Tracker struct {
 	AckSent   bool
 	Committed bool
 
-	// The tracker is one heap block: credits starts in inlineCredits and
+	// The tracker is one slab element: credits starts in inlineCredits and
 	// Digest lives in digestBytes; either spills to a slice of its own only
 	// for a deployment, or a digest, larger than the arrays.
 	inlineCredits [inlineCreditCap]credit
@@ -59,27 +59,22 @@ type credit struct {
 
 // NewBatchTracker starts tracking an order batch, crediting the
 // coordinator pair (their transmission of the order is their
-// contribution). digest is copied: the caller's may be scratch.
-func NewBatchTracker(b *message.OrderBatch, digest []byte) *Tracker {
-	t := &Tracker{
-		Kind:     message.SubjectBatch,
-		View:     b.View,
-		FirstSeq: b.FirstSeq,
-		Batch:    b,
-	}
+// contribution). The tracker is carved from slab, its process's: a
+// process keeps its trackers and prunes them in sequence order, so the
+// trackers of one slab share a fate. digest is copied: the caller's may be
+// scratch.
+func NewBatchTracker(slab *message.Slab[Tracker], b *message.OrderBatch, digest []byte) *Tracker {
+	t := slab.New()
+	*t = Tracker{Kind: message.SubjectBatch, View: b.View, FirstSeq: b.FirstSeq, Batch: b}
 	t.init(digest, b.Primary, b.Shadow)
 	return t
 }
 
 // NewStartTracker starts tracking a Start message committed through the
-// normal part (IN5).
-func NewStartTracker(s *message.Start, digest []byte) *Tracker {
-	t := &Tracker{
-		Kind:     message.SubjectStart,
-		View:     s.View,
-		FirstSeq: s.StartSeq,
-		StartMsg: s,
-	}
+// normal part (IN5), carved from slab as NewBatchTracker is.
+func NewStartTracker(slab *message.Slab[Tracker], s *message.Start, digest []byte) *Tracker {
+	t := slab.New()
+	*t = Tracker{Kind: message.SubjectStart, View: s.View, FirstSeq: s.StartSeq, StartMsg: s}
 	t.init(digest, s.Primary, s.Shadow)
 	return t
 }

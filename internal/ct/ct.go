@@ -43,6 +43,7 @@ type Process struct {
 	pendingAcks  map[types.Seq][]*message.Ack
 	delivered    types.Seq
 	committed    map[types.Seq]*core.Tracker
+	trackerSlab  message.Slab[core.Tracker]
 }
 
 var _ runtime.Process = (*Process)(nil)
@@ -102,19 +103,10 @@ func (p *Process) batchTick(env runtime.Env) {
 	if len(reqs) == 0 {
 		return
 	}
-	batch := &message.OrderBatch{
-		Coord:    1,
-		View:     1,
-		FirstSeq: p.nextSeq,
-		Primary:  p.id,
-		Shadow:   types.Nil,
-	}
-	for _, r := range reqs {
-		batch.Entries = append(batch.Entries, message.OrderEntry{
-			Req:       r.ID(),
-			ReqDigest: env.Digest(r.SignedBody()),
-		})
-	}
+	batch := message.NewOrderBatch(len(reqs))
+	batch.Coord, batch.View, batch.FirstSeq = 1, 1, p.nextSeq
+	batch.Primary, batch.Shadow = p.id, types.Nil
+	core.OrderEntries(env, batch.Entries, reqs)
 	if err := message.Sign(env, batch, &batch.Sig1); err != nil {
 		env.Logf("ct: signing batch: %v", err)
 		return
@@ -172,7 +164,7 @@ func (p *Process) track(env runtime.Env, b *message.OrderBatch) {
 		env.Logf("ct: rejecting batch %d: %v", b.FirstSeq, err)
 		return
 	}
-	t := core.NewBatchTracker(b, env.ScratchDigest(b.SignedBody()))
+	t := core.NewBatchTracker(&p.trackerSlab, b, env.ScratchDigest(b.SignedBody()))
 	p.trackers[b.FirstSeq] = t
 	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {

@@ -191,11 +191,20 @@ func (c *coder) count(n, max, minSize int) int {
 }
 
 // list lays out a count followed by that many elements of at least minSize
-// encoded bytes each.
+// encoded bytes each. Decoding fills the room *p already has when it is
+// enough (an OrderBatch's inline entries), capped at the count so an
+// append never writes into the room in place, and a new array otherwise.
 func list[T any](c *coder, p *[]T, max, minSize int, elem func(*coder, *T)) {
 	n := c.count(len(*p), max, minSize)
-	if c.decoding() && n > 0 {
-		*p = make([]T, n)
+	if c.decoding() {
+		switch {
+		case n == 0:
+			*p = nil
+		case n <= cap(*p):
+			*p = (*p)[:n:n]
+		default:
+			*p = make([]T, n)
+		}
 	}
 	for i := range *p {
 		elem(c, &(*p)[i])

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -47,15 +48,15 @@ func TestDecoderMatchesDecode(t *testing.T) {
 	d := new(Decoder)
 	for typ := TRequest; typ <= TRejected; typ++ {
 		m := samples()[typ]
-		unhanded := len(d.requests)
+		unhanded := len(d.requests.free)
 		got, err := checkSameDecode(t, d, m.Marshal())
 		if err != nil {
 			t.Fatalf("%v: %v", typ, err)
 		}
 		if cu, ok := got.(*CatchUp); ok {
-			if len(cu.Requests) != 1 || len(d.requests) != unhanded-1 {
+			if len(cu.Requests) != 1 || len(d.requests.free) != unhanded-1 {
 				t.Errorf("CatchUp's nested Request was not carved from the slab: %d unhanded before, %d after",
-					unhanded, len(d.requests))
+					unhanded, len(d.requests.free))
 			}
 		}
 		if mir, ok := got.(*Mirror); ok {
@@ -99,26 +100,26 @@ func TestDecoderFailedDecodeCarvesNothing(t *testing.T) {
 			if _, err := checkSameDecode(t, d, c.bad); err == nil {
 				t.Fatal("the malformed frame decoded")
 			}
-			if len(d.requests) != len(before.requests) || len(d.acks) != len(before.acks) {
+			if len(d.requests.free) != len(before.requests.free) || len(d.acks.free) != len(before.acks.free) {
 				t.Fatalf("a failed decode consumed slab elements: requests %d -> %d, acks %d -> %d",
-					len(before.requests), len(d.requests), len(before.acks), len(d.acks))
+					len(before.requests.free), len(d.requests.free), len(before.acks.free), len(d.acks.free))
 			}
-			if len(d.requests) > 0 && &d.requests[0] != &before.requests[0] {
+			if len(d.requests.free) > 0 && &d.requests.free[0] != &before.requests.free[0] {
 				t.Fatal("a failed decode moved the Decoder to another slab")
 			}
-			for i := range d.requests {
-				if !reflect.DeepEqual(d.requests[i], Request{}) {
-					t.Fatalf("unhanded request element %d is not blank after a failed decode: %+v", i, d.requests[i])
+			for i := range d.requests.free {
+				if !reflect.DeepEqual(d.requests.free[i], Request{}) {
+					t.Fatalf("unhanded request element %d is not blank after a failed decode: %+v", i, d.requests.free[i])
 				}
 			}
-			for i := range d.acks {
-				if !reflect.DeepEqual(d.acks[i], Ack{}) {
-					t.Fatalf("unhanded ack element %d is not blank after a failed decode: %+v", i, d.acks[i])
+			for i := range d.acks.free {
+				if !reflect.DeepEqual(d.acks.free[i], Ack{}) {
+					t.Fatalf("unhanded ack element %d is not blank after a failed decode: %+v", i, d.acks.free[i])
 				}
 			}
 			var next *Request
-			if len(d.requests) > 0 {
-				next = &d.requests[0]
+			if len(d.requests.free) > 0 {
+				next = &d.requests.free[0]
 			}
 			m, err := checkSameDecode(t, d, reqWire)
 			if err != nil {
@@ -218,6 +219,61 @@ func TestDecoderAllocFree(t *testing.T) {
 		t.Errorf("an OrderBatch decoded through a Decoder cost %v allocs; it must stay an object of its own", got)
 	}
 }
+
+// TestOrderBatchIsOneBlock pins what a batch costs the heap, decoded by
+// Decode or by a Decoder and built by NewOrderBatch: one object — the
+// struct with its entries inline — up to inlineEntries, and two beyond,
+// where the entries spill to an array of their own. Both decoded forms
+// stay deep-equal to each other and to the batch that was sent, and the
+// block stays inside the allocator's 480-byte size class.
+func TestOrderBatchIsOneBlock(t *testing.T) {
+	if size := unsafe.Sizeof(orderBatchBlock{}); size > 480 {
+		t.Errorf("an OrderBatch block is %d bytes, past the 480-byte size class", size)
+	}
+	d := new(Decoder)
+	for _, n := range []int{1, inlineEntries - 1, inlineEntries, inlineEntries + 1, 3 * inlineEntries} {
+		want := 1.0
+		if n > inlineEntries {
+			want = 2
+		}
+		sent := NewOrderBatch(n)
+		*sent = OrderBatch{Coord: 1, View: 2, FirstSeq: 3, Entries: sent.Entries, Primary: 0, Shadow: 5,
+			Sig1: fixedSig(0xA1), Sig2: fixedSig(0xA2)}
+		for i := range sent.Entries {
+			sent.Entries[i] = OrderEntry{Req: ReqID{Client: types.ClientID(i % 3), ClientSeq: uint64(i)}, ReqDigest: fixedSig(byte(i))}
+		}
+		wire := sent.Marshal()
+		got, err := checkSameDecode(t, d, wire)
+		if err != nil {
+			t.Fatalf("%d entries: %v", n, err)
+		}
+		b := got.(*OrderBatch)
+		if !reflect.DeepEqual(b.Entries, sent.Entries) || b.Primary != sent.Primary || b.Shadow != sent.Shadow {
+			t.Errorf("%d entries: decoded %+v, sent %+v", n, b, sent)
+		}
+		inline := &(*orderBatchBlock)(unsafe.Pointer(b)).inline[0]
+		if inBlock := &b.Entries[0] == inline; inBlock != (n <= inlineEntries) {
+			t.Errorf("%d entries: decoded into the block = %v, want %v", n, inBlock, n <= inlineEntries)
+		}
+		if cap(b.Entries) != n {
+			t.Errorf("%d entries: capacity %d, want the length: an append must not write into the block", n, cap(b.Entries))
+		}
+		if raceEnabled {
+			continue
+		}
+		for name, fn := range map[string]func(){
+			"Decode":         func() { _, err = Decode(wire) },
+			"Decoder.Decode": func() { _, err = d.Decode(wire) },
+			"NewOrderBatch":  func() { sinkBatch = NewOrderBatch(n) },
+		} {
+			if allocs := testing.AllocsPerRun(50, fn); allocs != want || err != nil {
+				t.Errorf("%s of %d entries = %v allocs (err %v), want %v", name, n, allocs, err, want)
+			}
+		}
+	}
+}
+
+var sinkBatch *OrderBatch
 
 // TestDroppedDuplicateOrderBatchIsCollected is why OrderBatch stays out of
 // the slabs: the primary's forwarded duplicate of every endorsed batch is

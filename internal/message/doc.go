@@ -39,6 +39,7 @@
 // body and its signature field — the shape a decoded message has.
 // SignSingle and SignSecond compute the same signatures for a caller that
 // assigns the field by hand. Received, it is decoded by the engine's
-// Decoder, which carves Requests and Acks out of typed slabs; Decode is the
-// same walk with every struct on the heap.
+// Decoder, which carves Requests and Acks out of typed Slabs; Decode is the
+// same walk with every struct on the heap. An OrderBatch is one object
+// either way, its entries inline (NewOrderBatch builds the same block).
 package message

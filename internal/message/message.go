@@ -49,7 +49,7 @@ var kinds = [...]struct {
 	new  func() codable
 }{
 	TRequest:       {"Request", func() codable { return new(Request) }},
-	TOrderBatch:    {"OrderBatch", func() codable { return new(OrderBatch) }},
+	TOrderBatch:    {"OrderBatch", func() codable { return NewOrderBatch(0) }},
 	TAck:           {"Ack", func() codable { return new(Ack) }},
 	TFailSignal:    {"FailSignal", func() codable { return new(FailSignal) }},
 	TBackLog:       {"BackLog", func() codable { return new(BackLog) }},
@@ -236,11 +236,11 @@ var ErrUnknownType = errors.New("message: unknown message type")
 // Decoder without slabs: every message is a heap object of its own.
 func Decode(b []byte) (Message, error) { return decode(nil, b) }
 
-// slabBytes is what a Decoder allocates at a time: as many structs of one
-// kind as fit 8 KB (73 Requests, 56 Acks). 8 KB is a size class of the
+// slabBytes is what a Slab allocates at a time: as many structs of one kind
+// as fit 8 KB (73 Requests, 56 Acks). 8 KB is a size class of the
 // allocator, so a slab of pooled Requests retains what they occupy and not
-// a rounded-up tail (64 of them would sit in the same 8 KB), and a decoded
-// message costs about 1/64 of an allocation.
+// a rounded-up tail (64 of them would sit in the same 8 KB), and a struct
+// costs about 1/64 of an allocation.
 const slabBytes = 8 << 10
 
 // slabLen is the length of a slab of Ts.
@@ -249,21 +249,45 @@ func slabLen[T any]() int {
 	return slabBytes / int(unsafe.Sizeof(zero))
 }
 
+// Slab hands out Ts carved from 8 KB arrays instead of allocating one each.
+// The rule that makes handing out an element safe is the receive chunk's,
+// on structs: an element is never rewritten once handed out; a slab holds
+// one kind whose elements its owner keeps and drops together — so they
+// share a fate, and one long-lived neighbour does not pin a slab of
+// short-lived ones; and the collector frees a slab when the last element
+// carved from it dies. A Slab belongs to one goroutine, or to whatever
+// serialises its owner (an event loop). The zero value is ready; slabs are
+// built on first use.
+type Slab[T any] struct {
+	free []T // the current slab's elements not handed out yet
+}
+
+// New returns a zero T carved from s, starting a new slab when the current
+// one is spent.
+func (s *Slab[T]) New() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, slabLen[T]())
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
+}
+
 // Decoder is Decode for one goroutine's stream of messages — the engine's
 // event loop, which is what serialises its use. It carves the structs of
-// the two kinds a commit decodes most, Request and Ack, out of typed slabs
-// instead of allocating one each. The rule that makes handing out a slab
-// element safe is the receive chunk's, on structs: an element is never
-// rewritten once handed out; a slab holds one kind, so its elements share a
-// fate (a Request is pooled, an Ack is dropped once credited) and one
-// long-lived neighbour does not pin a slab of short-lived ones; and the
-// collector frees a slab when the last message carved from it dies. Every
-// other kind — OrderBatch above all, whose dropped duplicates must stay
-// collectable one by one — is its own heap object, as with Decode. The zero
-// value is ready; slabs are built on first use. A nil *Decoder is Decode.
+// the two kinds a commit decodes most, Request and Ack, out of Slabs
+// instead of allocating one each: a Request is pooled and an Ack is dropped
+// once credited, so the elements of each slab share a fate. An OrderBatch
+// is one heap object of its own — its struct and, up to inlineEntries, its
+// entries in one block — and is not carved from a slab: the primary's
+// forwarded duplicate of every endorsed batch is dropped on arrival while
+// its neighbours are kept, so batches do not share a fate and a dropped one
+// must stay collectable on its own. Every other kind is its own heap
+// object, as with Decode. The zero value is ready. A nil *Decoder is
+// Decode.
 type Decoder struct {
-	requests []Request // the current slab's elements not handed out yet
-	acks     []Ack
+	requests Slab[Request]
+	acks     Slab[Ack]
 }
 
 // Decode parses a wire message, nested messages included, through d's
@@ -280,8 +304,8 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		// Whatever the failed decode carved lies in what was unhanded when
 		// it began; if it exhausted that and moved on, the slabs it built
 		// are garbage with it.
-		clear(before.requests)
-		clear(before.acks)
+		clear(before.requests.free)
+		clear(before.acks.free)
 		*d = before
 	}
 	return m, err
@@ -292,23 +316,12 @@ func (d *Decoder) alloc(t Type) codable {
 	if d != nil {
 		switch t {
 		case TRequest:
-			return carve(&d.requests)
+			return d.requests.New()
 		case TAck:
-			return carve(&d.acks)
+			return d.acks.New()
 		}
 	}
 	return kinds[t].new()
-}
-
-// carve hands out the next element of *slab, starting a new slab when the
-// current one is spent.
-func carve[T any](slab *[]T) *T {
-	if len(*slab) == 0 {
-		*slab = make([]T, slabLen[T]())
-	}
-	p := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return p
 }
 
 // decode is the one decoding walk: Decode's with d nil, a Decoder's (and,

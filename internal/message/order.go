@@ -80,6 +80,33 @@ type OrderBatch struct {
 	enc
 }
 
+// inlineEntries is how many entries an OrderBatch holds in its own heap
+// block: every batch of the default 1 KB budget of 128 B requests (five),
+// with room to spare. The block is 472 B, inside the allocator's 480 B
+// size class; a larger batch spills its entries to an array of their own.
+const inlineEntries = 8
+
+// orderBatchBlock is an OrderBatch and the room for its entries, allocated
+// as one object, built or decoded.
+type orderBatchBlock struct {
+	OrderBatch
+	inline [inlineEntries]OrderEntry
+}
+
+// NewOrderBatch returns an OrderBatch with n blank entries, which share one
+// heap block with the struct when n ≤ inlineEntries. It is also the kind
+// table's constructor: a decode (list) fills the room of NewOrderBatch(0)
+// in place when the count fits.
+func NewOrderBatch(n int) *OrderBatch {
+	b := new(orderBatchBlock)
+	if n <= inlineEntries {
+		b.Entries = b.inline[:n]
+	} else {
+		b.Entries = make([]OrderEntry, n)
+	}
+	return &b.OrderBatch
+}
+
 // Type implements Message.
 func (m *OrderBatch) Type() Type { return TOrderBatch }
 
@@ -135,8 +162,9 @@ func (m *OrderBatch) EntryAt(s types.Seq) (OrderEntry, bool) {
 
 // Endorse returns a copy of the 1-signed batch carrying s's second
 // signature over body||Sig1, built as Countersign builds it: the copy and
-// its one buffer, sharing the entries with the original and none of its
-// encoding (the wire bytes differ from the 1-signed ones).
+// its one buffer, sharing the entries with the original — the copy is a
+// bare struct, with no inline room of its own — and none of its encoding
+// (the wire bytes differ from the 1-signed ones).
 func (m *OrderBatch) Endorse(s Signer) (*OrderBatch, error) {
 	out := *m
 	out.enc = enc{}

@@ -13,12 +13,13 @@ import (
 
 // liveEvent is one unit of work in a real-time node's event loop: a
 // delivered wire message (raw != nil), an already-decoded self-loopback
-// message (msg != nil), or a callback.
+// message (msg != nil), or a callback, which the loop hands its Env — so
+// Inject queues the caller's function as it is, with no wrapper.
 type liveEvent struct {
 	from types.NodeID
 	raw  []byte
 	msg  message.Message
-	fn   func()
+	fn   func(Env)
 }
 
 // engine is the delivery core shared by every real-time substrate
@@ -73,7 +74,7 @@ func (e *engine) attach(id types.NodeID, ident *crypto.Identity, proc Process, e
 	logf func(format string, args ...any)) {
 	e.id, e.ident, e.proc, e.env, e.logf = id, ident, proc, env, logf
 	e.cond = sync.NewCond(&e.mu)
-	run := e.runTimers // one method value for the engine's life, not one per wake-up
+	run := func(Env) { e.runTimers() } // one function for the engine's life, not one per wake-up
 	e.timers.onWake = func() { e.enqueue(liveEvent{fn: run}) }
 }
 
@@ -89,7 +90,7 @@ func (e *engine) enqueue(ev liveEvent) {
 
 // enqueueInit schedules the process's Init inside the event loop.
 func (e *engine) enqueueInit() {
-	e.enqueue(liveEvent{fn: func() { e.proc.Init(e.env) }})
+	e.enqueue(liveEvent{fn: e.proc.Init})
 }
 
 // startLoop launches the event loop under wg with Init as the first queued
@@ -160,7 +161,7 @@ func (e *engine) loop() {
 
 func (e *engine) dispatch(ev liveEvent) {
 	if ev.fn != nil {
-		ev.fn()
+		ev.fn(e.env)
 		return
 	}
 	if ev.msg != nil {

@@ -23,7 +23,7 @@ func startEngine(t *testing.T, prequeued ...func()) (*engine, *sync.WaitGroup) {
 	e := &engine{}
 	e.attach(0, nil, nil, nil, t.Logf)
 	for _, fn := range prequeued {
-		e.enqueue(liveEvent{fn: fn})
+		e.enqueue(liveEvent{fn: func(Env) { fn() }})
 	}
 	wg := &sync.WaitGroup{}
 	wg.Add(1)
@@ -43,8 +43,8 @@ func TestEngineQueueAllocFree(t *testing.T) {
 	const burst = 256
 	var ran atomic.Int64
 	done := make(chan struct{}, 1)
-	work := liveEvent{fn: func() { ran.Add(1) }}
-	last := liveEvent{fn: func() { done <- struct{}{} }}
+	work := liveEvent{fn: func(Env) { ran.Add(1) }}
+	last := liveEvent{fn: func(Env) { done <- struct{}{} }}
 	round := func() {
 		for i := 0; i < burst; i++ {
 			e.enqueue(work)
@@ -136,7 +136,7 @@ func TestUndecodableFramesCountedAndLoggedSparsely(t *testing.T) {
 	e.enqueue(liveEvent{from: 2, raw: nil}) // an empty frame is undecodable too
 	e.enqueue(liveEvent{from: 1, raw: wire(3)})
 	done := make(chan struct{})
-	e.enqueue(liveEvent{fn: func() { close(done) }})
+	e.enqueue(liveEvent{fn: func(Env) { close(done) }})
 	wg := &sync.WaitGroup{}
 	wg.Add(1)
 	go func() {

@@ -105,7 +105,7 @@ func (c *LiveCluster) Inject(id types.NodeID, fn func(env Env)) error {
 	if !ok {
 		return fmt.Errorf("runtime: no node %v", id)
 	}
-	n.enqueue(liveEvent{fn: func() { fn(n) }})
+	n.enqueue(liveEvent{fn: fn})
 	return nil
 }
 

@@ -448,7 +448,7 @@ func (c *TCPCluster) InjectGroup(id types.NodeID, group int, fn func(env Env)) e
 	if core == nil {
 		return fmt.Errorf("runtime: node %v hosts no group %d", id, group)
 	}
-	core.enqueue(liveEvent{fn: func() { fn(core) }})
+	core.enqueue(liveEvent{fn: fn})
 	return nil
 }
 

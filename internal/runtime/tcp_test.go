@@ -92,3 +92,45 @@ func TestTCPClusterCrashSilences(t *testing.T) {
 		t.Errorf("crashed node still delivered %d messages", n)
 	}
 }
+
+// TestInjectAllocFree pins what acting on a node's loop costs: Inject
+// queues the caller's func(Env) as it is, with no wrapper closure around
+// it, so once the event queue has grown a ready-made function runs on the
+// loop — with the node's own Env — for no allocation, on the TCP and the
+// in-process substrates alike.
+func TestInjectAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors do not hold under the race detector")
+	}
+	idents := identities(t, crypto.NewHMACSuite(), 1)
+	tcp, live := NewTCPCluster(), NewLiveCluster(nil)
+	if err := tcp.AddNode(0, idents[0], &sinkProc{got: new(int32)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.AddNode(0, idents[0], &sinkProc{got: new(int32)}); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]interface {
+		Start()
+		Stop()
+		Inject(types.NodeID, func(Env)) error
+	}{"tcp": tcp, "live": live} {
+		c.Start()
+		done := make(chan types.NodeID, 1)
+		fn := func(env Env) { done <- env.ID() }
+		inject := func() {
+			if err := c.Inject(0, fn); err != nil {
+				t.Fatal(err)
+			}
+			if id := <-done; id != 0 {
+				t.Fatalf("%s: injected function ran with node %v's Env, want node 0's", name, id)
+			}
+		}
+		inject() // grow both of the loop's queue arrays
+		inject()
+		if got := testing.AllocsPerRun(100, inject); got != 0 {
+			t.Errorf("%s: Inject of a ready-made function = %v allocs, want 0", name, got)
+		}
+		c.Stop()
+	}
+}
