@@ -205,7 +205,7 @@ func (p *Process) beginCatchUp(env runtime.Env) {
 }
 
 // finishCatchUp ends the catch-up phase and resumes the duties that were
-// held back: a restored primary arms its batch timer only now, so it
+// held back: a restored primary calls resumeProposing only now, so it
 // cannot propose into a sequence range it has not yet recovered.
 func (p *Process) finishCatchUp(env runtime.Env) {
 	if !p.catchingUp.Load() {
@@ -225,9 +225,7 @@ func (p *Process) finishCatchUp(env runtime.Env) {
 		p.nextSeq = p.deliveredUpTo + 1
 	}
 	p.applyPairResume()
-	if p.isPrimaryNow() && !p.muted() && (p.pair == nil || p.pair.Active()) && p.batchTimer == nil {
-		p.armBatchTimer(env)
-	}
+	p.resumeProposing(env)
 	if p.isShadowNow() {
 		if p.deliveredUpTo+1 > p.shadowNextPropose {
 			p.shadowNextPropose = p.deliveredUpTo + 1

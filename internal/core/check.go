@@ -21,7 +21,15 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 		return
 	}
 	if !p.installed {
-		return // regime changing; early or stale proposals are dropped
+		// Regime changing. Our counterpart may have completed IN5 ahead of
+		// us (each member installs on whichever f-1 tuples reach it first):
+		// keep up to a window of the proposals of the regime we are
+		// installing into for replay at our IN5. Drop the rest.
+		if p.installing && types.Rank(p.pairIdx) == p.rank && b.Coord == p.rank && b.View == p.view &&
+			len(p.earlyProposals) < p.cfg.MaxInflightBatches {
+			p.earlyProposals[b.FirstSeq] = b
+		}
+		return
 	}
 	if !p.isShadowNow() || types.Rank(p.pairIdx) != p.rank {
 		// Our pair is not the acting coordinator: a counterpart that

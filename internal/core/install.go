@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -112,6 +114,7 @@ func (p *Process) beginInstall(env runtime.Env, fs *message.FailSignal) {
 	p.tuplesSent = false
 	p.pendingTuples = nil
 	p.pendingStartSig = nil
+	clear(p.earlyProposals)
 	p.pendingAcks = make(map[types.Seq][]*message.Ack)
 	// Orders from the deposed coordinator that were never acked cannot
 	// complete; drop the buffer (acked ones travel in BackLogs).
@@ -626,13 +629,26 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 		delete(p.inflight, k)
 	}
 	p.m.inflight.SetInt(0)
-	if p.isPrimaryNow() && !p.muted() && (p.pair == nil || p.pair.Active()) {
+	if p.isPrimaryNow() {
 		p.nextSeq = st.StartSeq + 1
-		p.armBatchTimer(env)
 	}
+	p.resumeProposing(env)
 	if p.isShadowNow() {
 		p.shadowNextPropose = st.StartSeq + 1
 		p.armShadowExpectations(env)
+		p.replayEarlyProposals(env)
+	}
+}
+
+// replayEarlyProposals runs the proposals onProposal kept while this
+// shadow was still installing through the shadow's checks, in sequence
+// order, now that IN5 has set the sequence it expects — as onStart replays
+// counter-signatures that outran the Start.
+func (p *Process) replayEarlyProposals(env runtime.Env) {
+	for _, s := range slices.Sorted(maps.Keys(p.earlyProposals)) {
+		b := p.earlyProposals[s]
+		delete(p.earlyProposals, s)
+		p.onProposal(env, b)
 	}
 }
 

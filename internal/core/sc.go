@@ -246,7 +246,8 @@ type Process struct {
 	startSigs       map[types.NodeID]crypto.Signature
 	tuplesSent      bool
 	pendingTuples   *message.StartTuples
-	pendingStartSig []*message.StartSig // tuples racing ahead of the Start
+	pendingStartSig []*message.StartSig               // tuples racing ahead of the Start
+	earlyProposals  map[types.Seq]*message.OrderBatch // proposals racing ahead of our IN5
 	pendingAcks     map[types.Seq][]*message.Ack
 	droppedInstall  int // batches truncated during installs (observability)
 
@@ -336,6 +337,7 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 		deferredProposals: make(map[types.Seq]*deferredProposal),
 		backlogs:          make(map[types.NodeID]*message.BackLog),
 		startSigs:         make(map[types.NodeID]crypto.Signature),
+		earlyProposals:    make(map[types.Seq]*message.OrderBatch),
 		pendingAcks:       make(map[types.Seq][]*message.Ack),
 		pairEpochs:        make(map[types.Rank]uint64),
 		unwillingSeen:     make(map[types.View]bool),
@@ -494,13 +496,11 @@ func (p *Process) Init(env runtime.Env) {
 	if p.catchingUp.Load() {
 		// Catch up on committed history before resuming ordering: a
 		// restored primary must not propose into a sequence range it has
-		// not recovered yet (finishCatchUp arms the batch timer).
+		// not recovered yet (finishCatchUp calls resumeProposing).
 		p.beginCatchUp(env)
 		return
 	}
-	if p.isPrimaryNow() {
-		p.armBatchTimer(env)
-	}
+	p.resumeProposing(env)
 }
 
 // Receive implements runtime.Process.
@@ -565,6 +565,19 @@ func (p *Process) mayPropose() bool {
 		return false
 	}
 	return p.pair == nil || p.pair.Active()
+}
+
+// resumeProposing is where a process starts or resumes proposing: Init,
+// IN5, the end of catch-up and SCR pair recovery. The pool's size trigger
+// is an edge — it fires on the arrival that fills a batch — so a pool that
+// filled while this process could not propose would otherwise wait out the
+// backstop; running onPoolTarget here makes it a level.
+func (p *Process) resumeProposing(env runtime.Env) {
+	if !p.mayPropose() {
+		return
+	}
+	p.armBatchTimer(env)
+	p.onPoolTarget(env)
 }
 
 // batchTick is the interval timer's callback: the latency backstop that

@@ -210,9 +210,7 @@ func (p *Process) onPairBeat(env runtime.Env, from types.NodeID, b *message.Pair
 			p.cfg.OnPairRecovered(InstallEvent{Node: p.id, Rank: types.Rank(p.pairIdx), At: env.Now()})
 		}
 		// Resume duties if we are (still) the acting coordinator pair.
-		if p.isPrimaryNow() && p.batchTimer == nil {
-			p.armBatchTimer(env)
-		}
+		p.resumeProposing(env)
 		if p.isShadowNow() {
 			p.armShadowExpectations(env)
 		}
