@@ -3,6 +3,7 @@ package client
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,8 +105,8 @@ func (s *Summary) Add(o Summary) {
 	s.Quorum = append(s.Quorum, o.Quorum...)
 }
 
-// Client is the client reactor. Everything but NextID, Rejected and Done
-// belongs to its event loop.
+// Client is the client reactor. Everything but NextID, Queue, Drain,
+// Unqueue, Halt, Rejected and Done belongs to its event loop.
 type Client struct {
 	cfg   Config
 	ticks int
@@ -122,6 +123,15 @@ type Client struct {
 	// order process where the substrate hands over the struct itself.
 	slab message.Slab[message.Request]
 
+	// Submissions hosts queue for the loop (Queue): mu guards queued and
+	// halted; spare, the array the last drain emptied, is the loop's, and
+	// drain is bound once, in New, so queueing costs no closure.
+	mu     sync.Mutex
+	queued []submission
+	halted bool
+	spare  []submission
+	drain  func(runtime.Env)
+
 	// Tracking state, nil when cfg.Need is 0. A request leaves reqs when
 	// it is accepted.
 	reqs map[uint64]*request
@@ -133,6 +143,7 @@ var _ runtime.Process = (*Client)(nil)
 // New returns a client for cfg.
 func New(cfg Config) *Client {
 	c := &Client{cfg: cfg, done: make(chan struct{})}
+	c.drain = c.drainQueued
 	if cfg.Need > 0 {
 		c.reqs = make(map[uint64]*request)
 		c.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -198,6 +209,73 @@ func (c *Client) tick(env runtime.Env) {
 // multicasts it to the group's order processes.
 func (c *Client) Submit(env runtime.Env, seq uint64, payload []byte) {
 	c.submit(env, seq, payload, 0)
+}
+
+// submission is one queued Submit.
+type submission struct {
+	seq     uint64
+	payload []byte
+}
+
+// Queue draws the next request ID and queues a submission of payload under
+// it for the client's event loop; the host then injects Drain into that
+// loop, once per Queue. The first drain to run submits everything queued,
+// in call order, and the rest find nothing to do, so a submission costs an
+// event but no closure. A halted client queues nothing. Safe for
+// concurrent use.
+func (c *Client) Queue(payload []byte) message.ReqID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := c.NextID()
+	if !c.halted {
+		c.queued = append(c.queued, submission{id.ClientSeq, payload})
+	}
+	return id
+}
+
+// Drain returns the function that submits what is queued, bound once: the
+// event a host injects after each Queue.
+func (c *Client) Drain() func(runtime.Env) { return c.drain }
+
+// Unqueue drops the submission queued under id, for a host that could not
+// inject its drain, and reports whether it was still queued: false means a
+// drain injected for another submission has already submitted it. Safe for
+// concurrent use.
+func (c *Client) Unqueue(id message.ReqID) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i := slices.IndexFunc(c.queued, func(s submission) bool { return s.seq == id.ClientSeq })
+	if i < 0 {
+		return false
+	}
+	c.queued = slices.Delete(c.queued, i, i+1)
+	return true
+}
+
+// Halt makes the client queue nothing from now on and drops what is
+// queued, for a host whose node crashed: a crashed loop runs no drain, so
+// a queued payload would stay pinned for good. Safe for concurrent use.
+func (c *Client) Halt() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.halted = true
+	clear(c.queued)
+	c.queued = c.queued[:0]
+}
+
+// drainQueued submits everything queued, in order. It runs on the loop,
+// which swaps the queue's two arrays as the engine swaps its event queue's,
+// so a steady stream of submissions allocates none.
+func (c *Client) drainQueued(env runtime.Env) {
+	c.mu.Lock()
+	batch := c.queued
+	c.queued = c.spare[:0]
+	c.mu.Unlock()
+	for i := range batch {
+		c.Submit(env, batch[i].seq, batch[i].payload)
+		batch[i] = submission{} // a sent payload must not stay pinned by the array
+	}
+	c.spare = batch[:0]
 }
 
 func (c *Client) submit(env runtime.Env, seq uint64, payload []byte, attempt int) {

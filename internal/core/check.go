@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/message"
@@ -99,7 +100,8 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 	// primary. A fabricated ReqID from a faulty primary keeps the
 	// proposal pending and the next real request's expectation will
 	// eventually flag the primary as untimely.
-	p.deferredProposals[b.FirstSeq] = &deferredProposal{batch: b, left: unresolved}
+	p.deferredProposals[b.FirstSeq] = &deferredProposal{batch: b, left: unresolved, at: env.Now()}
+	p.m.shadowDeferred.Inc()
 	for _, e := range b.Entries {
 		e := e
 		if _, known := p.pool.Get(e.Req); known {
@@ -116,6 +118,7 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 				return
 			}
 			delete(p.deferredProposals, first)
+			p.m.shadowDeferral.ObserveDuration(env.Now().Sub(d.at))
 			p.validateAndEndorse(env, batch)
 		})
 	}
@@ -125,10 +128,12 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 
 // deferredProposal is a shadow-side proposal awaiting referenced request
 // bodies: left counts the outstanding WhenAvailable waiters, batch keeps
-// the entries so the fetch retry knows what is still missing.
+// the entries so the fetch retry knows what is still missing, and at is
+// when it was deferred.
 type deferredProposal struct {
 	batch *message.OrderBatch
 	left  int
+	at    time.Time
 }
 
 // validateAndEndorse performs the shadow's value-domain check against its

@@ -146,6 +146,11 @@ func (p *Process) sendFetch(env runtime.Env, target types.NodeID, seqs []types.S
 		env.Logf("core: signing FetchReq: %v", err)
 		return
 	}
+	if len(seqs) > 0 {
+		p.m.fetchSubject.Inc()
+	} else {
+		p.m.fetchPayload.Inc()
+	}
 	p.send(env, target, m)
 }
 

@@ -39,6 +39,15 @@ type coreMetrics struct {
 	ingressEvicted      *obs.Counter
 	ingressBrownout     *obs.Gauge
 	ingressQueueDepth   *obs.Histogram
+
+	// The race of a batch against its payload: proposals the shadow
+	// defers because a request they order has not reached it, how long
+	// each waits for its last one (check.go), and the FetchReqs sent for
+	// missing payloads and subjects (fetch.go).
+	shadowDeferred *obs.Counter
+	shadowDeferral *obs.Histogram
+	fetchPayload   *obs.Counter
+	fetchSubject   *obs.Counter
 }
 
 // newCoreMetrics registers the ordering instruments (labeled by
@@ -48,8 +57,8 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 	if r == nil {
 		return coreMetrics{}
 	}
-	reason := func(v string) []obs.Label {
-		return append(append(make([]obs.Label, 0, len(labels)+1), labels...), obs.L("reason", v))
+	with := func(key, v string) []obs.Label {
+		return append(append(make([]obs.Label, 0, len(labels)+1), labels...), obs.L(key, v))
 	}
 	return coreMetrics{
 		watermark: r.Gauge("sof_commit_watermark",
@@ -82,11 +91,11 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 		ingressAdmitted: r.Counter("sof_ingress_admitted_total",
 			"Client requests admitted past the ingress controller.", labels...),
 		ingressShedRate: r.Counter("sof_ingress_shed_total",
-			"Client requests shed at admission, by reason.", reason("rate")...),
+			"Client requests shed at admission, by reason.", with("reason", "rate")...),
 		ingressShedOverload: r.Counter("sof_ingress_shed_total",
-			"Client requests shed at admission, by reason.", reason("overload")...),
+			"Client requests shed at admission, by reason.", with("reason", "overload")...),
 		ingressShedInflight: r.Counter("sof_ingress_shed_total",
-			"Client requests shed at admission, by reason.", reason("inflight")...),
+			"Client requests shed at admission, by reason.", with("reason", "inflight")...),
 		ingressLockedOut: r.Counter("sof_ingress_locked_out_total",
 			"Client requests refused while their client was locked out.", labels...),
 		ingressEvicted: r.Counter("sof_ingress_evicted_total",
@@ -96,6 +105,15 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 		ingressQueueDepth: r.Histogram("sof_ingress_client_queue_depth",
 			"Admitted client's pending-queue depth at admission.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, labels...),
+		shadowDeferred: r.Counter("sof_shadow_deferred_proposals_total",
+			"Proposals the shadow deferred because a request they order had not reached it.", labels...),
+		shadowDeferral: r.Histogram("sof_shadow_deferral_seconds",
+			"Time a deferred proposal waited for the last request it orders.",
+			[]float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 1}, labels...),
+		fetchPayload: r.Counter("sof_fetch_requests_total",
+			"FetchReqs sent, by what they ask for.", with("what", "payload")...),
+		fetchSubject: r.Counter("sof_fetch_requests_total",
+			"FetchReqs sent, by what they ask for.", with("what", "subject")...),
 	}
 }
 

@@ -470,8 +470,8 @@ func New(opts Options) (*Cluster, error) {
 		seq.Store(committedSeqs[id])
 		// Fire-and-forget (Need 0), and no reply-to set reaches the nodes,
 		// so no node signs or sends a Reply: what the harness calls a commit
-		// is the recorder's event, and a submission costs its request, its
-		// signature and the injected closure.
+		// is the recorder's event, and a submission costs a share of the
+		// client's request slab and of its wire arena, and nothing else.
 		for g := 0; g < c.groups; g++ {
 			c.clients[id] = append(c.clients[id], client.New(client.Config{
 				ID:      id,
@@ -801,8 +801,14 @@ func (c *Cluster) Inject(id types.NodeID, fn func(env runtime.Env)) error {
 	return c.sub.Inject(id, fn)
 }
 
-// Crash stops a node entirely.
-func (c *Cluster) Crash(id types.NodeID) { c.sub.Crash(id) }
+// Crash stops a node entirely. A crashed client is halted too: its loop
+// runs no drain again, so its later submissions are not queued.
+func (c *Cluster) Crash(id types.NodeID) {
+	c.sub.Crash(id)
+	for _, cl := range c.clients[id] {
+		cl.Halt()
+	}
+}
 
 // TCP exposes the TCP substrate when Options.Transport selected it (nil
 // otherwise); tests use it to reach per-node transports.
@@ -1003,10 +1009,16 @@ func (c *Cluster) SubmitToGroup(k, group int, payload []byte) (message.ReqID, er
 	if group < 0 || group >= len(cls) {
 		return message.ReqID{}, fmt.Errorf("harness: client %d has no group %d endpoint", k, group)
 	}
+	// The client queues the submission and the injected event is its
+	// drain, a function bound once, so a submission costs no closure. An
+	// injection that fails takes back its own submission, unless another
+	// submission's drain has already sent it.
 	cl := cls[group]
-	rid := cl.NextID()
-	err := c.injectGroup(id, group, func(env runtime.Env) { cl.Submit(env, rid.ClientSeq, payload) })
-	return rid, err
+	rid := cl.Queue(payload)
+	if err := c.injectGroup(id, group, cl.Drain()); err != nil && cl.Unqueue(rid) {
+		return rid, err
+	}
+	return rid, nil
 }
 
 // InjectCoordinatorValueFault makes the acting primary behave in a

@@ -33,13 +33,20 @@
 // time (a node's event loop, or the single-threaded simulator), so the
 // caches need no synchronisation.
 //
-// A message costs one heap object in each direction. Built, it is signed
-// through Sign (Countersign, Endorse): laid out once, signed in the signer's
-// scratch, and copied once into the buffer that is its wire encoding, its
-// body and its signature field — the shape a decoded message has.
+// A message costs at most one heap object in each direction. Built, it is
+// signed through Sign (Countersign, Endorse): laid out once, signed in the
+// signer's scratch, and copied once into the buffer that is its wire
+// encoding, its body and its signature field — the shape a decoded message
+// has. A signer that owns an event loop (the runtime Envs) offers Arenas,
+// and the copy is carved from the 8 KB chunk of an Arena kept for that
+// kind and signatory, so a signed message costs a share of a chunk; a bare
+// crypto.Identity offers none, and the copy is an object of its own.
 // SignSingle and SignSecond compute the same signatures for a caller that
 // assigns the field by hand. Received, it is decoded by the engine's
 // Decoder, which carves Requests and Acks out of typed Slabs; Decode is the
 // same walk with every struct on the heap. An OrderBatch is one object
 // either way, its entries inline (NewOrderBatch builds the same block).
+// Slabs and Arenas follow one rule: nothing handed out is rewritten, one
+// holds things whose owner keeps or drops them together, and the
+// collector frees it with the last of them.
 package message

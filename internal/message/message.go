@@ -185,8 +185,10 @@ type Signed interface {
 // pooled buffer, the signature is produced in the signer's scratch and
 // written after it, the tail follows, and one exact-size copy becomes the
 // wire encoding, the signable body (its prefix) and *slot (a sub-slice) —
-// one heap object, the shape a decoded message has. Every other field must
-// be final: m is immutable from here on, as a sent message is.
+// the shape a decoded message has. The copy is carved from the signer's
+// arena for the kind when it owns one (WireArenas, the runtime Envs) and is
+// a heap object of its own otherwise. Every other field must be final: m is
+// immutable from here on, as a sent message is.
 func Sign(s Signer, m Signed, slot *crypto.Signature) error {
 	return build(s, m, slot, nil, false)
 }
@@ -211,7 +213,7 @@ func build(s Signer, m Signed, slot *crypto.Signature, first crypto.Signature, c
 		c.release()
 		return fmt.Errorf("message: signing %v: %w", m.Type(), err)
 	}
-	wire := bytes.Clone(c.w.Bytes())
+	wire := wireCopy(s, m.Type(), counter, c.w.Bytes())
 	end := c.sigAt + c.sigLen
 	*slot = wire[c.sigAt:end:end]
 	*m.encoding() = enc{wire: wire, body: wire[:c.mark:c.mark]}
@@ -271,6 +273,60 @@ func (s *Slab[T]) New() *T {
 	p := &s.free[0]
 	s.free = s.free[1:]
 	return p
+}
+
+// Arena hands out byte copies carved from 8 KB chunks instead of allocating
+// one each: the slab rule on bytes. A copy is exact-size and
+// capacity-capped, so an append to it reallocates instead of writing into
+// its neighbour, and it is never rewritten once handed out; an arena holds
+// copies its owner keeps and drops together, so they share a fate; and the
+// collector frees a chunk when the last copy carved from it dies. A copy
+// larger than a quarter chunk gets a buffer of its own, so a large message
+// neither strands most of a chunk nor is pinned by small neighbours. An
+// Arena belongs to one goroutine, or to whatever serialises its owner (an
+// event loop). The zero value is ready; chunks are built on first use.
+type Arena struct {
+	free []byte // the current chunk's bytes not handed out yet
+}
+
+// Copy returns a copy of b carved from a.
+func (a *Arena) Copy(b []byte) []byte {
+	n := len(b)
+	if n > slabBytes/4 {
+		return bytes.Clone(b)
+	}
+	if n > len(a.free) {
+		a.free = make([]byte, slabBytes)
+	}
+	c := a.free[:n:n]
+	a.free = a.free[n:]
+	copy(c, b)
+	return c
+}
+
+// Arenas is the one Arena per kind and signatory — first, or second of a
+// double-signed kind — that a signer owning an event loop copies the
+// messages it builds into. Messages of one kind built by one signatory
+// share a fate: a process keeps every endorsement it builds (its tracker
+// holds the batch) and every ack it credits itself (its tracker holds the
+// signature), and drops its requests, proposals and fetches once the
+// session ring evicts them. The zero value is ready.
+type Arenas [len(kinds)][2]Arena
+
+// wireCopy is the one exact-size copy a built message's encoding gets:
+// carved from the signer's arena for the kind when it owns one, a heap
+// object of its own otherwise — a bare crypto.Identity is safe for
+// concurrent use, so it has no arena to offer.
+func wireCopy(s Signer, t Type, counter bool, b []byte) []byte {
+	o, ok := s.(interface{ WireArenas() *Arenas })
+	if !ok {
+		return bytes.Clone(b)
+	}
+	i := 0
+	if counter {
+		i = 1
+	}
+	return o.WireArenas()[t][i].Copy(b)
 }
 
 // Decoder is Decode for one goroutine's stream of messages — the engine's

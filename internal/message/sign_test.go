@@ -105,12 +105,20 @@ func checkOneBuffer(t *testing.T, m Signed, slot *crypto.Signature) {
 // TestSignMatchesHandAssembly walks the kind table: for every signed kind,
 // Sign (and, for the double-signed ones, Countersign and Endorse) yields
 // the bytes that SignSingle/SignSecond, a field assignment and Marshal
-// yield, in one buffer. Wire and MAC bytes are a journal contract; who owns
+// yield, in one buffer — a buffer of its own, or a share of the signer's
+// wire arena. Wire and MAC bytes are a journal contract; who owns
 // them is not.
 func TestSignMatchesHandAssembly(t *testing.T) {
 	idents, _ := testIdentities(t, 8)
-	signer := &scratchSigner{Identity: idents[1]}
-	second := &scratchSigner{Identity: idents[2]}
+	for name, signers := range map[string][2]Signer{
+		"own buffer": {&scratchSigner{Identity: idents[1]}, &scratchSigner{Identity: idents[2]}},
+		"arena":      {newArenaSigner(idents[1]), newArenaSigner(idents[2])},
+	} {
+		t.Run(name, func(t *testing.T) { signMatchesHandAssembly(t, idents, signers[0], signers[1]) })
+	}
+}
+
+func signMatchesHandAssembly(t *testing.T, idents map[types.NodeID]*crypto.Identity, signer, second Signer) {
 	for typ := TRequest; typ <= TRejected; typ++ {
 		built, isSigned := samples()[typ].(Signed)
 		if !isSigned {
@@ -237,10 +245,12 @@ func TestSignRefusesAForeignSlot(t *testing.T) {
 	}
 }
 
-// TestSignedMessageOneAlloc pins what a built message costs the heap: its
-// one buffer. Body clone, MAC and wire clone (what SignSingle, an
-// assignment and Marshal cost) read 3 here; an endorsement adds the copied
-// struct it returns.
+// TestSignedMessageOneAlloc pins what a built message costs the heap when
+// its signer owns no wire arenas (a bare crypto.Identity, bench's layer
+// drive): its one buffer. Body clone, MAC and wire clone (what SignSingle,
+// an assignment and Marshal cost) read 3 here; an endorsement adds the
+// copied struct it returns. With arenas (the runtime Envs) the buffer is a
+// share of a chunk: TestEngineSignAllocationFloors in runtime.
 func TestSignedMessageOneAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation floors do not hold under the race detector")

@@ -147,6 +147,10 @@ func TestInstrumentUpdatesAllocFree(t *testing.T) {
 	// The pair-check margin is fed as a duration, and can be negative (an
 	// output that beat the timer's callback but not its deadline).
 	margin := r.Histogram("sof_pair_check_margin_seconds", "m", []float64{0.001, 0.01, 0.1, 1}, L("node", "0"))
+	// The shadow's deferral wait and the labelled fetch counter, as core
+	// registers them.
+	deferral := r.Histogram("sof_shadow_deferral_seconds", "d", []float64{0.00005, 0.001, 1}, L("node", "0"))
+	fetches := r.Counter("sof_fetch_requests_total", "f", L("node", "0"), L("what", "payload"))
 	v := 0.0
 	allocs := testing.AllocsPerRun(1000, func() {
 		v += 0.0007
@@ -154,6 +158,8 @@ func TestInstrumentUpdatesAllocFree(t *testing.T) {
 		g.Set(v)
 		h.Observe(v)
 		margin.ObserveDuration(time.Duration(v*float64(time.Second)) - 100*time.Millisecond)
+		deferral.ObserveDuration(time.Duration(v * float64(time.Millisecond)))
+		fetches.Inc()
 	})
 	if allocs != 0 {
 		t.Errorf("Counter.Inc + Gauge.Set + Histogram.Observe + ObserveDuration allocate %v times per update, want 0", allocs)

@@ -53,10 +53,12 @@ type engine struct {
 
 	timers timerQueue
 	// The loop goroutine's alone: ScratchDigest's and ScratchSign's results,
-	// and the slabs decoded Requests and Acks are carved from.
+	// the slabs decoded Requests and Acks are carved from, and the arenas
+	// the messages signed on the loop are copied into.
 	scratch    []byte
 	sigScratch []byte
 	dec        message.Decoder
+	arenas     message.Arenas
 
 	// Frames that failed to decode: counted for /metrics (nil without a
 	// registry) and, per sender, for the log's sake — a peer sending
@@ -245,6 +247,9 @@ func (e *engine) ScratchSign(digest []byte) (crypto.Signature, error) {
 	e.sigScratch, err = e.ident.AppendSign(e.sigScratch[:0], digest)
 	return e.sigScratch, err
 }
+
+// WireArenas is where message.Sign copies the messages signed on the loop.
+func (e *engine) WireArenas() *message.Arenas { return &e.arenas }
 
 // Verify implements Env.
 func (e *engine) Verify(signer types.NodeID, digest []byte, sig crypto.Signature) error {

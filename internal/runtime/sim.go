@@ -124,6 +124,7 @@ type simNode struct {
 	charged    time.Duration
 	scratch    []byte // ScratchDigest's result
 	sigScratch []byte // ScratchSign's result
+	arenas     message.Arenas
 }
 
 var _ Env = (*simNode)(nil)
@@ -240,6 +241,10 @@ func (n *simNode) ScratchSign(digest []byte) (crypto.Signature, error) {
 	n.sigScratch, err = n.ident.AppendSign(n.sigScratch[:0], digest)
 	return n.sigScratch, err
 }
+
+// WireArenas is where message.Sign copies the messages the node signs. It
+// charges nothing: where a message's bytes live costs no virtual time.
+func (n *simNode) WireArenas() *message.Arenas { return &n.arenas }
 
 // Verify implements Env, charging the modelled verification cost.
 func (n *simNode) Verify(signer types.NodeID, digest []byte, sig crypto.Signature) error {

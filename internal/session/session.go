@@ -194,6 +194,7 @@ func (c *Config) NewSender(self, peer types.NodeID) *Sender {
 		if st, ok := c.Journal.RecoverSender(self, peer); ok {
 			s.epoch = st.Epoch
 			atomic.StoreUint64(&s.nextSeq, st.NextSeq)
+			s.written = st.NextSeq // the dead incarnation may have sent any of them
 			if s.ring != nil {
 				for _, f := range st.Unacked {
 					s.ring[f.Seq%uint64(len(s.ring))] = f
@@ -296,6 +297,11 @@ type Sender struct {
 	ring       []Frame   // nil when resume is off
 	ringFloor  uint64    // highest sequence NOT present in the ring (recovery)
 	lossFloor  uint64    // highest sequence already accounted as unrecoverable
+	// written is the highest sequence the transport has written to a
+	// connection (Wrote), or that a dead incarnation may have sent (the
+	// recovered window): a replayed frame at or below it is a
+	// retransmission, one above it is sent for the first time.
+	written uint64
 	// slab is the header+MAC storage of the frames sealed last: slots
 	// Overhead-sized slots, indexed by sequence number as the ring is and
 	// at least as many. Sealing is this goroutine's alone, so a slot is
@@ -312,7 +318,10 @@ type SenderStats struct {
 	// Sealed is how many frames have been sealed (== highest sequence
 	// number assigned).
 	Sealed uint64
-	// Retransmitted counts frames replayed from the ring on resume.
+	// Retransmitted counts frames replayed from the ring on resume that
+	// had been written before (see Wrote) or were recovered from a
+	// journal. A frame sealed while no connection was up travels in the
+	// first handshake's replay for the first time and is not counted.
 	Retransmitted uint64
 	// Lost counts frames a reconnect could not recover: evicted from the
 	// ring before the peer acknowledged them, or abandoned because
@@ -373,6 +382,11 @@ func (s *Sender) Seal(body []byte) Frame {
 	}
 	return f
 }
+
+// Wrote records that the frame with sequence seq, and every frame sealed
+// before it, has been written to a connection: a later replay of them is a
+// retransmission.
+func (s *Sender) Wrote(seq uint64) { s.written = max(s.written, seq) }
 
 // Hello builds the authenticated hello that opens a connection for this
 // direction.
@@ -467,18 +481,22 @@ func (s *Sender) HandleAck(p []byte) (replay []Frame, lost uint64, err error) {
 		first = oldest
 	}
 	replay = make([]Frame, 0, latest-first+1)
+	resent := uint64(0)
 	for q := first; q <= latest; q++ {
 		// Belt and braces: a slot that does not hold exactly sequence q
 		// (overwritten or never filled) must not reach the wire as a
 		// zero-value frame; account it as lost instead.
 		if f := s.ring[q%uint64(len(s.ring))]; f.Seq == q && f.Hdr != nil {
 			replay = append(replay, f)
+			if q <= s.written {
+				resent++
+			}
 		} else {
 			s.lost.Add(1)
 			lost++
 		}
 	}
-	s.retransmitted.Add(uint64(len(replay)))
+	s.retransmitted.Add(resent)
 	return replay, lost, nil
 }
 

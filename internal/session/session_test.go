@@ -134,6 +134,8 @@ func TestResumeReplaysGap(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		wires = append(wires, tx.Seal([]byte(fmt.Sprintf("f%d", i))).Append(nil))
 	}
+	// All ten reached the connection; only six reached the receiver.
+	tx.Wrote(10)
 	for _, w := range wires[:6] { // connection dies after frame 6
 		if _, err := rx.Open(w); err != nil {
 			t.Fatal(err)

@@ -35,7 +35,10 @@ type PeerStats struct {
 	// queue was full (backpressure from a slow or unreachable peer).
 	Dropped uint64
 	// Retransmitted counts frames replayed from the session ring after a
-	// reconnect (always 0 without sessions or with resume off).
+	// reconnect that had already been written to a connection, or that a
+	// previous incarnation may have sent (always 0 without sessions or
+	// with resume off). Frames sealed before the first connection came up
+	// reach the peer in its handshake's replay and are not counted.
 	Retransmitted uint64
 	// SessionLost counts frames a session reconnect could not recover
 	// (evicted from the retransmission ring, or resume disabled).
@@ -499,8 +502,16 @@ func (p *peer) writeFrames(conn net.Conn, frames []session.Frame, hdrs []byte, v
 		// WriteTo has a pointer receiver and consumes the value it is
 		// called on; a local would be heap-allocated on every writev.
 		p.wbufs = v
-		_, err := p.wbufs.WriteTo(conn)
+		written, err := p.wbufs.WriteTo(conn)
 		*vecs = v[:0]
+		// A frame is written once all of its bytes are; only a replay of
+		// it after that is a retransmission.
+		for _, f := range frames[:n] {
+			if written -= int64(frameHeaderLen + f.WireLen()); written < 0 {
+				break
+			}
+			p.tx.Wrote(f.Seq)
+		}
 		if err != nil {
 			return err
 		}

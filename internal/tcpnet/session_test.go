@@ -179,6 +179,133 @@ func TestSessionResumeNoFrameLoss(t *testing.T) {
 	}
 }
 
+// TestFramesSealedBeforeListenAreNotRetransmitted: frames sent while the
+// peer is not listening yet are sealed while the dial loop backs off and
+// reach the peer in the first handshake's replay. That is their first
+// send, so the sender reports no retransmission.
+func TestFramesSealedBeforeListenAreNotRetransmitted(t *testing.T) {
+	cfg := sessionConfig(true)
+	opts := Options{Session: cfg, RedialMin: 5 * time.Millisecond, RedialMax: 20 * time.Millisecond}
+	// Bind-then-close yields an address nobody is listening on yet.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	a, _ := listenT(t, 0, opts)
+	a.SetPeers(map[types.NodeID]string{1: addr})
+	const n = 20
+	for i := 0; i < n; i++ {
+		if !a.Send(1, []byte{byte(i)}) {
+			t.Fatalf("send %d dropped", i)
+		}
+	}
+	if ln, err = net.Listen("tcp", addr); err != nil {
+		t.Skipf("the peer's address was taken meanwhile: %v", err)
+	}
+	b, err := Listen(1, addr, nil, quietLogger(), Options{Session: cfg, Listener: ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	bch := make(chan sinkFrame, n)
+	b.Start(func(from types.NodeID, raw []byte) { bch <- sinkFrame{from, raw} })
+	for i := 0; i < n; i++ {
+		select {
+		case f := <-bch:
+			if f.raw[0] != byte(i) {
+				t.Fatalf("frame %d arrived where %d was due", f.raw[0], i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d not delivered; sender stats %+v", i, a.Stats()[1])
+		}
+	}
+	awaitSent(t, a, 1, n)
+	if st := a.Stats()[1]; st.Retransmitted != 0 {
+		t.Errorf("sender stats %+v: frames sent for the first time counted as retransmitted", st)
+	}
+}
+
+// TestWrittenFramesReplayedAreRetransmitted: frames the sender wrote to a
+// connection that died before the receiver delivered any of them are
+// replayed on the next connection, and each of those — not the frame that
+// triggered the redial, sent for the first time in the same replay —
+// counts as a retransmission. The receiver is played by hand so that the
+// first connection's frames reach it and are never opened.
+func TestWrittenFramesReplayedAreRetransmitted(t *testing.T) {
+	cfg := sessionConfig(true)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	rx := cfg.NewReceiver(1, 0)
+	// accept takes the sender's next connection through the receiving end
+	// of the handshake: check the hello, answer with rx's ack.
+	accept := func() net.Conn {
+		t.Helper()
+		_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		hello, err := ReadFrame(conn)
+		if err == nil {
+			err = rx.VerifyHello(hello)
+		}
+		if err == nil {
+			_, err = conn.Write(AppendFrame(nil, rx.Ack()))
+		}
+		if err != nil {
+			t.Fatalf("receiving end of the handshake: %v", err)
+		}
+		return conn
+	}
+	a, _ := listenT(t, 0, Options{Session: cfg, RedialMin: 5 * time.Millisecond, RedialMax: 20 * time.Millisecond})
+	a.SetPeers(map[types.NodeID]string{1: ln.Addr().String()})
+
+	const n = 10
+	for i := 0; i < n; i++ {
+		if !a.Send(1, []byte{byte(i)}) {
+			t.Fatalf("send %d dropped", i)
+		}
+	}
+	first := accept()
+	for i := 0; i < n; i++ {
+		if _, err := ReadFrame(first); err != nil {
+			t.Fatalf("frame %d on the first connection: %v", i, err)
+		}
+	}
+	awaitSent(t, a, 1, n)
+	if st := a.Stats()[1]; st.Retransmitted != 0 {
+		t.Fatalf("sender stats %+v before any reconnect, want nothing retransmitted", st)
+	}
+
+	// Drop the connection; the next send fails on it and redials.
+	a.BounceConns()
+	if !a.Send(1, []byte{n}) {
+		t.Fatal("send after the bounce dropped")
+	}
+	second := accept()
+	for i := 0; i <= n; i++ {
+		raw, err := ReadFrame(second)
+		if err != nil {
+			t.Fatalf("frame %d on the second connection: %v", i, err)
+		}
+		body, err := rx.Open(raw)
+		if err != nil || len(body) != 1 || body[0] != byte(i) {
+			t.Fatalf("frame %d on the second connection opened to %v (err %v)", i, body, err)
+		}
+	}
+	awaitSent(t, a, 1, n+1)
+	if st := a.Stats()[1]; st.Retransmitted != n {
+		t.Errorf("sender stats %+v, want the %d frames written before the bounce retransmitted", st, n)
+	}
+}
+
 // TestSessionSenderRestartRejoins pins the restart path the epoch exists
 // for: a transport that dies and comes back (fresh senders, sequences
 // starting over) must re-establish authenticated sessions against peers
