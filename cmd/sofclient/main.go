@@ -32,7 +32,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/client"
@@ -89,8 +88,7 @@ func main() {
 	// start time — the rule session epochs follow — because the nodes never
 	// forget an ID they have pooled.
 	start := time.Now()
-	seq := new(atomic.Uint64)
-	seq.Store(uint64(start.UnixNano()))
+	seq := client.NewSeq(start)
 	need, addr := 0, "127.0.0.1:0"
 	if *listen != "" {
 		need, addr = *f+1, *listen

@@ -33,10 +33,8 @@ type Config struct {
 	// Targets are the group's order processes: every request goes to all
 	// of them and only they may vouch for it.
 	Targets []types.NodeID
-	// Seq is the identity's ClientSeq counter, shared by its per-group
-	// clients so a request ID never repeats across groups. The host seeds
-	// it: order processes pool a request ID once and never forget it, so
-	// an incarnation that reused its predecessor's IDs would be ignored.
+	// Seq is the identity's ClientSeq counter (NewSeq), shared by its
+	// per-group clients so a request ID never repeats across groups.
 	Seq  *atomic.Uint64
 	Load *Load
 	// Need is how many distinct order processes must vouch for a request
@@ -150,6 +148,24 @@ func New(cfg Config) *Client {
 		c.sum.Rejects = make(map[ingress.Code]int)
 	}
 	return c
+}
+
+// NewSeq returns a client identity's ClientSeq counter. Order processes
+// pool a request ID once and never forget it, so an incarnation that
+// reused its predecessor's IDs would be ignored — or, where the
+// predecessor's journalled requests are still being replayed, would
+// collide with them. An incarnation that may follow another (a sofclient
+// run, a durable cluster reopened on its data directory) therefore draws
+// IDs from its start time in nanoseconds: they exceed every ID a
+// predecessor drew unless it drew more than one per nanosecond. A zero
+// start, for a deployment that lives and dies with its process, counts
+// from 0.
+func NewSeq(start time.Time) *atomic.Uint64 {
+	seq := new(atomic.Uint64)
+	if !start.IsZero() {
+		seq.Store(uint64(start.UnixNano()))
+	}
+	return seq
 }
 
 // NextID draws the next request ID of the client's identity. Safe for

@@ -335,12 +335,12 @@ type incarnations struct{ runtime.Process }
 // TestSecondIncarnationIsNotIgnored: order processes pool a request ID
 // once and never forget it, so a client run that reused its predecessor's
 // IDs would be discarded as duplicates and nothing would commit or reply.
-// The host seeds the first ClientSeq — sofclient from its start time — and
-// both incarnations reach f+1 on every request. (Seed both with 0 and the
+// NewSeq starts each incarnation's ClientSeq at its start time, and both
+// incarnations reach f+1 on every request. (Seed both with 0 and the
 // second is accepted 0 of 5.)
 func TestSecondIncarnationIsNotIgnored(t *testing.T) {
 	w := newCluster(t, types.SC, map[types.NodeID]bool{me: true})
-	startTime := func() uint64 { return uint64(w.sched.Now().UnixNano()) }
+	startTime := func() uint64 { return client.NewSeq(w.sched.Now()).Load() }
 	first := w.client(startTime(), 5, 0)
 	host := &incarnations{first}
 	w.add(me, host)

@@ -13,7 +13,8 @@
 // virtual time.
 //
 // One client identity owns one Client per ordering group. They share one
-// atomic ClientSeq counter, which the host seeds: request IDs are drawn
+// atomic ClientSeq counter, which the host makes with NewSeq (its start
+// rule keeps a later incarnation's IDs fresh): request IDs are drawn
 // off-loop (NextID), submissions run on the group's event loop (Submit).
 // With Config.Need zero the client is fire-and-forget — it tracks nothing
 // and its Submit allocates the request's signed buffer and a share of the

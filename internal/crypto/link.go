@@ -4,8 +4,11 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"sync"
 
 	"github.com/sof-repro/sof/internal/types"
@@ -55,6 +58,47 @@ func (d *Dealer) IssueLinks() (*LinkKeys, error) {
 		return nil, fmt.Errorf("crypto: issuing link keys: %w", err)
 	}
 	return &LinkKeys{master: master, dirs: make(map[[2]types.NodeID][]byte)}, nil
+}
+
+// IssueLinksAt is IssueLinks for a deployment that is reopened on its
+// durable state: the first call draws the master and writes it to path
+// with mode 0600, and every later call reads it back, so frames an
+// earlier incarnation journalled still verify after a reopen.
+func (d *Dealer) IssueLinksAt(path string) (*LinkKeys, error) {
+	master, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if len(master) != linkKeyLen {
+			return nil, fmt.Errorf("crypto: link master %s holds %d bytes, want %d", path, len(master), linkKeyLen)
+		}
+		return NewLinkKeys(master), nil
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, fmt.Errorf("crypto: reading link master: %w", err)
+	}
+	lk, err := d.IssueLinks()
+	if err != nil {
+		return nil, err
+	}
+	// Write-then-rename: a crash leaves the whole master or none of it.
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err == nil {
+		_, err = f.Write(lk.master)
+		if err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: the write has already failed
+		return nil, fmt.Errorf("crypto: writing link master: %w", err)
+	}
+	return lk, nil
 }
 
 // DirKey returns the MAC key for frames flowing from -> to, memoizing the

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/sof-repro/sof/internal/types"
@@ -64,5 +66,43 @@ func TestIssueLinksDeterministicDealer(t *testing.T) {
 	a, b := issue(), issue()
 	if !bytes.Equal(a.DirKey(0, types.ClientID(0)), b.DirKey(0, types.ClientID(0))) {
 		t.Error("deterministic dealers derived different link keys")
+	}
+}
+
+// TestIssueLinksAtKeepsTheMaster: the first call writes a fresh master
+// readable by its owner only, and a later dealer — fresh entropy and all —
+// reads back the same one, so both derive the same link keys.
+func TestIssueLinksAtKeepsTheMaster(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "link-master")
+	first, err := NewDealer(NewHMACSuite()).IssueLinksAt(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := st.Mode().Perm(); mode != 0o600 {
+		t.Errorf("link master written with mode %v, want 0600", mode)
+	}
+	again, err := NewDealer(NewHMACSuite()).IssueLinksAt(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.DirKey(0, 1), again.DirKey(0, 1)) {
+		t.Error("reopening read back a different link master")
+	}
+	fresh, err := NewDealer(NewHMACSuite()).IssueLinks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(first.DirKey(0, 1), fresh.DirKey(0, 1)) {
+		t.Error("sensitivity: two fresh masters derived the same key")
+	}
+	if err := os.WriteFile(path, []byte("short"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDealer(NewHMACSuite()).IssueLinksAt(path); err == nil {
+		t.Error("a truncated link master was accepted")
 	}
 }

@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 	"log"
+	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/client"
@@ -21,7 +21,6 @@ import (
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/tcpnet"
 	"github.com/sof-repro/sof/internal/types"
-	"github.com/sof-repro/sof/internal/wal/commitlog"
 )
 
 // LoadSpec describes the open-loop client workload: each client submits a
@@ -96,16 +95,19 @@ type Options struct {
 	// recovery falls to the protocol-level checkpoint catch-up.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in write-ahead logs:
-	// the recorder's commit stream (so CommitsSince serves evicted
-	// cursors from disk and commit history survives a crash), and — with
-	// SessionResume — each node's session state, so a *restarted* process
-	// keeps its session epoch and replays the frames its dead incarnation
-	// had sealed but not delivered. Group commit batches fsyncs on the
-	// BatchInterval; a crash loses at most that window. Requires Live and
-	// a non-empty DataDir.
+	// SC/SCR protocol checkpoints and — with SessionResume — each node's
+	// session state, so a *restarted* process keeps its session epoch and
+	// replays the frames its dead incarnation had sealed but not
+	// delivered. Group commit batches fsyncs on the BatchInterval; a crash
+	// loses at most that window. The recorder keeps nothing on disk. A
+	// cluster reopened on the same DataDir must not reuse request IDs, so
+	// under Durable clients draw them from the start time in nanoseconds
+	// (client.NewSeq; from 0 otherwise), and the session link master is
+	// kept in <DataDir>/link-master (issueLinks). Requires Live and a
+	// non-empty DataDir.
 	Durable bool
-	// DataDir is the root directory for durable node state (one
-	// subdirectory per node plus the shared commit stream).
+	// DataDir is the root directory for durable node state: one
+	// subdirectory per node, <DataDir>/node-<id>, plus the link master.
 	DataDir string
 	// TCPShaping applies the simulated network fabric's link model to the
 	// real TCP transport: per-link propagation/bandwidth delays from Net,
@@ -134,8 +136,8 @@ type Options struct {
 	// physical nodes (default 1, today's single-group cluster,
 	// bit-for-bit). Each group is a complete SC/SCR deployment — its own
 	// coordinator pair (rotated so group g's pair occupies different
-	// physical nodes than group g+1's), its own recorder, commit stream,
-	// WAL checkpoint directories (<DataDir>/node-<id>/g<idx>/) and request pool —
+	// physical nodes than group g+1's), its own recorder, WAL checkpoint
+	// directories (<DataDir>/node-<id>/g<idx>/) and request pool —
 	// multiplexed over ONE tcpnet transport and session layer per
 	// physical node, so N groups do not mean N× sockets or session
 	// state. Requests are ordered within their group only; there is no
@@ -238,12 +240,10 @@ type Cluster struct {
 	// node's incarnations: every incarnation executes into the same ones.
 	replicas map[types.NodeID][]*replica.Replica
 
-	// commitStores are the durable commit streams (Options.Durable with
-	// KeepCommits), one per group; they belong to the measurement side and
-	// outlive individual nodes.
-	commitStores []*commitlog.Store
-	storeMu      sync.Mutex
-	stopped      bool
+	// storeMu serialises SyncDurable with closing the nodes' durable
+	// stores, which happens once (stopped).
+	storeMu sync.Mutex
+	stopped bool
 
 	// advTaps holds the per-node adversary taps, created once in New and
 	// re-attached on every RestartNode incarnation.
@@ -356,7 +356,7 @@ func New(opts Options) (*Cluster, error) {
 			c.tcp.SetLogger(opts.Logger)
 		}
 		if opts.AuthFrames {
-			if c.base.Links, err = dealer.IssueLinks(); err != nil {
+			if c.base.Links, err = issueLinks(dealer, opts); err != nil {
 				return nil, err
 			}
 		}
@@ -395,27 +395,6 @@ func New(opts Options) (*Cluster, error) {
 		c.closeStores(true)
 		return nil, err
 	}
-	// The durable commit streams (one per group): recover history into
-	// each group's recorder before anything commits, so stream positions
-	// and the committed index continue where the previous incarnation
-	// stopped.
-	if opts.Durable && opts.KeepCommits {
-		c.commitStores = make([]*commitlog.Store, c.groups)
-		for g := 0; g < c.groups; g++ {
-			store, err := commitlog.Open(commitlog.Options{
-				Dir:          c.commitDir(g),
-				SyncInterval: knobs.BatchInterval,
-				Logger:       opts.Logger,
-			})
-			if err != nil {
-				return fail(err)
-			}
-			c.commitStores[g] = store
-			if err := c.recorders[g].AttachCommitStore(store); err != nil {
-				return fail(err)
-			}
-		}
-	}
 	// Order processes: each physical node hosts one per group, multiplexed
 	// over one TCP endpoint when sharded, and each executes its commits into
 	// its own replica.
@@ -436,24 +415,19 @@ func New(opts Options) (*Cluster, error) {
 			return fail(err)
 		}
 	}
-	// Clients. With a recovered commit store, continue the durable
-	// request-ID namespace: a client of the new incarnation must not
-	// reuse a ClientSeq that committed in a previous one (the recovered
-	// committed index would answer for the wrong request). The namespace
-	// is per client, not per group — all of one client's group endpoints
-	// share one atomic sequence counter, so ReqIDs stay globally unique.
-	committedSeqs := make(map[types.NodeID]uint64)
-	for _, store := range c.commitStores {
-		for id, max := range store.MaxClientSeqs() {
-			if max > committedSeqs[id] {
-				committedSeqs[id] = max
-			}
-		}
+	// Clients. A durable cluster may be reopened on its DataDir, where
+	// the order processes still hold the previous incarnation's request
+	// IDs and the client's session journal replays its undelivered ones,
+	// so its clients draw IDs from the start time (client.NewSeq); one
+	// that lives and dies with this build counts from 0. All of one
+	// client's group endpoints share its counter, so ReqIDs stay unique.
+	var start time.Time
+	if opts.Durable {
+		start = time.Now()
 	}
 	for k := 0; k < opts.NumClients; k++ {
 		id := types.ClientID(k)
-		seq := new(atomic.Uint64)
-		seq.Store(committedSeqs[id])
+		seq := client.NewSeq(start)
 		// Fire-and-forget (Need 0), and no reply-to set reaches the nodes,
 		// so no node signs or sends a Reply: what the harness calls a commit
 		// is the recorder's event, and a submission costs a share of the
@@ -479,14 +453,22 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// commitDir is the durable commit stream directory for one group. Group
-// layout only appears when sharded: a single-group cluster keeps the
-// pre-sharding <DataDir>/commits path bit-for-bit.
-func (c *Cluster) commitDir(group int) string {
-	if c.groups == 1 {
-		return filepath.Join(c.Opts.DataDir, "commits")
+// issueLinks deals the master secret that authenticates session frames.
+// Under Durable it is kept in <DataDir>/link-master, so the frames a
+// reopened cluster's nodes and clients replay from their session
+// journals still verify; otherwise every build draws a fresh one. It is
+// never derived from Seed, which is public: frame MACs would be forgeable.
+// Reopening in a new OS process still needs the same identities, which
+// the harness deals from a per-process key cache; with HMAC identities
+// that waits for identity key files.
+func issueLinks(dealer *crypto.Dealer, opts Options) (*crypto.LinkKeys, error) {
+	if !opts.Durable {
+		return dealer.IssueLinks()
 	}
-	return filepath.Join(c.Opts.DataDir, fmt.Sprintf("g%d", group), "commits")
+	if err := os.MkdirAll(opts.DataDir, 0o700); err != nil {
+		return nil, fmt.Errorf("harness: creating DataDir: %w", err)
+	}
+	return dealer.IssueLinksAt(filepath.Join(opts.DataDir, "link-master"))
 }
 
 // hooks reports group g's events to the group's own recorder.
@@ -635,16 +617,6 @@ func (c *Cluster) closeStores(crash bool) {
 			n.Close()
 		}
 	}
-	for _, store := range c.commitStores {
-		if store == nil {
-			continue
-		}
-		if crash {
-			store.Crash()
-		} else if err := store.Close(); err != nil && c.Opts.Logger != nil {
-			c.Opts.Logger.Printf("harness: closing commit store: %v", err)
-		}
-	}
 }
 
 // substrate is the surface the harness needs from any of the three
@@ -690,11 +662,6 @@ func (c *Cluster) Stop() {
 func (c *Cluster) SyncDurable() error {
 	c.storeMu.Lock()
 	defer c.storeMu.Unlock()
-	for _, store := range c.commitStores {
-		if err := store.Sync(); err != nil {
-			return err
-		}
-	}
 	c.procMu.RLock()
 	defer c.procMu.RUnlock()
 	for _, n := range c.nodes {
@@ -708,9 +675,7 @@ func (c *Cluster) SyncDurable() error {
 // KillNode crashes one TCP node: its listener, connections and event loop
 // die immediately and its durable stores — the session journal and every
 // hosted group's checkpoint store — are dropped without a flush, exactly
-// what a process death does. The shared commit stream is not crashed (in
-// a real deployment it belongs to the measurement side, and in-process it
-// outlives individual nodes). Restart the node with RestartNode.
+// what a process death does. Restart the node with RestartNode.
 func (c *Cluster) KillNode(id types.NodeID) error {
 	if c.tcp == nil {
 		return fmt.Errorf("harness: KillNode requires the live TCP transport")

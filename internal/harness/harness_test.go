@@ -145,3 +145,41 @@ func TestFailOverLatencyGrowsWithBacklog(t *testing.T) {
 			small.Latency, large.Latency)
 	}
 }
+
+// TestRecorderForgetsCommittedBatches: a batch's formation time is kept
+// only until its first commit, so over 1,000 batches on the simulator the
+// recorder's batchedAt never holds more than the primary's in-flight
+// window, while every first commit is still counted and sampled.
+func TestRecorderForgetsCommittedBatches(t *testing.T) {
+	const window, batches = 4, 1000
+	c, err := New(Options{
+		Protocol: types.SC, F: 1, Net: netsim.LANDefaults(),
+		BatchInterval: 5 * time.Millisecond, MaxBatchBytes: 1024, MaxInflightBatches: window,
+		NumClients: 1, Load: &LoadSpec{RequestBytes: 128, Interval: 20 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	r := c.Events
+	held := func() int {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.batchedAt)
+	}
+	peak := 0
+	deadline := c.Now().Add(time.Minute)
+	for r.BatchCount() < batches {
+		if c.Now().After(deadline) {
+			t.Fatalf("only %d batches committed in a virtual minute", r.BatchCount())
+		}
+		c.RunFor(100 * time.Microsecond)
+		peak = max(peak, held())
+	}
+	if peak == 0 || peak > window {
+		t.Errorf("batchedAt held at most %d batches at once, want 1 to the in-flight window of %d", peak, window)
+	}
+	if n := r.LatencySummary().Count; n != r.BatchCount() {
+		t.Errorf("%d latency samples for %d first commits", n, r.BatchCount())
+	}
+}

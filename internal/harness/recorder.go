@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -73,8 +72,11 @@ func (r *commitRing) since(cursor uint64) (events []core.CommitEvent, next uint6
 type Recorder struct {
 	mu sync.Mutex
 
-	batchedAt   map[batchKey]time.Time
-	firstCommit map[batchKey]time.Time
+	// batchedAt holds each batch's formation time until its first
+	// commit stops the latency clock, so it never outgrows the batches in
+	// flight; batches counts those first commits.
+	batchedAt map[batchKey]time.Time
+	batches   int
 	// Proposer-pipeline gauges (see core.BatchEvent).
 	maxInflight   int
 	sizeTriggered int
@@ -106,11 +108,6 @@ type Recorder struct {
 	commitLog   []committedAt
 	logHead     int
 	waiters     map[message.ReqID][]chan struct{}
-
-	// store, when set, is the durable commit stream: OnCommit appends to
-	// it, CommitsSince serves below-ring cursors from it, and recovery
-	// rebuilt the committed index from it (AttachCommitStore).
-	store CommitStore
 }
 
 // committedAt is one commitLog entry: the request and the stream position
@@ -123,18 +120,6 @@ type committedAt struct {
 // closedCommit is returned by CommitNotify for already-committed requests.
 var closedCommit = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
 
-// CommitStore is the durable backing of the commit stream (implemented by
-// wal/commitlog.Store): every event is appended at its stream position,
-// and cursors that have fallen below the in-memory retention ring read
-// from it instead of losing events. TruncateBefore follows the prune
-// watermark (PruneCommittedBelow) when retention is bounded.
-type CommitStore interface {
-	Append(pos uint64, ev core.CommitEvent)
-	ReadSince(cursor uint64, max int) ([]core.CommitEvent, uint64, error)
-	Count() uint64
-	TruncateBefore(pos uint64)
-}
-
 // NewRecorder returns an empty recorder. keepCommits retains commit events
 // for cursor readers (bench/ and tests); retain bounds how many
 // are kept (0 = unlimited), so long benchmark runs stop growing without
@@ -142,56 +127,12 @@ type CommitStore interface {
 func NewRecorder(keepCommits bool, retain int) *Recorder {
 	return &Recorder{
 		batchedAt:      make(map[batchKey]time.Time),
-		firstCommit:    make(map[batchKey]time.Time),
 		commitsPerNode: make(map[types.NodeID]int),
 		keepCommits:    keepCommits,
 		commits:        commitRing{limit: retain},
 		committed:      make(map[message.ReqID]uint64),
 		waiters:        make(map[message.ReqID][]chan struct{}),
 	}
-}
-
-// AttachCommitStore makes the commit stream durable: the recorder's
-// stream position continues where the store's persisted stream ends, the
-// committed-request index is rebuilt from history (so AwaitCommit-style
-// checks answer for pre-crash commits), and every future commit event is
-// appended to the store. Call once, before the cluster starts committing.
-func (r *Recorder) AttachCommitStore(s CommitStore) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.store = s
-	total := s.Count()
-	if total == 0 {
-		return nil
-	}
-	// Resume the stream position past history: the in-memory ring starts
-	// empty at position `total`, and cursors below it read from disk.
-	r.commits.total = total
-	prunable := r.keepCommits && r.commits.limit > 0
-	for cursor := uint64(0); cursor < total; {
-		events, next, err := s.ReadSince(cursor, 8192)
-		if err != nil {
-			return fmt.Errorf("harness: recovering commit history: %w", err)
-		}
-		if next <= cursor {
-			break // head pruned away and nothing further
-		}
-		pos := next - uint64(len(events))
-		for i := range events {
-			for _, e := range events[i].Entries {
-				if _, dup := r.committed[e.Req]; dup {
-					continue
-				}
-				r.committed[e.Req] = pos
-				if prunable {
-					r.commitLog = append(r.commitLog, committedAt{pos: pos, id: e.Req})
-				}
-			}
-			pos++
-		}
-		cursor = next
-	}
-	return nil
 }
 
 // StartWindow begins the measurement window for throughput counting and
@@ -246,10 +187,6 @@ func (r *Recorder) OnCommit(ev core.CommitEvent) {
 	pos := r.commits.total // stream position this event gets if retained
 	if r.keepCommits {
 		r.commits.append(ev)
-		if r.store != nil {
-			// Buffered append; the store's group commit batches the fsync.
-			r.store.Append(pos, ev)
-		}
 	}
 	prunable := r.keepCommits && r.commits.limit > 0
 	for i := range ev.Entries {
@@ -276,16 +213,13 @@ func (r *Recorder) OnCommit(ev core.CommitEvent) {
 		return
 	}
 	k := batchKey{ev.View, ev.FirstSeq}
-	if _, done := r.firstCommit[k]; done {
-		r.mu.Unlock()
-		return
-	}
 	start, known := r.batchedAt[k]
 	if !known {
 		r.mu.Unlock()
 		return
 	}
-	r.firstCommit[k] = ev.At
+	delete(r.batchedAt, k)
+	r.batches++
 	if !r.windowSet || !start.Before(r.windowStart) {
 		r.latencies.Add(ev.At.Sub(start))
 	}
@@ -346,13 +280,6 @@ func (r *Recorder) PruneCommittedBelow(cursor uint64) int {
 		r.commitLog = r.commitLog[:n]
 		r.logHead = 0
 	}
-	if r.store != nil && r.commits.limit > 0 {
-		// Bounded retention is the operator's opt-in to forgetting: the
-		// durable stream follows the same watermark, so disk usage tracks
-		// the readers' cursor instead of growing with history. Unbounded
-		// retention keeps the full stream on disk.
-		r.store.TruncateBefore(w)
-	}
 	return pruned
 }
 
@@ -393,68 +320,13 @@ func (r *Recorder) CancelNotify(id message.ReqID, ch <-chan struct{}) {
 
 // CommitsSince returns the retained commit events at stream positions
 // [cursor, ...), the cursor to pass next time, and how many requested
-// events were evicted before they could be read. Pass cursor 0 on the
-// first call. Cost is O(events returned), independent of history length.
-// With a durable commit store attached, cursors below the in-memory
-// retention ring are served from disk, so eviction from the ring no
-// longer loses them; only events pruned from the store itself (below the
-// prune watermark) count as dropped.
+// events were evicted from the retention ring before they could be read.
+// Pass cursor 0 on the first call. Cost is O(events returned),
+// independent of history length.
 func (r *Recorder) CommitsSince(cursor uint64) (events []core.CommitEvent, next uint64, dropped uint64) {
 	r.mu.Lock()
-	if r.store == nil || cursor >= r.commits.oldest() {
-		defer r.mu.Unlock()
-		return r.commits.since(cursor)
-	}
-	// Below the ring: serve the whole request from the durable stream (it
-	// holds the ring's events too, so no stitching is needed). The disk
-	// read runs WITHOUT r.mu — the store is internally synchronized and
-	// positions are immutable once appended — so a replica catching up
-	// over history never stalls the OnCommit hot path.
-	next = r.commits.total
-	store := r.store
-	r.mu.Unlock()
-	for cursor < next {
-		chunk, chunkNext, err := store.ReadSince(cursor, 8192)
-		if err != nil || chunkNext <= cursor {
-			// Unreadable or missing on disk: whatever the ring still has
-			// can serve the tail; the rest of the request is dropped.
-			r.mu.Lock()
-			evs, evsNext, _ := r.commits.since(cursor)
-			r.mu.Unlock()
-			// Trim ring events beyond the snapshot end so the answer
-			// matches the [cursor, next) request.
-			served := uint64(0)
-			start := evsNext - uint64(len(evs))
-			for i := range evs {
-				if start+uint64(i) >= next {
-					break
-				}
-				events = append(events, evs[i])
-				served++
-			}
-			dropped += next - cursor - served
-			return events, next, dropped
-		}
-		first := chunkNext - uint64(len(chunk))
-		if first > cursor {
-			gapEnd := first
-			if gapEnd > next {
-				gapEnd = next
-			}
-			dropped += gapEnd - cursor // pruned head
-		}
-		for i := range chunk {
-			if first+uint64(i) >= next {
-				break // appended after our snapshot; later cursors get it
-			}
-			events = append(events, chunk[i])
-		}
-		cursor = chunkNext
-		if cursor > next {
-			cursor = next
-		}
-	}
-	return events, next, dropped
+	defer r.mu.Unlock()
+	return r.commits.since(cursor)
 }
 
 // CommitCursor returns the current end-of-stream cursor (the position the
@@ -574,5 +446,5 @@ func (r *Recorder) FailOverLatency() (time.Duration, bool) {
 func (r *Recorder) BatchCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.firstCommit)
+	return r.batches
 }

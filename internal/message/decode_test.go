@@ -2,6 +2,7 @@ package message
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -30,7 +31,13 @@ func TestDecodeAllocationBoundedByFrame(t *testing.T) {
 	prePrepare.U64(1)
 	prePrepare.I32(0)
 	prePrepare.U32(1 << 20)
+	// Measure a warmed coder: a GC between the warm-up and the measured
+	// call would empty coderPool and charge a fresh coder to the frame.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, frame := range [][]byte{batch.Bytes(), prePrepare.Bytes()} {
+		if _, err := Decode(frame); err == nil {
+			t.Fatalf("%v: a %d-byte frame claiming 2^20 entries decoded", Type(frame[0]), len(frame))
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Decode(frame)

@@ -27,13 +27,12 @@
 // Options.SegmentBytes keeps segments small enough for pruning to track
 // the watermark usefully.
 //
-// Three higher-level stores build on the Log: sessionlog (the transport
-// session layer's sealed-but-unacknowledged frames, epochs and delivery
-// watermarks, pruned at the acknowledgement watermark), commitlog (the
-// measurement recorder's commit stream, served back to cursors that have
-// fallen below the in-memory retention ring, pruned at the recorder's
-// prune watermark) and protolog (an order process's protocol checkpoints —
-// view, pair epochs, committed watermark, committed-order digest — where
-// the last intact record is the recovery point and superseded segments
-// are pruned on rotation).
+// Two higher-level stores build on the Log, both holding a node's own
+// state: sessionlog (the transport session layer's
+// sealed-but-unacknowledged frames, epochs and delivery watermarks,
+// pruned at the acknowledgement watermark) and protolog (an order
+// process's protocol checkpoints — view, pair epochs, committed
+// watermark, committed-order digest — where the last intact record is the
+// recovery point and superseded segments are pruned on rotation). The
+// measurement recorder keeps nothing on disk.
 package wal

@@ -188,18 +188,23 @@ type Config struct {
 	// catch-up instead (Durable). Requires SessionResume.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in segmented,
-	// CRC-checked write-ahead logs, making the cluster's state survive
-	// process crashes: the commit stream (history and the committed-
-	// request index are recovered when a cluster is reopened on the same
-	// DataDir, and commit cursors that fall below the in-memory
-	// CommitRetention ring are served from disk instead of being
-	// dropped), and — with SessionResume — each node's transport-session
-	// state, so a *restarted* process keeps its session epoch and
-	// replays exactly the frames its dead incarnation had sealed but not
-	// delivered. Writes are group-committed on the BatchInterval: the
-	// hot path never waits on the disk, and a crash loses at most one
-	// batching interval of unsynced records. Requires DataDir and a live
-	// cluster (Simulated: false).
+	// CRC-checked write-ahead logs, making the order processes' state
+	// survive process crashes: their protocol checkpoints
+	// (CheckpointInterval) and — with SessionResume — each node's
+	// transport-session state, so a *restarted* process keeps its
+	// session epoch and replays exactly the frames its dead incarnation
+	// had sealed but not delivered. Writes are group-committed on the
+	// BatchInterval: the hot path never waits on the disk, and a crash
+	// loses at most one batching interval of unsynced records. The
+	// measurement recorder keeps nothing on disk: AwaitCommit and the
+	// commit stream cover this Cluster's commits only. So that a cluster
+	// reopened on the same DataDir never reuses a request ID — the order
+	// processes remember the old ones, and the client's session journal
+	// replays its undelivered ones — the built-in client draws IDs from
+	// the cluster's start time in nanoseconds (from 0 without Durable).
+	// With AuthFrames the session link master is kept in
+	// <DataDir>/link-master (mode 0600), so replayed frames still verify.
+	// Requires DataDir and a live cluster (Simulated: false).
 	Durable bool
 	// DataDir is the root directory for durable state; it is created if
 	// missing. Reusing a DataDir resumes the previous incarnation's
@@ -227,13 +232,14 @@ type Config struct {
 	// experiments run on the real socket substrate.
 	NetShaping bool
 	// CommitRetention bounds how many commit events the measurement
-	// recorder retains (0 = unlimited), and how many execution results
-	// each replica keeps for Result. Long-running clusters should set it
-	// (a few thousand is ample: replicas execute each commit as it
-	// happens, so the ring serves only the recorder's own readers). Values
-	// too small to hold a few commit waves (one event per process per
-	// batch) are raised to that floor. Whether events are retained or
-	// evicted, AwaitCommit stays O(1): it uses the recorder's
+	// recorder retains in memory (0 = unlimited), and how many execution
+	// results each replica keeps for Result. Long-running clusters should
+	// set it (a few thousand is ample: replicas execute each commit as it
+	// happens, so the ring serves only the recorder's own readers); a
+	// reader whose cursor falls below the ring is told how many events it
+	// missed. Values too small to hold a few commit waves (one event per
+	// process per batch) are raised to that floor. Whether events are
+	// retained or evicted, AwaitCommit stays O(1): it uses the recorder's
 	// committed-request index and, in live mode, blocks on a commit
 	// notification instead of polling. Bounded retention also bounds the
 	// committed-request index itself: once a request's event has left the
@@ -256,10 +262,9 @@ type Config struct {
 	// same key always reaches the same group across processes and
 	// restarts. Each group is a complete SC/SCR deployment — its own
 	// coordinator pair (rotated onto different physical nodes per
-	// group), recorder, commit stream (<DataDir>/g<idx>/), WAL checkpoint
-	// directory (<DataDir>/node-<id>/g<idx>/) and replica partition —
-	// multiplexed over one
-	// TCP transport and session per node. Requests are totally ordered
+	// group), recorder, WAL checkpoint directory
+	// (<DataDir>/node-<id>/g<idx>/) and replica partition — multiplexed
+	// over one TCP transport and session per node. Requests are totally ordered
 	// within their group only; there is no cross-group order, and
 	// multi-key submissions spanning two groups are rejected with a
 	// *CrossGroupError (SubmitMulti). Requires Transport TCP, a live

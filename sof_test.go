@@ -492,11 +492,13 @@ func TestPublicAPIKillRestartLosesWindowWithoutDurable(t *testing.T) {
 	}
 }
 
-// TestPublicAPIDurableHistoryAcrossReopen: a cluster reopened on the same
-// DataDir answers commit checks for requests ordered by its previous
-// incarnation, and new clients continue the request-ID namespace instead
-// of colliding with history.
-func TestPublicAPIDurableHistoryAcrossReopen(t *testing.T) {
+// TestPublicAPIDurableReopenContinuesRequestIDs: a cluster stopped with
+// requests sealed in its client's session journal but never delivered,
+// then reopened on the same DataDir, replays those requests and draws
+// fresh IDs above every one of them (client.NewSeq's start-time rule), and
+// the replayed frames still verify under the reopened cluster's link keys.
+// Every request, old and fresh, commits.
+func TestPublicAPIDurableReopenContinuesRequestIDs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration test")
 	}
@@ -506,8 +508,11 @@ func TestPublicAPIDurableHistoryAcrossReopen(t *testing.T) {
 			Protocol:      sof.SC,
 			F:             1,
 			Transport:     sof.TCP,
+			AuthFrames:    true,
+			SessionResume: true,
 			Durable:       true,
 			DataDir:       dir,
+			NetShaping:    true,
 			BatchInterval: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -517,43 +522,60 @@ func TestPublicAPIDurableHistoryAcrossReopen(t *testing.T) {
 	}
 	c1 := build()
 	c1.Start()
-	var old []sof.ReqID
-	for i := 0; i < 3; i++ {
-		id, err := c1.Submit([]byte(fmt.Sprintf("history-%d", i)))
+	probe := submitOneID(t, c1)
+	// Seal requests behind the isolated client and place the durability
+	// point, as durableKillRestartScenario does, then stop cleanly.
+	h := c1.Harness()
+	h.Fabric.Isolate(probe.Client)
+	var replayed []sof.ReqID
+	for i := 0; i < 5; i++ {
+		id, err := c1.Submit([]byte(fmt.Sprintf("sealed-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c1.AwaitCommit(id, 20*time.Second); err != nil {
-			t.Fatal(err)
+		replayed = append(replayed, id)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if err := h.SyncDurable(); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range replayed {
+		if err := c1.AwaitCommit(id, 50*time.Millisecond); err == nil {
+			t.Fatalf("sealed request %d committed through a severed link; scenario invalid", i)
 		}
-		old = append(old, id)
 	}
 	c1.Stop()
+	old := append([]sof.ReqID{probe}, replayed...)
 
 	c2 := build()
 	c2.Start()
 	defer c2.Stop()
-	// Pre-crash commits are answered from the recovered index.
-	for i, id := range old {
-		if err := c2.AwaitCommit(id, time.Second); err != nil {
-			t.Errorf("history request %d forgotten across reopen: %v", i, err)
+	var fresh []sof.ReqID
+	for i := 0; i < 3; i++ {
+		id, err := c2.Submit([]byte(fmt.Sprintf("after-reopen-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, id)
+	}
+	// A fresh ID must exceed every old one, replayed ones included: an
+	// order process that pooled an old ID ignores a fresh request under it.
+	for _, f := range fresh {
+		for _, o := range old {
+			if f.ClientSeq <= o.ClientSeq {
+				t.Errorf("fresh request %v does not exceed old request %v", f, o)
+			}
 		}
 	}
-	// A new submission must not reuse a committed ClientSeq.
-	fresh, err := c2.Submit([]byte("after reopen"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range old {
-		if fresh == id {
-			t.Fatalf("reopened cluster reused request ID %v", id)
+	for i, id := range replayed {
+		if err := c2.AwaitCommit(id, 20*time.Second); err != nil {
+			t.Errorf("journalled request %d not replayed across the reopen: %v", i, err)
 		}
 	}
-	if fresh.ClientSeq <= old[len(old)-1].ClientSeq {
-		t.Fatalf("ClientSeq regressed across reopen: %d after %d", fresh.ClientSeq, old[len(old)-1].ClientSeq)
-	}
-	if err := c2.AwaitCommit(fresh, 20*time.Second); err != nil {
-		t.Fatalf("reopened cluster cannot order new requests: %v", err)
+	for i, id := range fresh {
+		if err := c2.AwaitCommit(id, 20*time.Second); err != nil {
+			t.Errorf("reopened cluster cannot order fresh request %d: %v", i, err)
+		}
 	}
 }
 
