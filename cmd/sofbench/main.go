@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -63,55 +64,64 @@ func main() {
 		return
 	}
 
-	switch *fig {
-	case "4":
-		runFig45(*f, *window, *seed, true)
-	case "5":
-		runFig45(*f, *window, *seed, false)
-	case "6":
-		runFig6(*f, *seed)
-	case "all":
-		runFig45(*f, *window, *seed, true)
-		runFig45(*f, *window, *seed, false)
-		runFig6(*f, *seed)
-	default:
+	if !runFigures(os.Stdout, *fig, *f, *window, *seed) {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
 }
 
-func runFig45(f int, window time.Duration, seed int64, latency bool) {
+// runFigures writes figure fig ("4", "5", "6" or "all") to w, and reports
+// false for any other name.
+func runFigures(w io.Writer, fig string, f int, window time.Duration, seed int64) bool {
+	switch fig {
+	case "4":
+		runFig45(w, f, window, seed, true)
+	case "5":
+		runFig45(w, f, window, seed, false)
+	case "6":
+		runFig6(w, f, seed)
+	case "all":
+		runFig45(w, f, window, seed, true)
+		runFig45(w, f, window, seed, false)
+		runFig6(w, f, seed)
+	default:
+		return false
+	}
+	return true
+}
+
+func runFig45(w io.Writer, f int, window time.Duration, seed int64, latency bool) {
 	figure := "5 (throughput, msgs/s committed per order process)"
 	if latency {
 		figure = "4 (order latency)"
 	}
-	fmt.Printf("=== Figure %s, f=%d ===\n", figure, f)
+	fmt.Fprintf(w, "=== Figure %s, f=%d ===\n", figure, f)
 	protos := []types.Protocol{types.CT, types.SC, types.BFT}
 	for _, suite := range crypto.StudySuites() {
-		fmt.Printf("\n--- crypto %s ---\n", suite)
-		fmt.Printf("%-12s", "interval")
+		fmt.Fprintf(w, "\n--- crypto %s ---\n", suite)
+		fmt.Fprintf(w, "%-12s", "interval")
 		for _, p := range protos {
-			fmt.Printf("%12s", p)
+			fmt.Fprintf(w, "%12s", p)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		for _, interval := range harness.PaperIntervals {
-			fmt.Printf("%-12s", interval)
+			fmt.Fprintf(w, "%-12s", interval)
 			for _, proto := range protos {
 				pt, err := harness.RunLatencyThroughputPoint(proto, suite, f, interval, window, seed)
 				if err != nil {
-					fmt.Printf("%12s", "err")
+					fmt.Fprintf(w, "%12s", "err")
 					continue
 				}
 				if latency {
-					fmt.Printf("%12s", pt.Latency.Mean.Round(100*time.Microsecond))
+					fmt.Fprintf(w, "%12s", pt.Latency.Mean.Round(100*time.Microsecond))
 				} else {
-					fmt.Printf("%12.1f", pt.Throughput)
+					fmt.Fprintf(w, "%12.1f", pt.Throughput)
 				}
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // runScenarios runs the chaos/soak campaign and persists the report even
@@ -136,23 +146,23 @@ func runScenarios(path string, seed int64, smoke bool) error {
 	return runErr
 }
 
-func runFig6(f int, seed int64) {
-	fmt.Printf("=== Figure 6 (fail-over latency vs BackLog size), f=%d ===\n", f)
+func runFig6(w io.Writer, f int, seed int64) {
+	fmt.Fprintf(w, "=== Figure 6 (fail-over latency vs BackLog size), f=%d ===\n", f)
 	for _, suite := range crypto.StudySuites() {
-		fmt.Printf("\n--- crypto %s ---\n", suite)
-		fmt.Printf("%-10s%14s%14s\n", "backlog", "SC", "SCR")
+		fmt.Fprintf(w, "\n--- crypto %s ---\n", suite)
+		fmt.Fprintf(w, "%-10s%14s%14s\n", "backlog", "SC", "SCR")
 		for _, kb := range harness.PaperBacklogKBs {
-			fmt.Printf("%-10s", fmt.Sprintf("%dKB", kb))
+			fmt.Fprintf(w, "%-10s", fmt.Sprintf("%dKB", kb))
 			for _, proto := range []types.Protocol{types.SC, types.SCR} {
 				pt, err := harness.RunFailOverPoint(proto, suite, f, kb, seed)
 				if err != nil {
-					fmt.Printf("%14s", "err")
+					fmt.Fprintf(w, "%14s", "err")
 					continue
 				}
-				fmt.Printf("%14s", pt.Latency.Round(10*time.Microsecond))
+				fmt.Fprintf(w, "%14s", pt.Latency.Round(10*time.Microsecond))
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

@@ -56,7 +56,7 @@ func bindKnobs(fs *flag.FlagSet, k *core.Knobs) {
 	fs.IntVar(&k.CheckpointInterval, "ckpt-interval", 0, "delivered sequence numbers between protocol checkpoints (0 = default 64, negative disables; requires -data-dir)")
 	fs.IntVar(&k.MaxInflightBatches, "inflight", 0, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes")
 	fs.BoolVar(&k.DigestOnlyAcks, "digest-acks", false, "sc/scr digest-only ordering: acks carry subject digests only; missing subjects/payloads are fetched off the critical path")
-	fs.BoolVar(&in.Enabled, "ingress", false, "client admission control (sc/scr only): per-client rate limit, lockout, pending bound, fair dequeue and overload brownout; refused requests get a signed Rejected with a retry hint")
+	fs.BoolVar(&in.Enabled, "ingress", false, "client admission control (sc/scr only): per-client rate limit, lockout, pending bound and overload brownout; refused requests get a signed Rejected with a retry hint")
 	fs.IntVar(&in.Rate, "ingress-rate", 0, "admitted requests per client per -ingress-period (0 = default 256, negative = unlimited)")
 	fs.DurationVar(&in.RatePeriod, "ingress-period", 0, "rate-limiter period (0 = default 1s)")
 	fs.IntVar(&in.LockoutThreshold, "ingress-lockout", 0, "lock a client out once its rejections within the lockout window reach this count (0 = no lockout)")

@@ -43,9 +43,9 @@
 //
 // With -ingress (sc/scr only) the node runs client admission control in
 // front of its request pool: a per-client rate limiter with an optional
-// failure-count lockout, a per-client pending bound, deficit-round-robin
-// fair dequeue into batches, and an overload brownout that sheds
-// over-share clients while the backlog exceeds its high watermark. A
+// failure-count lockout, a per-client pending bound, and an overload
+// brownout that sheds over-share clients while the backlog exceeds its
+// high watermark. A
 // refused request is answered with a signed Rejected message carrying
 // the decision code and a retry hint (delivered over the -clients reply
 // channel; `sofclient -bench -listen` consumes it and backs off). The

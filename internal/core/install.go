@@ -613,8 +613,8 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 	t := NewStartTracker(&p.trackerSlab, st, p.startDigest)
 	p.trackers[st.StartSeq] = t
 	p.nextExpected = st.StartSeq + 1
-	p.sendAck(env, t)
 	p.replayPendingAcks(env, t)
+	p.sendAck(env, t)
 	p.checkQuorum(env, t)
 
 	p.m.failovers.Inc()

@@ -17,28 +17,20 @@ import (
 // arrival queue — is one slab entry found by one index lookup; the arrival
 // queues hold slab positions, so a dequeue looks nothing up.
 //
-// The pool has two dequeue disciplines. The default is the single FIFO
-// arrival queue the paper implies: strict arrival order, one queue for
-// all clients. SetFair switches it to per-client queues drained by
-// deficit round robin — each backlogged client earns a byte quantum per
-// scheduling round, so one flooding client can no longer push every
-// other client's requests arbitrarily far back. Both disciplines keep
-// identical counters (pending, pending bytes, batch-full trigger) and
-// identical MarkOrdered/UnmarkOrdered semantics.
+// Each client has its own arrival queue, and NextBatch drains them by
+// deficit round robin (Shreedhar and Varghese, SIGCOMM 1995): each
+// backlogged client earns drrQuantum bytes of service per scheduling
+// round, so one flooding client cannot push every other client's requests
+// arbitrarily far back. With a single client this is the paper's strict
+// arrival order.
 type RequestPool struct {
-	index map[poolKey]uint32 // request → position in slab
-	slab  []poolEntry
-	free  []uint32 // released slab positions, reused before the slab grows
-	known int      // entries holding a body (Len)
-	// unordered is the FIFO arrival queue, consumed from head. Popping
-	// advances head instead of re-slicing (a re-slice keeps the whole
-	// backing array reachable); compact() periodically copies the live
-	// tail to the front so the consumed prefix is actually released.
-	unordered []uint32
-	head      int
-	pending   int // queued entries still awaiting ordering (O(1) PendingCount)
-	waiters   map[message.ReqID][]func(*message.Request)
-	batch     []*message.Request // NextBatch's result, reused by the next call
+	index   map[poolKey]uint32 // request → position in slab
+	slab    []poolEntry
+	free    []uint32 // released slab positions, reused before the slab grows
+	known   int      // entries holding a body (Len)
+	pending int      // queued entries still awaiting ordering (O(1) PendingCount)
+	waiters map[message.ReqID][]func(*message.Request)
+	batch   []*message.Request // NextBatch's result, reused by the next call
 
 	// pendingBytes is the estimated batch-wire cost of the pending
 	// entries (payload plus per-entry overhead), maintained across
@@ -58,16 +50,13 @@ type RequestPool struct {
 	lastCost     int // wire cost of the last entry Add admitted
 	onTarget     func()
 
-	// Fair-dequeue state (SetFair). queues replaces unordered/head as
-	// the arrival structure; ring is the round-robin rotation of
-	// backlogged clients; active counts the clients with live pending
-	// entries (each clientQueue keeps its own count — the ingress layer's
-	// per-client occupancy).
-	fair    bool
-	quantum int
-	queues  map[types.NodeID]*clientQueue
-	ring    []types.NodeID
-	active  int
+	// queues are the per-client arrival queues; ring is the round-robin
+	// rotation of backlogged clients; active counts the clients with live
+	// pending entries (each clientQueue keeps its own count — the ingress
+	// layer's per-client occupancy).
+	queues map[types.NodeID]*clientQueue
+	ring   []types.NodeID
+	active int
 }
 
 // poolKey is a ReqID as the index hashes it: two words without padding, so
@@ -99,9 +88,11 @@ type poolEntry struct {
 	walked bool // Pending's scratch mark
 }
 
-// clientQueue is one client's FIFO arrival queue in fair mode, with the
-// same head-index + periodic-compaction consumption as the global queue,
-// plus its deficit-round-robin account.
+// clientQueue is one client's FIFO arrival queue, consumed from head, plus
+// its deficit-round-robin account. Popping advances head instead of
+// re-slicing (a re-slice keeps the whole backing array reachable);
+// compact periodically copies the live tail to the front so the consumed
+// prefix is actually released.
 type clientQueue struct {
 	ids     []uint32
 	head    int
@@ -114,11 +105,16 @@ type clientQueue struct {
 // is considered; below it the copy is not worth the bookkeeping.
 const poolCompactMin = 64
 
+// drrQuantum is the service, in batch-wire bytes, each backlogged client
+// earns per scheduling round.
+const drrQuantum = 256
+
 // NewRequestPool returns an empty pool.
 func NewRequestPool() *RequestPool {
 	return &RequestPool{
 		index:   make(map[poolKey]uint32),
 		waiters: make(map[message.ReqID][]func(*message.Request)),
+		queues:  make(map[types.NodeID]*clientQueue),
 	}
 }
 
@@ -176,34 +172,17 @@ func (p *RequestPool) pop(i uint32, e *poolEntry) *message.Request {
 	return e.req
 }
 
-// compact releases the consumed queue prefix once it dominates the
-// backing array, keeping amortised O(1) pops without retaining the full
-// arrival history.
-func (p *RequestPool) compact() {
-	if p.head < poolCompactMin || p.head*2 < len(p.unordered) {
-		return
-	}
-	n := copy(p.unordered, p.unordered[p.head:])
-	p.unordered = p.unordered[:n]
-	p.head = 0
-}
-
-// enqueue appends a not-yet-ordered entry to the arrival queue (the
-// client's own queue in fair mode, the global FIFO otherwise).
+// enqueue appends a not-yet-ordered entry to its client's arrival queue.
 func (p *RequestPool) enqueue(i uint32, e *poolEntry) {
-	if p.fair {
-		q := p.queues[e.id.Client]
-		if q == nil {
-			q = &clientQueue{}
-			p.queues[e.id.Client] = q
-		}
-		q.ids = append(q.ids, i)
-		if !q.inRing {
-			q.inRing = true
-			p.ring = append(p.ring, e.id.Client)
-		}
-	} else {
-		p.unordered = append(p.unordered, i)
+	q := p.queues[e.id.Client]
+	if q == nil {
+		q = &clientQueue{}
+		p.queues[e.id.Client] = q
+	}
+	q.ids = append(q.ids, i)
+	if !q.inRing {
+		q.inRing = true
+		p.ring = append(p.ring, e.id.Client)
 	}
 	e.slots++
 	e.queued = true
@@ -211,42 +190,28 @@ func (p *RequestPool) enqueue(i uint32, e *poolEntry) {
 }
 
 // pendingDelta moves the entry into (d = 1) or out of (d = -1) the pending
-// counters: pending, pendingBytes and, in fair mode, its client's
-// occupancy and with it the backlogged-client count. It must be applied
-// symmetrically wherever a pending entry enters or leaves, so the
-// counters never drift.
+// counters: pending, pendingBytes, its client's occupancy and with it the
+// backlogged-client count. It must be applied symmetrically wherever a
+// pending entry enters or leaves, so the counters never drift.
 func (p *RequestPool) pendingDelta(e *poolEntry, d int) {
 	p.pending += d
 	p.pendingBytes += d * p.cost(e)
-	if p.fair {
-		q := p.queues[e.id.Client]
-		if q.pending == 0 {
-			p.active++
-		}
-		if q.pending += d; q.pending == 0 {
-			p.active--
-		}
+	q := p.queues[e.id.Client]
+	if q.pending == 0 {
+		p.active++
+	}
+	if q.pending += d; q.pending == 0 {
+		p.active--
 	}
 }
 
-// SetFair switches the pool to per-client queues with deficit-round-
-// robin dequeue. quantum is the service bytes each backlogged client
-// earns per scheduling round (values < 1 fall back to 1). Like
-// SetBatchTarget it must be installed before traffic flows — the owning
-// process does so in Init, with the pool still empty.
-func (p *RequestPool) SetFair(quantum int) {
-	if quantum < 1 {
-		quantum = 1
-	}
-	p.fair = true
-	p.quantum = quantum
-	if p.queues == nil {
-		p.queues = make(map[types.NodeID]*clientQueue)
-	}
-}
+// SetFair does nothing: every pool dequeues by deficit round robin with a
+// quantum of drrQuantum bytes.
+//
+// Deprecated: kept while the bench module still calls it.
+func (p *RequestPool) SetFair(quantum int) {}
 
-// ClientPending returns client's live pending entries (0 unless fair
-// mode is on — the single-FIFO pool does not keep per-client counts).
+// ClientPending returns client's live pending entries.
 func (p *RequestPool) ClientPending(client types.NodeID) int {
 	if q := p.queues[client]; q != nil {
 		return q.pending
@@ -254,8 +219,7 @@ func (p *RequestPool) ClientPending(client types.NodeID) int {
 	return 0
 }
 
-// ActiveClients returns how many clients currently have pending entries
-// (0 unless fair mode is on).
+// ActiveClients returns how many clients currently have pending entries.
 func (p *RequestPool) ActiveClients() int {
 	return p.active
 }
@@ -408,9 +372,9 @@ func (p *RequestPool) UnmarkOrdered(id message.ReqID) {
 	}
 }
 
-// Pending returns the requests awaiting ordering, each once, in arrival
-// order (in fair mode: client by client in service order, each client's in
-// arrival order). It walks the arrival queues, not the pool's history.
+// Pending returns the requests awaiting ordering, each once: client by
+// client in service order, each client's in arrival order. It walks the
+// arrival queues, not the pool's history.
 func (p *RequestPool) Pending() []*message.Request {
 	out := make([]*message.Request, 0, p.pending)
 	// An entry named by two slots is reported at the first.
@@ -427,9 +391,6 @@ func (p *RequestPool) Pending() []*message.Request {
 // eachSlot visits the entry behind every unconsumed arrival-queue slot, in
 // dequeue order.
 func (p *RequestPool) eachSlot(fn func(*poolEntry)) {
-	for _, i := range p.unordered[p.head:] {
-		fn(&p.slab[i])
-	}
 	for _, cid := range p.ring {
 		q := p.queues[cid]
 		for _, i := range q.ids[q.head:] {
@@ -445,53 +406,24 @@ const EntryOverhead = 24
 // NextBatch pops unordered requests until adding another would exceed
 // maxBytes (counting payload plus EntryOverhead plus digest size per
 // entry), marking them ordered. At least one request is returned if any
-// is available, so an oversized single request still gets ordered. The
-// default discipline pops in strict arrival order; in fair mode (SetFair)
-// backlogged clients are served deficit-round-robin instead.
+// is available, so an oversized single request still gets ordered.
+//
+// The ring holds every backlogged client; the front client earns one
+// quantum of deficit per visit, serves queue-head requests while its
+// deficit covers their cost, then rotates to the back. Clients whose
+// queues empty retire from the ring with their deficit forfeited. Within
+// one client requests pop in arrival order, so per-client FIFO semantics
+// (and ClientSeq monotonicity) are preserved.
 //
 // The result is a slice the pool owns and reuses: it is valid until the
 // next NextBatch, and callers consume it before they return.
 func (p *RequestPool) NextBatch(maxBytes, digestSize int) []*message.Request {
 	clear(p.batch) // the last batch's requests are not pinned by the slice
-	entryMin := EntryOverhead + digestSize
-	if p.fair {
-		p.batch = p.nextBatchFair(p.batch[:0], maxBytes, entryMin)
-		return p.batch
-	}
-	out := p.batch[:0]
-	total := 0
-	for p.head < len(p.unordered) {
-		i := p.unordered[p.head]
-		e := &p.slab[i]
-		if e.ordered || !e.queued {
-			p.head++
-			p.consumeSlot(i, e)
-			continue
-		}
-		cost := len(e.req.Payload) + entryMin
-		if len(out) > 0 && total+cost > maxBytes {
-			break
-		}
-		p.head++
-		out = append(out, p.pop(i, e))
-		total += cost
-		if total >= maxBytes {
-			break
-		}
-	}
-	p.compact()
-	p.batch = out
-	return out
+	p.batch = p.nextBatch(p.batch[:0], maxBytes, EntryOverhead+digestSize)
+	return p.batch
 }
 
-// nextBatchFair is NextBatch's deficit-round-robin discipline. The ring
-// holds every backlogged client; the front client earns one quantum of
-// deficit per visit, serves queue-head requests while its deficit covers
-// their cost, then rotates to the back. Clients whose queues empty retire
-// from the ring with their deficit forfeited. Within one client requests
-// still pop in arrival order, so per-client FIFO semantics (and ClientSeq
-// monotonicity) are preserved.
-func (p *RequestPool) nextBatchFair(out []*message.Request, maxBytes, entryMin int) []*message.Request {
+func (p *RequestPool) nextBatch(out []*message.Request, maxBytes, entryMin int) []*message.Request {
 	total := 0
 	for len(p.ring) > 0 {
 		cid := p.ring[0]
@@ -501,7 +433,7 @@ func (p *RequestPool) nextBatchFair(out []*message.Request, maxBytes, entryMin i
 			p.retireFront(q)
 			continue
 		}
-		q.deficit += p.quantum
+		q.deficit += drrQuantum
 		for q.head < len(q.ids) {
 			q.dropStaleHead(p)
 			if q.head >= len(q.ids) {
@@ -568,7 +500,9 @@ func (p *RequestPool) retireFront(q *clientQueue) {
 	p.ring = p.ring[:copy(p.ring, p.ring[1:])]
 }
 
-// compact is the per-client analogue of RequestPool.compact.
+// compact releases the consumed queue prefix once it dominates the
+// backing array, keeping amortised O(1) pops without retaining the full
+// arrival history.
 func (q *clientQueue) compact() {
 	if q.head < poolCompactMin || q.head*2 < len(q.ids) {
 		return
@@ -590,13 +524,9 @@ func (p *RequestPool) Len() int {
 	return p.known
 }
 
-// queueFootprint reports the arrival queue's backing length (regression
-// tests pin the compaction behaviour with it). In fair mode it sums the
-// per-client queues.
+// queueFootprint sums the arrival queues' backing lengths and consumed
+// prefixes (regression tests pin the compaction behaviour with it).
 func (p *RequestPool) queueFootprint() (length, head int) {
-	if !p.fair {
-		return len(p.unordered), p.head
-	}
 	for _, q := range p.queues {
 		length += len(q.ids)
 		head += q.head

@@ -63,7 +63,6 @@ func TestPoolFairCountersRandomized(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			p := NewRequestPool()
 			p.SetBatchTarget(1<<20, EntryOverhead+8, func() {})
-			p.SetFair(256)
 			nextSeq := make(map[int]uint64)
 			var added []*message.Request
 			for op := 0; op < 2500; op++ {
@@ -110,7 +109,6 @@ func TestPoolFairCountersRandomized(t *testing.T) {
 // Per-client FIFO order must survive the round-robin interleaving.
 func TestPoolFairNoStarvation(t *testing.T) {
 	const (
-		quantum    = 256
 		digestSize = 8
 		reqSize    = 100
 		greedyN    = 600
@@ -119,7 +117,6 @@ func TestPoolFairNoStarvation(t *testing.T) {
 	)
 	p := NewRequestPool()
 	p.SetBatchTarget(1<<20, EntryOverhead+digestSize, func() {})
-	p.SetFair(quantum)
 	// The greedy client's entire backlog arrives before any polite request.
 	for i := uint64(1); i <= greedyN; i++ {
 		p.Add(fairReq(0, i, reqSize))
@@ -171,14 +168,12 @@ func TestPoolFairNoStarvation(t *testing.T) {
 // quantum's worth of requests per client, independent of backlog depth).
 func TestPoolFairEqualShares(t *testing.T) {
 	const (
-		quantum    = 256
 		digestSize = 8
 		reqSize    = 100
 		n          = 300
 	)
 	p := NewRequestPool()
 	p.SetBatchTarget(1<<20, EntryOverhead+digestSize, func() {})
-	p.SetFair(quantum)
 	for i := uint64(1); i <= n; i++ {
 		p.Add(fairReq(0, i, reqSize))
 	}
@@ -207,13 +202,13 @@ func TestPoolFairEqualShares(t *testing.T) {
 	}
 }
 
-// TestPoolFairQueueCompaction extends the compaction pin to the
-// per-client queues: sustained one-client churn must not retain the
-// consumed prefix of the client's backing array.
+// TestPoolFairQueueCompaction pins the leak fix: popping must not retain
+// the consumed prefix of an arrival queue forever (a re-slice keeps the
+// full backing array — and every popped slot — reachable), so sustained
+// one-client churn stays bounded by the backlog.
 func TestPoolFairQueueCompaction(t *testing.T) {
 	p := NewRequestPool()
 	p.SetBatchTarget(1<<20, EntryOverhead+8, func() {})
-	p.SetFair(256)
 	seq := uint64(0)
 	// Keep the client permanently backlogged (retire-on-empty would reset
 	// the queue and mask a missing compaction) while popping thousands of

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -66,43 +67,57 @@ func TestPoolPendingCountTracksMutations(t *testing.T) {
 	}
 }
 
-// TestPoolQueueCompaction pins the leak fix: popping must not retain the
-// consumed prefix of the arrival queue forever (the old re-slice kept the
-// full backing array — and every popped ReqID — reachable).
-func TestPoolQueueCompaction(t *testing.T) {
-	p := NewRequestPool()
-	const n = 10 * poolCompactMin
-	for i := uint64(1); i <= n; i++ {
-		p.Add(poolReq(i))
-	}
-	for drained := 0; drained < n; {
-		batch := p.NextBatch(64, 8)
-		if len(batch) == 0 {
-			t.Fatal("NextBatch starved with requests pending")
+// TestPoolSingleClientBatchesInArrivalOrder pins what keeps one client's
+// batches those of the paper's single arrival queue: with one client the
+// deficit-round-robin dequeue pops in arrival order and cuts each batch
+// where a plain FIFO cut does. Sizes and budgets are random, oversized
+// requests included; the pool sees every Add before each cut the
+// reference sees.
+func TestPoolSingleClientBatchesInArrivalOrder(t *testing.T) {
+	const digestSize = 32
+	// fifoCut is the reference: the length of the batch a FIFO pops from
+	// the head of costs within maxBytes.
+	fifoCut := func(costs []int, maxBytes int) int {
+		n, total := 0, 0
+		for _, cost := range costs {
+			if n > 0 && total+cost > maxBytes {
+				break
+			}
+			n++
+			if total += cost; total >= maxBytes {
+				break
+			}
 		}
-		drained += len(batch)
+		return n
 	}
-	length, head := p.queueFootprint()
-	if length-head != 0 {
-		t.Fatalf("queue has %d live entries after full drain", length-head)
-	}
-	if length > 2*poolCompactMin {
-		t.Fatalf("queue backing retains %d consumed entries; compaction failed", length)
-	}
-	// Batch ordering is preserved across compactions.
-	p2 := NewRequestPool()
-	for i := uint64(1); i <= n; i++ {
-		p2.Add(poolReq(i))
-	}
-	var order []uint64
-	for len(order) < n {
-		for _, r := range p2.NextBatch(64, 8) {
-			order = append(order, r.ClientSeq)
-		}
-	}
-	for i, seq := range order {
-		if seq != uint64(i+1) {
-			t.Fatalf("arrival order broken at %d: got seq %d", i, seq)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewRequestPool()
+		var queued []*message.Request
+		seq := uint64(0)
+		for round := 0; round < 200; round++ {
+			for n := rng.Intn(12); n > 0; n-- {
+				seq++
+				r := poolReqSized(seq, rng.Intn(1200))
+				p.Add(r)
+				queued = append(queued, r)
+			}
+			costs := make([]int, len(queued))
+			for i, r := range queued {
+				costs[i] = len(r.Payload) + EntryOverhead + digestSize
+			}
+			maxBytes := 1 + rng.Intn(4096)
+			want := queued[:fifoCut(costs, maxBytes)]
+			got := p.NextBatch(maxBytes, digestSize)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d round %d: batch of %d under %d bytes, FIFO cuts %d", seed, round, len(got), maxBytes, len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d round %d: entry %d is seq %d, FIFO pops %d", seed, round, i, got[i].ClientSeq, want[i].ClientSeq)
+				}
+			}
+			queued = queued[len(want):]
 		}
 	}
 }

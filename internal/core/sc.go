@@ -318,10 +318,6 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 	if cfg.Ingress.Enabled {
 		p.ingress = ingress.NewController(cfg.Ingress)
 		p.rejectLast = make(map[types.NodeID]time.Time)
-		// Fair dequeue rides with admission: once clients are being
-		// charged for pool occupancy, one client's backlog must not
-		// dictate every other client's ordering latency either.
-		p.pool.SetFair(p.ingress.FairQuantum())
 	}
 	p.m = newCoreMetrics(cfg.Metrics, cfg.MetricsLabels)
 	p.m.syncRegime(p)
@@ -780,13 +776,16 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 	// brownout exit point (the proposer's is closeBatch/releaseInflight).
 	p.refreshIngress()
 	p.primaryObserveEndorsed(env, b, t.Digest)
-	p.sendAck(env, t)
 	p.replayPendingAcks(env, t)
+	p.sendAck(env, t)
 	p.checkQuorum(env, t)
 	return true
 }
 
-// replayPendingAcks credits buffered acks that arrived before the subject.
+// replayPendingAcks credits buffered acks that arrived before the subject,
+// t, newly tracked. It runs before sendAck, so a counterpart ack already
+// credited is not awaited. A counterpart ack that does not match t goes
+// through the value-domain cross-check, as it would had it come after t.
 func (p *Process) replayPendingAcks(env runtime.Env, t *Tracker) {
 	pending := p.pendingAcks[t.FirstSeq]
 	if len(pending) == 0 {
@@ -796,6 +795,8 @@ func (p *Process) replayPendingAcks(env runtime.Env, t *Tracker) {
 	for _, a := range pending {
 		if t.Matches(a) {
 			t.Credit(a.From, a.Sig)
+		} else {
+			p.crossCheckCounterpartAck(env, a, nil)
 		}
 	}
 }
@@ -843,8 +844,9 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 	}
 	p.multicastAll(env, ack)
 	// Mutual checking between non-coordinator pair members: expect the
-	// counterpart's matching ack within Delta.
-	if p.pair != nil && p.pair.Active() && !p.isPrimaryNow() && !p.isShadowNow() {
+	// counterpart's matching ack within Delta, unless it came first.
+	if p.pair != nil && p.pair.Active() && !p.isPrimaryNow() && !p.isShadowNow() &&
+		!t.Credited(p.pair.Counterpart()) {
 		p.pair.Expect(env, fsp.AckKey(t.View, t.FirstSeq), 0)
 	}
 }

@@ -97,12 +97,19 @@ func (t *Tracker) Matches(a *message.Ack) bool {
 // Credit records an acker's signed contribution. Duplicate credits, and
 // acks from the pair the order already credited, are no-ops.
 func (t *Tracker) Credit(from types.NodeID, sig crypto.Signature) {
+	if !t.Credited(from) {
+		t.credits = append(t.credits, credit{from: from, sig: sig})
+	}
+}
+
+// Credited reports whether from's contribution is recorded.
+func (t *Tracker) Credited(from types.NodeID) bool {
 	for i := range t.credits {
 		if t.credits[i].from == from {
-			return
+			return true
 		}
 	}
-	t.credits = append(t.credits, credit{from: from, sig: sig})
+	return false
 }
 
 // Count returns the number of distinct contributors, counting ackers whose

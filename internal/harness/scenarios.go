@@ -950,7 +950,6 @@ func (g *campaign) overloadBrownout(dur time.Duration) ScenarioPoint {
 		RatePeriod:   time.Second,
 		BrownoutHigh: 4, // ~4 batches of pool backlog trips the brownout
 		BrownoutLow:  1,
-		FairQuantum:  512,
 		// Short TTL so the replicas' copies of shed requests are evicted
 		// inside the drain window — every node, not just the proposer,
 		// must leave brownout by the end.

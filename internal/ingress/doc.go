@@ -4,14 +4,11 @@
 //
 // It composes three independent checks into one Controller:
 //
-//   - a per-client period rate limiter (PeriodLimit): each client may
-//     have at most Rate admissions per RatePeriod, tracked in a
-//     pluggable Store (clip's limit/period_limit idiom — the in-memory
-//     MemStore here; a shared store would make the limit cluster-wide);
-//   - a failure-count lockout (PeriodFailureLimit): a client whose
-//     rejections within LockoutPeriod reach LockoutThreshold is locked
-//     out entirely until the period expires (clip's
-//     period_failure_limit idiom);
+//   - a per-client period rate limiter: each client may have at most
+//     Rate admissions per RatePeriod;
+//   - a failure-count lockout: a client whose rejections within
+//     LockoutPeriod reach LockoutThreshold is locked out entirely until
+//     the period expires;
 //   - a load-shedding brownout controller: admission watches the
 //     ordering backlog (pending pool bytes measured in batch-target
 //     multiples, and proposal-pipeline occupancy) and, past a high
@@ -19,6 +16,11 @@
 //     below a separate low watermark (hysteresis) — in which clients
 //     holding more than their fair share of the pending pool are shed
 //     while light clients keep being admitted.
+//
+// Both limiters count per client, in one state the Controller keeps for
+// each client it has seen: a period starts at the client's first request
+// that reaches the limiter, and is reset lazily by the first one at or
+// after its end. Limits are per node.
 //
 // Every rejection carries a Code and a RetryAfter hint; core wraps them
 // in a signed message.Rejected so clients can back off instead of

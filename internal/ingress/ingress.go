@@ -2,7 +2,6 @@ package ingress
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/sof-repro/sof/internal/types"
@@ -54,130 +53,6 @@ type Decision struct {
 	RetryAfter time.Duration
 }
 
-// Store is the limiter's state backend: per-key counters with a period
-// TTL. It is the pluggable seam of the clip limiter idiom — MemStore
-// here; a shared store would make limits cluster-wide. Implementations
-// must be safe for concurrent use (the fuzzer and tests hit them from
-// multiple goroutines even though a Controller itself is
-// single-goroutine).
-type Store interface {
-	// Incr adds one to key's counter. If no period is running for the
-	// key (first touch, or the previous period expired), a fresh one
-	// starts at now with the given length. It returns the counter value
-	// within the current period and how long until the period expires.
-	Incr(key string, period time.Duration, now time.Time) (count int, resetIn time.Duration)
-	// Peek returns the counter without touching it; ok is false when no
-	// period is running.
-	Peek(key string, now time.Time) (count int, resetIn time.Duration, ok bool)
-	// Del drops key's state.
-	Del(key string)
-}
-
-// memEntry is one key's live period.
-type memEntry struct {
-	count   int
-	expires time.Time
-}
-
-// MemStore is the in-memory Store: a map of live periods, lazily
-// expired on access.
-type MemStore struct {
-	mu sync.Mutex
-	m  map[string]memEntry
-}
-
-// NewMemStore returns an empty in-memory limiter store.
-func NewMemStore() *MemStore { return &MemStore{m: make(map[string]memEntry)} }
-
-// Incr implements Store.
-func (s *MemStore) Incr(key string, period time.Duration, now time.Time) (int, time.Duration) {
-	if period <= 0 {
-		period = time.Nanosecond
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok || !now.Before(e.expires) {
-		e = memEntry{expires: now.Add(period)}
-	}
-	e.count++
-	s.m[key] = e
-	return e.count, e.expires.Sub(now)
-}
-
-// Peek implements Store.
-func (s *MemStore) Peek(key string, now time.Time) (int, time.Duration, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.m[key]
-	if !ok || !now.Before(e.expires) {
-		return 0, 0, false
-	}
-	return e.count, e.expires.Sub(now), true
-}
-
-// Del implements Store.
-func (s *MemStore) Del(key string) {
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-}
-
-// Len reports how many keys hold a (possibly expired) period — tests
-// bound the store's footprint with it.
-func (s *MemStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// PeriodLimit admits at most Quota takes per key per Period — the
-// period_limit idiom: state lives in the Store, the limiter itself is
-// pure policy.
-type PeriodLimit struct {
-	Quota  int
-	Period time.Duration
-	Store  Store
-}
-
-// Take consumes one unit for key. allowed is false once the period
-// quota is spent; resetIn is the remainder of the running period.
-func (l *PeriodLimit) Take(key string, now time.Time) (allowed bool, resetIn time.Duration) {
-	count, resetIn := l.Store.Incr(key, l.Period, now)
-	return count <= l.Quota, resetIn
-}
-
-// PeriodFailureLimit locks a key out once its failures within Period
-// reach Threshold — the period_failure_limit idiom. Failures are
-// recorded by the caller (here: every rejected admission); a success
-// clears the key.
-type PeriodFailureLimit struct {
-	Threshold int
-	Period    time.Duration
-	Store     Store
-}
-
-// RecordFailure counts one failure for key and reports whether the key
-// is now locked out.
-func (l *PeriodFailureLimit) RecordFailure(key string, now time.Time) bool {
-	count, _ := l.Store.Incr(key, l.Period, now)
-	return count >= l.Threshold
-}
-
-// Locked reports whether key is currently locked out, and for how much
-// longer.
-func (l *PeriodFailureLimit) Locked(key string, now time.Time) (bool, time.Duration) {
-	count, resetIn, ok := l.Store.Peek(key, now)
-	if !ok {
-		return false, 0
-	}
-	return count >= l.Threshold, resetIn
-}
-
-// Reset clears key's failure state (a successful admission forgives
-// earlier rejections).
-func (l *PeriodFailureLimit) Reset(key string) { l.Store.Del(key) }
-
 // Config tunes a Controller. The zero value is disabled; Enabled with
 // everything else zero applies the defaults below.
 type Config struct {
@@ -206,10 +81,6 @@ type Config struct {
 	// BrownoutLow leaves brownout when the backlog falls below this
 	// many batch targets (default 2).
 	BrownoutLow float64
-	// FairQuantum is the deficit-round-robin quantum, in wire bytes,
-	// the request pool grants each backlogged client per scheduling
-	// round when ingress is enabled (default 256).
-	FairQuantum int
 	// EvictAfter drops a pooled request that has gone this long without
 	// an ordering decision (default 30s; negative disables eviction).
 	// Admission runs per node, so a replica may pool a request the
@@ -219,9 +90,6 @@ type Config struct {
 	// batches), and an entry ordered after eviction is recovered through
 	// the fetch-on-miss path.
 	EvictAfter time.Duration
-	// Store overrides the limiter state backend (default: a fresh
-	// MemStore per controller — per-node limits).
-	Store Store
 }
 
 func (c Config) withDefaults() Config {
@@ -240,9 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.BrownoutLow == 0 {
 		c.BrownoutLow = 2
 	}
-	if c.FairQuantum == 0 {
-		c.FairQuantum = 256
-	}
 	if c.EvictAfter == 0 {
 		c.EvictAfter = 30 * time.Second
 	}
@@ -259,7 +124,7 @@ func (c Config) Validate() error {
 	if c.RatePeriod < 0 || c.LockoutPeriod < 0 {
 		return fmt.Errorf("ingress: periods must not be negative")
 	}
-	if c.LockoutThreshold < 0 || c.MaxClientPending < 0 || c.FairQuantum < 0 {
+	if c.LockoutThreshold < 0 || c.MaxClientPending < 0 {
 		return fmt.Errorf("ingress: thresholds must not be negative")
 	}
 	if d.BrownoutHigh > 0 && d.BrownoutLow >= d.BrownoutHigh {
@@ -307,17 +172,40 @@ func (pr Pressure) backlog() float64 {
 // concurrent use: it lives on the order process's event loop, like the
 // pool it guards.
 type Controller struct {
-	cfg     Config
-	rate    *PeriodLimit
-	lockout *PeriodFailureLimit
-
+	cfg      Config
 	brownout bool
-	keys     map[types.NodeID]string // cached store keys per client
+	clients  map[types.NodeID]*clientState
 
 	// Counters for the obs instruments (read by the owning process; no
 	// atomics needed on the single event loop, but they are plain
 	// uint64s exposed via Stats for func-backed registration).
 	stats Stats
+}
+
+// clientState is what the limiters know about one client: its admissions
+// in the running rate period, and its rejections in the running failure
+// period (the lockout).
+type clientState struct {
+	rate, failures period
+}
+
+// period counts touches within a fixed-length window that starts at its
+// first touch. It expires lazily: a touch at or after its end starts a
+// fresh one, and a zero count is no period at all.
+type period struct {
+	end   time.Time
+	count int
+}
+
+// incr counts one touch at now, starting a period of length when none is
+// running, and returns the count within the running period and its
+// remainder.
+func (p *period) incr(now time.Time, length time.Duration) (int, time.Duration) {
+	if p.count == 0 || !now.Before(p.end) {
+		*p = period{end: now.Add(length)}
+	}
+	p.count++
+	return p.count, p.end.Sub(now)
 }
 
 // Stats are the controller's lifetime counters.
@@ -334,26 +222,8 @@ type Stats struct {
 // NewController builds a controller for cfg (which must be Enabled and
 // Validated).
 func NewController(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	if cfg.Store == nil {
-		cfg.Store = NewMemStore()
-	}
-	c := &Controller{
-		cfg:  cfg,
-		keys: make(map[types.NodeID]string),
-	}
-	if cfg.Rate > 0 {
-		c.rate = &PeriodLimit{Quota: cfg.Rate, Period: cfg.RatePeriod, Store: cfg.Store}
-	}
-	if cfg.LockoutThreshold > 0 {
-		// Lockout state shares the store but not the keyspace.
-		c.lockout = &PeriodFailureLimit{Threshold: cfg.LockoutThreshold, Period: cfg.LockoutPeriod, Store: cfg.Store}
-	}
-	return c
+	return &Controller{cfg: cfg.withDefaults(), clients: make(map[types.NodeID]*clientState)}
 }
-
-// FairQuantum returns the DRR quantum the pool should use.
-func (c *Controller) FairQuantum() int { return c.cfg.FairQuantum }
 
 // EvictAfter returns the pool-entry eviction TTL (<= 0 when disabled).
 func (c *Controller) EvictAfter() time.Duration { return c.cfg.EvictAfter }
@@ -363,15 +233,6 @@ func (c *Controller) Stats() *Stats { return &c.stats }
 
 // Brownout reports whether the controller is currently in brownout.
 func (c *Controller) Brownout() bool { return c.brownout }
-
-func (c *Controller) key(client types.NodeID) string {
-	k, ok := c.keys[client]
-	if !ok {
-		k = fmt.Sprintf("c%d", int32(client))
-		c.keys[client] = k
-	}
-	return k
-}
 
 // Observe re-evaluates the brownout state against fresh pressure. The
 // admission path calls it implicitly; the owning process also calls it
@@ -397,7 +258,12 @@ func (c *Controller) Observe(pr Pressure) {
 // admission clears its failure state.
 func (c *Controller) Admit(client types.NodeID, now time.Time, pr Pressure) Decision {
 	c.Observe(pr)
-	d := c.decide(c.key(client), now, pr)
+	st := c.clients[client]
+	if st == nil {
+		st = &clientState{}
+		c.clients[client] = st
+	}
+	d := c.decide(st, now, pr)
 	switch d.Code {
 	case OK:
 		c.stats.Admitted++
@@ -416,27 +282,34 @@ func (c *Controller) Admit(client types.NodeID, now time.Time, pr Pressure) Deci
 	return d
 }
 
-func (c *Controller) decide(key string, now time.Time, pr Pressure) Decision {
-	if c.lockout != nil {
-		if locked, resetIn := c.lockout.Locked("l/"+key, now); locked {
-			return Decision{Code: LockedOut, RetryAfter: resetIn}
-		}
+func (c *Controller) decide(st *clientState, now time.Time, pr Pressure) Decision {
+	if d, locked := c.lockedOut(st, now); locked {
+		return d
 	}
-	if c.rate != nil {
-		if allowed, resetIn := c.rate.Take(key, now); !allowed {
-			return c.fail(key, now, Decision{Code: RateLimited, RetryAfter: resetIn})
+	if c.cfg.Rate > 0 {
+		if n, resetIn := st.rate.incr(now, c.cfg.RatePeriod); n > c.cfg.Rate {
+			return c.fail(st, now, Decision{Code: RateLimited, RetryAfter: resetIn})
 		}
 	}
 	if c.cfg.MaxClientPending > 0 && pr.ClientPending >= c.cfg.MaxClientPending {
-		return c.fail(key, now, Decision{Code: InflightCap, RetryAfter: c.cfg.RatePeriod})
+		return c.fail(st, now, Decision{Code: InflightCap, RetryAfter: c.cfg.RatePeriod})
 	}
 	if c.brownout && c.overShare(pr) {
-		return c.fail(key, now, Decision{Code: Overload, RetryAfter: c.cfg.RatePeriod})
+		return c.fail(st, now, Decision{Code: Overload, RetryAfter: c.cfg.RatePeriod})
 	}
-	if c.lockout != nil {
-		c.lockout.Reset("l/" + key)
-	}
+	st.failures = period{} // an admission forgives earlier rejections
 	return Decision{Admit: true, Code: OK}
+}
+
+// lockedOut reports whether the client's rejections within its running
+// failure period have reached the lockout threshold, with the decision
+// that says for how much longer.
+func (c *Controller) lockedOut(st *clientState, now time.Time) (Decision, bool) {
+	f := &st.failures
+	if c.cfg.LockoutThreshold <= 0 || f.count < c.cfg.LockoutThreshold || !now.Before(f.end) {
+		return Decision{}, false
+	}
+	return Decision{Code: LockedOut, RetryAfter: f.end.Sub(now)}, true
 }
 
 // overShare reports whether the admitting client holds strictly more
@@ -452,10 +325,11 @@ func (c *Controller) overShare(pr Pressure) bool {
 // fail records a rejection toward the client's lockout and, when this
 // one crossed the threshold, upgrades the decision to LockedOut so the
 // client learns the full penalty at once.
-func (c *Controller) fail(key string, now time.Time, d Decision) Decision {
-	if c.lockout != nil && c.lockout.RecordFailure("l/"+key, now) {
-		if locked, resetIn := c.lockout.Locked("l/"+key, now); locked {
-			return Decision{Code: LockedOut, RetryAfter: resetIn}
+func (c *Controller) fail(st *clientState, now time.Time, d Decision) Decision {
+	if c.cfg.LockoutThreshold > 0 {
+		st.failures.incr(now, c.cfg.LockoutPeriod)
+		if locked, ok := c.lockedOut(st, now); ok {
+			return locked
 		}
 	}
 	return d

@@ -9,80 +9,85 @@ import (
 
 var t0 = time.Unix(1_000_000, 0)
 
-func TestMemStorePeriods(t *testing.T) {
-	s := NewMemStore()
-	if n, _ := s.Incr("k", time.Second, t0); n != 1 {
-		t.Fatalf("first Incr = %d, want 1", n)
-	}
-	if n, reset := s.Incr("k", time.Second, t0.Add(300*time.Millisecond)); n != 2 || reset != 700*time.Millisecond {
-		t.Fatalf("second Incr = (%d, %v), want (2, 700ms)", n, reset)
-	}
-	// The period expires: the counter restarts.
-	if n, _ := s.Incr("k", time.Second, t0.Add(2*time.Second)); n != 1 {
-		t.Fatalf("post-expiry Incr = %d, want 1", n)
-	}
-	if _, _, ok := s.Peek("k", t0.Add(10*time.Second)); ok {
-		t.Fatal("Peek saw an expired period")
-	}
-	if n, _, ok := s.Peek("k", t0.Add(2*time.Second)); !ok || n != 1 {
-		t.Fatalf("Peek = (%d, %v), want (1, true)", n, ok)
-	}
-	s.Del("k")
-	if s.Len() != 0 {
-		t.Fatalf("Len after Del = %d", s.Len())
-	}
-}
-
+// TestPeriodLimitQuota pins the per-client rate limiter: Rate admissions
+// per RatePeriod, the period running from the client's first request —
+// its remainder is the RetryAfter hint — and restarting lazily at the
+// first request at or after its end. Clients count apart, and the
+// controller keeps state for the clients it has seen, no more.
 func TestPeriodLimitQuota(t *testing.T) {
-	l := &PeriodLimit{Quota: 3, Period: time.Second, Store: NewMemStore()}
+	c := NewController(Config{Enabled: true, Rate: 3, RatePeriod: time.Second})
+	pr := Pressure{BatchBytes: 1024}
 	for i := 0; i < 3; i++ {
-		if ok, _ := l.Take("c", t0); !ok {
-			t.Fatalf("take %d rejected within quota", i)
+		if d := c.Admit(0, t0.Add(time.Duration(i)*100*time.Millisecond), pr); !d.Admit {
+			t.Fatalf("request %d rejected within quota: %v", i, d.Code)
 		}
 	}
-	ok, resetIn := l.Take("c", t0.Add(time.Millisecond))
-	if ok {
-		t.Fatal("take over quota admitted")
+	d := c.Admit(0, t0.Add(300*time.Millisecond), pr)
+	if d.Admit || d.Code != RateLimited || d.RetryAfter != 700*time.Millisecond {
+		t.Fatalf("over-quota decision = %+v, want RateLimited retrying after 700ms", d)
 	}
-	if resetIn <= 0 || resetIn > time.Second {
-		t.Fatalf("resetIn = %v outside (0, period]", resetIn)
+	if d := c.Admit(1, t0.Add(300*time.Millisecond), pr); !d.Admit {
+		t.Fatalf("independent client rejected: %v", d.Code)
 	}
-	// An independent key is unaffected; the period restart forgives.
-	if ok, _ := l.Take("other", t0); !ok {
-		t.Fatal("independent key rejected")
+	// The period still runs a millisecond before its end, and is over at
+	// its end: a fresh one starts at that request.
+	if d := c.Admit(0, t0.Add(999*time.Millisecond), pr); d.Admit || d.RetryAfter != time.Millisecond {
+		t.Fatalf("decision 1ms before the period ends = %+v", d)
 	}
-	if ok, _ := l.Take("c", t0.Add(2*time.Second)); !ok {
-		t.Fatal("take after period restart rejected")
+	if d := c.Admit(0, t0.Add(time.Second), pr); !d.Admit {
+		t.Fatalf("request after the period ended rejected: %v", d.Code)
+	}
+	for i := 0; i < 2; i++ {
+		if d := c.Admit(0, t0.Add(1500*time.Millisecond), pr); !d.Admit {
+			t.Fatalf("request %d of the fresh period rejected: %v", i, d.Code)
+		}
+	}
+	if d := c.Admit(0, t0.Add(1500*time.Millisecond), pr); d.Admit || d.RetryAfter != 500*time.Millisecond {
+		t.Fatalf("over-quota decision in the fresh period = %+v, want a 500ms retry", d)
+	}
+	if len(c.clients) != 2 {
+		t.Fatalf("controller holds state for %d clients, saw 2", len(c.clients))
 	}
 }
 
+// TestPeriodFailureLimitLockout pins the lockout: a client whose
+// rejections within LockoutPeriod reach LockoutThreshold is refused
+// everything until the failure period, started by the first of them,
+// ends; an admission below the threshold forgives earlier rejections.
 func TestPeriodFailureLimitLockout(t *testing.T) {
-	l := &PeriodFailureLimit{Threshold: 3, Period: time.Second, Store: NewMemStore()}
-	if locked, _ := l.Locked("c", t0); locked {
-		t.Fatal("fresh key locked")
+	c := NewController(Config{
+		Enabled: true, Rate: -1, MaxClientPending: 1,
+		LockoutThreshold: 3, LockoutPeriod: time.Second,
+	})
+	full := Pressure{BatchBytes: 1024, ClientPending: 1} // at the pending cap: refused
+	free := Pressure{BatchBytes: 1024}
+	refuse := func(at time.Duration, want Code) Decision {
+		t.Helper()
+		d := c.Admit(0, t0.Add(at), full)
+		if d.Admit || d.Code != want {
+			t.Fatalf("decision at %v = %+v, want %v", at, d, want)
+		}
+		return d
 	}
-	l.RecordFailure("c", t0)
-	l.RecordFailure("c", t0)
-	if locked, _ := l.Locked("c", t0); locked {
-		t.Fatal("locked below threshold")
+	refuse(0, InflightCap)
+	refuse(0, InflightCap)
+	if d := c.Admit(0, t0, free); !d.Admit {
+		t.Fatalf("locked below threshold: %v", d.Code)
 	}
-	if !l.RecordFailure("c", t0) {
-		t.Fatal("threshold failure did not lock")
+	// The admission forgave the two rejections: two more stay below it.
+	refuse(0, InflightCap)
+	refuse(0, InflightCap)
+	if d := refuse(time.Millisecond, LockedOut); d.RetryAfter != 999*time.Millisecond {
+		t.Fatalf("threshold rejection retries after %v, want 999ms", d.RetryAfter)
 	}
-	locked, resetIn := l.Locked("c", t0.Add(time.Millisecond))
-	if !locked || resetIn <= 0 {
-		t.Fatalf("Locked = (%v, %v) after threshold", locked, resetIn)
+	if d := c.Admit(0, t0.Add(500*time.Millisecond), free); d.Code != LockedOut || d.RetryAfter != 500*time.Millisecond {
+		t.Fatalf("decision while locked out = %+v", d)
 	}
-	// Expiry unlocks; Reset forgives early.
-	if locked, _ := l.Locked("c", t0.Add(2*time.Second)); locked {
-		t.Fatal("still locked after period expiry")
+	if d := c.Admit(1, t0.Add(500*time.Millisecond), free); !d.Admit {
+		t.Fatalf("another client locked out: %v", d.Code)
 	}
-	l.RecordFailure("d", t0)
-	l.RecordFailure("d", t0)
-	l.Reset("d")
-	l.RecordFailure("d", t0)
-	if locked, _ := l.Locked("d", t0); locked {
-		t.Fatal("Reset did not forgive earlier failures")
+	if d := c.Admit(0, t0.Add(time.Second), free); !d.Admit {
+		t.Fatalf("still locked out after the period ended: %v", d.Code)
 	}
 }
 
@@ -97,7 +102,6 @@ func TestConfigValidate(t *testing.T) {
 		{Enabled: true, RatePeriod: -time.Second},
 		{Enabled: true, LockoutThreshold: -1},
 		{Enabled: true, MaxClientPending: -1},
-		{Enabled: true, FairQuantum: -1},
 		{Enabled: true, BrownoutHigh: 2, BrownoutLow: 2},
 		{Enabled: true, BrownoutHigh: 2, BrownoutLow: 3},
 	}

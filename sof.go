@@ -271,9 +271,9 @@ type Config struct {
 	// cluster and Protocol SC or SCR; capped at MaxGroups.
 	Groups int
 	// Ingress enables client admission control on the order processes
-	// (SC/SCR only): per-client rate limiting with optional lockout,
-	// fair (deficit-round-robin) dequeue from the request pool, and
-	// brownout shedding of over-share clients under ordering backlog.
+	// (SC/SCR only): per-client rate limiting with optional lockout, a
+	// per-client pending bound, and brownout shedding of over-share
+	// clients under ordering backlog.
 	// Refused clients receive a signed Rejected reply naming the cause
 	// and a retry hint. The zero value keeps today's unconditional
 	// admission path bit-for-bit.
