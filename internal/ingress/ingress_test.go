@@ -9,6 +9,38 @@ import (
 
 var t0 = time.Unix(1_000_000, 0)
 
+// TestMemStorePeriods pins the in-memory period the controller keeps per
+// client for its rate and failure counts: a period starts at the first
+// touch, each touch reports the count and the remainder, a touch at or
+// after the end restarts the count, and a cleared period restarts at the
+// next touch however much of the old window is left.
+func TestMemStorePeriods(t *testing.T) {
+	var p period
+	if n, reset := p.incr(t0, time.Second); n != 1 || reset != time.Second {
+		t.Fatalf("first incr = (%d, %v), want (1, 1s)", n, reset)
+	}
+	if n, reset := p.incr(t0.Add(300*time.Millisecond), time.Second); n != 2 || reset != 700*time.Millisecond {
+		t.Fatalf("second incr = (%d, %v), want (2, 700ms)", n, reset)
+	}
+	if n, reset := p.incr(t0.Add(999*time.Millisecond), time.Second); n != 3 || reset != time.Millisecond {
+		t.Fatalf("incr 1ms before the end = (%d, %v), want (3, 1ms)", n, reset)
+	}
+	// The period expires at its end: the counter restarts there.
+	if n, reset := p.incr(t0.Add(time.Second), time.Second); n != 1 || reset != time.Second {
+		t.Fatalf("incr at the end = (%d, %v), want (1, 1s)", n, reset)
+	}
+	if n, _ := p.incr(t0.Add(10*time.Second), time.Second); n != 1 {
+		t.Fatalf("post-expiry incr = %d, want 1", n)
+	}
+	p.incr(t0.Add(10*time.Second), time.Second)
+	// Cleared (as an admission clears the failure count): a fresh period
+	// starts at the next touch, not at the old window's end.
+	p = period{}
+	if n, reset := p.incr(t0.Add(10500*time.Millisecond), time.Second); n != 1 || reset != time.Second {
+		t.Fatalf("incr after clearing = (%d, %v), want (1, 1s)", n, reset)
+	}
+}
+
 // TestPeriodLimitQuota pins the per-client rate limiter: Rate admissions
 // per RatePeriod, the period running from the client's first request —
 // its remainder is the RetryAfter hint — and restarting lazily at the
