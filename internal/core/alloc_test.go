@@ -252,12 +252,16 @@ var raceEnabled bool
 // fit its 8 KB.
 const trackersPerSlab = 8 << 10 / int(unsafe.Sizeof(Tracker{}))
 
-// scratchEnv is fakeEnv with the digest and signature scratch a runtime
-// Env owns, so what a measurement counts is the protocol's own objects.
+// scratchEnv is fakeEnv with the digest and signature scratch and the
+// wire arenas a runtime Env owns, so what a measurement counts is the
+// protocol's own objects.
 type scratchEnv struct {
 	fakeEnv
 	digest, sig []byte
+	arenas      message.Arenas
 }
+
+func (e *scratchEnv) WireArenas() *message.Arenas { return &e.arenas }
 
 func (e *scratchEnv) ScratchDigest(b []byte) []byte {
 	e.digest = e.AppendDigest(e.digest[:0], b)
@@ -271,10 +275,11 @@ func (e *scratchEnv) ScratchSign(d []byte) (crypto.Signature, error) {
 }
 
 // TestCloseBatchAllocationFloors pins what proposing a batch costs the
-// heap: its block (the struct with its entries inline), the block its
-// entries' digests share and its signed buffer — three objects, with
-// NextBatch's slice the pool's own. And what acking one costs: the ack's
-// signed buffer and a share of the process's ack slab.
+// heap: shares — of the process's proposal slab (the block, the struct
+// with its entries inline), of its digest arena and of the wire arena its
+// signed buffer is carved from — and no object of its own, with
+// NextBatch's slice the pool's own. And what acking one costs: shares of
+// the process's ack slab and of a wire arena.
 func TestCloseBatchAllocationFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation floors do not hold under the race detector")
@@ -300,13 +305,13 @@ func TestCloseBatchAllocationFloors(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(runs, func() {
 		first := p.nextSeq
-		if !p.closeBatch(env, true) || p.nextSeq != first+perBatch {
+		if !p.closeBatch(env, closeSize) || p.nextSeq != first+perBatch {
 			t.Fatalf("closeBatch proposed seqs %d..%d, want a batch of %d", first, p.nextSeq-1, perBatch)
 		}
 		delete(p.inflight, first) // committed, as releaseInflight would
 	})
-	if got > 3 {
-		t.Errorf("closeBatch = %v allocs, want <= 3 (block, digests, signed buffer)", got)
+	if got != 0 {
+		t.Errorf("closeBatch = %v allocs, want 0 (slab and arena shares)", got)
 	}
 
 	acker := fx.process
@@ -317,10 +322,102 @@ func TestCloseBatchAllocationFloors(t *testing.T) {
 		trackers[i] = NewBatchTracker(new(message.Slab[Tracker]), fx.batch, fx.batch.BodyDigest(aenv))
 	}
 	next := 0
-	if got := testing.AllocsPerRun(runs, func() { acker.sendAck(aenv, trackers[next]); next++ }); got > 1 {
-		t.Errorf("sendAck = %v allocs, want <= 1 (the signed buffer and a slab share)", got)
+	if got := testing.AllocsPerRun(runs, func() { acker.sendAck(aenv, trackers[next]); next++ }); got != 0 {
+		t.Errorf("sendAck = %v allocs, want 0 (slab and arena shares)", got)
 	}
 }
+
+// TestEndorseAllocationFloors pins what the shadow's endorsement costs the
+// heap: validateAndEndorse checks a proposal of five pooled requests and
+// endorses it into a share of the process's endorsement slab and of a wire
+// arena — no object of its own. The endorsement is the proposal's body
+// with the shadow's second signature.
+func TestEndorseAllocationFloors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors do not hold under the race detector")
+	}
+	const (
+		runs     = 100
+		perBatch = 5
+	)
+	fx := newEvidenceFixture(t)
+	shadow, err := New(fx.s1, Config{Topo: fx.topo, Knobs: Knobs{BatchInterval: time.Second, MaxBatchBytes: 1024, Delta: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan message.Message, runs+1)
+	env := &captureEnv{scratchEnv: scratchEnv{fakeEnv: fakeEnv{Identity: fx.idents[fx.s1]}}, out: out}
+	shadow.Init(env)
+	proposal := message.NewOrderBatch(perBatch)
+	proposal.Coord, proposal.View, proposal.FirstSeq, proposal.Primary, proposal.Shadow = 1, 1, 1, fx.p1, fx.s1
+	for i := range proposal.Entries {
+		r := &message.Request{Client: 100, ClientSeq: uint64(i), Payload: make([]byte, 128)}
+		shadow.pool.Add(r)
+		proposal.Entries[i] = message.OrderEntry{Req: r.ID(), ReqDigest: env.Digest(r.SignedBody())}
+	}
+	if err := message.Sign(fx.idents[fx.p1], proposal, &proposal.Sig1); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(runs, func() { shadow.validateAndEndorse(env, proposal) }); got != 0 {
+		t.Errorf("validateAndEndorse = %v allocs, want 0 (slab and arena shares)", got)
+	}
+	endorsed := (<-out).(*message.OrderBatch)
+	if endorsed == proposal || !bytes.Equal(endorsed.SignedBody(), proposal.SignedBody()) {
+		t.Fatal("the endorsement is not a copy of the proposal's body")
+	}
+	if err := endorsed.VerifySigs(env); err != nil {
+		t.Errorf("the endorsement does not verify: %v", err)
+	}
+}
+
+// TestDeliverAllocationFloors pins what delivering a committed batch costs
+// a durable process: nothing — the committed-order digest chain is summed
+// in scratch and copied into the chain's own bytes. The chain is the one
+// Digest(chain || subject) gives, whatever else the loop sums in scratch
+// meanwhile, and a copy a reader took (OrderDigest) does not change under
+// the next delivery.
+func TestDeliverAllocationFloors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors do not hold under the race detector")
+	}
+	const runs = 100
+	fx := newEvidenceFixture(t)
+	p, err := New(fx.p3, Config{Topo: fx.topo, Checkpointer: &nullCheckpointer{},
+		Knobs: Knobs{BatchInterval: time.Second, MaxBatchBytes: 1024, Delta: time.Second, CheckpointInterval: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &scratchEnv{fakeEnv: fakeEnv{Identity: fx.idents[fx.p3]}}
+	p.pool.Add(&message.Request{Client: 100, ClientSeq: 1, Payload: []byte("request-one")})
+	tr := NewBatchTracker(&p.trackerSlab, fx.batch, fx.batch.BodyDigest(env))
+	p.deliver(env, tr)
+	held := p.OrderDigest()
+	want := fx.idents[fx.p3].Digest(tr.Digest)
+	if !bytes.Equal(held, want) {
+		t.Fatalf("first chain %x, want Digest(subject) %x", held, want)
+	}
+	// The loop digests other things in scratch between deliveries.
+	other := []byte("the next message")
+	deliver := func() { p.deliver(env, tr); env.ScratchDigest(other) }
+	if got := testing.AllocsPerRun(runs, deliver); got != 0 {
+		t.Errorf("deliver = %v allocs, want 0", got)
+	}
+	for range runs + 1 {
+		want = fx.idents[fx.p3].Digest(append(append([]byte(nil), want...), tr.Digest...))
+	}
+	if got := p.OrderDigest(); !bytes.Equal(got, want) {
+		t.Errorf("chain after %d deliveries = %x, want %x", runs+2, got, want)
+	}
+	if !bytes.Equal(held, fx.idents[fx.p3].Digest(tr.Digest)) {
+		t.Error("a copy of the chain changed under later deliveries")
+	}
+}
+
+// nullCheckpointer makes a process durable and keeps nothing.
+type nullCheckpointer struct{}
+
+func (*nullCheckpointer) Save(CheckpointState) types.Seq { return 0 }
+func (*nullCheckpointer) Load() (CheckpointState, bool)  { return CheckpointState{}, false }
 
 // captureEnv hands every message multicast through it to out.
 type captureEnv struct {

@@ -130,12 +130,12 @@ func (p *Process) restoreCheckpoint(cp CheckpointState) {
 }
 
 // chainDigest extends the rolling committed-order digest with one
-// delivered subject's digest.
-func chainDigest(env runtime.Env, chain, subject []byte) []byte {
-	buf := make([]byte, 0, len(chain)+len(subject))
-	buf = append(buf, chain...)
-	buf = append(buf, subject...)
-	return env.Digest(buf)
+// delivered subject's digest, in place: the chain is summed in scratch
+// and copied into orderDigest's own bytes, which every reader copies
+// (the checkpoint, OrderDigest).
+func (p *Process) chainDigest(env runtime.Env, subject []byte) {
+	p.chainBuf = append(append(p.chainBuf[:0], p.orderDigest...), subject...)
+	p.orderDigest = append(p.orderDigest[:0], env.ScratchDigest(p.chainBuf)...)
 }
 
 // saveCheckpointIfDue runs on the commit path (deliver): once

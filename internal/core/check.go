@@ -154,8 +154,8 @@ func (p *Process) validateAndEndorse(env runtime.Env, b *message.OrderBatch) {
 			return
 		}
 	}
-	endorsed, err := b.Endorse(env)
-	if err != nil {
+	endorsed := p.endorsedSlab.New()
+	if err := b.EndorseInto(env, endorsed); err != nil {
 		env.Logf("core: endorsing batch %d: %v", b.FirstSeq, err)
 		return
 	}

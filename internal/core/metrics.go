@@ -12,18 +12,19 @@ import (
 // process was built without a registry (obs instruments are nil-safe),
 // so the unwired hot path pays one predicted branch per event.
 type coreMetrics struct {
-	watermark     *obs.Gauge   // highest contiguously delivered sequence
-	entries       *obs.Counter // committed entries
-	batches       *obs.Counter // committed subjects (batches + Starts)
-	view          *obs.Gauge   // current view number
-	rank          *obs.Gauge   // installed coordinator rank
-	failovers     *obs.Counter // coordinator installations beyond the initial regime
-	failSignals   *obs.Counter // fail-signals emitted or first received
-	batchFill     *obs.Gauge   // fill ratio of the last closed batch
-	inflight      *obs.Gauge   // proposal-window occupancy
-	catchingUp    *obs.Gauge   // 1 while restart catch-up is in progress
-	catchupTarget *obs.Gauge   // highest responder watermark seen this catch-up
-	catchups      *obs.Counter // completed restart catch-up rounds
+	watermark     *obs.Gauge                     // highest contiguously delivered sequence
+	entries       *obs.Counter                   // committed entries
+	batches       *obs.Counter                   // committed subjects (batches + Starts)
+	view          *obs.Gauge                     // current view number
+	rank          *obs.Gauge                     // installed coordinator rank
+	failovers     *obs.Counter                   // coordinator installations beyond the initial regime
+	failSignals   *obs.Counter                   // fail-signals emitted or first received
+	batchFill     *obs.Gauge                     // fill ratio of the last closed batch
+	closes        [numCloseTriggers]*obs.Counter // batch closes by trigger
+	inflight      *obs.Gauge                     // proposal-window occupancy
+	catchingUp    *obs.Gauge                     // 1 while restart catch-up is in progress
+	catchupTarget *obs.Gauge                     // highest responder watermark seen this catch-up
+	catchups      *obs.Counter                   // completed restart catch-up rounds
 	// pairMargin is how far ahead of its deadline each awaited counterpart
 	// output arrived: the slack the intra-pair time-domain checks have
 	// against Delta.
@@ -60,7 +61,14 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 	with := func(key, v string) []obs.Label {
 		return append(append(make([]obs.Label, 0, len(labels)+1), labels...), obs.L(key, v))
 	}
+	var closes [numCloseTriggers]*obs.Counter
+	for t := range closes {
+		closes[t] = r.Counter("sof_batch_closes_total",
+			"Batches the primary closed, by trigger: the pool filling one (size), an empty proposal window (idle) or the interval backstop.",
+			with("trigger", closeTrigger(t).String())...)
+	}
 	return coreMetrics{
+		closes: closes,
 		watermark: r.Gauge("sof_commit_watermark",
 			"Highest contiguously delivered sequence number.", labels...),
 		entries: r.Counter("sof_committed_entries_total",

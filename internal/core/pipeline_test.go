@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/harness"
 	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/types"
 )
@@ -249,5 +251,184 @@ func TestIdlePrimaryDisarmsBatchTimer(t *testing.T) {
 	c.RunFor(500 * time.Millisecond) // drained again
 	if c.SCProcess(primary).BatchTimerArmed() {
 		t.Error("primary re-armed its batch timer on an empty pool")
+	}
+}
+
+// proposerTick is the primary's proposer state at the end of one tick of
+// virtual time: pool depth, proposal counter, delivery watermark, and the
+// size-triggered and other closes so far.
+type proposerTick struct {
+	pending   int
+	next      types.Seq
+	delivered types.Seq
+	sized     uint64
+	other     uint64
+}
+
+func proposerState(c *harness.Cluster, primary types.NodeID) proposerTick {
+	proc := c.SCProcess(primary)
+	_, _, sized, other := proc.BatchCloseStats()
+	return proposerTick{pending: c.OrderPool(primary, 0).PendingCount(), next: proc.NextProposeSeq(),
+		delivered: proc.MaxDelivered(), sized: sized, other: other}
+}
+
+// closeRuleTick is the step of the close-rule tests: far finer than a
+// request's multicast or a batch's round trip on the modelled LAN.
+const closeRuleTick = 50 * time.Microsecond
+
+// TestIdlePipelinedPrimaryProposesAtArrival pins the first half of the
+// close rule: a lone request reaching a pipelined primary with nothing in
+// flight is proposed in the tick it arrives, as an idle close, not a
+// BatchInterval (100 ms here) later — and commits long before the
+// interval would have closed it.
+func TestIdlePipelinedPrimaryProposesAtArrival(t *testing.T) {
+	c, primary, _ := pipelinedPrimary(t)
+	if _, err := c.Submit(0, make([]byte, 128)); err != nil {
+		t.Fatal(err)
+	}
+	var s proposerTick
+	for elapsed := time.Duration(0); ; elapsed += closeRuleTick {
+		if elapsed > 20*time.Millisecond {
+			t.Fatal("the request never reached the primary")
+		}
+		c.RunFor(closeRuleTick)
+		if s = proposerState(c, primary); s.pending > 0 || s.next > 1 {
+			break
+		}
+	}
+	if s.next != 2 || s.pending != 0 {
+		t.Fatalf("the request reached the idle primary's pool and was not proposed at arrival: next %d, %d pending", s.next, s.pending)
+	}
+	if s.sized != 0 || s.other != 1 {
+		t.Errorf("closes: %d size-triggered, %d other; want one idle close", s.sized, s.other)
+	}
+	idle := c.RegistryOf(primary).Value("sof_batch_closes_total", obs.L("node", primary.String()), obs.L("trigger", "idle"))
+	if idle != 1 {
+		t.Errorf("sof_batch_closes_total{trigger=\"idle\"} = %v, want 1", idle)
+	}
+	c.RunFor(20 * time.Millisecond)
+	assertTotalOrder(t, c, 7, 1)
+}
+
+// TestArrivalsDuringInflightBatchGoOutTogether pins the second half: a
+// request reaching the primary while a batch is in flight waits until
+// the arrivals fill a batch or a commit drains the window, and then
+// everything waiting goes out as one batch. One request goes out alone
+// at its arrival; one from each of eight clients arrives while it is in
+// flight: five fill a batch and go out on the size trigger, and three
+// wait — through the commit of the first batch, which leaves the full one
+// in flight — until the full one commits and drains the window, when the
+// three are proposed together.
+func TestArrivalsDuringInflightBatchGoOutTogether(t *testing.T) {
+	const clients = 8
+	c := simCluster(t, func(o *harness.Options) {
+		o.Suite = crypto.HMACSHA256
+		o.BatchInterval = 100 * time.Millisecond
+		o.MaxInflightBatches = 8
+		o.DigestOnlyAcks = true
+		o.NumClients = clients
+	})
+	primary, _, _, err := c.Topo.Candidate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 128)
+	if _, err := c.Submit(0, payload); err != nil {
+		t.Fatal(err)
+	}
+	s := proposerState(c, primary)
+	for elapsed := time.Duration(0); s.next == 1; elapsed += closeRuleTick {
+		if elapsed > 20*time.Millisecond {
+			t.Fatal("the first request was never proposed")
+		}
+		c.RunFor(closeRuleTick)
+		s = proposerState(c, primary)
+	}
+	for k := 0; k < clients; k++ {
+		if _, err := c.Submit(k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const full = 5 // 128-byte requests in a 1 KB batch
+	const left = clients - full
+	waitedThroughCommit := false
+	for elapsed := time.Duration(0); s.delivered < 1+full; elapsed += closeRuleTick {
+		if elapsed > 200*time.Millisecond {
+			t.Fatalf("the full batch never committed at the primary (delivered %d)", s.delivered)
+		}
+		c.RunFor(closeRuleTick)
+		after := proposerState(c, primary)
+		switch {
+		case after.delivered < 1+full && after.next != 2 && after.next != 2+full:
+			t.Fatalf("seqs %d..%d were proposed while the window held a batch (delivered %d)",
+				2, after.next-1, after.delivered)
+		case after.delivered < 1+full && after.next == 2+full && after.sized != 1:
+			t.Fatalf("%d size-triggered closes, want the one full batch", after.sized)
+		case after.delivered >= 1+full && (after.next != s.next+left || after.pending != 0):
+			t.Fatalf("the commit that drained the window proposed seqs %d..%d and left %d pending, want the %d waiting requests as one batch",
+				s.next, after.next-1, after.pending, left)
+		}
+		if after.delivered >= 1 && after.delivered < 1+full && after.pending == left {
+			waitedThroughCommit = true
+		}
+		s = after
+	}
+	if !waitedThroughCommit {
+		t.Fatal("the first batch's commit, with the full batch in flight, never found the rest waiting")
+	}
+	if s.sized != 1 || s.other != 2 {
+		t.Errorf("closes: %d size-triggered, %d other; want one full batch and two idle closes", s.sized, s.other)
+	}
+	c.RunFor(50 * time.Millisecond)
+	assertTotalOrder(t, c, 7, 1+clients)
+	if fs := c.Events.FailSignals(); len(fs) != 0 {
+		t.Errorf("fail-free run emitted fail-signals: %+v", fs)
+	}
+}
+
+// TestUnpipelinedProposerKeepsIntervalPacing pins that the close rule is
+// the pipelined path's alone: with a window of 0 or 1 (the paper preset)
+// a stream of requests, one every 3 ms, is closed into batches at exactly
+// the virtual times, and of exactly the sizes, that the interval-paced
+// proposer closed them at before the rule — all on the timer.
+func TestUnpipelinedProposerKeepsIntervalPacing(t *testing.T) {
+	type batchClose struct {
+		at      time.Duration // since the first submission, to the tick
+		entries int
+	}
+	// What the interval-paced proposer closed before the close rule: the
+	// first batch one interval after Init armed the timer, the others
+	// later than one interval apart, as the modelled CPU of the requests
+	// arriving meanwhile delays the timer's callback.
+	want := []batchClose{{10 * time.Millisecond, 4}, {23850 * time.Microsecond, 4},
+		{44250 * time.Microsecond, 5}, {66200 * time.Microsecond, 2}}
+	for _, window := range []int{0, 1} {
+		c := simCluster(t, func(o *harness.Options) { o.MaxInflightBatches = window })
+		primary, _, _, err := c.Topo.Candidate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, 128)
+		var got []batchClose
+		before := proposerState(c, primary)
+		for elapsed := time.Duration(0); elapsed < 80*time.Millisecond; elapsed += closeRuleTick {
+			if elapsed%(3*time.Millisecond) == 0 && elapsed < 45*time.Millisecond {
+				if _, err := c.Submit(0, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.RunFor(closeRuleTick)
+			after := proposerState(c, primary)
+			if after.next > before.next {
+				got = append(got, batchClose{elapsed + closeRuleTick, int(after.next - before.next)})
+			}
+			before = after
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("window %d: batches closed at (time, entries) %v, want %v", window, got, want)
+		}
+		if before.sized != 0 {
+			t.Errorf("window %d: %d size-triggered closes", window, before.sized)
+		}
 	}
 }

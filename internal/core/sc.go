@@ -160,6 +160,12 @@ type Process struct {
 	// an ack is dropped once multicast and self-credited.
 	trackerSlab message.Slab[Tracker]
 	ackSlab     message.Slab[message.Ack]
+	// What the batches it builds are carved from: the primary's proposals
+	// and their digests, dropped once the endorsed echo returns, and the
+	// shadow's endorsements, kept by its trackers.
+	proposalSlab message.BatchSlab
+	digestArena  message.Arena
+	endorsedSlab message.Slab[message.OrderBatch]
 
 	// Coordinator-primary state.
 	nextSeq    types.Seq
@@ -178,11 +184,11 @@ type Process struct {
 	// blocks late adoption once this incarnation has proposed.
 	pairResume    types.Seq
 	proposedSince bool
-	// Batch-close gauges (observability).
-	lastFill            float64
-	fillSum             float64
-	sizeTriggeredCount  uint64
-	timerTriggeredCount uint64
+	// Batch-close gauges (observability): the fill of the last close and
+	// the sum over all, and the closes per trigger.
+	lastFill float64
+	fillSum  float64
+	closes   [numCloseTriggers]uint64
 
 	// Coordinator-shadow state. deferFetchTimer retries payload fetches
 	// for deferred proposals (check.go / fetch.go).
@@ -216,6 +222,7 @@ type Process struct {
 	ckptEvery      types.Seq                  // seqs between checkpoints
 	lastCkptSeq    types.Seq                  // watermark of the last Save
 	orderDigest    []byte                     // rolling digest over delivered subjects
+	chainBuf       []byte                     // chainDigest's input, reused
 	announcedWM    types.Seq                  // last durable watermark announced
 	peerCkpt       map[types.NodeID]types.Seq // peers' announced watermarks
 	prunedBelow    types.Seq                  // cluster watermark history was pruned below
@@ -530,46 +537,74 @@ func (p *Process) batchTick(env runtime.Env) {
 		return
 	}
 	if !p.pipelined() || len(p.inflight) < p.cfg.MaxInflightBatches {
-		p.closeBatch(env, false)
+		p.closeBatch(env, closeBackstop)
 	}
 	if p.pool.PendingCount() > 0 {
 		p.armBatchTimer(env)
 	}
 }
 
-// onPoolTarget fires (from RequestPool.Add, on this event loop) on the
-// arrival that fills a batch (RequestPool.BatchFull): the adaptive close.
-// In pipelined mode it proposes immediately, filling as many free window
-// slots as the pool can cover with full batches; commit-time releases call
-// it again to refill. Without pipelining it is ignored — the paper's
+// closeTrigger is what closed a batch: the pool filling it, an empty
+// proposal window, or the interval backstop.
+type closeTrigger int
+
+const (
+	closeSize closeTrigger = iota
+	closeIdle
+	closeBackstop
+	numCloseTriggers
+)
+
+// String is the trigger's sof_batch_closes_total label.
+func (t closeTrigger) String() string {
+	return [numCloseTriggers]string{"size", "idle", "backstop"}[t]
+}
+
+// onPoolTarget is the pipelined close rule, Nagle's: a full batch closes
+// at once while the window has room, and whatever the pool holds closes at
+// once when nothing is in flight — so a request reaching an idle primary
+// is proposed at arrival, and arrivals during a batch in flight go out
+// together when they fill a batch or when a commit drains the window. It
+// runs on the arrival that fills a batch (RequestPool.Add, on this event
+// loop), on an arrival to an empty window (onRequest) and at every commit
+// (releaseInflight). Without pipelining it is ignored — the paper's
 // proposer stays interval-paced.
 func (p *Process) onPoolTarget(env runtime.Env) {
 	if !p.pipelined() || !p.mayPropose() {
 		return
 	}
-	for len(p.inflight) < p.cfg.MaxInflightBatches && p.pool.BatchFull() {
-		if !p.closeBatch(env, true) {
+	for len(p.inflight) < p.cfg.MaxInflightBatches {
+		trigger := closeSize
+		if !p.pool.BatchFull() {
+			if len(p.inflight) > 0 || p.pool.PendingCount() == 0 {
+				break
+			}
+			trigger = closeIdle
+		}
+		if !p.closeBatch(env, trigger) {
 			break
 		}
 	}
-	// Whatever remains below a full batch is the backstop timer's job.
+	// Whatever remains below a full batch waits for a commit, and for the
+	// backstop timer should none come.
 	if p.pool.PendingCount() > 0 && p.batchTimer == nil {
 		p.armBatchTimer(env)
 	}
 }
 
 // closeBatch forms one batch from the pool and proposes it (to the shadow
-// when paired, to everyone otherwise). sizeTriggered records which
-// trigger closed it. Returns whether a batch went out. Callers gate on
-// mayPropose (or batchTick's equivalent checks). A batch costs three heap
-// objects: its block (NewOrderBatch), its digests' block and its signed
-// buffer — NextBatch's slice is the pool's, consumed here.
-func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
+// when paired, to everyone otherwise). trigger records what closed it.
+// Returns whether a batch went out. Callers gate on mayPropose (or
+// batchTick's equivalent checks). A batch costs no heap object of its
+// own: its block is carved from the process's proposal slab, its digests
+// and its signed buffer from arenas — NextBatch's slice is the pool's,
+// consumed here.
+func (p *Process) closeBatch(env runtime.Env, trigger closeTrigger) bool {
 	reqs := p.pool.NextBatch(p.cfg.MaxBatchBytes, p.digestSize)
 	if len(reqs) == 0 {
 		return false
 	}
-	batch := message.NewOrderBatch(len(reqs))
+	batch := p.proposalSlab.New(len(reqs))
 	batch.Coord, batch.View, batch.FirstSeq = p.rank, p.view, p.nextSeq
 	primary, shadow, paired := p.candidate(p.rank)
 	batch.Primary = primary
@@ -577,9 +612,9 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 	if paired {
 		batch.Shadow = shadow
 	}
-	OrderEntries(env, batch.Entries, reqs)
 	wireBytes := len(reqs) * (EntryOverhead + p.digestSize)
-	for _, r := range reqs {
+	for i, r := range reqs {
+		batch.Entries[i] = message.OrderEntry{Req: r.ID(), ReqDigest: p.digestArena.Copy(env.ScratchDigest(r.SignedBody()))}
 		wireBytes += len(r.Payload)
 	}
 	if err := message.Sign(env, batch, &batch.Sig1); err != nil {
@@ -600,11 +635,8 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 	}
 	p.lastFill = fill
 	p.fillSum += fill
-	if sizeTriggered {
-		p.sizeTriggeredCount++
-	} else {
-		p.timerTriggeredCount++
-	}
+	p.closes[trigger]++
+	p.m.closes[trigger].Inc()
 	p.m.batchFill.Set(fill)
 	p.m.inflight.SetInt(int64(len(p.inflight)))
 	p.refreshIngress()
@@ -612,7 +644,7 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 		p.cfg.OnBatched(BatchEvent{
 			Node: p.id, View: p.view, FirstSeq: batch.FirstSeq,
 			Entries: batch.Entries, At: env.Now(),
-			FillRatio: fill, Inflight: len(p.inflight), SizeTriggered: sizeTriggered,
+			FillRatio: fill, Inflight: len(p.inflight), SizeTriggered: trigger == closeSize,
 		})
 	}
 	if paired {
@@ -629,9 +661,10 @@ func (p *Process) closeBatch(env runtime.Env, sizeTriggered bool) bool {
 }
 
 // OrderEntries fills entries — one per request, in order — with each
-// request's ID and digest D(m): how every proposer (SC, CT, BFT) builds a
-// batch. The digests are kept as long as the batch is, so the batch owns
-// them, in one block: each is summed in scratch and copied across.
+// request's ID and digest D(m): how the CT and BFT proposers build a batch
+// (an SC primary copies the digests into its arena instead). The digests
+// are kept as long as the batch is, so the batch owns them, in one block:
+// each is summed in scratch and copied across.
 func OrderEntries(env runtime.Env, entries []message.OrderEntry, reqs []*message.Request) {
 	var digests []byte
 	for i, r := range reqs {
@@ -666,14 +699,17 @@ func (p *Process) releaseInflight(env runtime.Env) {
 func (p *Process) InflightProposals() int { return len(p.inflight) }
 
 // BatchCloseStats reports the batch-close gauges: the last and mean
-// fill ratio, and how many closes each trigger produced.
-func (p *Process) BatchCloseStats() (lastFill, meanFill float64, sizeTriggered, timerTriggered uint64) {
-	total := p.sizeTriggeredCount + p.timerTriggeredCount
+// fill ratio, how many closes the pool's size trigger produced, and how
+// many closed a batch that was not full — on an idle window or the
+// backstop timer.
+func (p *Process) BatchCloseStats() (lastFill, meanFill float64, sizeTriggered, otherTriggered uint64) {
+	sizeTriggered = p.closes[closeSize]
+	otherTriggered = p.closes[closeIdle] + p.closes[closeBackstop]
 	mean := 0.0
-	if total > 0 {
+	if total := sizeTriggered + otherTriggered; total > 0 {
 		mean = p.fillSum / float64(total)
 	}
-	return p.lastFill, mean, p.sizeTriggeredCount, p.timerTriggeredCount
+	return p.lastFill, mean, sizeTriggered, otherTriggered
 }
 
 // NextProposeSeq exposes the primary's proposal counter (tests pin
@@ -694,6 +730,11 @@ func (p *Process) onRequest(env runtime.Env, req *message.Request) {
 		return
 	}
 	p.observeClientQueueDepth(req.Client)
+	// A request reaching a pipelined primary with nothing in flight is
+	// proposed now (onPoolTarget's close rule).
+	if p.pipelined() && len(p.inflight) == 0 {
+		p.onPoolTarget(env)
+	}
 	// Arm on demand: the first request reaching an idle primary starts
 	// the batch-close backstop (the timer is not left free-running on an
 	// empty pool). The pool's size trigger may already have closed a full
@@ -984,7 +1025,7 @@ func (p *Process) deliver(env runtime.Env, t *Tracker) {
 	p.m.batches.Inc()
 	p.m.entries.Add(uint64(len(entries)))
 	if p.cfg.Checkpointer != nil {
-		p.orderDigest = chainDigest(env, p.orderDigest, t.Digest)
+		p.chainDigest(env, t.Digest)
 	}
 	if p.cfg.OnCommit != nil {
 		p.cfg.OnCommit(CommitEvent{

@@ -825,8 +825,9 @@ type OrderState struct {
 	InflightProposals int
 	// LastFillRatio and MeanFillRatio report batch fullness at close
 	// (estimated wire bytes over MaxBatchBytes, capped at 1);
-	// SizeTriggeredCloses and TimerTriggeredCloses split the closes by
-	// what fired them.
+	// SizeTriggeredCloses counts the closes the pool's size trigger fired
+	// and TimerTriggeredCloses every other close — of a partial batch, on
+	// an empty proposal window or the interval backstop.
 	LastFillRatio        float64
 	MeanFillRatio        float64
 	SizeTriggeredCloses  uint64

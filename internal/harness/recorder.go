@@ -26,7 +26,14 @@ type commitRing struct {
 	limit int    // max retained events; 0 = unbounded
 	head  int    // index in buf of the oldest retained event
 	total uint64 // events ever appended
+	// out is the unhanded rest of the chunk since carves its results
+	// from: a result is capacity-capped and never rewritten, so a reader
+	// may keep it, and a poll costs a share of a chunk.
+	out []core.CommitEvent
 }
+
+// sinceChunk is how many events a chunk of since's results holds.
+const sinceChunk = 256
 
 func (r *commitRing) append(ev core.CommitEvent) {
 	switch {
@@ -57,7 +64,11 @@ func (r *commitRing) since(cursor uint64) (events []core.CommitEvent, next uint6
 		dropped = oldest - cursor
 		cursor = oldest
 	}
-	events = make([]core.CommitEvent, 0, r.total-cursor)
+	n := int(r.total - cursor)
+	if n > len(r.out) {
+		r.out = make([]core.CommitEvent, max(n, sinceChunk))
+	}
+	events, r.out = r.out[:0:n], r.out[n:]
 	for p := cursor; p < r.total; p++ {
 		idx := r.head + int(p-oldest)
 		if idx >= len(r.buf) {

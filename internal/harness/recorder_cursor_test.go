@@ -41,6 +41,55 @@ func TestCommitsSinceCursor(t *testing.T) {
 	}
 }
 
+// TestCommitsSinceAllocationFloors pins what a poll costs the heap: a
+// share of a chunk of sinceChunk events, not a slice per poll — a
+// follower recording three commits and polling them costs nothing once
+// the ring is full. Each result is capacity-capped, so an append to it
+// reallocates instead of writing into the next result, and is never
+// rewritten: results held across later polls keep their events.
+func TestCommitsSinceAllocationFloors(t *testing.T) {
+	const (
+		runs    = 100
+		perPoll = 3
+	)
+	r := NewRecorder(true, 16)
+	commits := make([]core.CommitEvent, 16+(runs+1)*perPoll+1)
+	for i := range commits {
+		commits[i] = commitAt(i)
+	}
+	next := 1
+	for ; next <= 16; next++ {
+		r.OnCommit(commits[next])
+	}
+	cursor := r.CommitCursor()
+	held := make([][]core.CommitEvent, 0, runs+1)
+	got := testing.AllocsPerRun(runs, func() {
+		for range perPoll {
+			r.OnCommit(commits[next])
+			next++
+		}
+		var events []core.CommitEvent
+		events, cursor, _ = r.CommitsSince(cursor)
+		held = append(held, events)
+	})
+	if got != 0 && !raceEnabled {
+		t.Errorf("recording and polling %d commits = %v allocs, want 0 (a chunk share)", perPoll, got)
+	}
+	for i, events := range held {
+		if len(events) != perPoll || cap(events) != perPoll {
+			t.Fatalf("poll %d: len %d cap %d, want both %d", i, len(events), cap(events), perPoll)
+		}
+		if i+1 < len(held) && &append(events, commits[0])[0] == &events[0] {
+			t.Fatalf("an append to poll %d wrote into the chunk", i)
+		}
+		for j, ev := range events {
+			if want := types.Seq(17 + i*perPoll + j); ev.FirstSeq != want {
+				t.Fatalf("poll %d event %d is seq %d, want %d: a held result was rewritten", i, j, ev.FirstSeq, want)
+			}
+		}
+	}
+}
+
 func TestCommitRingEviction(t *testing.T) {
 	r := NewRecorder(true, 3)
 	for i := 1; i <= 10; i++ {

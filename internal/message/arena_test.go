@@ -101,8 +101,8 @@ func TestArenaSurvivesTurnover(t *testing.T) {
 		}
 	}()
 	for i := 0; i < builds; i++ {
-		e, err := proposal.Endorse(shadow)
-		if err != nil {
+		e := new(OrderBatch)
+		if err := proposal.EndorseInto(shadow, e); err != nil {
 			t.Fatal(err)
 		}
 		if i%keepEvery == 0 {

@@ -68,9 +68,10 @@ func TestDecoderMatchesDecode(t *testing.T) {
 }
 
 // TestDecoderFailedDecodeCarvesNothing: a frame that fails to decode —
-// halfway through its own struct, or after nested messages of it were
-// decoded whole — leaves the Decoder as it found it, with blank elements,
-// and the next message gets the element the failure had begun to fill.
+// halfway through its own struct, or after nested messages of it (a
+// CatchUp's requests and batches) were decoded whole — leaves the Decoder
+// as it found it, with blank elements and the batches it remembered, and
+// the next message gets the element the failure had begun to fill.
 func TestDecoderFailedDecodeCarvesNothing(t *testing.T) {
 	all := samples()
 	reqWire, cuWire := all[TRequest].Marshal(), all[TCatchUp].Marshal()
@@ -96,6 +97,13 @@ func TestDecoderFailedDecodeCarvesNothing(t *testing.T) {
 				}
 				held = append(held, m.(*Request))
 			}
+			if c.spent > 0 {
+				// A batch too: its slab has unhanded blocks, and it is
+				// remembered, when the failure begins.
+				if _, err := d.Decode(distinctBatches(1, 2)[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
 			before := *d
 			if _, err := checkSameDecode(t, d, c.bad); err == nil {
 				t.Fatal("the malformed frame decoded")
@@ -106,6 +114,18 @@ func TestDecoderFailedDecodeCarvesNothing(t *testing.T) {
 			}
 			if len(d.requests.free) > 0 && &d.requests.free[0] != &before.requests.free[0] {
 				t.Fatal("a failed decode moved the Decoder to another slab")
+			}
+			if len(d.batches.blocks.free) != len(before.batches.blocks.free) {
+				t.Fatalf("a failed decode consumed batch blocks: %d -> %d",
+					len(before.batches.blocks.free), len(d.batches.blocks.free))
+			}
+			for i := range d.batches.blocks.free {
+				if !reflect.DeepEqual(d.batches.blocks.free[i], orderBatchBlock{}) {
+					t.Fatalf("unhanded batch block %d is not blank after a failed decode", i)
+				}
+			}
+			if d.recent != before.recent || d.next != before.next {
+				t.Fatal("a failed decode left the batches it had decoded remembered")
 			}
 			for i := range d.requests.free {
 				if !reflect.DeepEqual(d.requests.free[i], Request{}) {
@@ -195,9 +215,30 @@ func TestDecodedMessagesSurviveSlabTurnover(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecoderAllocFree pins what a Decoder's Requests and Acks cost the
-// heap: one object per slab's worth of them, the slab. Decode's struct per
-// message (what the engine paid before) reads the slab's length here.
+// distinctBatches returns the wire encodings of n batches of the given
+// number of entries that differ only in FirstSeq. Cycled through a
+// Decoder, recentBatches+1 or more of them never meet the duplicate rule,
+// as the batches of a stream do not.
+func distinctBatches(n, entries int) [][]byte {
+	wires := make([][]byte, n)
+	for i := range wires {
+		b := NewOrderBatch(entries)
+		*b = OrderBatch{Coord: 1, View: 2, FirstSeq: types.Seq(3 + i), Entries: b.Entries, Primary: 0, Shadow: 5,
+			Sig1: fixedSig(0xA1), Sig2: fixedSig(0xA2)}
+		for j := range b.Entries {
+			b.Entries[j] = OrderEntry{Req: ReqID{Client: types.ClientID(j % 3), ClientSeq: uint64(j)}, ReqDigest: fixedSig(byte(j))}
+		}
+		wires[i] = b.Marshal()
+	}
+	return wires
+}
+
+// TestDecoderAllocFree pins what a Decoder's Requests, Acks and batches
+// cost the heap: one object per slab's worth of them, the slab. Decode's
+// struct per message (what the engine paid before) reads the slab's
+// length here. The batches differ from each other, as a stream's do; the
+// same bytes again are a duplicate, which costs nothing at all
+// (TestDecoderRecallsDuplicateBatches).
 func TestDecoderAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation floors do not hold under the race detector")
@@ -215,17 +256,29 @@ func TestDecoderAllocFree(t *testing.T) {
 			t.Errorf("decoding %d %vs cost %v allocs (err %v), want <= 1 (the slab)", perSlab, typ, got, err)
 		}
 	}
-	if got := testing.AllocsPerRun(20, func() { _, _ = d.Decode(all[TOrderBatch].Marshal()) }); got < 1 {
-		t.Errorf("an OrderBatch decoded through a Decoder cost %v allocs; it must stay an object of its own", got)
+	wires := distinctBatches(recentBatches+1, inlineEntries)
+	perSlab, next := slabLen[orderBatchBlock](), 0
+	var err error
+	if got := testing.AllocsPerRun(20, func() {
+		for i := 0; i < perSlab; i++ {
+			_, err = d.Decode(wires[next])
+			next = (next + 1) % len(wires)
+		}
+	}); got > 1 || err != nil {
+		t.Errorf("decoding %d distinct OrderBatches cost %v allocs (err %v), want <= 1 (the slab)", perSlab, got, err)
+	}
+	if n := d.Duplicates(); n != 0 {
+		t.Errorf("%d of the distinct batches were taken for duplicates", n)
 	}
 }
 
 // TestOrderBatchIsOneBlock pins what a batch costs the heap, decoded by
-// Decode or by a Decoder and built by NewOrderBatch: one object — the
-// struct with its entries inline — up to inlineEntries, and two beyond,
-// where the entries spill to an array of their own. Both decoded forms
-// stay deep-equal to each other and to the batch that was sent, and the
-// block stays inside the allocator's 480-byte size class.
+// Decode or built by NewOrderBatch: one object — the struct with its
+// entries inline — up to inlineEntries, and two beyond, where the entries
+// spill to an array of their own. A Decoder carves the block from its
+// slab, so it pays only the spill. Both decoded forms stay deep-equal to
+// each other and to the batch that was sent, and the block stays inside
+// the allocator's 480-byte size class.
 func TestOrderBatchIsOneBlock(t *testing.T) {
 	if size := unsafe.Sizeof(orderBatchBlock{}); size > 480 {
 		t.Errorf("an OrderBatch block is %d bytes, past the 480-byte size class", size)
@@ -261,13 +314,17 @@ func TestOrderBatchIsOneBlock(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		for name, fn := range map[string]func(){
-			"Decode":         func() { _, err = Decode(wire) },
-			"Decoder.Decode": func() { _, err = d.Decode(wire) },
-			"NewOrderBatch":  func() { sinkBatch = NewOrderBatch(n) },
+		wires, next := distinctBatches(recentBatches+1, n), 0
+		for name, c := range map[string]struct {
+			fn   func()
+			want float64
+		}{
+			"Decode":         {func() { _, err = Decode(wire) }, want},
+			"Decoder.Decode": {func() { _, err = d.Decode(wires[next]); next = (next + 1) % len(wires) }, want - 1},
+			"NewOrderBatch":  {func() { sinkBatch = NewOrderBatch(n) }, want},
 		} {
-			if allocs := testing.AllocsPerRun(50, fn); allocs != want || err != nil {
-				t.Errorf("%s of %d entries = %v allocs (err %v), want %v", name, n, allocs, err, want)
+			if allocs := testing.AllocsPerRun(50, c.fn); allocs != c.want || err != nil {
+				t.Errorf("%s of %d entries = %v allocs (err %v), want %v", name, n, allocs, err, c.want)
 			}
 		}
 	}
@@ -275,28 +332,40 @@ func TestOrderBatchIsOneBlock(t *testing.T) {
 
 var sinkBatch *OrderBatch
 
-// TestDroppedDuplicateOrderBatchIsCollected is why OrderBatch stays out of
-// the slabs: the primary's forwarded duplicate of every endorsed batch is
-// dropped on arrival, and it must be collectable then — while the batches
-// decoded before and after it by the same Decoder are still held.
+// TestDroppedDuplicateOrderBatchIsCollected: the primary's forwarded copy
+// of every endorsed batch is dropped on arrival, and the frame it came in
+// must be collectable then — while the batch it duplicates and the
+// batches decoded after it are held. The Decoder answers the copy with
+// the batch it holds, which aliases the first copy's frame, and carves
+// nothing for it, so a slab of batches holds only batches that are kept.
 func TestDroppedDuplicateOrderBatchIsCollected(t *testing.T) {
 	d := new(Decoder)
 	wire := samples()[TOrderBatch].Marshal()
-	decode := func() *OrderBatch {
-		m, err := d.Decode(bytes.Clone(wire))
+	first, err := d.Decode(bytes.Clone(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unhanded := len(d.batches.blocks.free)
+	collected := make(chan struct{})
+	func() {
+		frame := make([]byte, len(wire))
+		copy(frame, wire)
+		runtime.SetFinalizer(&frame[0], func(*byte) { close(collected) })
+		dup, err := d.Decode(frame)
+		if err != nil || dup != first {
+			t.Fatalf("the forwarded copy decoded to %p (err %v), want the held batch %p", dup, err, first)
+		}
+	}()
+	if len(d.batches.blocks.free) != unhanded {
+		t.Fatal("a block was carved for a duplicate")
+	}
+	held := []Message{first}
+	for _, w := range distinctBatches(128, 2) {
+		m, err := d.Decode(w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.(*OrderBatch)
-	}
-	collected := make(chan struct{})
-	held := []*OrderBatch{decode()}
-	func() {
-		dup := decode()
-		runtime.SetFinalizer(dup, func(*OrderBatch) { close(collected) })
-	}()
-	for i := 0; i < 128; i++ {
-		held = append(held, decode())
+		held = append(held, m)
 	}
 	deadline := time.After(10 * time.Second)
 	for {
@@ -306,8 +375,73 @@ func TestDroppedDuplicateOrderBatchIsCollected(t *testing.T) {
 			runtime.KeepAlive(held)
 			return
 		case <-deadline:
-			t.Fatal("a dropped OrderBatch was not collected while its successors were held")
+			t.Fatal("the frame of a dropped duplicate was not collected while its batch and successors were held")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestDecoderRecallsDuplicateBatches pins the duplicate rule: the bytes of
+// a batch among the last recentBatches the Decoder produced or was told
+// about decode, at no cost, to that same object; a batch remembered from
+// the loopback is matched like a decoded one; different bytes — the
+// 1-signed proposal of an endorsed batch, say — decode fresh; and a batch
+// recentBatches others have pushed out decodes fresh again.
+func TestDecoderRecallsDuplicateBatches(t *testing.T) {
+	d := new(Decoder)
+	wire := samples()[TOrderBatch].Marshal()
+	first, err := d.Decode(bytes.Clone(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := bytes.Clone(wire)
+	var dup Message
+	allocs := testing.AllocsPerRun(50, func() { dup, err = d.Decode(again) })
+	if dup != first || err != nil {
+		t.Fatalf("the same bytes decoded to %p (err %v), want %p", dup, err, first)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("decoding a duplicate cost %v allocs, want 0", allocs)
+	}
+	if got := d.Duplicates(); got != 51 {
+		t.Errorf("Duplicates = %d after 51 duplicate decodes, want 51", got)
+	}
+
+	// The shadow's own endorsement reaches it through the loopback, and
+	// the primary's forward of it over the wire.
+	sent := NewOrderBatch(2)
+	*sent = OrderBatch{Coord: 1, View: 2, FirstSeq: 40, Entries: sent.Entries, Primary: 0, Shadow: 5,
+		Sig1: fixedSig(0xB1), Sig2: fixedSig(0xB2)}
+	for i := range sent.Entries {
+		sent.Entries[i] = OrderEntry{Req: ReqID{Client: 3, ClientSeq: uint64(i)}, ReqDigest: fixedSig(byte(i))}
+	}
+	d.Remember(sent)
+	d.Remember(sent) // a second loopback takes no second slot
+	unhanded := len(d.batches.blocks.free)
+	if got, err := d.Decode(bytes.Clone(sent.Marshal())); got != sent || err != nil {
+		t.Fatalf("a remembered batch decoded to %p (err %v), want %p", got, err, sent)
+	}
+	if len(d.batches.blocks.free) != unhanded {
+		t.Error("a block was carved for a remembered batch")
+	}
+
+	proposal := *sent
+	proposal.Sig2, proposal.Shadow = nil, types.Nil
+	proposal.enc = enc{}
+	fresh, err := d.Decode(proposal.Marshal())
+	if err != nil || fresh == sent || fresh == first {
+		t.Fatalf("different bytes decoded to a remembered batch (err %v)", err)
+	}
+	if !reflect.DeepEqual(fresh.(*OrderBatch).Entries, sent.Entries) || len(fresh.(*OrderBatch).Sig2) != 0 {
+		t.Errorf("different bytes decoded to %+v", fresh)
+	}
+
+	for _, w := range distinctBatches(recentBatches, 1) {
+		if _, err := d.Decode(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := d.Decode(bytes.Clone(wire)); err != nil || got == first || !reflect.DeepEqual(got, first) {
+		t.Errorf("a batch %d others pushed out was recalled or decoded wrong (err %v)", recentBatches, err)
 	}
 }

@@ -34,7 +34,7 @@
 // caches need no synchronisation.
 //
 // A message costs at most one heap object in each direction. Built, it is
-// signed through Sign (Countersign, Endorse): laid out once, signed in the
+// signed through Sign (Countersign, EndorseInto): laid out once, signed in the
 // signer's scratch, and copied once into the buffer that is its wire
 // encoding, its body and its signature field — the shape a decoded message
 // has. A signer that owns an event loop (the runtime Envs) offers Arenas,
@@ -43,9 +43,11 @@
 // crypto.Identity offers none, and the copy is an object of its own.
 // SignSingle and SignSecond compute the same signatures for a caller that
 // assigns the field by hand. Received, it is decoded by the engine's
-// Decoder, which carves Requests and Acks out of typed Slabs; Decode is the
-// same walk with every struct on the heap. An OrderBatch is one object
-// either way, its entries inline (NewOrderBatch builds the same block).
+// Decoder, which carves Requests, Acks and OrderBatches out of typed Slabs
+// and returns a batch whose bytes it has seen among its last few as the
+// object it already holds; Decode is the same walk with every struct on
+// the heap. An OrderBatch block holds its entries inline, decoded or built
+// (NewOrderBatch, BatchSlab).
 // Slabs and Arenas follow one rule: nothing handed out is rewritten, one
 // holds things whose owner keeps or drops them together, and the
 // collector frees it with the last of them.

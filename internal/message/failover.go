@@ -147,7 +147,7 @@ func (m *Start) layout(c *coder) {
 }
 
 // Endorse returns a copy of the 1-signed Start carrying s's second
-// signature over body||Sig1, built as OrderBatch.Endorse builds its copy.
+// signature over body||Sig1, built as OrderBatch.EndorseInto builds its copy.
 func (m *Start) Endorse(s Signer) (*Start, error) {
 	out := *m
 	out.enc = enc{}

@@ -49,8 +49,8 @@ func TestEndorsedGetsFreshWire(t *testing.T) {
 	oneSigned := b.Marshal() // primes the wire cache pre-endorsement
 
 	sig2 := signSecond(t, idents[5], b.SignedBody(), b.Sig1)
-	endorsed, err := b.Endorse(idents[5])
-	if err != nil {
+	endorsed := new(OrderBatch)
+	if err := b.EndorseInto(idents[5], endorsed); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(endorsed.Marshal(), oneSigned) {

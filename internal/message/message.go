@@ -331,25 +331,41 @@ func wireCopy(s Signer, t Type, counter bool, b []byte) []byte {
 
 // Decoder is Decode for one goroutine's stream of messages — the engine's
 // event loop, which is what serialises its use. It carves the structs of
-// the two kinds a commit decodes most, Request and Ack, out of Slabs
-// instead of allocating one each: a Request is pooled and an Ack is dropped
-// once credited, so the elements of each slab share a fate. An OrderBatch
-// is one heap object of its own — its struct and, up to inlineEntries, its
-// entries in one block — and is not carved from a slab: the primary's
-// forwarded duplicate of every endorsed batch is dropped on arrival while
-// its neighbours are kept, so batches do not share a fate and a dropped one
-// must stay collectable on its own. Every other kind is its own heap
-// object, as with Decode. The zero value is ready. A nil *Decoder is
-// Decode.
+// the three kinds a commit decodes most, Request, Ack and OrderBatch, out
+// of Slabs instead of allocating one each: a Request is pooled, an Ack is
+// dropped once credited and a batch is kept by its tracker, so the
+// elements of each slab share a fate. That holds for batches only because
+// of the duplicate rule: a batch whose bytes equal those of one of the
+// last recentBatches batches the Decoder produced or was told about
+// (Remember) is that same immutable object, neither decoded nor carved
+// again. The primary forwards every endorsed batch to all, the shadow
+// included, after the shadow multicast it (Figure 2), so each copy of the
+// forward is such a duplicate, dropped on arrival by the process's own
+// duplicate path. Every other kind is its own heap object, as with Decode.
+// The zero value is ready. A nil *Decoder is Decode.
 type Decoder struct {
 	requests Slab[Request]
 	acks     Slab[Ack]
+	batches  BatchSlab
+	// recent holds the last batches produced or remembered, newest at
+	// recent[(next+recentBatches-1)%recentBatches]; dups counts the
+	// decodes it answered.
+	recent [recentBatches]*OrderBatch
+	next   int
+	dups   uint64
 }
 
+// recentBatches is how many batches a Decoder remembers: enough that the
+// forwarded copy of a batch arrives while the batch is still remembered,
+// with a window of eight batches in flight and each decoded twice.
+const recentBatches = 16
+
 // Decode parses a wire message, nested messages included, through d's
-// slabs. The returned message aliases b. A failed decode hands nothing out:
-// the elements it had carved — its own, or the nested Requests of a CatchUp
-// whose tail was garbage — are blanked and carved again by later messages.
+// slabs. The returned message aliases b, unless it is a remembered batch.
+// A failed decode hands nothing out: the elements it had carved — its
+// own, or the nested Requests of a CatchUp whose tail was garbage — are
+// blanked and carved again by later messages, and the batches it
+// remembered are forgotten.
 func (d *Decoder) Decode(b []byte) (Message, error) {
 	if d == nil {
 		return decode(nil, b)
@@ -362,9 +378,36 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 		// are garbage with it.
 		clear(before.requests.free)
 		clear(before.acks.free)
+		clear(before.batches.blocks.free)
 		*d = before
 	}
 	return m, err
+}
+
+// Remember makes b, a batch this goroutine sent itself, one the duplicate
+// rule recognises: a later decode of the same bytes returns b.
+func (d *Decoder) Remember(b *OrderBatch) {
+	for _, r := range d.recent {
+		if r == b {
+			return
+		}
+	}
+	d.recent[d.next] = b
+	d.next = (d.next + 1) % recentBatches
+}
+
+// Duplicates returns how many decodes the duplicate rule answered.
+func (d *Decoder) Duplicates() uint64 { return d.dups }
+
+// recall returns the remembered batch whose wire encoding is b, or nil.
+func (d *Decoder) recall(b []byte) *OrderBatch {
+	for _, r := range d.recent {
+		if r != nil && bytes.Equal(r.Marshal(), b) {
+			d.dups++
+			return r
+		}
+	}
+	return nil
 }
 
 // alloc returns the struct a message of kind t is decoded into.
@@ -375,6 +418,8 @@ func (d *Decoder) alloc(t Type) codable {
 			return d.requests.New()
 		case TAck:
 			return d.acks.New()
+		case TOrderBatch:
+			return d.batches.New(0)
 		}
 	}
 	return kinds[t].new()
@@ -390,6 +435,11 @@ func decode(d *Decoder, b []byte) (Message, error) {
 	if int(t) >= len(kinds) || kinds[t].new == nil {
 		return nil, fmt.Errorf("%w: tag %d", ErrUnknownType, b[0])
 	}
+	if t == TOrderBatch && d != nil {
+		if r := d.recall(b); r != nil {
+			return r, nil
+		}
+	}
 	m := d.alloc(t)
 	c := coderPool.Get().(*coder)
 	c.r, c.size, c.dec = *codec.NewReader(b), len(b), d
@@ -404,6 +454,9 @@ func decode(d *Decoder, b []byte) (Message, error) {
 	// layout decodes canonically (re-encoding the fields yields b), so b
 	// is both caches: relays never re-encode, verifies never re-build.
 	m.encoding().prime(b, mark)
+	if ob, ok := m.(*OrderBatch); ok && d != nil {
+		d.Remember(ob)
+	}
 	return m, nil
 }
 

@@ -97,8 +97,25 @@ type orderBatchBlock struct {
 // heap block with the struct when n ≤ inlineEntries. It is also the kind
 // table's constructor: a decode (list) fills the room of NewOrderBatch(0)
 // in place when the count fits.
-func NewOrderBatch(n int) *OrderBatch {
-	b := new(orderBatchBlock)
+func NewOrderBatch(n int) *OrderBatch { return (*BatchSlab)(nil).New(n) }
+
+// BatchSlab carves OrderBatch blocks — the struct with its inline entries —
+// from a Slab, under the Slab rule: its owner keeps the batches it carves,
+// or drops them, together. The zero value is ready; a nil *BatchSlab
+// allocates each block on its own, as NewOrderBatch does.
+type BatchSlab struct {
+	blocks Slab[orderBatchBlock]
+}
+
+// New returns an OrderBatch with n blank entries, inline when n ≤
+// inlineEntries, carved from s.
+func (s *BatchSlab) New(n int) *OrderBatch {
+	var b *orderBatchBlock
+	if s == nil {
+		b = new(orderBatchBlock)
+	} else {
+		b = s.blocks.New()
+	}
 	if n <= inlineEntries {
 		b.Entries = b.inline[:n]
 	} else {
@@ -160,18 +177,17 @@ func (m *OrderBatch) EntryAt(s types.Seq) (OrderEntry, bool) {
 	return m.Entries[s-m.FirstSeq], true
 }
 
-// Endorse returns a copy of the 1-signed batch carrying s's second
-// signature over body||Sig1, built as Countersign builds it: the copy and
-// its one buffer, sharing the entries with the original — the copy is a
-// bare struct, with no inline room of its own — and none of its encoding
-// (the wire bytes differ from the 1-signed ones).
-func (m *OrderBatch) Endorse(s Signer) (*OrderBatch, error) {
-	out := *m
+// EndorseInto makes out, a struct the caller supplies (a process carves
+// its endorsements from a Slab), a copy of the 1-signed batch carrying s's
+// second signature over body||Sig1, built as Countersign builds it: the
+// copy and its one buffer, sharing the entries with the original — the
+// copy is a bare struct, with no inline room of its own — and none of its
+// encoding (the wire bytes differ from the 1-signed ones). out is not to
+// be used when it fails.
+func (m *OrderBatch) EndorseInto(s Signer, out *OrderBatch) error {
+	*out = *m
 	out.enc = enc{}
-	if err := Countersign(s, &out, out.Sig1, &out.Sig2); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return Countersign(s, out, out.Sig1, &out.Sig2)
 }
 
 // BodyDigest returns the digest identifying this batch in acks and proofs

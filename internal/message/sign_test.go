@@ -173,8 +173,8 @@ func signMatchesHandAssembly(t *testing.T, idents map[types.NodeID]*crypto.Ident
 		var endorsed Signed
 		switch m := built.(type) {
 		case *OrderBatch:
-			e, err := m.Endorse(second)
-			if err != nil {
+			e := new(OrderBatch)
+			if err := m.EndorseInto(second, e); err != nil {
 				t.Fatal(err)
 			}
 			endorsed, c2 = e, &e.Sig2
@@ -281,7 +281,7 @@ func TestSignedMessageOneAlloc(t *testing.T) {
 			func() Signed {
 				return &OrderBatch{Coord: 1, View: 1, FirstSeq: 1, Entries: entries, Primary: 0, Shadow: 1, Sig1: fixedSig(1)}
 			},
-			func(m Signed) error { _, err := m.(*OrderBatch).Endorse(signer); return err }, 2},
+			func(m Signed) error { return m.(*OrderBatch).EndorseInto(signer, new(OrderBatch)) }, 2},
 	} {
 		// Built outside the measured function, as in TestAllocationFloors:
 		// a message lives on the heap in every real caller.

@@ -65,6 +65,8 @@ type engine struct {
 	// garbage must not write the log at wire rate.
 	undecodable     *obs.Counter
 	undecodableFrom map[types.NodeID]uint64
+	// duplicates counts frames the Decoder answered with a batch it held.
+	duplicates *obs.Counter
 }
 
 // undecodableLogEvery is how often a sender's undecodable frames are
@@ -116,7 +118,17 @@ func (e *engine) startLoop(wg *sync.WaitGroup) {
 // messages are immutable and the event loop serialises handling, so the
 // decoded form is handed over as-is.
 func (e *engine) loopback(m message.Message) {
+	e.remember(m)
 	e.enqueue(liveEvent{from: e.id, msg: m})
+}
+
+// remember tells the Decoder of a batch this node sends itself, so the
+// copy a peer forwards back decodes to the same object. It runs on the
+// loop, as every send does.
+func (e *engine) remember(m message.Message) {
+	if b, ok := m.(*message.OrderBatch); ok {
+		e.dec.Remember(b)
+	}
 }
 
 // closeLoop stops the event loop; events still queued are dropped and
@@ -170,10 +182,14 @@ func (e *engine) dispatch(ev liveEvent) {
 		e.proc.Receive(e.env, ev.from, ev.msg)
 		return
 	}
+	dups := e.dec.Duplicates()
 	m, err := e.dec.Decode(ev.raw)
 	if err != nil {
 		e.dropUndecodable(ev.from, err)
 		return
+	}
+	if e.dec.Duplicates() != dups {
+		e.duplicates.Inc()
 	}
 	e.proc.Receive(e.env, ev.from, m)
 }

@@ -172,3 +172,48 @@ func TestUndecodableFramesCountedAndLoggedSparsely(t *testing.T) {
 		}
 	}
 }
+
+// receivedProc records what the engine hands its process.
+type receivedProc struct{ got []message.Message }
+
+func (p *receivedProc) Init(Env) {}
+
+func (p *receivedProc) Receive(_ Env, _ types.NodeID, m message.Message) { p.got = append(p.got, m) }
+
+// TestLoopbackBatchIsRecognisedOnReturn covers the engine's half of the
+// duplicate rule: a batch a node sends itself is remembered by its
+// Decoder, so the copy a peer forwards back over the wire reaches the
+// process as that same object and counts in sof_duplicate_batches_total;
+// a batch with different bytes decodes fresh and counts nothing.
+func TestLoopbackBatchIsRecognisedOnReturn(t *testing.T) {
+	proc := &receivedProc{}
+	e := &engine{}
+	e.attach(0, nil, proc, nil, t.Logf)
+	reg := obs.NewRegistry()
+	e.duplicates = reg.Counter("sof_duplicate_batches_total", "")
+	batch := func(first types.Seq) *message.OrderBatch {
+		b := message.NewOrderBatch(1)
+		b.Coord, b.View, b.FirstSeq, b.Primary, b.Shadow = 1, 1, first, 0, 1
+		b.Entries[0] = message.OrderEntry{Req: message.ReqID{Client: 100, ClientSeq: 1}, ReqDigest: make([]byte, 32)}
+		b.Sig1, b.Sig2 = bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32)
+		return b
+	}
+	endorsed := batch(7)
+	e.loopback(endorsed)
+	forward := bytes.Clone(endorsed.Marshal())
+	for _, ev := range append(e.queue,
+		liveEvent{from: 1, raw: forward},
+		liveEvent{from: 1, raw: forward[:1]}, // undecodable: counts nothing
+		liveEvent{from: 1, raw: batch(8).Marshal()}) {
+		e.dispatch(ev)
+	}
+	if len(proc.got) != 3 || proc.got[0] != endorsed || proc.got[1] != endorsed {
+		t.Fatalf("received %v, want the loopback and the forward as the same batch %p", proc.got, endorsed)
+	}
+	if proc.got[2] == message.Message(endorsed) || proc.got[2].(*message.OrderBatch).FirstSeq != 8 {
+		t.Error("a batch with different bytes was taken for the remembered one")
+	}
+	if got := e.duplicates.Value(); got != 1 {
+		t.Errorf("sof_duplicate_batches_total = %d, want 1", got)
+	}
+}

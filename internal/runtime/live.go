@@ -173,6 +173,7 @@ func (n *liveNode) deliver(to types.NodeID, m message.Message, raw []byte) {
 		// Self-loopback skips the wire: messages are immutable, the event
 		// loop is this goroutine, so the decoded form is delivered as-is.
 		ev = liveEvent{from: n.ID(), msg: m}
+		n.remember(m)
 	}
 	if delay <= 0 {
 		target.enqueue(ev)

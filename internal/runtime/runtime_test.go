@@ -507,7 +507,7 @@ func TestBuiltMessagesChargeWhatHandSignedOnesDid(t *testing.T) {
 			t.Error("Sign and SignSingle disagree under the model suite")
 		}
 		hand2 := cost(func() { byHand.Sig2, err = message.SignSecond(env, byHand.SignedBody(), byHand.Sig1) })
-		built2 := cost(func() { _, err = built.Endorse(env) })
+		built2 := cost(func() { err = built.EndorseInto(env, new(message.OrderBatch)) })
 		if hand2 != built2 || hand2 <= hand1 || err != nil {
 			t.Errorf("Endorse charged %v, SignSecond %v (err %v); want equal, and above a first signature's %v", built2, hand2, err, hand1)
 		}

@@ -132,13 +132,16 @@ func NewTCPNode(id types.NodeID, addr string, ident *crypto.Identity, procs []Pr
 	}
 	n := &TCPNode{tr: tr, sharded: sharded, cores: make([]*tcpCore, len(procs)),
 		routed: make([]*obs.Counter, len(procs))}
-	var undecodable *obs.Counter
+	var undecodable, duplicates *obs.Counter
 	if m := opts.Metrics; m != nil {
 		n.unroutable = m.Counter("sof_frames_unroutable_total",
 			"Inbound frames dropped for lacking a hosted group (or a group prefix).",
 			obs.L("node", fmt.Sprint(id)))
 		undecodable = m.Counter("sof_frames_undecodable_total",
 			"Inbound frames dropped because they did not decode as a message.",
+			obs.L("node", fmt.Sprint(id)))
+		duplicates = m.Counter("sof_duplicate_batches_total",
+			"Inbound order batches decoded as a batch this node already held (the primary's forward of an endorsed batch).",
 			obs.L("node", fmt.Sprint(id)))
 	}
 	for g, proc := range procs {
@@ -161,7 +164,7 @@ func NewTCPNode(id types.NodeID, addr string, ident *crypto.Identity, procs []Pr
 			}
 		}
 		core.attach(id, ident, proc, core, logf)
-		core.undecodable = undecodable
+		core.undecodable, core.duplicates = undecodable, duplicates
 		n.cores[g] = core
 	}
 	return n, nil
