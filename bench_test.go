@@ -194,15 +194,14 @@ func BenchmarkAblationMirroring(b *testing.B) {
 		b.Run(fmt.Sprintf("mirror=%v", mirror), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := harness.Options{
-					Protocol:         types.SC,
-					F:                2,
-					Suite:            crypto.ModelPrefix + crypto.MD5RSA1024,
-					BatchInterval:    100 * time.Millisecond,
-					Mirror:           mirror,
-					DumbOptimization: true,
-					Net:              netsim.LANDefaults(),
-					Seed:             int64(i + 1),
-					Load:             harness.LoadFor(100*time.Millisecond, 1024),
+					Protocol:      types.SC,
+					F:             2,
+					Suite:         crypto.ModelPrefix + crypto.MD5RSA1024,
+					BatchInterval: 100 * time.Millisecond,
+					Mirror:        mirror,
+					Net:           netsim.LANDefaults(),
+					Seed:          int64(i + 1),
+					Load:          harness.LoadFor(100*time.Millisecond, 1024),
 				}
 				c, err := harness.New(opts)
 				if err != nil {
@@ -246,15 +245,14 @@ func scBFTGapWithVerify(verify time.Duration, seed int64) (time.Duration, error)
 			return 0, err
 		}
 		opts := harness.Options{
-			Protocol:         proto,
-			F:                2,
-			SuiteImpl:        suite,
-			BatchInterval:    200 * time.Millisecond,
-			Mirror:           proto == types.SC,
-			DumbOptimization: proto == types.SC,
-			Net:              netsim.LANDefaults(),
-			Seed:             seed,
-			Load:             harness.LoadFor(200*time.Millisecond, 1024),
+			Protocol:      proto,
+			F:             2,
+			SuiteImpl:     suite,
+			BatchInterval: 200 * time.Millisecond,
+			Mirror:        proto == types.SC,
+			Net:           netsim.LANDefaults(),
+			Seed:          seed,
+			Load:          harness.LoadFor(200*time.Millisecond, 1024),
 		}
 		c, err := harness.New(opts)
 		if err != nil {

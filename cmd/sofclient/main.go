@@ -8,9 +8,8 @@
 // start time, so a second run under the same -client index never reuses
 // IDs the nodes have already pooled.
 //
-// Submissions travel over the transport's own peer links, so -auth,
-// -resume, -tls and -groups mean what they mean on sofnode and must match
-// it; against a sharded deployment the endpoint hosts one reactor per
+// Submissions travel over the transport's own peer links, so -auth, -tls
+// and -groups mean what they mean on sofnode and must match it; against a sharded deployment the endpoint hosts one reactor per
 // ordering group, each submitting the requests whose routing key its group
 // orders. Dial and handshake failures are logged with the peer and its
 // address; reaching no order process at all is a non-zero exit.
@@ -54,8 +53,7 @@ func main() {
 		size      = flag.Int("size", 128, "request payload bytes")
 		clientIdx = flag.Int("client", 0, "client index (identity 0..15)")
 		interval  = flag.Duration("interval", 50*time.Millisecond, "gap between submissions")
-		auth      = flag.Bool("auth", false, "authenticated frame-v2 sessions (must match the nodes' -auth)")
-		resume    = flag.Bool("resume", false, "resumable sessions (implies -auth; must match the nodes)")
+		auth      = flag.Bool("auth", false, "authenticated, resumable frame-v2 sessions (must match the nodes' -auth)")
 		bench     = flag.Bool("bench", false, "report submission, transport and (with -listen) commit-side summaries on exit")
 		listen    = flag.String("listen", "", "listen address for the nodes' replies (give it to the nodes via -clients); enables f+1 acceptance, retries and commit-side latency")
 		replyWait = flag.Duration("reply-wait", 5*time.Second, "after the last submission, how long to wait for frames still queued and replies still outstanding")
@@ -71,14 +69,14 @@ func main() {
 	proto := must(types.ParseProtocol(*protoStr))
 	topo := must(types.NewTopology(proto, *f))
 	peers := must(node.PeerAddrs(*peersStr, topo))
-	dealt := must(node.DealFromSecret(crypto.SuiteName(*suiteStr), *secret, topo, *auth || *resume, *useTLS))
+	dealt := must(node.DealFromSecret(crypto.SuiteName(*suiteStr), *secret, topo, *auth, *useTLS))
 	me := types.ClientID(*clientIdx)
 	if dealt.Idents[me] == nil {
 		log.Fatalf("-client %d outside the %d dealt client identities", *clientIdx, node.SecretClients)
 	}
 	endpoint := must(node.Build(node.Spec{
 		Self: me, Protocol: proto, Topo: topo, Groups: *groups, Idents: dealt.Idents,
-		Links: dealt.Links, Resume: *resume, TLSServer: dealt.TLSServer, TLSClient: dealt.TLSClient,
+		Links: dealt.Links, TLSServer: dealt.TLSServer, TLSClient: dealt.TLSClient,
 		Logger: log.New(os.Stderr, fmt.Sprintf("sofclient[%d] ", *clientIdx), log.Ltime),
 	}))
 	defer endpoint.Close()

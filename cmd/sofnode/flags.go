@@ -15,18 +15,16 @@ type config struct {
 	id, f, groups                           int
 	protocol, suite, secret, peers, clients string
 	dataDir, metricsAddr                    string
-	auth, resume, tls                       bool
+	auth, tls                               bool
 	// knobs are the node's ordering knobs, defaults applied.
 	knobs core.Knobs
 }
 
 func parseFlags(args []string) config {
-	// Pair mirroring and the dumb-process optimisation have no flag:
-	// sofnode runs both (node assembly applies the optimisation under SC
-	// only). The
-	// other knobs without a flag keep their defaults: 1 KB batches, SCR
-	// pair probes every -delta, BFT's view-change timeout.
-	c := config{knobs: core.Knobs{Mirror: true, DumbOptimization: true}}
+	// Pair mirroring has no flag: sofnode runs it. The other knobs
+	// without a flag keep their defaults: 1 KB batches, SCR pair probes
+	// every -delta, BFT's view-change timeout.
+	c := config{knobs: core.Knobs{Mirror: true}}
 	fs := flag.NewFlagSet("sofnode", flag.ExitOnError)
 	fs.IntVar(&c.id, "id", 0, "this node's process ID (0-based)")
 	fs.IntVar(&c.f, "f", 2, "fault-tolerance parameter")
@@ -34,8 +32,7 @@ func parseFlags(args []string) config {
 	fs.StringVar(&c.suite, "suite", string(crypto.HMACSHA256), "signature suite (the default is dealer-trust symmetric MACs: no non-repudiation between nodes sharing -secret; the RSA/DSA suites give it)")
 	fs.StringVar(&c.secret, "secret", "streets-of-byzantium", "shared dealer secret")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated node addresses, index = node ID")
-	fs.BoolVar(&c.auth, "auth", false, "authenticate frames: HMAC-sealed frame v2 with authenticated hellos (all nodes and clients must agree)")
-	fs.BoolVar(&c.resume, "resume", false, "resume sessions across reconnects, replaying in-flight frames (implies -auth)")
+	fs.BoolVar(&c.auth, "auth", false, "authenticate frames: HMAC-sealed frame v2 with authenticated hellos, and sessions that resume across reconnects, replaying in-flight frames (all nodes and clients must agree)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr), and — with -auth — session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
 	fs.StringVar(&c.clients, "clients", "", "comma-separated client listen addresses (index = client number) whose committed requests this node answers with a signed Reply")
 	fs.IntVar(&c.groups, "groups", 1, "independent ordering groups hosted on this node (sc/scr only; all nodes and clients must agree): each group is a complete ordering cluster with its own coordinator pair — rotated so group g's pair sits on different physical nodes — and its own WAL directory under -data-dir/g<i>, multiplexed over this node's one listener and session")
@@ -54,8 +51,7 @@ func bindKnobs(fs *flag.FlagSet, k *core.Knobs) {
 	fs.DurationVar(&k.BatchInterval, "batch", d.BatchInterval, "batching interval")
 	fs.DurationVar(&k.Delta, "delta", d.Delta, "pair differential delay estimate (under scr also the pair-probe period)")
 	fs.IntVar(&k.CheckpointInterval, "ckpt-interval", 0, "delivered sequence numbers between protocol checkpoints (0 = default 64, negative disables; requires -data-dir)")
-	fs.IntVar(&k.MaxInflightBatches, "inflight", 0, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes")
-	fs.BoolVar(&k.DigestOnlyAcks, "digest-acks", false, "sc/scr digest-only ordering: acks carry subject digests only; missing subjects/payloads are fetched off the critical path")
+	fs.IntVar(&k.MaxInflightBatches, "inflight", 0, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes and digest-only acks (missing subjects/payloads are fetched off the critical path)")
 	fs.BoolVar(&in.Enabled, "ingress", false, "client admission control (sc/scr only): per-client rate limit, lockout, pending bound and overload brownout; refused requests get a signed Rejected with a retry hint")
 	fs.IntVar(&in.Rate, "ingress-rate", 0, "admitted requests per client per -ingress-period (0 = default 256, negative = unlimited)")
 	fs.DurationVar(&in.RatePeriod, "ingress-period", 0, "rate-limiter period (0 = default 1s)")
@@ -92,7 +88,6 @@ func (c config) spec(proto types.Protocol, topo types.Topology, dealt *node.Deal
 		Knobs:     c.knobs,
 		DataDir:   c.dataDir,
 		Links:     dealt.Links,
-		Resume:    c.resume,
 		TLSServer: dealt.TLSServer,
 		TLSClient: dealt.TLSClient,
 		ReplyTo:   replyTo,

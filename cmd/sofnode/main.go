@@ -7,10 +7,9 @@
 // (demo-grade key distribution; see internal/crypto.DRBG).
 //
 // With -auth every connection hello and every frame is HMAC-
-// authenticated (frame v2); with -resume reconnects additionally replay
-// in-flight frames from each sender's retransmission ring instead of
-// dropping them. All nodes and clients of a deployment must agree on
-// these flags.
+// authenticated (frame v2), and reconnects replay in-flight frames from
+// each sender's retransmission ring instead of dropping them. All nodes
+// and clients of a deployment must agree on the flag.
 //
 // With -metrics-addr the node serves its live ops surface: /metrics in
 // the Prometheus text exposition format (commit watermark, view and
@@ -31,9 +30,9 @@
 // ordering — even when the peers' bounded retransmission rings have long
 // pruned the frames it missed. With -auth the node's session state —
 // epochs, delivery watermarks and the sealed-but-unacknowledged frame
-// window — is journalled too, and with -resume a restarted node replays
-// the frames the dead incarnation had sealed but never delivered. A
-// crash loses at most one batching interval of records.
+// window — is journalled too, and a restarted node replays the frames the
+// dead incarnation had sealed but never delivered. A crash loses at most
+// one batching interval of records.
 //
 // With -clients (comma-separated client listen addresses, index = client
 // number) every hosted order process answers each committed entry of
@@ -147,16 +146,13 @@ func run(cfg config, lns listeners, stop <-chan struct{}) error {
 	if lns.ops != nil {
 		defer lns.ops.Close()
 	}
-	if cfg.resume {
-		cfg.auth = true
-	}
 	proto, err := types.ParseProtocol(cfg.protocol)
 	if err != nil {
 		return err
 	}
 	if err := (node.Mode{
 		Protocol: proto, Knobs: cfg.knobs, Live: true, Transport: types.TransportTCP,
-		Groups: cfg.groups, AuthFrames: cfg.auth, Resume: cfg.resume, TLS: cfg.tls,
+		Groups: cfg.groups, AuthFrames: cfg.auth, TLS: cfg.tls,
 		Durable: cfg.dataDir != "", DataDir: cfg.dataDir,
 	}).Check(); err != nil {
 		return err
@@ -213,8 +209,8 @@ func run(cfg config, lns listeners, stop <-chan struct{}) error {
 	}
 	tcp.Start()
 	defer tcp.Stop()
-	logger.Printf("up: %v f=%d n=%d groups=%d listening on %s (auth=%v resume=%v durable=%v tls=%v ingress=%v)",
-		proto, cfg.f, topo.N(), cfg.groups, tcp.Addr(), cfg.auth, cfg.resume, cfg.dataDir != "", cfg.tls, cfg.knobs.Ingress.Enabled)
+	logger.Printf("up: %v f=%d n=%d groups=%d listening on %s (auth=%v durable=%v tls=%v ingress=%v)",
+		proto, cfg.f, topo.N(), cfg.groups, tcp.Addr(), cfg.auth, cfg.dataDir != "", cfg.tls, cfg.knobs.Ingress.Enabled)
 
 	// Ops surface: /metrics, /healthz and /readyz (node.Ready — not ready
 	// for exactly the restart catch-up window a rolling upgrade must wait

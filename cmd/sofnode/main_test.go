@@ -34,7 +34,7 @@ func bind(t *testing.T) net.Listener {
 
 // TestClusterInProcess drives the binary's own wiring end to end: four
 // run() invocations form a 4-node SC f=1 cluster on loopback with -auth
-// -resume and an ops listener each, the system's one client (hosted on a
+// and an ops listener each, the system's one client (hosted on a
 // TCP node, as sofclient hosts it) submits one request and accepts it once
 // f+1 nodes have answered with verifiable signed replies, and every node's
 // /readyz is 200. Every endpoint is bound before anything starts, so no
@@ -67,7 +67,7 @@ func TestClusterInProcess(t *testing.T) {
 		cfg := parseFlags([]string{
 			"-id", fmt.Sprint(i), "-f", fmt.Sprint(f), "-protocol", "sc", "-secret", secret,
 			"-peers", strings.Join(peerAddrs, ","), "-clients", replies.Addr().String(),
-			"-batch", "5ms", "-auth", "-resume",
+			"-batch", "5ms", "-auth",
 		})
 		go func() { done <- run(cfg, lns[i], stop) }()
 	}
@@ -114,7 +114,7 @@ func TestClusterInProcess(t *testing.T) {
 
 	endpoint, err := node.Build(node.Spec{
 		Self: me, Protocol: types.SC, Topo: topo, Groups: 1, Idents: dealt.Idents,
-		Links: dealt.Links, Resume: true,
+		Links: dealt.Links,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +163,13 @@ func TestSpecParityWithHarness(t *testing.T) {
 		c, err := harness.New(harness.Options{
 			Protocol: proto, F: 1,
 			BatchInterval: 5 * time.Millisecond, Delta: 2 * time.Second,
-			MaxInflightBatches: 8, DigestOnlyAcks: true,
+			MaxInflightBatches: 8,
 			CheckpointInterval: 16,
 			Ingress:            ingress.Config{Enabled: true, Rate: -1, MaxClientPending: 32},
-			Mirror:             true, DumbOptimization: true, // the shipped entry points' choice
-			Live: true, Transport: types.TransportTCP,
-			AuthFrames: true, SessionResume: true,
-			Durable: true, DataDir: dir, Groups: 2,
+			Mirror:             true, // the shipped entry points' choice
+			Live:               true, Transport: types.TransportTCP,
+			AuthFrames: true,
+			Durable:    true, DataDir: dir, Groups: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -179,16 +179,16 @@ func TestSpecParityWithHarness(t *testing.T) {
 		for _, id := range c.Topo.AllProcesses() {
 			cfg := parseFlags([]string{
 				"-id", fmt.Sprint(int32(id)), "-f", "1", "-protocol", strings.ToLower(proto.String()),
-				"-batch", "5ms", "-delta", "2s", "-inflight", "8", "-digest-acks",
+				"-batch", "5ms", "-delta", "2s", "-inflight", "8",
 				"-ckpt-interval", "16", "-ingress", "-ingress-rate", "-1", "-ingress-pending", "32",
-				"-auth", "-resume", "-data-dir", dir, "-groups", "2",
+				"-auth", "-data-dir", dir, "-groups", "2",
 			})
 			dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, c.Topo, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			binary, bench := cfg.spec(proto, c.Topo, dealt), c.NodeSpec(id)
-			if binary.Resume != bench.Resume || binary.RingLen != bench.RingLen || (binary.Links == nil) != (bench.Links == nil) {
+			if binary.RingLen != bench.RingLen || (binary.Links == nil) != (bench.Links == nil) {
 				t.Errorf("%v node %v: transport settings differ: sofnode %+v, harness %+v", proto, id, binary, bench)
 			}
 			for g := 0; g < 2; g++ {

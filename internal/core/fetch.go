@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the fetch-on-miss fallback that digest-only
-// ordering relies on. With Config.DigestOnlyAcks the critical path carries
-// only digests: acks no longer embed the endorsed subject, and batches can
+// ordering relies on. A pipelined process's critical path carries only
+// digests: acks no longer embed the endorsed subject, and batches can
 // commit before every referenced request payload has arrived. A process
 // that finds itself missing a subject (quorum ack evidence for a sequence
 // it does not track) or a payload (delivering a batch whose requests are

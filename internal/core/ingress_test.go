@@ -18,7 +18,6 @@ func TestEvictSweepAdvancesOnActingPrimary(t *testing.T) {
 	c := simCluster(t, func(o *harness.Options) {
 		o.F = 1
 		o.MaxInflightBatches = 8
-		o.DigestOnlyAcks = true
 		o.MaxBatchBytes = 32 << 10
 		o.Ingress = ingress.Config{Enabled: true, Rate: -1, BrownoutHigh: -1, EvictAfter: evictAfter}
 	})

@@ -589,8 +589,10 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 	// view is settled.
 	p.pruneUnwillingBelow(p.view + 1)
 
-	// Dumb-process optimization: mute every fail-signalled pair below us.
-	if p.cfg.DumbOptimization {
+	// Dumb-process optimization (Section 4.3): mute every fail-signalled
+	// pair below us. SC only: it depends on property SC2, which does not
+	// hold under the recovery semantics (Section 4.4).
+	if !p.scr() {
 		p.dumbPairs = 0
 		for r := types.Rank(1); r < p.rank; r++ {
 			pc, ps, paired := p.candidate(r)

@@ -31,12 +31,6 @@ type Knobs struct {
 	// Mirror enables pair-link mirroring of asynchronous-network traffic
 	// (Section 3.1 collaboration (i)).
 	Mirror bool
-	// DumbOptimization mutes the processes of a replaced coordinator pair
-	// and shrinks (n, f) accordingly (Section 4.3, first optimization).
-	// SC only: it depends on property SC2, which does not hold under the
-	// recovery semantics (Section 4.4), so node assembly drops it for SCR
-	// and New refuses it there.
-	DumbOptimization bool
 	// PadBacklogBytes pads BackLog messages, letting the Figure 6
 	// experiments control BackLog size.
 	PadBacklogBytes int
@@ -56,15 +50,13 @@ type Knobs struct {
 	// the arrival that fills it (another entry like it would no longer
 	// fit MaxBatchBytes — RequestPool.BatchFull), commits free window
 	// slots that are refilled immediately, and the batch timer degrades
-	// to a latency backstop that flushes partial batches.
+	// to a latency backstop that flushes partial batches. A pipelined
+	// process also keeps ordering traffic digest-only on the critical
+	// path: its acks carry just the subject digest instead of embedding
+	// the full marshalled subject (commit proofs bind the digest, so
+	// proofs are unaffected), and a receiver that falls behind recovers
+	// the subject through a FetchReq instead of from ack payloads.
 	MaxInflightBatches int
-	// DigestOnlyAcks keeps ordering traffic digest-only on the critical
-	// path: acks carry just the subject digest instead of embedding the
-	// full marshalled subject (commit proofs bind the digest, so proofs
-	// are unaffected). Receivers that fall behind recover the subject
-	// through a FetchReq into the catch-up machinery instead of from ack
-	// payloads.
-	DigestOnlyAcks bool
 	// Ingress, when Enabled, installs the client admission pipeline in
 	// front of the request pool: per-client rate limiting with failure
 	// lockout, a per-client pending cap, and overload brownout that sheds
@@ -104,7 +96,7 @@ func (k Knobs) Check(proto types.Protocol) error {
 		{k.MaxBatchBytes <= 0, "MaxBatchBytes must be positive"},
 		{paired && k.Delta <= 0, "Delta must be positive"},
 		{k.MaxInflightBatches < 0, "MaxInflightBatches must not be negative"},
-		{!paired && (k.MaxInflightBatches > 1 || k.DigestOnlyAcks), "MaxInflightBatches and DigestOnlyAcks require the SC/SCR protocols"},
+		{!paired && k.MaxInflightBatches > 1, "MaxInflightBatches > 1 requires the SC/SCR protocols"},
 		{!paired && k.Ingress.Enabled, "Ingress requires the SC/SCR protocols"},
 	} {
 		if rule.bad {

@@ -10,6 +10,7 @@ import (
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/harness"
 	"github.com/sof-repro/sof/internal/message"
+	"github.com/sof-repro/sof/internal/netsim"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/runtime"
 	"github.com/sof-repro/sof/internal/types"
@@ -35,7 +36,6 @@ func burstN(t *testing.T, c *harness.Cluster, n, size int) {
 func TestPipelinedBurstOverlapsProposals(t *testing.T) {
 	c := simCluster(t, func(o *harness.Options) {
 		o.MaxInflightBatches = 8
-		o.DigestOnlyAcks = true
 	})
 	burstN(t, c, 40, 200)
 	c.RunFor(time.Second)
@@ -87,7 +87,6 @@ func pipelinedPrimary(t *testing.T) (c *harness.Cluster, primary types.NodeID, e
 		o.Suite = crypto.HMACSHA256
 		o.BatchInterval = 100 * time.Millisecond
 		o.MaxInflightBatches = 8
-		o.DigestOnlyAcks = true
 	})
 	primary, _, _, err := c.Topo.Candidate(1)
 	if err != nil {
@@ -325,7 +324,6 @@ func TestArrivalsDuringInflightBatchGoOutTogether(t *testing.T) {
 		o.Suite = crypto.HMACSHA256
 		o.BatchInterval = 100 * time.Millisecond
 		o.MaxInflightBatches = 8
-		o.DigestOnlyAcks = true
 		o.NumClients = clients
 	})
 	primary, _, _, err := c.Topo.Candidate(1)
@@ -429,6 +427,51 @@ func TestUnpipelinedProposerKeepsIntervalPacing(t *testing.T) {
 		}
 		if before.sized != 0 {
 			t.Errorf("window %d: %d size-triggered closes", window, before.sized)
+		}
+	}
+}
+
+// ackSubjects records the subject length of every ack its process sends.
+type ackSubjects struct{ lens []int }
+
+func (a *ackSubjects) Outbound(_ runtime.Env, _ types.NodeID, m message.Message) []message.Message {
+	if ack, ok := m.(*message.Ack); ok {
+		a.lens = append(a.lens, len(ack.Subject))
+	}
+	return []message.Message{m}
+}
+
+// TestAcksCarrySubjectsOnlyWhenIntervalPaced pins the ack rule: a
+// pipelined process (MaxInflightBatches >= 2) acks by digest alone, and an
+// interval-paced one embeds the endorsed subject in every ack, as the
+// paper's processes do.
+func TestAcksCarrySubjectsOnlyWhenIntervalPaced(t *testing.T) {
+	for _, window := range []int{0, 1, 2, 8} {
+		topo, err := types.NewTopology(types.SC, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An acker outside the first coordinator pair.
+		pc, ps, _, _ := topo.Candidate(1)
+		watched := types.Nil
+		for _, id := range topo.AllProcesses() {
+			if id != pc && id != ps {
+				watched = id
+				break
+			}
+		}
+		tap := &ackSubjects{}
+		s := newResumeSim(t, simOpts{proto: types.SC, f: 1, window: window, net: netsim.LANDefaults(), seed: 1,
+			taps: map[types.NodeID]core.Tap{watched: tap}})
+		s.submitEvery(10*time.Millisecond, 50*time.Millisecond)
+		s.sched.RunFor(500 * time.Millisecond)
+		if len(tap.lens) == 0 {
+			t.Fatalf("window %d: process %v sent no acks", window, watched)
+		}
+		for _, n := range tap.lens {
+			if embedded := n > 0; embedded != (window <= 1) {
+				t.Fatalf("window %d: an ack carried a %d-byte subject", window, n)
+			}
 		}
 	}
 }

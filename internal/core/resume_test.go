@@ -86,7 +86,7 @@ func newResumeSim(t *testing.T, o simOpts) *resumeSim {
 			Self: id, Protocol: o.proto, Topo: topo, Groups: 1, Idents: dealt.Idents,
 			Knobs: core.Knobs{
 				BatchInterval: 10 * time.Millisecond, MaxBatchBytes: 1024, Delta: 100 * time.Millisecond,
-				Mirror: true, MaxInflightBatches: o.window, DigestOnlyAcks: true,
+				Mirror: true, MaxInflightBatches: o.window,
 				RecoveryInterval: 50 * time.Millisecond,
 			},
 			DataDir: o.dataDir[id], Tap: o.taps[id],

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -256,11 +255,6 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 	}
 	if err := cfg.Knobs.Check(cfg.Topo.Protocol); err != nil {
 		return nil, err
-	}
-	if cfg.Topo.Protocol == types.SCR && cfg.DumbOptimization {
-		// The dumb optimization depends on property SC2, which does not
-		// hold under the recovery semantics (Section 4.4).
-		return nil, errors.New("core: the dumb-process optimization is unsound under SCR")
 	}
 	p := &Process{
 		cfg:               cfg,
@@ -862,11 +856,11 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 	}
 	t.AckSent = true
 	var subject []byte
-	if !p.cfg.DigestOnlyAcks {
-		// Legacy redundancy: embed the full subject so a receiver that
-		// missed it learns it from any ack. Digest-only mode drops this
-		// n-fold copy from the critical path (the signature binds only
-		// the digest, so commit proofs are unaffected) and receivers
+	if !p.pipelined() {
+		// The paper's redundancy: embed the full subject so a receiver
+		// that missed it learns it from any ack. A pipelined process drops
+		// this n-fold copy from the critical path (the signature binds
+		// only the digest, so commit proofs are unaffected) and receivers
 		// recover missed subjects with a FetchReq instead.
 		if t.Batch != nil {
 			subject = t.Batch.Marshal()

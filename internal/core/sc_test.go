@@ -16,16 +16,15 @@ import (
 func simCluster(t *testing.T, mutate func(*harness.Options)) *harness.Cluster {
 	t.Helper()
 	opts := harness.Options{
-		Protocol:         types.SC,
-		F:                2,
-		BatchInterval:    10 * time.Millisecond,
-		MaxBatchBytes:    1024,
-		Delta:            2 * time.Second,
-		Mirror:           true,
-		DumbOptimization: true,
-		Net:              netsim.LANDefaults(),
-		Seed:             1,
-		KeepCommits:      true,
+		Protocol:      types.SC,
+		F:             2,
+		BatchInterval: 10 * time.Millisecond,
+		MaxBatchBytes: 1024,
+		Delta:         2 * time.Second,
+		Mirror:        true,
+		Net:           netsim.LANDefaults(),
+		Seed:          1,
+		KeepCommits:   true,
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -302,6 +301,52 @@ func TestDumbProcessesStopTransmitting(t *testing.T) {
 	assertTotalOrder(t, c, 5, 8)
 }
 
+// TestReplacedPairMutedUnderSCOnly pins the dumb-process rule: with no
+// option asking for it, SC mutes the replaced pair at IN5 and shrinks the
+// commit quorum by one, while SCR — whose recovery semantics break
+// property SC2 (Section 4.4) — never mutes anyone.
+func TestReplacedPairMutedUnderSCOnly(t *testing.T) {
+	for _, proto := range []types.Protocol{types.SC, types.SCR} {
+		c := simCluster(t, func(o *harness.Options) {
+			o.Protocol = proto
+			if proto == types.SCR {
+				o.Delta, o.RecoveryInterval = 150*time.Millisecond, 100*time.Millisecond
+			}
+		})
+		submitN(t, c, 3, 64)
+		c.RunFor(300 * time.Millisecond)
+		if err := c.InjectCoordinatorValueFault(); err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(500 * time.Millisecond)
+		installed := false
+		for _, ev := range c.Events.Installs() {
+			installed = installed || ev.Rank == 2
+		}
+		if !installed {
+			t.Fatalf("%v: coordinator 2 never installed", proto)
+		}
+		p1, s1, _, _ := c.Topo.Candidate(1)
+		for _, id := range c.Topo.AllProcesses() {
+			proc := c.SC[id]
+			want := proto == types.SC && (id == p1 || id == s1)
+			if proc.Muted() != want {
+				t.Errorf("%v: process %v muted=%v, want %v", proto, id, proc.Muted(), want)
+			}
+			wantQuorum := c.Topo.Quorum()
+			if proto == types.SC {
+				wantQuorum--
+			}
+			if got := proc.QuorumEff(); got != wantQuorum {
+				t.Errorf("%v: process %v commit quorum %d, want %d", proto, id, got, wantQuorum)
+			}
+		}
+		submitN(t, c, 5, 64)
+		c.RunFor(500 * time.Millisecond)
+		assertTotalOrder(t, c, c.Topo.N()-2, 8)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []string {
 		c := simCluster(t, func(o *harness.Options) {
@@ -323,16 +368,15 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestLiveSubstrateOrdering(t *testing.T) {
 	opts := harness.Options{
-		Protocol:         types.SC,
-		F:                2,
-		BatchInterval:    5 * time.Millisecond,
-		MaxBatchBytes:    1024,
-		Delta:            5 * time.Second,
-		Mirror:           true,
-		DumbOptimization: true,
-		Seed:             3,
-		KeepCommits:      true,
-		Live:             true,
+		Protocol:      types.SC,
+		F:             2,
+		BatchInterval: 5 * time.Millisecond,
+		MaxBatchBytes: 1024,
+		Delta:         5 * time.Second,
+		Mirror:        true,
+		Seed:          3,
+		KeepCommits:   true,
+		Live:          true,
 	}
 	c, err := harness.New(opts)
 	if err != nil {

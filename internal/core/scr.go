@@ -25,8 +25,8 @@ import (
 //     carry fresh pre-signed fail-signal material for the next epoch;
 //     mutually timely beats restart the pair optimistically.
 //
-// The dumb-process optimization is disabled in SCR mode (it depends on
-// SC2) — New rejects a config that requests both.
+// The dumb-process optimization does not apply in SCR mode (it depends on
+// SC2): IN5 mutes replaced pairs under SC only.
 
 // scr reports whether the process runs the recovery extension.
 func (p *Process) scr() bool { return p.topo.Protocol == types.SCR }

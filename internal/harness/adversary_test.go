@@ -19,16 +19,15 @@ import (
 func advCluster(t *testing.T, mutate func(*Options)) *Cluster {
 	t.Helper()
 	opts := Options{
-		Protocol:         types.SC,
-		F:                1,
-		BatchInterval:    10 * time.Millisecond,
-		MaxBatchBytes:    1024,
-		Delta:            2 * time.Second,
-		Mirror:           true,
-		DumbOptimization: true,
-		Net:              netsim.LANDefaults(),
-		Seed:             1,
-		KeepCommits:      true,
+		Protocol:      types.SC,
+		F:             1,
+		BatchInterval: 10 * time.Millisecond,
+		MaxBatchBytes: 1024,
+		Delta:         2 * time.Second,
+		Mirror:        true,
+		Net:           netsim.LANDefaults(),
+		Seed:          1,
+		KeepCommits:   true,
 	}
 	if mutate != nil {
 		mutate(&opts)

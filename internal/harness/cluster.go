@@ -62,13 +62,16 @@ type Options struct {
 	Delta              time.Duration
 	ViewChangeTimeout  time.Duration
 	Mirror             bool
-	DumbOptimization   bool
 	PadBacklogBytes    int
 	RecoveryInterval   time.Duration
 	CheckpointInterval int
 	MaxInflightBatches int
-	DigestOnlyAcks     bool
 	Ingress            ingress.Config
+	// DigestOnlyAcks is ignored: an SC/SCR process acks by digest exactly
+	// when it pipelines (MaxInflightBatches > 1).
+	//
+	// Deprecated: kept while the bench module still sets it.
+	DigestOnlyAcks bool
 
 	Net  netsim.Params
 	Seed int64
@@ -81,13 +84,16 @@ type Options struct {
 	// queue-backed peer links. Ignored when Live is false.
 	Transport types.Transport
 	// AuthFrames upgrades the TCP transport to frame v2: the dealer
-	// issues link keys, hellos are authenticated, and every frame
-	// carries a per-direction sequence number and an HMAC-SHA256
-	// trailer. Requires the live TCP transport.
+	// issues link keys, hellos are authenticated, every frame carries a
+	// per-direction sequence number and an HMAC-SHA256 trailer, and each
+	// sender replays the unacknowledged frame window from its
+	// retransmission ring after a reconnect, so a dropped connection
+	// loses nothing. Requires the live TCP transport.
 	AuthFrames bool
-	// SessionResume additionally replays the unacknowledged frame window
-	// from each sender's retransmission ring after a reconnect, so a
-	// dropped connection loses nothing. Implies AuthFrames.
+	// SessionResume is a synonym for AuthFrames: authenticated sessions
+	// always resume.
+	//
+	// Deprecated: kept while the bench module still sets it.
 	SessionResume bool
 	// SessionRingLen bounds each sender's retransmission ring, in frames
 	// (0 = session.DefaultRingLen). Frames evicted from a full ring can
@@ -95,7 +101,7 @@ type Options struct {
 	// recovery falls to the protocol-level checkpoint catch-up.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in write-ahead logs:
-	// SC/SCR protocol checkpoints and — with SessionResume — each node's
+	// SC/SCR protocol checkpoints and — with AuthFrames — each node's
 	// session state, so a *restarted* process keeps its session epoch and
 	// replays the frames its dead incarnation had sealed but not
 	// delivered. Group commit batches fsyncs on the BatchInterval; a crash
@@ -178,7 +184,7 @@ func (o Options) withDefaults() Options {
 		o.Groups = 1
 	}
 	if o.SessionResume {
-		o.AuthFrames = true // resume rides on the authenticated handshake
+		o.AuthFrames = true
 	}
 	return o
 }
@@ -192,12 +198,10 @@ func (o Options) knobs() core.Knobs {
 		Delta:              o.Delta,
 		ViewChangeTimeout:  o.ViewChangeTimeout,
 		Mirror:             o.Mirror,
-		DumbOptimization:   o.DumbOptimization,
 		PadBacklogBytes:    o.PadBacklogBytes,
 		RecoveryInterval:   o.RecoveryInterval,
 		CheckpointInterval: o.CheckpointInterval,
 		MaxInflightBatches: o.MaxInflightBatches,
-		DigestOnlyAcks:     o.DigestOnlyAcks,
 		Ingress:            o.Ingress,
 	}.WithDefaults()
 }
@@ -268,7 +272,6 @@ func New(opts Options) (*Cluster, error) {
 		Transport:   opts.Transport,
 		Groups:      opts.Groups,
 		AuthFrames:  opts.AuthFrames,
-		Resume:      opts.SessionResume,
 		RingLen:     opts.SessionRingLen,
 		Shaping:     opts.TCPShaping,
 		TLS:         opts.TLS,
@@ -340,7 +343,6 @@ func New(opts Options) (*Cluster, error) {
 		Groups:   c.groups,
 		Idents:   idents,
 		Knobs:    knobs,
-		Resume:   opts.SessionResume,
 		RingLen:  opts.SessionRingLen,
 		Logger:   opts.Logger,
 		Hooks:    c.hooks,

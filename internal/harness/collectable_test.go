@@ -79,7 +79,7 @@ func TestStoppedClusterIsCollectable(t *testing.T) {
 		"live": func(o *Options) { o.Live = true },
 		"tcp": func(o *Options) {
 			o.Live, o.Transport = true, types.TransportTCP
-			o.AuthFrames, o.SessionResume = true, true
+			o.AuthFrames = true
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -68,17 +68,16 @@ func RunLatencyThroughputPoint(proto types.Protocol, suite crypto.SuiteName, f i
 	interval time.Duration, window time.Duration, seed int64) (FigurePoint, error) {
 
 	opts := Options{
-		Protocol:         proto,
-		F:                f,
-		Suite:            modelSuiteFor(proto, suite),
-		BatchInterval:    interval,
-		MaxBatchBytes:    1024,
-		Delta:            time.Hour, // fail-free run: timing checks must never fire
-		Mirror:           proto == types.SC || proto == types.SCR,
-		DumbOptimization: proto == types.SC,
-		Net:              netsim.LANDefaults(),
-		Seed:             seed,
-		Load:             LoadFor(interval, 1024),
+		Protocol:      proto,
+		F:             f,
+		Suite:         modelSuiteFor(proto, suite),
+		BatchInterval: interval,
+		MaxBatchBytes: 1024,
+		Delta:         time.Hour, // fail-free run: timing checks must never fire
+		Mirror:        proto == types.SC || proto == types.SCR,
+		Net:           netsim.LANDefaults(),
+		Seed:          seed,
+		Load:          LoadFor(interval, 1024),
 	}
 	c, err := New(opts)
 	if err != nil {
@@ -134,17 +133,16 @@ func RunFailOverPoint(proto types.Protocol, suite crypto.SuiteName, f, backlogKB
 		return FailOverPoint{}, fmt.Errorf("harness: fail-over experiment applies to SC/SCR, not %v", proto)
 	}
 	opts := Options{
-		Protocol:         proto,
-		F:                f,
-		Suite:            modelSuiteFor(proto, suite),
-		BatchInterval:    100 * time.Millisecond,
-		MaxBatchBytes:    1024,
-		Delta:            time.Hour,
-		Mirror:           true,
-		DumbOptimization: proto == types.SC,
-		PadBacklogBytes:  backlogKB * 1024,
-		Net:              netsim.LANDefaults(),
-		Seed:             seed,
+		Protocol:        proto,
+		F:               f,
+		Suite:           modelSuiteFor(proto, suite),
+		BatchInterval:   100 * time.Millisecond,
+		MaxBatchBytes:   1024,
+		Delta:           time.Hour,
+		Mirror:          true,
+		PadBacklogBytes: backlogKB * 1024,
+		Net:             netsim.LANDefaults(),
+		Seed:            seed,
 	}
 	c, err := New(opts)
 	if err != nil {

@@ -186,19 +186,18 @@ func baseOptions(profile string, seed int64) Options {
 		net = netsim.LANDefaults()
 	}
 	return Options{
-		Protocol:         types.SC,
-		F:                1,
-		BatchInterval:    25 * time.Millisecond,
-		MaxBatchBytes:    4096,
-		Delta:            time.Hour,
-		Mirror:           true,
-		DumbOptimization: true,
-		Net:              net,
-		Seed:             seed,
-		Live:             true,
-		Transport:        types.TransportTCP,
-		TCPShaping:       true,
-		KeepCommits:      true,
+		Protocol:      types.SC,
+		F:             1,
+		BatchInterval: 25 * time.Millisecond,
+		MaxBatchBytes: 4096,
+		Delta:         time.Hour,
+		Mirror:        true,
+		Net:           net,
+		Seed:          seed,
+		Live:          true,
+		Transport:     types.TransportTCP,
+		TCPShaping:    true,
+		KeepCommits:   true,
 	}
 }
 
@@ -213,7 +212,7 @@ func (g *campaign) durableOptions(profile, name string, seed int64) (Options, er
 	o.Durable = true
 	o.DataDir = dir
 	o.CheckpointInterval = 8
-	o.SessionResume = true
+	o.AuthFrames = true
 	return o, nil
 }
 

@@ -255,14 +255,3 @@ func TestSCRUnwillingSkipsDownCandidate(t *testing.T) {
 	c.RunFor(time.Second)
 	assertAgreement(t, c, 4, 8)
 }
-
-func TestSCRRejectsDumbOptimization(t *testing.T) {
-	_, err := New(Options{
-		Protocol:         types.SCR,
-		F:                2,
-		DumbOptimization: true, // node assembly drops it for SCR
-	})
-	if err != nil {
-		t.Fatalf("SCR with the dumb optimization asked for: %v", err)
-	}
-}

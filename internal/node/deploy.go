@@ -23,13 +23,13 @@ type Mode struct {
 	Live      bool
 	Transport types.Transport
 	Groups    int
-	// AuthFrames, Resume, Shaping and TLS are properties of the TCP
-	// transport; RingLen bounds a resumable session's retransmission ring.
-	AuthFrames, Resume, Shaping, TLS bool
-	RingLen                          int
-	Durable                          bool
-	DataDir                          string
-	Adversaries                      bool
+	// AuthFrames, Shaping and TLS are properties of the TCP transport;
+	// RingLen bounds an authenticated session's retransmission ring.
+	AuthFrames, Shaping, TLS bool
+	RingLen                  int
+	Durable                  bool
+	DataDir                  string
+	Adversaries              bool
 }
 
 // Check rejects the knob values no order process accepts and the
@@ -45,8 +45,8 @@ func (m Mode) Check() error {
 		what, need string
 	}{
 		{m.Transport == types.TransportTCP, m.Live, "the TCP transport", "a live cluster (the simulator has its own substrate)"},
-		{m.AuthFrames, tcp, "AuthFrames/SessionResume", "the live TCP transport"},
-		{m.RingLen != 0, m.Resume, "SessionRingLen", "SessionResume"},
+		{m.AuthFrames, tcp, "AuthFrames", "the live TCP transport"},
+		{m.RingLen != 0, m.AuthFrames, "SessionRingLen", "AuthFrames"},
 		{m.Shaping, tcp, "network shaping", "the live TCP transport"},
 		{m.TLS, tcp, "TLS", "the live TCP transport"},
 		{m.Groups > 1, tcp, "Groups > 1", "the live TCP transport"},

@@ -60,10 +60,9 @@ type Spec struct {
 	// negative. Both group-commit on BatchInterval.
 	DataDir string
 
-	// Links upgrades the transport to authenticated sessions (nil = plain
-	// frames); Resume and RingLen are the session's replay settings.
+	// Links upgrades the transport to authenticated, resumable sessions
+	// (nil = plain frames); RingLen bounds each sender's replay ring.
 	Links   *crypto.LinkKeys
-	Resume  bool
 	RingLen int
 	// TLSServer and TLSClient wrap every connection when set.
 	TLSServer, TLSClient *tls.Config
@@ -160,9 +159,6 @@ func (s Spec) CoreConfig(group int) core.Config {
 		Metrics:             s.Registry,
 		MetricsLabels:       Labels(s.Self, group, s.Groups),
 	}
-	// The dumb optimisation depends on property SC2, which does not hold
-	// under the recovery semantics (Section 4.4): SC only.
-	cfg.DumbOptimization = s.DumbOptimization && s.Protocol == types.SC
 	if group == 0 {
 		cfg.Tap = s.Tap
 	}
@@ -345,7 +341,7 @@ func (n *Node) TCPOptions() tcpnet.Options {
 		Metrics:   s.Registry,
 	}
 	if s.Links != nil {
-		cfg := &session.Config{Keys: s.Links, Resume: s.Resume, RingLen: s.RingLen}
+		cfg := &session.Config{Keys: s.Links, RingLen: s.RingLen}
 		if n.session != nil {
 			cfg.Journal = n.session
 		}

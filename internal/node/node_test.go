@@ -28,7 +28,7 @@ func testSpec(t *testing.T, proto types.Protocol, self types.NodeID, groups int)
 	return Spec{
 		Self: self, Protocol: proto, Topo: topo, Groups: groups, Idents: dealt.Idents,
 		Knobs: core.Knobs{BatchInterval: 5 * time.Millisecond, MaxBatchBytes: 1024, Delta: time.Second},
-		Links: dealt.Links, Resume: true,
+		Links: dealt.Links,
 	}
 }
 
@@ -79,7 +79,7 @@ func TestClientEndpoint(t *testing.T) {
 	if !isDir(filepath.Join(spec.DataDir, "session")) {
 		t.Error("client endpoint has no session journal")
 	}
-	if o := n.TCPOptions(); o.Session == nil || o.Session.Journal == nil || !o.Session.Resume {
+	if o := n.TCPOptions(); o.Session == nil || o.Session.Journal == nil {
 		t.Errorf("client transport options lack the journalled session: %+v", o.Session)
 	}
 	if err := n.Ready(nil); err != nil {
@@ -174,7 +174,7 @@ func TestLabels(t *testing.T) {
 // non-zero for a fully populated spec, or be one Build supplies.
 func TestCoreConfigCoversEveryField(t *testing.T) {
 	spec := testSpec(t, types.SC, 0, 2)
-	spec.Mirror, spec.DumbOptimization, spec.DigestOnlyAcks = true, true, true
+	spec.Mirror = true
 	spec.PadBacklogBytes, spec.CheckpointInterval, spec.MaxInflightBatches = 1, 2, 3
 	spec.RecoveryInterval = time.Second
 	spec.Ingress = ingress.Config{Enabled: true}
@@ -204,10 +204,6 @@ func TestCoreConfigCoversEveryField(t *testing.T) {
 	if got := spec.CoreConfig(1).Topo; got != spec.Topo.Rotated(1) {
 		t.Errorf("group 1 topology = %+v, want the rotation by 1", got)
 	}
-	spec.Protocol = types.SCR
-	if spec.CoreConfig(0).DumbOptimization {
-		t.Error("dumb optimisation applied under SCR")
-	}
 }
 
 type noTap struct{ core.Tap }
@@ -221,7 +217,7 @@ func TestModeCheck(t *testing.T) {
 	for name, mutate := range map[string]func(*Mode){
 		"tcp simulated":           func(m *Mode) { m.Live = false },
 		"auth off tcp":            func(m *Mode) { m.Transport, m.AuthFrames = inProcess, true },
-		"ring without resume":     func(m *Mode) { m.RingLen = 8 },
+		"ring without auth":       func(m *Mode) { m.RingLen = 8 },
 		"shaping off tcp":         func(m *Mode) { m.Transport, m.Shaping = inProcess, true },
 		"tls off tcp":             func(m *Mode) { m.Transport, m.TLS = inProcess, true },
 		"groups off tcp":          func(m *Mode) { m.Transport, m.Groups = inProcess, 2 },
@@ -231,7 +227,6 @@ func TestModeCheck(t *testing.T) {
 		"ingress under ct":        func(m *Mode) { m.Protocol, m.Knobs.Ingress = types.CT, ingress.Config{Enabled: true} },
 		"ingress invalid":         func(m *Mode) { m.Knobs.Ingress = ingress.Config{Enabled: true, RatePeriod: -1} },
 		"pipeline under bft":      func(m *Mode) { m.Protocol, m.Knobs.MaxInflightBatches = types.BFT, 8 },
-		"digest acks under ct":    func(m *Mode) { m.Protocol, m.Knobs.DigestOnlyAcks = types.CT, true },
 		"negative window":         func(m *Mode) { m.Knobs.MaxInflightBatches = -1 },
 		"no batch interval":       func(m *Mode) { m.Knobs.BatchInterval = 0 },
 		"adversary bft":           func(m *Mode) { m.Protocol, m.Adversaries = types.BFT, true },

@@ -24,7 +24,7 @@ import (
 // replay is rejected as stale and counted, and the successor's delivery
 // watermark survives untouched.
 func TestReplayedHelloCannotRewindWatermark(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	old := cfg.NewSender(1, 2)
 	rx := cfg.NewReceiver(2, 1)
 	capturedHello := old.Hello()
@@ -77,7 +77,7 @@ func TestReplayedHelloCannotRewindWatermark(t *testing.T) {
 // a duplicate (nil body, no error — the connection survives), duplicates
 // count one per replayed frame, and the watermark never moves backwards.
 func TestReplayedFramesAccountedOnceEach(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	capture := make([][]byte, 0, 4)
 	for i := 0; i < 4; i++ {
 		wire := tx.Seal([]byte{byte(i)}).Append(nil)
@@ -116,7 +116,7 @@ func TestReplayedFramesAccountedOnceEach(t *testing.T) {
 // spraying hellos for arbitrary claimed senders cannot grow per-sender
 // maps.
 func TestForgedHelloRejectedStatelessly(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	genuine := cfg.NewSender(1, 2).Hello()
 	if err := cfg.CheckHello(2, genuine); err != nil {
 		t.Fatalf("genuine hello rejected: %v", err)
@@ -134,7 +134,7 @@ func TestForgedHelloRejectedStatelessly(t *testing.T) {
 		binary.BigEndian.PutUint64(b[10:], binary.BigEndian.Uint64(b[10:])+1<<30)
 		return b
 	}
-	otherKeys := &Config{Keys: crypto.NewLinkKeys([]byte("other-deployment")), Resume: true}
+	otherKeys := &Config{Keys: crypto.NewLinkKeys([]byte("other-deployment"))}
 
 	cases := []struct {
 		name  string
@@ -167,7 +167,7 @@ func TestForgedHelloRejectedStatelessly(t *testing.T) {
 // beyond the ring are charged to the loss counters exactly once however
 // often the capture is re-delivered.
 func TestReplayedAckLossCountedOnce(t *testing.T) {
-	tx, rx := pair(t, true, 4)
+	tx, rx := pair(t, 4)
 	for i := 1; i <= 10; i++ {
 		tx.Seal([]byte{byte(i)}) // ring holds 7..10; 1..6 evicted undelivered
 	}

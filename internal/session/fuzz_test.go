@@ -51,7 +51,7 @@ func FuzzHello(f *testing.F) {
 	f.Add(valid[:HelloLen-7])
 	f.Fuzz(func(t *testing.T, p []byte) {
 		keys := crypto.NewLinkKeys(master)
-		cfg := &Config{Keys: keys, Resume: true, Journal: noJournal{t}}
+		cfg := &Config{Keys: keys, Journal: noJournal{t}}
 		from, to, parseErr := ParseHello(p)
 		checkErr := cfg.CheckHello(self, p)
 		if n := cachedDirs(keys); n != 0 {

@@ -68,10 +68,10 @@ var (
 type Config struct {
 	// Keys is the dealer-issued link-key material MACs are derived from.
 	Keys *crypto.LinkKeys
-	// Resume enables gap replay from the retransmission ring on
-	// reconnect. Without it frames still carry sequence numbers and
-	// MACs, but a reconnect loses whatever was in flight (v1 behaviour,
-	// authenticated).
+	// Resume is ignored: every session replays the gap from its
+	// retransmission ring on reconnect.
+	//
+	// Deprecated: kept while the bench module still sets it.
 	Resume bool
 	// RingLen bounds the retransmission ring, in frames (default
 	// DefaultRingLen). Gaps larger than the ring are reported as lost.
@@ -179,15 +179,10 @@ func (c *Config) NewSender(self, peer types.NodeID) *Sender {
 		self:    self,
 		peer:    peer,
 		epoch:   newEpoch(),
-		resume:  c.Resume,
 		journal: c.Journal,
 		mac:     hmac.New(sha256.New, c.Keys.DirKey(self, peer)),
 		ackMAC:  hmac.New(sha256.New, c.Keys.DirKey(peer, self)),
-	}
-	if c.Resume {
-		// Without resume the ring would pin frame bodies that can never
-		// be replayed, so it exists only when replay does.
-		s.ring = make([]Frame, c.ringLen())
+		ring:    make([]Frame, c.ringLen()),
 	}
 	s.Reserve(c.ringLen())
 	if c.Journal != nil {
@@ -195,17 +190,15 @@ func (c *Config) NewSender(self, peer types.NodeID) *Sender {
 			s.epoch = st.Epoch
 			atomic.StoreUint64(&s.nextSeq, st.NextSeq)
 			s.written = st.NextSeq // the dead incarnation may have sent any of them
-			if s.ring != nil {
-				for _, f := range st.Unacked {
-					s.ring[f.Seq%uint64(len(s.ring))] = f
-				}
-				s.recovered = len(st.Unacked) > 0
-				// Ring slots at or below the recovered acknowledgement
-				// floor are empty, not sealed frames: a peer that lost its
-				// own watermark and acks below the floor must never be
-				// "replayed" zero-value frames from those slots.
-				s.ringFloor = st.Acked
+			for _, f := range st.Unacked {
+				s.ring[f.Seq%uint64(len(s.ring))] = f
 			}
+			s.recovered = len(st.Unacked) > 0
+			// Ring slots at or below the recovered acknowledgement floor
+			// are empty, not sealed frames: a peer that lost its own
+			// watermark and acks below the floor must never be "replayed"
+			// zero-value frames from those slots.
+			s.ringFloor = st.Acked
 		}
 	}
 	return s
@@ -288,13 +281,12 @@ func (f Frame) Append(dst []byte) []byte {
 type Sender struct {
 	self, peer types.NodeID
 	epoch      uint64
-	resume     bool
 	journal    Journal
 	recovered  bool      // ring holds a dead incarnation's frames awaiting replay
 	mac        hash.Hash // keyed K(self->peer): data frames and hello
 	ackMAC     hash.Hash // keyed K(peer->self): verifies the peer's acks
 	nextSeq    uint64    // sequence the next Seal assigns, minus one frames exist
-	ring       []Frame   // nil when resume is off
+	ring       []Frame   // sealed frames by sequence, for resume replay
 	ringFloor  uint64    // highest sequence NOT present in the ring (recovery)
 	lossFloor  uint64    // highest sequence already accounted as unrecoverable
 	// written is the highest sequence the transport has written to a
@@ -324,8 +316,7 @@ type SenderStats struct {
 	// first handshake's replay for the first time and is not counted.
 	Retransmitted uint64
 	// Lost counts frames a reconnect could not recover: evicted from the
-	// ring before the peer acknowledged them, or abandoned because
-	// Resume is off.
+	// ring before the peer acknowledged them.
 	Lost uint64
 }
 
@@ -372,9 +363,7 @@ func (s *Sender) Seal(body []byte) Frame {
 	s.mac.Write(body)
 	mac := s.mac.Sum(buf[HeaderLen:HeaderLen])
 	f := Frame{Seq: seq, Hdr: hdr, Body: body, MAC: mac}
-	if s.ring != nil {
-		s.ring[seq%uint64(len(s.ring))] = f
-	}
+	s.ring[seq%uint64(len(s.ring))] = f
 	if s.journal != nil {
 		// Buffered append; the journal's group commit makes it durable on
 		// the next sync interval, off this hot path.
@@ -405,8 +394,7 @@ func (s *Sender) Hello() []byte {
 
 // HandleAck verifies the peer's hello-ack and computes the resume replay:
 // the sealed frames the peer has not delivered, oldest first. Frames that
-// have already been evicted from the ring (or everything undelivered,
-// when Resume is off) are counted as lost.
+// have already been evicted from the ring are counted as lost.
 func (s *Sender) HandleAck(p []byte) (replay []Frame, lost uint64, err error) {
 	if len(p) != AckLen || p[0] != Version || p[1] != kindAck {
 		return nil, 0, ErrMalformed
@@ -448,18 +436,6 @@ func (s *Sender) HandleAck(p []byte) (replay []Frame, lost uint64, err error) {
 		return nil, 0, nil
 	}
 	first := delivered + 1
-	if !s.resume {
-		// Frames in (delivered, latest] were sealed but will never be
-		// replayed. Count each sequence as lost at most once: repeated
-		// handshakes against the same watermark (a flaky link) must not
-		// inflate the operator-facing loss accounting.
-		if lo := max(delivered, s.lossFloor); latest > lo {
-			lost = latest - lo
-			s.lost.Add(lost)
-			s.lossFloor = latest
-		}
-		return nil, lost, nil
-	}
 	oldest := uint64(1)
 	if n := uint64(len(s.ring)); latest > n {
 		oldest = latest - n + 1
@@ -472,7 +448,9 @@ func (s *Sender) HandleAck(p []byte) (replay []Frame, lost uint64, err error) {
 	}
 	if first < oldest {
 		// Sequences in (delivered, oldest) were evicted before the peer
-		// acknowledged them; count each at most once (see above).
+		// acknowledged them. Count each at most once: repeated handshakes
+		// against the same watermark (a flaky link) must not inflate the
+		// operator-facing loss accounting.
 		if lo := max(delivered, s.lossFloor); oldest-1 > lo {
 			lost = oldest - 1 - lo
 			s.lost.Add(lost)
@@ -537,8 +515,7 @@ type ReceiverStats struct {
 	// delivered (resume replay overlap, or an attacker replaying).
 	Duplicates uint64
 	// Gaps counts sequence numbers skipped over: frames lost beyond the
-	// sender's ring, or sent by a non-resuming sender across a
-	// reconnect.
+	// sender's ring.
 	Gaps uint64
 	// Rejected counts frames and hellos refused for a bad MAC or
 	// malformed layout.
@@ -661,8 +638,8 @@ func (r *Receiver) Open(p []byte) ([]byte, error) {
 		return nil, nil
 	case seq > r.lastDelivered+1:
 		// The gap is unrecoverable at this layer (beyond the sender's
-		// ring, or the sender does not resume); the asynchronous model
-		// tolerates loss, so deliver and account for it.
+		// ring); the asynchronous model tolerates loss, so deliver and
+		// account for it.
 		r.gaps += seq - r.lastDelivered - 1
 	}
 	r.lastDelivered = seq

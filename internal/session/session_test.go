@@ -13,9 +13,9 @@ import (
 // pair returns a handshaken sender/receiver for the 1->2 direction: the
 // receiver has verified the sender's hello, so its epoch is established
 // (Open rejects frames from sessions that never helloed).
-func pair(t *testing.T, resume bool, ringLen int) (*Sender, *Receiver) {
+func pair(t *testing.T, ringLen int) (*Sender, *Receiver) {
 	t.Helper()
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("test-master")), Resume: resume, RingLen: ringLen}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("test-master")), RingLen: ringLen}
 	tx, rx := cfg.NewSender(1, 2), cfg.NewReceiver(2, 1)
 	if err := rx.VerifyHello(tx.Hello()); err != nil {
 		t.Fatal(err)
@@ -24,7 +24,7 @@ func pair(t *testing.T, resume bool, ringLen int) (*Sender, *Receiver) {
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	for i := 0; i < 10; i++ {
 		body := []byte(fmt.Sprintf("frame-%d", i))
 		f := tx.Seal(body)
@@ -45,7 +45,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 func TestOpenRejectsTamper(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	wire := tx.Seal([]byte("authentic")).Append(nil)
 	for _, flip := range []int{0, 5, HeaderLen + 2, len(wire) - 1} {
 		w := append([]byte(nil), wire...)
@@ -64,7 +64,7 @@ func TestOpenRejectsTamper(t *testing.T) {
 }
 
 func TestOpenRejectsWrongDirectionKey(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	// A frame sealed for 2->1 must not verify on the 1->2 receiver, even
 	// though both keys derive from the same master.
 	reflected := cfg.NewSender(2, 1).Seal([]byte("reflect")).Append(nil)
@@ -74,7 +74,7 @@ func TestOpenRejectsWrongDirectionKey(t *testing.T) {
 }
 
 func TestOpenDropsDuplicates(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	wire := tx.Seal([]byte("once")).Append(nil)
 	if body, err := rx.Open(wire); err != nil || body == nil {
 		t.Fatalf("first delivery failed: %v", err)
@@ -92,7 +92,7 @@ func TestOpenDropsDuplicates(t *testing.T) {
 }
 
 func TestOpenCountsGaps(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	_ = tx.Seal([]byte("lost-1"))
 	_ = tx.Seal([]byte("lost-2"))
 	body, err := rx.Open(tx.Seal([]byte("arrives")).Append(nil))
@@ -105,7 +105,7 @@ func TestOpenCountsGaps(t *testing.T) {
 }
 
 func TestHelloAckHandshake(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	if err := rx.VerifyHello(tx.Hello()); err != nil {
 		t.Fatalf("genuine hello rejected: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestHelloAckHandshake(t *testing.T) {
 // sealed but not delivered before a "disconnect" are replayed from the
 // ring and delivered exactly once, in order.
 func TestResumeReplaysGap(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	var wires [][]byte
 	for i := 1; i <= 10; i++ {
 		wires = append(wires, tx.Seal([]byte(fmt.Sprintf("f%d", i))).Append(nil))
@@ -163,7 +163,7 @@ func TestResumeReplaysGap(t *testing.T) {
 }
 
 func TestResumeRingEvictionCountsLost(t *testing.T) {
-	tx, rx := pair(t, true, 4)
+	tx, rx := pair(t, 4)
 	for i := 1; i <= 10; i++ {
 		f := tx.Seal([]byte{byte(i)})
 		if i <= 2 {
@@ -185,27 +185,8 @@ func TestResumeRingEvictionCountsLost(t *testing.T) {
 	}
 }
 
-func TestNoResumeAbandonsGap(t *testing.T) {
-	tx, rx := pair(t, false, 0)
-	for i := 0; i < 5; i++ {
-		f := tx.Seal([]byte{byte(i)})
-		if i < 2 {
-			if _, err := rx.Open(f.Append(nil)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	replay, lost, err := tx.HandleAck(rx.Ack())
-	if err != nil || len(replay) != 0 {
-		t.Fatalf("non-resuming sender replayed %d frames, err=%v", len(replay), err)
-	}
-	if lost != 3 {
-		t.Errorf("lost = %d, want 3", lost)
-	}
-}
-
 func TestParseHello(t *testing.T) {
-	tx, _ := pair(t, true, 0)
+	tx, _ := pair(t, 0)
 	from, to, err := ParseHello(tx.Hello())
 	if err != nil || from != types.NodeID(1) || to != types.NodeID(2) {
 		t.Errorf("ParseHello = %v,%v,%v", from, to, err)
@@ -223,7 +204,7 @@ func TestParseHello(t *testing.T) {
 // must be able to establish a session against a Receiver still holding
 // the previous incarnation's watermark.
 func TestRestartSupersedesEpoch(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	old := cfg.NewSender(1, 2)
 	rx := cfg.NewReceiver(2, 1)
 	if err := rx.VerifyHello(old.Hello()); err != nil {
@@ -262,7 +243,7 @@ func TestRestartSupersedesEpoch(t *testing.T) {
 // TestAckEpochBinding checks a sender refuses an ack produced for a
 // different incarnation's session.
 func TestAckEpochBinding(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	old := cfg.NewSender(1, 2)
 	rx := cfg.NewReceiver(2, 1)
 	if err := rx.VerifyHello(old.Hello()); err != nil {
@@ -284,7 +265,7 @@ func TestAckEpochBinding(t *testing.T) {
 // TestCheckHelloStateless verifies the pre-allocation hello check agrees
 // with Receiver.VerifyHello in both directions.
 func TestCheckHelloStateless(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	tx := cfg.NewSender(1, 2)
 	hello := tx.Hello()
 	if err := cfg.CheckHello(2, hello); err != nil {
@@ -305,7 +286,7 @@ func TestCheckHelloStateless(t *testing.T) {
 // the receiver holds): the authenticated ack reveals the newer epoch,
 // the sender adopts a successor, and the next handshake succeeds.
 func TestClockRegressionAdoptsEpoch(t *testing.T) {
-	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m")), Resume: true}
+	cfg := &Config{Keys: crypto.NewLinkKeys([]byte("m"))}
 	behind := cfg.NewSender(1, 2) // older epoch (created first)
 	ahead := cfg.NewSender(1, 2)  // the epoch the receiver ends up holding
 	rx := cfg.NewReceiver(2, 1)
@@ -349,7 +330,7 @@ func TestClockRegressionAdoptsEpoch(t *testing.T) {
 // TestLostCountedOnce checks repeated handshakes against the same
 // watermark do not double-count unrecoverable frames.
 func TestLostCountedOnce(t *testing.T) {
-	tx, rx := pair(t, true, 4)
+	tx, rx := pair(t, 4)
 	for i := 1; i <= 10; i++ {
 		tx.Seal([]byte{byte(i)}) // nothing delivered; ring holds 7..10
 	}
@@ -364,30 +345,14 @@ func TestLostCountedOnce(t *testing.T) {
 	if st := tx.Stats(); st.Lost != 6 {
 		t.Errorf("total Lost = %d, want 6 (double-counted)", st.Lost)
 	}
-
-	// Same for the non-resuming path.
-	tx2, rx2 := pair(t, false, 0)
-	for i := 0; i < 5; i++ {
-		tx2.Seal([]byte{byte(i)})
-	}
-	ack2 := rx2.Ack()
-	if _, lost, _ := tx2.HandleAck(ack2); lost != 5 {
-		t.Fatalf("no-resume first handshake lost=%d, want 5", lost)
-	}
-	if _, lost, _ := tx2.HandleAck(ack2); lost != 0 {
-		t.Fatalf("no-resume repeat handshake lost=%d, want 0", lost)
-	}
-	if st := tx2.Stats(); st.Lost != 5 {
-		t.Errorf("no-resume total Lost = %d, want 5", st.Lost)
-	}
 }
 
 // TestSealOpenAllocFree pins the per-frame heap cost of the session layer
 // at nothing: Open sums the expected MAC into receiver-owned scratch, Seal
-// writes header and MAC into the sender's slab — with a retransmission
-// ring to retain the frame and without one.
+// writes header and MAC into the sender's slab and retains the frame in
+// the retransmission ring.
 func TestSealOpenAllocFree(t *testing.T) {
-	tx, rx := pair(t, true, 0)
+	tx, rx := pair(t, 0)
 	body := make([]byte, 128)
 	const runs = 200
 	wires := make([][]byte, 0, runs+1)
@@ -402,11 +367,8 @@ func TestSealOpenAllocFree(t *testing.T) {
 	if st := rx.Stats(); st.Delivered != runs+1 || st.Rejected != 0 {
 		t.Fatalf("measured frames were not delivered: %+v", st)
 	}
-	for _, resume := range []bool{true, false} {
-		tx, _ := pair(t, resume, 0)
-		if got := testing.AllocsPerRun(runs, func() { tx.Seal(body) }); got != 0 {
-			t.Errorf("Sender.Seal (resume %v) = %v allocs, want 0", resume, got)
-		}
+	if got := testing.AllocsPerRun(runs, func() { tx.Seal(body) }); got != 0 {
+		t.Errorf("Sender.Seal = %v allocs, want 0", got)
 	}
 }
 
@@ -416,7 +378,7 @@ func TestSealOpenAllocFree(t *testing.T) {
 // replay of it — and the very next seal is what rewrites them.
 func TestSealedOverheadHoldsUntilSlotReuse(t *testing.T) {
 	const ringLen = 8
-	tx, rx := pair(t, true, ringLen)
+	tx, rx := pair(t, ringLen)
 	first := tx.Seal([]byte("first"))
 	want := first.Append(nil)
 	for i := 1; i < ringLen; i++ {
@@ -449,7 +411,7 @@ func TestSealedOverheadHoldsUntilSlotReuse(t *testing.T) {
 // of the batch may be rewritten by a later one.
 func TestReserveOutlastsShortRing(t *testing.T) {
 	const ringLen, batch = 4, 64
-	tx, rx := pair(t, true, ringLen)
+	tx, rx := pair(t, ringLen)
 	tx.Reserve(batch)
 	frames := make([]Frame, batch)
 	for i := range frames {

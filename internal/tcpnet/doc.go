@@ -21,9 +21,8 @@
 // per-direction sequence number and an HMAC-SHA256 trailer (see
 // internal/session). Sender identity is then cryptographically bound to
 // the dealer's link keys, tampered frames are rejected before reaching
-// protocol code, and — with Session.Resume — each sender's bounded
-// retransmission ring replays the in-flight window after a reconnect
-// instead of losing it. All endpoints of a deployment must agree on the
+// protocol code, and each sender's bounded retransmission ring replays
+// the in-flight window after a reconnect instead of losing it. All endpoints of a deployment must agree on the
 // setting.
 //
 // Performance model:

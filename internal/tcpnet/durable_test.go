@@ -19,7 +19,7 @@ func durableSession(t *testing.T, dir string, keys *crypto.LinkKeys) (*session.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &session.Config{Keys: keys, Resume: true, Journal: st}, st
+	return &session.Config{Keys: keys, Journal: st}, st
 }
 
 // TestDurableRestartReplaysDeadIncarnationFrames is the transport-level
@@ -34,7 +34,7 @@ func TestDurableRestartReplaysDeadIncarnationFrames(t *testing.T) {
 	opts := Options{RedialMin: 5 * time.Millisecond, RedialMax: 20 * time.Millisecond}
 
 	// The destination: session-enabled but not durable (it stays alive).
-	b, bch := listenT(t, 1, Options{Session: &session.Config{Keys: keys, Resume: true}})
+	b, bch := listenT(t, 1, Options{Session: &session.Config{Keys: keys}})
 
 	// First incarnation: the peer address points at a dead port, so every
 	// frame is sealed (journalled) but cannot be delivered.
@@ -124,7 +124,7 @@ func TestDurableReceiverSuppressesDuplicatesAcrossRestart(t *testing.T) {
 	keys := crypto.NewLinkKeys([]byte("tcpnet-durable-rx"))
 	dir := t.TempDir()
 	sendOpts := Options{
-		Session:   &session.Config{Keys: keys, Resume: true},
+		Session:   &session.Config{Keys: keys},
 		RedialMin: 5 * time.Millisecond, RedialMax: 20 * time.Millisecond,
 	}
 	a, _ := listenT(t, 0, sendOpts)
@@ -230,12 +230,12 @@ func TestShapeCutAndHeal(t *testing.T) {
 	keys := crypto.NewLinkKeys([]byte("tcpnet-shape-cut"))
 	var cut atomic.Bool
 	opts := Options{
-		Session:   &session.Config{Keys: keys, Resume: true},
+		Session:   &session.Config{Keys: keys},
 		RedialMin: 5 * time.Millisecond, RedialMax: 20 * time.Millisecond,
 		Shape: func(types.NodeID, int) (time.Duration, bool) { return 0, !cut.Load() },
 	}
 	a, _ := listenT(t, 0, opts)
-	b, bch := listenT(t, 1, Options{Session: &session.Config{Keys: keys, Resume: true}})
+	b, bch := listenT(t, 1, Options{Session: &session.Config{Keys: keys}})
 	a.SetPeers(map[types.NodeID]string{1: b.Addr()})
 
 	if !a.Send(1, []byte("before")) {

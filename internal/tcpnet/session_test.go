@@ -11,14 +11,14 @@ import (
 	"github.com/sof-repro/sof/internal/types"
 )
 
-func sessionConfig(resume bool) *session.Config {
-	return &session.Config{Keys: crypto.NewLinkKeys([]byte("tcpnet-test")), Resume: resume}
+func sessionConfig() *session.Config {
+	return &session.Config{Keys: crypto.NewLinkKeys([]byte("tcpnet-test"))}
 }
 
 // TestSessionDelivery checks authenticated end-to-end delivery: framed
 // hello/ack handshake, sealed frames, correct sender attribution.
 func TestSessionDelivery(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	a, _ := listenT(t, 0, Options{Session: cfg})
 	b, bch := listenT(t, 1, Options{Session: cfg})
 	a.SetPeers(map[types.NodeID]string{1: b.Addr()})
@@ -66,7 +66,7 @@ func TestClientHandshakeTimeout(t *testing.T) {
 	}()
 
 	addr := ln.Addr().String()
-	opts := Options{Session: sessionConfig(true), HandshakeTimeout: 200 * time.Millisecond}.withDefaults()
+	opts := Options{Session: sessionConfig(), HandshakeTimeout: 200 * time.Millisecond}.withDefaults()
 	p := newPeer(types.ClientID(0), 0, addr, opts, quietLogger())
 	start := time.Now()
 	conn, _, err := p.dial()
@@ -88,7 +88,7 @@ func TestClientHandshakeTimeout(t *testing.T) {
 // (v1) endpoint whose 4-byte hello claims a valid NodeID is rejected by a
 // session-enabled listener and delivers nothing.
 func TestSessionRejectsBareHello(t *testing.T) {
-	b, bch := listenT(t, 1, Options{Session: sessionConfig(true)})
+	b, bch := listenT(t, 1, Options{Session: sessionConfig()})
 	a, _ := listenT(t, 0, Options{}) // no session: speaks bare v1 hellos
 	a.SetPeers(map[types.NodeID]string{1: b.Addr()})
 	a.Send(1, []byte("unauthenticated"))
@@ -103,7 +103,7 @@ func TestSessionRejectsBareHello(t *testing.T) {
 // before it reaches protocol code: a connection that completes a genuine
 // handshake but then flips one payload byte delivers nothing.
 func TestSessionRejectsTamperedMAC(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	b, bch := listenT(t, 1, Options{Session: cfg})
 
 	conn, err := net.Dial("tcp", b.Addr())
@@ -140,7 +140,7 @@ func TestSessionRejectsTamperedMAC(t *testing.T) {
 // in flight, and with resume on the receiver still observes every frame
 // exactly once, in order.
 func TestSessionResumeNoFrameLoss(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	opts := Options{Session: cfg, RedialMin: 5 * time.Millisecond, RedialMax: 50 * time.Millisecond}
 	a, _ := listenT(t, 0, opts)
 	b, bch := listenT(t, 1, opts)
@@ -184,7 +184,7 @@ func TestSessionResumeNoFrameLoss(t *testing.T) {
 // reach the peer in the first handshake's replay. That is their first
 // send, so the sender reports no retransmission.
 func TestFramesSealedBeforeListenAreNotRetransmitted(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	opts := Options{Session: cfg, RedialMin: 5 * time.Millisecond, RedialMax: 20 * time.Millisecond}
 	// Bind-then-close yields an address nobody is listening on yet.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -234,7 +234,7 @@ func TestFramesSealedBeforeListenAreNotRetransmitted(t *testing.T) {
 // counts as a retransmission. The receiver is played by hand so that the
 // first connection's frames reach it and are never opened.
 func TestWrittenFramesReplayedAreRetransmitted(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestWrittenFramesReplayedAreRetransmitted(t *testing.T) {
 // starting over) must re-establish authenticated sessions against peers
 // still holding its previous incarnation's delivery state.
 func TestSessionSenderRestartRejoins(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	opts := Options{Session: cfg, RedialMin: 5 * time.Millisecond, RedialMax: 50 * time.Millisecond}
 	b, bch := listenT(t, 1, opts)
 
@@ -348,8 +348,8 @@ func TestSessionSenderRestartRejoins(t *testing.T) {
 // per-sender session state: forged hellos are rejected before any
 // receiver is allocated.
 func TestSessionForgedHelloFloodBoundsState(t *testing.T) {
-	b, _ := listenT(t, 1, Options{Session: sessionConfig(true)})
-	forger := &session.Config{Keys: crypto.NewLinkKeys([]byte("wrong-master")), Resume: true}
+	b, _ := listenT(t, 1, Options{Session: sessionConfig()})
+	forger := &session.Config{Keys: crypto.NewLinkKeys([]byte("wrong-master"))}
 	for i := 0; i < 50; i++ {
 		conn, err := net.Dial("tcp", b.Addr())
 		if err != nil {
@@ -372,7 +372,7 @@ func TestSessionForgedHelloFloodBoundsState(t *testing.T) {
 // (body + session overhead > MaxFrame) is refused at Send instead of
 // poisoning the peer queue and, with resume, the retransmission ring.
 func TestSessionOversizedSendDropped(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	a, _ := listenT(t, 0, Options{Session: cfg})
 	b, bch := listenT(t, 1, Options{Session: cfg})
 	a.SetPeers(map[types.NodeID]string{1: b.Addr()})
@@ -401,7 +401,7 @@ func TestSessionOversizedSendDropped(t *testing.T) {
 // per write keeps the queue full, so batches run at MaxBatch against a
 // ring of 4; every frame must still authenticate.
 func TestSessionShortRingBatchIntact(t *testing.T) {
-	cfg := sessionConfig(true)
+	cfg := sessionConfig()
 	cfg.RingLen = 4
 	slow := func(types.NodeID, int) (time.Duration, bool) { return 2 * time.Millisecond, true }
 	a, _ := listenT(t, 0, Options{Session: cfg, Shape: slow})

@@ -38,7 +38,7 @@ type Options struct {
 	RedialMin, RedialMax time.Duration
 	// Session, when non-nil, upgrades the wire to frame v2: HMAC-
 	// authenticated hellos and data frames with per-direction sequence
-	// numbers, and (with Session.Resume) gap replay on reconnect. Every
+	// numbers, and gap replay on reconnect. Every
 	// endpoint of a deployment must agree on this setting — a v2
 	// endpoint rejects bare v1 hellos and vice versa. With
 	// Session.Journal the session state is durable and Start eagerly

@@ -28,7 +28,7 @@ func TestRecoverSenderReplaysUnackedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg1 := &session.Config{Keys: keys, Resume: true, Journal: st1}
+	cfg1 := &session.Config{Keys: keys, Journal: st1}
 	tx1 := cfg1.NewSender(self, peer)
 	var bodies [][]byte
 	for i := 0; i < 5; i++ {
@@ -49,7 +49,7 @@ func TestRecoverSenderReplaysUnackedWindow(t *testing.T) {
 	if pend := st2.PendingReplay(self); len(pend) != 1 || pend[0] != peer {
 		t.Fatalf("PendingReplay = %v, want [%v]", pend, peer)
 	}
-	cfg2 := &session.Config{Keys: keys, Resume: true, Journal: st2}
+	cfg2 := &session.Config{Keys: keys, Journal: st2}
 	tx2 := cfg2.NewSender(self, peer)
 	if !tx2.NeedsReplay() {
 		t.Fatal("recovered sender does not report NeedsReplay")
@@ -57,7 +57,7 @@ func TestRecoverSenderReplaysUnackedWindow(t *testing.T) {
 	// The receiver (the peer, which stayed alive) still holds the old
 	// incarnation's epoch and an empty watermark; its ack must trigger a
 	// full replay from the recovered ring.
-	rx := (&session.Config{Keys: keys, Resume: true}).NewReceiver(peer, self)
+	rx := (&session.Config{Keys: keys}).NewReceiver(peer, self)
 	if err := rx.VerifyHello(tx2.Hello()); err != nil {
 		t.Fatalf("receiver rejected recovered sender's hello: %v", err)
 	}
@@ -99,13 +99,13 @@ func TestRecoverReceiverKeepsWatermark(t *testing.T) {
 	self, peer := types.NodeID(1), types.NodeID(2)
 
 	// Live sender (no journal: it survives).
-	tx := (&session.Config{Keys: keys, Resume: true}).NewSender(peer, self)
+	tx := (&session.Config{Keys: keys}).NewSender(peer, self)
 
 	st1, err := Open(Options{Dir: dir, SyncInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx1 := (&session.Config{Keys: keys, Resume: true, Journal: st1}).NewReceiver(self, peer)
+	rx1 := (&session.Config{Keys: keys, Journal: st1}).NewReceiver(self, peer)
 	if err := rx1.VerifyHello(tx.Hello()); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRecoverReceiverKeepsWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	rx2 := (&session.Config{Keys: keys, Resume: true, Journal: st2}).NewReceiver(self, peer)
+	rx2 := (&session.Config{Keys: keys, Journal: st2}).NewReceiver(self, peer)
 	if err := rx2.VerifyHello(tx.Hello()); err != nil {
 		t.Fatalf("restarted receiver rejected live sender's hello: %v", err)
 	}
@@ -171,9 +171,9 @@ func TestAckPrunesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := &session.Config{Keys: keys, Resume: true, Journal: st}
+	cfg := &session.Config{Keys: keys, Journal: st}
 	tx := cfg.NewSender(self, peer)
-	rx := (&session.Config{Keys: keys, Resume: true}).NewReceiver(peer, self)
+	rx := (&session.Config{Keys: keys}).NewReceiver(peer, self)
 	if err := rx.VerifyHello(tx.Hello()); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestRecoveredSenderSurvivesPeerWatermarkRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg1 := &session.Config{Keys: keys, Resume: true, Journal: st1}
+	cfg1 := &session.Config{Keys: keys, Journal: st1}
 	tx1 := cfg1.NewSender(self, peer)
 	for i := 0; i < 8; i++ {
 		tx1.Seal([]byte(fmt.Sprintf("w%d", i)))
@@ -254,11 +254,11 @@ func TestRecoveredSenderSurvivesPeerWatermarkRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	cfg2 := &session.Config{Keys: keys, Resume: true, Journal: st2}
+	cfg2 := &session.Config{Keys: keys, Journal: st2}
 	tx2 := cfg2.NewSender(self, peer)
 	// A FRESH receiver (the peer also lost its state): acks delivered=0,
 	// below the recovered floor of 5.
-	rx := (&session.Config{Keys: keys, Resume: true}).NewReceiver(peer, self)
+	rx := (&session.Config{Keys: keys}).NewReceiver(peer, self)
 	if err := rx.VerifyHello(tx2.Hello()); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestCrashLosesOnlyUnsyncedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := (&session.Config{Keys: keys, Resume: true, Journal: st}).NewSender(self, peer)
+	tx := (&session.Config{Keys: keys, Journal: st}).NewSender(self, peer)
 	tx.Seal([]byte("durable"))
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)

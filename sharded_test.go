@@ -213,7 +213,6 @@ func TestPublicAPISharded2GroupKillRestartZeroLoss(t *testing.T) {
 		Groups:        2,
 		Transport:     sof.TCP,
 		AuthFrames:    true,
-		SessionResume: true,
 		Durable:       true,
 		DataDir:       t.TempDir(),
 		NetShaping:    true,

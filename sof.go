@@ -151,13 +151,12 @@ type Config struct {
 	// arrival that fills it — when another request like it would no longer
 	// fit BatchBytes (the interval timer degrades to a latency backstop for
 	// partial batches), and commits free window slots that are refilled
-	// immediately.
+	// immediately. A pipelined cluster also keeps the ordering critical
+	// path digest-only: acks carry just the subject digest instead of
+	// embedding the full endorsed batch, and a process that misses a
+	// subject or a request payload fetches it from a peer off the
+	// critical path.
 	MaxInflightBatches int
-	// DigestOnlyAcks (SC/SCR only) keeps the ordering critical path
-	// digest-only: acks carry just the subject digest instead of embedding
-	// the full endorsed batch, and a process that misses a subject or a
-	// request payload fetches it from a peer off the critical path.
-	DigestOnlyAcks bool
 	// Mirror enables pair-link traffic mirroring (default on for SC/SCR).
 	Mirror *bool
 	// Simulated runs the cluster on the virtual-time simulator instead of
@@ -172,25 +171,22 @@ type Config struct {
 	// HMAC-authenticated instead of claimed, and every frame carries a
 	// per-direction sequence number plus an HMAC-SHA256 trailer, so a
 	// frame not produced by the claimed sender is rejected before it
-	// reaches protocol code.
+	// reaches protocol code. The sessions resume: each sender keeps a
+	// bounded retransmission ring and, after a reconnect, replays exactly
+	// the frames the peer had not delivered, so a dropped connection
+	// loses nothing in flight.
 	AuthFrames bool
-	// SessionResume (TCP transport only) makes the authenticated
-	// sessions resumable: each sender keeps a bounded retransmission
-	// ring and, after a reconnect, replays exactly the frames the peer
-	// had not delivered, so a dropped connection loses nothing in
-	// flight. Implies AuthFrames.
-	SessionResume bool
 	// SessionRingLen bounds each sender's retransmission ring, in frames
 	// (0 = the session default, 1024). The ring is the transport's memory
 	// bound per peer: frames evicted from a full ring — e.g. the backlog
 	// accumulated for a long-dead peer — can never be replayed, and a
 	// restarted peer then recovers through the protocol-level checkpoint
-	// catch-up instead (Durable). Requires SessionResume.
+	// catch-up instead (Durable). Requires AuthFrames.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in segmented,
 	// CRC-checked write-ahead logs, making the order processes' state
 	// survive process crashes: their protocol checkpoints
-	// (CheckpointInterval) and — with SessionResume — each node's
+	// (CheckpointInterval) and — with AuthFrames — each node's
 	// transport-session state, so a *restarted* process keeps its
 	// session epoch and replays exactly the frames its dead incarnation
 	// had sealed but not delivered. Writes are group-committed on the
@@ -348,8 +344,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // options maps a Config onto the harness's Options, in this one place;
 // every rule on how the settings combine is node.Mode.Check's, which
 // harness.New applies as for every entry point. Pair mirroring defaults
-// on, and the dumb-process optimisation is always asked for: node
-// assembly applies it under SC only, and CT and BFT have no pairs.
+// on.
 func (cfg Config) options() harness.Options {
 	mirror := true
 	if cfg.Mirror != nil {
@@ -363,15 +358,12 @@ func (cfg Config) options() harness.Options {
 		MaxBatchBytes:      cfg.BatchBytes,
 		Delta:              cfg.Delta,
 		MaxInflightBatches: cfg.MaxInflightBatches,
-		DigestOnlyAcks:     cfg.DigestOnlyAcks,
 		Mirror:             mirror,
-		DumbOptimization:   true,
 		Net:                netsim.LANDefaults(),
 		Seed:               cfg.Seed,
 		Live:               !cfg.Simulated,
 		Transport:          cfg.Transport,
 		AuthFrames:         cfg.AuthFrames,
-		SessionResume:      cfg.SessionResume,
 		SessionRingLen:     cfg.SessionRingLen,
 		Durable:            cfg.Durable,
 		DataDir:            cfg.DataDir,

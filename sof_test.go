@@ -407,7 +407,6 @@ func TestPublicAPIDurableKillRestartZeroLoss(t *testing.T) {
 		F:             1,
 		Transport:     sof.TCP,
 		AuthFrames:    true,
-		SessionResume: true,
 		Durable:       true,
 		DataDir:       t.TempDir(),
 		NetShaping:    true,
@@ -464,7 +463,6 @@ func TestPublicAPIKillRestartLosesWindowWithoutDurable(t *testing.T) {
 		F:             1,
 		Transport:     sof.TCP,
 		AuthFrames:    true,
-		SessionResume: true,
 		NetShaping:    true,
 		BatchInterval: 10 * time.Millisecond,
 	})
@@ -509,7 +507,6 @@ func TestPublicAPIDurableReopenContinuesRequestIDs(t *testing.T) {
 			F:             1,
 			Transport:     sof.TCP,
 			AuthFrames:    true,
-			SessionResume: true,
 			Durable:       true,
 			DataDir:       dir,
 			NetShaping:    true,
@@ -683,7 +680,6 @@ func TestPublicAPIDurableRestartCatchUpZeroLoss(t *testing.T) {
 		F:                  1,
 		Transport:          sof.TCP,
 		AuthFrames:         true,
-		SessionResume:      true,
 		SessionRingLen:     16,
 		Durable:            true,
 		DataDir:            t.TempDir(),
@@ -781,7 +777,6 @@ func TestPublicAPIRestartCatchUpLostWithoutProtolog(t *testing.T) {
 		F:                  1,
 		Transport:          sof.TCP,
 		AuthFrames:         true,
-		SessionResume:      true,
 		SessionRingLen:     16,
 		Durable:            true,
 		DataDir:            t.TempDir(),
@@ -811,7 +806,7 @@ func TestPublicAPICheckpointConfigValidation(t *testing.T) {
 		t.Error("CheckpointInterval accepted without Durable")
 	}
 	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, SessionRingLen: 8}); err == nil {
-		t.Error("SessionRingLen accepted without SessionResume")
+		t.Error("SessionRingLen accepted without AuthFrames")
 	}
 }
 
@@ -833,18 +828,16 @@ func TestPublicAPIAuthRequiresTCP(t *testing.T) {
 	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, AuthFrames: true}); err == nil {
 		t.Fatal("AuthFrames accepted without Transport: TCP")
 	}
-	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, SessionResume: true}); err == nil {
-		t.Fatal("SessionResume accepted without Transport: TCP")
-	}
 }
 
 // TestPublicAPISessionResumeNoFrameLoss is the kill-and-restart
-// acceptance test: an SC cluster over TCP with authenticated resumable
-// sessions has every live connection forcibly killed repeatedly while
-// requests are in flight, and still commits every submitted request at
-// every order process — zero frame loss. (Without SessionResume the
-// transport abandons in-flight frames on reconnect, so nodes behind a
-// killed connection would miss order batches forever in a fail-free run.)
+// acceptance test: an SC cluster over TCP with AuthFrames alone — whose
+// authenticated sessions always resume — has every live connection
+// forcibly killed repeatedly while requests are in flight, and still
+// commits every submitted request at every order process — zero frame
+// loss. (Plain frames abandon in-flight frames on reconnect, so nodes
+// behind a killed connection would miss order batches forever in a
+// fail-free run.)
 func TestPublicAPISessionResumeNoFrameLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration test")
@@ -854,7 +847,6 @@ func TestPublicAPISessionResumeNoFrameLoss(t *testing.T) {
 		F:             1,
 		Transport:     sof.TCP,
 		AuthFrames:    true,
-		SessionResume: true,
 		BatchInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -899,7 +891,7 @@ func TestPublicAPISessionResumeNoFrameLoss(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("frame loss despite SessionResume: %s", lagging)
+			t.Fatalf("frame loss despite resumable sessions: %s", lagging)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -965,7 +957,6 @@ func TestPublicAPIPipelinedPrimaryRestartResumesJournalledSeq(t *testing.T) {
 		F:                  1,
 		Transport:          sof.TCP,
 		AuthFrames:         true,
-		SessionResume:      true,
 		Durable:            true,
 		DataDir:            t.TempDir(),
 		CheckpointInterval: 4,
@@ -1027,7 +1018,6 @@ func TestPublicAPIPrimaryRestartRefusedWithoutJournal(t *testing.T) {
 		F:                  1,
 		Transport:          sof.TCP,
 		AuthFrames:         true,
-		SessionResume:      true,
 		Durable:            true,
 		DataDir:            t.TempDir(),
 		CheckpointInterval: -1,
