@@ -384,6 +384,75 @@ func TestArrivalsDuringInflightBatchGoOutTogether(t *testing.T) {
 	}
 }
 
+// TestSizeCloseRestartsBackstop pins the backstop's deadline: a close
+// restarts it, so a timer armed for a request that went out in a
+// size-triggered batch does not flush the newer remainder early. The
+// primary is cut off from every acker but its shadow, so its batches stay
+// in flight and only the backstop can close what waits. One request goes
+// out alone; a second arrives and arms the backstop; 60 ms later six more
+// arrive, four of which fill a batch with the second, so two wait. They
+// must wait a full interval from that close, not from the second's
+// arrival.
+func TestSizeCloseRestartsBackstop(t *testing.T) {
+	const clients = 8
+	const interval = 100 * time.Millisecond
+	c := simCluster(t, func(o *harness.Options) {
+		o.Suite = crypto.HMACSHA256
+		o.BatchInterval = interval
+		o.MaxInflightBatches = 8
+		o.NumClients = clients
+	})
+	primary, shadow, _, err := c.Topo.Candidate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range c.Topo.AllProcesses() {
+		if id != primary && id != shadow {
+			c.Fabric.Cut(primary, id)
+		}
+	}
+	payload := make([]byte, 128)
+	submitAndSettle := func(client int) {
+		t.Helper()
+		if _, err := c.Submit(client, payload); err != nil {
+			t.Fatal(err)
+		}
+		c.RunFor(5 * time.Millisecond)
+	}
+	submitAndSettle(0) // proposed at arrival: the window was empty
+	armed := c.Now()
+	submitAndSettle(1) // waits behind the batch in flight; arms the backstop
+	if s := proposerState(c, primary); s.next != 2 || s.pending != 1 {
+		t.Fatalf("after two requests: next %d, %d pending; want the first proposed and the second waiting", s.next, s.pending)
+	}
+	c.RunFor(60*time.Millisecond - c.Now().Sub(armed))
+	for k := 2; k < clients; k++ {
+		if _, err := c.Submit(k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunFor(5 * time.Millisecond)
+	closed := c.Now()
+	if s := proposerState(c, primary); s.sized != 1 || s.next != 7 || s.pending != 2 {
+		t.Fatalf("after the burst: %d size-triggered closes, next %d, %d pending; want one full batch of five and two waiting",
+			s.sized, s.next, s.pending)
+	}
+	c.RunFor(interval - 10*time.Millisecond - c.Now().Sub(closed)) // past the first arrival's deadline
+	if s := proposerState(c, primary); s.pending != 2 || s.other != 1 {
+		t.Fatalf("%v after the size-triggered close: %d pending, %d idle or backstop closes; the backstop fired on the older deadline",
+			c.Now().Sub(closed), s.pending, s.other)
+	}
+	c.RunFor(20 * time.Millisecond)
+	if s := proposerState(c, primary); s.pending != 0 || s.other != 2 {
+		t.Fatalf("an interval after the size-triggered close: %d pending, %d idle or backstop closes; want the backstop to have closed the two",
+			s.pending, s.other)
+	}
+	// The acks the primary missed while cut off are not sent again, so
+	// only the other six deliver everything.
+	c.RunFor(time.Second)
+	assertTotalOrder(t, c, c.Topo.N()-1, clients)
+}
+
 // TestUnpipelinedProposerKeepsIntervalPacing pins that the close rule is
 // the pipelined path's alone: with a window of 0 or 1 (the paper preset)
 // a stream of requests, one every 3 ms, is closed into batches at exactly

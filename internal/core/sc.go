@@ -567,6 +567,7 @@ func (p *Process) onPoolTarget(env runtime.Env) {
 	if !p.pipelined() || !p.mayPropose() {
 		return
 	}
+	closed := false
 	for len(p.inflight) < p.cfg.MaxInflightBatches {
 		trigger := closeSize
 		if !p.pool.BatchFull() {
@@ -578,10 +579,19 @@ func (p *Process) onPoolTarget(env runtime.Env) {
 		if !p.closeBatch(env, trigger) {
 			break
 		}
+		closed = true
 	}
 	// Whatever remains below a full batch waits for a commit, and for the
-	// backstop timer should none come.
-	if p.pool.PendingCount() > 0 && p.batchTimer == nil {
+	// backstop timer should none come. A close restarts the backstop's
+	// interval: a timer armed for older requests, which went out in the
+	// batch, must not flush the newer remainder early.
+	switch {
+	case p.pool.PendingCount() == 0:
+		if p.batchTimer != nil {
+			p.batchTimer.Stop()
+			p.batchTimer = nil
+		}
+	case closed || p.batchTimer == nil:
 		p.armBatchTimer(env)
 	}
 }
