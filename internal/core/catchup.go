@@ -22,9 +22,9 @@ import (
 // proofs verifyBackLog uses and adopted through the adoptNewBackLog path.
 // Durable checkpoint watermarks are also gossiped (CatchUpReq with
 // Announce), so every process tracks the cluster-wide checkpoint
-// watermark and prunes its committed-order history — trackers and the
-// committed log — below it instead of retaining it forever: nothing below
-// the minimum durable checkpoint can ever be requested again.
+// watermark and prunes its committed-order history — the committed
+// trackers — below it instead of retaining it forever: nothing below the
+// minimum durable checkpoint can ever be requested again.
 
 // DefaultCheckpointInterval is how many delivered sequence numbers pass
 // between protocol checkpoints when Config.CheckpointInterval is zero.
@@ -285,9 +285,9 @@ type servedMark struct {
 
 // buildCatchUp assembles the answer to a catch-up request: the committed
 // subjects with sequence numbers in (base, deliveredUpTo], walked
-// contiguously through the committed log (capped at maxCatchUpSeqs; the
-// requester re-requests from its new watermark), the request payloads the
-// batches reference, and our proof of commitment for the highest
+// contiguously through the committed trackers (capped at maxCatchUpSeqs;
+// the requester re-requests from its new watermark), the request payloads
+// the batches reference, and our proof of commitment for the highest
 // committed batch — the same evidence a BackLog carries.
 func (p *Process) buildCatchUp(env runtime.Env, from types.NodeID, base types.Seq) *message.CatchUp {
 	cu := &message.CatchUp{
@@ -314,7 +314,7 @@ func (p *Process) buildCatchUp(env runtime.Env, from types.NodeID, base types.Se
 	next := base + 1
 	size := 0
 	for next <= p.deliveredUpTo && next-base <= maxCatchUpSeqs {
-		t, ok := p.committedLog[next]
+		t, ok := p.trackers[next]
 		if !ok || !t.Committed {
 			break // pruned or non-contiguous; serve what we have
 		}
@@ -566,10 +566,7 @@ func (p *Process) installCommittedStart(env runtime.Env, st *message.Start) {
 		t = NewStartTracker(&p.trackerSlab, st, digest)
 		p.trackers[st.StartSeq] = t
 	}
-	if !t.Committed {
-		t.Committed = true
-		p.committedLog[st.StartSeq] = t
-	}
+	t.Committed = true
 	if st.View >= p.view {
 		p.view = st.View
 		p.rank = st.Coord
@@ -607,11 +604,6 @@ func (p *Process) maybePruneHistory() {
 	for seq, t := range p.trackers {
 		if t.Committed && trackerLastSeq(t) < wm {
 			delete(p.trackers, seq)
-		}
-	}
-	for seq, t := range p.committedLog {
-		if trackerLastSeq(t) < wm {
-			delete(p.committedLog, seq)
 		}
 	}
 	for seq := range p.pendingAcks {
@@ -663,9 +655,18 @@ func (p *Process) verifyCommittedEvidence(env runtime.Env, proof *message.Commit
 // readiness signal, and must not depend on a metrics registry being wired.
 func (p *Process) CatchingUp() bool { return p.catchingUp.Load() }
 
-// CommittedLogLen returns how many committed subjects are retained (the
-// cluster-watermark prune bounds it on long uptimes).
-func (p *Process) CommittedLogLen() int { return len(p.committedLog) }
+// CommittedLogLen returns how many committed subjects are retained: the
+// committed trackers, which the cluster-watermark prune bounds on long
+// uptimes.
+func (p *Process) CommittedLogLen() int {
+	n := 0
+	for _, t := range p.trackers {
+		if t.Committed {
+			n++
+		}
+	}
+	return n
+}
 
 // HistoryPrunedBelow returns the cluster-wide checkpoint watermark this
 // process has pruned its committed-order history below.

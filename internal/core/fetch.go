@@ -177,9 +177,7 @@ func (p *Process) onFetchReq(env runtime.Env, from types.NodeID, m *message.Fetc
 	for _, seq := range m.Seqs {
 		t, ok := p.trackers[seq]
 		if !ok || t.Batch == nil {
-			if t, ok = p.committedLog[seq]; !ok || t.Batch == nil {
-				continue
-			}
+			continue
 		}
 		if len(t.Batch.Sig2) == 0 && t.Batch.Shadow != types.Nil {
 			continue // proposal, not an endorsed subject; never re-send

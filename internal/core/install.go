@@ -703,10 +703,7 @@ func (p *Process) installCommittedBatch(env runtime.Env, b *message.OrderBatch) 
 	for _, e := range b.Entries {
 		p.pool.MarkOrdered(e.Req)
 	}
-	if !t.Committed {
-		t.Committed = true
-		p.committedLog[b.FirstSeq] = t
-	}
+	t.Committed = true
 }
 
 // armShadowExpectations re-arms the per-request time-domain monitors when

@@ -146,11 +146,13 @@ type Process struct {
 	evictTimer  runtime.Timer
 
 	// Receiver-side ordering state.
-	nextExpected  types.Seq
-	future        map[types.Seq]*message.OrderBatch
+	nextExpected types.Seq
+	future       map[types.Seq]*message.OrderBatch
+	// trackers holds every tracked subject by FirstSeq; the committed ones
+	// (Tracker.Committed) are the committed-order history that delivery,
+	// catch-up answers and fetches read, down to the prune watermark.
 	trackers      map[types.Seq]*Tracker
 	deliveredUpTo types.Seq
-	committedLog  map[types.Seq]*Tracker // committed trackers by FirstSeq
 	// lastCommitted is the batch tracker that reached quorum last; its
 	// proof of commitment is what BackLogs and CatchUp answers carry.
 	lastCommitted *Tracker
@@ -271,7 +273,6 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 		nextExpected:      1,
 		future:            make(map[types.Seq]*message.OrderBatch),
 		trackers:          make(map[types.Seq]*Tracker),
-		committedLog:      make(map[types.Seq]*Tracker),
 		nextSeq:           1,
 		proposals:         make(map[types.Seq]*message.OrderBatch),
 		inflight:          make(map[types.Seq]types.Seq),
@@ -287,7 +288,8 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 		myBeatPresig:      make(map[uint64]crypto.Signature),
 		// peerCkpt exists even without a Checkpointer: any peer may run
 		// durable and announce watermarks (mixed deployments), and this
-		// process still answers catch-up requests from its committed log.
+		// process still answers catch-up requests from its committed
+		// trackers.
 		peerCkpt: make(map[types.NodeID]types.Seq),
 	}
 	if cfg.Checkpointer != nil {
@@ -991,7 +993,6 @@ func (p *Process) checkQuorum(env runtime.Env, t *Tracker) {
 	}
 	t.Committed = true
 	t.proven = len(t.credits)
-	p.committedLog[t.FirstSeq] = t
 	if t.Batch != nil {
 		p.lastCommitted = t
 	}
@@ -1001,7 +1002,7 @@ func (p *Process) checkQuorum(env runtime.Env, t *Tracker) {
 // advanceDelivery delivers committed subjects contiguously.
 func (p *Process) advanceDelivery(env runtime.Env) {
 	for {
-		t, ok := p.committedLog[p.deliveredUpTo+1]
+		t, ok := p.trackers[p.deliveredUpTo+1]
 		if !ok || !t.Committed {
 			break
 		}
