@@ -313,6 +313,10 @@ func TestCloseBatchAllocationFloors(t *testing.T) {
 	if got != 0 {
 		t.Errorf("closeBatch = %v allocs, want 0 (slab and arena shares)", got)
 	}
+	// A pipelined close re-arms the backstop: the callback is made once.
+	if got := testing.AllocsPerRun(runs, func() { p.armBatchTimer(env) }); got != 0 {
+		t.Errorf("armBatchTimer = %v allocs, want 0 (the callback made once)", got)
+	}
 
 	acker := fx.process
 	aenv := &scratchEnv{fakeEnv: *fx.env}

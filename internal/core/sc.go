@@ -171,7 +171,10 @@ type Process struct {
 	// Coordinator-primary state.
 	nextSeq    types.Seq
 	batchTimer runtime.Timer
-	proposals  map[types.Seq]*message.OrderBatch
+	// onBatchTick is batchTimer's callback, made once: the pipelined
+	// path re-arms the backstop on every close.
+	onBatchTick func()
+	proposals   map[types.Seq]*message.OrderBatch
 	// inflight maps FirstSeq -> LastSeq of proposed batches the delivery
 	// watermark has not passed yet; len(inflight) is the pipeline
 	// occupancy MaxInflightBatches caps. Cleared when the pair is deposed.
@@ -490,7 +493,10 @@ func (p *Process) armBatchTimer(env runtime.Env) {
 	if p.batchTimer != nil {
 		p.batchTimer.Stop()
 	}
-	p.batchTimer = env.SetTimer(p.cfg.BatchInterval, func() { p.batchTick(env) })
+	if p.onBatchTick == nil {
+		p.onBatchTick = func() { p.batchTick(env) }
+	}
+	p.batchTimer = env.SetTimer(p.cfg.BatchInterval, p.onBatchTick)
 }
 
 // pipelined reports whether the pipelined proposal path (size-triggered
