@@ -33,7 +33,7 @@ func parseFlags(args []string) config {
 	fs.StringVar(&c.secret, "secret", "streets-of-byzantium", "shared dealer secret")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated node addresses, index = node ID")
 	fs.BoolVar(&c.auth, "auth", false, "authenticate frames: HMAC-sealed frame v2 with authenticated hellos, and sessions that resume across reconnects, replaying in-flight frames (all nodes and clients must agree)")
-	fs.StringVar(&c.dataDir, "data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr), and — with -auth — session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
+	fs.StringVar(&c.dataDir, "data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr/ct), and — with -auth — session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
 	fs.StringVar(&c.clients, "clients", "", "comma-separated client listen addresses (index = client number) whose committed requests this node answers with a signed Reply")
 	fs.IntVar(&c.groups, "groups", 1, "independent ordering groups hosted on this node (sc/scr only; all nodes and clients must agree): each group is a complete ordering cluster with its own coordinator pair — rotated so group g's pair sits on different physical nodes — and its own WAL directory under -data-dir/g<i>, multiplexed over this node's one listener and session")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve the ops surface on this address: /metrics (Prometheus text exposition), /healthz (liveness), /readyz (ready once catch-up is done and a majority of order processes are connected)")
@@ -51,8 +51,8 @@ func bindKnobs(fs *flag.FlagSet, k *core.Knobs) {
 	fs.DurationVar(&k.BatchInterval, "batch", d.BatchInterval, "batching interval")
 	fs.DurationVar(&k.Delta, "delta", d.Delta, "pair differential delay estimate (under scr also the pair-probe period)")
 	fs.IntVar(&k.CheckpointInterval, "ckpt-interval", 0, "delivered sequence numbers between protocol checkpoints (0 = default 64, negative disables; requires -data-dir)")
-	fs.IntVar(&k.MaxInflightBatches, "inflight", 0, "sc/scr proposal-window width: <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes and digest-only acks (missing subjects/payloads are fetched off the critical path)")
-	fs.BoolVar(&in.Enabled, "ingress", false, "client admission control (sc/scr only): per-client rate limit, lockout, pending bound and overload brownout; refused requests get a signed Rejected with a retry hint")
+	fs.IntVar(&k.MaxInflightBatches, "inflight", 0, "proposal-window width (sc/scr/ct): <=1 keeps the paper's one-batch-per-interval proposer, >=2 enables pipelined size-triggered batch closes and digest-only acks (missing subjects/payloads are fetched off the critical path)")
+	fs.BoolVar(&in.Enabled, "ingress", false, "client admission control (not under bft): per-client rate limit, lockout, pending bound and overload brownout; refused requests get a signed Rejected with a retry hint")
 	fs.IntVar(&in.Rate, "ingress-rate", 0, "admitted requests per client per -ingress-period (0 = default 256, negative = unlimited)")
 	fs.DurationVar(&in.RatePeriod, "ingress-period", 0, "rate-limiter period (0 = default 1s)")
 	fs.IntVar(&in.LockoutThreshold, "ingress-lockout", 0, "lock a client out once its rejections within the lockout window reach this count (0 = no lockout)")

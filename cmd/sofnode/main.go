@@ -22,7 +22,7 @@
 //
 // With -data-dir the node journals durable state to write-ahead logs
 // under that directory, group-committed on the batching interval. For
-// sc/scr the node checkpoints its protocol state (view, pair epochs,
+// sc, scr and ct the node checkpoints its protocol state (view, pair epochs,
 // committed watermark, committed-order digest) every -ckpt-interval
 // delivered sequence numbers; a *restarted* node (same -id, same
 // -data-dir) restores the checkpoint, announces its watermark and
@@ -40,7 +40,7 @@
 // through the process's own environment); `sofclient -listen` accepts a
 // request once f+1 distinct nodes have vouched for it.
 //
-// With -ingress (sc/scr only) the node runs client admission control in
+// With -ingress (sc, scr and ct) the node runs client admission control in
 // front of its request pool: a per-client rate limiter with an optional
 // failure-count lockout, a per-client pending bound, and an overload
 // brownout that sheds over-share clients while the backlog exceeds its

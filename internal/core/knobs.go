@@ -12,10 +12,10 @@ import (
 // Knobs are a deployment's ordering knobs, declared once. An entry point
 // fills one value — sofnode binds its flags to the fields, harness.Options
 // and sof.Config each map onto it in one function — node.Spec carries it,
-// and every order process receives it unchanged: Config embeds it, and CT
-// and BFT read their batching knobs from it. WithDefaults is the one
-// statement of its defaults, Check the one statement of the values an
-// order process refuses.
+// and every order process receives it unchanged: Config embeds it (SC,
+// SCR and CT), and BFT reads its batching knobs from it. WithDefaults is
+// the one statement of its defaults, Check the one statement of the
+// values an order process refuses.
 type Knobs struct {
 	// BatchInterval is the paper's batching-interval: the coordinator
 	// proposes one batch per interval.
@@ -55,14 +55,15 @@ type Knobs struct {
 	// path: its acks carry just the subject digest instead of embedding
 	// the full marshalled subject (commit proofs bind the digest, so
 	// proofs are unaffected), and a receiver that falls behind recovers
-	// the subject through a FetchReq instead of from ack payloads.
+	// the subject through a FetchReq instead of from ack payloads. Not
+	// under BFT, whose proposer is interval-paced.
 	MaxInflightBatches int
 	// Ingress, when Enabled, installs the client admission pipeline in
 	// front of the request pool: per-client rate limiting with failure
 	// lockout, a per-client pending cap, and overload brownout that sheds
-	// over-share clients while backlog pressure is high. Enabling it also
-	// switches the pool to fair (deficit-round-robin) dequeue. Disabled
-	// (the zero value) the request path is byte-for-byte the classic one.
+	// over-share clients while backlog pressure is high. The pool dequeues
+	// by deficit round robin across clients with or without it. Disabled
+	// (the zero value) no admission check runs. Not under BFT.
 	Ingress ingress.Config
 }
 
@@ -96,8 +97,8 @@ func (k Knobs) Check(proto types.Protocol) error {
 		{k.MaxBatchBytes <= 0, "MaxBatchBytes must be positive"},
 		{paired && k.Delta <= 0, "Delta must be positive"},
 		{k.MaxInflightBatches < 0, "MaxInflightBatches must not be negative"},
-		{!paired && k.MaxInflightBatches > 1, "MaxInflightBatches > 1 requires the SC/SCR protocols"},
-		{!paired && k.Ingress.Enabled, "Ingress requires the SC/SCR protocols"},
+		{proto == types.BFT && k.MaxInflightBatches > 1, "MaxInflightBatches > 1 is not supported under BFT"},
+		{proto == types.BFT && k.Ingress.Enabled, "Ingress is not supported under BFT"},
 	} {
 		if rule.bad {
 			return errors.New("core: " + rule.what)

@@ -14,9 +14,10 @@ import (
 	"github.com/sof-repro/sof/internal/types"
 )
 
-// Config parameterises one SC order process.
+// Config parameterises one SC, SCR or CT order process.
 type Config struct {
-	// Topo is the SC topology (2f+1 replicas, f shadows, n = 3f+1).
+	// Topo is the SC (n = 3f+1), SCR (n = 3f+2) or CT (n = 2f+1, no
+	// pairs) topology.
 	Topo types.Topology
 	// Knobs are the deployment's ordering knobs, as its entry point chose
 	// them.
@@ -113,8 +114,8 @@ type InstallEvent struct {
 	At       time.Time
 }
 
-// Process is one SC order process (pi or p'i). It is a single-threaded
-// reactor driven by a runtime environment.
+// Process is one SC, SCR or CT order process (pi or p'i). It is a
+// single-threaded reactor driven by a runtime environment.
 type Process struct {
 	cfg  Config
 	topo types.Topology
@@ -252,8 +253,8 @@ var _ runtime.Process = (*Process)(nil)
 
 // New validates the configuration and returns a process for id.
 func New(id types.NodeID, cfg Config) (*Process, error) {
-	if cfg.Topo.Protocol != types.SC && cfg.Topo.Protocol != types.SCR {
-		return nil, fmt.Errorf("core: topology protocol %v is not SC/SCR", cfg.Topo.Protocol)
+	if cfg.Topo.Protocol == types.BFT {
+		return nil, fmt.Errorf("core: topology protocol %v is not SC, SCR or CT", cfg.Topo.Protocol)
 	}
 	if !cfg.Topo.IsProcess(id) {
 		return nil, fmt.Errorf("core: %v is not an order process of the topology", id)
@@ -673,7 +674,7 @@ func (p *Process) closeBatch(env runtime.Env, trigger closeTrigger) bool {
 }
 
 // OrderEntries fills entries — one per request, in order — with each
-// request's ID and digest D(m): how the CT and BFT proposers build a batch
+// request's ID and digest D(m): how the BFT proposer builds a batch
 // (an SC primary copies the digests into its arena instead). The digests
 // are kept as long as the batch is, so the batch owns them, in one block:
 // each is summed in scratch and copied across.

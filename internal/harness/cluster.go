@@ -67,7 +67,7 @@ type Options struct {
 	CheckpointInterval int
 	MaxInflightBatches int
 	Ingress            ingress.Config
-	// DigestOnlyAcks is ignored: an SC/SCR process acks by digest exactly
+	// DigestOnlyAcks is ignored: an SC/SCR/CT process acks by digest exactly
 	// when it pipelines (MaxInflightBatches > 1).
 	//
 	// Deprecated: kept while the bench module still sets it.
@@ -101,7 +101,7 @@ type Options struct {
 	// recovery falls to the protocol-level checkpoint catch-up.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in write-ahead logs:
-	// SC/SCR protocol checkpoints and — with AuthFrames — each node's
+	// SC/SCR/CT protocol checkpoints and — with AuthFrames — each node's
 	// session state, so a *restarted* process keeps its session epoch and
 	// replays the frames its dead incarnation had sealed but not
 	// delivered. Group commit batches fsyncs on the BatchInterval; a crash
@@ -237,7 +237,7 @@ type Cluster struct {
 	// probes, state snapshots) look processes up.
 	procMu  sync.RWMutex
 	nodes   map[types.NodeID]*node.Node
-	SC      map[types.NodeID]*core.Process    // group-0 SC/SCR processes
+	SC      map[types.NodeID]*core.Process    // group-0 SC/SCR/CT processes
 	clients map[types.NodeID][]*client.Client // one per ordering group
 	// replicas holds each order process's replicas, one per group (none
 	// without Options.StateMachine). Like registries they outlive the
@@ -693,7 +693,7 @@ func (c *Cluster) KillNode(id types.NodeID) error {
 // address, assembled afresh from its spec. With Durable that reopens the
 // node's session journal, so the incarnation recovers its predecessor's
 // session epoch, sequence numbers and unacknowledged frame window, and
-// replays that window after the authenticated handshake. SC/SCR order
+// replays that window after the authenticated handshake. SC/SCR/CT order
 // processes additionally reopen their protocol-checkpoint store: the new
 // incarnation restores its view, pair epochs, committed watermark and
 // committed-order digest, announces the watermark, and catches up on the
@@ -767,13 +767,13 @@ func (c *Cluster) Crash(id types.NodeID) {
 // otherwise); tests use it to reach per-node transports.
 func (c *Cluster) TCP() *runtime.TCPCluster { return c.tcp }
 
-// SCProcess returns the current SC/SCR process incarnation for id (nil
+// SCProcess returns the current SC/SCR/CT process incarnation for id (nil
 // if none), safe against a concurrent RestartNode.
 func (c *Cluster) SCProcess(id types.NodeID) *core.Process {
 	return c.SCProcessGroup(id, 0)
 }
 
-// SCProcessGroup returns node id's SC/SCR process for one ordering group.
+// SCProcessGroup returns node id's SC/SCR/CT process for one ordering group.
 func (c *Cluster) SCProcessGroup(id types.NodeID, group int) *core.Process {
 	if n := c.node(id); n != nil {
 		return n.Core(group)
@@ -815,7 +815,7 @@ func (c *Cluster) injectGroup(id types.NodeID, group int, fn func(env runtime.En
 	return c.sub.Inject(id, fn)
 }
 
-// OrderState is a point-in-time snapshot of one SC/SCR order process's
+// OrderState is a point-in-time snapshot of one SC/SCR/CT order process's
 // proposer gauges (observability for operators and tests).
 type OrderState struct {
 	// NextPropose is the primary's proposal counter; DeliveredUpTo the
@@ -836,7 +836,7 @@ type OrderState struct {
 	TimerTriggeredCloses uint64
 }
 
-// OrderStateOf snapshots an SC/SCR order process's proposer gauges. The
+// OrderStateOf snapshots an SC/SCR/CT order process's proposer gauges. The
 // snapshot is taken on the process's event loop in live mode (so the reads
 // are race-free against a running cluster); in simulated mode the caller
 // owns the only driving goroutine and the state is read directly.
@@ -878,7 +878,7 @@ func (c *Cluster) OrderStateOfGroup(id types.NodeID, group int) (OrderState, boo
 	}
 }
 
-// RecoveryState is a race-free snapshot of one SC/SCR process's catch-up
+// RecoveryState is a race-free snapshot of one SC/SCR/CT process's catch-up
 // and commit-history gauges (the scenario campaign's invariant probes).
 type RecoveryState struct {
 	CatchingUp    bool

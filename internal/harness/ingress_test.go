@@ -24,9 +24,15 @@ func sumShed(c *Cluster) uint64 {
 // quota on the virtual-time simulator: the surplus is shed at admission
 // (never ordered), the client hears about it through a Rejected reply,
 // and a polite client's traffic is untouched.
-func TestIngressRateLimitShedsFlood(t *testing.T) {
+func TestIngressRateLimitShedsFlood(t *testing.T) { rateLimitShedsFlood(t, types.SC) }
+
+// TestIngressCTShedsFlood: the same under CT, whose order processes are
+// core processes with the same admission pipeline.
+func TestIngressCTShedsFlood(t *testing.T) { rateLimitShedsFlood(t, types.CT) }
+
+func rateLimitShedsFlood(t *testing.T, proto types.Protocol) {
 	c, err := New(Options{
-		Protocol:   types.SC,
+		Protocol:   proto,
 		Net:        netsim.LANDefaults(),
 		NumClients: 2,
 		Ingress: ingress.Config{

@@ -12,7 +12,6 @@ import (
 	"github.com/sof-repro/sof/internal/bft"
 	"github.com/sof-repro/sof/internal/core"
 	"github.com/sof-repro/sof/internal/crypto"
-	"github.com/sof-repro/sof/internal/ct"
 	"github.com/sof-repro/sof/internal/fsp"
 	"github.com/sof-repro/sof/internal/message"
 	"github.com/sof-repro/sof/internal/obs"
@@ -25,8 +24,9 @@ import (
 	"github.com/sof-repro/sof/internal/wal/sessionlog"
 )
 
-// Hooks are one ordering group's event callbacks. CT and BFT processes
-// raise OnBatched and OnCommit only.
+// Hooks are one ordering group's event callbacks. BFT processes raise
+// OnBatched and OnCommit only, and CT processes never raise the
+// fail-over ones: their coordinator is never replaced.
 type Hooks struct {
 	OnBatched           func(core.BatchEvent)
 	OnCommit            func(core.CommitEvent)
@@ -55,7 +55,7 @@ type Spec struct {
 
 	// DataDir is this node's own directory for durable state ("" = none):
 	// the session journal in <DataDir>/session when Links is set, and per
-	// SC/SCR order process a protocol-checkpoint store in <DataDir>/proto
+	// SC/SCR/CT order process a protocol-checkpoint store in <DataDir>/proto
 	// (<DataDir>/g<i>/proto when Groups > 1) unless CheckpointInterval is
 	// negative. Both group-commit on BatchInterval.
 	DataDir string
@@ -81,7 +81,7 @@ type Spec struct {
 	// with a signed Reply (sofnode's -clients). Empty means no node signs
 	// or sends anything for a commit beyond the protocol's own messages.
 	ReplyTo map[types.NodeID]bool
-	// Tap, when non-nil, intercepts the group-0 SC/SCR process's outbound
+	// Tap, when non-nil, intercepts the group-0 core process's outbound
 	// traffic (adversarial twins).
 	Tap core.Tap
 }
@@ -142,7 +142,7 @@ func Build(spec Spec) (*Node, error) {
 	return n, nil
 }
 
-// CoreConfig is group g's SC/SCR process configuration as the spec
+// CoreConfig is group g's SC/SCR/CT process configuration as the spec
 // determines it; Build adds what it opens or signs (Checkpointer,
 // PresignedFailSig).
 func (s Spec) CoreConfig(group int) core.Config {
@@ -187,7 +187,7 @@ func (n *Node) buildProcess(group int) error {
 	var p runtime.Process
 	var err error
 	switch s.Protocol {
-	case types.SC, types.SCR:
+	case types.SC, types.SCR, types.CT:
 		cfg := s.CoreConfig(group)
 		cfg.OnCommit = h.OnCommit
 		// Durable protocol checkpoints: the process snapshots its view,
@@ -221,8 +221,6 @@ func (n *Node) buildProcess(group int) error {
 			cfg.PresignedFailSig = pre
 		}
 		p, err = core.New(s.Self, cfg)
-	case types.CT:
-		p, err = ct.New(s.Self, ct.Config{Topo: s.Topo, Knobs: s.Knobs, OnBatched: h.OnBatched, OnCommit: h.OnCommit})
 	case types.BFT:
 		p, err = bft.New(s.Self, bft.Config{Topo: s.Topo, Knobs: s.Knobs, OnBatched: h.OnBatched, OnCommit: h.OnCommit})
 	default:
@@ -313,7 +311,7 @@ func (n *Node) order(group int) runtime.Process {
 	return n.Procs[group]
 }
 
-// Core returns group g's SC/SCR process (nil under CT/BFT, for a client
+// Core returns group g's SC/SCR/CT process (nil under BFT, for a client
 // endpoint, or out of range).
 func (n *Node) Core(group int) *core.Process {
 	p, _ := n.order(group).(*core.Process)

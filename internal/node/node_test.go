@@ -38,8 +38,9 @@ func isDir(path string) bool {
 }
 
 // TestBuildPerProtocol: every protocol yields one process and one pool
-// per group; only SC/SCR expose a core process — with or without a
-// reply-to set, whose executor stands in front of the order process.
+// per group; every protocol but BFT runs on a core process — with or
+// without a reply-to set, whose executor stands in front of the order
+// process. A CT process is never paired.
 func TestBuildPerProtocol(t *testing.T) {
 	for i, proto := range []types.Protocol{types.SC, types.SCR, types.BFT, types.CT, types.SC, types.BFT} {
 		spec := testSpec(t, proto, 0, 1)
@@ -53,8 +54,11 @@ func TestBuildPerProtocol(t *testing.T) {
 		if len(n.Procs) != 1 || n.Pool(0) == nil {
 			t.Errorf("%v: %d processes, pool %v", proto, len(n.Procs), n.Pool(0))
 		}
-		if paired := proto == types.SC || proto == types.SCR; (n.Core(0) != nil) != paired {
+		if (n.Core(0) != nil) != (proto != types.BFT) {
 			t.Errorf("%v: Core(0) = %v", proto, n.Core(0))
+		}
+		if p := n.Core(0); proto == types.CT && p != nil && p.Pair() != nil {
+			t.Errorf("CT: process %v is paired", spec.Self)
 		}
 		if n.Core(1) != nil || n.Pool(-1) != nil {
 			t.Errorf("%v: out-of-range group resolved", proto)
@@ -213,6 +217,12 @@ func TestModeCheck(t *testing.T) {
 	if err := ok.Check(); err != nil {
 		t.Fatalf("baseline mode rejected: %v", err)
 	}
+	// CT runs on the core process, so it takes the window and ingress.
+	ct := ok
+	ct.Protocol, ct.Knobs.MaxInflightBatches, ct.Knobs.Ingress = types.CT, 8, ingress.Config{Enabled: true}
+	if err := ct.Check(); err != nil {
+		t.Errorf("pipelined CT with ingress rejected: %v", err)
+	}
 	inProcess := types.TransportInProcess
 	for name, mutate := range map[string]func(*Mode){
 		"tcp simulated":           func(m *Mode) { m.Live = false },
@@ -224,7 +234,9 @@ func TestModeCheck(t *testing.T) {
 		"groups zero":             func(m *Mode) { m.Groups = 0 },
 		"groups over cap":         func(m *Mode) { m.Groups = 1 << 20 },
 		"groups under bft":        func(m *Mode) { m.Protocol, m.Groups = types.BFT, 2 },
-		"ingress under ct":        func(m *Mode) { m.Protocol, m.Knobs.Ingress = types.CT, ingress.Config{Enabled: true} },
+		"ingress under bft":       func(m *Mode) { m.Protocol, m.Knobs.Ingress = types.BFT, ingress.Config{Enabled: true} },
+		"groups under ct":         func(m *Mode) { m.Protocol, m.Groups = types.CT, 2 },
+		"adversary ct":            func(m *Mode) { m.Protocol, m.Adversaries = types.CT, true },
 		"ingress invalid":         func(m *Mode) { m.Knobs.Ingress = ingress.Config{Enabled: true, RatePeriod: -1} },
 		"pipeline under bft":      func(m *Mode) { m.Protocol, m.Knobs.MaxInflightBatches = types.BFT, 8 },
 		"negative window":         func(m *Mode) { m.Knobs.MaxInflightBatches = -1 },

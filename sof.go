@@ -142,7 +142,7 @@ type Config struct {
 	BatchBytes int
 	// Delta is the intra-pair differential delay estimate (default 5 s).
 	Delta time.Duration
-	// MaxInflightBatches (SC/SCR only) caps how many proposed-but-
+	// MaxInflightBatches (SC, SCR and CT) caps how many proposed-but-
 	// uncommitted batches the primary keeps outstanding. Values <= 1 (the
 	// default) preserve the paper's strictly interval-paced proposer: one
 	// batch per BatchInterval, which bounds throughput at roughly
@@ -207,9 +207,9 @@ type Config struct {
 	// state; distinct deployments need distinct directories. Requires
 	// Durable.
 	DataDir string
-	// CheckpointInterval tunes the durable protocol checkpoints SC/SCR
-	// order processes write under Durable: a process snapshots its view,
-	// pair epochs, committed-sequence watermark and committed-order
+	// CheckpointInterval tunes the durable protocol checkpoints SC, SCR
+	// and CT order processes write under Durable: a process snapshots its
+	// view, pair epochs, committed-sequence watermark and committed-order
 	// digest every CheckpointInterval delivered sequence numbers (0 = the
 	// default, 64), and a *restarted* process restores the snapshot,
 	// announces its watermark and catches up on the commits it missed
@@ -267,7 +267,7 @@ type Config struct {
 	// cluster and Protocol SC or SCR; capped at MaxGroups.
 	Groups int
 	// Ingress enables client admission control on the order processes
-	// (SC/SCR only): per-client rate limiting with optional lockout, a
+	// (SC, SCR and CT): per-client rate limiting with optional lockout, a
 	// per-client pending bound, and brownout shedding of over-share
 	// clients under ordering backlog.
 	// Refused clients receive a signed Rejected reply naming the cause
@@ -529,13 +529,13 @@ func (c *Cluster) ReplicaState(node NodeID) (applied uint64, pending, results in
 	return applied, pending, results, ok
 }
 
-// OrderState is a snapshot of one SC/SCR order process's proposer gauges:
+// OrderState is a snapshot of one core order process's proposer gauges:
 // the proposal counter and delivery watermark, the pipeline occupancy, and
 // the batch fill/close statistics. See Config.MaxInflightBatches.
 type OrderState = harness.OrderState
 
-// OrderState reports one order process's proposer gauges (SC/SCR only; ok
-// is false for other protocols or unknown nodes). In live mode the
+// OrderState reports one order process's proposer gauges (SC, SCR and
+// CT; ok is false under BFT or for unknown nodes). In live mode the
 // snapshot is taken on the process's own event loop, so it is consistent
 // even against a running cluster.
 func (c *Cluster) OrderState(node NodeID) (OrderState, bool) {

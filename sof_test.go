@@ -672,11 +672,22 @@ func assertRingsWerePruned(t *testing.T, cluster *sof.Cluster, victim sof.NodeID
 // zero loss. The sensitivity twin below proves the recovery comes from
 // the protocol checkpoints, not from some other layer.
 func TestPublicAPIDurableRestartCatchUpZeroLoss(t *testing.T) {
+	durableRestartCatchUpZeroLoss(t, sof.SC)
+}
+
+// TestPublicAPIDurableCTRestartCatchUpZeroLoss: the same under CT, whose
+// order processes keep the same protocol checkpoints. The victim is a
+// non-coordinator; the other two of n = 3 are CT's quorum.
+func TestPublicAPIDurableCTRestartCatchUpZeroLoss(t *testing.T) {
+	durableRestartCatchUpZeroLoss(t, sof.CT)
+}
+
+func durableRestartCatchUpZeroLoss(t *testing.T, proto sof.Protocol) {
 	if testing.Short() {
 		t.Skip("TCP integration test")
 	}
 	cluster, err := sof.NewCluster(sof.Config{
-		Protocol:           sof.SC,
+		Protocol:           proto,
 		F:                  1,
 		Transport:          sof.TCP,
 		AuthFrames:         true,
