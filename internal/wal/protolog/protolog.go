@@ -158,11 +158,11 @@ func (s *Store) Save(cp core.CheckpointState) types.Seq {
 	s.advanceDurableLocked()
 	// Prune only below the newest checkpoint known FSYNCED — not below
 	// the record just appended. The new record may sit unsynced in the
-	// active segment (rotation seals the previous segment, so pruning at
-	// the new LSN would delete the only durable checkpoint); a crash in
-	// that window must still recover the last durable one, or the process
-	// would restart behind the watermark it already announced to pruning
-	// peers.
+	// active segment, or in one a rotation handed to the next group commit
+	// (pruning at the new LSN would delete the only durable checkpoint); a
+	// crash in that window must still recover the last durable one, or the
+	// process would restart behind the watermark it already announced to
+	// pruning peers.
 	if s.durableLSN > 0 {
 		s.log.TruncateBefore(s.durableLSN)
 	}

@@ -144,6 +144,12 @@ func TestOldCheckpointSegmentsPruned(t *testing.T) {
 	for wm := types.Seq(1); wm <= 64; wm++ {
 		big.DeliveredUpTo = wm
 		s.Save(big)
+		// Pruning stays behind the newest durable checkpoint, and with no
+		// background flusher only a group commit makes one durable: a
+		// rotation hands its segment to the next commit.
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()
 	if st.PrunedSegments == 0 {

@@ -80,11 +80,39 @@ type liveFrame struct {
 	payload []byte
 }
 
+// senderRec is one sending direction. Its unacknowledged window is a ring
+// of RingLen slots, oldest first from head, in ascending seq (and LSN)
+// order: a seal past a full window evicts the head in O(1), as the
+// session's own retransmission ring does.
 type senderRec struct {
 	epoch   uint64
 	nextSeq uint64
 	acked   uint64
-	frames  []liveFrame // unacknowledged, ascending seq
+	frames  []liveFrame // ring storage, allocated at the first frame
+	head    int         // slot of the oldest frame
+	n       int         // frames in the window
+}
+
+// at returns the i-th oldest frame of the window.
+func (sr *senderRec) at(i int) *liveFrame {
+	return &sr.frames[(sr.head+i)%len(sr.frames)]
+}
+
+// newEpoch empties the direction for a new sender incarnation.
+func (sr *senderRec) newEpoch(epoch uint64) {
+	sr.epoch = epoch
+	sr.nextSeq = 0
+	sr.acked = 0
+	for sr.n > 0 {
+		sr.popHead()
+	}
+}
+
+// popHead drops the oldest frame.
+func (sr *senderRec) popHead() {
+	*sr.at(0) = liveFrame{}
+	sr.head = (sr.head + 1) % len(sr.frames)
+	sr.n--
 }
 
 type recvRec struct {
@@ -166,17 +194,12 @@ func (s *Store) applyRecord(lsn wal.LSN, rec []byte) error {
 			return nil // superseded incarnation's frame
 		}
 		if epoch > sr.epoch {
-			sr.epoch = epoch
-			sr.nextSeq = 0
-			sr.acked = 0
-			sr.frames = sr.frames[:0]
+			sr.newEpoch(epoch)
 		}
 		if seq > sr.nextSeq {
 			sr.nextSeq = seq
 		}
-		sr.frames = append(sr.frames, liveFrame{
-			seq: seq, lsn: lsn, payload: append([]byte(nil), payload...),
-		})
+		s.push(sr, liveFrame{seq: seq, lsn: lsn, payload: append([]byte(nil), payload...)})
 	case kAck:
 		if len(rec) < 25 {
 			return fmt.Errorf("ack record %d too short", lsn)
@@ -189,10 +212,7 @@ func (s *Store) applyRecord(lsn wal.LSN, rec []byte) error {
 			return nil
 		}
 		if epoch > sr.epoch {
-			sr.epoch = epoch
-			sr.nextSeq = 0
-			sr.frames = sr.frames[:0]
-			sr.acked = 0
+			sr.newEpoch(epoch)
 		}
 		if delivered > sr.acked {
 			sr.acked = delivered
@@ -262,10 +282,7 @@ func (s *Store) applyCheckpoint(lsn wal.LSN, rec []byte) error {
 			continue
 		}
 		if epoch > sr.epoch {
-			sr.epoch = epoch
-			sr.nextSeq = 0
-			sr.acked = 0
-			sr.frames = sr.frames[:0]
+			sr.newEpoch(epoch)
 		}
 		if next > sr.nextSeq {
 			sr.nextSeq = next
@@ -315,8 +332,9 @@ func (s *Store) recv(from, to types.NodeID) *recvRec {
 	return rr
 }
 
-// trimFrames drops frames the peer acknowledged or the ring evicted.
-// Called with s.mu held (or during single-threaded recovery).
+// trimFrames drops, from the head, frames the peer acknowledged or the
+// ring evicted. Called with s.mu held (or during single-threaded
+// recovery).
 func (s *Store) trimFrames(sr *senderRec) {
 	floor := sr.acked
 	if sr.nextSeq > uint64(s.opts.RingLen) {
@@ -324,17 +342,22 @@ func (s *Store) trimFrames(sr *senderRec) {
 			floor = evicted
 		}
 	}
-	i := 0
-	for i < len(sr.frames) && sr.frames[i].seq <= floor {
-		i++
+	for sr.n > 0 && sr.at(0).seq <= floor {
+		sr.popHead()
 	}
-	if i > 0 {
-		n := copy(sr.frames, sr.frames[i:])
-		for j := n; j < len(sr.frames); j++ {
-			sr.frames[j] = liveFrame{}
-		}
-		sr.frames = sr.frames[:n]
+}
+
+// push adds f at the window's tail, evicting the head when the window is
+// full. Called with s.mu held (or during single-threaded recovery).
+func (s *Store) push(sr *senderRec, f liveFrame) {
+	if sr.frames == nil {
+		sr.frames = make([]liveFrame, s.opts.RingLen)
 	}
+	if sr.n == len(sr.frames) {
+		sr.popHead()
+	}
+	*sr.at(sr.n) = f
+	sr.n++
 }
 
 // --- session.Journal ---
@@ -356,8 +379,8 @@ func (s *Store) RecoverSender(self, peer types.NodeID) (session.SenderState, boo
 			st.Acked = evicted
 		}
 	}
-	for i := range sr.frames {
-		f := &sr.frames[i]
+	for i := 0; i < sr.n; i++ {
+		f := sr.at(i)
 		if f.payload == nil {
 			continue // journalled by this incarnation; its ring owns it
 		}
@@ -378,7 +401,6 @@ func (s *Store) RecoverSender(self, peer types.NodeID) (session.SenderState, boo
 // SealedFrame implements session.Journal.
 func (s *Store) SealedFrame(self, peer types.NodeID, f session.Frame) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 9 + f.WireLen()
 	b := s.scratch(n)
 	b[0] = kFrame
@@ -389,31 +411,27 @@ func (s *Store) SealedFrame(self, peer types.NodeID, f session.Frame) {
 	copy(b[9+len(f.Hdr)+len(f.Body):], f.MAC)
 	lsn, err := s.log.Append(b)
 	if err != nil {
+		s.mu.Unlock()
 		s.logf("journalling sealed frame: %v", err)
 		return
 	}
 	sr := s.sender(self, peer)
 	epoch := binary.BigEndian.Uint64(f.Hdr[2:10])
 	if epoch > sr.epoch {
-		sr.epoch = epoch
-		sr.nextSeq = 0
-		sr.acked = 0
-		sr.frames = sr.frames[:0]
+		sr.newEpoch(epoch)
 	}
 	if f.Seq > sr.nextSeq {
 		sr.nextSeq = f.Seq
 	}
-	sr.frames = append(sr.frames, liveFrame{seq: f.Seq, lsn: lsn})
-	if len(sr.frames) > s.opts.RingLen {
-		s.trimFrames(sr)
-	}
-	s.maybePrune(false)
+	s.push(sr, liveFrame{seq: f.Seq, lsn: lsn})
+	floor := s.pruneFloor(false)
+	s.mu.Unlock()
+	s.prune(floor)
 }
 
 // Acked implements session.Journal.
 func (s *Store) Acked(self, peer types.NodeID, epoch, delivered uint64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := s.scratch(25)
 	b[0] = kAck
 	putID(b[1:], self)
@@ -421,29 +439,28 @@ func (s *Store) Acked(self, peer types.NodeID, epoch, delivered uint64) {
 	binary.BigEndian.PutUint64(b[9:], epoch)
 	binary.BigEndian.PutUint64(b[17:], delivered)
 	if _, err := s.log.Append(b); err != nil {
+		s.mu.Unlock()
 		s.logf("journalling ack: %v", err)
 		return
 	}
 	sr := s.sender(self, peer)
 	if epoch >= sr.epoch {
 		if epoch > sr.epoch {
-			sr.epoch = epoch
-			sr.nextSeq = 0
-			sr.frames = sr.frames[:0]
-			sr.acked = 0
+			sr.newEpoch(epoch)
 		}
 		if delivered > sr.acked {
 			sr.acked = delivered
 		}
 		s.trimFrames(sr)
 	}
-	s.maybePrune(true)
+	floor := s.pruneFloor(true)
+	s.mu.Unlock()
+	s.prune(floor)
 }
 
 // Delivered implements session.Journal.
 func (s *Store) Delivered(from, self types.NodeID, epoch, seq uint64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	b := s.scratch(25)
 	b[0] = kDelivered
 	putID(b[1:], from)
@@ -451,11 +468,14 @@ func (s *Store) Delivered(from, self types.NodeID, epoch, seq uint64) {
 	binary.BigEndian.PutUint64(b[9:], epoch)
 	binary.BigEndian.PutUint64(b[17:], seq)
 	if _, err := s.log.Append(b); err != nil {
+		s.mu.Unlock()
 		s.logf("journalling delivery watermark: %v", err)
 		return
 	}
 	s.applyDelivered(from, self, epoch, seq)
-	s.maybePrune(false)
+	floor := s.pruneFloor(false)
+	s.mu.Unlock()
+	s.prune(floor)
 }
 
 // RecoverReceiver implements session.Journal.
@@ -478,8 +498,8 @@ func (s *Store) PendingReplay(self types.NodeID) []types.NodeID {
 		if k.from != self {
 			continue
 		}
-		for i := range sr.frames {
-			if sr.frames[i].payload != nil {
+		for i := 0; i < sr.n; i++ {
+			if sr.at(i).payload != nil {
 				peers = append(peers, k.to)
 				break
 			}
@@ -489,31 +509,40 @@ func (s *Store) PendingReplay(self types.NodeID) []types.NodeID {
 	return peers
 }
 
-// maybePrune advances the prune floor — the oldest journalled frame still
-// unacknowledged — and, when whole segments lie below it, writes a
-// checkpoint (so watermark state survives the cut) and unlinks them.
+// pruneFloor computes the prune floor — the LSN of the oldest journalled
+// frame still unacknowledged, the head of some direction's window — and,
+// when whole segments lie below it, writes a checkpoint (so watermark
+// state survives the cut) and returns the floor for prune; otherwise 0.
 // Called with s.mu held. force is set on acknowledgements, the events that
 // actually move the floor; other record kinds only check periodically.
-func (s *Store) maybePrune(force bool) {
+func (s *Store) pruneFloor(force bool) wal.LSN {
 	s.sincePrune++
 	if !force && s.sincePrune < pruneCheckEvery {
-		return
+		return 0
 	}
 	s.sincePrune = 0
 	floor := s.log.NextLSN()
 	for _, sr := range s.senders {
-		if len(sr.frames) > 0 && sr.frames[0].lsn < floor {
-			floor = sr.frames[0].lsn
+		if sr.n > 0 && sr.at(0).lsn < floor {
+			floor = sr.at(0).lsn
 		}
 	}
 	if s.log.PrunableSegments(floor) == 0 {
-		return
+		return 0
 	}
 	if err := s.appendCheckpoint(); err != nil {
 		s.logf("checkpoint before prune: %v", err)
-		return
+		return 0
 	}
-	s.log.TruncateBefore(floor)
+	return floor
+}
+
+// prune unlinks the segments below a floor pruneFloor returned, after s.mu
+// is released, so no journalling waits on the unlinks.
+func (s *Store) prune(floor wal.LSN) {
+	if floor > 0 {
+		s.log.TruncateBefore(floor)
+	}
 }
 
 // appendCheckpoint journals a summary of every direction's watermark state;

@@ -330,3 +330,86 @@ func TestCrashLosesOnlyUnsyncedFrames(t *testing.T) {
 		t.Fatalf("recovered NextSeq = %d, want 1", sst.NextSeq)
 	}
 }
+
+// TestJournalWindowWrapsRing: a direction's unacknowledged window is a ring
+// of RingLen frames. Sealing past it evicts from the head, a reopened store
+// replays exactly the last RingLen frames in sequence order, and an
+// acknowledgement inside the window trims it from the head.
+func TestJournalWindowWrapsRing(t *testing.T) {
+	dir := t.TempDir()
+	keys := testKeys(t)
+	self, peer := types.NodeID(1), types.NodeID(2)
+	const ring, sealed = 8, 27
+
+	st, err := Open(Options{Dir: dir, SyncInterval: -1, RingLen: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := (&session.Config{Keys: keys, Journal: st, RingLen: ring}).NewSender(self, peer)
+	var bodies [][]byte
+	for i := 1; i <= sealed; i++ {
+		body := []byte(fmt.Sprintf("frame-%02d", i))
+		bodies = append(bodies, body)
+		tx.Seal(body)
+	}
+	window := func(st *Store) []uint64 {
+		sr := st.senders[dirKey{self, peer}]
+		var seqs []uint64
+		for i := 0; i < sr.n; i++ {
+			seqs = append(seqs, sr.at(i).seq)
+		}
+		return seqs
+	}
+	if got := window(st); len(got) != ring || got[0] != sealed-ring+1 || got[ring-1] != sealed {
+		t.Fatalf("window after %d seals = %v, want seqs %d..%d", sealed, got, sealed-ring+1, sealed)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st.Crash()
+
+	st2, err := Open(Options{Dir: dir, SyncInterval: -1, RingLen: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	sst, ok := st2.RecoverSender(self, peer)
+	if !ok {
+		t.Fatal("no recovered sender state")
+	}
+	if len(sst.Unacked) != ring {
+		t.Fatalf("recovered %d unacked frames, want %d", len(sst.Unacked), ring)
+	}
+	for i, f := range sst.Unacked {
+		seq := uint64(sealed - ring + 1 + i)
+		if f.Seq != seq || !bytes.Equal(f.Body, bodies[seq-1]) {
+			t.Fatalf("recovered frame %d = seq %d %q, want seq %d %q", i, f.Seq, f.Body, seq, bodies[seq-1])
+		}
+	}
+	st2.Acked(self, peer, sst.Epoch, 23)
+	if got := window(st2); len(got) != 4 || got[0] != 24 || got[3] != sealed {
+		t.Fatalf("window after an ack of 23 = %v, want seqs 24..%d", got, sealed)
+	}
+}
+
+// TestSealedFrameAllocFree: once a direction's window is full, journalling
+// a sealed frame evicts the oldest one without a heap object.
+func TestSealedFrameAllocFree(t *testing.T) {
+	st, err := Open(Options{Dir: t.TempDir(), SyncInterval: -1, RingLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	self, peer := types.NodeID(1), types.NodeID(2)
+	f := (&session.Config{Keys: testKeys(t)}).NewSender(self, peer).Seal(bytes.Repeat([]byte("b"), 128))
+	seal := func() {
+		f.Seq++
+		st.SealedFrame(self, peer, f)
+	}
+	for i := 0; i < 16; i++ {
+		seal()
+	}
+	if n := testing.AllocsPerRun(1000, seal); n != 0 {
+		t.Fatalf("SealedFrame allocates %v objects per frame with a full window, want 0", n)
+	}
+}

@@ -56,8 +56,9 @@ type Options struct {
 	// SyncInterval is the group-commit period: appends are buffered and a
 	// background flusher fsyncs every interval while there is unsynced
 	// data (default DefaultSyncInterval). Negative disables the
-	// background flusher entirely — only explicit Sync calls reach disk —
-	// which tests use to control durability points exactly.
+	// background flusher entirely — only explicit Sync and Close calls
+	// fsync, the segments rotation handed over included — which tests use
+	// to control durability points exactly.
 	SyncInterval time.Duration
 	// Logger receives recovery diagnostics (torn tails truncated, orphan
 	// segments dropped). nil discards them.
@@ -105,6 +106,16 @@ type segment struct {
 // tail from a mid-write crash is truncated away on the next Open, so the
 // recovered log is always a clean prefix of what was appended.
 //
+// Two locks split the work. mu, the append lock, guards the buffer and the
+// segment list; a group commit holds it only to flush the buffer into the
+// OS and to publish what it made durable. syncMu serialises group commits
+// and is the only lock held across an fsync, so an Append never waits on
+// the disk. Lock order: syncMu before mu.
+//
+// The first write or fsync error is sticky: Append, Sync and Close return
+// it from then on, SyncedLSN never moves again and no fsync is retried (on
+// Linux a failed fsync may drop the dirty pages and report it only once).
+//
 // All methods are safe for concurrent use.
 type Log struct {
 	opts Options
@@ -113,18 +124,27 @@ type Log struct {
 	segs     []segment // closed segments, ascending; active segment is last
 	f        *os.File  // active segment file
 	w        *bufio.Writer
-	next     LSN // LSN the next Append assigns
-	synced   LSN // highest LSN known durable
-	flushed  LSN // highest LSN pushed to the OS (>= synced)
+	retired  []*os.File // rotated-out segments, flushed; the next group commit fsyncs and closes them
+	dirDirty bool       // a segment was created since the last group commit
+	next     LSN        // LSN the next Append assigns
+	synced   LSN        // highest LSN known durable
+	failed   error      // first write or fsync error; sticky
 	closed   bool
 	crashing bool
 	stats    Stats
 	hdrBuf   [recHeaderLen]byte
 	fsyncH   *obs.Histogram // nil-safe: no-op when Options.Metrics was nil
 
+	syncMu sync.Mutex
+	fsync  func(*os.File) error // every fsync, files and directory; fsyncFile at Open
+
 	flusherStop chan struct{}
 	flusherDone chan struct{}
 }
+
+// fsyncFile is the fsync a Log opened from now on uses; tests replace it
+// (export_test.go) to block or fail fsyncs.
+var fsyncFile = (*os.File).Sync
 
 // Open opens (creating if needed) the log in opts.Dir, scanning existing
 // segments and truncating any torn tail so the log ends at the last intact
@@ -143,7 +163,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{opts: opts}
+	l := &Log{opts: opts, fsync: fsyncFile}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -200,9 +220,10 @@ func (l *Log) logf(format string, args ...any) {
 
 // scan reads the segment directory, verifies every record and truncates
 // the log at the first sign of a torn write: a short or CRC-failing record
-// ends its segment there, and any later segment (which can only exist if
-// the directory is inconsistent — rotation syncs the old segment before
-// opening a new one) is dropped, so recovery always yields a clean prefix.
+// ends its segment there, and any later segment (a crash between a
+// rotation and the group commit that syncs it can leave one) is dropped,
+// as is a segment that leaves an LSN gap, so recovery always yields a
+// clean prefix.
 func (l *Log) scan() error {
 	entries, err := os.ReadDir(l.opts.Dir)
 	if err != nil {
@@ -264,7 +285,6 @@ func (l *Log) scan() error {
 	l.segs = live
 	l.next = next
 	l.synced = next - 1
-	l.flushed = next - 1
 	return nil
 }
 
@@ -290,7 +310,7 @@ func (l *Log) scanSegment(s *segment) (records uint64, size int64, ok bool, err 
 		// Rewrite a clean header so the segment can keep serving as the
 		// active one.
 		if err := writeSegHeader(f, s.first); err != nil {
-			return 0, 0, false, err
+			return 0, 0, false, fmt.Errorf("wal: %w", err)
 		}
 		return 0, segHeaderLen, false, nil
 	}
@@ -331,7 +351,7 @@ func (l *Log) scanSegment(s *segment) (records uint64, size int64, ok bool, err 
 	if err := f.Truncate(offset); err != nil {
 		return 0, 0, false, fmt.Errorf("wal: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := l.fsync(f); err != nil {
 		return 0, 0, false, fmt.Errorf("wal: %w", err)
 	}
 	return records, offset, false, nil
@@ -341,20 +361,20 @@ func writeSegHeader(f *os.File, first LSN) error {
 	var hdr [segHeaderLen]byte
 	binary.BigEndian.PutUint64(hdr[:8], segMagic)
 	binary.BigEndian.PutUint64(hdr[8:], uint64(first))
-	if _, err := f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
+	_, err := f.Write(hdr[:])
+	return err
 }
 
 // openActive opens the last live segment for appending (creating the first
 // segment of an empty log), called with no lock needed (Open only).
 func (l *Log) openActive() error {
+	var f *os.File
+	var err error
 	if len(l.segs) == 0 {
-		return l.newSegment(l.next)
+		f, err = l.createSegment(l.next)
+	} else {
+		f, err = os.OpenFile(l.segs[len(l.segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
 	}
-	s := &l.segs[len(l.segs)-1]
-	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -363,36 +383,30 @@ func (l *Log) openActive() error {
 	return nil
 }
 
-// newSegment creates and syncs a fresh segment whose first record will be
-// lsn, and fsyncs the directory so the file itself survives a crash.
+// createSegment creates the segment whose first record will be first and
+// writes its header, without an fsync: the next group commit syncs the
+// file and the directory entry before SyncedLSN passes any record in it.
 // Called with l.mu held (or before the log is shared).
-func (l *Log) newSegment(first LSN) error {
+func (l *Log) createSegment(first LSN) (*os.File, error) {
 	path := filepath.Join(l.opts.Dir, fmt.Sprintf("%016x.seg", uint64(first)))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
 	if err := writeSegHeader(f, first); err != nil {
 		_ = f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if dir, err := os.Open(l.opts.Dir); err == nil {
-		_ = dir.Sync()
-		_ = dir.Close()
+		return nil, err
 	}
 	l.segs = append(l.segs, segment{path: path, first: first, last: first - 1, bytes: segHeaderLen})
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	return nil
+	l.dirDirty = true
+	return f, nil
 }
 
 // Append buffers one record and returns its LSN. The record is durable
-// only after the next group commit (background flush or explicit Sync);
-// Append itself never blocks on the disk unless a segment rotates.
+// only after the next group commit (background flush or explicit Sync).
+// Append never waits on the disk: it holds only the append lock, which no
+// fsync is made under, and a rotation it triggers hands the old segment to
+// the next group commit instead of syncing it.
 func (l *Log) Append(rec []byte) (LSN, error) {
 	if len(rec) == 0 || len(rec) > MaxRecord {
 		return 0, fmt.Errorf("wal: record length %d outside (0, %d]", len(rec), MaxRecord)
@@ -401,6 +415,9 @@ func (l *Log) Append(rec []byte) (LSN, error) {
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, fmt.Errorf("wal: log is closed")
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	active := &l.segs[len(l.segs)-1]
 	if active.bytes > segHeaderLen && active.bytes+recHeaderLen+int64(len(rec)) > int64(l.opts.SegmentBytes) {
@@ -412,10 +429,10 @@ func (l *Log) Append(rec []byte) (LSN, error) {
 	binary.BigEndian.PutUint32(l.hdrBuf[:4], uint32(len(rec)))
 	binary.BigEndian.PutUint32(l.hdrBuf[4:], crc32.Checksum(rec, crcTable))
 	if _, err := l.w.Write(l.hdrBuf[:]); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return 0, l.failLocked(err)
 	}
 	if _, err := l.w.Write(rec); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return 0, l.failLocked(err)
 	}
 	lsn := l.next
 	l.next++
@@ -425,54 +442,120 @@ func (l *Log) Append(rec []byte) (LSN, error) {
 	return lsn, nil
 }
 
-// rotate seals the active segment (flush + fsync) and opens the next one.
-// Called with l.mu held.
+// rotate flushes the active segment's buffer into the OS, hands its file
+// to the next group commit to fsync and close, and opens the next segment
+// with the same bufio.Writer. Nothing here waits on the disk. Called with
+// l.mu held.
 func (l *Log) rotate() error {
-	if err := l.syncLocked(); err != nil {
-		return err
+	if err := l.w.Flush(); err != nil {
+		return l.failLocked(err)
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	f, err := l.createSegment(l.next)
+	if err != nil {
+		return l.failLocked(err)
 	}
-	return l.newSegment(l.next)
+	l.retired = append(l.retired, l.f)
+	l.f = f
+	l.w.Reset(f)
+	return nil
 }
 
-// Sync forces a group commit: everything appended so far is flushed and
+// failLocked makes err the log's sticky failure unless one is already
+// recorded, and returns the recorded one. Called with l.mu held.
+func (l *Log) failLocked(err error) error {
+	if l.failed == nil {
+		l.failed = fmt.Errorf("wal: %w", err)
+	}
+	return l.failed
+}
+
+// Sync forces a group commit: everything appended before it is flushed and
 // fsynced before it returns.
 func (l *Log) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
 		return fmt.Errorf("wal: log is closed")
 	}
-	return l.syncLocked()
+	return l.commit()
 }
 
-func (l *Log) syncLocked() error {
-	if l.synced == l.next-1 {
+// commit is one group commit. Under l.mu it only flushes the buffer and
+// takes the rotated-out files; the fsyncs (those files, the active one, and
+// the directory when a segment was created) run under l.syncMu alone, and
+// SyncedLSN moves to the flushed LSN only once all of them succeeded. A
+// failure is sticky and nothing is retried. Called with l.syncMu held.
+func (l *Log) commit() error {
+	l.mu.Lock()
+	if l.failed != nil {
+		l.mu.Unlock()
+		return l.failed
+	}
+	target := l.next - 1
+	if target == l.synced && len(l.retired) == 0 && !l.dirDirty {
+		l.mu.Unlock()
 		return nil
 	}
 	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		err = l.failLocked(err)
+		l.mu.Unlock()
+		return err
 	}
-	l.flushed = l.next - 1
+	retired, active, dir := l.retired, l.f, l.dirDirty
+	l.retired, l.dirDirty = nil, false
+	l.mu.Unlock()
+
 	var start time.Time
 	if l.fsyncH != nil {
 		start = time.Now()
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if l.fsyncH != nil {
+	err := l.syncFiles(retired, active, dir)
+	if err == nil && l.fsyncH != nil {
 		l.fsyncH.ObserveDuration(time.Since(start))
 	}
-	l.synced = l.next - 1
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err != nil {
+		return l.failLocked(err)
+	}
+	l.synced = target
 	l.stats.Syncs++
 	return nil
 }
 
-// flusher is the group-commit loop: one fsync per SyncInterval while there
-// is unsynced data, so the hot path never waits on the disk.
+// syncFiles fsyncs and closes the rotated-out files, then fsyncs the active
+// file and, when dir is set, the directory. It stops fsyncing at the first
+// error but still closes every retired file. Called with l.syncMu held.
+func (l *Log) syncFiles(retired []*os.File, active *os.File, dir bool) error {
+	var err error
+	for _, f := range retired {
+		if err == nil {
+			err = l.fsync(f)
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = l.fsync(active)
+	}
+	if err == nil && dir {
+		var d *os.File
+		if d, err = os.Open(l.opts.Dir); err == nil {
+			err = l.fsync(d)
+			_ = d.Close()
+		}
+	}
+	return err
+}
+
+// flusher is the group-commit loop: one commit per SyncInterval while
+// there is unsynced data. Appends never wait for it; it stops for good at
+// the first failed commit.
 func (l *Log) flusher() {
 	defer close(l.flusherDone)
 	t := time.NewTicker(l.opts.SyncInterval)
@@ -480,13 +563,13 @@ func (l *Log) flusher() {
 	for {
 		select {
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed {
-				if err := l.syncLocked(); err != nil {
-					l.logf("background sync: %v", err)
-				}
+			l.syncMu.Lock()
+			err := l.commit()
+			l.syncMu.Unlock()
+			if err != nil {
+				l.logf("group commit failed; no fsync will be retried: %v", err)
+				return
 			}
-			l.mu.Unlock()
 		case <-l.flusherStop:
 			return
 		}
@@ -496,17 +579,22 @@ func (l *Log) flusher() {
 // TruncateBefore removes whole segments every record of which is below
 // lsn. The active segment is never removed, so the log always retains its
 // tail; partial segments are kept (pruning is a space bound, not an exact
-// cut).
+// cut). The segments leave the log under the append lock; the unlinks run
+// after it is released.
 func (l *Log) TruncateBefore(lsn LSN) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.segs) > 1 && l.segs[0].last < lsn {
-		if err := os.Remove(l.segs[0].path); err != nil {
-			l.logf("pruning %s: %v", filepath.Base(l.segs[0].path), err)
-			return
+	n := 0
+	for n < len(l.segs)-1 && l.segs[n].last < lsn {
+		n++
+	}
+	doomed := l.segs[:n:n] // appends to l.segs never write below n
+	l.segs = l.segs[n:]
+	l.stats.PrunedSegments += n
+	l.mu.Unlock()
+	for _, s := range doomed {
+		if err := os.Remove(s.path); err != nil {
+			l.logf("pruning %s: %v", filepath.Base(s.path), err)
 		}
-		l.segs = l.segs[1:]
-		l.stats.PrunedSegments++
 	}
 }
 
@@ -574,10 +662,10 @@ func (l *Log) Replay(from LSN, fn func(lsn LSN, rec []byte) error) error {
 		return fmt.Errorf("wal: log is closed")
 	}
 	if err := l.w.Flush(); err != nil {
+		err = l.failLocked(err)
 		l.mu.Unlock()
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
-	l.flushed = l.next - 1
 	segs := make([]segment, len(l.segs))
 	copy(segs, l.segs)
 	l.mu.Unlock()
@@ -637,26 +725,32 @@ func replaySegment(s segment, from LSN, buf *[]byte, fn func(lsn LSN, rec []byte
 	return nil
 }
 
-// Close flushes and fsyncs everything appended, stops the background
-// flusher and closes the active segment. The log is unusable afterwards.
+// Close stops the background flusher, makes everything appended durable
+// with a last group commit and closes the segment files. The log is
+// unusable afterwards; after a failure Close returns the sticky error and
+// fsyncs nothing.
 func (l *Log) Close() error {
 	l.stopFlusher()
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	err := l.syncLocked()
-	if cerr := l.f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("wal: %w", cerr)
-	}
+	l.mu.Unlock()
+	err := l.commit()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closeFilesLocked()
 	return err
 }
 
 // Crash simulates a process crash for tests: the log is closed WITHOUT
 // flushing user-space buffers, so records appended since the last group
-// commit are lost exactly as they would be when the process dies.
+// commit are lost exactly as they would be when the process dies (what a
+// rotation already flushed stays with the OS, as it would).
 func (l *Log) Crash() {
 	l.stopFlusher()
 	l.mu.Lock()
@@ -665,7 +759,17 @@ func (l *Log) Crash() {
 		return
 	}
 	l.closed = true
-	// Drop the bufio contents on the floor; close the fd without syncing.
+	// Drop the bufio contents on the floor; close the fds without syncing.
+	l.closeFilesLocked()
+}
+
+// closeFilesLocked closes the active segment and any rotated-out one no
+// group commit took, without syncing. Called with l.mu held.
+func (l *Log) closeFilesLocked() {
+	for _, f := range l.retired {
+		_ = f.Close()
+	}
+	l.retired = nil
 	_ = l.f.Close()
 }
 
