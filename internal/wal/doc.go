@@ -32,10 +32,9 @@
 // CRC mismatch or an impossible length ends the segment there, and any
 // segment after the tear, or after an LSN gap, is dropped (a crash between
 // a rotation and the next group commit can leave either). The recovered
-// log is always a clean
-// prefix of what was appended — no holes, no reordering, no invented
-// records (FuzzRecovery pins this property under random truncation and
-// byte flips).
+// log is always a clean prefix of what was appended — no holes, no
+// reordering, no invented records (FuzzRecovery pins this property under
+// random truncation and byte flips).
 //
 // Space is reclaimed by TruncateBefore(lsn), which unlinks whole segments
 // every record of which lies below the caller's watermark; rotation at

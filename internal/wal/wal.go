@@ -146,6 +146,15 @@ type Log struct {
 // (export_test.go) to block or fail fsyncs.
 var fsyncFile = (*os.File).Sync
 
+// fsyncTurn lets one group commit at a time in the process fsync. A
+// goroutine blocked in fsync keeps its P (one of GOMAXPROCS) until the
+// runtime's monitor thread takes it back, which can take milliseconds; the
+// logs of one process (an in-process cluster has two per node) commit on
+// the same interval, so their concurrent fsyncs could hold every P at once
+// and stall every goroutine, appenders and event loops included. Taking
+// turns leaves at most one P in an fsync; appends never wait for it.
+var fsyncTurn sync.Mutex
+
 // Open opens (creating if needed) the log in opts.Dir, scanning existing
 // segments and truncating any torn tail so the log ends at the last intact
 // record. The returned log is ready for Append; use Replay to read the
@@ -485,9 +494,10 @@ func (l *Log) Sync() error {
 
 // commit is one group commit. Under l.mu it only flushes the buffer and
 // takes the rotated-out files; the fsyncs (those files, the active one, and
-// the directory when a segment was created) run under l.syncMu alone, and
-// SyncedLSN moves to the flushed LSN only once all of them succeeded. A
-// failure is sticky and nothing is retried. Called with l.syncMu held.
+// the directory when a segment was created) run under l.syncMu and the
+// process's fsyncTurn, and SyncedLSN moves to the flushed LSN only once
+// all of them succeeded. A failure is sticky and nothing is retried.
+// Called with l.syncMu held.
 func (l *Log) commit() error {
 	l.mu.Lock()
 	if l.failed != nil {
@@ -508,6 +518,7 @@ func (l *Log) commit() error {
 	l.retired, l.dirDirty = nil, false
 	l.mu.Unlock()
 
+	fsyncTurn.Lock()
 	var start time.Time
 	if l.fsyncH != nil {
 		start = time.Now()
@@ -516,6 +527,7 @@ func (l *Log) commit() error {
 	if err == nil && l.fsyncH != nil {
 		l.fsyncH.ObserveDuration(time.Since(start))
 	}
+	fsyncTurn.Unlock()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
