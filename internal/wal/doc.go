@@ -16,11 +16,13 @@
 // then fsyncs under a lock of its own while appends go on; a rotation
 // flushes the full segment and hands its file to the next group commit
 // (which fsyncs and closes it, and fsyncs the directory entry of the new
-// segment); pruning unlinks outside the lock. SyncedLSN, and every
-// durable watermark built on it, passes a record only once every file
-// holding records up to it, and the directory entry of every segment
-// created before it, is fsynced. The crash-loss window is bounded by the
-// sync interval.
+// segment); pruning unlinks outside the lock. The logs of one process
+// take turns to fsync, so fsyncs, each of which keeps its goroutine's P
+// until the runtime takes it back, never hold more than one P between
+// them. SyncedLSN, and every durable watermark built on it, passes a
+// record only once every file holding records up to it, and the directory
+// entry of every segment created before it, is fsynced. The crash-loss
+// window is bounded by the sync interval.
 //
 // The first write or fsync error is sticky: Append, Sync and Close return
 // it from then on, SyncedLSN never moves again and no fsync is retried,

@@ -168,6 +168,52 @@ func TestRotationDuringBlockedFsync(t *testing.T) {
 	}
 }
 
+// TestOneFsyncAtATime: the logs of a process take turns to fsync, so while
+// one log's fsync is blocked another log's group commit waits, and its
+// appends do not.
+func TestOneFsyncAtATime(t *testing.T) {
+	entered, release := blockFirstFsync(t)
+	open := func() *Log {
+		l, err := Open(Options{Dir: t.TempDir(), SyncInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	a, b := open(), open()
+	defer a.Close()
+	defer b.Close()
+	defer release() // before the Closes, which wait for the blocked commit
+	if _, err := a.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = a.Sync() }()
+	<-entered
+
+	appended := make(chan struct{})
+	go func() {
+		defer close(appended)
+		if _, err := b.Append([]byte("b")); err != nil {
+			t.Error(err)
+		}
+	}()
+	within(t, appended, "another log's Append")
+	synced := make(chan error, 1)
+	go func() { synced <- b.Sync() }()
+	select {
+	case err := <-synced:
+		t.Fatalf("another log's Sync returned (%v) while an fsync was blocked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got := b.SyncedLSN(); got != 1 {
+		t.Fatalf("SyncedLSN = %d after its turn, want 1", got)
+	}
+}
+
 // TestSyncAndCloseFsyncRotatedSegments: with no background flusher, the
 // segments a rotation hands over wait for the next explicit group commit,
 // Sync or Close, which fsyncs and closes them and fsyncs the directory
