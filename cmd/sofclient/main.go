@@ -8,8 +8,10 @@
 // start time, so a second run under the same -client index never reuses
 // IDs the nodes have already pooled.
 //
-// Submissions travel over the transport's own peer links, so -auth, -tls
-// and -groups mean what they mean on sofnode and must match it; against a sharded deployment the endpoint hosts one reactor per
+// Submissions travel over the transport's own peer links, in the same
+// authenticated, resumable session frames the nodes speak, so -tls and
+// -groups mean what they mean on sofnode and must match it; against a
+// sharded deployment the endpoint hosts one reactor per
 // ordering group, each submitting the requests whose routing key its group
 // orders. Dial and handshake failures are logged with the peer and its
 // address; reaching no order process at all is a non-zero exit.
@@ -53,7 +55,6 @@ func main() {
 		size      = flag.Int("size", 128, "request payload bytes")
 		clientIdx = flag.Int("client", 0, "client index (identity 0..15)")
 		interval  = flag.Duration("interval", 50*time.Millisecond, "gap between submissions")
-		auth      = flag.Bool("auth", false, "authenticated, resumable frame-v2 sessions (must match the nodes' -auth)")
 		bench     = flag.Bool("bench", false, "report submission, transport and (with -listen) commit-side summaries on exit")
 		listen    = flag.String("listen", "", "listen address for the nodes' replies (give it to the nodes via -clients); enables f+1 acceptance, retries and commit-side latency")
 		replyWait = flag.Duration("reply-wait", 5*time.Second, "after the last submission, how long to wait for frames still queued and replies still outstanding")
@@ -69,7 +70,7 @@ func main() {
 	proto := must(types.ParseProtocol(*protoStr))
 	topo := must(types.NewTopology(proto, *f))
 	peers := must(node.PeerAddrs(*peersStr, topo))
-	dealt := must(node.DealFromSecret(crypto.SuiteName(*suiteStr), *secret, topo, *auth, *useTLS))
+	dealt := must(node.DealFromSecret(crypto.SuiteName(*suiteStr), *secret, topo, *useTLS))
 	me := types.ClientID(*clientIdx)
 	if dealt.Idents[me] == nil {
 		log.Fatalf("-client %d outside the %d dealt client identities", *clientIdx, node.SecretClients)

@@ -15,7 +15,7 @@ type config struct {
 	id, f, groups                           int
 	protocol, suite, secret, peers, clients string
 	dataDir, metricsAddr                    string
-	auth, tls                               bool
+	tls                                     bool
 	// knobs are the node's ordering knobs, defaults applied.
 	knobs core.Knobs
 }
@@ -32,8 +32,7 @@ func parseFlags(args []string) config {
 	fs.StringVar(&c.suite, "suite", string(crypto.HMACSHA256), "signature suite (the default is dealer-trust symmetric MACs: no non-repudiation between nodes sharing -secret; the RSA/DSA suites give it)")
 	fs.StringVar(&c.secret, "secret", "streets-of-byzantium", "shared dealer secret")
 	fs.StringVar(&c.peers, "peers", "", "comma-separated node addresses, index = node ID")
-	fs.BoolVar(&c.auth, "auth", false, "authenticate frames: HMAC-sealed frame v2 with authenticated hellos, and sessions that resume across reconnects, replaying in-flight frames (all nodes and clients must agree)")
-	fs.StringVar(&c.dataDir, "data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr/ct), and — with -auth — session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
+	fs.StringVar(&c.dataDir, "data-dir", "", "journal durable node state to this directory: protocol checkpoints (sc/scr/ct) and session state, so a restarted node restores its watermark, catches up on missed commits from its peers, and replays its dead incarnation's in-flight frames")
 	fs.StringVar(&c.clients, "clients", "", "comma-separated client listen addresses (index = client number) whose committed requests this node answers with a signed Reply")
 	fs.IntVar(&c.groups, "groups", 1, "independent ordering groups hosted on this node (sc/scr only; all nodes and clients must agree): each group is a complete ordering cluster with its own coordinator pair — rotated so group g's pair sits on different physical nodes — and its own WAL directory under -data-dir/g<i>, multiplexed over this node's one listener and session")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve the ops surface on this address: /metrics (Prometheus text exposition), /healthz (liveness), /readyz (ready once catch-up is done and a majority of order processes are connected)")

@@ -6,10 +6,9 @@
 // key material on every node, standing in for the paper's trusted dealer
 // (demo-grade key distribution; see internal/crypto.DRBG).
 //
-// With -auth every connection hello and every frame is HMAC-
-// authenticated (frame v2), and reconnects replay in-flight frames from
-// each sender's retransmission ring instead of dropping them. All nodes
-// and clients of a deployment must agree on the flag.
+// Every connection hello and every frame is HMAC-authenticated with link
+// keys the same deal derives (frame v2), and reconnects replay in-flight
+// frames from each sender's retransmission ring instead of dropping them.
 //
 // With -metrics-addr the node serves its live ops surface: /metrics in
 // the Prometheus text exposition format (commit watermark, view and
@@ -28,11 +27,11 @@
 // -data-dir) restores the checkpoint, announces its watermark and
 // catches up on the commits it missed from its peers before resuming
 // ordering — even when the peers' bounded retransmission rings have long
-// pruned the frames it missed. With -auth the node's session state —
-// epochs, delivery watermarks and the sealed-but-unacknowledged frame
-// window — is journalled too, and a restarted node replays the frames the
-// dead incarnation had sealed but never delivered. A crash loses at most
-// one batching interval of records.
+// pruned the frames it missed. The node's session state — epochs,
+// delivery watermarks and the sealed-but-unacknowledged frame window — is
+// journalled too, and a restarted node replays the frames the dead
+// incarnation had sealed but never delivered. A crash loses at most one
+// batching interval of records.
 //
 // With -clients (comma-separated client listen addresses, index = client
 // number) every hosted order process answers each committed entry of
@@ -152,7 +151,7 @@ func run(cfg config, lns listeners, stop <-chan struct{}) error {
 	}
 	if err := (node.Mode{
 		Protocol: proto, Knobs: cfg.knobs, Live: true, Transport: types.TransportTCP,
-		Groups: cfg.groups, AuthFrames: cfg.auth, TLS: cfg.tls,
+		Groups: cfg.groups, TLS: cfg.tls,
 		Durable: cfg.dataDir != "", DataDir: cfg.dataDir,
 	}).Check(); err != nil {
 		return err
@@ -172,7 +171,7 @@ func run(cfg config, lns listeners, stop <-chan struct{}) error {
 	for id, a := range cfg.clientAddrs() {
 		peers[id] = a
 	}
-	dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, topo, cfg.auth, cfg.tls)
+	dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, topo, cfg.tls)
 	if err != nil {
 		return err
 	}
@@ -209,8 +208,8 @@ func run(cfg config, lns listeners, stop <-chan struct{}) error {
 	}
 	tcp.Start()
 	defer tcp.Stop()
-	logger.Printf("up: %v f=%d n=%d groups=%d listening on %s (auth=%v durable=%v tls=%v ingress=%v)",
-		proto, cfg.f, topo.N(), cfg.groups, tcp.Addr(), cfg.auth, cfg.dataDir != "", cfg.tls, cfg.knobs.Ingress.Enabled)
+	logger.Printf("up: %v f=%d n=%d groups=%d listening on %s (durable=%v tls=%v ingress=%v)",
+		proto, cfg.f, topo.N(), cfg.groups, tcp.Addr(), cfg.dataDir != "", cfg.tls, cfg.knobs.Ingress.Enabled)
 
 	// Ops surface: /metrics, /healthz and /readyz (node.Ready — not ready
 	// for exactly the restart catch-up window a rolling upgrade must wait

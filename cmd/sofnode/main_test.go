@@ -33,11 +33,11 @@ func bind(t *testing.T) net.Listener {
 }
 
 // TestClusterInProcess drives the binary's own wiring end to end: four
-// run() invocations form a 4-node SC f=1 cluster on loopback with -auth
-// and an ops listener each, the system's one client (hosted on a
-// TCP node, as sofclient hosts it) submits one request and accepts it once
-// f+1 nodes have answered with verifiable signed replies, and every node's
-// /readyz is 200. Every endpoint is bound before anything starts, so no
+// run() invocations form a 4-node SC f=1 cluster on loopback with an ops
+// listener each, the system's one client (hosted on a TCP node, as
+// sofclient hosts it) submits one request and accepts it once f+1 nodes
+// have answered with verifiable signed replies, and every node's /readyz
+// is 200. Every endpoint is bound before anything starts, so no
 // address is ever guessed.
 func TestClusterInProcess(t *testing.T) {
 	if testing.Short() {
@@ -48,7 +48,7 @@ func TestClusterInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dealt, err := node.DealFromSecret(crypto.HMACSHA256, secret, topo, true, false)
+	dealt, err := node.DealFromSecret(crypto.HMACSHA256, secret, topo, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterInProcess(t *testing.T) {
 		cfg := parseFlags([]string{
 			"-id", fmt.Sprint(i), "-f", fmt.Sprint(f), "-protocol", "sc", "-secret", secret,
 			"-peers", strings.Join(peerAddrs, ","), "-clients", replies.Addr().String(),
-			"-batch", "5ms", "-auth",
+			"-batch", "5ms",
 		})
 		go func() { done <- run(cfg, lns[i], stop) }()
 	}
@@ -168,8 +168,7 @@ func TestSpecParityWithHarness(t *testing.T) {
 			Ingress:            ingress.Config{Enabled: true, Rate: -1, MaxClientPending: 32},
 			Mirror:             true, // the shipped entry points' choice
 			Live:               true, Transport: types.TransportTCP,
-			AuthFrames: true,
-			Durable:    true, DataDir: dir, Groups: 2,
+			Durable: true, DataDir: dir, Groups: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -181,14 +180,14 @@ func TestSpecParityWithHarness(t *testing.T) {
 				"-id", fmt.Sprint(int32(id)), "-f", "1", "-protocol", strings.ToLower(proto.String()),
 				"-batch", "5ms", "-delta", "2s", "-inflight", "8",
 				"-ckpt-interval", "16", "-ingress", "-ingress-rate", "-1", "-ingress-pending", "32",
-				"-auth", "-data-dir", dir, "-groups", "2",
+				"-data-dir", dir, "-groups", "2",
 			})
-			dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, c.Topo, true, false)
+			dealt, err := node.DealFromSecret(crypto.SuiteName(cfg.suite), cfg.secret, c.Topo, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			binary, bench := cfg.spec(proto, c.Topo, dealt), c.NodeSpec(id)
-			if binary.RingLen != bench.RingLen || (binary.Links == nil) != (bench.Links == nil) {
+			if binary.RingLen != bench.RingLen || binary.Links == nil || bench.Links == nil {
 				t.Errorf("%v node %v: transport settings differ: sofnode %+v, harness %+v", proto, id, binary, bench)
 			}
 			for g := 0; g < 2; g++ {

@@ -41,7 +41,7 @@ func newWorld(t *testing.T, proto types.Protocol) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dealt, err := node.DealFromSecret(crypto.HMACSHA256, "client-test", topo, false, false)
+	dealt, err := node.DealFromSecret(crypto.HMACSHA256, "client-test", topo, false)
 	if err != nil {
 		t.Fatal(err)
 	}

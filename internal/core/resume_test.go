@@ -69,7 +69,7 @@ func newResumeSim(t *testing.T, o simOpts) *resumeSim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dealt, err := node.DealFromSecret(crypto.HMACSHA256, "resume-test", topo, false, false)
+	dealt, err := node.DealFromSecret(crypto.HMACSHA256, "resume-test", topo, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,27 +81,25 @@ type Options struct {
 	Live bool
 	// Transport selects the live substrate's medium: in-process message
 	// passing (default) or real loopback TCP sockets with framed,
-	// queue-backed peer links. Ignored when Live is false.
+	// queue-backed peer links. Ignored when Live is false. The TCP wire
+	// is always frame v2: the dealer issues link keys, hellos are
+	// authenticated, every frame carries a per-direction sequence number
+	// and an HMAC-SHA256 trailer, and each sender replays the
+	// unacknowledged frame window from its retransmission ring after a
+	// reconnect, so a dropped connection loses nothing.
 	Transport types.Transport
-	// AuthFrames upgrades the TCP transport to frame v2: the dealer
-	// issues link keys, hellos are authenticated, every frame carries a
-	// per-direction sequence number and an HMAC-SHA256 trailer, and each
-	// sender replays the unacknowledged frame window from its
-	// retransmission ring after a reconnect, so a dropped connection
-	// loses nothing. Requires the live TCP transport.
-	AuthFrames bool
-	// SessionResume is a synonym for AuthFrames: authenticated sessions
-	// always resume.
+	// AuthFrames and SessionResume are ignored: every TCP cluster speaks
+	// authenticated sessions, and they always resume.
 	//
-	// Deprecated: kept while the bench module still sets it.
-	SessionResume bool
+	// Deprecated: kept while the bench module still sets them.
+	AuthFrames, SessionResume bool
 	// SessionRingLen bounds each sender's retransmission ring, in frames
 	// (0 = session.DefaultRingLen). Frames evicted from a full ring can
 	// never be replayed — a long-dead peer's backlog is pruned, and its
 	// recovery falls to the protocol-level checkpoint catch-up.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in write-ahead logs:
-	// SC/SCR/CT protocol checkpoints and — with AuthFrames — each node's
+	// SC/SCR/CT protocol checkpoints and — on TCP — each node's
 	// session state, so a *restarted* process keeps its session epoch and
 	// replays the frames its dead incarnation had sealed but not
 	// delivered. Group commit batches fsyncs on the BatchInterval; a crash
@@ -182,9 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Groups == 0 {
 		o.Groups = 1
-	}
-	if o.SessionResume {
-		o.AuthFrames = true
 	}
 	return o
 }
@@ -271,7 +266,6 @@ func New(opts Options) (*Cluster, error) {
 		Live:        opts.Live,
 		Transport:   opts.Transport,
 		Groups:      opts.Groups,
-		AuthFrames:  opts.AuthFrames,
 		RingLen:     opts.SessionRingLen,
 		Shaping:     opts.TCPShaping,
 		TLS:         opts.TLS,
@@ -357,10 +351,8 @@ func New(opts Options) (*Cluster, error) {
 		if opts.Logger != nil {
 			c.tcp.SetLogger(opts.Logger)
 		}
-		if opts.AuthFrames {
-			if c.base.Links, err = issueLinks(dealer, opts); err != nil {
-				return nil, err
-			}
+		if c.base.Links, err = issueLinks(dealer, opts); err != nil {
+			return nil, err
 		}
 		if opts.TLS {
 			c.base.TLSServer, c.base.TLSClient, err = tcpnet.DevTLS(fmt.Sprintf("harness/%d", opts.Seed))

@@ -77,10 +77,7 @@ func TestStoppedClusterIsCollectable(t *testing.T) {
 	for name, mutate := range map[string]func(*Options){
 		"sim":  func(*Options) {},
 		"live": func(o *Options) { o.Live = true },
-		"tcp": func(o *Options) {
-			o.Live, o.Transport = true, types.TransportTCP
-			o.AuthFrames = true
-		},
+		"tcp":  func(o *Options) { o.Live, o.Transport = true, types.TransportTCP },
 	} {
 		t.Run(name, func(t *testing.T) {
 			procs := stoppedCluster(t, mutate)

@@ -201,7 +201,7 @@ func baseOptions(profile string, seed int64) Options {
 	}
 }
 
-// durableOptions layers WAL-backed checkpoints and resumable sessions on
+// durableOptions layers WAL-backed checkpoints and session journals on
 // top, so nodes may be killed and restarted mid-scenario.
 func (g *campaign) durableOptions(profile, name string, seed int64) (Options, error) {
 	o := baseOptions(profile, seed)
@@ -212,7 +212,6 @@ func (g *campaign) durableOptions(profile, name string, seed int64) (Options, er
 	o.Durable = true
 	o.DataDir = dir
 	o.CheckpointInterval = 8
-	o.AuthFrames = true
 	return o, nil
 }
 

@@ -23,13 +23,13 @@ type Mode struct {
 	Live      bool
 	Transport types.Transport
 	Groups    int
-	// AuthFrames, Shaping and TLS are properties of the TCP transport;
-	// RingLen bounds an authenticated session's retransmission ring.
-	AuthFrames, Shaping, TLS bool
-	RingLen                  int
-	Durable                  bool
-	DataDir                  string
-	Adversaries              bool
+	// Shaping, TLS and RingLen (the bound on a session's retransmission
+	// ring) are properties of the TCP transport.
+	Shaping, TLS bool
+	RingLen      int
+	Durable      bool
+	DataDir      string
+	Adversaries  bool
 }
 
 // Check rejects the knob values no order process accepts and the
@@ -45,8 +45,7 @@ func (m Mode) Check() error {
 		what, need string
 	}{
 		{m.Transport == types.TransportTCP, m.Live, "the TCP transport", "a live cluster (the simulator has its own substrate)"},
-		{m.AuthFrames, tcp, "AuthFrames", "the live TCP transport"},
-		{m.RingLen != 0, m.AuthFrames, "SessionRingLen", "AuthFrames"},
+		{m.RingLen != 0, tcp, "SessionRingLen", "the live TCP transport"},
 		{m.Shaping, tcp, "network shaping", "the live TCP transport"},
 		{m.TLS, tcp, "TLS", "the live TCP transport"},
 		{m.Groups > 1, tcp, "Groups > 1", "the live TCP transport"},
@@ -89,8 +88,7 @@ const SecretClients = 16
 // deployment derives for itself.
 type Dealt struct {
 	Idents map[types.NodeID]*crypto.Identity
-	// Links is nil without authenticated frames; the TLS pair is nil
-	// without TLS.
+	// Links authenticates every frame; the TLS pair is nil without TLS.
 	Links                *crypto.LinkKeys
 	TLSServer, TLSClient *tls.Config
 }
@@ -99,9 +97,9 @@ type Dealt struct {
 // processes: every node and client runs it with the same arguments and
 // derives identical keys, because the dealer draws from one deterministic
 // stream in one fixed order — identities for the order processes, then
-// SecretClients clients, then (with auth) the link keys. The DevTLS
-// certificate derives from the secret alone.
-func DealFromSecret(suite crypto.SuiteName, secret string, topo types.Topology, auth, useTLS bool) (*Dealt, error) {
+// SecretClients clients, then the link keys. The DevTLS certificate
+// derives from the secret alone.
+func DealFromSecret(suite crypto.SuiteName, secret string, topo types.Topology, useTLS bool) (*Dealt, error) {
 	impl, err := crypto.ByName(suite)
 	if err != nil {
 		return nil, err
@@ -115,10 +113,8 @@ func DealFromSecret(suite crypto.SuiteName, secret string, topo types.Topology, 
 	if d.Idents, _, err = dealer.Issue(ids); err != nil {
 		return nil, err
 	}
-	if auth {
-		if d.Links, err = dealer.IssueLinks(); err != nil {
-			return nil, err
-		}
+	if d.Links, err = dealer.IssueLinks(); err != nil {
+		return nil, err
 	}
 	if useTLS {
 		if d.TLSServer, d.TLSClient, err = tcpnet.DevTLS(secret); err != nil {

@@ -60,8 +60,10 @@ type Spec struct {
 	// negative. Both group-commit on BatchInterval.
 	DataDir string
 
-	// Links upgrades the transport to authenticated, resumable sessions
-	// (nil = plain frames); RingLen bounds each sender's replay ring.
+	// Links are the deployment's link keys: every TCP endpoint speaks
+	// authenticated, resumable sessions (frame v2), so Listen refuses a
+	// spec without them. Nil only for nodes of an in-process substrate.
+	// RingLen bounds each sender's replay ring.
 	Links   *crypto.LinkKeys
 	RingLen int
 	// TLSServer and TLSClient wrap every connection when set.
@@ -337,13 +339,10 @@ func (n *Node) TCPOptions() tcpnet.Options {
 		TLSClient: s.TLSClient,
 		Shape:     s.Shape,
 		Metrics:   s.Registry,
+		Session:   &session.Config{Keys: s.Links, RingLen: s.RingLen},
 	}
-	if s.Links != nil {
-		cfg := &session.Config{Keys: s.Links, RingLen: s.RingLen}
-		if n.session != nil {
-			cfg.Journal = n.session
-		}
-		o.Session = cfg
+	if n.session != nil {
+		o.Session.Journal = n.session
 	}
 	return o
 }
@@ -351,10 +350,15 @@ func (n *Node) TCPOptions() tcpnet.Options {
 // Listen binds the node's TCP endpoint on addr — or adopts ln, when the
 // caller had to know the address first — hosting procs: the node's own
 // order processes, or a client endpoint's reactors. One group speaks the
-// plain wire format, more the group-prefixed one.
+// plain message format, more the group-prefixed one; either travels in
+// authenticated session frames, so a spec without link keys is refused.
 func (n *Node) Listen(addr string, ln net.Listener, procs []runtime.Process,
 	peers map[types.NodeID]string) (*runtime.TCPNode, error) {
-	s, opts := n.spec, n.TCPOptions()
+	s := n.spec
+	if s.Links == nil {
+		return nil, fmt.Errorf("node: %v has no link keys; a TCP endpoint needs them", s.Self)
+	}
+	opts := n.TCPOptions()
 	opts.Listener = ln
 	return runtime.NewTCPNode(s.Self, addr, s.Idents[s.Self], procs, peers, s.Logger, opts)
 }

@@ -21,7 +21,7 @@ func testSpec(t *testing.T, proto types.Protocol, self types.NodeID, groups int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dealt, err := DealFromSecret(crypto.HMACSHA256, "node-test", topo, true, false)
+	dealt, err := DealFromSecret(crypto.HMACSHA256, "node-test", topo, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,26 +91,43 @@ func TestClientEndpoint(t *testing.T) {
 	}
 }
 
+// TestListenRequiresLinks: every TCP endpoint speaks authenticated
+// session frames, so Listen refuses a spec without link keys.
+func TestListenRequiresLinks(t *testing.T) {
+	spec := testSpec(t, types.SC, 0, 1)
+	spec.Links = nil
+	n, err := Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if tcp, err := n.Listen("127.0.0.1:0", nil, n.Procs, nil); err == nil {
+		tcp.Stop()
+		t.Fatal("Listen accepted a spec without link keys")
+	}
+}
+
 // TestDataDirLayout pins sofnode's on-disk layout, which existing nodes
 // restart against: <dir>/session, <dir>/proto, and <dir>/g<i>/proto when
 // sharded; a negative CheckpointInterval opens no checkpoint store, and
-// without link keys there is no session journal.
+// a node without link keys — an in-process substrate's — has no session
+// journal.
 func TestDataDirLayout(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		groups, ckpt    int
-		auth            bool
+		links           bool
 		present, absent []string
 	}{
 		{"single", 1, 0, true, []string{"session", "proto"}, []string{"g0"}},
 		{"sharded", 2, 0, true, []string{"session", "g0/proto", "g1/proto"}, []string{"proto"}},
 		{"no-checkpoints", 1, -1, true, []string{"session"}, []string{"proto"}},
-		{"no-auth", 1, 0, false, []string{"proto"}, []string{"session"}},
+		{"in-process", 1, 0, false, []string{"proto"}, []string{"session"}},
 	} {
 		spec := testSpec(t, types.SC, 0, tc.groups)
 		spec.DataDir = t.TempDir()
 		spec.CheckpointInterval = tc.ckpt
-		if !tc.auth {
+		if !tc.links {
 			spec.Links = nil
 		}
 		n, err := Build(spec)
@@ -226,8 +243,7 @@ func TestModeCheck(t *testing.T) {
 	inProcess := types.TransportInProcess
 	for name, mutate := range map[string]func(*Mode){
 		"tcp simulated":           func(m *Mode) { m.Live = false },
-		"auth off tcp":            func(m *Mode) { m.Transport, m.AuthFrames = inProcess, true },
-		"ring without auth":       func(m *Mode) { m.RingLen = 8 },
+		"ring off tcp":            func(m *Mode) { m.Transport, m.RingLen = inProcess, 8 },
 		"shaping off tcp":         func(m *Mode) { m.Transport, m.Shaping = inProcess, true },
 		"tls off tcp":             func(m *Mode) { m.Transport, m.TLS = inProcess, true },
 		"groups off tcp":          func(m *Mode) { m.Transport, m.Groups = inProcess, 2 },
@@ -261,7 +277,7 @@ func TestModeCheck(t *testing.T) {
 func TestDealFromSecretIsDeterministic(t *testing.T) {
 	topo, _ := types.NewTopology(types.SC, 1)
 	deal := func(secret string) *Dealt {
-		d, err := DealFromSecret(crypto.HMACSHA256, secret, topo, true, true)
+		d, err := DealFromSecret(crypto.HMACSHA256, secret, topo, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +305,7 @@ func TestDealFromSecretIsDeterministic(t *testing.T) {
 	if a.TLSServer == nil || a.TLSClient == nil {
 		t.Error("no DevTLS pair dealt")
 	}
-	if plain, _ := DealFromSecret(crypto.HMACSHA256, "s", topo, false, false); plain.Links != nil || plain.TLSServer != nil {
-		t.Error("link keys or TLS dealt without being asked for")
+	if noTLS, _ := DealFromSecret(crypto.HMACSHA256, "s", topo, false); noTLS.Links == nil || noTLS.TLSServer != nil {
+		t.Error("without TLS the deal must still hold link keys, and no TLS pair")
 	}
 }

@@ -1,10 +1,11 @@
 // Package session implements per-peer sequenced, HMAC-authenticated,
 // resumable sessions over the tcpnet framed transport ("frame v2").
 //
-// The v1 TCP wire accepts any 4-byte hello as a peer identity and
-// abandons in-flight frames when a connection dies; only the protocol
-// signatures inside messages authenticate content. This package closes
-// both gaps beneath the protocol layer, in the spirit of the
+// Every TCP link the system builds runs through it. tcpnet's raw v1
+// loopback accepts any 4-byte hello as a peer identity and abandons
+// in-flight frames when a connection dies; only the protocol signatures
+// inside messages authenticate content. This package closes both gaps
+// beneath the protocol layer, in the spirit of the
 // authenticated point-to-point channels BFT-style systems assume
 // (Castro-Liskov session MACs):
 //
@@ -25,7 +26,7 @@
 // connection readers, internally locked) mirrors how tcpnet uses one
 // unidirectional TCP connection per direction.
 //
-// Wire layout, carried inside a v1 length-prefixed frame:
+// Wire layout, carried inside tcpnet's length-prefixed frame:
 //
 //	data:  ver(1)=2 | kind(1)=1 | epoch(8) | seq(8) | body | mac(32)
 //	hello: ver(1)=2 | kind(1)=2 | from(4) | to(4) | epoch(8) | mac(32)

@@ -63,8 +63,7 @@ var (
 )
 
 // Config describes one endpoint's session parameters; all endpoints of a
-// deployment must agree on Keys and on whether sessions are enabled at
-// all (a v2 endpoint rejects bare v1 hellos and vice versa).
+// deployment must agree on Keys.
 type Config struct {
 	// Keys is the dealer-issued link-key material MACs are derived from.
 	Keys *crypto.LinkKeys

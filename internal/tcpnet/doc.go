@@ -9,21 +9,22 @@
 // it only through a TCPNode. A client endpoint is a Transport like any
 // other: there is one dial path and one handshake.
 //
-// Wire format v1 (Options.Session == nil): on connect, the dialer sends a
-// 4-byte big-endian NodeID hello; thereafter each message is a 4-byte
-// big-endian length prefix followed by the marshalled message (a frame).
-// Connections identify the sender by claim only; message-level signatures
-// still authenticate content.
+// Wire format v2 (Options.Session != nil), the one every endpoint that
+// internal/node builds speaks: each message is a 4-byte big-endian length
+// prefix followed by its payload (a frame); on connect the dialer and the
+// acceptor run an HMAC-authenticated hello/ack handshake, and every frame
+// payload carries a version byte, a per-direction sequence number and an
+// HMAC-SHA256 trailer (see internal/session). Sender identity is
+// cryptographically bound to the dealer's link keys, tampered frames are
+// rejected before reaching protocol code, and each sender's bounded
+// retransmission ring replays the in-flight window after a reconnect
+// instead of losing it.
 //
-// Wire format v2 (Options.Session != nil): the same length-prefixed
-// framing, but the bare hello becomes an HMAC-authenticated hello/ack
-// handshake and every frame payload carries a version byte, a
-// per-direction sequence number and an HMAC-SHA256 trailer (see
-// internal/session). Sender identity is then cryptographically bound to
-// the dealer's link keys, tampered frames are rejected before reaching
-// protocol code, and each sender's bounded retransmission ring replays
-// the in-flight window after a reconnect instead of losing it. All endpoints of a deployment must agree on the
-// setting.
+// Wire format v1 (Options.Session == nil) remains only as this package's
+// raw loopback, which the benchmark module measures: the same framing
+// after a bare 4-byte NodeID hello, senders identified by claim alone,
+// and a batch abandoned when its connection dies. The two formats do
+// not interoperate.
 //
 // Performance model:
 //

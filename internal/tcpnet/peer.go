@@ -28,20 +28,21 @@ type PeerStats struct {
 	// Sent counts queued frames that have been written to a live
 	// connection at least once (with sessions: written, or replayed by
 	// the handshake that followed their sealing). Queued - Sent frames
-	// are still waiting for the link; a plain-frame batch abandoned on a
-	// write error is never counted.
+	// are still waiting for the link; a v1 batch abandoned on a write
+	// error is never counted.
 	Sent uint64
 	// Dropped counts frames discarded because the peer's bounded send
 	// queue was full (backpressure from a slow or unreachable peer).
 	Dropped uint64
 	// Retransmitted counts frames replayed from the session ring after a
 	// reconnect that had already been written to a connection, or that a
-	// previous incarnation may have sent (always 0 without sessions or
-	// with resume off). Frames sealed before the first connection came up
+	// previous incarnation may have sent (always 0 on the raw v1
+	// loopback). Frames sealed before the first connection came up
 	// reach the peer in its handshake's replay and are not counted.
 	Retransmitted uint64
-	// SessionLost counts frames a session reconnect could not recover
-	// (evicted from the retransmission ring, or resume disabled).
+	// SessionLost counts frames a session reconnect could not recover:
+	// evicted from the retransmission ring before the peer acknowledged
+	// them.
 	SessionLost uint64
 	// Reconnects counts connections torn down after a write error and
 	// redialled.

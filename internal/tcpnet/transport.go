@@ -36,13 +36,13 @@ type Options struct {
 	// RedialMin and RedialMax bound the jittered exponential backoff
 	// between redial attempts to a dead peer (defaults 50 ms and 2 s).
 	RedialMin, RedialMax time.Duration
-	// Session, when non-nil, upgrades the wire to frame v2: HMAC-
-	// authenticated hellos and data frames with per-direction sequence
-	// numbers, and gap replay on reconnect. Every
-	// endpoint of a deployment must agree on this setting — a v2
-	// endpoint rejects bare v1 hellos and vice versa. With
-	// Session.Journal the session state is durable and Start eagerly
-	// redials peers whose previous-incarnation frames await replay.
+	// Session selects frame v2: HMAC-authenticated hellos and data
+	// frames with per-direction sequence numbers, and gap replay on
+	// reconnect. Every endpoint internal/node builds sets it; nil leaves
+	// the raw v1 loopback (see the package doc), and a v2 endpoint
+	// rejects bare v1 hellos. With Session.Journal the session state is
+	// durable and Start eagerly redials peers whose previous-incarnation
+	// frames await replay.
 	Session *session.Config
 	// HandshakeTimeout bounds the dial-side wait for the session
 	// hello-ack (default 5 s). Ignored without Session.

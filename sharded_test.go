@@ -212,7 +212,6 @@ func TestPublicAPISharded2GroupKillRestartZeroLoss(t *testing.T) {
 		F:             1,
 		Groups:        2,
 		Transport:     sof.TCP,
-		AuthFrames:    true,
 		Durable:       true,
 		DataDir:       t.TempDir(),
 		NetShaping:    true,

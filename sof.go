@@ -164,29 +164,27 @@ type Config struct {
 	Simulated bool
 	// Transport selects the live substrate's medium: InProcess (the zero
 	// value) or TCP. Incompatible with Simulated (the simulator has its
-	// own virtual substrate).
+	// own virtual substrate). TCP speaks one wire, frame v2: the trusted
+	// dealer issues link keys, connection hellos are HMAC-authenticated
+	// instead of claimed, and every frame carries a per-direction
+	// sequence number plus an HMAC-SHA256 trailer, so a frame not
+	// produced by the claimed sender is rejected before it reaches
+	// protocol code. The sessions resume: each sender keeps a bounded
+	// retransmission ring and, after a reconnect, replays exactly the
+	// frames the peer had not delivered, so a dropped connection loses
+	// nothing in flight.
 	Transport Transport
-	// AuthFrames (TCP transport only) upgrades the wire to frame v2:
-	// the trusted dealer issues link keys, connection hellos are
-	// HMAC-authenticated instead of claimed, and every frame carries a
-	// per-direction sequence number plus an HMAC-SHA256 trailer, so a
-	// frame not produced by the claimed sender is rejected before it
-	// reaches protocol code. The sessions resume: each sender keeps a
-	// bounded retransmission ring and, after a reconnect, replays exactly
-	// the frames the peer had not delivered, so a dropped connection
-	// loses nothing in flight.
-	AuthFrames bool
 	// SessionRingLen bounds each sender's retransmission ring, in frames
 	// (0 = the session default, 1024). The ring is the transport's memory
 	// bound per peer: frames evicted from a full ring — e.g. the backlog
 	// accumulated for a long-dead peer — can never be replayed, and a
 	// restarted peer then recovers through the protocol-level checkpoint
-	// catch-up instead (Durable). Requires AuthFrames.
+	// catch-up instead (Durable). Requires Transport: TCP.
 	SessionRingLen int
 	// Durable persists per-node state under DataDir in segmented,
 	// CRC-checked write-ahead logs, making the order processes' state
 	// survive process crashes: their protocol checkpoints
-	// (CheckpointInterval) and — with AuthFrames — each node's
+	// (CheckpointInterval) and — on TCP — each node's
 	// transport-session state, so a *restarted* process keeps its
 	// session epoch and replays exactly the frames its dead incarnation
 	// had sealed but not delivered. Writes are group-committed on the
@@ -198,7 +196,7 @@ type Config struct {
 	// processes remember the old ones, and the client's session journal
 	// replays its undelivered ones — the built-in client draws IDs from
 	// the cluster's start time in nanoseconds (from 0 without Durable).
-	// With AuthFrames the session link master is kept in
+	// On TCP the session link master is kept in
 	// <DataDir>/link-master (mode 0600), so replayed frames still verify.
 	// Requires DataDir and a live cluster (Simulated: false).
 	Durable bool
@@ -278,8 +276,9 @@ type Config struct {
 	// links alike — in TLS 1.3 with a deterministic development identity
 	// derived from Seed (server authentication; both sides of a link
 	// derive the same self-signed root from the shared secret, see
-	// tcpnet.DevTLS). Requires Transport: TCP. Production deployments
-	// would supply real certificates through the tcpnet options instead.
+	// tcpnet.DevTLS). The authenticated session frames travel inside it.
+	// Requires Transport: TCP. Production deployments would supply real
+	// certificates through the tcpnet options instead.
 	ClientTLS bool
 	// Seed seeds simulated network jitter.
 	Seed int64
@@ -363,7 +362,6 @@ func (cfg Config) options() harness.Options {
 		Seed:               cfg.Seed,
 		Live:               !cfg.Simulated,
 		Transport:          cfg.Transport,
-		AuthFrames:         cfg.AuthFrames,
 		SessionRingLen:     cfg.SessionRingLen,
 		Durable:            cfg.Durable,
 		DataDir:            cfg.DataDir,

@@ -406,7 +406,6 @@ func TestPublicAPIDurableKillRestartZeroLoss(t *testing.T) {
 		Protocol:      sof.SC,
 		F:             1,
 		Transport:     sof.TCP,
-		AuthFrames:    true,
 		Durable:       true,
 		DataDir:       t.TempDir(),
 		NetShaping:    true,
@@ -462,7 +461,6 @@ func TestPublicAPIKillRestartLosesWindowWithoutDurable(t *testing.T) {
 		Protocol:      sof.SC,
 		F:             1,
 		Transport:     sof.TCP,
-		AuthFrames:    true,
 		NetShaping:    true,
 		BatchInterval: 10 * time.Millisecond,
 	})
@@ -506,7 +504,6 @@ func TestPublicAPIDurableReopenContinuesRequestIDs(t *testing.T) {
 			Protocol:      sof.SC,
 			F:             1,
 			Transport:     sof.TCP,
-			AuthFrames:    true,
 			Durable:       true,
 			DataDir:       dir,
 			NetShaping:    true,
@@ -690,7 +687,6 @@ func durableRestartCatchUpZeroLoss(t *testing.T, proto sof.Protocol) {
 		Protocol:           proto,
 		F:                  1,
 		Transport:          sof.TCP,
-		AuthFrames:         true,
 		SessionRingLen:     16,
 		Durable:            true,
 		DataDir:            t.TempDir(),
@@ -787,7 +783,6 @@ func TestPublicAPIRestartCatchUpLostWithoutProtolog(t *testing.T) {
 		Protocol:           sof.SC,
 		F:                  1,
 		Transport:          sof.TCP,
-		AuthFrames:         true,
 		SessionRingLen:     16,
 		Durable:            true,
 		DataDir:            t.TempDir(),
@@ -816,9 +811,6 @@ func TestPublicAPICheckpointConfigValidation(t *testing.T) {
 	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, CheckpointInterval: 4}); err == nil {
 		t.Error("CheckpointInterval accepted without Durable")
 	}
-	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, SessionRingLen: 8}); err == nil {
-		t.Error("SessionRingLen accepted without AuthFrames")
-	}
 }
 
 // TestPublicAPITCPRejectsSimulated pins the config validation: the
@@ -833,22 +825,23 @@ func TestPublicAPITCPRejectsSimulated(t *testing.T) {
 	}
 }
 
-// TestPublicAPIAuthRequiresTCP pins the config validation: authenticated
-// sessions are a TCP-transport feature.
-func TestPublicAPIAuthRequiresTCP(t *testing.T) {
-	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, AuthFrames: true}); err == nil {
-		t.Fatal("AuthFrames accepted without Transport: TCP")
+// TestPublicAPISessionRingLenRequiresTCP pins the config validation:
+// authenticated sessions, and the ring that bounds their replay, are the
+// TCP transport's.
+func TestPublicAPISessionRingLenRequiresTCP(t *testing.T) {
+	if _, err := sof.NewCluster(sof.Config{Protocol: sof.SC, SessionRingLen: 8}); err == nil {
+		t.Fatal("SessionRingLen accepted without Transport: TCP")
 	}
 }
 
 // TestPublicAPISessionResumeNoFrameLoss is the kill-and-restart
-// acceptance test: an SC cluster over TCP with AuthFrames alone — whose
+// acceptance test: an SC cluster on the default TCP configuration — whose
 // authenticated sessions always resume — has every live connection
 // forcibly killed repeatedly while requests are in flight, and still
 // commits every submitted request at every order process — zero frame
-// loss. (Plain frames abandon in-flight frames on reconnect, so nodes
-// behind a killed connection would miss order batches forever in a
-// fail-free run.)
+// loss. (Frames without sessions abandon in-flight frames on reconnect,
+// so nodes behind a killed connection would miss order batches forever
+// in a fail-free run.)
 func TestPublicAPISessionResumeNoFrameLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration test")
@@ -857,7 +850,6 @@ func TestPublicAPISessionResumeNoFrameLoss(t *testing.T) {
 		Protocol:      sof.SC,
 		F:             1,
 		Transport:     sof.TCP,
-		AuthFrames:    true,
 		BatchInterval: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -967,7 +959,6 @@ func TestPublicAPIPipelinedPrimaryRestartResumesJournalledSeq(t *testing.T) {
 		Protocol:           sof.SC,
 		F:                  1,
 		Transport:          sof.TCP,
-		AuthFrames:         true,
 		Durable:            true,
 		DataDir:            t.TempDir(),
 		CheckpointInterval: 4,
@@ -1028,7 +1019,6 @@ func TestPublicAPIPrimaryRestartRefusedWithoutJournal(t *testing.T) {
 		Protocol:           sof.SC,
 		F:                  1,
 		Transport:          sof.TCP,
-		AuthFrames:         true,
 		Durable:            true,
 		DataDir:            t.TempDir(),
 		CheckpointInterval: -1,
