@@ -75,12 +75,8 @@ func TestCheckpointWatermarkPrunesCommittedHistory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(20 * time.Second)
-		for !c.Events.Committed(id) {
-			if time.Now().After(deadline) {
-				t.Fatalf("request %d never committed", i)
-			}
-			time.Sleep(2 * time.Millisecond)
+		if c.AwaitCommit(20*time.Second, id) != 0 {
+			t.Fatalf("request %d never committed", i)
 		}
 	}
 

@@ -154,9 +154,10 @@ type Options struct {
 	KeepCommits bool
 	// CommitRetention bounds how many commit events the recorder retains
 	// when KeepCommits is set (0 = unlimited), and how many results each
-	// replica keeps. The O(1) committed-request index is kept regardless
-	// of eviction. Values smaller than a few commit waves (one event per
-	// process per batch) are raised to that floor.
+	// replica keeps. The committed-request index keeps a request while
+	// the ring keeps the event that first committed it (all of them
+	// without KeepCommits). Values smaller than a few commit waves (one
+	// event per process per batch) are raised to that floor.
 	CommitRetention int
 	// StateMachine, when non-nil, is instantiated once per order process
 	// per group: each replica executes its process's commits on that
@@ -308,6 +309,7 @@ func New(opts Options) (*Cluster, error) {
 	for g := 0; g < c.groups; g++ {
 		c.groupTopos[g] = topo.Rotated(g)
 		c.recorders[g] = NewRecorder(opts.KeepCommits, opts.CommitRetention)
+		c.recorders[g].wake = c.recorders[0].wake // one signal for AwaitCommit
 	}
 	c.Events = c.recorders[0]
 	// Identities for every order process and client, from the trusted
@@ -792,6 +794,59 @@ func (c *Cluster) RecorderOf(group int) *Recorder {
 		return nil
 	}
 	return c.recorders[group]
+}
+
+// AwaitCommit waits until every request in ids has committed at some
+// process of some group, or until timeout, and returns how many had not.
+// On the simulator it advances virtual time in steps; live, it sleeps on
+// the commit signal the group recorders share between checks of their
+// committed indexes.
+func (c *Cluster) AwaitCommit(timeout time.Duration, ids ...message.ReqID) (missing int) {
+	done := 0 // ids[:done] have committed
+	settled := func() bool {
+		for done < len(ids) && c.committed(ids[done]) {
+			done++
+		}
+		return done == len(ids)
+	}
+	if c.sched != nil {
+		const step = 5 * time.Millisecond
+		for waited := time.Duration(0); !settled() && waited < timeout; waited += step {
+			c.sched.RunFor(step)
+		}
+	} else {
+		w := c.Events.wake
+		w.waiting.Add(1)
+		defer w.waiting.Add(-1)
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+	wait:
+		// The channel is taken before each check, so a commit after the
+		// check closes it.
+		for wake := w.next(); !settled(); wake = w.next() {
+			select {
+			case <-wake:
+			case <-timer.C:
+				break wait
+			}
+		}
+	}
+	for _, id := range ids[done:] {
+		if !c.committed(id) {
+			missing++
+		}
+	}
+	return missing
+}
+
+// committed reports whether any group's recorder indexes id.
+func (c *Cluster) committed(id message.ReqID) bool {
+	for _, rec := range c.recorders {
+		if rec.Committed(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // injectGroup runs fn inside the event loop of node id's group-th order

@@ -37,13 +37,10 @@ func stoppedCluster(t *testing.T, mutate func(*Options)) []weak.Pointer[core.Pro
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !c.Events.Committed(first) {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never committed")
-		}
-		c.RunFor(5 * time.Millisecond)
+	if c.AwaitCommit(10*time.Second, first) != 0 {
+		t.Fatal("first request never committed")
 	}
+	deadline := time.Now().Add(10 * time.Second)
 	primary, err := c.Topo.ReplicaID(1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -181,5 +182,27 @@ func TestRecorderForgetsCommittedBatches(t *testing.T) {
 	}
 	if n := r.LatencySummary().Count; n != r.BatchCount() {
 		t.Errorf("%d latency samples for %d first commits", n, r.BatchCount())
+	}
+}
+
+// TestOrderViolationsReportDoubleOrdering: the campaign's order check
+// flags a request committed at two sequence numbers, even where every
+// sequence number maps to one request.
+func TestOrderViolationsReportDoubleOrdering(t *testing.T) {
+	r := NewRecorder(true, 0)
+	for node := range 2 {
+		for seq := 1; seq <= 2; seq++ {
+			ev := commitAt(seq)
+			ev.Node = types.NodeID(node)
+			ev.Entries[0].Req = reqID(1) // the same request at seq 1 and 2
+			r.OnCommit(ev)
+		}
+	}
+	got := orderViolationsIn(r, nil)
+	if len(got) != 2 || !strings.Contains(got[0], "ordered twice") {
+		t.Fatalf("violations = %q, want request 0/1 ordered twice, once per process", got)
+	}
+	if got := orderViolationsIn(NewRecorder(true, 0), nil); len(got) != 0 {
+		t.Fatalf("violations on no commits = %q", got)
 	}
 }

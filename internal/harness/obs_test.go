@@ -47,12 +47,8 @@ func submitAndCommit(t *testing.T, c *Cluster, n, offset int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(20 * time.Second)
-		for !c.Events.Committed(id) {
-			if time.Now().After(deadline) {
-				t.Fatalf("request %d never committed", offset+i)
-			}
-			time.Sleep(2 * time.Millisecond)
+		if c.AwaitCommit(20*time.Second, id) != 0 {
+			t.Fatalf("request %d never committed", offset+i)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/core"
@@ -22,7 +23,11 @@ type batchKey struct {
 // stream with cursors (see Recorder.CommitsSince), so steady-state reads
 // cost O(new events), never O(history).
 type commitRing struct {
-	buf   []core.CommitEvent
+	buf []core.CommitEvent
+	// first[i] marks buf[i] as the first commit of some request, so
+	// evicting the other events — the rest of the processes' copies of a
+	// batch — costs no index lookups.
+	first []bool
 	limit int    // max retained events; 0 = unbounded
 	head  int    // index in buf of the oldest retained event
 	total uint64 // events ever appended
@@ -35,12 +40,13 @@ type commitRing struct {
 // sinceChunk is how many events a chunk of since's results holds.
 const sinceChunk = 256
 
-func (r *commitRing) append(ev core.CommitEvent) {
+func (r *commitRing) append(ev core.CommitEvent, first bool) {
 	switch {
 	case r.limit <= 0 || len(r.buf) < r.limit:
 		r.buf = append(r.buf, ev)
+		r.first = append(r.first, first)
 	default:
-		r.buf[r.head] = ev
+		r.buf[r.head], r.first[r.head] = ev, first
 		r.head++
 		if r.head == len(r.buf) {
 			r.head = 0
@@ -51,6 +57,15 @@ func (r *commitRing) append(ev core.CommitEvent) {
 
 // oldest returns the absolute position of the oldest retained event.
 func (r *commitRing) oldest() uint64 { return r.total - uint64(len(r.buf)) }
+
+// evictee returns the event the next append overwrites, if it first
+// committed some request, or nil.
+func (r *commitRing) evictee() *core.CommitEvent {
+	if r.limit <= 0 || len(r.buf) < r.limit || !r.first[r.head] {
+		return nil
+	}
+	return &r.buf[r.head]
+}
 
 // since copies out the events at positions [cursor, total) that are still
 // retained. dropped counts requested events already evicted from the ring.
@@ -104,32 +119,50 @@ type Recorder struct {
 	tuples      []core.InstallEvent
 	recoveries  []core.InstallEvent
 
-	// keepCommits retains commit events for replay (ring-bounded); the
-	// committed-request index and commit notifications are maintained
-	// regardless, so AwaitCommit-style checks are always O(1).
-	//
+	// keepCommits retains commit events in a ring for cursor readers;
 	// committed maps each request to the stream position of the event
-	// that first committed it, so PruneCommittedBelow can truncate the
-	// index by watermark. commitLog mirrors the index in commit order
-	// (head-indexed FIFO) so pruning costs O(entries pruned); it is only
-	// maintained when the ring is bounded, the one case pruning can act.
+	// that first committed it. An entry lives as long as that event: the
+	// ring's eviction drops it (unbounded without keepCommits). wake is
+	// the commit signal Cluster.AwaitCommit sleeps on, shared by the
+	// recorders of one cluster.
 	keepCommits bool
 	commits     commitRing
 	committed   map[message.ReqID]uint64
-	commitLog   []committedAt
-	logHead     int
-	waiters     map[message.ReqID][]chan struct{}
+	wake        *commitWake
 }
 
-// committedAt is one commitLog entry: the request and the stream position
-// of its first commit.
-type committedAt struct {
-	pos uint64
-	id  message.ReqID
+// commitWake is the one signal a cluster's commit waiters sleep on: a
+// waiter counts itself in, takes the current channel, re-checks the
+// index and parks; a commit that indexes a new request closes the
+// channel, and only while someone waits.
+type commitWake struct {
+	waiting atomic.Int32
+	mu      sync.Mutex
+	ch      chan struct{}
 }
 
-// closedCommit is returned by CommitNotify for already-committed requests.
-var closedCommit = func() chan struct{} { ch := make(chan struct{}); close(ch); return ch }()
+// next returns the channel the next fire closes.
+func (w *commitWake) next() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ch == nil {
+		w.ch = make(chan struct{})
+	}
+	return w.ch
+}
+
+// fire wakes every waiter parked on the current channel.
+func (w *commitWake) fire() {
+	if w.waiting.Load() == 0 {
+		return
+	}
+	w.mu.Lock()
+	if w.ch != nil {
+		close(w.ch)
+		w.ch = nil
+	}
+	w.mu.Unlock()
+}
 
 // NewRecorder returns an empty recorder. keepCommits retains commit events
 // for cursor readers (bench/ and tests); retain bounds how many
@@ -142,7 +175,7 @@ func NewRecorder(keepCommits bool, retain int) *Recorder {
 		keepCommits:    keepCommits,
 		commits:        commitRing{limit: retain},
 		committed:      make(map[message.ReqID]uint64),
-		waiters:        make(map[message.ReqID][]chan struct{}),
+		wake:           new(commitWake),
 	}
 }
 
@@ -192,29 +225,35 @@ func (r *Recorder) SizeTriggeredBatches() int {
 }
 
 // OnCommit records a commit at one process; the first process to commit a
-// batch stops that batch's latency clock.
+// batch stops that batch's latency clock. The event evicted to make room
+// for it takes its first commits out of the index first, so that ev
+// re-indexes any of them it commits again.
 func (r *Recorder) OnCommit(ev core.CommitEvent) {
 	r.mu.Lock()
 	pos := r.commits.total // stream position this event gets if retained
-	if r.keepCommits {
-		r.commits.append(ev)
+	if old := r.commits.evictee(); old != nil {
+		at := r.commits.oldest()
+		for i := range old.Entries {
+			// A request evicted and committed again is indexed at its
+			// newer position; only its first commit here goes.
+			if id := old.Entries[i].Req; r.committed[id] == at {
+				delete(r.committed, id)
+			}
+		}
 	}
-	prunable := r.keepCommits && r.commits.limit > 0
+	first := false
 	for i := range ev.Entries {
 		id := ev.Entries[i].Req
-		if _, dup := r.committed[id]; dup {
-			continue
+		if _, dup := r.committed[id]; !dup {
+			r.committed[id] = pos
+			first = true
 		}
-		r.committed[id] = pos
-		if prunable {
-			r.commitLog = append(r.commitLog, committedAt{pos: pos, id: id})
-		}
-		if chs, ok := r.waiters[id]; ok {
-			for _, ch := range chs {
-				close(ch)
-			}
-			delete(r.waiters, id)
-		}
+	}
+	if r.keepCommits {
+		r.commits.append(ev, first)
+	}
+	if first {
+		r.wake.fire()
 	}
 	if !r.windowSet || !ev.At.Before(r.windowStart) {
 		r.commitsPerNode[ev.Node] += len(ev.Entries)
@@ -237,11 +276,9 @@ func (r *Recorder) OnCommit(ev core.CommitEvent) {
 	r.mu.Unlock()
 }
 
-// Committed reports whether the request has been committed at some process.
-// It is O(1) and remains correct after commit events are evicted from the
-// retention ring, until the index entry itself is truncated by
-// PruneCommittedBelow (which only happens once the caller's cursor has
-// passed the request's commit).
+// Committed reports whether the request has been committed at some
+// process, in O(1). With a bounded ring the answer is forgotten once the
+// event that first committed the request is evicted.
 func (r *Recorder) Committed(id message.ReqID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -250,84 +287,19 @@ func (r *Recorder) Committed(id message.ReqID) bool {
 }
 
 // CommittedIndexSize reports how many requests the committed index
-// currently holds (watermark-regression tests use it).
+// currently holds.
 func (r *Recorder) CommittedIndexSize() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.committed)
 }
 
-// PruneCommittedBelow truncates committed-index entries whose first commit
-// lies below both cursor and the oldest event still retained in the ring,
-// returning how many entries were removed. Callers pass the lowest cursor
-// of their readers (the public API, whose replicas execute on commit,
-// passes the end of the stream), so an entry is only dropped once it can
-// neither be replayed (evicted from the ring) nor is still awaited (every
-// reader has passed it). With an unbounded ring (retention
-// 0) the oldest retained position is 0 and the call is a no-op, so the
-// full index — and exact Committed answers for all history — are kept
-// unless the operator opted into bounded retention.
-func (r *Recorder) PruneCommittedBelow(cursor uint64) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := cursor
-	if o := r.commits.oldest(); o < w {
-		w = o
-	}
-	pruned := 0
-	for r.logHead < len(r.commitLog) && r.commitLog[r.logHead].pos < w {
-		e := r.commitLog[r.logHead]
-		// A request re-committed after an earlier prune re-enters the
-		// index at a newer position; only remove the entry the log line
-		// describes.
-		if p, ok := r.committed[e.id]; ok && p == e.pos {
-			delete(r.committed, e.id)
-			pruned++
-		}
-		r.logHead++
-	}
-	if r.logHead > 0 && r.logHead*2 >= len(r.commitLog) {
-		n := copy(r.commitLog, r.commitLog[r.logHead:])
-		r.commitLog = r.commitLog[:n]
-		r.logHead = 0
-	}
-	return pruned
-}
-
-// CommitNotify returns a channel that is closed once the request commits at
-// some process (immediately-closed if it already has). Live-mode waiters
-// block on it instead of polling.
-func (r *Recorder) CommitNotify(id message.ReqID) <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.committed[id]; ok {
-		return closedCommit
-	}
-	ch := make(chan struct{})
-	r.waiters[id] = append(r.waiters[id], ch)
-	return ch
-}
-
-// CancelNotify deregisters a channel obtained from CommitNotify whose
-// waiter gave up (timed out); abandoning the channel instead would leak a
-// waiters entry per never-committed request.
-func (r *Recorder) CancelNotify(id message.ReqID, ch <-chan struct{}) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	chs := r.waiters[id]
-	for i, c := range chs {
-		if c == ch {
-			chs[i] = chs[len(chs)-1]
-			chs = chs[:len(chs)-1]
-			break
-		}
-	}
-	if len(chs) == 0 {
-		delete(r.waiters, id)
-	} else {
-		r.waiters[id] = chs
-	}
-}
+// PruneCommittedBelow does nothing and returns 0: the committed index
+// drops a request when the ring evicts the event that first committed
+// it, whatever the readers' cursors.
+//
+// Deprecated: kept while the bench module still calls it.
+func (r *Recorder) PruneCommittedBelow(cursor uint64) int { return 0 }
 
 // CommitsSince returns the retained commit events at stream positions
 // [cursor, ...), the cursor to pass next time, and how many requested

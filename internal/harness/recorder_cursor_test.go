@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -115,84 +116,94 @@ func TestCommitRingEviction(t *testing.T) {
 	}
 }
 
-func TestCommittedIndexSurvivesEviction(t *testing.T) {
-	r := NewRecorder(true, 2)
-	for i := 1; i <= 50; i++ {
-		r.OnCommit(commitAt(i))
+// TestRecorderOnCommitAllocFree pins what recording a commit costs the
+// heap once the ring is full and nobody awaits a commit: nothing. The
+// evicted event's index entries make room for the new event's, and the
+// commit signal is not touched.
+func TestRecorderOnCommitAllocFree(t *testing.T) {
+	const (
+		runs   = 1000
+		retain = 64
+	)
+	r := NewRecorder(true, retain)
+	commits := make([]core.CommitEvent, retain+runs+1)
+	for i := range commits {
+		commits[i] = commitAt(i + 1)
 	}
-	// Request 1's commit event was evicted long ago; the index remembers.
-	for _, seq := range []uint64{1, 25, 50} {
-		id := message.ReqID{Client: types.ClientID(0), ClientSeq: seq}
-		if !r.Committed(id) {
-			t.Errorf("Committed(%v) = false after eviction", id)
+	next := 0
+	for ; next < retain; next++ {
+		r.OnCommit(commits[next])
+	}
+	got := testing.AllocsPerRun(runs, func() {
+		r.OnCommit(commits[next])
+		next++
+	})
+	if got != 0 && !raceEnabled {
+		t.Errorf("OnCommit into a full ring = %v allocs, want 0", got)
+	}
+	if n := r.CommittedIndexSize(); n != retain {
+		t.Errorf("index holds %d requests, want the ring's %d", n, retain)
+	}
+}
+
+// waitCluster is a live Cluster over recs alone, sharing one commit
+// signal as New's group recorders do: enough for AwaitCommit.
+func waitCluster(recs ...*Recorder) *Cluster {
+	for _, r := range recs[1:] {
+		r.wake = recs[0].wake
+	}
+	return &Cluster{Events: recs[0], recorders: recs}
+}
+
+// TestAwaitCommitWakesOnCommit: a live waiter returns when its requests
+// commit — in any group — long before its timeout, and at once for a
+// request committed before it asked.
+func TestAwaitCommitWakesOnCommit(t *testing.T) {
+	g0, g1 := NewRecorder(false, 0), NewRecorder(true, 16)
+	c := waitCluster(g0, g1)
+	g0.OnCommit(commitAt(1))
+	if missing := c.AwaitCommit(0, reqID(1)); missing != 0 {
+		t.Fatalf("AwaitCommit on a committed request: %d missing", missing)
+	}
+	go func() {
+		for g0.wake.waiting.Load() == 0 {
+			runtime.Gosched()
 		}
+		time.Sleep(10 * time.Millisecond) // most likely parked by now
+		g1.OnCommit(commitAt(7))
+		g0.OnCommit(commitAt(8))
+	}()
+	start := time.Now()
+	if missing := c.AwaitCommit(time.Minute, reqID(7), reqID(8)); missing != 0 {
+		t.Fatalf("AwaitCommit: %d missing", missing)
 	}
-	if r.Committed(message.ReqID{Client: types.ClientID(0), ClientSeq: 99}) {
-		t.Error("Committed(uncommitted) = true")
-	}
-}
-
-func TestCommitNotify(t *testing.T) {
-	r := NewRecorder(false, 0) // notifications work without retention
-	id := message.ReqID{Client: types.ClientID(0), ClientSeq: 7}
-	ch := r.CommitNotify(id)
-	select {
-	case <-ch:
-		t.Fatal("notified before commit")
-	default:
-	}
-	r.OnCommit(commitAt(7))
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("no notification after commit")
-	}
-	// Already-committed requests get an immediately-closed channel.
-	select {
-	case <-r.CommitNotify(id):
-	default:
-		t.Fatal("CommitNotify(committed) not closed")
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("waiter woke %v after its commits", waited)
 	}
 }
 
-func TestCancelNotifyRemovesWaiter(t *testing.T) {
+// TestAwaitCommitTimeoutLeavesNothing: a waiter that times out reports
+// how many requests never committed and leaves no waiter behind, so the
+// next commit does not signal, and the recorder holds only its commits.
+func TestAwaitCommitTimeoutLeavesNothing(t *testing.T) {
 	r := NewRecorder(false, 0)
-	id := message.ReqID{Client: types.ClientID(0), ClientSeq: 8}
-	ch1 := r.CommitNotify(id)
-	ch2 := r.CommitNotify(id)
-	r.CancelNotify(id, ch1)
-	r.mu.Lock()
-	remaining := len(r.waiters[id])
-	r.mu.Unlock()
-	if remaining != 1 {
-		t.Fatalf("waiters after cancel = %d, want 1", remaining)
+	c := waitCluster(r)
+	r.OnCommit(commitAt(1))
+	if missing := c.AwaitCommit(20*time.Millisecond, reqID(1), reqID(2), reqID(3)); missing != 2 {
+		t.Fatalf("AwaitCommit: %d missing, want 2", missing)
 	}
-	r.OnCommit(commitAt(8))
-	select {
-	case <-ch2:
-	case <-time.After(time.Second):
-		t.Fatal("surviving waiter not notified")
+	if n := r.wake.waiting.Load(); n != 0 {
+		t.Fatalf("%d waiters left after the timeout", n)
 	}
+	parked := r.wake.next()
+	r.OnCommit(commitAt(2))
 	select {
-	case <-ch1:
-		t.Fatal("canceled waiter was notified")
+	case <-parked:
+		t.Fatal("a commit signalled with nobody waiting")
 	default:
 	}
-	r.mu.Lock()
-	leaked := len(r.waiters)
-	r.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("waiters map not empty after commit: %d", leaked)
-	}
-	// Cancelling the last waiter of an uncommitted request empties the map.
-	other := message.ReqID{Client: types.ClientID(0), ClientSeq: 9}
-	ch3 := r.CommitNotify(other)
-	r.CancelNotify(other, ch3)
-	r.mu.Lock()
-	leaked = len(r.waiters)
-	r.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("waiters map leaked after cancel: %d", leaked)
+	if n := r.CommittedIndexSize(); n != 2 {
+		t.Fatalf("index holds %d requests, want 2", n)
 	}
 }
 

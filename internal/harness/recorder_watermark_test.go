@@ -11,61 +11,25 @@ func reqID(i int) message.ReqID {
 	return message.ReqID{Client: types.ClientID(0), ClientSeq: uint64(i)}
 }
 
-// TestPruneCommittedBelowWatermark is the regression test for the
-// ROADMAP's committed-index growth item: with bounded retention, index
-// entries below the drain watermark are truncated once their commit
-// events leave the ring, while entries above either bound survive.
-func TestPruneCommittedBelowWatermark(t *testing.T) {
-	r := NewRecorder(true, 4)
-	for i := 1; i <= 20; i++ {
+// TestCommittedIndexEvictsWithRing: with bounded retention the committed
+// index holds exactly the requests whose first commit the ring still
+// holds, however many requests flow through.
+func TestCommittedIndexEvictsWithRing(t *testing.T) {
+	const retain = 4
+	r := NewRecorder(true, retain)
+	for i := 1; i <= 200; i++ {
 		r.OnCommit(commitAt(i))
-	}
-	if n := r.CommittedIndexSize(); n != 20 {
-		t.Fatalf("index size before prune = %d, want 20", n)
-	}
-
-	// A reader drained through position 10: only entries below BOTH the
-	// cursor (10) and the ring's oldest retained position (20-4=16) may
-	// go, so the watermark is 10.
-	if pruned := r.PruneCommittedBelow(10); pruned != 10 {
-		t.Fatalf("pruned %d entries, want 10", pruned)
-	}
-	if n := r.CommittedIndexSize(); n != 10 {
-		t.Fatalf("index size after prune = %d, want 10", n)
-	}
-	for i := 1; i <= 10; i++ {
-		if r.Committed(reqID(i)) {
-			t.Fatalf("request %d still indexed after prune", i)
+		if n, want := r.CommittedIndexSize(), min(i, retain); n != want {
+			t.Fatalf("after %d commits the index holds %d requests, want %d", i, n, want)
 		}
 	}
-	for i := 11; i <= 20; i++ {
-		if !r.Committed(reqID(i)) {
-			t.Fatalf("request %d lost: it is above the watermark", i)
+	for i := 1; i <= 200; i++ {
+		if got, want := r.Committed(reqID(i)), i > 200-retain; got != want {
+			t.Errorf("Committed(%d) = %v, want %v (ring holds %d..200)", i, got, want, 200-retain+1)
 		}
 	}
-
-	// A cursor beyond the ring is clamped to the oldest retained event:
-	// entries that could still be replayed are never truncated.
-	if pruned := r.PruneCommittedBelow(1 << 60); pruned != 6 {
-		t.Fatalf("clamped prune removed %d, want 6 (positions 10..15)", pruned)
-	}
-	for i := 17; i <= 20; i++ {
-		if !r.Committed(reqID(i)) {
-			t.Fatalf("request %d lost: its event is still retained", i)
-		}
-	}
-
-	// Steady state: the index size is bounded by retention however many
-	// requests flow through.
-	for i := 21; i <= 200; i++ {
-		r.OnCommit(commitAt(i))
-		r.PruneCommittedBelow(uint64(i)) // reader keeps up
-	}
-	if n := r.CommittedIndexSize(); n > 4 {
-		t.Fatalf("steady-state index size = %d, want <= retention (4)", n)
-	}
-	if !r.Committed(reqID(200)) {
-		t.Fatal("latest request missing from index")
+	if r.Committed(reqID(999)) {
+		t.Error("Committed(uncommitted) = true")
 	}
 }
 
@@ -77,9 +41,6 @@ func TestPruneNoOpWhenUnbounded(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		r.OnCommit(commitAt(i))
 	}
-	if pruned := r.PruneCommittedBelow(1 << 60); pruned != 0 {
-		t.Fatalf("unbounded recorder pruned %d entries", pruned)
-	}
 	if n := r.CommittedIndexSize(); n != 50 {
 		t.Fatalf("index size = %d, want 50", n)
 	}
@@ -88,26 +49,46 @@ func TestPruneNoOpWhenUnbounded(t *testing.T) {
 	}
 }
 
-// TestPruneRecommittedEntryKeepsNewPosition checks that a request
-// re-committed after its first index entry would be pruned is not removed
-// by the stale log line.
+// TestPruneRecommittedEntryKeepsNewPosition: only the event that first
+// committed a request takes it out of the index. A request committed
+// again after that event left the ring is indexed at its new position,
+// and evicting an older event that also holds it — another process's
+// copy, first commit of another request — leaves that entry alone.
 func TestPruneRecommittedEntryKeepsNewPosition(t *testing.T) {
 	r := NewRecorder(true, 4)
-	for i := 1; i <= 10; i++ {
-		r.OnCommit(commitAt(i))
-	}
-	r.PruneCommittedBelow(10) // clamped to oldest retained (6): prunes 1..5... positions 0..5
-	if r.Committed(reqID(1)) {
-		t.Fatal("request 1 should be pruned")
-	}
-	// Request 1 commits again (e.g. at another process, far later).
-	r.OnCommit(commitAt(1))
+	both := commitAt(7)
+	both.Entries = append(both.Entries, message.OrderEntry{Req: reqID(1)})
+	r.OnCommit(commitAt(1)) // position 0: request 1's first commit
+	r.OnCommit(both)        // position 1: request 7's first, request 1 again
+	r.OnCommit(commitAt(2))
+	r.OnCommit(commitAt(3))
+	r.OnCommit(commitAt(1)) // position 4 evicts position 0 and re-indexes request 1
 	if !r.Committed(reqID(1)) {
 		t.Fatal("re-committed request not re-indexed")
 	}
-	// Pruning below the ring's oldest position must keep the fresh entry.
-	r.PruneCommittedBelow(10)
+	r.OnCommit(commitAt(4)) // evicts position 1
+	if r.Committed(reqID(7)) {
+		t.Fatal("request 7 kept after the event that first committed it left the ring")
+	}
 	if !r.Committed(reqID(1)) {
-		t.Fatal("fresh index entry removed by stale log line")
+		t.Fatal("fresh index entry removed by an older commit's eviction")
+	}
+	if n := r.CommittedIndexSize(); n != 4 {
+		t.Fatalf("index holds %d requests, want 4 (2, 3, 1, 4)", n)
+	}
+}
+
+// TestCommittedIndexUnboundedWithoutRing: a recorder that keeps no commit
+// events has no ring to evict from, so its index keeps every request.
+func TestCommittedIndexUnboundedWithoutRing(t *testing.T) {
+	r := NewRecorder(false, 4)
+	for i := 1; i <= 50; i++ {
+		r.OnCommit(commitAt(i))
+	}
+	if n := r.CommittedIndexSize(); n != 50 {
+		t.Fatalf("index size = %d, want 50", n)
+	}
+	if events, _, _ := r.CommitsSince(0); len(events) != 0 {
+		t.Fatalf("recorder without KeepCommits retained %d events", len(events))
 	}
 }

@@ -260,24 +260,6 @@ func driveScenario(c *Cluster, total, interval time.Duration, actions []actionAt
 	return tracked, errs
 }
 
-// awaitCommitted polls until every tracked request is committed somewhere
-// in the cluster or the deadline passes; it returns how many never were.
-func awaitCommitted(c *Cluster, ids []message.ReqID, deadline time.Duration) int {
-	end := time.Now().Add(deadline)
-	for {
-		missing := 0
-		for _, id := range ids {
-			if !c.Events.Committed(id) {
-				missing++
-			}
-		}
-		if missing == 0 || time.Now().After(end) {
-			return missing
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
 // orderViolations checks the single-total-order invariant: across the
 // commit events of every non-excluded process, a sequence number maps to
 // exactly one request.
@@ -287,30 +269,37 @@ func orderViolations(c *Cluster, exclude map[types.NodeID]bool) []string {
 
 // orderViolationsIn is orderViolations against one recorder — in a sharded
 // cluster each ordering group keeps its own sequence space, so the
-// invariant holds per group recorder, not across them.
+// invariant holds per group recorder, not across them. It also reports a
+// request committed at two different sequence numbers: ordered twice.
 func orderViolationsIn(rec *Recorder, exclude map[types.NodeID]bool) []string {
-	type owner struct {
-		req  string
+	type at struct {
+		seq  types.Seq
+		req  message.ReqID
 		node types.NodeID
 	}
-	assign := make(map[types.Seq]owner)
+	bySeq := make(map[types.Seq]at)
+	byReq := make(map[message.ReqID]at)
 	var out []string
 	for _, ev := range rec.Commits() {
 		if exclude[ev.Node] {
 			continue
 		}
 		for i, e := range ev.Entries {
-			seq := ev.FirstSeq + types.Seq(i)
-			req := fmt.Sprintf("%d/%d", e.Req.Client, e.Req.ClientSeq)
-			if prev, ok := assign[seq]; ok {
-				if prev.req != req {
-					out = append(out, fmt.Sprintf(
-						"order divergence at seq %d: node %v committed %s, node %v committed %s",
-						seq, prev.node, prev.req, ev.Node, req))
-				}
-				continue
+			here := at{seq: ev.FirstSeq + types.Seq(i), req: e.Req, node: ev.Node}
+			if prev, ok := bySeq[here.seq]; !ok {
+				bySeq[here.seq] = here
+			} else if prev.req != here.req {
+				out = append(out, fmt.Sprintf(
+					"order divergence at seq %d: node %v committed %d/%d, node %v committed %d/%d",
+					here.seq, prev.node, prev.req.Client, prev.req.ClientSeq, here.node, here.req.Client, here.req.ClientSeq))
 			}
-			assign[seq] = owner{req: req, node: ev.Node}
+			if prev, ok := byReq[here.req]; !ok {
+				byReq[here.req] = here
+			} else if prev.seq != here.seq {
+				out = append(out, fmt.Sprintf(
+					"request %d/%d ordered twice: node %v committed it at seq %d, node %v at seq %d",
+					here.req.Client, here.req.ClientSeq, prev.node, prev.seq, here.node, here.seq))
+			}
 		}
 	}
 	return out
@@ -352,7 +341,7 @@ func digestViolations(c *Cluster, exclude map[types.NodeID]bool) []string {
 // point's metrics. Callers append scenario-specific checks afterwards.
 func finishScenario(c *Cluster, pt *ScenarioPoint, tracked []message.ReqID,
 	loadDur, drain time.Duration, exclude map[types.NodeID]bool, expectFailOver bool) {
-	missing := awaitCommitted(c, tracked, drain)
+	missing := c.AwaitCommit(drain, tracked...)
 	pt.Submitted = len(tracked)
 	pt.Committed = len(tracked) - missing
 	pt.Lost = missing
@@ -645,25 +634,13 @@ func (g *campaign) shardedPartition(dur time.Duration) ScenarioPoint {
 	// within each group's own sequence space.
 	for gi := 0; gi < groups; gi++ {
 		rec := c.RecorderOf(gi)
-		end := time.Now().Add(15 * time.Second)
-		for {
-			missing := 0
-			for _, id := range tracked[gi] {
-				if !rec.Committed(id) {
-					missing++
-				}
-			}
-			if missing == 0 || time.Now().After(end) {
-				pt.Submitted += len(tracked[gi])
-				pt.Committed += len(tracked[gi]) - missing
-				pt.Lost += missing
-				if missing > 0 {
-					pt.Violations = append(pt.Violations, fmt.Sprintf(
-						"group %d lost %d of %d requests", gi, missing, len(tracked[gi])))
-				}
-				break
-			}
-			time.Sleep(25 * time.Millisecond)
+		missing := c.AwaitCommit(15*time.Second, tracked[gi]...)
+		pt.Submitted += len(tracked[gi])
+		pt.Committed += len(tracked[gi]) - missing
+		pt.Lost += missing
+		if missing > 0 {
+			pt.Violations = append(pt.Violations, fmt.Sprintf(
+				"group %d lost %d of %d requests", gi, missing, len(tracked[gi])))
 		}
 		pt.Violations = append(pt.Violations, orderViolationsIn(rec, nil)...)
 

@@ -120,13 +120,10 @@ func TestShardedClusterCommitsPerGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		deadline := time.Now().Add(20 * time.Second)
-		for !(c.RecorderOf(0).Committed(rid0) && c.RecorderOf(1).Committed(rid1)) {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: g0 committed=%v g1 committed=%v", i,
-					c.RecorderOf(0).Committed(rid0), c.RecorderOf(1).Committed(rid1))
-			}
-			time.Sleep(2 * time.Millisecond)
+		c.AwaitCommit(20*time.Second, rid0, rid1)
+		if !c.RecorderOf(0).Committed(rid0) || !c.RecorderOf(1).Committed(rid1) {
+			t.Fatalf("round %d: g0 committed=%v g1 committed=%v", i,
+				c.RecorderOf(0).Committed(rid0), c.RecorderOf(1).Committed(rid1))
 		}
 		// Request IDs come from one shared counter: no collision between
 		// the two groups' submissions.

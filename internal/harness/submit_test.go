@@ -129,10 +129,8 @@ func TestClusterSubmitAllocFree(t *testing.T) {
 	if got != 0 {
 		t.Errorf("Cluster.Submit = %v allocs, want 0", got)
 	}
-	for deadline := time.Now().Add(20 * time.Second); !c.Events.Committed(last); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the last submission %v never committed", last)
-		}
+	if c.AwaitCommit(20*time.Second, last) != 0 {
+		t.Fatalf("the last submission %v never committed", last)
 	}
 }
 
@@ -213,12 +211,8 @@ func TestSubmitDuringClientOutage(t *testing.T) {
 		}
 		after = append(after, id)
 	}
-	for _, id := range after {
-		for deadline := time.Now().Add(20 * time.Second); !c.Events.Committed(id); time.Sleep(2 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("submission %v after the restart never committed", id)
-			}
-		}
+	if missing := c.AwaitCommit(20*time.Second, after...); missing != 0 {
+		t.Fatalf("%d of the submissions after the restart never committed", missing)
 	}
 	// A refused submission would have been sent ahead of the later ones.
 	for _, id := range refused {

@@ -253,7 +253,6 @@ func (n *TCPNode) setDown() {
 // real sockets. It implements the same substrate surface as LiveCluster.
 type TCPCluster struct {
 	logger  *log.Logger
-	opts    tcpnet.Options
 	optsFor func(types.NodeID) tcpnet.Options
 
 	mu      sync.Mutex
@@ -277,22 +276,18 @@ func NewTCPCluster() *TCPCluster {
 // before AddNode.
 func (c *TCPCluster) SetLogger(l *log.Logger) { c.logger = l }
 
-// SetTransportOptions overrides transport tuning (including the session
-// config) for nodes added later.
-func (c *TCPCluster) SetTransportOptions(opts tcpnet.Options) { c.opts = opts }
-
-// SetNodeOptions installs a per-node transport-options factory, taking
-// precedence over SetTransportOptions. Durable deployments need it: each
+// SetNodeOptions installs a per-node transport-options factory (default:
+// tcpnet's zero Options for every node). Durable deployments need it: each
 // node owns its own session journal (one directory per process), and
 // shaped deployments derive each node's Shape hook from its own identity.
 // Call before AddNode.
 func (c *TCPCluster) SetNodeOptions(fn func(types.NodeID) tcpnet.Options) { c.optsFor = fn }
 
 func (c *TCPCluster) nodeOpts(id types.NodeID) tcpnet.Options {
-	if c.optsFor != nil {
-		return c.optsFor(id)
+	if c.optsFor == nil {
+		return tcpnet.Options{}
 	}
-	return c.opts
+	return c.optsFor(id)
 }
 
 // AddNode registers a node hosting procs — one per ordering group,

@@ -42,6 +42,9 @@
 //     together, up to Options.MaxBatch frames per call.
 //   - Dead connections are redialled with capped exponential backoff plus
 //     jitter, so a restarted peer is rejoined without a reconnect storm.
+//     A session connection is known dead when a write fails or when the
+//     peer closes it: one goroutine per connection reads the dial side,
+//     where the acceptor writes nothing after its hello-ack.
 //   - Inbound connections are read straight into fixed 32 KB chunks and
 //     each frame is handed out as a slice of its chunk — no copy and no
 //     allocation per frame. Decoded messages alias the buffer they were

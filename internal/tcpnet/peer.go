@@ -44,8 +44,8 @@ type PeerStats struct {
 	// evicted from the retransmission ring before the peer acknowledged
 	// them.
 	SessionLost uint64
-	// Reconnects counts connections torn down after a write error and
-	// redialled.
+	// Reconnects counts connections torn down and redialled: after a
+	// write error, or — with sessions — after the peer closed them.
 	Reconnects uint64
 }
 
@@ -60,7 +60,9 @@ type PeerStats struct {
 // With sessions enabled the sender additionally seals every frame
 // (sequence number + HMAC trailer) and keeps the sealed frames in the
 // session's retransmission ring; a reconnect handshakes, learns what the
-// peer delivered, and replays the gap before sending anything new.
+// peer delivered, and replays the gap before sending anything new. A
+// session connection is also watched (see watch), so one the peer closes
+// is redialled at once rather than at the write that finds it dead.
 type peer struct {
 	self, id types.NodeID
 	addr     string
@@ -77,6 +79,10 @@ type peer struct {
 	ch   chan []byte
 	stop chan struct{}
 	once sync.Once
+	// hup carries a watched connection that died back to run, which
+	// waits for every watcher before it returns.
+	hup      chan net.Conn
+	watchers sync.WaitGroup
 
 	// connMu guards conn/closed so close() can interrupt a sender blocked
 	// mid-write (closing the conn fails the write and unblocks it).
@@ -99,6 +105,7 @@ func newPeer(self, id types.NodeID, addr string, opts Options, logger *log.Logge
 		logger: logger,
 		ch:     make(chan []byte, opts.QueueLen),
 		stop:   make(chan struct{}),
+		hup:    make(chan net.Conn),
 	}
 	if opts.Session != nil {
 		p.tx = opts.Session.NewSender(self, id)
@@ -270,7 +277,10 @@ func handshake(c net.Conn, tx *session.Sender, timeout time.Duration) ([]session
 // new traffic.
 func (p *peer) run() {
 	var conn net.Conn
-	defer p.dropCurrentConn()
+	defer func() {
+		p.dropCurrentConn()
+		p.watchers.Wait() // run returns only once p.stop is closed
+	}()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(p.id)<<20 ^ int64(p.self)))
 	backoff := p.opts.RedialMin
 	pending := make([][]byte, 0, p.opts.MaxBatch)
@@ -343,6 +353,10 @@ func (p *peer) run() {
 				}
 			}
 			backoff = p.opts.RedialMin
+			if p.tx != nil {
+				p.watchers.Add(1)
+				go p.watch(c)
+			}
 			return c
 		}
 	}
@@ -363,6 +377,21 @@ func (p *peer) run() {
 		select {
 		case raw := <-p.ch:
 			pending = append(pending, raw)
+		case c := <-p.hup:
+			if c != conn {
+				continue // a connection already replaced
+			}
+			// The peer closed the live connection: what it had not
+			// delivered is replayed to whoever answers at its address
+			// now, not when the next frame finds the connection dead.
+			p.reconnects.Add(1)
+			p.dropCurrentConn()
+			if conn = connect(); conn == nil {
+				return
+			}
+			p.sent.Add(uint64(unsent))
+			unsent = 0
+			continue
 		case <-p.stop:
 			return
 		}
@@ -454,6 +483,21 @@ func (p *peer) run() {
 			pending[i] = nil // release payload references while idle
 		}
 		pending = pending[:0]
+	}
+}
+
+// watch reads the dial side of a session connection, where the peer
+// writes nothing after its hello-ack: the read returns when the
+// connection dies — the peer's FIN or reset, or run closing it — and
+// watch hands the connection back to run, which redials if it is still
+// the live one.
+func (p *peer) watch(c net.Conn) {
+	defer p.watchers.Done()
+	var b [1]byte
+	_, _ = c.Read(b[:])
+	select {
+	case p.hup <- c:
+	case <-p.stop:
 	}
 }
 

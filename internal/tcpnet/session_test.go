@@ -179,6 +179,46 @@ func TestSessionResumeNoFrameLoss(t *testing.T) {
 	}
 }
 
+// TestSessionRedialsWhenPeerCloses: a sender notices that its peer closed
+// the connection — it watches the dial side, where the peer writes
+// nothing after its hello-ack — and redials at once. So the one frame
+// sent to a restarted peer arrives, with no later write to find the old
+// connection dead and trigger the replay.
+func TestSessionRedialsWhenPeerCloses(t *testing.T) {
+	cfg := sessionConfig()
+	opts := Options{Session: cfg, RedialMin: 5 * time.Millisecond, RedialMax: 50 * time.Millisecond}
+	a, _ := listenT(t, 0, opts)
+	b1, b1ch := listenT(t, 1, opts)
+	addr := b1.Addr()
+	a.SetPeers(map[types.NodeID]string{1: addr})
+	if !a.Send(1, []byte("before")) {
+		t.Fatal("send dropped")
+	}
+	select {
+	case <-b1ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first frame not delivered")
+	}
+
+	b1.Close()
+	_, b2ch := relistenT(t, 1, addr, opts)
+	if !a.Send(1, []byte("after")) {
+		t.Fatal("send dropped")
+	}
+	for deadline := time.After(2 * time.Second); ; {
+		select {
+		case f := <-b2ch:
+			// The restarted peer's fresh receiver acknowledges nothing,
+			// so the ring's earlier frame is replayed ahead of it.
+			if string(f.raw) == "after" {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("the one frame sent after the peer restarted never arrived; sender stats %+v", a.Stats()[1])
+		}
+	}
+}
+
 // TestFramesSealedBeforeListenAreNotRetransmitted: frames sent while the
 // peer is not listening yet are sealed while the dial loop backs off and
 // reach the peer in the first handshake's replay. That is their first

@@ -27,6 +27,27 @@ func listenT(t *testing.T, id types.NodeID, opts Options) (*Transport, chan sink
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startT(t, tr)
+}
+
+// relistenT is listenT on addr, a port a closed transport just released:
+// it retries the bind briefly, as the port may linger for a moment.
+func relistenT(t *testing.T, id types.NodeID, addr string, opts Options) (*Transport, chan sinkFrame) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		tr, err := Listen(id, addr, nil, quietLogger(), opts)
+		if err == nil {
+			return startT(t, tr)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebinding %s: %v", addr, err)
+		}
+	}
+}
+
+// startT starts tr with a handler that queues every frame on the
+// returned channel, and registers cleanup.
+func startT(t *testing.T, tr *Transport) (*Transport, chan sinkFrame) {
 	t.Cleanup(tr.Close)
 	ch := make(chan sinkFrame, 4096)
 	tr.Start(func(from types.NodeID, raw []byte) {
@@ -295,29 +316,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	}
 
 	b1.Close()
-
-	// Restart the peer on the same address (retry briefly: the port may
-	// linger for a moment after close).
-	var b2 *Transport
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		b2, err = Listen(1, addr, nil, quietLogger(), Options{})
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebinding %s: %v", addr, err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	defer b2.Close()
-	b2ch := make(chan sinkFrame, 64)
-	b2.Start(func(from types.NodeID, raw []byte) {
-		select {
-		case b2ch <- sinkFrame{from, raw}:
-		default:
-		}
-	})
+	_, b2ch := relistenT(t, 1, addr, Options{})
 
 	// Keep sending until the redialled connection delivers. Early frames
 	// may be lost with the torn-down connection; the protocols tolerate

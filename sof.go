@@ -25,7 +25,6 @@ package sof
 import (
 	"fmt"
 	"net/http"
-	"reflect"
 	"time"
 
 	"github.com/sof-repro/sof/internal/crypto"
@@ -157,8 +156,6 @@ type Config struct {
 	// subject or a request payload fetches it from a peer off the
 	// critical path.
 	MaxInflightBatches int
-	// Mirror enables pair-link traffic mirroring (default on for SC/SCR).
-	Mirror *bool
 	// Simulated runs the cluster on the virtual-time simulator instead of
 	// real goroutines; RunFor then advances virtual time.
 	Simulated bool
@@ -232,15 +229,12 @@ type Config struct {
 	// happens, so the ring serves only the recorder's own readers); a
 	// reader whose cursor falls below the ring is told how many events it
 	// missed. Values too small to hold a few commit waves (one event per
-	// process per batch) are raised to that floor. Whether events are
-	// retained or evicted, AwaitCommit stays O(1): it uses the recorder's
-	// committed-request index and, in live mode, blocks on a commit
-	// notification instead of polling. Bounded retention also bounds the
-	// committed-request index itself: once a request's event has left the
-	// retention ring, RunFor and AwaitCommit truncate its index entry, so
-	// AwaitCommit on requests committed that long ago (at least
-	// CommitRetention commit events earlier) times out rather than
-	// answering from history.
+	// process per batch) are raised to that floor. AwaitCommit answers
+	// from the recorder's committed-request index in O(1), and live it
+	// sleeps on a commit signal instead of polling. The index keeps a
+	// request while the ring keeps the event that first committed it, so
+	// AwaitCommit on a request committed at least CommitRetention commit
+	// events earlier times out rather than answering from history.
 	CommitRetention int
 	// Adversaries installs adversarial twins on the named order processes
 	// (SC/SCR only): each node runs the honest protocol but its outbound
@@ -342,13 +336,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 // options maps a Config onto the harness's Options, in this one place;
 // every rule on how the settings combine is node.Mode.Check's, which
-// harness.New applies as for every entry point. Pair mirroring defaults
-// on.
+// harness.New applies as for every entry point. Pairs always mirror.
 func (cfg Config) options() harness.Options {
-	mirror := true
-	if cfg.Mirror != nil {
-		mirror = *cfg.Mirror
-	}
 	return harness.Options{
 		Protocol:           cfg.Protocol,
 		F:                  cfg.F,
@@ -357,7 +346,7 @@ func (cfg Config) options() harness.Options {
 		MaxBatchBytes:      cfg.BatchBytes,
 		Delta:              cfg.Delta,
 		MaxInflightBatches: cfg.MaxInflightBatches,
-		Mirror:             mirror,
+		Mirror:             true,
 		Net:                netsim.LANDefaults(),
 		Seed:               cfg.Seed,
 		Live:               !cfg.Simulated,
@@ -394,10 +383,7 @@ func (c *Cluster) Stop() { c.h.Stop() }
 
 // RunFor advances the cluster: wall-clock sleep live, virtual time
 // simulated.
-func (c *Cluster) RunFor(d time.Duration) {
-	c.h.RunFor(d)
-	c.pruneCommitted()
-}
+func (c *Cluster) RunFor(d time.Duration) { c.h.RunFor(d) }
 
 // Submit sends one request from the built-in client to every order
 // process of the group its key routes to (group 0 always, unless the
@@ -436,59 +422,12 @@ func (c *Cluster) SubmitMulti(payloads ...[]byte) ([]ReqID, error) {
 }
 
 // AwaitCommit waits (wall or virtual time) until the request is committed
-// at some process. In live mode it blocks on every group's commit
-// notification at once (a request commits in one group, and its ID does
-// not say which) — one channel unless sharded; in simulated mode it
-// advances virtual time, checking the O(1) committed-request index between
-// steps. Neither path scans commit history.
+// at some process of any group, through the harness's one commit wait.
 func (c *Cluster) AwaitCommit(id ReqID, timeout time.Duration) error {
-	if c.cfg.Simulated {
-		const step = 5 * time.Millisecond
-		for waited := time.Duration(0); !c.committed(id); waited += step {
-			if waited > timeout {
-				return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
-			}
-			c.h.RunFor(step)
-		}
-		c.pruneCommitted()
-		return nil
-	}
-	cases := make([]reflect.SelectCase, 0, c.Groups()+1)
-	for g := 0; g < c.Groups(); g++ {
-		rec := c.h.RecorderOf(g)
-		ch := rec.CommitNotify(id)
-		defer rec.CancelNotify(id, ch) // don't leak the waiters
-		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(timer.C)})
-	// On the timer, the commit may still have won the race at the deadline.
-	if chosen, _, _ := reflect.Select(cases); chosen == len(cases)-1 && !c.committed(id) {
+	if c.h.AwaitCommit(timeout, id) > 0 {
 		return fmt.Errorf("sof: request %v not committed within %v", id, timeout)
 	}
-	c.pruneCommitted()
 	return nil
-}
-
-func (c *Cluster) committed(id ReqID) bool {
-	for g := 0; g < c.Groups(); g++ {
-		if c.h.RecorderOf(g).Committed(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// pruneCommitted truncates each group's committed-request index below its
-// retention ring (a no-op unless CommitRetention is bounded): replicas
-// execute on commit, so nothing below the end of the stream is still owed
-// to anyone.
-func (c *Cluster) pruneCommitted() {
-	for g := 0; g < c.Groups(); g++ {
-		rec := c.h.RecorderOf(g)
-		rec.PruneCommittedBelow(rec.CommitCursor())
-	}
 }
 
 // Result returns a request's execution result at one replica (requires a

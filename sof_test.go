@@ -269,9 +269,9 @@ func TestPublicAPITCPTransport(t *testing.T) {
 }
 
 // TestPublicAPIRetentionBoundsCommittedIndex is the public-API regression
-// test for the committed-index watermark: with bounded CommitRetention —
-// — RunFor and AwaitCommit prune below the ring — the index must hold
-// steady-state size instead of growing with every distinct request.
+// test for the committed index's bound: with bounded CommitRetention the
+// index evicts with the recorder's ring, so it holds steady-state size
+// instead of growing with every distinct request.
 func TestPublicAPIRetentionBoundsCommittedIndex(t *testing.T) {
 	cluster, err := sof.NewCluster(sof.Config{
 		Protocol:        sof.SC,
@@ -297,7 +297,7 @@ func TestPublicAPIRetentionBoundsCommittedIndex(t *testing.T) {
 	}
 	cluster.RunFor(100 * time.Millisecond) // let every process finish committing
 	if n := cluster.Harness().Events.CommittedIndexSize(); n >= reqs {
-		t.Errorf("committed index holds %d entries after %d requests; watermark never pruned", n, reqs)
+		t.Errorf("committed index holds %d entries after %d requests; it never evicted", n, reqs)
 	}
 	// The most recent request must still be answered from the index.
 	if err := cluster.AwaitCommit(last, time.Second); err != nil {
@@ -1064,6 +1064,101 @@ func TestPublicAPIPrimaryRestartRefusedWithoutJournal(t *testing.T) {
 	// available afterwards.
 	if err := cluster.AwaitCommit(id, 30*time.Second); err != nil {
 		t.Fatalf("request never committed after the refused primary was deposed: %v", err)
+	}
+}
+
+// TestPublicAPIDurablePrimaryRestartOrdersOnce: a durable primary killed
+// and restarted after ~300 commits orders no request twice. Its session
+// journal tells the restarted incarnation which of the client's frames
+// were delivered, so they are not replayed into its pool as new
+// requests; the ~100 requests submitted afterwards commit too, and no
+// process holds a ReqID at two sequence numbers.
+func TestPublicAPIDurablePrimaryRestartOrdersOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP integration test")
+	}
+	cluster, err := sof.NewCluster(sof.Config{
+		Protocol:           sof.SC,
+		F:                  1,
+		Transport:          sof.TCP,
+		Durable:            true,
+		DataDir:            t.TempDir(),
+		BatchInterval:      10 * time.Millisecond,
+		Delta:              300 * time.Millisecond,
+		MaxInflightBatches: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.Start()
+	defer cluster.Stop()
+	h := cluster.Harness()
+	submit := func(n int, tag string) []sof.ReqID {
+		ids := make([]sof.ReqID, n)
+		for i := range ids {
+			if ids[i], err = cluster.Submit([]byte(fmt.Sprintf("%s-%d", tag, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ids
+	}
+
+	ids := submit(300, "pre")
+	if missing := h.AwaitCommit(10*time.Second, ids...); missing != 0 {
+		t.Fatalf("%d of %d requests never committed before the restart", missing, len(ids))
+	}
+	if err := h.SyncDurable(); err != nil {
+		t.Fatal(err)
+	}
+	primary, _, _, err := h.Topo.Candidate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.KillNode(primary); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RestartNode(primary); err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, submit(100, "post")...)
+	if missing := h.AwaitCommit(10*time.Second, ids...); missing != 0 {
+		t.Fatalf("%d of %d requests never committed", missing, len(ids))
+	}
+
+	// Wait until every process holds every request, then look for one
+	// held at two sequence numbers.
+	type placed struct {
+		node sof.NodeID
+		req  sof.ReqID
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; h.RunFor(10 * time.Millisecond) {
+		seqOf := make(map[placed]uint64)
+		held := make(map[sof.NodeID]int)
+		twice := make(map[sof.ReqID]bool)
+		for _, ev := range h.Events.Commits() {
+			for i, e := range ev.Entries {
+				seq, at := uint64(ev.FirstSeq)+uint64(i), placed{ev.Node, e.Req}
+				if prev, ok := seqOf[at]; !ok {
+					seqOf[at] = seq
+					held[ev.Node]++
+				} else if prev != seq {
+					twice[e.Req] = true
+				}
+			}
+		}
+		if len(twice) > 0 {
+			t.Fatalf("%d of %d requests ordered again at a new sequence number", len(twice), len(ids))
+		}
+		done := true
+		for _, node := range cluster.Processes() {
+			done = done && held[node] == len(ids)
+		}
+		if done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("not every process committed all %d requests: %v", len(ids), held)
+		}
 	}
 }
 
