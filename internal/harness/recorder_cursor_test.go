@@ -116,6 +116,32 @@ func TestCommitRingEviction(t *testing.T) {
 	}
 }
 
+// TestCommittedIndexSurvivesEviction: evicting an event takes out of the
+// index only the requests it first committed. Requests whose commits the
+// ring still holds survive the eviction of every older event, and a
+// request that never committed is never reported.
+func TestCommittedIndexSurvivesEviction(t *testing.T) {
+	r := NewRecorder(true, 2)
+	for i := 1; i <= 50; i++ {
+		r.OnCommit(commitAt(i))
+	}
+	for _, seq := range []uint64{49, 50} {
+		id := message.ReqID{Client: types.ClientID(0), ClientSeq: seq}
+		if !r.Committed(id) {
+			t.Errorf("Committed(%v) = false while its commit is retained", id)
+		}
+	}
+	for _, seq := range []uint64{1, 25, 48} {
+		id := message.ReqID{Client: types.ClientID(0), ClientSeq: seq}
+		if r.Committed(id) {
+			t.Errorf("Committed(%v) = true after its commit was evicted", id)
+		}
+	}
+	if r.Committed(message.ReqID{Client: types.ClientID(0), ClientSeq: 99}) {
+		t.Error("Committed(uncommitted) = true")
+	}
+}
+
 // TestRecorderOnCommitAllocFree pins what recording a commit costs the
 // heap once the ring is full and nobody awaits a commit: nothing. The
 // evicted event's index entries make room for the new event's, and the
