@@ -258,20 +258,6 @@ func (p *Process) evictTick(env runtime.Env) {
 	p.armEvictTimer(env)
 }
 
-// IngressStats exposes the admission counters (nil without ingress).
-func (p *Process) IngressStats() *ingress.Stats {
-	if p.ingress == nil {
-		return nil
-	}
-	return p.ingress.Stats()
-}
-
-// IngressBrownout reports whether the admission controller is currently
-// shedding over-share clients.
-func (p *Process) IngressBrownout() bool {
-	return p.ingress != nil && p.ingress.Brownout()
-}
-
 // observeClientQueueDepth records the admitted client's queue depth; the
 // histogram shows how deep per-client backlogs run under fair dequeue.
 func (p *Process) observeClientQueueDepth(client types.NodeID) {

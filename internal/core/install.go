@@ -672,7 +672,6 @@ func (p *Process) adoptNewBackLog(env runtime.Env, st *message.Start) {
 			continue
 		}
 		delete(p.trackers, seq)
-		p.droppedInstall++
 		for _, e := range t.Batch.Entries {
 			p.pool.UnmarkOrdered(e.Req)
 		}

@@ -213,7 +213,6 @@ type Process struct {
 	pendingStartSig []*message.StartSig               // tuples racing ahead of the Start
 	earlyProposals  map[types.Seq]*message.OrderBatch // proposals racing ahead of our IN5
 	pendingAcks     map[types.Seq][]*message.Ack
-	droppedInstall  int // batches truncated during installs (observability)
 
 	// SCR state (scr.go).
 	pairEpochs    map[types.Rank]uint64
@@ -367,10 +366,6 @@ func (p *Process) MaxDelivered() types.Seq { return p.deliveredUpTo }
 
 // Pair returns the fail-signal pair half, or nil for unpaired processes.
 func (p *Process) Pair() *fsp.Pair { return p.pair }
-
-// DroppedInstallBatches reports how many acked-but-uncommitted batches were
-// truncated away across installs (their requests were re-ordered).
-func (p *Process) DroppedInstallBatches() int { return p.droppedInstall }
 
 // candidate returns the pair of rank r.
 func (p *Process) candidate(r types.Rank) (primary, shadow types.NodeID, paired bool) {

@@ -76,9 +76,6 @@ func NewIdentity(id types.NodeID, priv PrivateKey, ring *Keyring, rng io.Reader)
 // ID returns the process this identity signs as.
 func (id *Identity) ID() types.NodeID { return id.id }
 
-// Ring returns the shared keyring.
-func (id *Identity) Ring() *Keyring { return id.ring }
-
 // Suite returns the signature suite.
 func (id *Identity) Suite() Suite { return id.ring.Suite() }
 

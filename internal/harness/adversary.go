@@ -143,10 +143,6 @@ type equivocatingPrimaryTap struct {
 func (t *equivocatingPrimaryTap) kind() AdversaryKind   { return AdversaryEquivocatingPrimary }
 func (t *equivocatingPrimaryTap) stats() AdversaryStats { return t.snapshot() }
 
-// ForgedSeq returns the sequence number the tap equivocated on (0 until it
-// fires); tests use it to pin where the conflict was injected.
-func (t *equivocatingPrimaryTap) ForgedSeq() types.Seq { return types.Seq(t.forgedSeq.Load()) }
-
 func (t *equivocatingPrimaryTap) Outbound(env runtime.Env, to types.NodeID, m message.Message) []message.Message {
 	b, ok := m.(*message.OrderBatch)
 	if !ok || b.Primary != t.self {

@@ -883,10 +883,8 @@ type OrderState struct {
 	TimerTriggeredCloses uint64
 }
 
-// OrderStateOf snapshots an SC/SCR/CT order process's proposer gauges. The
-// snapshot is taken on the process's event loop in live mode (so the reads
-// are race-free against a running cluster); in simulated mode the caller
-// owns the only driving goroutine and the state is read directly.
+// OrderStateOf snapshots an SC/SCR/CT order process's proposer gauges on
+// its own event loop (see probeOnLoop).
 func (c *Cluster) OrderStateOf(id types.NodeID) (OrderState, bool) {
 	return c.OrderStateOfGroup(id, 0)
 }
@@ -898,7 +896,7 @@ func (c *Cluster) OrderStateOfGroup(id types.NodeID, group int) (OrderState, boo
 	if p == nil {
 		return OrderState{}, false
 	}
-	snap := func() OrderState {
+	return probeOnLoop(c, id, group, func() OrderState {
 		last, mean, sizeT, timerT := p.BatchCloseStats()
 		return OrderState{
 			NextPropose:          p.NextProposeSeq(),
@@ -909,19 +907,28 @@ func (c *Cluster) OrderStateOfGroup(id types.NodeID, group int) (OrderState, boo
 			SizeTriggeredCloses:  sizeT,
 			TimerTriggeredCloses: timerT,
 		}
-	}
+	})
+}
+
+// probeOnLoop returns snap's reading of node id's order process in one
+// ordering group. Live, snap runs on that process's event loop, so its
+// reads are race-free against a running cluster; simulated, the caller
+// owns the only driving goroutine and snap runs directly. It reports
+// false if the node stopped before running the probe.
+func probeOnLoop[T any](c *Cluster, id types.NodeID, group int, snap func() T) (T, bool) {
 	if !c.Opts.Live {
 		return snap(), true
 	}
-	done := make(chan OrderState, 1)
+	var zero T
+	done := make(chan T, 1)
 	if err := c.injectGroup(id, group, func(runtime.Env) { done <- snap() }); err != nil {
-		return OrderState{}, false
+		return zero, false
 	}
 	select {
 	case st := <-done:
 		return st, true
 	case <-time.After(5 * time.Second):
-		return OrderState{}, false // node stopped before running the probe
+		return zero, false
 	}
 }
 
@@ -948,27 +955,14 @@ func (c *Cluster) RecoveryStateOfGroup(id types.NodeID, group int) (RecoveryStat
 	if p == nil {
 		return RecoveryState{}, false
 	}
-	snap := func() RecoveryState {
+	return probeOnLoop(c, id, group, func() RecoveryState {
 		return RecoveryState{
 			CatchingUp:    p.CatchingUp(),
 			DeliveredUpTo: p.MaxDelivered(),
 			NextPropose:   p.NextProposeSeq(),
 			OrderDigest:   p.OrderDigest(),
 		}
-	}
-	if !c.Opts.Live {
-		return snap(), true
-	}
-	done := make(chan RecoveryState, 1)
-	if err := c.injectGroup(id, group, func(runtime.Env) { done <- snap() }); err != nil {
-		return RecoveryState{}, false
-	}
-	select {
-	case st := <-done:
-		return st, true
-	case <-time.After(5 * time.Second):
-		return RecoveryState{}, false // node stopped before running the probe
-	}
+	})
 }
 
 // OrderPool returns the request pool of the current incarnation of node

@@ -225,11 +225,13 @@ type actionAt struct {
 const scenarioRequestBytes = 128
 
 // driveScenario pumps one request every interval from client 0 for total,
-// firing scheduled actions at their offsets. It returns the tracked
-// request IDs and any action errors.
-func driveScenario(c *Cluster, total, interval time.Duration, actions []actionAt) ([]message.ReqID, []string) {
+// round-robin across every ordering group (identical payloads would all
+// hash to one group through the public router, so the spread is explicit
+// here), firing scheduled actions at their offsets. It returns the tracked
+// request IDs per group and any action errors.
+func driveScenario(c *Cluster, total, interval time.Duration, actions []actionAt) ([][]message.ReqID, []string) {
 	payload := make([]byte, scenarioRequestBytes)
-	var tracked []message.ReqID
+	tracked := make([][]message.ReqID, c.GroupCount())
 	var errs []string
 	fire := func(a actionAt) {
 		if err := a.fn(); err != nil {
@@ -237,7 +239,7 @@ func driveScenario(c *Cluster, total, interval time.Duration, actions []actionAt
 		}
 	}
 	start := time.Now()
-	next := 0
+	next, turn := 0, 0
 	for {
 		elapsed := time.Since(start)
 		if elapsed >= total {
@@ -247,10 +249,12 @@ func driveScenario(c *Cluster, total, interval time.Duration, actions []actionAt
 			fire(actions[next])
 			next++
 		}
-		if id, err := c.Submit(0, payload); err == nil {
-			tracked = append(tracked, id)
+		gi := turn % len(tracked)
+		turn++
+		if id, err := c.SubmitToGroup(0, gi, payload); err == nil {
+			tracked[gi] = append(tracked[gi], id)
 		} else {
-			errs = append(errs, fmt.Sprintf("submit: %v", err))
+			errs = append(errs, fmt.Sprintf("submit g%d: %v", gi, err))
 		}
 		time.Sleep(interval)
 	}
@@ -458,7 +462,7 @@ func (g *campaign) wanSweep(profile string, dur time.Duration) ScenarioPoint {
 	c.Events.StartWindow(time.Now())
 	tracked, errs := driveScenario(c, dur, 5*time.Millisecond, nil)
 	pt.Violations = append(pt.Violations, errs...)
-	finishScenario(c, &pt, tracked, dur, 8*time.Second, nil, false)
+	finishScenario(c, &pt, tracked[0], dur, 8*time.Second, nil, false)
 	return g.report(pt)
 }
 
@@ -482,7 +486,7 @@ func (g *campaign) partitionCutHeal(dur time.Duration) ScenarioPoint {
 	c.Events.StartWindow(time.Now())
 	tracked, errs := driveScenario(c, dur, 5*time.Millisecond, actions)
 	pt.Violations = append(pt.Violations, errs...)
-	finishScenario(c, &pt, tracked, dur, 10*time.Second, nil, false)
+	finishScenario(c, &pt, tracked[0], dur, 10*time.Second, nil, false)
 	return g.report(pt)
 }
 
@@ -533,47 +537,8 @@ func (g *campaign) restartStorm(kills int, dur time.Duration) ScenarioPoint {
 			pt.Violations = append(pt.Violations, fmt.Sprintf("node %v still catching up after restart", v))
 		}
 	}
-	finishScenario(c, &pt, tracked, dur, 12*time.Second, nil, false)
+	finishScenario(c, &pt, tracked[0], dur, 12*time.Second, nil, false)
 	return g.report(pt)
-}
-
-// driveShardedScenario is driveScenario for sharded clusters: requests go
-// round-robin across every ordering group (identical payloads would all
-// hash to one group through the public router, so the spread is explicit
-// here), returning the tracked IDs per group.
-func driveShardedScenario(c *Cluster, total, interval time.Duration, actions []actionAt) ([][]message.ReqID, []string) {
-	payload := make([]byte, scenarioRequestBytes)
-	tracked := make([][]message.ReqID, c.GroupCount())
-	var errs []string
-	fire := func(a actionAt) {
-		if err := a.fn(); err != nil {
-			errs = append(errs, fmt.Sprintf("action %s: %v", a.name, err))
-		}
-	}
-	start := time.Now()
-	next, turn := 0, 0
-	for {
-		elapsed := time.Since(start)
-		if elapsed >= total {
-			break
-		}
-		for next < len(actions) && elapsed >= actions[next].at {
-			fire(actions[next])
-			next++
-		}
-		gi := turn % c.GroupCount()
-		turn++
-		if id, err := c.SubmitToGroup(0, gi, payload); err == nil {
-			tracked[gi] = append(tracked[gi], id)
-		} else {
-			errs = append(errs, fmt.Sprintf("submit g%d: %v", gi, err))
-		}
-		time.Sleep(interval)
-	}
-	for ; next < len(actions); next++ {
-		fire(actions[next])
-	}
-	return tracked, errs
 }
 
 // shardedPartition cuts the physical link under group 0's coordinator pair
@@ -627,7 +592,7 @@ func (g *campaign) shardedPartition(dur time.Duration) ScenarioPoint {
 	for gi := 0; gi < groups; gi++ {
 		c.RecorderOf(gi).StartWindow(time.Now())
 	}
-	tracked, errs := driveShardedScenario(c, dur, 5*time.Millisecond, actions)
+	tracked, errs := driveScenario(c, dur, 5*time.Millisecond, actions)
 	pt.Violations = append(pt.Violations, errs...)
 
 	// Per-group drain and invariants: zero loss and a single total order
@@ -716,7 +681,7 @@ func (g *campaign) adversaryEquivocation(dur time.Duration) ScenarioPoint {
 	tracked, errs := driveScenario(c, dur, 5*time.Millisecond, nil)
 	pt.Violations = append(pt.Violations, errs...)
 	exclude := map[types.NodeID]bool{p1: true}
-	finishScenario(c, &pt, tracked, dur, 12*time.Second, exclude, true)
+	finishScenario(c, &pt, tracked[0], dur, 12*time.Second, exclude, true)
 	if pt.AdvMatched == 0 {
 		pt.Violations = append(pt.Violations, "equivocator never fired")
 	}
@@ -758,7 +723,7 @@ func (g *campaign) adversarySuppressor(dur time.Duration) ScenarioPoint {
 	tracked, errs := driveScenario(c, dur, 5*time.Millisecond, actions)
 	pt.Violations = append(pt.Violations, errs...)
 	exclude := map[types.NodeID]bool{s1: true}
-	finishScenario(c, &pt, tracked, dur, 15*time.Second, exclude, true)
+	finishScenario(c, &pt, tracked[0], dur, 15*time.Second, exclude, true)
 	if pt.AdvDropped == 0 {
 		pt.Violations = append(pt.Violations, "suppressor never dropped a fail-signal")
 	}
@@ -807,7 +772,7 @@ func (g *campaign) adversaryReplayer(dur time.Duration) ScenarioPoint {
 		pt.Violations = append(pt.Violations, "replayer node still catching up after restart")
 	}
 	exclude := map[types.NodeID]bool{p2: true}
-	finishScenario(c, &pt, tracked, dur, 12*time.Second, exclude, false)
+	finishScenario(c, &pt, tracked[0], dur, 12*time.Second, exclude, false)
 	if pt.AdvInjected == 0 {
 		pt.Violations = append(pt.Violations, "replayer never replayed a message")
 	}
@@ -853,7 +818,7 @@ func (g *campaign) adversaryLiar(dur time.Duration) ScenarioPoint {
 		}
 	}
 	exclude := map[types.NodeID]bool{p2: true}
-	finishScenario(c, &pt, tracked, dur, 12*time.Second, exclude, false)
+	finishScenario(c, &pt, tracked[0], dur, 12*time.Second, exclude, false)
 	if pt.AdvMatched == 0 {
 		pt.Violations = append(pt.Violations, "liar never answered a catch-up request")
 	}
@@ -903,7 +868,7 @@ func (g *campaign) pairedRestart(dur time.Duration) ScenarioPoint {
 		pt.Violations = append(pt.Violations, fmt.Sprintf(
 			"restarted %s still catching up mid-epoch", role))
 	}
-	finishScenario(c, &pt, tracked, dur, 15*time.Second, nil, true)
+	finishScenario(c, &pt, tracked[0], dur, 15*time.Second, nil, true)
 	return g.report(pt)
 }
 

@@ -36,9 +36,11 @@ import (
 // memoizes it), so an n-way fan-out costs one Marshal and zero copies,
 // exactly like the in-process runtimes (sharded nodes add one prefix
 // copy per fan-out, not per destination). Self-addressed messages skip
-// the wire and are delivered decoded. With tcpnet.Options.Session the
-// frames beneath this node are sequenced, HMAC-authenticated and
-// resumable; the cores above are oblivious.
+// the wire and are delivered decoded. The frames beneath this node are
+// sequenced, HMAC-authenticated and resumable sessions — under the
+// dealer's link keys when tcpnet.Options.Session carries them, else
+// under the key tcpnet draws once per OS process — and the cores above
+// are oblivious.
 type TCPNode struct {
 	tr      *tcpnet.Transport
 	wg      sync.WaitGroup
@@ -277,7 +279,9 @@ func NewTCPCluster() *TCPCluster {
 func (c *TCPCluster) SetLogger(l *log.Logger) { c.logger = l }
 
 // SetNodeOptions installs a per-node transport-options factory (default:
-// tcpnet's zero Options for every node). Durable deployments need it: each
+// tcpnet's zero Options for every node, which speak sessions under the
+// key tcpnet draws once per OS process, so the cluster's nodes must share
+// one process). Durable deployments need it: each
 // node owns its own session journal (one directory per process), and
 // shaped deployments derive each node's Shape hook from its own identity.
 // Call before AddNode.
@@ -459,8 +463,8 @@ func (c *TCPCluster) Node(id types.NodeID) (*TCPNode, bool) {
 }
 
 // BounceConns forcibly closes every live connection of every node's
-// transport, as a cluster-wide network fault would; senders redial and,
-// with sessions, resume. Fault-injection hook for resume tests.
+// transport, as a cluster-wide network fault would; senders redial and
+// resume. Fault-injection hook for resume tests.
 func (c *TCPCluster) BounceConns() {
 	c.mu.Lock()
 	nodes := make([]*TCPNode, 0, len(c.nodes))

@@ -1,10 +1,10 @@
 // Package session implements per-peer sequenced, HMAC-authenticated,
 // resumable sessions over the tcpnet framed transport ("frame v2").
 //
-// Every TCP link the system builds runs through it. tcpnet's raw v1
-// loopback accepts any 4-byte hello as a peer identity and abandons
-// in-flight frames when a connection dies; only the protocol signatures
-// inside messages authenticate content. This package closes both gaps
+// Every TCP link runs through it. Bare length-prefixed frames would
+// believe any 4-byte hello as a peer identity and abandon in-flight
+// frames when a connection dies, leaving only the protocol signatures
+// inside messages to authenticate content. This package closes both gaps
 // beneath the protocol layer, in the spirit of the
 // authenticated point-to-point channels BFT-style systems assume
 // (Castro-Liskov session MACs):

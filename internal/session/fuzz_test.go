@@ -50,7 +50,7 @@ func FuzzHello(f *testing.F) {
 	master := []byte("fuzz-master")
 	valid := (&Config{Keys: crypto.NewLinkKeys(master)}).NewSender(1, self).Hello()
 	f.Add(valid)
-	f.Add(binary.BigEndian.AppendUint32(nil, 1)) // a bare v1 hello
+	f.Add(binary.BigEndian.AppendUint32(nil, 1)) // a bare 4-byte NodeID hello
 	f.Add(valid[:HelloLen-7])
 	f.Fuzz(func(t *testing.T, p []byte) {
 		keys := crypto.NewLinkKeys(master)

@@ -9,22 +9,18 @@
 // it only through a TCPNode. A client endpoint is a Transport like any
 // other: there is one dial path and one handshake.
 //
-// Wire format v2 (Options.Session != nil), the one every endpoint that
-// internal/node builds speaks: each message is a 4-byte big-endian length
-// prefix followed by its payload (a frame); on connect the dialer and the
+// Wire format (frame v2): each message is a 4-byte big-endian length prefix
+// followed by its payload (a frame); on connect the dialer and the
 // acceptor run an HMAC-authenticated hello/ack handshake, and every frame
 // payload carries a version byte, a per-direction sequence number and an
 // HMAC-SHA256 trailer (see internal/session). Sender identity is
-// cryptographically bound to the dealer's link keys, tampered frames are
-// rejected before reaching protocol code, and each sender's bounded
-// retransmission ring replays the in-flight window after a reconnect
-// instead of losing it.
-//
-// Wire format v1 (Options.Session == nil) remains only as this package's
-// raw loopback, which the benchmark module measures: the same framing
-// after a bare 4-byte NodeID hello, senders identified by claim alone,
-// and a batch abandoned when its connection dies. The two formats do
-// not interoperate.
+// cryptographically bound to the link keys, tampered frames are rejected
+// before reaching protocol code, and each sender's bounded retransmission
+// ring replays the in-flight window after a reconnect instead of losing
+// it. Every endpoint internal/node builds holds the dealer's link keys; a
+// Transport built without Options.Session holds a master drawn once per
+// OS process, so it speaks the same wire but authenticates only
+// Transports of its own process.
 //
 // Performance model:
 //
@@ -38,13 +34,13 @@
 //     (the asynchronous system model tolerates loss) while traffic to
 //     other peers is unaffected and the caller never blocks.
 //   - Senders coalesce queued frames and write them with a single writev
-//     (net.Buffers) syscall — length prefixes and payloads gathered
-//     together, up to Options.MaxBatch frames per call.
+//     (net.Buffers) syscall — length prefixes, session headers, payloads
+//     and MACs gathered together, up to Options.MaxBatch frames per call.
 //   - Dead connections are redialled with capped exponential backoff plus
 //     jitter, so a restarted peer is rejoined without a reconnect storm.
-//     A session connection is known dead when a write fails or when the
-//     peer closes it: one goroutine per connection reads the dial side,
-//     where the acceptor writes nothing after its hello-ack.
+//     A connection is known dead when a write fails or when the peer
+//     closes it: one goroutine per connection reads the dial side, where
+//     the acceptor writes nothing after its hello-ack.
 //   - Inbound connections are read straight into fixed 32 KB chunks and
 //     each frame is handed out as a slice of its chunk — no copy and no
 //     allocation per frame. Decoded messages alias the buffer they were

@@ -224,8 +224,8 @@ func TestShapeDelaysDelivery(t *testing.T) {
 	}
 }
 
-// TestShapeCutAndHeal: a cut link blackholes traffic; with sessions the
-// sealed frames wait in the ring and replay when the link heals.
+// TestShapeCutAndHeal: a cut link blackholes traffic; the sealed frames
+// wait in the ring and replay when the link heals.
 func TestShapeCutAndHeal(t *testing.T) {
 	keys := crypto.NewLinkKeys([]byte("tcpnet-shape-cut"))
 	var cut atomic.Bool

@@ -2,7 +2,6 @@ package tcpnet
 
 import (
 	"crypto/tls"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -26,26 +25,25 @@ type PeerStats struct {
 	// Queued counts frames accepted into the peer's bounded send queue.
 	Queued uint64
 	// Sent counts queued frames that have been written to a live
-	// connection at least once (with sessions: written, or replayed by
-	// the handshake that followed their sealing). Queued - Sent frames
-	// are still waiting for the link; a v1 batch abandoned on a write
-	// error is never counted.
+	// connection at least once: written, or replayed by the handshake
+	// that followed their sealing. Queued - Sent frames are still waiting
+	// for the link.
 	Sent uint64
 	// Dropped counts frames discarded because the peer's bounded send
 	// queue was full (backpressure from a slow or unreachable peer).
 	Dropped uint64
 	// Retransmitted counts frames replayed from the session ring after a
 	// reconnect that had already been written to a connection, or that a
-	// previous incarnation may have sent (always 0 on the raw v1
-	// loopback). Frames sealed before the first connection came up
-	// reach the peer in its handshake's replay and are not counted.
+	// previous incarnation may have sent. Frames sealed before the first
+	// connection came up reach the peer in its handshake's replay and are
+	// not counted.
 	Retransmitted uint64
 	// SessionLost counts frames a session reconnect could not recover:
 	// evicted from the retransmission ring before the peer acknowledged
 	// them.
 	SessionLost uint64
 	// Reconnects counts connections torn down and redialled: after a
-	// write error, or — with sessions — after the peer closed them.
+	// write error, or after the peer closed them.
 	Reconnects uint64
 }
 
@@ -57,21 +55,20 @@ type PeerStats struct {
 // caller (a protocol event loop), and a peer that stops reading costs the
 // sender at most QueueLen retained frames before new ones are dropped.
 //
-// With sessions enabled the sender additionally seals every frame
-// (sequence number + HMAC trailer) and keeps the sealed frames in the
-// session's retransmission ring; a reconnect handshakes, learns what the
-// peer delivered, and replays the gap before sending anything new. A
-// session connection is also watched (see watch), so one the peer closes
-// is redialled at once rather than at the write that finds it dead.
+// The sender seals every frame (sequence number + HMAC trailer) and keeps
+// the sealed frames in the session's retransmission ring; a reconnect
+// handshakes, learns what the peer delivered, and replays the gap before
+// sending anything new. A connection is also watched (see watch), so one
+// the peer closes is redialled at once rather than at the write that
+// finds it dead.
 type peer struct {
 	self, id types.NodeID
 	addr     string
 	opts     Options
 	logger   *log.Logger
 
-	// tx is the session sender for this direction (nil when sessions are
-	// off). It is owned by the run goroutine; only Stats reads it from
-	// outside.
+	// tx is the session sender for this direction. It is owned by the run
+	// goroutine; only Stats reads it from outside.
 	tx *session.Sender
 	// wbufs is the run goroutine's writev argument (see writeFrames).
 	wbufs net.Buffers
@@ -106,12 +103,10 @@ func newPeer(self, id types.NodeID, addr string, opts Options, logger *log.Logge
 		ch:     make(chan []byte, opts.QueueLen),
 		stop:   make(chan struct{}),
 		hup:    make(chan net.Conn),
+		tx:     opts.Session.NewSender(self, id),
 	}
-	if opts.Session != nil {
-		p.tx = opts.Session.NewSender(self, id)
-		// run seals up to MaxBatch frames before it writes them.
-		p.tx.Reserve(opts.MaxBatch)
-	}
+	// run seals up to MaxBatch frames before it writes them.
+	p.tx.Reserve(opts.MaxBatch)
 	return p
 }
 
@@ -175,18 +170,15 @@ func (p *peer) dropCurrentConn() {
 }
 
 func (p *peer) stats() PeerStats {
-	ps := PeerStats{
-		Queued:     p.queued.Load(),
-		Sent:       p.sent.Load(),
-		Dropped:    p.dropped.Load(),
-		Reconnects: p.reconnects.Load(),
+	st := p.tx.Stats()
+	return PeerStats{
+		Queued:        p.queued.Load(),
+		Sent:          p.sent.Load(),
+		Dropped:       p.dropped.Load(),
+		Retransmitted: st.Retransmitted,
+		SessionLost:   st.Lost,
+		Reconnects:    p.reconnects.Load(),
 	}
-	if p.tx != nil {
-		st := p.tx.Stats()
-		ps.Retransmitted = st.Retransmitted
-		ps.SessionLost = st.Lost
-	}
-	return ps
 }
 
 func (p *peer) isClosed() bool {
@@ -195,9 +187,9 @@ func (p *peer) isClosed() bool {
 	return p.closed
 }
 
-// dial opens a connection to the peer and identifies this endpoint on it:
-// the bare v1 hello, or — with sessions — the authenticated hello/ack
-// handshake, whose ack yields the frames to replay before new traffic.
+// dial opens a connection to the peer and identifies this endpoint on it
+// with the authenticated hello/ack handshake, whose ack yields the frames
+// to replay before new traffic.
 // Errors name the peer and its address so operators can tell which link
 // is failing.
 func (p *peer) dial() (net.Conn, []session.Frame, error) {
@@ -225,15 +217,6 @@ func (p *peer) dial() (net.Conn, []session.Frame, error) {
 		}
 		_ = tc.SetDeadline(time.Time{})
 		c = tc
-	}
-	if p.tx == nil {
-		var hello [4]byte
-		binary.BigEndian.PutUint32(hello[:], uint32(int32(p.self)))
-		if _, err := c.Write(hello[:]); err != nil {
-			_ = c.Close()
-			return nil, nil, fmt.Errorf("hello to peer %v (%s): %w", p.id, p.addr, err)
-		}
-		return c, nil, nil
 	}
 	replay, err := handshake(c, p.tx, p.opts.HandshakeTimeout)
 	if err != nil {
@@ -268,13 +251,13 @@ func handshake(c net.Conn, tx *session.Sender, timeout time.Duration) ([]session
 
 // run is the sender loop. It blocks for the first queued frame, then
 // drains up to MaxBatch-1 more without blocking and writes the whole batch
-// — length prefixes and payloads gathered — with one writev syscall. With
-// sessions, each drained frame is sealed (in order, by this goroutine)
-// *before* any connection is required — sealing journals the frame when a
-// durability journal is configured, so frames bound for an unreachable
-// peer are crash-safe while the dial loop backs off — and a reconnect
-// replays the unacknowledged window immediately instead of waiting for
-// new traffic.
+// — length prefixes, session headers, payloads and MACs gathered — with
+// one writev syscall. Each drained frame is sealed (in order, by this
+// goroutine) *before* any connection is required — sealing journals the
+// frame when a durability journal is configured, so frames bound for an
+// unreachable peer are crash-safe while the dial loop backs off — and a
+// reconnect replays the unacknowledged window immediately instead of
+// waiting for new traffic.
 func (p *peer) run() {
 	var conn net.Conn
 	defer func() {
@@ -283,7 +266,6 @@ func (p *peer) run() {
 	}()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(p.id)<<20 ^ int64(p.self)))
 	backoff := p.opts.RedialMin
-	pending := make([][]byte, 0, p.opts.MaxBatch)
 	frames := make([]session.Frame, 0, p.opts.MaxBatch)
 	hdrs := make([]byte, frameHeaderLen*p.opts.MaxBatch)
 	vecs := make([][]byte, 0, 4*p.opts.MaxBatch)
@@ -306,13 +288,10 @@ func (p *peer) run() {
 	}
 	// drainSeal seals (and, with a journal, persists) everything queued
 	// for an unreachable peer, so frames keep becoming replayable — and
-	// crash-safe — while the dial loop backs off. Only meaningful with
-	// sessions; order is preserved because the caller has already sealed
-	// everything it drained before calling connect.
+	// crash-safe — while the dial loop backs off. Order is preserved
+	// because the caller has already sealed everything it drained before
+	// calling connect.
 	drainSeal := func() {
-		if p.tx == nil {
-			return
-		}
 		for {
 			select {
 			case raw := <-p.ch:
@@ -323,8 +302,8 @@ func (p *peer) run() {
 			}
 		}
 	}
-	// connect dials (and, with sessions, handshakes and replays) until a
-	// connection is live; nil means the peer was closed.
+	// connect dials, handshakes and replays until a connection is live;
+	// nil means the peer was closed.
 	connect := func() net.Conn {
 		for {
 			drainSeal()
@@ -353,10 +332,8 @@ func (p *peer) run() {
 				}
 			}
 			backoff = p.opts.RedialMin
-			if p.tx != nil {
-				p.watchers.Add(1)
-				go p.watch(c)
-			}
+			p.watchers.Add(1)
+			go p.watch(c)
 			return c
 		}
 	}
@@ -365,7 +342,7 @@ func (p *peer) run() {
 	// incarnation's unacknowledged frames: connect — whose handshake
 	// computes and writes the replay — now, rather than waiting for new
 	// outbound traffic to trigger the first dial.
-	if p.tx != nil && p.tx.NeedsReplay() {
+	if p.tx.NeedsReplay() {
 		if conn = connect(); conn == nil {
 			return
 		}
@@ -374,9 +351,13 @@ func (p *peer) run() {
 	}
 
 	for {
+		// Seal — and, with a journal, persist — as frames leave the queue,
+		// before any connection is required: a frame is replayable (and
+		// crash-safe) from the moment it is sealed, so an unreachable peer
+		// costs nothing but ring slots while the dial loop backs off.
 		select {
 		case raw := <-p.ch:
-			pending = append(pending, raw)
+			frames = append(frames, p.tx.Seal(raw))
 		case c := <-p.hup:
 			if c != conn {
 				continue // a connection already replaced
@@ -396,97 +377,46 @@ func (p *peer) run() {
 			return
 		}
 	coalesce:
-		for len(pending) < p.opts.MaxBatch {
+		for len(frames) < p.opts.MaxBatch {
 			select {
 			case raw := <-p.ch:
-				pending = append(pending, raw)
+				frames = append(frames, p.tx.Seal(raw))
 			default:
 				break coalesce
 			}
 		}
-		unsent += len(pending)
-		if p.tx != nil {
-			// Seal — and, with a journal, persist — before any connection
-			// is required: a frame is replayable (and crash-safe) from the
-			// moment it is sealed, so an unreachable peer costs nothing
-			// but ring slots while the dial loop backs off.
-			frames = frames[:0]
-			for _, raw := range pending {
-				frames = append(frames, p.tx.Seal(raw))
-			}
-			for i := range pending {
-				pending[i] = nil // release payload references while idle
-			}
-			pending = pending[:0]
-			if conn == nil {
-				// connect's handshake learns the peer's delivery watermark
-				// and replays everything unacknowledged — including the
-				// frames just sealed — so they must not be written twice.
-				if conn = connect(); conn == nil {
-					return
-				}
-			} else if err := p.writeFrames(conn, frames, hdrs, &vecs); err != nil {
-				// The sealed frames sit in the retransmission ring;
-				// reconnect now and replay them rather than waiting for
-				// new traffic to trigger the redial.
-				p.reconnects.Add(1)
-				if !p.isClosed() {
-					p.logger.Printf("tcpnet %v: write to peer %v (%s): %v; reconnecting", p.self, p.id, p.addr, err)
-				}
-				p.dropCurrentConn()
-				if conn = connect(); conn == nil {
-					return
-				}
-			}
-			// Everything sealed so far has now been written or replayed.
-			p.sent.Add(uint64(unsent))
-			unsent = 0
-			for i := range frames {
-				frames[i] = session.Frame{} // the ring keeps its own references
-			}
-			continue
-		}
-		// Plain v1 path: the batch exists nowhere but here, so a
-		// connection comes first and a failed write abandons it — after a
-		// partial write the stream framing is unknown, so resending could
-		// corrupt it, and the asynchronous model tolerates the loss.
+		unsent += len(frames)
 		if conn == nil {
+			// connect's handshake learns the peer's delivery watermark
+			// and replays everything unacknowledged — including the
+			// frames just sealed — so they must not be written twice.
 			if conn = connect(); conn == nil {
 				return
 			}
-		}
-		vecs = vecs[:0]
-		size := 0
-		for i, raw := range pending {
-			h := hdrs[i*frameHeaderLen : (i+1)*frameHeaderLen]
-			putFrameHeader(h, len(raw))
-			vecs = append(vecs, h, raw)
-			size += len(raw)
-		}
-		err := p.shapeWait(size)
-		if err == nil {
-			p.wbufs = vecs
-			_, err = p.wbufs.WriteTo(conn)
-		}
-		if err != nil {
+		} else if err := p.writeFrames(conn, frames, hdrs, &vecs); err != nil {
+			// The sealed frames sit in the retransmission ring;
+			// reconnect now and replay them rather than waiting for
+			// new traffic to trigger the redial.
 			p.reconnects.Add(1)
 			if !p.isClosed() {
 				p.logger.Printf("tcpnet %v: write to peer %v (%s): %v; reconnecting", p.self, p.id, p.addr, err)
 			}
 			p.dropCurrentConn()
-			conn = nil
-		} else {
-			p.sent.Add(uint64(unsent))
+			if conn = connect(); conn == nil {
+				return
+			}
 		}
+		// Everything sealed so far has now been written or replayed.
+		p.sent.Add(uint64(unsent))
 		unsent = 0
-		for i := range pending {
-			pending[i] = nil // release payload references while idle
+		for i := range frames {
+			frames[i] = session.Frame{} // the ring keeps its own references
 		}
-		pending = pending[:0]
+		frames = frames[:0]
 	}
 }
 
-// watch reads the dial side of a session connection, where the peer
+// watch reads the dial side of a connection, where the peer
 // writes nothing after its hello-ack: the read returns when the
 // connection dies — the peer's FIN or reset, or run closing it — and
 // watch hands the connection back to run, which redials if it is still
@@ -523,7 +453,7 @@ func (p *peer) shapeWait(size int) error {
 	}
 }
 
-// writeFrames writes sealed session frames — length prefix, session
+// writeFrames writes sealed frames — length prefix, session
 // header, body and MAC gathered per frame — in MaxBatch-sized writev
 // calls.
 func (p *peer) writeFrames(conn net.Conn, frames []session.Frame, hdrs []byte, vecs *[][]byte) error {

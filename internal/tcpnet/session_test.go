@@ -1,8 +1,12 @@
 package tcpnet
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -84,18 +88,80 @@ func TestClientHandshakeTimeout(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsBareHello pins the authentication boundary: a legacy
-// (v1) endpoint whose 4-byte hello claims a valid NodeID is rejected by a
-// session-enabled listener and delivers nothing.
+// TestSessionRejectsBareHello pins the authentication boundary: a
+// connection that opens with a bare 4-byte hello claiming a valid NodeID
+// and then writes a length-prefixed frame delivers nothing, and the
+// acceptor hangs up on it.
 func TestSessionRejectsBareHello(t *testing.T) {
 	b, bch := listenT(t, 1, Options{Session: sessionConfig()})
-	a, _ := listenT(t, 0, Options{}) // no session: speaks bare v1 hellos
-	a.SetPeers(map[types.NodeID]string{1: b.Addr()})
-	a.Send(1, []byte("unauthenticated"))
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello [4]byte
+	binary.BigEndian.PutUint32(hello[:], uint32(int32(types.NodeID(0))))
+	if _, err := conn.Write(AppendFrame(hello[:], []byte("unauthenticated"))); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case f := <-bch:
 		t.Fatalf("unauthenticated frame delivered: %q from %v", f.raw, f.from)
 	case <-time.After(300 * time.Millisecond):
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Errorf("acceptor kept the bare-hello connection open (read: %v)", err)
+	}
+}
+
+// TestUnkeyedTransportsAreProcessLocal: Transports built without a
+// Session share the key this process drew, so they speak sessions to one
+// another; a Transport holding other link keys refuses their hellos and
+// they refuse its, in both directions.
+func TestUnkeyedTransportsAreProcessLocal(t *testing.T) {
+	u0, u0ch := listenT(t, 0, Options{})
+	u1, u1ch := listenT(t, 1, Options{})
+	k2, k2ch := listenT(t, 2, Options{Session: sessionConfig()})
+	u0.SetPeers(map[types.NodeID]string{1: u1.Addr(), 2: k2.Addr()})
+	u1.SetPeers(map[types.NodeID]string{0: u0.Addr()})
+	k2.SetPeers(map[types.NodeID]string{0: u0.Addr()})
+
+	for _, dir := range []struct {
+		from *Transport
+		to   types.NodeID
+		ch   chan sinkFrame
+	}{{u0, 1, u1ch}, {u1, 0, u0ch}} {
+		if !dir.from.Send(dir.to, []byte("same process")) {
+			t.Fatalf("send %v->%v dropped", dir.from.ID(), dir.to)
+		}
+		select {
+		case f := <-dir.ch:
+			if f.from != dir.from.ID() || string(f.raw) != "same process" {
+				t.Fatalf("%v->%v delivered %q from %v", dir.from.ID(), dir.to, f.raw, f.from)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v->%v: frame not delivered", dir.from.ID(), dir.to)
+		}
+	}
+	if st := u1.SessionStats()[0]; st.Delivered != 1 {
+		t.Errorf("unkeyed receiver session stats %+v, want one sealed frame delivered", st)
+	}
+
+	u0.Send(2, []byte("to keyed"))
+	k2.Send(0, []byte("from keyed"))
+	select {
+	case f := <-k2ch:
+		t.Fatalf("keyed transport accepted %q from unkeyed %v", f.raw, f.from)
+	case f := <-u0ch:
+		t.Fatalf("unkeyed transport accepted %q from keyed %v", f.raw, f.from)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if st := u0.Stats()[2]; st.Sent != 0 {
+		t.Errorf("unkeyed->keyed sender stats %+v: a frame was written", st)
+	}
+	if st := k2.Stats()[0]; st.Sent != 0 {
+		t.Errorf("keyed->unkeyed sender stats %+v: a frame was written", st)
 	}
 }
 

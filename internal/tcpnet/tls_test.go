@@ -3,12 +3,12 @@ package tcpnet
 import (
 	"bytes"
 	"crypto/tls"
-	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/sof-repro/sof/internal/session"
 	"github.com/sof-repro/sof/internal/types"
 )
 
@@ -81,8 +81,9 @@ func TestTransportTLSDelivery(t *testing.T) {
 }
 
 // TestTLSRejectsPlaintextClient checks a plaintext dial against a TLS
-// listener fails cleanly instead of corrupting the stream: a well-formed
-// v1 hello and frame written in the clear deliver nothing.
+// listener fails cleanly instead of corrupting the stream: a genuine
+// session hello and sealed frame, which the session layer alone would
+// accept, deliver nothing when written in the clear.
 func TestTLSRejectsPlaintextClient(t *testing.T) {
 	srv, _, err := DevTLS("mixed-secret")
 	if err != nil {
@@ -94,9 +95,11 @@ func TestTLSRejectsPlaintextClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := binary.BigEndian.AppendUint32(nil, uint32(int32(types.ClientID(0))))
+	tx := (&session.Config{Keys: processLinks()}).NewSender(types.ClientID(0), 0)
+	wire := AppendFrame(nil, tx.Hello())
+	wire = AppendFrame(wire, tx.Seal([]byte("plaintext into a tls port")).Append(nil))
 	// The write may succeed locally; delivery must not happen.
-	_, _ = conn.Write(AppendFrame(hello, []byte("plaintext into a tls port")))
+	_, _ = conn.Write(wire)
 	select {
 	case f := <-ch:
 		t.Fatalf("TLS listener delivered a plaintext frame: %q", f.raw)

@@ -1,8 +1,8 @@
 package tcpnet
 
 import (
+	"crypto/rand"
 	"crypto/tls"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/obs"
 	"github.com/sof-repro/sof/internal/session"
 	"github.com/sof-repro/sof/internal/types"
@@ -36,16 +37,17 @@ type Options struct {
 	// RedialMin and RedialMax bound the jittered exponential backoff
 	// between redial attempts to a dead peer (defaults 50 ms and 2 s).
 	RedialMin, RedialMax time.Duration
-	// Session selects frame v2: HMAC-authenticated hellos and data
-	// frames with per-direction sequence numbers, and gap replay on
-	// reconnect. Every endpoint internal/node builds sets it; nil leaves
-	// the raw v1 loopback (see the package doc), and a v2 endpoint
-	// rejects bare v1 hellos. With Session.Journal the session state is
+	// Session configures the wire's HMAC-authenticated hellos and data
+	// frames, their per-direction sequence numbers and the gap replay on
+	// reconnect. Every endpoint internal/node builds sets it from the
+	// dealer's link keys. Nil selects keys drawn once per OS process
+	// (see processLinks): such a Transport authenticates only Transports
+	// of its own process. With Session.Journal the session state is
 	// durable and Start eagerly redials peers whose previous-incarnation
 	// frames await replay.
 	Session *session.Config
 	// HandshakeTimeout bounds the dial-side wait for the session
-	// hello-ack (default 5 s). Ignored without Session.
+	// hello-ack (default 5 s).
 	HandshakeTimeout time.Duration
 	// Metrics, when non-nil, receives live transport instruments: the
 	// per-peer queue/drop/retransmit/reconnect counters and queue depth,
@@ -66,10 +68,9 @@ type Options struct {
 	// traffic (the netsim fabric wired onto real sockets for WAN-profile
 	// experiments): for a write of size bytes to peer `to` it returns the
 	// delay to impose first and whether the link is deliverable at all.
-	// A cut link (ok=false) fails dials and writes; with sessions the
-	// sealed frames wait in the retransmission ring and replay when the
-	// link heals, without sessions the batch is dropped as a real
-	// blackholed link would drop it. Dial probes pass size 0.
+	// A cut link (ok=false) fails dials and writes; the sealed frames
+	// wait in the retransmission ring and replay when the link heals.
+	// Dial probes pass size 0.
 	Shape func(to types.NodeID, size int) (time.Duration, bool)
 	// Listener, when non-nil, is the already-bound listener the transport
 	// serves on (and closes); Listen's addr is then ignored. A caller that
@@ -98,8 +99,20 @@ func (o Options) withDefaults() Options {
 	if o.HandshakeTimeout == 0 {
 		o.HandshakeTimeout = 5 * time.Second
 	}
+	if o.Session == nil {
+		o.Session = &session.Config{Keys: processLinks()}
+	}
 	return o
 }
+
+// processLinks is the link master of Transports built without a Session:
+// drawn once per OS process, so no endpoint elsewhere holds it and such
+// Transports accept only one another.
+var processLinks = sync.OnceValue(func() *crypto.LinkKeys {
+	master := make([]byte, 32)
+	_, _ = rand.Read(master) // crashes the program rather than fail
+	return crypto.NewLinkKeys(master)
+})
 
 // Handler consumes one inbound frame. The payload is never written again
 // and is owned by the handler (message.Decode may alias it); it is a slice
@@ -205,7 +218,7 @@ func (t *Transport) Start(h Handler) {
 		defer t.wg.Done()
 		t.acceptLoop(h)
 	}()
-	if t.opts.Session != nil && t.opts.Session.Journal != nil {
+	if t.opts.Session.Journal != nil {
 		for _, id := range t.opts.Session.Journal.PendingReplay(t.id) {
 			if id == t.id {
 				continue
@@ -240,20 +253,20 @@ func (t *Transport) Close() {
 	t.wg.Wait()
 }
 
+// maxBody is the largest payload Send accepts: a wire frame less the
+// session header and MAC sealing adds.
+const maxBody = MaxFrame - session.Overhead
+
 // Send enqueues raw (which must be immutable — the cached wire encoding
 // is) to one peer, dialling it lazily. It never blocks: it reports false
 // if the frame was dropped because it cannot fit a wire frame, the peer
 // is unknown, its queue is full, or the transport is closed. A
 // self-addressed frame is delivered straight to the handler.
 func (t *Transport) Send(to types.NodeID, raw []byte) bool {
-	maxBody := MaxFrame
-	if t.opts.Session != nil {
-		maxBody -= session.Overhead
-	}
 	if len(raw) > maxBody {
 		// Never let an unsendable frame into a peer queue: the receiver
-		// would reject it, and with resume it would sit unacknowledged in
-		// the retransmission ring and wedge the link by being replayed on
+		// would reject it, and it would sit unacknowledged in the
+		// retransmission ring and wedge the link by being replayed on
 		// every reconnect.
 		t.logger.Printf("tcpnet %v: dropping %d-byte frame to %v: exceeds the %d-byte frame limit", t.id, len(raw), to, maxBody)
 		return false
@@ -290,8 +303,7 @@ func (t *Transport) Stats() map[types.NodeID]PeerStats {
 }
 
 // SessionStats returns the inbound session counters (delivered watermark,
-// duplicates, gaps, rejected frames) per sending peer. Empty without
-// sessions.
+// duplicates, gaps, rejected frames) per sending peer.
 func (t *Transport) SessionStats() map[types.NodeID]session.ReceiverStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -343,19 +355,9 @@ func (t *Transport) registerPeerMetrics(p *peer) {
 	m.CounterFunc("sof_peer_reconnects_total", "Connections torn down after a write error and redialled.",
 		func() uint64 { return p.reconnects.Load() }, labels...)
 	m.CounterFunc("sof_peer_retransmitted_total", "Frames replayed from the session retransmission ring on reconnect.",
-		func() uint64 {
-			if p.tx == nil {
-				return 0
-			}
-			return p.tx.Stats().Retransmitted
-		}, labels...)
+		func() uint64 { return p.tx.Stats().Retransmitted }, labels...)
 	m.CounterFunc("sof_peer_session_lost_total", "Frames a session reconnect could not recover.",
-		func() uint64 {
-			if p.tx == nil {
-				return 0
-			}
-			return p.tx.Stats().Lost
-		}, labels...)
+		func() uint64 { return p.tx.Stats().Lost }, labels...)
 }
 
 // registerSessionMetrics promotes one inbound session receiver's
@@ -380,8 +382,8 @@ func (t *Transport) registerSessionMetrics(from types.NodeID, r *session.Receive
 
 // BounceConns forcibly closes every live connection — inbound readers and
 // outbound senders — without closing the transport, as a network fault
-// would. Senders redial (and, with sessions, handshake and replay the
-// unacknowledged window); inbound session state survives, so delivery
+// would. Senders redial, handshake and replay the unacknowledged window;
+// inbound session state survives, so delivery
 // continuity is preserved. Reconnect and resume tests use this hook.
 func (t *Transport) BounceConns() {
 	t.mu.Lock()
@@ -493,9 +495,9 @@ func (t *Transport) acceptLoop(h Handler) {
 	}
 }
 
-// readLoop consumes one inbound connection: hello (bare v1, or the
-// authenticated v2 hello/ack exchange), then frames, each handed to h as
-// a slice of the connection's current receive chunk (see chunkReader).
+// readLoop consumes one inbound connection: the authenticated hello/ack
+// exchange, then frames, each opened and handed to h as a slice of the
+// connection's current receive chunk (see chunkReader).
 func (t *Transport) readLoop(conn net.Conn, h Handler) {
 	defer func() {
 		t.mu.Lock()
@@ -506,54 +508,41 @@ func (t *Transport) readLoop(conn net.Conn, h Handler) {
 	// A connection that never identifies itself must not pin a goroutine
 	// and a receive chunk forever (port scans, TCP health probes).
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	var from types.NodeID
-	var rx *session.Receiver
 	cr := newChunkReader(conn)
-	if t.opts.Session != nil {
-		hello, err := cr.next()
-		if err != nil {
+	hello, err := cr.next()
+	if err != nil {
+		return
+	}
+	from, hto, err := session.ParseHello(hello)
+	if err != nil || hto != t.id {
+		t.logger.Printf("tcpnet %v: rejecting connection from %s: malformed session hello", t.id, conn.RemoteAddr())
+		return
+	}
+	// Authenticate the claimed sender before allocating anything keyed by
+	// it: forged hellos must not grow the receiver map (or the link-key
+	// cache) — CheckHello is stateless.
+	if _, ok := t.lookupReceiver(from); !ok {
+		if err := t.opts.Session.CheckHello(t.id, hello); err != nil {
+			t.logger.Printf("tcpnet %v: rejecting connection claiming %v from %s: %v", t.id, from, conn.RemoteAddr(), err)
 			return
 		}
-		hfrom, hto, err := session.ParseHello(hello)
-		if err != nil || hto != t.id {
-			t.logger.Printf("tcpnet %v: rejecting connection from %s: malformed session hello", t.id, conn.RemoteAddr())
-			return
+	}
+	rx := t.receiver(from)
+	if err := rx.VerifyHello(hello); err != nil {
+		t.logger.Printf("tcpnet %v: rejecting connection claiming %v from %s: %v", t.id, from, conn.RemoteAddr(), err)
+		if errors.Is(err, session.ErrStaleEpoch) {
+			// Answer with the current ack anyway (authenticated, so
+			// harmless to a replayer): a genuine sender whose clock
+			// regressed across a restart learns the epoch to adopt and
+			// succeeds on its next redial.
+			_, _ = conn.Write(AppendFrame(nil, rx.Ack()))
 		}
-		// Authenticate the claimed sender before allocating anything
-		// keyed by it: forged hellos must not grow the receiver map (or
-		// the link-key cache) — CheckHello is stateless.
-		if _, ok := t.lookupReceiver(hfrom); !ok {
-			if err := t.opts.Session.CheckHello(t.id, hello); err != nil {
-				t.logger.Printf("tcpnet %v: rejecting connection claiming %v from %s: %v", t.id, hfrom, conn.RemoteAddr(), err)
-				return
-			}
-		}
-		rx = t.receiver(hfrom)
-		if err := rx.VerifyHello(hello); err != nil {
-			t.logger.Printf("tcpnet %v: rejecting connection claiming %v from %s: %v", t.id, hfrom, conn.RemoteAddr(), err)
-			if errors.Is(err, session.ErrStaleEpoch) {
-				// Answer with the current ack anyway (authenticated, so
-				// harmless to a replayer): a genuine sender whose clock
-				// regressed across a restart learns the epoch to adopt
-				// and succeeds on its next redial.
-				_, _ = conn.Write(AppendFrame(nil, rx.Ack()))
-			}
-			return
-		}
-		// The ack carries the delivery watermark a resuming sender
-		// replays from.
-		if _, err := conn.Write(AppendFrame(nil, rx.Ack())); err != nil {
-			return
-		}
-		from = hfrom
-	} else {
-		// The bare hello is not a frame: it is read off the conn itself,
-		// ahead of the chunk reader's first read.
-		var hello [4]byte
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			return
-		}
-		from = types.NodeID(int32(binary.BigEndian.Uint32(hello[:])))
+		return
+	}
+	// The ack carries the delivery watermark a resuming sender replays
+	// from.
+	if _, err := conn.Write(AppendFrame(nil, rx.Ack())); err != nil {
+		return
 	}
 	_ = conn.SetReadDeadline(time.Time{}) // frames may be arbitrarily far apart
 	for {
@@ -566,25 +555,22 @@ func (t *Transport) readLoop(conn net.Conn, h Handler) {
 			}
 			return
 		}
-		if rx != nil {
-			body, err := rx.Open(raw)
-			if err != nil {
-				// Tampered or corrupt stream: the frame never reaches
-				// protocol code, and the connection is dropped (a
-				// legitimate sender redials and resumes).
-				t.logger.Printf("tcpnet %v: rejecting frame from %v (%s): %v", t.id, from, conn.RemoteAddr(), err)
-				return
-			}
-			if body == nil {
-				continue // duplicate of an already-delivered frame
-			}
-			raw = body
+		body, err := rx.Open(raw)
+		if err != nil {
+			// Tampered or corrupt stream: the frame never reaches protocol
+			// code, and the connection is dropped (a legitimate sender
+			// redials and resumes).
+			t.logger.Printf("tcpnet %v: rejecting frame from %v (%s): %v", t.id, from, conn.RemoteAddr(), err)
+			return
+		}
+		if body == nil {
+			continue // duplicate of an already-delivered frame
 		}
 		if t.closed.Load() {
 			return
 		}
 		if h != nil {
-			h(from, raw)
+			h(from, body)
 		}
 	}
 }

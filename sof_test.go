@@ -839,8 +839,8 @@ func TestPublicAPISessionRingLenRequiresTCP(t *testing.T) {
 // authenticated sessions always resume — has every live connection
 // forcibly killed repeatedly while requests are in flight, and still
 // commits every submitted request at every order process — zero frame
-// loss. (Frames without sessions abandon in-flight frames on reconnect,
-// so nodes behind a killed connection would miss order batches forever
+// loss. (A transport that abandoned in-flight frames on reconnect would
+// leave nodes behind a killed connection missing order batches forever
 // in a fail-free run.)
 func TestPublicAPISessionResumeNoFrameLoss(t *testing.T) {
 	if testing.Short() {
