@@ -487,3 +487,91 @@ func TestProcessSlabsSurviveTurnover(t *testing.T) {
 	close(trackers)
 	wg.Wait()
 }
+
+// TestDeferralAllocFree pins what a proposal that outruns its request
+// costs the shadow: deferring it (an await count on the pool entry and a
+// slot in the reused deferred list) and endorsing it when the body lands
+// (the pool's arrival hook) take no heap object of their own — it was a
+// closure, a map entry and a record per deferral.
+func TestDeferralAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors do not hold under the race detector")
+	}
+	const runs = 100
+	fx := newEvidenceFixture(t)
+	shadow, err := New(fx.s1, Config{Topo: fx.topo, Knobs: Knobs{BatchInterval: time.Second, MaxBatchBytes: 1024, Delta: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &scratchEnv{fakeEnv: fakeEnv{Identity: fx.idents[fx.s1]}}
+	shadow.Init(env)
+	reqs := make([]*message.Request, runs+1)
+	proposals := make([]*message.OrderBatch, runs+1)
+	for i := range proposals {
+		r := &message.Request{Client: 100, ClientSeq: uint64(i + 1), Payload: make([]byte, 128)}
+		b := message.NewOrderBatch(1)
+		b.Coord, b.View, b.FirstSeq, b.Primary, b.Shadow = 1, 1, types.Seq(i+1), fx.p1, fx.s1
+		b.Entries[0] = message.OrderEntry{Req: r.ID(), ReqDigest: env.Digest(r.SignedBody())}
+		if err := message.Sign(fx.idents[fx.p1], b, &b.Sig1); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i], proposals[i] = r, b
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		r := reqs[next]
+		shadow.onProposal(env, proposals[next])
+		if len(shadow.deferred) != 1 || !shadow.pool.Awaited(r.ID()) {
+			t.Fatalf("proposal %d was not deferred on its missing body", next+1)
+		}
+		shadow.pool.Add(r)
+		if len(shadow.deferred) != 0 || !shadow.pool.IsOrdered(r.ID()) {
+			t.Fatalf("proposal %d was not endorsed when its body arrived", next+1)
+		}
+		next++
+	})
+	if got != 0 {
+		t.Errorf("deferring a proposal and endorsing it on arrival = %v allocs, want 0", got)
+	}
+}
+
+// TestEarlyAckAllocFree pins what an ack that outruns its subject costs:
+// parking it reuses a list an earlier replay emptied, so after warm-up
+// neither parking nor replaying it reaches the heap — it was a fresh list
+// per early subject.
+func TestEarlyAckAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation floors do not hold under the race detector")
+	}
+	const runs = 100
+	fx := newEarlyAckFixture(t)
+	p, env := fx.process, &scratchEnv{fakeEnv: *fx.env}
+	slab := new(message.Slab[Tracker])
+	acks := make([]*message.Ack, runs+1)
+	trackers := make([]*Tracker, runs+1)
+	for i := range acks {
+		b := *fx.batch
+		b.FirstSeq = types.Seq(i + 1)
+		digest := env.Digest([]byte{byte(i), byte(i >> 8)})
+		trackers[i] = NewBatchTracker(slab, &b, digest)
+		acks[i] = &message.Ack{From: fx.s2, Kind: message.SubjectBatch, View: 1, FirstSeq: b.FirstSeq, SubjectDigest: digest}
+		if err := message.Sign(fx.s2Ident, acks[i], &acks[i].Sig); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		p.onAck(env, fx.s2, acks[next])
+		if len(p.pendingAcks[acks[next].FirstSeq]) != 1 {
+			t.Fatalf("the ack for %d was not parked", next+1)
+		}
+		p.replayPendingAcks(env, trackers[next])
+		if !trackers[next].Credited(fx.s2) || len(p.pendingAcks) != 0 {
+			t.Fatalf("the parked ack for %d was not credited on replay", next+1)
+		}
+		next++
+	})
+	if got != 0 {
+		t.Errorf("parking an early ack and replaying it = %v allocs, want 0", got)
+	}
+}

@@ -608,7 +608,7 @@ func (p *Process) maybePruneHistory() {
 	}
 	for seq := range p.pendingAcks {
 		if seq < wm {
-			delete(p.pendingAcks, seq)
+			p.dropPendingAcks(seq)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/sof-repro/sof/internal/fsp"
@@ -82,10 +83,9 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 
 	unresolved := 0
 	for _, e := range b.Entries {
-		e := e
 		if _, known := p.pool.Get(e.Req); !known {
 			unresolved++
-			continue
+			p.pool.Await(e.Req)
 		}
 	}
 	if unresolved == 0 {
@@ -93,47 +93,68 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 		return
 	}
 	// Defer endorsement until every referenced request has arrived.
-	// Clients multicast to all nodes, so a correct client's request is on
-	// its way — unless our own admission shed it before the primary's
-	// proposal named it, in which case no further copy is coming and the
-	// fetch below (with its retry timer) recovers the body from the
-	// primary. A fabricated ReqID from a faulty primary keeps the
-	// proposal pending and the next real request's expectation will
-	// eventually flag the primary as untimely.
-	p.deferredProposals[b.FirstSeq] = &deferredProposal{batch: b, left: unresolved, at: env.Now()}
+	// Clients multicast to all nodes, so a correct client's request is
+	// almost always on its way and is not fetched: the fetch timer asks
+	// the primary, after one throttle window, only for bodies still
+	// missing — ones our own admission shed before the proposal named
+	// them, of which no further copy is coming. A fabricated ReqID from a
+	// faulty primary keeps the proposal pending and the next real
+	// request's expectation will eventually flag the primary as untimely.
+	p.deferred = append(p.deferred, deferredProposal{batch: b, left: unresolved, at: env.Now()})
 	p.m.shadowDeferred.Inc()
-	for _, e := range b.Entries {
-		e := e
-		if _, known := p.pool.Get(e.Req); known {
-			continue
-		}
-		first := b.FirstSeq
-		batch := b
-		p.pool.WhenAvailable(e.Req, func(*message.Request) {
-			d, pending := p.deferredProposals[first]
-			if !pending {
-				return
-			}
-			if d.left--; d.left > 0 {
-				return
-			}
-			delete(p.deferredProposals, first)
-			p.m.shadowDeferral.ObserveDuration(env.Now().Sub(d.at))
-			p.validateAndEndorse(env, batch)
-		})
-	}
-	p.requestPayloadFetch(env, b)
-	p.armDeferredFetch(env)
+	p.armFetch(env)
 }
 
 // deferredProposal is a shadow-side proposal awaiting referenced request
-// bodies: left counts the outstanding WhenAvailable waiters, batch keeps
-// the entries so the fetch retry knows what is still missing, and at is
-// when it was deferred.
+// bodies: left counts the entries whose bodies are still awaited, batch
+// keeps the entries so the fetch timer knows what is still missing, and at
+// is when it was deferred.
 type deferredProposal struct {
 	batch *message.OrderBatch
 	left  int
 	at    time.Time
+}
+
+// bodyArrived is the pool's arrival hook: an awaited request body came.
+// The deferred proposals it completes are endorsed in FirstSeq order.
+func (p *Process) bodyArrived(env runtime.Env, id message.ReqID) {
+	for i := range p.deferred {
+		d := &p.deferred[i]
+		for _, e := range d.batch.Entries {
+			if e.Req == id {
+				d.left--
+			}
+		}
+	}
+	for i := 0; i < len(p.deferred); {
+		d := p.deferred[i]
+		if d.left > 0 {
+			i++
+			continue
+		}
+		p.deferred = slices.Delete(p.deferred, i, i+1)
+		p.m.shadowDeferral.ObserveDuration(env.Now().Sub(d.at))
+		p.validateAndEndorse(env, d.batch)
+	}
+}
+
+// dropMissing abandons every deferred proposal and delivered straggler,
+// withdrawing their awaits from the pool, and stops the fetch timer: the
+// regime they belong to is over (pair-down, view change).
+func (p *Process) dropMissing() {
+	for _, d := range p.deferred {
+		for _, e := range d.batch.Entries {
+			if _, known := p.pool.Get(e.Req); !known {
+				p.pool.Unawait(e.Req)
+			}
+		}
+	}
+	p.deferred = slices.Delete(p.deferred, 0, len(p.deferred))
+	p.stragglers = slices.Delete(p.stragglers, 0, len(p.stragglers))
+	if p.fetchTimer != nil {
+		p.fetchTimer.Stop()
+		p.fetchTimer = nil
+	}
 }
 
 // validateAndEndorse performs the shadow's value-domain check against its
@@ -199,13 +220,7 @@ func (p *Process) onPairDown(env runtime.Env, fs *message.FailSignal, reason str
 		p.batchTimer.Stop()
 		p.batchTimer = nil
 	}
-	for k := range p.deferredProposals {
-		delete(p.deferredProposals, k)
-	}
-	if p.deferFetchTimer != nil {
-		p.deferFetchTimer.Stop()
-		p.deferFetchTimer = nil
-	}
+	p.dropMissing()
 	// A deposed primary abandons its proposal window outright: the
 	// uncommitted tail is the new coordinator's to re-order (the
 	// fail-over BackLog/Start machinery re-orders the dropped requests).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"github.com/sof-repro/sof/internal/message"
@@ -13,8 +14,12 @@ import (
 // digests: acks no longer embed the endorsed subject, and batches can
 // commit before every referenced request payload has arrived. A process
 // that finds itself missing a subject (quorum ack evidence for a sequence
-// it does not track) or a payload (delivering a batch whose requests are
-// not all pooled) asks a peer that demonstrably has it. Answers are the
+// it does not track) asks a peer that demonstrably has it. A missing
+// payload (a proposal the shadow defers, or a delivered batch whose
+// requests are not all pooled) is almost always a client's multicast
+// still in flight, so nothing is fetched at once: one timer per process
+// asks the primary, after one fetch throttle window, for the bodies still
+// missing, and again every window until they arrive. Answers are the
 // stored messages re-sent verbatim — self-verifying, flowing through the
 // normal onOrderBatch/onRequest handlers — so a FetchReq needs no trust,
 // only throttling on both sides.
@@ -51,96 +56,109 @@ func (p *Process) requestSubjectFetch(env runtime.Env, seq types.Seq, target typ
 	p.sendFetch(env, target, []types.Seq{seq}, nil)
 }
 
-// requestPayloadFetch asks the batch's primary for referenced request
-// payloads the pool is still missing. Called at delivery: the batch
-// committed, so the replica layer will block on these payloads (its Retry
-// drain picks them up the moment they arrive).
-func (p *Process) requestPayloadFetch(env runtime.Env, b *message.OrderBatch) {
-	if p.muted() || b.Primary == p.id {
+// maxStragglers bounds the delivered batches whose missing payloads the
+// fetch timer keeps re-asking for; past it the oldest is given up (its
+// bodies can still arrive by the client's own copy, mirror or catch-up).
+const maxStragglers = 128
+
+// straggler is a delivered batch some of whose request bodies were not
+// pooled at delivery, and when it was delivered.
+type straggler struct {
+	batch *message.OrderBatch
+	at    time.Time
+}
+
+// noteStraggler records a delivered batch whose payloads are not all
+// pooled, for the fetch timer: the replica layer blocks on these bodies
+// (its Retry drain picks them up the moment they arrive).
+func (p *Process) noteStraggler(env runtime.Env, b *message.OrderBatch) {
+	if p.muted() || b.Primary == p.id || p.missing(b) == 0 {
 		return
 	}
-	var missing []message.ReqID
+	if len(p.stragglers) == maxStragglers {
+		p.stragglers = slices.Delete(p.stragglers, 0, 1)
+	}
+	p.stragglers = append(p.stragglers, straggler{batch: b, at: env.Now()})
+	p.armFetch(env)
+}
+
+// missing counts the batch's entries whose bodies the pool does not hold.
+func (p *Process) missing(b *message.OrderBatch) int {
+	n := 0
 	for _, e := range b.Entries {
-		if _, ok := p.pool.Get(e.Req); ok {
-			continue
-		}
-		if at, ok := p.reqFetchAsked[e.Req]; ok && env.Now().Sub(at) < p.fetchThrottle() {
-			continue
-		}
-		missing = append(missing, e.Req)
-	}
-	if len(missing) == 0 {
-		return
-	}
-	if p.reqFetchAsked == nil {
-		p.reqFetchAsked = make(map[message.ReqID]time.Time)
-	}
-	for id, at := range p.reqFetchAsked {
-		if env.Now().Sub(at) >= p.fetchThrottle() {
-			delete(p.reqFetchAsked, id)
+		if _, ok := p.pool.Get(e.Req); !ok {
+			n++
 		}
 	}
-	for _, id := range missing {
-		p.reqFetchAsked[id] = env.Now()
-	}
-	p.sendFetch(env, b.Primary, nil, missing)
+	return n
 }
 
-// armDeferredFetch keeps a retry timer running while the shadow holds
-// proposals deferred on missing request bodies. The first fetch can be
-// dropped by the responder-side throttle, and nothing else is guaranteed
-// to re-trigger one (the client will not re-send a request we shed at
-// admission), so the timer re-asks every throttle window until no
-// proposal is deferred.
-func (p *Process) armDeferredFetch(env runtime.Env) {
-	if p.deferFetchTimer != nil || len(p.deferredProposals) == 0 {
+// armFetch keeps the fetch timer running while a deferred proposal or a
+// straggler waits on request bodies. Nothing else re-triggers a payload
+// fetch — the client will not re-send a request we shed at admission, and
+// the responder's throttle may drop an answer — so the timer re-asks every
+// throttle window until nothing is missing.
+func (p *Process) armFetch(env runtime.Env) {
+	if p.fetchTimer != nil || len(p.deferred)+len(p.stragglers) == 0 {
 		return
 	}
-	p.deferFetchTimer = env.SetTimer(p.fetchThrottle(), func() {
-		p.deferFetchTimer = nil
-		p.fetchDeferredPayloads(env)
-		p.armDeferredFetch(env)
-	})
+	if p.onFetchTick == nil {
+		p.onFetchTick = func() {
+			p.fetchTimer = nil
+			p.fetchMissingPayloads(env)
+			p.armFetch(env)
+		}
+	}
+	p.fetchTimer = env.SetTimer(p.fetchThrottle(), p.onFetchTick)
 }
 
-// fetchDeferredPayloads re-asks the primary for every request body a
-// deferred proposal is still waiting on, merged into one FetchReq per
-// primary so the responder's one-answer-per-window throttle covers them
-// all at once.
-func (p *Process) fetchDeferredPayloads(env runtime.Env) {
-	if p.muted() {
-		return
-	}
-	missing := make(map[types.NodeID][]message.ReqID)
-	for _, d := range p.deferredProposals {
-		if d.batch.Primary == p.id {
-			continue
+// fetchMissingPayloads asks each batch's primary for the request bodies
+// that deferred proposals and stragglers at least one throttle window old
+// still miss — younger ones are likely in flight and wait for the next
+// tick — merged into one FetchReq per primary so the responder's
+// one-answer-per-window throttle covers them all at once. Stragglers
+// whose bodies have all arrived are dropped.
+func (p *Process) fetchMissingPayloads(env runtime.Env) {
+	now := env.Now()
+	var asks []payloadAsk // one per primary, in first-seen order
+	ask := func(b *message.OrderBatch, at time.Time) {
+		if now.Sub(at) < p.fetchThrottle() {
+			return
 		}
-		for _, e := range d.batch.Entries {
+		for _, e := range b.Entries {
 			if _, ok := p.pool.Get(e.Req); ok {
 				continue
 			}
-			if at, ok := p.reqFetchAsked[e.Req]; ok && env.Now().Sub(at) < p.fetchThrottle() {
-				continue
+			i := slices.IndexFunc(asks, func(a payloadAsk) bool { return a.target == b.Primary })
+			if i < 0 {
+				i = len(asks)
+				asks = append(asks, payloadAsk{target: b.Primary})
 			}
-			missing[d.batch.Primary] = append(missing[d.batch.Primary], e.Req)
+			asks[i].ids = append(asks[i].ids, e.Req)
 		}
 	}
-	if len(missing) == 0 {
-		return
+	for _, d := range p.deferred {
+		ask(d.batch, d.at)
 	}
-	if p.reqFetchAsked == nil {
-		p.reqFetchAsked = make(map[message.ReqID]time.Time)
+	p.stragglers = slices.DeleteFunc(p.stragglers, func(s straggler) bool { return p.missing(s.batch) == 0 })
+	for _, s := range p.stragglers {
+		ask(s.batch, s.at)
 	}
-	for target, ids := range missing {
-		for _, id := range ids {
-			p.reqFetchAsked[id] = env.Now()
-		}
-		p.sendFetch(env, target, nil, ids)
+	for _, a := range asks {
+		p.sendFetch(env, a.target, nil, a.ids)
 	}
 }
 
+// payloadAsk is one FetchReq's worth of missing bodies for one primary.
+type payloadAsk struct {
+	target types.NodeID
+	ids    []message.ReqID
+}
+
 func (p *Process) sendFetch(env runtime.Env, target types.NodeID, seqs []types.Seq, reqs []message.ReqID) {
+	if p.muted() {
+		return
+	}
 	m := &message.FetchReq{From: p.id, Seqs: seqs, Reqs: reqs}
 	if err := message.Sign(env, m, &m.Sig); err != nil {
 		env.Logf("core: signing FetchReq: %v", err)

@@ -230,7 +230,7 @@ func (p *Process) armEvictTimer(env runtime.Env) {
 // stamp they may not drop; the re-arm then waits on that live head.
 func (p *Process) evictTick(env runtime.Env) {
 	p.evictTimer = nil
-	mayDrop := !p.isPrimaryNow() && len(p.deferredProposals) == 0
+	mayDrop := !p.isPrimaryNow() && len(p.deferred) == 0
 	now := env.Now()
 	dropped := false
 	for p.agesHead < len(p.ingressAges) && now.Sub(p.ingressAges[p.agesHead].at) >= p.ingress.EvictAfter() {

@@ -115,7 +115,12 @@ func (p *Process) beginInstall(env runtime.Env, fs *message.FailSignal) {
 	p.pendingTuples = nil
 	p.pendingStartSig = nil
 	clear(p.earlyProposals)
-	p.pendingAcks = make(map[types.Seq][]*message.Ack)
+	for seq := range p.pendingAcks {
+		p.dropPendingAcks(seq)
+	}
+	// The deposed regime's deferred proposals and stragglers are not
+	// re-asked of its primary.
+	p.dropMissing()
 	// Orders from the deposed coordinator that were never acked cannot
 	// complete; drop the buffer (acked ones travel in BackLogs).
 	p.future = make(map[types.Seq]*message.OrderBatch)

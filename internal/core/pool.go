@@ -9,7 +9,7 @@ import (
 // Clients multicast requests to every order process, so each process
 // accumulates its own copy. The pool is owned by its process's event loop
 // — the protocol and the replica executing its commits both run there —
-// and is not safe for concurrent use. Waiter and batch-full callbacks
+// and is not safe for concurrent use. The arrival and batch-full callbacks
 // re-enter the pool, so they fire once its own state is settled.
 //
 // Everything the pool knows about one request — its body, whether it has
@@ -26,11 +26,15 @@ import (
 type RequestPool struct {
 	index   map[poolKey]uint32 // request → position in slab
 	slab    []poolEntry
-	free    []uint32 // released slab positions, reused before the slab grows
-	known   int      // entries holding a body (Len)
-	pending int      // queued entries still awaiting ordering (O(1) PendingCount)
-	waiters map[message.ReqID][]func(*message.Request)
+	free    []uint32           // released slab positions, reused before the slab grows
+	known   int                // entries holding a body (Len)
+	pending int                // queued entries still awaiting ordering (O(1) PendingCount)
 	batch   []*message.Request // NextBatch's result, reused by the next call
+
+	// onArrival fires when a body the owner awaits (Await) arrives, before
+	// onTarget: one callback fixed at Init, so awaiting a body costs no
+	// heap object.
+	onArrival func(message.ReqID)
 
 	// pendingBytes is the estimated batch-wire cost of the pending
 	// entries (payload plus per-entry overhead), maintained across
@@ -39,7 +43,7 @@ type RequestPool struct {
 	// pending entries fill a batch once another entry like the last one
 	// admitted would no longer fit beside them (BatchFull — NextBatch's
 	// own pop rule, so the batch it then pops strands nothing), and when
-	// an Add makes that true onTarget fires (after the waiters) so the
+	// an Add makes that true onTarget fires (after onArrival) so the
 	// owning primary can close the batch on the arrival that fills it
 	// instead of waiting for its timer. The trigger is edge-based: once
 	// full no further Adds fire it until NextBatch drains the pool below a
@@ -70,15 +74,18 @@ func keyOf(id message.ReqID) poolKey {
 
 // poolEntry is what the pool knows about one request. An entry exists
 // while it has a body, is marked ordered (possibly ahead of its body's
-// arrival) or is still named by an unconsumed arrival-queue slot; it is
-// released when none of the three holds.
+// arrival), is awaited or is still named by an unconsumed arrival-queue
+// slot; it is released when none of the four holds.
 type poolEntry struct {
 	req *message.Request // nil while the body is unknown or was dropped
 	id  message.ReqID
 	// slots counts the unconsumed arrival-queue slots naming this entry.
 	// Usually one; a request dropped and re-added before the dequeue
 	// reached its first slot holds two, and is served at the first.
-	slots   uint32
+	slots uint32
+	// awaits counts the owner's outstanding Awaits of the missing body;
+	// the body's arrival settles them all at once.
+	awaits  uint32
 	ordered bool // assigned a sequence number, as far as this process knows
 	// queued: the entry holds a live place in the arrival queue. Cleared
 	// when the dequeue consumes one of its slots or the body is dropped;
@@ -112,9 +119,8 @@ const drrQuantum = 256
 // NewRequestPool returns an empty pool.
 func NewRequestPool() *RequestPool {
 	return &RequestPool{
-		index:   make(map[poolKey]uint32),
-		waiters: make(map[message.ReqID][]func(*message.Request)),
-		queues:  make(map[types.NodeID]*clientQueue),
+		index:  make(map[poolKey]uint32),
+		queues: make(map[types.NodeID]*clientQueue),
 	}
 }
 
@@ -145,9 +151,9 @@ func (p *RequestPool) entry(id message.ReqID) (uint32, *poolEntry) {
 }
 
 // release retires the entry at slab position i once nothing refers to it:
-// no body, not ordered, no arrival-queue slot left to consume.
+// no body, not ordered, not awaited, no arrival-queue slot left to consume.
 func (p *RequestPool) release(i uint32, e *poolEntry) {
-	if e.req != nil || e.ordered || e.slots > 0 {
+	if e.req != nil || e.ordered || e.awaits > 0 || e.slots > 0 {
 		return
 	}
 	delete(p.index, keyOf(e.id))
@@ -255,10 +261,16 @@ func (p *RequestPool) BatchFull() bool {
 	return p.targetBytes > 0 && p.pending > 0 && p.pendingBytes+p.lastCost > p.targetBytes
 }
 
+// SetArrivalHook installs the callback Add fires when an awaited body
+// arrives (see Await). The owning process installs it in Init.
+func (p *RequestPool) SetArrivalHook(fn func(message.ReqID)) {
+	p.onArrival = fn
+}
+
 // Add stores a request; duplicates are ignored. It reports whether the
-// request was new, and fires any WhenAvailable callbacks plus the
-// batch-full trigger (both once the entry is in place; they re-enter the
-// pool).
+// request was new, and fires the arrival hook if the body was awaited plus
+// the batch-full trigger (both once the entry is in place; they re-enter
+// the pool).
 func (p *RequestPool) Add(req *message.Request) bool {
 	id := req.ID()
 	i, e := p.entry(id)
@@ -274,11 +286,10 @@ func (p *RequestPool) Add(req *message.Request) bool {
 		p.lastCost = p.cost(e)
 		fire = p.onTarget != nil && !wasFull && p.BatchFull()
 	}
-	if ws := p.waiters[id]; len(ws) > 0 {
-		delete(p.waiters, id)
-		for _, fn := range ws {
-			fn(req)
-		}
+	awaited := e.awaits > 0
+	e.awaits = 0
+	if awaited && p.onArrival != nil {
+		p.onArrival(id)
 	}
 	if fire {
 		p.onTarget()
@@ -294,22 +305,34 @@ func (p *RequestPool) Get(id message.ReqID) (*message.Request, bool) {
 	return nil, false
 }
 
-// WhenAvailable calls fn immediately if the request is known, otherwise
-// when it arrives. The shadow coordinator uses this to defer value-domain
-// validation of an order whose request is still in flight.
-func (p *RequestPool) WhenAvailable(id message.ReqID, fn func(*message.Request)) {
-	if _, e := p.lookup(id); e != nil && e.req != nil {
-		fn(e.req)
-		return
+// Await registers one more wait for a body the pool does not hold: its
+// arrival fires the arrival hook once, however many waits it settles. The
+// shadow coordinator uses this to defer value-domain validation of an
+// order whose request is still in flight. A body already held is not
+// awaited.
+func (p *RequestPool) Await(id message.ReqID) {
+	if _, e := p.entry(id); e.req == nil {
+		e.awaits++
 	}
-	p.waiters[id] = append(p.waiters[id], fn)
 }
 
-// Awaited reports whether a WhenAvailable waiter is registered for the
-// request — the protocol itself is blocked on this body (a deferred
-// shadow endorsement), so admission must not refuse it.
+// Unawait withdraws one wait Await registered whose body has not arrived
+// (the owner abandoned what it was waiting for).
+func (p *RequestPool) Unawait(id message.ReqID) {
+	i, e := p.lookup(id)
+	if e == nil || e.awaits == 0 {
+		return
+	}
+	e.awaits--
+	p.release(i, e)
+}
+
+// Awaited reports whether the owner awaits the request's body — the
+// protocol itself is blocked on it (a deferred shadow endorsement), so
+// admission must not refuse it.
 func (p *RequestPool) Awaited(id message.ReqID) bool {
-	return len(p.waiters[id]) > 0
+	_, e := p.lookup(id)
+	return e != nil && e.awaits > 0
 }
 
 // Drop discards an unordered request outright, reversing its pending

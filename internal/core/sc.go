@@ -195,11 +195,10 @@ type Process struct {
 	fillSum  float64
 	closes   [numCloseTriggers]uint64
 
-	// Coordinator-shadow state. deferFetchTimer retries payload fetches
-	// for deferred proposals (check.go / fetch.go).
+	// Coordinator-shadow state: deferred holds the proposals awaiting
+	// request bodies, in FirstSeq order (check.go).
 	shadowNextPropose types.Seq
-	deferredProposals map[types.Seq]*deferredProposal // by FirstSeq
-	deferFetchTimer   runtime.Timer
+	deferred          []deferredProposal
 
 	// Install state (install.go).
 	installing      bool
@@ -213,6 +212,9 @@ type Process struct {
 	pendingStartSig []*message.StartSig               // tuples racing ahead of the Start
 	earlyProposals  map[types.Seq]*message.OrderBatch // proposals racing ahead of our IN5
 	pendingAcks     map[types.Seq][]*message.Ack
+	// ackLists are emptied pendingAcks lists, reused by the next ack that
+	// outruns its subject.
+	ackLists [][]*message.Ack
 
 	// SCR state (scr.go).
 	pairEpochs    map[types.Rank]uint64
@@ -236,12 +238,16 @@ type Process struct {
 	catchupServed  map[types.NodeID]servedMark
 	catchupTimer   runtime.Timer
 
-	// Fetch-on-miss state (fetch.go): requester-side throttles per missing
-	// subject sequence and request payload, responder-side throttle per
-	// requester.
+	// Fetch-on-miss state (fetch.go): requester-side throttle per missing
+	// subject sequence, responder-side throttle per requester; the
+	// delivered batches still missing payloads, and the timer (with its
+	// callback, made once) that re-asks for them and for the deferred
+	// proposals' bodies.
 	subjFetchAsked map[types.Seq]time.Time
-	reqFetchAsked  map[message.ReqID]time.Time
 	fetchServed    map[types.NodeID]time.Time
+	stragglers     []straggler
+	fetchTimer     runtime.Timer
+	onFetchTick    func()
 
 	// m holds the registry instruments (metrics.go); zero-valued (and
 	// no-op) when the config carried no registry.
@@ -280,7 +286,6 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 		proposals:         make(map[types.Seq]*message.OrderBatch),
 		inflight:          make(map[types.Seq]types.Seq),
 		shadowNextPropose: 1,
-		deferredProposals: make(map[types.Seq]*deferredProposal),
 		backlogs:          make(map[types.NodeID]*message.BackLog),
 		startSigs:         make(map[types.NodeID]crypto.Signature),
 		earlyProposals:    make(map[types.Seq]*message.OrderBatch),
@@ -432,6 +437,7 @@ func (p *Process) Init(env runtime.Env) {
 	// pipelined primary.
 	p.pool.SetBatchTarget(p.cfg.MaxBatchBytes, EntryOverhead+p.digestSize,
 		func() { p.onPoolTarget(env) })
+	p.pool.SetArrivalHook(func(id message.ReqID) { p.bodyArrived(env, id) })
 	if p.catchingUp.Load() {
 		// Catch up on committed history before resuming ordering: a
 		// restored primary must not propose into a sequence range it has
@@ -836,8 +842,8 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 // credited is not awaited. A counterpart ack that does not match t goes
 // through the value-domain cross-check, as it would had it come after t.
 func (p *Process) replayPendingAcks(env runtime.Env, t *Tracker) {
-	pending := p.pendingAcks[t.FirstSeq]
-	if len(pending) == 0 {
+	pending, ok := p.pendingAcks[t.FirstSeq]
+	if !ok {
 		return
 	}
 	delete(p.pendingAcks, t.FirstSeq)
@@ -847,6 +853,42 @@ func (p *Process) replayPendingAcks(env runtime.Env, t *Tracker) {
 		} else {
 			p.crossCheckCounterpartAck(env, a, nil)
 		}
+	}
+	p.freeAckList(pending)
+}
+
+// maxFreeAckLists bounds the emptied early-ack lists kept for reuse.
+const maxFreeAckLists = 16
+
+// parkAck buffers an ack that outran its subject, in a list recycled from
+// earlier early acks (at most 64 per sequence).
+func (p *Process) parkAck(a *message.Ack) {
+	q, ok := p.pendingAcks[a.FirstSeq]
+	if len(q) >= 64 {
+		return
+	}
+	if !ok {
+		if n := len(p.ackLists); n > 0 {
+			q, p.ackLists = p.ackLists[n-1], p.ackLists[:n-1]
+		}
+	}
+	p.pendingAcks[a.FirstSeq] = append(q, a)
+}
+
+// freeAckList keeps an emptied early-ack list for parkAck to reuse.
+func (p *Process) freeAckList(q []*message.Ack) {
+	if len(p.ackLists) < maxFreeAckLists {
+		clear(q)
+		p.ackLists = append(p.ackLists, q[:0])
+	}
+}
+
+// dropPendingAcks discards the early acks parked for seq, recycling the
+// list.
+func (p *Process) dropPendingAcks(seq types.Seq) {
+	if q, ok := p.pendingAcks[seq]; ok {
+		delete(p.pendingAcks, seq)
+		p.freeAckList(q)
 	}
 }
 
@@ -923,9 +965,7 @@ func (p *Process) onAck(env runtime.Env, from types.NodeID, a *message.Ack) {
 	if t == nil || !t.Matches(a) {
 		// Remember acks that outran their subject (e.g. a Start we are
 		// still installing); replayPendingAcks picks them up.
-		if len(p.pendingAcks[a.FirstSeq]) < 64 {
-			p.pendingAcks[a.FirstSeq] = append(p.pendingAcks[a.FirstSeq], a)
-		}
+		p.parkAck(a)
 		// Digest-only ordering: acks no longer teach us the subject, so
 		// once enough of the cluster has acked a subject we do not track,
 		// fetch it from an acker (throttled; fetch-on-miss fallback).
@@ -1021,9 +1061,9 @@ func (p *Process) deliver(env runtime.Env, t *Tracker) {
 		last = t.Batch.LastSeq()
 		entries = t.Batch.Entries
 		// With payload dissemination off the ordering path, a batch can
-		// commit before every referenced payload arrived; fetch the
-		// stragglers so the replica layer's Retry finds them (throttled).
-		p.requestPayloadFetch(env, t.Batch)
+		// commit before every referenced payload arrived; the fetch timer
+		// asks for the bodies still missing one throttle window on.
+		p.noteStraggler(env, t.Batch)
 	case t.StartMsg != nil:
 		last = t.StartMsg.StartSeq
 	}

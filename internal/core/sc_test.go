@@ -424,19 +424,8 @@ func TestPoolBasics(t *testing.T) {
 	if _, ok := pool.Get(req.ID()); !ok {
 		t.Fatal("Get failed")
 	}
-	called := false
-	pool.WhenAvailable(req.ID(), func(*message.Request) { called = true })
-	if !called {
-		t.Error("WhenAvailable not immediate for known request")
-	}
-	var got *message.Request
-	future := message.ReqID{Client: types.ClientID(0), ClientSeq: 2}
-	pool.WhenAvailable(future, func(r *message.Request) { got = r })
 	req2 := &message.Request{Client: types.ClientID(0), ClientSeq: 2}
 	pool.Add(req2)
-	if got != req2 {
-		t.Error("WhenAvailable callback not fired on arrival")
-	}
 
 	batch := pool.NextBatch(4096, 16)
 	if len(batch) != 2 {
@@ -451,6 +440,70 @@ func TestPoolBasics(t *testing.T) {
 	pool.UnmarkOrdered(req.ID())
 	if again := pool.NextBatch(4096, 16); len(again) != 1 || again[0] != req {
 		t.Errorf("UnmarkOrdered did not requeue: %v", again)
+	}
+}
+
+// TestPoolAwaitCountAndHook pins how the pool tells its owner an awaited
+// body came: a body already held is not awaited; Await counts waits on a
+// missing one, which keep its entry (and admission's Awaited) until the
+// body's arrival settles them all with one call of the arrival hook, fired
+// before the batch-full trigger; Unawait withdraws a wait, and the last
+// one releases an entry nothing else holds.
+func TestPoolAwaitCountAndHook(t *testing.T) {
+	pool := core.NewRequestPool()
+	var order []string
+	var arrived []message.ReqID
+	pool.SetArrivalHook(func(id message.ReqID) { arrived = append(arrived, id); order = append(order, "arrival") })
+	// Entries of 3-byte payloads cost 27 bytes: the second fills a batch.
+	pool.SetBatchTarget(60, core.EntryOverhead, func() { order = append(order, "target") })
+	known := &message.Request{Client: types.ClientID(0), ClientSeq: 1, Payload: []byte("abc")}
+	pool.Add(known)
+	pool.Await(known.ID())
+	if pool.Awaited(known.ID()) {
+		t.Error("a body the pool holds is awaited")
+	}
+
+	late := &message.Request{Client: types.ClientID(0), ClientSeq: 2, Payload: []byte("def")}
+	pool.Await(late.ID())
+	pool.Await(late.ID())
+	if !pool.Awaited(late.ID()) {
+		t.Fatal("an awaited body is not Awaited")
+	}
+	if _, ok := pool.Get(late.ID()); ok || pool.Len() != 1 {
+		t.Fatalf("awaiting a body stored one (Len %d)", pool.Len())
+	}
+	order = nil
+	pool.Add(late)
+	if len(arrived) != 1 || arrived[0] != late.ID() {
+		t.Fatalf("arrival hook calls %v, want one for %v", arrived, late.ID())
+	}
+	if len(order) != 2 || order[0] != "arrival" || order[1] != "target" {
+		t.Errorf("callbacks fired in order %v, want the arrival hook before the batch-full trigger", order)
+	}
+	if pool.Awaited(late.ID()) {
+		t.Error("the body's arrival left it awaited")
+	}
+	dup := *late
+	pool.Add(&dup)
+	if len(arrived) != 1 {
+		t.Error("a duplicate of an arrived body fired the arrival hook again")
+	}
+
+	gone := message.ReqID{Client: types.ClientID(0), ClientSeq: 3}
+	pool.Await(gone)
+	pool.Await(gone)
+	pool.Unawait(gone)
+	if !pool.Awaited(gone) {
+		t.Fatal("one Unawait of two waits cleared both")
+	}
+	pool.Unawait(gone)
+	pool.Unawait(gone) // no wait left: a no-op
+	if pool.Awaited(gone) {
+		t.Error("a body still Awaited after every wait was withdrawn")
+	}
+	pool.Add(&message.Request{Client: types.ClientID(0), ClientSeq: 3})
+	if len(arrived) != 1 {
+		t.Error("a body whose waits were withdrawn fired the arrival hook")
 	}
 }
 

@@ -33,6 +33,14 @@ func stoppedCluster(t *testing.T, mutate func(*Options)) []weak.Pointer[core.Pro
 		t.Fatal(err)
 	}
 	c.Start()
+	// A failure below must not leave the cluster running beside the next
+	// subtest.
+	stopped := false
+	defer func() {
+		if !stopped {
+			c.Stop()
+		}
+	}()
 	first, err := c.Submit(0, []byte("committed before the crash"))
 	if err != nil {
 		t.Fatal(err)
@@ -47,16 +55,25 @@ func stoppedCluster(t *testing.T, mutate func(*Options)) []weak.Pointer[core.Pro
 	}
 	shadow, _ := c.Topo.PairOf(primary)
 	c.Crash(primary)
-	if _, err := c.Submit(0, []byte("awaited by the shadow for the next 30 s")); err != nil {
+	second, err := c.Submit(0, []byte("awaited by the shadow for the next 30 s"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for c.Metric(shadow, 0, "sof_ingress_admitted_total") < 2 {
+	// Wait for the body itself: the admission counter misses a request
+	// whose order reached the shadow first, as the first one's may have —
+	// an ordered or awaited body bypasses admission.
+	pool := c.OrderPool(shadow, 0)
+	for {
+		if held, ok := probeOnLoop(c, shadow, 0, func() bool { _, ok := pool.Get(second); return ok }); ok && held {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("second request never reached the shadow")
 		}
 		c.RunFor(5 * time.Millisecond)
 	}
 	c.Stop()
+	stopped = true
 	var procs []weak.Pointer[core.Process]
 	for _, id := range c.Topo.AllProcesses() {
 		procs = append(procs, weak.Make(c.SCProcess(id)))

@@ -136,9 +136,10 @@ func TestClusterSubmitAllocFree(t *testing.T) {
 
 // TestShadowDeferralIsObservable: a proposal that reaches the shadow
 // before one of the requests it orders is deferred until the request
-// arrives — here only through a payload fetch from the primary, the
-// client's link to the shadow being cut — and the deferral, its wait and
-// the fetch are counted where an operator reads them.
+// arrives — here only through the payload fetch the shadow sends the
+// primary one fetch window later, the client's link to the shadow being
+// cut — and the deferral, its wait and the fetch are counted where an
+// operator reads them.
 func TestShadowDeferralIsObservable(t *testing.T) {
 	c, err := New(Options{Protocol: types.SC, Net: netsim.LANDefaults()})
 	if err != nil {

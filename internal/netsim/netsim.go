@@ -159,6 +159,7 @@ type Fabric struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	cut      map[[2]types.NodeID]bool
+	lag      map[[2]types.NodeID]time.Duration
 	isolated map[types.NodeID]bool
 	counts   map[message.Type]*LinkCounter
 	total    LinkCounter
@@ -178,6 +179,7 @@ func New(params Params, topo types.Topology, seed int64) *Fabric {
 		topo:     topo,
 		rng:      rand.New(rand.NewSource(seed)),
 		cut:      make(map[[2]types.NodeID]bool),
+		lag:      make(map[[2]types.NodeID]time.Duration),
 		isolated: make(map[types.NodeID]bool),
 		counts:   make(map[message.Type]*LinkCounter),
 	}
@@ -208,7 +210,7 @@ func (f *Fabric) Delay(from, to types.NodeID, size int) (time.Duration, bool) {
 	if f.IsPairLink(from, to) {
 		link = f.params.Pair
 	}
-	return link.Delay(size, f.rng), true
+	return link.Delay(size, f.rng) + f.lag[linkKey(from, to)], true
 }
 
 // Record counts one sent message; runtimes call it for every transmission
@@ -242,6 +244,18 @@ func (f *Fabric) Heal(a, b types.NodeID) {
 	defer f.mu.Unlock()
 	delete(f.cut, linkKey(a, b))
 	delete(f.cut, linkKey(b, a))
+}
+
+// Lag adds d to every delivery delay from one node to another (one
+// direction; 0 removes it): a slow link, where Cut is a broken one.
+func (f *Fabric) Lag(from, to types.NodeID, d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if d == 0 {
+		delete(f.lag, linkKey(from, to))
+		return
+	}
+	f.lag[linkKey(from, to)] = d
 }
 
 // Isolate disconnects every link of id (a network-level crash).

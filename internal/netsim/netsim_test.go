@@ -100,6 +100,27 @@ func TestCutAndHeal(t *testing.T) {
 	}
 }
 
+func TestLagDelaysOneDirection(t *testing.T) {
+	lagged, plain := New(LANDefaults(), testTopo(t), 1), New(LANDefaults(), testTopo(t), 1)
+	lagged.Lag(1, 2, 3*time.Millisecond)
+	d, ok := lagged.Delay(1, 2, 10)
+	want, _ := plain.Delay(1, 2, 10)
+	if !ok || d != want+3*time.Millisecond {
+		t.Errorf("lagged link 1->2 delays %v (ok %v), want %v", d, ok, want+3*time.Millisecond)
+	}
+	d, _ = lagged.Delay(2, 1, 10)
+	want, _ = plain.Delay(2, 1, 10)
+	if d != want {
+		t.Errorf("reverse link 2->1 delays %v, want the unlagged %v", d, want)
+	}
+	lagged.Lag(1, 2, 0)
+	d, _ = lagged.Delay(1, 2, 10)
+	want, _ = plain.Delay(1, 2, 10)
+	if d != want {
+		t.Errorf("link 1->2 delays %v after its lag was removed, want %v", d, want)
+	}
+}
+
 func TestIsolateAndRejoin(t *testing.T) {
 	f := New(LANDefaults(), testTopo(t), 1)
 	f.Isolate(4)

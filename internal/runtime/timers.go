@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/sof-repro/sof/internal/des"
@@ -26,6 +27,12 @@ type timerQueue struct {
 	free    []*des.Event  // entries of fired and stopped timers, for reuse
 	handles []timerHandle // the chunk the next handles are cut from
 	wake    *time.Timer
+	// waker is wake's only way into the queue, cut at close: the Go
+	// runtime keeps a stopped timer, callback included, in its heap until
+	// its deadline comes round while live timers sit ahead of it, so a
+	// callback holding onWake would keep the engine — and the process it
+	// runs — reachable that long after the engine stopped.
+	waker *waker
 	// wakeAt is the deadline an expiry run is owed for: wake is armed for
 	// it, or has fired and the run is queued or running. Zero when the
 	// queue is empty and nothing is owed.
@@ -35,6 +42,15 @@ type timerQueue struct {
 
 // handleChunk is how many handles one allocation yields.
 const handleChunk = 128
+
+// waker forwards wake's expiry to the queue's onWake until close cuts it.
+type waker struct{ onWake atomic.Pointer[func()] }
+
+func (w *waker) fire() {
+	if fn := w.onWake.Load(); fn != nil {
+		(*fn)()
+	}
+}
 
 // timerHandle is the live engine's Timer: an entry plus a generation.
 // Entries are recycled, so the entry alone would let a handle kept past
@@ -95,7 +111,9 @@ func (tq *timerQueue) set(d time.Duration, fn func()) Timer {
 // arm points the runtime timer at deadline at, d from now.
 func (tq *timerQueue) arm(at time.Time, d time.Duration) {
 	if tq.wake == nil {
-		tq.wake = time.AfterFunc(d, tq.onWake)
+		tq.waker = &waker{}
+		tq.waker.onWake.Store(&tq.onWake)
+		tq.wake = time.AfterFunc(d, tq.waker.fire)
 	} else {
 		tq.wake.Reset(d)
 	}
@@ -129,6 +147,7 @@ func (tq *timerQueue) close() {
 	tq.closed = true
 	if tq.wake != nil {
 		tq.wake.Stop()
+		tq.waker.onWake.Store(nil)
 	}
 	tq.q, tq.free, tq.handles = des.Queue{}, nil, nil
 }

@@ -3,10 +3,12 @@ package runtime
 import (
 	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/sof-repro/sof/internal/crypto"
 	"github.com/sof-repro/sof/internal/message"
@@ -273,5 +275,39 @@ func TestSignVerifyThroughEnvAllocFree(t *testing.T) {
 	e.ScratchDigest([]byte("something else"))
 	if !reflect.DeepEqual(kept, want) {
 		t.Error("Digest's result was overwritten by a later ScratchDigest")
+	}
+}
+
+// TestClosedEngineIsCollectable: a closed engine is garbage at the next
+// collection although its wake-up timer was armed for a distant deadline
+// and other runtime timers are live. The Go runtime keeps a stopped timer,
+// callback included, in its heap until that deadline comes round while
+// earlier live timers sit ahead of it; the callback must hold nothing of
+// the engine by then.
+func TestClosedEngineIsCollectable(t *testing.T) {
+	var others []*time.Timer
+	defer func() {
+		for _, o := range others {
+			o.Stop()
+		}
+	}()
+	collectable := func() weak.Pointer[engine] {
+		e, wg := startEngine(t)
+		e.SetTimer(time.Hour, func() {})
+		// Live timers armed after the engine's and due before it, as a
+		// running cluster in the same OS process has, keep the stopped one
+		// off both ends of the heap.
+		for range 16 {
+			others = append(others, time.AfterFunc(time.Minute, func() {}))
+		}
+		e.closeLoop()
+		wg.Wait()
+		return weak.Make(e)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); collectable.Value() != nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a closed engine is still reachable 2 s later, held by its stopped wake-up timer")
+		}
+		goruntime.GC()
 	}
 }
