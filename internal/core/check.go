@@ -138,9 +138,10 @@ func (p *Process) bodyArrived(env runtime.Env, id message.ReqID) {
 	}
 }
 
-// dropMissing abandons every deferred proposal and delivered straggler,
-// withdrawing their awaits from the pool, and stops the fetch timer: the
-// regime they belong to is over (pair-down, view change).
+// dropMissing abandons every deferred proposal, withdrawing their awaits
+// from the pool: the regime they belong to is over (pair-down, view
+// change). Delivered stragglers stay: their bodies are committed history,
+// which the fetch timer asks of a live holder (bodyHolder).
 func (p *Process) dropMissing() {
 	for _, d := range p.deferred {
 		for _, e := range d.batch.Entries {
@@ -150,11 +151,6 @@ func (p *Process) dropMissing() {
 		}
 	}
 	p.deferred = slices.Delete(p.deferred, 0, len(p.deferred))
-	p.stragglers = slices.Delete(p.stragglers, 0, len(p.stragglers))
-	if p.fetchTimer != nil {
-		p.fetchTimer.Stop()
-		p.fetchTimer = nil
-	}
 }
 
 // validateAndEndorse performs the shadow's value-domain check against its
@@ -188,8 +184,9 @@ func (p *Process) validateAndEndorse(env runtime.Env, b *message.OrderBatch) {
 
 // primaryObserveEndorsed lets the acting primary check the endorsed batch
 // the shadow multicast: a correct echo discharges the endorsement
-// expectation and is forwarded to all other processes (Figure 2); a
-// tampered echo is a value-domain failure of the shadow.
+// expectation and is forwarded to the processes outside the pair (Figure
+// 2; to the shadow too on the paper's interval-paced path); a tampered
+// echo is a value-domain failure of the shadow.
 func (p *Process) primaryObserveEndorsed(env runtime.Env, b *message.OrderBatch, digest []byte) {
 	if !p.isPrimaryNow() || p.pair == nil {
 		return
@@ -208,8 +205,14 @@ func (p *Process) primaryObserveEndorsed(env runtime.Env, b *message.OrderBatch,
 	}
 	delete(p.proposals, b.FirstSeq)
 	// "When pi receives an authentic, doubly-signed message from p'i, it
-	// forwards the received to all other processes (including p'i)."
-	p.multicastAll(env, b)
+	// forwards the received to all other processes (including p'i)." A
+	// pipelined primary skips p'i, which built the endorsement, and itself:
+	// neither awaits the copy.
+	if p.pipelined() {
+		p.multicast(env, p.forwardTo, b)
+	} else {
+		p.multicastAll(env, b)
+	}
 }
 
 // onPairDown reacts to this member's half of the pair stopping (either it

@@ -95,7 +95,8 @@ func TestNewRefusesBFTTopology(t *testing.T) {
 
 // TestCTPipelinedCommitsEveryRequest: a CT cluster with the proposal window
 // open commits every offered request at every process, acking by digest
-// alone.
+// alone. The requests are large enough (two fill a batch) that a batch
+// fills while the one before it is in flight, so the window opens.
 func TestCTPipelinedCommitsEveryRequest(t *testing.T) {
 	topo, err := types.NewTopology(types.CT, 1)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestCTPipelinedCommitsEveryRequest(t *testing.T) {
 	}
 	watched, _ := topo.ReplicaID(2)
 	tap := &ackSubjects{}
-	s := newResumeSim(t, simOpts{proto: types.CT, f: 1, window: 8, net: netsim.LANDefaults(), seed: 1,
+	s := newResumeSim(t, simOpts{proto: types.CT, f: 1, window: 8, payload: 450, net: netsim.LANDefaults(), seed: 1,
 		taps: map[types.NodeID]core.Tap{watched: tap}})
 	s.submitEvery(time.Millisecond, 300*time.Millisecond)
 	s.sched.RunFor(time.Second)

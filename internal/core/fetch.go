@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"time"
 
@@ -12,48 +13,91 @@ import (
 // This file implements the fetch-on-miss fallback that digest-only
 // ordering relies on. A pipelined process's critical path carries only
 // digests: acks no longer embed the endorsed subject, and batches can
-// commit before every referenced request payload has arrived. A process
-// that finds itself missing a subject (quorum ack evidence for a sequence
-// it does not track) asks a peer that demonstrably has it. A missing
-// payload (a proposal the shadow defers, or a delivered batch whose
-// requests are not all pooled) is almost always a client's multicast
-// still in flight, so nothing is fetched at once: one timer per process
-// asks the primary, after one fetch throttle window, for the bodies still
-// missing, and again every window until they arrive. Answers are the
-// stored messages re-sent verbatim — self-verifying, flowing through the
-// normal onOrderBatch/onRequest handlers — so a FetchReq needs no trust,
-// only throttling on both sides.
+// commit before every referenced request payload has arrived. What a
+// process misses — a subject its quorum of support shows exists (parked
+// acks plus the coordinator pair the order credits), or a payload (a
+// proposal the shadow defers, or a delivered batch whose requests are not
+// all pooled) — is almost always still in flight, so nothing is fetched at
+// once: one timer per process asks, after one fetch throttle window, for
+// what is still missing, and again every window until it arrives. A
+// subject is asked of a process that acked it, a payload of the batch's
+// primary or, once that primary's pair has fail-signalled, of another live
+// process. Answers are the stored messages re-sent verbatim —
+// self-verifying, flowing through the normal onOrderBatch/onRequest
+// handlers — so a FetchReq needs no trust, only throttling on both sides.
 
 // maxFetchAnswerBytes bounds one fetch answer's re-sent payload bytes; a
 // requester missing more re-asks once its throttle window passes.
 const maxFetchAnswerBytes = 1 << 20
 
-// fetchThrottle is the minimum spacing between identical fetches (same
-// missing subject, same missing payload, or answers to the same peer).
+// fetchThrottle is the fetch timer's period and the minimum age of a miss
+// before it is asked for, and the spacing between answers to one peer.
 func (p *Process) fetchThrottle() time.Duration { return p.cfg.BatchInterval }
 
-// requestSubjectFetch asks target for the endorsed batch at seq. Called
-// when quorum ack evidence accumulates for an untracked sequence — the
-// acker provably holds the subject, so it is the natural target.
-func (p *Process) requestSubjectFetch(env runtime.Env, seq types.Seq, target types.NodeID) {
-	if p.muted() || seq <= p.deliveredUpTo || target == p.id || !p.topo.IsProcess(target) {
+// maxMissingSubjects bounds the untracked subjects the fetch timer asks
+// for; past it an ack naming one more is parked but not pursued.
+const maxMissingSubjects = 64
+
+// missingSubject is an untracked batch that a quorum supports: its
+// sequence, when the support was complete, and how often it was asked for.
+type missingSubject struct {
+	seq   types.Seq
+	at    time.Time
+	asked int
+}
+
+// noteMissingSubject runs for an ack parked on a batch this process does
+// not track. Once the batch's support reaches quorum, the batch exists and
+// this process missed its order (lost, or still in flight): the fetch timer
+// asks an acker for it one throttle window on, so an ack that merely
+// outran its order fetches nothing.
+func (p *Process) noteMissingSubject(env runtime.Env, a *message.Ack) {
+	if p.muted() || !p.installed || a.View != p.view || !p.lacksSubject(a.FirstSeq) ||
+		len(p.missingSubjects) == maxMissingSubjects || p.subjectSupport(a) < p.quorumEff() {
 		return
 	}
-	if at, ok := p.subjFetchAsked[seq]; ok && env.Now().Sub(at) < p.fetchThrottle() {
-		return
-	}
-	if p.subjFetchAsked == nil {
-		p.subjFetchAsked = make(map[types.Seq]time.Time)
-	}
-	// Drop throttle marks for history the watermark has passed; the map
-	// stays bounded by the set of recently missing sequences.
-	for s := range p.subjFetchAsked {
-		if s <= p.deliveredUpTo {
-			delete(p.subjFetchAsked, s)
+	for _, m := range p.missingSubjects {
+		if m.seq == a.FirstSeq {
+			return
 		}
 	}
-	p.subjFetchAsked[seq] = env.Now()
-	p.sendFetch(env, target, []types.Seq{seq}, nil)
+	p.missingSubjects = append(p.missingSubjects, missingSubject{seq: a.FirstSeq, at: env.Now()})
+	p.armFetch(env)
+}
+
+// lacksSubject reports whether the batch at seq is above the delivery
+// watermark and neither tracked nor buffered ahead of its turn.
+func (p *Process) lacksSubject(seq types.Seq) bool {
+	_, tracked := p.trackers[seq]
+	_, buffered := p.future[seq]
+	return seq > p.deliveredUpTo && !tracked && !buffered
+}
+
+// subjectSupport counts the support for the subject a acks: the acting
+// coordinator pair, which every order credits and which sends no ack of its
+// own when pipelined (sendAck), plus each other process whose parked ack
+// names the same subject.
+func (p *Process) subjectSupport(a *message.Ack) int {
+	primary, shadow, paired := p.candidate(p.rank)
+	n := 1
+	if paired {
+		n = 2
+	}
+	q := p.pendingAcks[a.FirstSeq]
+	for i, b := range q {
+		if b.From == primary || (paired && b.From == shadow) || !p.mayCount(b.From) ||
+			b.Kind != a.Kind || b.View != a.View || !bytes.Equal(b.SubjectDigest, a.SubjectDigest) {
+			continue
+		}
+		first := true
+		for _, c := range q[:i] {
+			first = first && c.From != b.From
+		}
+		if first {
+			n++
+		}
+	}
+	return n
 }
 
 // maxStragglers bounds the delivered batches whose missing payloads the
@@ -62,10 +106,12 @@ func (p *Process) requestSubjectFetch(env runtime.Env, seq types.Seq, target typ
 const maxStragglers = 128
 
 // straggler is a delivered batch some of whose request bodies were not
-// pooled at delivery, and when it was delivered.
+// pooled at delivery, when it was delivered, and how often its bodies
+// were asked for.
 type straggler struct {
 	batch *message.OrderBatch
 	at    time.Time
+	asked int
 }
 
 // noteStraggler records a delivered batch whose payloads are not all
@@ -93,65 +139,112 @@ func (p *Process) missing(b *message.OrderBatch) int {
 	return n
 }
 
-// armFetch keeps the fetch timer running while a deferred proposal or a
-// straggler waits on request bodies. Nothing else re-triggers a payload
-// fetch — the client will not re-send a request we shed at admission, and
-// the responder's throttle may drop an answer — so the timer re-asks every
-// throttle window until nothing is missing.
+// bodyHolder returns whom to ask for a straggler's missing bodies: the
+// batch's primary, which proposed them, while its pair stands; once that
+// pair has fail-signalled — it is deposed, muted or crashed — another live
+// process, searched from one further along the process list on each
+// re-ask, since every one of them delivered the batch.
+func (p *Process) bodyHolder(s *straggler) types.NodeID {
+	if p.live(s.batch.Primary) {
+		return s.batch.Primary
+	}
+	for i := range p.all {
+		if id := p.all[(s.asked+i)%len(p.all)]; id != p.id && p.live(id) {
+			return id
+		}
+	}
+	return types.Nil
+}
+
+// live reports whether id may still answer a fetch: it is not muted, and
+// its pair, if it has one, has not fail-signalled.
+func (p *Process) live(id types.NodeID) bool {
+	r := types.Rank(p.topo.PairIndex(id))
+	return !p.dumb[id] && (r == 0 || p.failSignalled[r] == nil)
+}
+
+// armFetch keeps the fetch timer running while a subject or a request body
+// is missing. Nothing else re-triggers a fetch — the client will not
+// re-send a request we shed at admission, and the responder's throttle may
+// drop an answer — so the timer re-asks every throttle window until
+// nothing is missing.
 func (p *Process) armFetch(env runtime.Env) {
-	if p.fetchTimer != nil || len(p.deferred)+len(p.stragglers) == 0 {
+	if p.fetchTimer != nil || len(p.deferred)+len(p.stragglers)+len(p.missingSubjects) == 0 {
 		return
 	}
 	if p.onFetchTick == nil {
 		p.onFetchTick = func() {
 			p.fetchTimer = nil
-			p.fetchMissingPayloads(env)
+			p.fetchMissing(env)
 			p.armFetch(env)
 		}
 	}
 	p.fetchTimer = env.SetTimer(p.fetchThrottle(), p.onFetchTick)
 }
 
-// fetchMissingPayloads asks each batch's primary for the request bodies
-// that deferred proposals and stragglers at least one throttle window old
-// still miss — younger ones are likely in flight and wait for the next
-// tick — merged into one FetchReq per primary so the responder's
-// one-answer-per-window throttle covers them all at once. Stragglers
-// whose bodies have all arrived are dropped.
-func (p *Process) fetchMissingPayloads(env runtime.Env) {
+// fetchMissing asks for what is still missing at least one throttle window
+// after it was noted — younger misses are likely in flight and wait for
+// the next tick: the untracked subjects, each of one of its ackers in
+// turn, and the request bodies of deferred proposals (of their primary)
+// and of stragglers (of bodyHolder). The asks are merged into one FetchReq
+// per target, so the responder's one-answer-per-window throttle covers
+// them all at once. Misses that have since been filled are dropped.
+func (p *Process) fetchMissing(env runtime.Env) {
 	now := env.Now()
-	var asks []payloadAsk // one per primary, in first-seen order
-	ask := func(b *message.OrderBatch, at time.Time) {
-		if now.Sub(at) < p.fetchThrottle() {
-			return
+	var asks []fetchAsk // one per target, in first-seen order
+	to := func(target types.NodeID) *fetchAsk {
+		i := slices.IndexFunc(asks, func(a fetchAsk) bool { return a.target == target })
+		if i < 0 {
+			i = len(asks)
+			asks = append(asks, fetchAsk{target: target})
+		}
+		return &asks[i]
+	}
+	bodies := func(b *message.OrderBatch, at time.Time, target types.NodeID) bool {
+		if now.Sub(at) < p.fetchThrottle() || target == types.Nil {
+			return false
 		}
 		for _, e := range b.Entries {
-			if _, ok := p.pool.Get(e.Req); ok {
-				continue
+			if _, ok := p.pool.Get(e.Req); !ok {
+				a := to(target)
+				a.ids = append(a.ids, e.Req)
 			}
-			i := slices.IndexFunc(asks, func(a payloadAsk) bool { return a.target == b.Primary })
-			if i < 0 {
-				i = len(asks)
-				asks = append(asks, payloadAsk{target: b.Primary})
-			}
-			asks[i].ids = append(asks[i].ids, e.Req)
 		}
+		return true
+	}
+	p.missingSubjects = slices.DeleteFunc(p.missingSubjects, func(m missingSubject) bool {
+		return !p.lacksSubject(m.seq) || len(p.pendingAcks[m.seq]) == 0
+	})
+	for i := range p.missingSubjects {
+		m := &p.missingSubjects[i]
+		if now.Sub(m.at) < p.fetchThrottle() {
+			continue
+		}
+		q := p.pendingAcks[m.seq]
+		a := to(q[m.asked%len(q)].From)
+		a.seqs = append(a.seqs, m.seq)
+		m.asked++
 	}
 	for _, d := range p.deferred {
-		ask(d.batch, d.at)
+		bodies(d.batch, d.at, d.batch.Primary)
 	}
 	p.stragglers = slices.DeleteFunc(p.stragglers, func(s straggler) bool { return p.missing(s.batch) == 0 })
-	for _, s := range p.stragglers {
-		ask(s.batch, s.at)
+	for i := range p.stragglers {
+		s := &p.stragglers[i]
+		if bodies(s.batch, s.at, p.bodyHolder(s)) {
+			s.asked++
+		}
 	}
 	for _, a := range asks {
-		p.sendFetch(env, a.target, nil, a.ids)
+		p.sendFetch(env, a.target, a.seqs, a.ids)
 	}
 }
 
-// payloadAsk is one FetchReq's worth of missing bodies for one primary.
-type payloadAsk struct {
+// fetchAsk is one FetchReq's worth of missing subjects and bodies for one
+// target.
+type fetchAsk struct {
 	target types.NodeID
+	seqs   []types.Seq
 	ids    []message.ReqID
 }
 
@@ -166,7 +259,8 @@ func (p *Process) sendFetch(env runtime.Env, target types.NodeID, seqs []types.S
 	}
 	if len(seqs) > 0 {
 		p.m.fetchSubject.Inc()
-	} else {
+	}
+	if len(reqs) > 0 {
 		p.m.fetchPayload.Inc()
 	}
 	p.send(env, target, m)

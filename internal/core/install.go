@@ -118,8 +118,10 @@ func (p *Process) beginInstall(env runtime.Env, fs *message.FailSignal) {
 	for seq := range p.pendingAcks {
 		p.dropPendingAcks(seq)
 	}
-	// The deposed regime's deferred proposals and stragglers are not
-	// re-asked of its primary.
+	// The deposed regime's deferred proposals and missed subjects are
+	// abandoned with its acks; its delivered stragglers are asked of a
+	// live holder from now on, not of its primary.
+	p.missingSubjects = p.missingSubjects[:0]
 	p.dropMissing()
 	// Orders from the deposed coordinator that were never acked cannot
 	// complete; drop the buffer (acked ones travel in BackLogs).

@@ -72,8 +72,9 @@ func TestPipelinedDefaultWindowMatchesLegacy(t *testing.T) {
 // triggerSpacing is the arrival spacing of the size-trigger tests: wider
 // than the ~2.7 ms of modelled CPU a client spends multicasting one request
 // to seven processes, so requests reach the pool at the spacing they were
-// submitted at.
-const triggerSpacing = 4 * time.Millisecond
+// submitted at, and narrow enough that a batch fills while the one before
+// it is still in flight — only then can the size trigger close it.
+const triggerSpacing = 3500 * time.Microsecond
 
 // pipelinedPrimary builds a virtual-time cluster with the proposal window
 // open and a backstop interval several fills long (at triggerSpacing a

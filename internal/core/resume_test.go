@@ -33,11 +33,14 @@ type resumeSim struct {
 	t      *testing.T
 	topo   types.Topology
 	sched  *des.Scheduler
+	fabric *netsim.Fabric
 	sim    *runtime.SimCluster
 	nodes  map[types.NodeID]*node.Node
 	client types.NodeID
 	down   types.NodeID // the crashed process, types.Nil before the crash
 	sent   []message.ReqID
+	// payload is the payload size of every request.
+	payload int
 
 	batches   []stamped[core.BatchEvent]
 	installs  []stamped[core.InstallEvent]
@@ -51,12 +54,14 @@ type silentClient struct{}
 func (silentClient) Init(runtime.Env)                                   {}
 func (silentClient) Receive(runtime.Env, types.NodeID, message.Message) {}
 
-// simOpts shapes a resumeSim. window is MaxInflightBatches; a process
-// named in dataDir gets a checkpoint store there, so it starts in
-// catch-up; one named in taps has its outbound traffic intercepted.
+// simOpts shapes a resumeSim. window is MaxInflightBatches; payload is
+// each request's payload size (200 bytes when zero); a process named in
+// dataDir gets a checkpoint store there, so it starts in catch-up; one
+// named in taps has its outbound traffic intercepted.
 type simOpts struct {
 	proto     types.Protocol
 	f, window int
+	payload   int
 	net       netsim.Params
 	seed      int64
 	dataDir   map[types.NodeID]string
@@ -76,9 +81,13 @@ func newResumeSim(t *testing.T, o simOpts) *resumeSim {
 	s := &resumeSim{
 		t: t, topo: topo, sched: des.New(des.Epoch),
 		nodes: make(map[types.NodeID]*node.Node), client: types.ClientID(0), down: types.Nil,
-		committed: make(map[types.NodeID]map[message.ReqID]bool),
+		committed: make(map[types.NodeID]map[message.ReqID]bool), payload: o.payload,
 	}
-	s.sim = runtime.NewSimCluster(s.sched, netsim.New(o.net, topo, o.seed))
+	if s.payload == 0 {
+		s.payload = 200
+	}
+	s.fabric = netsim.New(o.net, topo, o.seed)
+	s.sim = runtime.NewSimCluster(s.sched, s.fabric)
 	for _, id := range topo.AllProcesses() {
 		id := id
 		s.committed[id] = make(map[message.ReqID]bool)
@@ -128,7 +137,7 @@ func (s *resumeSim) proc(id types.NodeID) *core.Process { return s.nodes[id].Cor
 
 // request builds the client's next signed request.
 func (s *resumeSim) request(env runtime.Env) *message.Request {
-	req := &message.Request{Client: s.client, ClientSeq: uint64(len(s.sent) + 1), Payload: make([]byte, 200)}
+	req := &message.Request{Client: s.client, ClientSeq: uint64(len(s.sent) + 1), Payload: make([]byte, s.payload)}
 	sig, err := message.SignSingle(env, req.SignedBody())
 	if err != nil {
 		s.t.Fatal(err)

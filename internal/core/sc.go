@@ -124,6 +124,9 @@ type Process struct {
 
 	pair    *fsp.Pair // nil for unpaired processes
 	pairIdx int
+	// forwardTo is every process but this one and its counterpart: whom a
+	// pipelined primary forwards its shadow's endorsement to.
+	forwardTo []types.NodeID
 
 	rank      types.Rank
 	view      types.View
@@ -238,16 +241,16 @@ type Process struct {
 	catchupServed  map[types.NodeID]servedMark
 	catchupTimer   runtime.Timer
 
-	// Fetch-on-miss state (fetch.go): requester-side throttle per missing
-	// subject sequence, responder-side throttle per requester; the
+	// Fetch-on-miss state (fetch.go): the responder-side throttle per
+	// requester; the untracked subjects a quorum supports and the
 	// delivered batches still missing payloads, and the timer (with its
-	// callback, made once) that re-asks for them and for the deferred
+	// callback, made once) that asks for them and for the deferred
 	// proposals' bodies.
-	subjFetchAsked map[types.Seq]time.Time
-	fetchServed    map[types.NodeID]time.Time
-	stragglers     []straggler
-	fetchTimer     runtime.Timer
-	onFetchTick    func()
+	fetchServed     map[types.NodeID]time.Time
+	missingSubjects []missingSubject
+	stragglers      []straggler
+	fetchTimer      runtime.Timer
+	onFetchTick     func()
 
 	// m holds the registry instruments (metrics.go); zero-valued (and
 	// no-op) when the config carried no registry.
@@ -342,6 +345,11 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 	}
 	if p.pairIdx > 0 {
 		counterpart, _ := cfg.Topo.PairOf(id)
+		for _, q := range p.all {
+			if q != id && q != counterpart {
+				p.forwardTo = append(p.forwardTo, q)
+			}
+		}
 		p.pair = fsp.New(fsp.Config{
 			Self:             id,
 			Counterpart:      counterpart,
@@ -349,7 +357,7 @@ func New(id types.NodeID, cfg Config) (*Process, error) {
 			Delta:            cfg.Delta,
 			PresignedFailSig: cfg.PresignedFailSig,
 			MirrorTraffic:    cfg.Mirror,
-			Broadcast:        func(env runtime.Env, m message.Message) { p.emitAll(env, m) },
+			Broadcast:        func(env runtime.Env, m message.Message) { p.emitTo(env, p.all, m) },
 			OnDown:           p.onPairDown,
 		})
 	}
@@ -420,11 +428,13 @@ func (p *Process) send(env runtime.Env, to types.NodeID, m message.Message) {
 	p.emit(env, to, m)
 }
 
-func (p *Process) multicastAll(env runtime.Env, m message.Message) {
+func (p *Process) multicastAll(env runtime.Env, m message.Message) { p.multicast(env, p.all, m) }
+
+func (p *Process) multicast(env runtime.Env, to []types.NodeID, m message.Message) {
 	if p.muted() {
 		return
 	}
-	p.emitAll(env, m)
+	p.emitTo(env, to, m)
 }
 
 // Init implements runtime.Process.
@@ -905,7 +915,8 @@ func (p *Process) drainFuture(env runtime.Env) {
 	}
 }
 
-// sendAck performs N1 for a tracker's subject.
+// sendAck performs N1 for a tracker's subject. AckSent is set whether or
+// not an ack goes out: N2 waits for it, and a BackLog lists what it covers.
 func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 	if t.AckSent {
 		return
@@ -923,6 +934,11 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 		} else if t.StartMsg != nil {
 			subject = t.StartMsg.Marshal()
 		}
+	} else if t.CreditedByOrder(p.id) {
+		// Every receiver's tracker already credits the coordinator pair
+		// with the order itself, so a digest-only ack from either member
+		// adds nothing anyone counts.
+		return
 	}
 	ack := p.ackSlab.New()
 	*ack = message.Ack{
@@ -966,12 +982,8 @@ func (p *Process) onAck(env runtime.Env, from types.NodeID, a *message.Ack) {
 		// Remember acks that outran their subject (e.g. a Start we are
 		// still installing); replayPendingAcks picks them up.
 		p.parkAck(a)
-		// Digest-only ordering: acks no longer teach us the subject, so
-		// once enough of the cluster has acked a subject we do not track,
-		// fetch it from an acker (throttled; fetch-on-miss fallback).
-		if t == nil && a.Kind == message.SubjectBatch &&
-			len(p.pendingAcks[a.FirstSeq]) >= p.quorumEff() {
-			p.requestSubjectFetch(env, a.FirstSeq, a.From)
+		if t == nil && a.Kind == message.SubjectBatch {
+			p.noteMissingSubject(env, a)
 		}
 		p.crossCheckCounterpartAck(env, a, nil)
 		return

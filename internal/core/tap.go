@@ -41,14 +41,14 @@ func (p *Process) emit(env runtime.Env, to types.NodeID, m message.Message) {
 	}
 }
 
-// emitAll fans a multicast through the tap per destination; without a tap
-// it keeps the encode-once Multicast fast path.
-func (p *Process) emitAll(env runtime.Env, m message.Message) {
+// emitTo fans a multicast to the processes in to through the tap per
+// destination; without a tap it keeps the encode-once Multicast fast path.
+func (p *Process) emitTo(env runtime.Env, to []types.NodeID, m message.Message) {
 	if p.cfg.Tap == nil {
-		env.Multicast(p.all, m)
+		env.Multicast(to, m)
 		return
 	}
-	for _, to := range p.all {
-		p.emit(env, to, m)
+	for _, id := range to {
+		p.emit(env, id, m)
 	}
 }

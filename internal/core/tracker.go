@@ -112,6 +112,17 @@ func (t *Tracker) Credited(from types.NodeID) bool {
 	return false
 }
 
+// CreditedByOrder reports whether the order itself credits id: id is a
+// member of the coordinator pair that issued the subject.
+func (t *Tracker) CreditedByOrder(id types.NodeID) bool {
+	for i := range t.credits[:t.implicit] {
+		if t.credits[i].from == id {
+			return true
+		}
+	}
+	return false
+}
+
 // Count returns the number of distinct contributors, counting ackers whose
 // transmit capability is allowed by mayCount (dumb processes cannot
 // transmit, so their stale contributions are excluded; pass nil to count

@@ -338,10 +338,10 @@ func wireCopy(s Signer, t Type, counter bool, b []byte) []byte {
 // of the duplicate rule: a batch whose bytes equal those of one of the
 // last recentBatches batches the Decoder produced or was told about
 // (Remember) is that same immutable object, neither decoded nor carved
-// again. The primary forwards every endorsed batch to all, the shadow
-// included, after the shadow multicast it (Figure 2), so each copy of the
-// forward is such a duplicate, dropped on arrival by the process's own
-// duplicate path. Every other kind is its own heap object, as with Decode.
+// again. The primary forwards every endorsed batch after the shadow
+// multicast it (Figure 2) — outside the pair, and to the shadow too when
+// interval-paced — so each copy of the forward is such a duplicate,
+// dropped on arrival by the process's own duplicate path. Every other kind is its own heap object, as with Decode.
 // The zero value is ready. A nil *Decoder is Decode.
 type Decoder struct {
 	requests Slab[Request]
