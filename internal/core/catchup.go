@@ -11,15 +11,18 @@ import (
 	"github.com/sof-repro/sof/internal/types"
 )
 
-// This file implements durable protocol checkpoints and restart catch-up:
-// the protocol-layer counterpart of the transport session journal. A
-// process with a Checkpointer periodically snapshots its installed regime
-// (view, rank), pair epochs, committed-sequence watermark and the rolling
+// This file implements durable protocol checkpoints and catch-up, the
+// protocol-layer counterpart of the transport session journal. A process
+// with a Checkpointer periodically snapshots its installed regime (view,
+// rank), pair epochs, committed-sequence watermark and the rolling
 // committed-order digest; a restarted process restores the snapshot,
 // announces its watermark with a CatchUpReq, and peers answer with
 // BackLog-derived CatchUp messages carrying the committed subjects (and
 // request payloads) it missed, verified with the same committed-order
 // proofs verifyBackLog uses and adopted through the adoptNewBackLog path.
+// A live process that fell behind pulls the same answer from one peer
+// (fetch.go); only a restart round waits for f+1 answers, marks the
+// process not ready, and takes its pair's proposal counter from one.
 // Durable checkpoint watermarks are also gossiped (CatchUpReq with
 // Announce), so every process tracks the cluster-wide checkpoint
 // watermark and prunes its committed-order history — the committed
@@ -112,12 +115,7 @@ func (p *Process) restoreCheckpoint(cp CheckpointState) {
 	p.installed = true
 	p.deliveredUpTo = cp.DeliveredUpTo
 	p.nextExpected = cp.DeliveredUpTo + 1
-	if cp.NextSeq > p.nextSeq {
-		p.nextSeq = cp.NextSeq
-	}
-	if p.deliveredUpTo+1 > p.nextSeq {
-		p.nextSeq = p.deliveredUpTo + 1
-	}
+	p.nextSeq = max(p.nextSeq, cp.NextSeq, p.deliveredUpTo+1)
 	p.shadowNextPropose = p.nextSeq
 	p.orderDigest = append([]byte(nil), cp.OrderDigest...)
 	for r, e := range cp.PairEpochs {
@@ -172,12 +170,19 @@ func (p *Process) saveCheckpointIfDue(env runtime.Env) {
 // announceWatermark gossips a durable checkpoint watermark (no response
 // wanted); receivers fold it into their cluster-watermark minimum.
 func (p *Process) announceWatermark(env runtime.Env, wm types.Seq) {
-	m := &message.CatchUpReq{From: p.id, Watermark: wm, Announce: true}
-	if err := message.Sign(env, m, &m.Sig); err != nil {
-		env.Logf("core: signing watermark announcement: %v", err)
-		return
+	if m := p.catchUpReq(env, wm, true); m != nil {
+		p.multicastAll(env, m)
 	}
-	p.multicastAll(env, m)
+}
+
+// catchUpReq returns a signed CatchUpReq for watermark wm, or nil.
+func (p *Process) catchUpReq(env runtime.Env, wm types.Seq, announce bool) *message.CatchUpReq {
+	m := &message.CatchUpReq{From: p.id, Watermark: wm, Announce: announce}
+	if err := message.Sign(env, m, &m.Sig); err != nil {
+		env.Logf("core: signing CatchUpReq: %v", err)
+		return nil
+	}
+	return m
 }
 
 // beginCatchUp starts (or retries) the restart catch-up: multicast our
@@ -196,12 +201,9 @@ func (p *Process) beginCatchUp(env runtime.Env) {
 		p.catchupTimer = nil
 		p.beginCatchUp(env)
 	})
-	m := &message.CatchUpReq{From: p.id, Watermark: p.deliveredUpTo}
-	if err := message.Sign(env, m, &m.Sig); err != nil {
-		env.Logf("core: signing CatchUpReq: %v", err)
-		return
+	if m := p.catchUpReq(env, p.deliveredUpTo, false); m != nil {
+		p.multicastAll(env, m)
 	}
-	p.multicastAll(env, m)
 }
 
 // finishCatchUp ends the catch-up phase and resumes the duties that were
@@ -221,22 +223,19 @@ func (p *Process) finishCatchUp(env runtime.Env) {
 		p.catchupTimer.Stop()
 		p.catchupTimer = nil
 	}
-	if p.deliveredUpTo+1 > p.nextSeq {
-		p.nextSeq = p.deliveredUpTo + 1
-	}
+	p.nextSeq = max(p.nextSeq, p.deliveredUpTo+1)
 	p.applyPairResume()
 	p.resumeProposing(env)
 	if p.isShadowNow() {
-		if p.deliveredUpTo+1 > p.shadowNextPropose {
-			p.shadowNextPropose = p.deliveredUpTo + 1
-		}
+		p.shadowNextPropose = max(p.shadowNextPropose, p.deliveredUpTo+1)
 		p.armShadowExpectations(env)
 	}
 }
 
 // onCatchUpReq handles a peer's watermark: record it for cluster-watermark
 // pruning and, unless it is a gossip-only announcement, answer with the
-// committed subjects the requester is missing.
+// committed subjects the requester is missing and the orders tracked
+// above them.
 func (p *Process) onCatchUpReq(env runtime.Env, from types.NodeID, m *message.CatchUpReq) {
 	if m.From != from || !p.topo.IsProcess(from) {
 		return
@@ -275,6 +274,29 @@ func (p *Process) onCatchUpReq(env runtime.Env, from types.NodeID, m *message.Ca
 	}
 	p.catchupServed[from] = servedMark{wm: m.Watermark, at: env.Now()}
 	p.send(env, from, p.buildCatchUp(env, from, m.Watermark))
+	p.resendOrders(env, from, m.Watermark)
+}
+
+// resendOrders re-sends verbatim the orders this process tracks above
+// both watermarks, which the peer may never have received — how a CT
+// coordinator re-serves orders nobody got. The peer tracks and acks them
+// as any order. Proposals are never re-sent.
+func (p *Process) resendOrders(env runtime.Env, to types.NodeID, wm types.Seq) {
+	size := 0
+	for seq := max(wm, p.deliveredUpTo) + 1; seq < p.nextExpected; {
+		t, ok := p.trackers[seq]
+		if !ok {
+			return
+		}
+		seq = trackerLastSeq(t) + 1
+		if t.Batch == nil || len(t.Batch.Sig2) == 0 && t.Batch.Shadow != types.Nil {
+			continue
+		}
+		if size += len(t.Batch.Marshal()); size > maxFetchAnswerBytes {
+			return
+		}
+		p.send(env, to, t.Batch)
+	}
 }
 
 // servedMark records the last catch-up answer built for one peer.
@@ -310,54 +332,44 @@ func (p *Process) buildCatchUp(env runtime.Env, from types.NodeID, base types.Se
 			cu.PairNextPropose = p.nextSeq
 		}
 	}
+	// Walk the committed history contiguously — pruned or non-contiguous,
+	// serve what we have — byte-bounded, but always carrying at least one
+	// subject so every answer makes progress.
 	seen := make(map[message.ReqID]bool)
-	next := base + 1
 	size := 0
-	for next <= p.deliveredUpTo && next-base <= maxCatchUpSeqs {
+	for next := base + 1; next <= p.deliveredUpTo && next-base <= maxCatchUpSeqs; {
 		t, ok := p.trackers[next]
 		if !ok || !t.Committed {
-			break // pruned or non-contiguous; serve what we have
+			break
 		}
-		switch {
-		case t.Batch != nil:
-			cost := len(t.Batch.Marshal())
-			reqs := make([]*message.Request, 0, len(t.Batch.Entries))
+		var reqs []*message.Request
+		if t.Batch != nil {
+			size += len(t.Batch.Marshal())
 			for _, e := range t.Batch.Entries {
-				if seen[e.Req] {
-					continue
-				}
-				if req, ok := p.pool.Get(e.Req); ok {
+				if req, ok := p.pool.Get(e.Req); ok && !seen[e.Req] {
 					reqs = append(reqs, req)
-					cost += len(req.Marshal())
+					size += len(req.Marshal())
 				}
 			}
-			// Byte-bound the answer, but always carry at least one
-			// subject so every response makes progress.
-			if len(cu.Batches)+len(cu.Starts) > 0 && size+cost > maxCatchUpBytes {
-				break
-			}
-			cu.Batches = append(cu.Batches, t.Batch)
-			for _, r := range reqs {
-				seen[r.ID()] = true
-				cu.Requests = append(cu.Requests, r)
-			}
-			size += cost
-			next = t.Batch.LastSeq() + 1
-		case t.StartMsg != nil:
-			cost := len(t.StartMsg.Marshal())
-			if len(cu.Batches)+len(cu.Starts) > 0 && size+cost > maxCatchUpBytes {
-				break
-			}
-			cu.Starts = append(cu.Starts, t.StartMsg)
-			size += cost
-			next = t.StartMsg.StartSeq + 1
-		default:
-			next++
+		} else {
+			size += len(t.StartMsg.Marshal())
 		}
+		if size > maxCatchUpBytes && len(cu.Batches)+len(cu.Starts) > 0 {
+			break
+		}
+		if t.Batch != nil {
+			cu.Batches = append(cu.Batches, t.Batch)
+		} else {
+			cu.Starts = append(cu.Starts, t.StartMsg)
+		}
+		for _, r := range reqs {
+			seen[r.ID()] = true
+			cu.Requests = append(cu.Requests, r)
+		}
+		next = trackerLastSeq(t) + 1
 	}
 	if err := message.Sign(env, cu, &cu.Sig); err != nil {
 		env.Logf("core: signing CatchUp: %v", err)
-		return cu
 	}
 	return cu
 }
@@ -367,11 +379,11 @@ func (p *Process) buildCatchUp(env runtime.Env, from types.NodeID, base types.Se
 // quorum, and the pair signatures of every carried subject (assumption
 // 3(a)(ii)/3(b)(ii): a pair-endorsed order for an already-committed
 // sequence range cannot conflict with the committed one). Answers are
-// adopted even after the catch-up phase formally ended: responses race,
-// and a laggard's empty answer finishing the phase must not discard a
-// fuller answer arriving a moment later.
+// adopted even after a restart round formally ended — responses race, and
+// a laggard's empty answer finishing the phase must not discard a fuller
+// answer arriving a moment later — and by a live process that pulled.
 func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.CatchUp) {
-	if p.cfg.Checkpointer == nil || m.From != from || !p.topo.IsProcess(from) || from == p.id {
+	if m.From != from || !p.topo.IsProcess(from) || from == p.id {
 		return
 	}
 	if err := m.VerifySig(env); err != nil {
@@ -389,7 +401,9 @@ func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.Catch
 	}
 	before := p.deliveredUpTo
 	p.adoptCatchUp(env, m)
-	if m.PairNextPropose > 0 && p.pair != nil && from == p.pair.Counterpart() {
+	// A live process's proposal counters are its own: a pull only fills
+	// history, whatever the counterpart expects next.
+	if m.PairNextPropose > 0 && p.pair != nil && from == p.pair.Counterpart() && p.catchingUp.Load() {
 		p.pairResume = m.PairNextPropose
 		p.applyPairResume()
 	}
@@ -399,10 +413,7 @@ func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.Catch
 	// unexamined would let one faulty peer (a validly signed empty answer
 	// with UpTo = 2^60) hold a correct restarted process in the
 	// catching-up state forever.
-	upTo := m.UpTo
-	if cred := credibleUpTo(m); upTo > cred {
-		upTo = cred
-	}
+	upTo := min(m.UpTo, credibleUpTo(m))
 	if p.catchingUp.Load() {
 		if p.catchupFrom == nil {
 			p.catchupFrom = make(map[types.NodeID]bool)
@@ -421,11 +432,9 @@ func (p *Process) onCatchUp(env runtime.Env, from types.NodeID, m *message.Catch
 		// immediate re-request would just ping-pong at network speed —
 		// the catch-up retry timer re-multicasts at its own cadence
 		// instead.
-		req := &message.CatchUpReq{From: p.id, Watermark: p.deliveredUpTo}
-		if err := message.Sign(env, req, &req.Sig); err != nil {
-			return
+		if req := p.catchUpReq(env, p.deliveredUpTo, false); req != nil {
+			p.send(env, from, req)
 		}
-		p.send(env, from, req)
 	case p.catchingUp.Load() && p.deliveredUpTo >= p.catchupMaxUpTo &&
 		len(p.catchupFrom) >= p.catchupFinishAnswers() && !p.needPairAnswer():
 		// Enough distinct peers answered and none of them knew more than
@@ -470,29 +479,20 @@ func (p *Process) applyPairResume() {
 	if p.pairResume == 0 || p.pair == nil || !p.pair.Active() {
 		return
 	}
-	r := p.pairResume
-	if r < p.deliveredUpTo+1 {
-		// Never step on committed history, whatever the counterpart says.
-		r = p.deliveredUpTo + 1
-	}
+	// Never step on committed history, whatever the counterpart says.
+	r := max(p.pairResume, p.deliveredUpTo+1)
 	if p.isPrimaryNow() && !p.proposedSince {
 		p.nextSeq = r
 	}
-	if p.isShadowNow() && r > p.shadowNextPropose {
-		p.shadowNextPropose = r
+	if p.isShadowNow() {
+		p.shadowNextPropose = max(p.shadowNextPropose, r)
 	}
 }
 
 // catchupFinishAnswers is how many distinct peers must have answered
 // before an all-caught-up conclusion is trusted: f+1, capped at the
 // number of peers.
-func (p *Process) catchupFinishAnswers() int {
-	n := p.fEff() + 1
-	if peers := len(p.all) - 1; n > peers {
-		n = peers
-	}
-	return n
-}
+func (p *Process) catchupFinishAnswers() int { return min(p.fEff()+1, len(p.all)-1) }
 
 // credibleUpTo returns the highest sequence number a CatchUp's evidence
 // substantiates: the commit proof's range and the carried (pair-signed)
@@ -503,14 +503,10 @@ func credibleUpTo(m *message.CatchUp) types.Seq {
 		cred = m.MaxCommitted.Batch.LastSeq()
 	}
 	for _, b := range m.Batches {
-		if s := b.LastSeq(); s > cred {
-			cred = s
-		}
+		cred = max(cred, b.LastSeq())
 	}
 	for _, s := range m.Starts {
-		if s.StartSeq > cred {
-			cred = s.StartSeq
-		}
+		cred = max(cred, s.StartSeq)
 	}
 	return cred
 }
@@ -549,8 +545,12 @@ func (p *Process) adoptCatchUp(env runtime.Env, m *message.CatchUp) {
 		next = it.last + 1
 	}
 	p.advanceDelivery(env)
-	if p.deliveredUpTo+1 > p.nextExpected {
-		p.nextExpected = p.deliveredUpTo + 1
+	p.nextExpected = max(p.nextExpected, p.deliveredUpTo+1)
+	// Batches buffered for a range the answer filled are history now.
+	for seq := range p.future {
+		if seq < p.nextExpected {
+			delete(p.future, seq)
+		}
 	}
 	p.drainFuture(env)
 }

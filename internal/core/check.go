@@ -100,19 +100,20 @@ func (p *Process) onProposal(env runtime.Env, b *message.OrderBatch) {
 	// them, of which no further copy is coming. A fabricated ReqID from a
 	// faulty primary keeps the proposal pending and the next real
 	// request's expectation will eventually flag the primary as untimely.
-	p.deferred = append(p.deferred, deferredProposal{batch: b, left: unresolved, at: env.Now()})
+	now := env.Now()
+	p.deferred = append(p.deferred, deferredProposal{batch: b, left: unresolved, at: now, due: now.Add(p.fetchThrottle())})
 	p.m.shadowDeferred.Inc()
 	p.armFetch(env)
 }
 
 // deferredProposal is a shadow-side proposal awaiting referenced request
 // bodies: left counts the entries whose bodies are still awaited, batch
-// keeps the entries so the fetch timer knows what is still missing, and at
-// is when it was deferred.
+// keeps the entries so the fetch timer knows what is still missing, at is
+// when it was deferred and due when its bodies are next asked for.
 type deferredProposal struct {
-	batch *message.OrderBatch
-	left  int
-	at    time.Time
+	batch   *message.OrderBatch
+	left    int
+	at, due time.Time
 }
 
 // bodyArrived is the pool's arrival hook: an awaited request body came.
@@ -141,7 +142,7 @@ func (p *Process) bodyArrived(env runtime.Env, id message.ReqID) {
 // dropMissing abandons every deferred proposal, withdrawing their awaits
 // from the pool: the regime they belong to is over (pair-down, view
 // change). Delivered stragglers stay: their bodies are committed history,
-// which the fetch timer asks of a live holder (bodyHolder).
+// which the fetch timer asks of a live holder (fetchMissing).
 func (p *Process) dropMissing() {
 	for _, d := range p.deferred {
 		for _, e := range d.batch.Entries {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"slices"
 	"time"
 
@@ -10,95 +9,41 @@ import (
 	"github.com/sof-repro/sof/internal/types"
 )
 
-// This file implements the fetch-on-miss fallback that digest-only
-// ordering relies on. A pipelined process's critical path carries only
-// digests: acks no longer embed the endorsed subject, and batches can
-// commit before every referenced request payload has arrived. What a
-// process misses — a subject its quorum of support shows exists (parked
-// acks plus the coordinator pair the order credits), or a payload (a
-// proposal the shadow defers, or a delivered batch whose requests are not
-// all pooled) — is almost always still in flight, so nothing is fetched at
-// once: one timer per process asks, after one fetch throttle window, for
-// what is still missing, and again every window until it arrives. A
-// subject is asked of a process that acked it, a payload of the batch's
-// primary or, once that primary's pair has fail-signalled, of another live
-// process. Answers are the stored messages re-sent verbatim —
-// self-verifying, flowing through the normal onOrderBatch/onRequest
-// handlers — so a FetchReq needs no trust, only throttling on both sides.
+// This file implements the fetch timer, one per process: the one way a
+// live process repairs what it missed. What it misses is almost always
+// still in flight, so nothing is asked for at once; what is still missing
+// a fetch window later is asked for, and again every window until it
+// arrives. Answers are stored messages re-sent verbatim — self-verifying
+// — so a request needs no trust, only throttling on both sides.
+//
+// A request body — a proposal the shadow defers, or a delivered batch
+// whose payloads have not all arrived — is asked for with a FetchReq, of
+// the batch's primary or, once its pair has fail-signalled, of another
+// live process. Missing orders and commits follow one gap rule: a process
+// whose delivery watermark has not moved for a window while it holds
+// evidence above it pulls, with the CatchUpReq a restarted process sends
+// (catchup.go), from one peer per window — the coordinator's primary, then
+// the other live processes in turn, backing off once it has asked them all
+// to one per 8 windows while its pulls bring nothing. Evidence is a batch buffered ahead of
+// its turn, a commit above the watermark, or the subject next in line
+// credited by nothing for stuckWindows. An ack is not evidence: any peer
+// can sign one for a subject nobody ordered.
 
-// maxFetchAnswerBytes bounds one fetch answer's re-sent payload bytes; a
-// requester missing more re-asks once its throttle window passes.
+// maxFetchAnswerBytes bounds the re-sent bytes of one answer: request
+// bodies, or the orders sent after a CatchUp. A requester missing more
+// asks again a window later.
 const maxFetchAnswerBytes = 1 << 20
 
-// fetchThrottle is the fetch timer's period and the minimum age of a miss
-// before it is asked for, and the spacing between answers to one peer.
+// fetchThrottle is the fetch window: the minimum age of a miss before it
+// is asked for, and the spacing of asks, of pulls and of answers to one
+// peer.
 func (p *Process) fetchThrottle() time.Duration { return p.cfg.BatchInterval }
 
-// maxMissingSubjects bounds the untracked subjects the fetch timer asks
-// for; past it an ack naming one more is parked but not pursued.
-const maxMissingSubjects = 64
-
-// missingSubject is an untracked batch that a quorum supports: its
-// sequence, when the support was complete, and how often it was asked for.
-type missingSubject struct {
-	seq   types.Seq
-	at    time.Time
-	asked int
-}
-
-// noteMissingSubject runs for an ack parked on a batch this process does
-// not track. Once the batch's support reaches quorum, the batch exists and
-// this process missed its order (lost, or still in flight): the fetch timer
-// asks an acker for it one throttle window on, so an ack that merely
-// outran its order fetches nothing.
-func (p *Process) noteMissingSubject(env runtime.Env, a *message.Ack) {
-	if p.muted() || !p.installed || a.View != p.view || !p.lacksSubject(a.FirstSeq) ||
-		len(p.missingSubjects) == maxMissingSubjects || p.subjectSupport(a) < p.quorumEff() {
-		return
-	}
-	for _, m := range p.missingSubjects {
-		if m.seq == a.FirstSeq {
-			return
-		}
-	}
-	p.missingSubjects = append(p.missingSubjects, missingSubject{seq: a.FirstSeq, at: env.Now()})
-	p.armFetch(env)
-}
-
-// lacksSubject reports whether the batch at seq is above the delivery
-// watermark and neither tracked nor buffered ahead of its turn.
-func (p *Process) lacksSubject(seq types.Seq) bool {
-	_, tracked := p.trackers[seq]
-	_, buffered := p.future[seq]
-	return seq > p.deliveredUpTo && !tracked && !buffered
-}
-
-// subjectSupport counts the support for the subject a acks: the acting
-// coordinator pair, which every order credits and which sends no ack of its
-// own when pipelined (sendAck), plus each other process whose parked ack
-// names the same subject.
-func (p *Process) subjectSupport(a *message.Ack) int {
-	primary, shadow, paired := p.candidate(p.rank)
-	n := 1
-	if paired {
-		n = 2
-	}
-	q := p.pendingAcks[a.FirstSeq]
-	for i, b := range q {
-		if b.From == primary || (paired && b.From == shadow) || !p.mayCount(b.From) ||
-			b.Kind != a.Kind || b.View != a.View || !bytes.Equal(b.SubjectDigest, a.SubjectDigest) {
-			continue
-		}
-		first := true
-		for _, c := range q[:i] {
-			first = first && c.From != b.From
-		}
-		if first {
-			n++
-		}
-	}
-	return n
-}
+// stuckWindows is how many fetch windows the subject next in line, acked
+// here, must go without any new credit before it counts as stuck. One is
+// not enough: under 2006-era signatures an interval-paced primary waits
+// longer than its batch interval between acks while nothing is lost.
+const stuckWindows = 2
 
 // maxStragglers bounds the delivered batches whose missing payloads the
 // fetch timer keeps re-asking for; past it the oldest is given up (its
@@ -106,11 +51,11 @@ func (p *Process) subjectSupport(a *message.Ack) int {
 const maxStragglers = 128
 
 // straggler is a delivered batch some of whose request bodies were not
-// pooled at delivery, when it was delivered, and how often its bodies
-// were asked for.
+// pooled at delivery, when its bodies are next asked for, and how often
+// they were.
 type straggler struct {
 	batch *message.OrderBatch
-	at    time.Time
+	due   time.Time
 	asked int
 }
 
@@ -124,7 +69,7 @@ func (p *Process) noteStraggler(env runtime.Env, b *message.OrderBatch) {
 	if len(p.stragglers) == maxStragglers {
 		p.stragglers = slices.Delete(p.stragglers, 0, 1)
 	}
-	p.stragglers = append(p.stragglers, straggler{batch: b, at: env.Now()})
+	p.stragglers = append(p.stragglers, straggler{batch: b, due: env.Now().Add(p.fetchThrottle())})
 	p.armFetch(env)
 }
 
@@ -139,17 +84,13 @@ func (p *Process) missing(b *message.OrderBatch) int {
 	return n
 }
 
-// bodyHolder returns whom to ask for a straggler's missing bodies: the
-// batch's primary, which proposed them, while its pair stands; once that
-// pair has fail-signalled — it is deposed, muted or crashed — another live
-// process, searched from one further along the process list on each
-// re-ask, since every one of them delivered the batch.
-func (p *Process) bodyHolder(s *straggler) types.NodeID {
-	if p.live(s.batch.Primary) {
-		return s.batch.Primary
-	}
-	for i := range p.all {
-		if id := p.all[(s.asked+i)%len(p.all)]; id != p.id && p.live(id) {
+// liveFrom returns whom to ask for the k-th time: the first live process
+// searched from the (k+1)-th after this one in the process list on, so
+// successive asks go round the others.
+func (p *Process) liveFrom(k int) types.NodeID {
+	self := slices.Index(p.all, p.id)
+	for i := 1; i <= len(p.all); i++ {
+		if id := p.all[(self+k+i)%len(p.all)]; id != p.id && p.live(id) {
 			return id
 		}
 	}
@@ -163,13 +104,82 @@ func (p *Process) live(id types.NodeID) bool {
 	return !p.dumb[id] && (r == 0 || p.failSignalled[r] == nil)
 }
 
-// armFetch keeps the fetch timer running while a subject or a request body
-// is missing. Nothing else re-triggers a fetch — the client will not
-// re-send a request we shed at admission, and the responder's throttle may
-// drop an answer — so the timer re-asks every throttle window until
-// nothing is missing.
+// mayFallBehind reports whether the gap rule watches this process: it is
+// installed, transmits, is not in a restart catch-up (which pulls on its
+// own), and holds something that could become evidence.
+func (p *Process) mayFallBehind() bool {
+	return p.installed && !p.muted() && !p.catchingUp.Load() &&
+		(len(p.future) > 0 || p.trackers[p.deliveredUpTo+1] != nil ||
+			p.lastCommitted != nil && p.lastCommitted.FirstSeq > p.deliveredUpTo)
+}
+
+// behind reports whether the process holds evidence above its watermark.
+// Only doubly signed batches enter future, so one there is evidence.
+func (p *Process) behind(now time.Time) bool {
+	t := p.trackers[p.deliveredUpTo+1]
+	return len(p.future) > 0 || p.lastCommitted != nil && p.lastCommitted.FirstSeq > p.deliveredUpTo ||
+		t != nil && !t.Committed && t.Credited(p.id) && now.Sub(p.creditAt) >= stuckWindows*p.fetchThrottle()
+}
+
+// gapWindow is how long the watermark must stand still before the gap
+// rule looks: a fetch window while its pulls since the watermark moved
+// have not yet gone round every process, then doubled each round up to 8
+// windows, so answers slow to come are not asked for over and over.
+func (p *Process) gapWindow() time.Duration {
+	return p.fetchThrottle() << min(p.pulls/len(p.all), 3)
+}
+
+// pullIfBehind is the gap rule, run by the fetch timer: once the
+// watermark has stood still for gapWindow — since it moved, or since the
+// last look — a process with evidence above it pulls. It asks for the
+// commits above its watermark and, since the peer may lack them as much as
+// it does, hands over the orders it tracks above it.
+func (p *Process) pullIfBehind(env runtime.Env, now time.Time) {
+	if now.Before(p.gapSince.Add(p.gapWindow())) || !p.mayFallBehind() {
+		return
+	}
+	p.gapSince = now
+	if !p.behind(now) {
+		return
+	}
+	target, _, _ := p.candidate(p.rank)
+	if p.pulls > 0 || target == p.id || !p.live(target) {
+		target = p.liveFrom(p.pulls)
+	}
+	p.pulls++
+	if m := p.catchUpReq(env, p.deliveredUpTo, false); m != nil && target != types.Nil {
+		p.m.pulls.Inc()
+		p.send(env, target, m)
+		p.resendOrders(env, target, p.deliveredUpTo)
+	}
+}
+
+// armFetch arms the fetch timer, unless it is armed, for the earliest of
+// what it waits on: a missing body's next ask, and the gap rule's next
+// look while it watches. Nothing else re-asks — the client will not
+// re-send a request we shed at admission, the responder's throttle may
+// drop an answer, and nobody re-sends a lost ack. A miss noted while the
+// timer is armed is due no earlier than it.
 func (p *Process) armFetch(env runtime.Env) {
-	if p.fetchTimer != nil || len(p.deferred)+len(p.stragglers)+len(p.missingSubjects) == 0 {
+	if p.fetchTimer != nil {
+		return
+	}
+	var next time.Time
+	due := func(at time.Time) {
+		if next.IsZero() || at.Before(next) {
+			next = at
+		}
+	}
+	for _, d := range p.deferred {
+		due(d.due)
+	}
+	for _, s := range p.stragglers {
+		due(s.due)
+	}
+	if p.mayFallBehind() {
+		due(p.gapSince.Add(p.gapWindow()))
+	}
+	if next.IsZero() {
 		return
 	}
 	if p.onFetchTick == nil {
@@ -179,95 +189,76 @@ func (p *Process) armFetch(env runtime.Env) {
 			p.armFetch(env)
 		}
 	}
-	p.fetchTimer = env.SetTimer(p.fetchThrottle(), p.onFetchTick)
+	p.fetchTimer = env.SetTimer(max(next.Sub(env.Now()), 0), p.onFetchTick)
 }
 
-// fetchMissing asks for what is still missing at least one throttle window
-// after it was noted — younger misses are likely in flight and wait for
-// the next tick: the untracked subjects, each of one of its ackers in
-// turn, and the request bodies of deferred proposals (of their primary)
-// and of stragglers (of bodyHolder). The asks are merged into one FetchReq
-// per target, so the responder's one-answer-per-window throttle covers
-// them all at once. Misses that have since been filled are dropped.
+// fetchMissing asks for what is due: the request bodies of deferred
+// proposals (of their primary) and of stragglers (of the batch's primary
+// while its pair stands, else of a live process in turn), merged into one
+// FetchReq per target so the responder's one-answer-per-window throttle
+// covers them at once; then it runs the gap rule. Stragglers whose bodies
+// have since arrived are dropped.
 func (p *Process) fetchMissing(env runtime.Env) {
 	now := env.Now()
 	var asks []fetchAsk // one per target, in first-seen order
-	to := func(target types.NodeID) *fetchAsk {
+	ask := func(b *message.OrderBatch, due *time.Time, target types.NodeID) bool {
+		if now.Before(*due) || target == types.Nil {
+			return false
+		}
+		*due = now.Add(p.fetchThrottle())
 		i := slices.IndexFunc(asks, func(a fetchAsk) bool { return a.target == target })
 		if i < 0 {
 			i = len(asks)
 			asks = append(asks, fetchAsk{target: target})
 		}
-		return &asks[i]
-	}
-	bodies := func(b *message.OrderBatch, at time.Time, target types.NodeID) bool {
-		if now.Sub(at) < p.fetchThrottle() || target == types.Nil {
-			return false
-		}
 		for _, e := range b.Entries {
 			if _, ok := p.pool.Get(e.Req); !ok {
-				a := to(target)
-				a.ids = append(a.ids, e.Req)
+				asks[i].ids = append(asks[i].ids, e.Req)
 			}
 		}
 		return true
 	}
-	p.missingSubjects = slices.DeleteFunc(p.missingSubjects, func(m missingSubject) bool {
-		return !p.lacksSubject(m.seq) || len(p.pendingAcks[m.seq]) == 0
-	})
-	for i := range p.missingSubjects {
-		m := &p.missingSubjects[i]
-		if now.Sub(m.at) < p.fetchThrottle() {
-			continue
-		}
-		q := p.pendingAcks[m.seq]
-		a := to(q[m.asked%len(q)].From)
-		a.seqs = append(a.seqs, m.seq)
-		m.asked++
-	}
-	for _, d := range p.deferred {
-		bodies(d.batch, d.at, d.batch.Primary)
+	for i := range p.deferred {
+		ask(p.deferred[i].batch, &p.deferred[i].due, p.deferred[i].batch.Primary)
 	}
 	p.stragglers = slices.DeleteFunc(p.stragglers, func(s straggler) bool { return p.missing(s.batch) == 0 })
 	for i := range p.stragglers {
 		s := &p.stragglers[i]
-		if bodies(s.batch, s.at, p.bodyHolder(s)) {
+		holder := s.batch.Primary
+		if !p.live(holder) {
+			holder = p.liveFrom(s.asked)
+		}
+		if ask(s.batch, &s.due, holder) {
 			s.asked++
 		}
 	}
 	for _, a := range asks {
-		p.sendFetch(env, a.target, a.seqs, a.ids)
+		p.sendFetch(env, a.target, a.ids)
 	}
+	p.pullIfBehind(env, now)
 }
 
-// fetchAsk is one FetchReq's worth of missing subjects and bodies for one
-// target.
+// fetchAsk is one FetchReq's worth of missing bodies for one target.
 type fetchAsk struct {
 	target types.NodeID
-	seqs   []types.Seq
 	ids    []message.ReqID
 }
 
-func (p *Process) sendFetch(env runtime.Env, target types.NodeID, seqs []types.Seq, reqs []message.ReqID) {
-	if p.muted() {
+func (p *Process) sendFetch(env runtime.Env, target types.NodeID, reqs []message.ReqID) {
+	if p.muted() || len(reqs) == 0 {
 		return
 	}
-	m := &message.FetchReq{From: p.id, Seqs: seqs, Reqs: reqs}
+	m := &message.FetchReq{From: p.id, Reqs: reqs}
 	if err := message.Sign(env, m, &m.Sig); err != nil {
 		env.Logf("core: signing FetchReq: %v", err)
 		return
 	}
-	if len(seqs) > 0 {
-		p.m.fetchSubject.Inc()
-	}
-	if len(reqs) > 0 {
-		p.m.fetchPayload.Inc()
-	}
+	p.m.fetchPayload.Inc()
 	p.send(env, target, m)
 }
 
 // onFetchReq answers a peer's fetch with whatever of the asked-for
-// subjects and payloads this process holds, re-sent verbatim.
+// request bodies this process holds, re-sent verbatim.
 func (p *Process) onFetchReq(env runtime.Env, from types.NodeID, m *message.FetchReq) {
 	if m.From != from || from == p.id || !p.topo.IsProcess(from) || p.muted() {
 		return
@@ -277,7 +268,7 @@ func (p *Process) onFetchReq(env runtime.Env, from types.NodeID, m *message.Fetc
 		return
 	}
 	// One answer per throttle window per requester: answers re-send signed
-	// history, so an unthrottled requester could use us as an amplifier.
+	// requests, so an unthrottled requester could use us as an amplifier.
 	if at, ok := p.fetchServed[from]; ok && env.Now().Sub(at) < p.fetchThrottle() {
 		return
 	}
@@ -286,19 +277,6 @@ func (p *Process) onFetchReq(env runtime.Env, from types.NodeID, m *message.Fetc
 	}
 	p.fetchServed[from] = env.Now()
 	size := 0
-	for _, seq := range m.Seqs {
-		t, ok := p.trackers[seq]
-		if !ok || t.Batch == nil {
-			continue
-		}
-		if len(t.Batch.Sig2) == 0 && t.Batch.Shadow != types.Nil {
-			continue // proposal, not an endorsed subject; never re-send
-		}
-		if size += len(t.Batch.Marshal()); size > maxFetchAnswerBytes {
-			return
-		}
-		p.send(env, from, t.Batch)
-	}
 	for _, id := range m.Reqs {
 		req, ok := p.pool.Get(id)
 		if !ok {

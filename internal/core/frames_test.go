@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"maps"
 	"slices"
 	"testing"
@@ -16,19 +17,20 @@ import (
 // These tests pin which ordering frames a process sends when it pipelines:
 // the coordinator pair acks nothing (every order credits it already), the
 // primary forwards the shadow's endorsement to the processes outside the
-// pair only, and a process that missed an order anyway fetches it from an
-// acker one fetch window later.
+// pair only, and a process that missed an order anyway pulls the commits
+// it lacks one fetch window after its watermark stopped.
 
 // sentKinds counts what one process sends, per destination other than
 // itself: acks and the subject-carrying ones among them, doubly signed
-// batches (at the primary, its forward), and the destinations of subject
-// fetches. A drop filter, when set, discards the messages it matches.
+// batches (at the primary, its forward), and the destinations of live
+// pulls (a CatchUpReq that is not a watermark announcement). A drop
+// filter, when set, discards the messages it matches.
 type sentKinds struct {
 	self        types.NodeID
 	acks        int
 	subjectAcks int
 	endorsedTo  map[types.NodeID]int
-	fetchedFrom []types.NodeID
+	pulledFrom  []types.NodeID
 	drop        func(to types.NodeID, m message.Message) bool
 }
 
@@ -53,9 +55,9 @@ func (k *sentKinds) Outbound(_ runtime.Env, to types.NodeID, m message.Message) 
 		if len(m.Sig2) > 0 {
 			k.endorsedTo[to]++
 		}
-	case *message.FetchReq:
-		if len(m.Seqs) > 0 {
-			k.fetchedFrom = append(k.fetchedFrom, to)
+	case *message.CatchUpReq:
+		if !m.Announce {
+			k.pulledFrom = append(k.pulledFrom, to)
 		}
 	}
 	return []message.Message{m}
@@ -101,7 +103,7 @@ func isEndorsed(m message.Message, seq types.Seq) bool {
 
 // TestCoordinatorPairSendsNoAck: pipelined, neither coordinator member
 // acks and the primary's forward reaches exactly the two processes outside
-// the pair; nobody fetches a subject. Interval-paced, every process sends
+// the pair; nobody pulls. Interval-paced, every process sends
 // subject-carrying acks and the forward reaches all three other processes,
 // as the paper's processes do.
 func TestCoordinatorPairSendsNoAck(t *testing.T) {
@@ -112,8 +114,8 @@ func TestCoordinatorPairSendsNoAck(t *testing.T) {
 		s.sched.RunFor(500 * time.Millisecond)
 		s.assertAllCommitted()
 		for id, k := range kinds {
-			if len(k.fetchedFrom) != 0 {
-				t.Errorf("window %d: fault-free %v fetched %d subjects", window, id, len(k.fetchedFrom))
+			if len(k.pulledFrom) != 0 {
+				t.Errorf("window %d: fault-free %v pulled %d times", window, id, len(k.pulledFrom))
 			}
 		}
 		forwardTo := slices.Sorted(maps.Keys(kinds[pc].endorsedTo))
@@ -174,8 +176,8 @@ func TestForwardCoversWithholdingShadow(t *testing.T) {
 
 // TestOvertakingAckFetchesNothing: when the order reaches a process a few
 // milliseconds late — inside one fetch window — the acks that overtake it
-// complete a quorum of support, yet nothing is fetched: the fetch timer
-// finds the order arrived.
+// would complete a quorum of support, yet nothing is pulled: acks are no
+// evidence, and the watermark never stands still for a window.
 func TestOvertakingAckFetchesNothing(t *testing.T) {
 	s, kinds := tappedSim(t, types.SC, 8, nil)
 	pc, ps, others := outsidePair(s.topo)
@@ -185,8 +187,8 @@ func TestOvertakingAckFetchesNothing(t *testing.T) {
 	s.submitEvery(3*time.Millisecond, 60*time.Millisecond)
 	s.sched.RunFor(500 * time.Millisecond)
 	s.assertAllCommitted()
-	if got := kinds[victim].fetchedFrom; len(got) != 0 {
-		t.Errorf("%v fetched late orders from %v, want nothing fetched", victim, got)
+	if got := kinds[victim].pulledFrom; len(got) != 0 {
+		t.Errorf("%v pulled late orders from %v, want nothing pulled", victim, got)
 	}
 }
 
@@ -196,30 +198,68 @@ const missedOrderWindow = 10 * time.Millisecond
 
 // TestMissedOrderFetchedFromAcker: a process outside the coordinator pair
 // that loses both the shadow's endorsement and the primary's forward of
-// one batch still learns it exists — its one acker's ack plus the two
-// credits the order gives the pair make a quorum — and fetches it from
-// that acker within two fetch windows, then delivers everything.
+// one batch buffers the next batch ahead of its turn, while its watermark
+// stands still. One fetch window on, it pulls the commits it lacks from
+// that batch's primary, and it delivers the lost batch within two fetch
+// windows of the acker, then everything.
 func TestMissedOrderFetchedFromAcker(t *testing.T) {
-	topo, err := types.NewTopology(types.SC, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, ps, others := outsidePair(topo)
-	acker, victim := others[0], others[1]
-	var lost types.Seq
-	s, kinds := tappedSim(t, types.SC, 8, func(kinds map[types.NodeID]*sentKinds) {
-		for _, id := range []types.NodeID{pc, ps} {
-			kinds[id].drop = loseOne(victim, &lost, func(b *message.OrderBatch) bool { return len(b.Sig2) > 0 })
-		}
-	})
-	assertMissedOrderFetched(t, s, kinds, acker, victim, &lost)
+	s, kinds, pc, acker, victim, lost := missedOrderSim(t)
+	assertMissedOrderFetched(t, s, kinds, acker, victim, pc, lost)
 	if len(s.signals) != 0 {
 		t.Errorf("a lost order drew fail-signals: %+v", s.signals)
 	}
 }
 
+// TestForgedAcksDoNotStallRepair is TestMissedOrderFetchedFromAcker with
+// a Byzantine acker: before the requests it also signs 64 acks for
+// sequences 1,000,000 on, with made-up digests, and sends them to the
+// victim, which parks them. Acks are no evidence of a gap, so they steer
+// nothing: the victim still delivers all 20 sequences, the lost one
+// within the two-window bound.
+func TestForgedAcksDoNotStallRepair(t *testing.T) {
+	s, kinds, pc, acker, victim, lost := missedOrderSim(t)
+	if err := s.sim.Inject(acker, func(env runtime.Env) {
+		for i := range 64 {
+			a := &message.Ack{From: acker, Kind: message.SubjectBatch, View: 1,
+				FirstSeq: 1_000_000 + types.Seq(i), SubjectDigest: bytes.Repeat([]byte{byte(i)}, 32)}
+			if err := message.Sign(env, a, &a.Sig); err != nil {
+				t.Error(err)
+				return
+			}
+			env.Send(victim, a)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s.sched.RunFor(100 * time.Millisecond) // the victim verifies and parks them
+	assertMissedOrderFetched(t, s, kinds, acker, victim, pc, lost)
+	if got := s.proc(victim).MaxDelivered(); got != 20 {
+		t.Errorf("%v delivered up to sequence %d, want all 20", victim, got)
+	}
+}
+
+// missedOrderSim is a pipelined SC f = 1 resumeSim in which both copies of
+// one endorsed batch, from sequence 3 on, are lost on their way to victim;
+// acker is the other process outside the pair, and *lost the batch's
+// sequence once it is lost.
+func missedOrderSim(t *testing.T) (s *resumeSim, kinds map[types.NodeID]*sentKinds, pc, acker, victim types.NodeID, lost *types.Seq) {
+	t.Helper()
+	topo, err := types.NewTopology(types.SC, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, ps, others := outsidePair(topo)
+	acker, victim, lost = others[0], others[1], new(types.Seq)
+	s, kinds = tappedSim(t, types.SC, 8, func(kinds map[types.NodeID]*sentKinds) {
+		for _, id := range []types.NodeID{pc, ps} {
+			kinds[id].drop = loseOne(victim, lost, func(b *message.OrderBatch) bool { return len(b.Sig2) > 0 })
+		}
+	})
+	return s, kinds, pc, acker, victim, lost
+}
+
 // TestCTMissedOrderFetchedFromAcker is the CT variant: the coordinator's
-// order never reaches one process, which fetches it from the other.
+// order never reaches one process, which pulls it from the coordinator.
 func TestCTMissedOrderFetchedFromAcker(t *testing.T) {
 	topo, err := types.NewTopology(types.CT, 1)
 	if err != nil {
@@ -231,7 +271,7 @@ func TestCTMissedOrderFetchedFromAcker(t *testing.T) {
 	s, kinds := tappedSim(t, types.CT, 8, func(kinds map[types.NodeID]*sentKinds) {
 		kinds[coord].drop = loseOne(victim, &lost, func(*message.OrderBatch) bool { return true })
 	})
-	assertMissedOrderFetched(t, s, kinds, acker, victim, &lost)
+	assertMissedOrderFetched(t, s, kinds, acker, victim, coord, &lost)
 }
 
 // loseOne returns a drop filter that discards, on its way to victim, the
@@ -252,10 +292,10 @@ func loseOne(victim types.NodeID, lost *types.Seq, is func(*message.OrderBatch) 
 }
 
 // assertMissedOrderFetched drives requests through s and checks that
-// victim, which lost the order at *lost, fetched it once from acker and
+// victim, which lost the order at *lost, pulled once, from primary, and
 // delivered it within two fetch windows of acker, and that everyone
 // delivered everything.
-func assertMissedOrderFetched(t *testing.T, s *resumeSim, kinds map[types.NodeID]*sentKinds, acker, victim types.NodeID, lost *types.Seq) {
+func assertMissedOrderFetched(t *testing.T, s *resumeSim, kinds map[types.NodeID]*sentKinds, acker, victim, primary types.NodeID, lost *types.Seq) {
 	t.Helper()
 	delivered := make(map[types.NodeID]time.Time)
 	step := func() {
@@ -291,7 +331,7 @@ func assertMissedOrderFetched(t *testing.T, s *resumeSim, kinds map[types.NodeID
 		t.Errorf("%v delivered sequence %d %v after %v, want within two fetch windows (%v)",
 			victim, *lost, wait, acker, 2*missedOrderWindow)
 	}
-	if got := kinds[victim].fetchedFrom; !slices.Equal(got, []types.NodeID{acker}) {
-		t.Errorf("%v fetched subjects from %v, want once from the acker %v", victim, got, acker)
+	if got := kinds[victim].pulledFrom; !slices.Equal(got, []types.NodeID{primary}) {
+		t.Errorf("%v pulled from %v, want once from the primary %v", victim, got, primary)
 	}
 }

@@ -118,10 +118,9 @@ func (p *Process) beginInstall(env runtime.Env, fs *message.FailSignal) {
 	for seq := range p.pendingAcks {
 		p.dropPendingAcks(seq)
 	}
-	// The deposed regime's deferred proposals and missed subjects are
-	// abandoned with its acks; its delivered stragglers are asked of a
-	// live holder from now on, not of its primary.
-	p.missingSubjects = p.missingSubjects[:0]
+	// The deposed regime's deferred proposals are abandoned with its
+	// acks; its delivered stragglers are asked of a live holder from now
+	// on, not of its primary.
 	p.dropMissing()
 	// Orders from the deposed coordinator that were never acked cannot
 	// complete; drop the buffer (acked ones travel in BackLogs).
@@ -619,12 +618,7 @@ func (p *Process) tryCompleteInstall(env runtime.Env) {
 
 	// The Start itself is an order message with sequence number start_o;
 	// commit it through the normal part.
-	t := NewStartTracker(&p.trackerSlab, st, p.startDigest)
-	p.trackers[st.StartSeq] = t
-	p.nextExpected = st.StartSeq + 1
-	p.replayPendingAcks(env, t)
-	p.sendAck(env, t)
-	p.checkQuorum(env, t)
+	p.track(env, NewStartTracker(&p.trackerSlab, st, p.startDigest), st.StartSeq)
 
 	p.m.failovers.Inc()
 	p.m.syncRegime(p)

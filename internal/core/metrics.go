@@ -43,12 +43,13 @@ type coreMetrics struct {
 
 	// The race of a batch against its payload: proposals the shadow
 	// defers because a request they order has not reached it, how long
-	// each waits for its last one (check.go), and the FetchReqs sent for
-	// missing payloads and subjects (fetch.go).
+	// each waits for its last one (check.go); and the repair requests the
+	// fetch timer sends (fetch.go): FetchReqs for missing payloads and
+	// live CatchUpReq pulls for missing commits.
 	shadowDeferred *obs.Counter
 	shadowDeferral *obs.Histogram
 	fetchPayload   *obs.Counter
-	fetchSubject   *obs.Counter
+	pulls          *obs.Counter
 }
 
 // newCoreMetrics registers the ordering instruments (labeled by
@@ -119,9 +120,9 @@ func newCoreMetrics(r *obs.Registry, labels []obs.Label) coreMetrics {
 			"Time a deferred proposal waited for the last request it orders.",
 			[]float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1, 1}, labels...),
 		fetchPayload: r.Counter("sof_fetch_requests_total",
-			"FetchReqs sent, by what they ask for.", with("what", "payload")...),
-		fetchSubject: r.Counter("sof_fetch_requests_total",
-			"FetchReqs sent, by what they ask for.", with("what", "subject")...),
+			"Repair requests the fetch timer sent, by what they ask for: request bodies (a FetchReq) or the commits above the watermark (a live CatchUpReq pull).", with("what", "payload")...),
+		pulls: r.Counter("sof_fetch_requests_total",
+			"Repair requests the fetch timer sent, by what they ask for: request bodies (a FetchReq) or the commits above the watermark (a live CatchUpReq pull).", with("what", "pull")...),
 	}
 }
 

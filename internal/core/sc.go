@@ -241,16 +241,17 @@ type Process struct {
 	catchupServed  map[types.NodeID]servedMark
 	catchupTimer   runtime.Timer
 
-	// Fetch-on-miss state (fetch.go): the responder-side throttle per
-	// requester; the untracked subjects a quorum supports and the
-	// delivered batches still missing payloads, and the timer (with its
-	// callback, made once) that asks for them and for the deferred
-	// proposals' bodies.
-	fetchServed     map[types.NodeID]time.Time
-	missingSubjects []missingSubject
-	stragglers      []straggler
-	fetchTimer      runtime.Timer
-	onFetchTick     func()
+	// Fetch timer state (fetch.go): the responder-side throttle, the
+	// delivered batches missing payloads, the timer and its callback (made
+	// once); the gap rule's last look or watermark move, last tracking or
+	// new credit, and pulls since the watermark moved.
+	fetchServed map[types.NodeID]time.Time
+	stragglers  []straggler
+	fetchTimer  runtime.Timer
+	onFetchTick func()
+	gapSince    time.Time
+	creditAt    time.Time
+	pulls       int
 
 	// m holds the registry instruments (metrics.go); zero-valued (and
 	// no-op) when the config carried no registry.
@@ -813,7 +814,12 @@ func (p *Process) acceptEndorsedBatch(env runtime.Env, from types.NodeID, b *mes
 			p.drainFuture(env)
 		}
 	case b.FirstSeq > p.nextExpected:
-		p.future[b.FirstSeq] = b
+		// Verified now, not at its turn: a buffered batch is evidence of a
+		// gap (fetch.go).
+		if b.VerifySigs(env) == nil {
+			p.future[b.FirstSeq] = b
+			p.armFetch(env)
+		}
 	default:
 		// A late batch is ignored: its sequence range is already tracked,
 		// committed or delivered.
@@ -829,8 +835,6 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 	}
 	// Summed in scratch, kept by the tracker in its own block.
 	t := NewBatchTracker(&p.trackerSlab, b, env.ScratchDigest(b.SignedBody()))
-	p.trackers[b.FirstSeq] = t
-	p.nextExpected = b.LastSeq() + 1
 	for _, e := range b.Entries {
 		p.pool.MarkOrdered(e.Req)
 		if p.pair != nil {
@@ -841,10 +845,21 @@ func (p *Process) startBatchTracking(env runtime.Env, b *message.OrderBatch) boo
 	// brownout exit point (the proposer's is closeBatch/releaseInflight).
 	p.refreshIngress()
 	p.primaryObserveEndorsed(env, b, t.Digest)
+	p.track(env, t, b.LastSeq())
+	return true
+}
+
+// track starts counting support for a new subject covering up to last:
+// it credits the acks that came first, sends our own (N1), and commits
+// if that makes a quorum.
+func (p *Process) track(env runtime.Env, t *Tracker, last types.Seq) {
+	p.trackers[t.FirstSeq] = t
+	p.nextExpected = last + 1
+	p.creditAt = env.Now()
 	p.replayPendingAcks(env, t)
 	p.sendAck(env, t)
 	p.checkQuorum(env, t)
-	return true
+	p.armFetch(env)
 }
 
 // replayPendingAcks credits buffered acks that arrived before the subject,
@@ -928,7 +943,7 @@ func (p *Process) sendAck(env runtime.Env, t *Tracker) {
 		// that missed it learns it from any ack. A pipelined process drops
 		// this n-fold copy from the critical path (the signature binds
 		// only the digest, so commit proofs are unaffected) and receivers
-		// recover missed subjects with a FetchReq instead.
+		// recover missed subjects with a live pull instead (fetch.go).
 		if t.Batch != nil {
 			subject = t.Batch.Marshal()
 		} else if t.StartMsg != nil {
@@ -982,13 +997,12 @@ func (p *Process) onAck(env runtime.Env, from types.NodeID, a *message.Ack) {
 		// Remember acks that outran their subject (e.g. a Start we are
 		// still installing); replayPendingAcks picks them up.
 		p.parkAck(a)
-		if t == nil && a.Kind == message.SubjectBatch {
-			p.noteMissingSubject(env, a)
-		}
 		p.crossCheckCounterpartAck(env, a, nil)
 		return
 	}
-	t.Credit(a.From, a.Sig)
+	if t.Credit(a.From, a.Sig) {
+		p.creditAt = env.Now()
+	}
 	p.crossCheckCounterpartAck(env, a, t)
 	p.checkQuorum(env, t)
 }
@@ -1080,6 +1094,7 @@ func (p *Process) deliver(env runtime.Env, t *Tracker) {
 		last = t.StartMsg.StartSeq
 	}
 	p.deliveredUpTo = last
+	p.gapSince, p.pulls = env.Now(), 0
 	p.m.watermark.SetInt(int64(last))
 	p.m.batches.Inc()
 	p.m.entries.Add(uint64(len(entries)))

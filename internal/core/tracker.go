@@ -94,12 +94,15 @@ func (t *Tracker) Matches(a *message.Ack) bool {
 		bytes.Equal(a.SubjectDigest, t.Digest)
 }
 
-// Credit records an acker's signed contribution. Duplicate credits, and
-// acks from the pair the order already credited, are no-ops.
-func (t *Tracker) Credit(from types.NodeID, sig crypto.Signature) {
-	if !t.Credited(from) {
-		t.credits = append(t.credits, credit{from: from, sig: sig})
+// Credit records an acker's signed contribution and reports whether it is
+// new. Duplicate credits, and acks from the pair the order already
+// credited, are no-ops.
+func (t *Tracker) Credit(from types.NodeID, sig crypto.Signature) bool {
+	if t.Credited(from) {
+		return false
 	}
+	t.credits = append(t.credits, credit{from: from, sig: sig})
+	return true
 }
 
 // Credited reports whether from's contribution is recorded.

@@ -34,12 +34,13 @@ func fetchCluster(t *testing.T, delta time.Duration, shape func(c *Cluster)) *Cl
 	return c
 }
 
-// fetches returns a process's payload and subject FetchReq counts.
-func fetches(c *Cluster, id types.NodeID) (payload, subject float64) {
+// fetches returns how many payload FetchReqs and live CatchUpReq pulls a
+// process sent.
+func fetches(c *Cluster, id types.NodeID) (payload, pulls float64) {
 	reg, labels := c.RegistryOf(id), node.Labels(id, 0, 1)
 	payload = reg.Value("sof_fetch_requests_total", append(labels, obs.L("what", "payload"))...)
-	subject = reg.Value("sof_fetch_requests_total", append(labels, obs.L("what", "subject"))...)
-	return payload, subject
+	pulls = reg.Value("sof_fetch_requests_total", append(labels, obs.L("what", "pull"))...)
+	return payload, pulls
 }
 
 // commitTime returns when id first delivered a batch, or false.
@@ -78,8 +79,8 @@ func TestInFlightBodyIsNotFetched(t *testing.T) {
 	if got := reg.Histogram("sof_shadow_deferral_seconds", "", nil, labels...).Snapshot(); got.Count != 1 || got.Sum <= 0 {
 		t.Errorf("sof_shadow_deferral_seconds count %d sum %v, want one positive wait", got.Count, got.Sum)
 	}
-	if payload, subject := fetches(c, shadow); payload != 0 || subject != 0 {
-		t.Errorf("the shadow sent %v payload and %v subject fetches for a body in flight, want none", payload, subject)
+	if payload, pulls := fetches(c, shadow); payload != 0 || pulls != 0 {
+		t.Errorf("the shadow sent %v payload fetches and %v pulls for a body in flight, want none", payload, pulls)
 	}
 }
 
@@ -114,8 +115,8 @@ func TestDeliveredStragglerFetchedLate(t *testing.T) {
 	if wait := applied.Sub(delivered); wait < fetchWindow || wait > 2*fetchWindow {
 		t.Errorf("p3 applied the batch %v after delivering it, want one fetch window (%v) and a round trip", wait, fetchWindow)
 	}
-	if payload, subject := fetches(c, p3); payload != 1 || subject != 0 {
-		t.Errorf("p3 sent %v payload and %v subject fetches, want one payload fetch", payload, subject)
+	if payload, pulls := fetches(c, p3); payload != 1 || pulls != 0 {
+		t.Errorf("p3 sent %v payload fetches and %v pulls, want one payload fetch", payload, pulls)
 	}
 }
 

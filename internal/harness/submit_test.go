@@ -164,9 +164,9 @@ func TestShadowDeferralIsObservable(t *testing.T) {
 		t.Errorf("sof_shadow_deferral_seconds count %d sum %v, want one positive wait", got.Count, got.Sum)
 	}
 	payload := reg.Value("sof_fetch_requests_total", append(labels, obs.L("what", "payload"))...)
-	subject := reg.Value("sof_fetch_requests_total", append(labels, obs.L("what", "subject"))...)
-	if payload < 1 || subject != 0 {
-		t.Errorf("sof_fetch_requests_total payload %v subject %v, want a payload fetch and no subject fetch", payload, subject)
+	pulls := reg.Value("sof_fetch_requests_total", append(labels, obs.L("what", "pull"))...)
+	if payload < 1 || pulls != 0 {
+		t.Errorf("sof_fetch_requests_total payload %v pull %v, want a payload fetch and no pull", payload, pulls)
 	}
 }
 

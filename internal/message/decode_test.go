@@ -33,20 +33,29 @@ func TestDecodeAllocationBoundedByFrame(t *testing.T) {
 	prePrepare.U32(1 << 20)
 	// Measure a warmed coder: a GC between the warm-up and the measured
 	// call would empty coderPool and charge a fresh coder to the frame.
+	// TotalAlloc is process-wide, so the decode runs alone on one P, as
+	// testing.AllocsPerRun runs its function, and the least of a few
+	// attempts is what it cost: another goroutine's allocation can only
+	// add to an attempt.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, frame := range [][]byte{batch.Bytes(), prePrepare.Bytes()} {
 		if _, err := Decode(frame); err == nil {
 			t.Fatalf("%v: a %d-byte frame claiming 2^20 entries decoded", Type(frame[0]), len(frame))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := Decode(frame)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%v: a %d-byte frame claiming 2^20 entries decoded", Type(frame[0]), len(frame))
+		least := uint64(1<<64 - 1)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(frame)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%v: a %d-byte frame claiming 2^20 entries decoded", Type(frame[0]), len(frame))
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
-			t.Errorf("%v: refusing a %d-byte frame allocated %d bytes", Type(frame[0]), len(frame), got)
+		if least >= 4<<10 {
+			t.Errorf("%v: refusing a %d-byte frame allocated %d bytes", Type(frame[0]), len(frame), least)
 		}
 	}
 }

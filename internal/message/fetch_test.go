@@ -2,32 +2,29 @@ package message
 
 import (
 	"testing"
-
-	"github.com/sof-repro/sof/internal/types"
 )
 
 func TestFetchReqRoundTripAndVerify(t *testing.T) {
 	idents, _ := testIdentities(t, 8)
 	m := &FetchReq{
 		From: 4,
-		Seqs: []types.Seq{11, 12, 15},
 		Reqs: []ReqID{{Client: 100, ClientSeq: 7}, {Client: 101, ClientSeq: 1}},
 	}
 	m.Sig = sign(t, idents[4], m.SignedBody())
 
 	got := roundTrip(t, m).(*FetchReq)
-	if got.From != 4 || len(got.Seqs) != 3 || len(got.Reqs) != 2 {
+	if got.From != 4 || len(got.Reqs) != 2 {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
-	if got.Seqs[2] != 15 || got.Reqs[0] != (ReqID{Client: 100, ClientSeq: 7}) {
+	if got.Reqs[0] != (ReqID{Client: 100, ClientSeq: 7}) || got.Reqs[1] != (ReqID{Client: 101, ClientSeq: 1}) {
 		t.Fatalf("round trip corrupted items: %+v", got)
 	}
 	if err := got.VerifySig(idents[7]); err != nil {
 		t.Fatalf("VerifySig: %v", err)
 	}
-	// A tampered sequence list must not verify.
-	forged := &FetchReq{From: 4, Seqs: append([]types.Seq(nil), got.Seqs...), Reqs: got.Reqs, Sig: m.Sig}
-	forged.Seqs[0] = 99
+	// A tampered request list must not verify.
+	forged := &FetchReq{From: 4, Reqs: append([]ReqID(nil), got.Reqs...), Sig: m.Sig}
+	forged.Reqs[0].ClientSeq = 99
 	if err := forged.VerifySig(idents[7]); err == nil {
 		t.Fatal("forged FetchReq accepted")
 	}

@@ -80,8 +80,7 @@ func samples() map[Type]Message {
 		TCatchUp: &CatchUp{From: 2, Base: 2, UpTo: 9, PairNextPropose: 10, MaxCommitted: proof(),
 			Starts: []*Start{start()}, Batches: []*OrderBatch{batch(3), batch(5)},
 			Requests: []*Request{request()}, Sig: fixedSig(0x75)},
-		TFetchReq: &FetchReq{From: 4, Seqs: []types.Seq{3, 4}, Reqs: []ReqID{{Client: client, ClientSeq: 7}},
-			Sig: fixedSig(0x76)},
+		TFetchReq: &FetchReq{From: 4, Reqs: []ReqID{{Client: client, ClientSeq: 7}}, Sig: fixedSig(0x76)},
 		TRejected: &Rejected{From: 3, Client: client, ClientSeq: 41, Code: 2,
 			RetryAfter: 750 * time.Millisecond, Sig: fixedSig(0x77)},
 	}

@@ -81,10 +81,13 @@ type peer struct {
 	hup      chan net.Conn
 	watchers sync.WaitGroup
 
-	// connMu guards conn/closed so close() can interrupt a sender blocked
-	// mid-write (closing the conn fails the write and unblocks it).
+	// connMu guards conn/up/closed so close() can interrupt a sender
+	// blocked mid-write or mid-handshake (closing the conn fails the write
+	// or read and unblocks it). up is set once conn's handshake completed:
+	// a connection still in its handshake does not count as connected.
 	connMu sync.Mutex
 	conn   net.Conn
+	up     bool
 	closed bool
 
 	queued     atomic.Uint64
@@ -139,8 +142,8 @@ func (p *peer) close() {
 	})
 }
 
-// adoptConn registers the sender's active connection for close(); it
-// reports false (closing c) if the peer was closed concurrently.
+// adoptConn registers a dialled connection for close(); it reports false
+// (closing c) if the peer was closed concurrently.
 func (p *peer) adoptConn(c net.Conn) bool {
 	p.connMu.Lock()
 	defer p.connMu.Unlock()
@@ -152,12 +155,19 @@ func (p *peer) adoptConn(c net.Conn) bool {
 	return true
 }
 
+// markUp records that the registered connection completed its handshake.
+func (p *peer) markUp() {
+	p.connMu.Lock()
+	p.up = p.conn != nil
+	p.connMu.Unlock()
+}
+
 // connectedNow reports whether an outbound connection is currently
 // live. Scrape-time only.
 func (p *peer) connectedNow() bool {
 	p.connMu.Lock()
 	defer p.connMu.Unlock()
-	return p.conn != nil && !p.closed
+	return p.conn != nil && p.up && !p.closed
 }
 
 func (p *peer) dropCurrentConn() {
@@ -166,6 +176,7 @@ func (p *peer) dropCurrentConn() {
 		_ = p.conn.Close()
 		p.conn = nil
 	}
+	p.up = false
 	p.connMu.Unlock()
 }
 
@@ -202,6 +213,12 @@ func (p *peer) dial() (net.Conn, []session.Frame, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("dial peer %v (%s): %w", p.id, p.addr, err)
 	}
+	// Registered before either handshake, so that close cuts a peer that
+	// accepts but never answers instead of waiting out the handshake's
+	// deadline.
+	if !p.adoptConn(c) {
+		return nil, nil, fmt.Errorf("dial peer %v (%s): %w", p.id, p.addr, net.ErrClosed)
+	}
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true) // the sender already coalesces; don't let the kernel re-delay
 	}
@@ -212,17 +229,21 @@ func (p *peer) dial() (net.Conn, []session.Frame, error) {
 		tc := tls.Client(c, p.opts.TLSClient)
 		_ = tc.SetDeadline(time.Now().Add(p.opts.DialTimeout))
 		if err := tc.Handshake(); err != nil {
-			_ = tc.Close()
+			p.dropCurrentConn()
 			return nil, nil, fmt.Errorf("tls handshake with peer %v (%s): %w", p.id, p.addr, err)
 		}
 		_ = tc.SetDeadline(time.Time{})
+		if !p.adoptConn(tc) { // so that close ends the TLS session cleanly
+			return nil, nil, fmt.Errorf("dial peer %v (%s): %w", p.id, p.addr, net.ErrClosed)
+		}
 		c = tc
 	}
 	replay, err := handshake(c, p.tx, p.opts.HandshakeTimeout)
 	if err != nil {
-		_ = c.Close()
+		p.dropCurrentConn()
 		return nil, nil, fmt.Errorf("session handshake with peer %v (%s): %w", p.id, p.addr, err)
 	}
+	p.markUp()
 	if lost := p.tx.Stats().Lost; lost > 0 {
 		p.logger.Printf("tcpnet %v: session to peer %v: %d frame(s) total lost beyond the retransmission ring", p.self, p.id, lost)
 	}
@@ -309,14 +330,14 @@ func (p *peer) run() {
 			drainSeal()
 			c, replay, err := p.dial()
 			if err != nil {
+				if p.isClosed() {
+					return nil // closed while dialling
+				}
 				p.logger.Printf("tcpnet %v: %v (retrying in ~%v)", p.self, err, backoff)
 				if !sleep() {
 					return nil
 				}
 				continue
-			}
-			if !p.adoptConn(c) {
-				return nil // closed while dialling
 			}
 			if len(replay) > 0 {
 				if err := p.writeFrames(c, replay, hdrs, &vecs); err != nil {

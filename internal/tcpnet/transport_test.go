@@ -254,35 +254,94 @@ func TestSlowPeerBackpressure(t *testing.T) {
 // TestCloseUnblocksWedgedSender pins the shutdown contract: Close must
 // return promptly even when a peer sender is blocked mid-write against a
 // peer whose TCP receive window is full (closing the connection fails the
-// write and unblocks the sender).
+// write and unblocks the sender). The peer completes the session hello,
+// takes one frame and then stops reading: its handler never returns.
 func TestCloseUnblocksWedgedSender(t *testing.T) {
-	slow, err := net.Listen("tcp", "127.0.0.1:0")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	b, err := Listen(2, "127.0.0.1:0", nil, quietLogger(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer slow.Close()
-	go func() {
-		for {
-			conn, err := slow.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close() // hold open, never read
-		}
-	}()
+	b.Start(func(types.NodeID, []byte) {
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	defer b.Close()
+	defer close(release)
 
-	a, err := Listen(0, "127.0.0.1:0", map[types.NodeID]string{2: slow.Addr().String()},
+	a, err := Listen(0, "127.0.0.1:0", map[types.NodeID]string{2: b.Addr()},
 		quietLogger(), Options{QueueLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Start(func(types.NodeID, []byte) {})
 	big := make([]byte, 1<<20)
-	for i := 0; i < 64; i++ {
-		a.Send(2, big) // wedges the sender once kernel buffers fill
+	a.Send(2, big)
+	select {
+	case <-entered: // past the hello: the sender is writing frames
+	case <-time.After(5 * time.Second):
+		t.Fatal("the peer never received a frame")
 	}
-	time.Sleep(200 * time.Millisecond) // let the sender block in the write
+	// Keep the queue topped up until it stays full for 100 ms: the
+	// sender has filled the kernel buffers and is blocked in a write.
+	for refused, deadline := 0, time.Now().Add(10*time.Second); refused < 10; {
+		if time.Now().After(deadline) {
+			t.Fatal("the sender never wedged")
+		}
+		if a.Send(2, big) {
+			refused = 0
+			continue
+		}
+		refused++
+		time.Sleep(10 * time.Millisecond)
+	}
 
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		a.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Close hung on a sender blocked against a wedged peer")
+	}
+	if st := a.Stats()[2]; st.Sent >= st.Queued {
+		t.Errorf("the sender wrote all %d queued frames; want it wedged mid-write", st.Queued)
+	}
+	t.Logf("Close returned in %v", time.Since(start))
+}
+
+// TestCloseCutsDialHandshake: Close does not wait out the session
+// handshake of a peer that accepts the connection but never answers the
+// hello.
+func TestCloseCutsDialHandshake(t *testing.T) {
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := mute.Accept(); err == nil {
+			accepted <- conn // held open, never read
+		}
+	}()
+	a, err := Listen(0, "127.0.0.1:0", map[types.NodeID]string{2: mute.Addr().String()},
+		quietLogger(), Options{HandshakeTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start(func(types.NodeID, []byte) {})
+	a.Send(2, []byte("hello?"))
+	select {
+	case conn := <-accepted:
+		defer conn.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sender never dialled")
+	}
 	done := make(chan struct{})
 	go func() {
 		a.Close()
@@ -290,8 +349,8 @@ func TestCloseUnblocksWedgedSender(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on a sender blocked against a wedged peer")
+	case <-time.After(time.Second):
+		t.Fatal("Close waited out the dial-side session handshake")
 	}
 }
 

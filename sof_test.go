@@ -580,6 +580,10 @@ func TestPublicAPIDurableReopenContinuesRequestIDs(t *testing.T) {
 // frames queued for the dead node — pruning its backlog below the
 // restart point — and the node is then restarted. It returns the victim
 // and the total number of submitted requests.
+// restartBaseline is how many requests restartCatchUpScenario commits, and
+// the victim delivers, before the kill.
+const restartBaseline = 6
+
 func restartCatchUpScenario(t *testing.T, cluster *sof.Cluster) (victim sof.NodeID, ids []sof.ReqID) {
 	t.Helper()
 	h := cluster.Harness()
@@ -602,7 +606,7 @@ func restartCatchUpScenario(t *testing.T, cluster *sof.Cluster) (victim sof.Node
 
 	// Baseline: enough committed sequence numbers that the victim has
 	// delivered them and (with checkpoints on) written a checkpoint.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < restartBaseline; i++ {
 		submitAwait(fmt.Sprintf("baseline-%d", i))
 	}
 	deadline := time.Now().Add(15 * time.Second)
@@ -666,8 +670,8 @@ func assertRingsWerePruned(t *testing.T, cluster *sof.Cluster, victim sof.NodeID
 // retransmission rings pruned everything it missed, restores its durable
 // protocol checkpoint, and catches up through CatchUp — request payloads
 // included — until it has committed (and executed) every request, with
-// zero loss. The sensitivity twin below proves the recovery comes from
-// the protocol checkpoints, not from some other layer.
+// zero loss. Its twin below shows what the checkpoint adds: a watermark to
+// resume from, where a process without one catches up from sequence one.
 func TestPublicAPIDurableRestartCatchUpZeroLoss(t *testing.T) {
 	durableRestartCatchUpZeroLoss(t, sof.SC)
 }
@@ -769,13 +773,14 @@ func durableRestartCatchUpZeroLoss(t *testing.T, proto sof.Protocol) {
 	}
 }
 
-// TestPublicAPIRestartCatchUpLostWithoutProtolog is the sensitivity twin:
-// the identical scenario with protocol checkpoints disabled
-// (CheckpointInterval -1; session journals and the commit stream stay
-// durable) leaves the restarted process stranded — the pruned rings
-// cannot replay what it missed and no protocol-level catch-up exists —
-// proving the zero-loss result above comes from the protolog layer.
-func TestPublicAPIRestartCatchUpLostWithoutProtolog(t *testing.T) {
+// TestPublicAPIRestartCatchUpWithoutProtologReplaysFromOne is the
+// identical scenario with protocol checkpoints disabled (CheckpointInterval
+// -1; session journals and the commit stream stay durable). The pruned
+// rings cannot replay what the restarted process missed, but the frames
+// they still hold put it behind, so it pulls the commits live — from
+// sequence one, having no checkpoint to resume from: it delivers the
+// baseline a second time, then everything it missed.
+func TestPublicAPIRestartCatchUpWithoutProtologReplaysFromOne(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration test")
 	}
@@ -798,11 +803,16 @@ func TestPublicAPIRestartCatchUpLostWithoutProtolog(t *testing.T) {
 	victim, ids := restartCatchUpScenario(t, cluster)
 	assertRingsWerePruned(t, cluster, victim)
 
-	// Give the restarted process ample time, then check: without
-	// checkpoints it cannot rejoin the committed sequence.
-	time.Sleep(4 * time.Second)
-	if n := cluster.Harness().Events.CommittedEntries(victim); n >= len(ids) {
-		t.Fatalf("victim committed %d/%d entries without protocol checkpoints; the zero-loss test would not prove anything", n, len(ids))
+	// The baseline was delivered before the kill; the catch-up delivers it
+	// again with everything after it.
+	h := cluster.Harness()
+	want := len(ids) + restartBaseline
+	for deadline := time.Now().Add(30 * time.Second); h.Events.CommittedEntries(victim) < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("victim committed %d entries without protocol checkpoints, want %d: the %d before the kill and all %d again",
+				h.Events.CommittedEntries(victim), want, restartBaseline, len(ids))
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }
 
